@@ -411,98 +411,19 @@ func Header(blob []byte) (dim int, s Scheme, err error) {
 
 // Decode parses a framed blob back into a dense vector and reports the
 // scheme it was encoded with. Sparse schemes reconstruct zeros for the
-// dropped entries.
+// dropped entries. The payload is structurally validated against the
+// declared dim BEFORE the dim-sized allocation, so a header-only hostile
+// blob can't buy a MaxDim-element make with 16 bytes on the wire. Top-k is
+// exempt by design — a small sparse payload legitimately describes a huge
+// vector — so transports decoding untrusted top-k must bound the dim via
+// Header first (the coord server compares it to the model dim).
 func Decode(blob []byte) (tensor.Vector, Scheme, error) {
-	dim, s, err := Header(blob)
+	p, err := parsePayload(blob)
 	if err != nil {
 		return nil, Scheme{}, err
 	}
-	payload := blob[headerSize:]
-	if sum := crc32.ChecksumIEEE(payload); sum != binary.LittleEndian.Uint32(blob[12:]) {
-		return nil, Scheme{}, ErrChecksum
-	}
-	return decodePayload(payload, dim, s)
-}
-
-// decodePayload parses a checksum-verified payload into a dense vector.
-// Shared by Decode (whole blob in memory) and DecodeFrom (streamed into a
-// pooled buffer).
-func decodePayload(payload []byte, dim int, s Scheme) (tensor.Vector, Scheme, error) {
-	// Check the payload length against the declared dim BEFORE the
-	// dim-sized allocation, so a header-only hostile blob can't buy a
-	// MaxDim-element make with 16 bytes on the wire. Top-k is exempt by
-	// design — a small sparse payload legitimately describes a huge
-	// vector — so transports decoding untrusted top-k must bound the dim
-	// via Header first (the coord server compares it to the model dim).
-	switch s.Kind {
-	case KindRawF64:
-		if len(payload) != 8*dim {
-			return nil, Scheme{}, fmt.Errorf("%w: raw64 payload %d bytes for dim %d", ErrPayload, len(payload), dim)
-		}
-	case KindF32:
-		if len(payload) != 4*dim {
-			return nil, Scheme{}, fmt.Errorf("%w: f32 payload %d bytes for dim %d", ErrPayload, len(payload), dim)
-		}
-	case KindQ8:
-		// Lower bound only (chunk-size u32 + one int8 per element); the
-		// exact chunks*4 accounting happens in decodeQ8.
-		if len(payload) < 4+dim {
-			return nil, Scheme{}, fmt.Errorf("%w: q8 payload %d bytes for dim %d", ErrPayload, len(payload), dim)
-		}
-	}
-	v := tensor.NewVector(dim)
-	switch s.Kind {
-	case KindRawF64:
-		for i := range v {
-			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[8*i:]))
-		}
-	case KindF32:
-		for i := range v {
-			v[i] = float64(math.Float32frombits(binary.LittleEndian.Uint32(payload[4*i:])))
-		}
-	case KindQ8:
-		if err := decodeQ8(payload, v); err != nil {
-			return nil, Scheme{}, err
-		}
-	case KindTopK:
-		k, err := decodeTopK(payload, v)
-		if err != nil {
-			return nil, Scheme{}, err
-		}
-		s.TopK = k
-	}
-	return v, s, nil
-}
-
-func decodeQ8(payload []byte, v tensor.Vector) error {
-	dim := len(v)
-	if len(payload) < 4 {
-		return fmt.Errorf("%w: q8 payload missing chunk size", ErrPayload)
-	}
-	chunk := int(binary.LittleEndian.Uint32(payload))
-	if chunk <= 0 || chunk > MaxDim {
-		return fmt.Errorf("%w: q8 chunk size %d", ErrPayload, chunk)
-	}
-	chunks := 0
-	if dim > 0 {
-		chunks = (dim + chunk - 1) / chunk
-	}
-	if len(payload) != 4+4*chunks+dim {
-		return fmt.Errorf("%w: q8 payload %d bytes for dim %d chunk %d", ErrPayload, len(payload), dim, chunk)
-	}
-	scales := payload[4 : 4+4*chunks]
-	vals := payload[4+4*chunks:]
-	for c := 0; c < chunks; c++ {
-		scale := float64(math.Float32frombits(binary.LittleEndian.Uint32(scales[4*c:])))
-		lo, hi := c*chunk, (c+1)*chunk
-		if hi > dim {
-			hi = dim
-		}
-		for i := lo; i < hi; i++ {
-			v[i] = float64(int8(vals[i])) * scale
-		}
-	}
-	return nil
+	v, err := p.Materialize()
+	return v, p.scheme, err
 }
 
 // payloadPool recycles DecodeFrom's payload scratch buffers: a server
@@ -584,28 +505,4 @@ func readPrefix(r io.Reader, p []byte) error {
 		return fmt.Errorf("codec: read payload: %w", err)
 	}
 	return nil
-}
-
-func decodeTopK(payload []byte, v tensor.Vector) (int, error) {
-	dim := len(v)
-	if len(payload) < 4 {
-		return 0, fmt.Errorf("%w: topk payload missing count", ErrPayload)
-	}
-	k := int(binary.LittleEndian.Uint32(payload))
-	if k > dim {
-		return 0, fmt.Errorf("%w: topk count %d exceeds dim %d", ErrPayload, k, dim)
-	}
-	if len(payload) != 4+8*k {
-		return 0, fmt.Errorf("%w: topk payload %d bytes for k %d", ErrPayload, len(payload), k)
-	}
-	prev := -1
-	for i := 0; i < k; i++ {
-		j := int(binary.LittleEndian.Uint32(payload[4+4*i:]))
-		if j >= dim || j <= prev {
-			return 0, fmt.Errorf("%w: topk index %d (dim %d, prev %d)", ErrPayload, j, dim, prev)
-		}
-		prev = j
-		v[j] = float64(math.Float32frombits(binary.LittleEndian.Uint32(payload[4+4*k+4*i:])))
-	}
-	return k, nil
 }

@@ -67,10 +67,13 @@ func (p *Payload) Release() {
 
 // Materialize decodes the payload into a fresh dense vector — the
 // fallback for consumers that need random dense access (robust reducers,
-// norm clipping). Fused consumers use AddScaledRange instead.
+// norm clipping). Fused consumers use AddScaledRange instead. A Payload
+// only exists validated, so the error is always nil; the result stays in
+// the signature for the callers that check it.
 func (p *Payload) Materialize() (tensor.Vector, error) {
-	v, _, err := decodePayload(p.data, p.dim, p.scheme)
-	return v, err
+	v := tensor.NewVector(p.dim)
+	p.CopyRange(v, 0, p.dim)
+	return v, nil
 }
 
 // AllFinite reports whether every decoded element is finite, scanning the
@@ -113,7 +116,7 @@ func (p *Payload) AllFinite() bool {
 // Norm2 returns the L2 norm of the decoded vector, scanning the wire
 // bytes without materializing — the pre-reduce norm screen's accessor.
 // Every scheme accumulates s += v*v over ascending coordinates with v
-// computed by the exact decodePayload expression, so the result is
+// computed by the exact CopyRange expression, so the result is
 // bit-identical to Materialize().Norm2(); top-k skips absent entries,
 // whose dense contribution (s += 0*0) is the identity.
 func (p *Payload) Norm2() float64 {
@@ -157,9 +160,10 @@ func (p *Payload) Norm2() float64 {
 }
 
 // CopyRange decodes elements [lo, hi) into dst (len hi-lo), overwriting
-// it — the robust reducers' per-worker window materialization. Each
-// element is produced by the exact expression decodePayload uses, so a
-// copied window is bit-identical to the same slice of Materialize().
+// it — the codec's one element decoder per scheme: Decode, DecodeFrom and
+// Materialize are CopyRange over [0, dim), the robust reducers copy
+// per-worker windows, and the fused kernels repeat its element
+// expressions.
 func (p *Payload) CopyRange(dst tensor.Vector, lo, hi int) {
 	if lo < 0 || hi > p.dim || lo > hi {
 		panic(fmt.Sprintf("codec: payload range [%d,%d) outside dim %d", lo, hi, p.dim))
@@ -190,9 +194,14 @@ func (p *Payload) CopyRange(dst tensor.Vector, lo, hi int) {
 				end = hi
 			}
 			scale := float64(math.Float32frombits(binary.LittleEndian.Uint32(scales[4*c:])))
-			for ; j < end; j++ {
-				dst[j-lo] = float64(int8(vals[j])) * scale
+			// Re-slicing both sides to the chunk's span lets the compiler
+			// drop the per-element bounds checks.
+			src := vals[j:end]
+			out := dst[j-lo : end-lo]
+			for i, b := range src {
+				out[i] = float64(int8(b)) * scale
 			}
+			j = end
 		}
 	case KindTopK:
 		dst.Zero()
@@ -257,7 +266,7 @@ func (p *Payload) At(i int) float64 {
 // AddScaledRange folds dst[j-lo] += alpha * decoded[j] for j in [lo, hi)
 // — the fused decode→weight→reduce kernel. dst must be the caller's
 // global[lo:hi] window (len hi-lo). Every scheme computes the decoded
-// value with the exact expression decodePayload uses and applies it with
+// value with the exact expression CopyRange uses and applies it with
 // the exact expression tensor.AddScaled uses (v := decode(j); dst += alpha*v),
 // so a fused pass is bit-identical to materialize-then-AddScaled for
 // dense schemes and for q8. Top-k skips absent entries instead of adding
@@ -319,8 +328,8 @@ func (p *Payload) AddScaledRange(dst tensor.Vector, alpha float64, lo, hi int) {
 	}
 }
 
-// validatePayload runs the full structural validation Decode would apply,
-// without writing a single element: exact length accounting for every
+// validatePayload is the codec's structural validation, run before any
+// element is decoded or allocated for: exact length accounting for every
 // scheme, chunk-size sanity for q8, and the strict ascending in-range
 // index walk for top-k (which AddScaledRange's binary search relies on).
 // It returns the scheme with TopK filled in and the q8 chunk size.
@@ -381,19 +390,29 @@ func validatePayload(payload []byte, dim int, s Scheme) (Scheme, int, error) {
 // Payload's lifetime. Release is a no-op pool-wise (nothing pooled) but
 // still poisons the view.
 func ParsePayload(blob []byte) (*Payload, error) {
-	dim, s, err := Header(blob)
+	p, err := parsePayload(blob)
 	if err != nil {
 		return nil, err
+	}
+	return &p, nil
+}
+
+// parsePayload is ParsePayload by value, so Decode's transient view stays
+// on the stack.
+func parsePayload(blob []byte) (Payload, error) {
+	dim, s, err := Header(blob)
+	if err != nil {
+		return Payload{}, err
 	}
 	payload := blob[headerSize:]
 	if sum := crc32.ChecksumIEEE(payload); sum != binary.LittleEndian.Uint32(blob[12:]) {
-		return nil, ErrChecksum
+		return Payload{}, ErrChecksum
 	}
 	s, q8chunk, err := validatePayload(payload, dim, s)
 	if err != nil {
-		return nil, err
+		return Payload{}, err
 	}
-	return &Payload{
+	return Payload{
 		scheme:  s,
 		dim:     dim,
 		delta:   blob[5]&flagDelta != 0,

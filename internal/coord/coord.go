@@ -214,9 +214,6 @@ type Config struct {
 	// LocalSteps is the per-task local training step count hint sent to
 	// devices.
 	LocalSteps int
-	// OmitParams stops tasks embedding the global parameter vector
-	// (clients of large models should fetch out of band).
-	OmitParams bool
 	// StoreDir, when non-empty, persists published versions to disk.
 	StoreDir string
 	// KeepVersions bounds how many published model versions the store

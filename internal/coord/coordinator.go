@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,16 +39,14 @@ type Task struct {
 	BaseVersion int
 	ModelKind   model.Kind
 	// Dim is the flat parameter count; Params is the global vector at
-	// BaseVersion (nil when the server is configured not to embed it).
-	// The slice is shared and must be treated as read-only.
+	// BaseVersion. The slice is shared and must be treated as read-only.
 	Dim    int
 	Params tensor.Vector
 	// EncodedParams is the codec blob binary devices receive: the full
 	// parameter vector under TaskScheme, or — when DeltaBase is set — a
 	// delta frame against that published version. Blobs are cached per
 	// (version, scheme) and shared read-only across requests (nil when
-	// the server is configured not to embed params or the client didn't
-	// negotiate the binary protocol).
+	// the client didn't negotiate the binary protocol).
 	EncodedParams []byte
 	// TaskScheme is the encoding EncodedParams was produced under (the
 	// negotiated cohort's broadcast or delta scheme).
@@ -64,6 +61,10 @@ type Task struct {
 	UpdateScheme codec.Scheme
 	LocalSteps   int
 	Deadline     time.Time
+
+	// plane is the broadcast plane the task was cut from; the JSON task
+	// path renders its params array through the plane's artifact cache.
+	plane *broadcastState
 }
 
 // TaskQuery is the transport context a device sends with a task request:
@@ -179,13 +180,12 @@ type serving struct {
 }
 
 // persistReq is one write-behind job: flush version to the backing
-// directory and, when prune > 0, drop that old version afterwards.
+// directory, then apply the store's retention rule as of that version.
 // barrier marks the every-Nth-commit fsync: the flush is not considered
 // done until the bytes are on stable storage, bounding how many
 // snapshots a host crash (not just a process crash) can lose.
 type persistReq struct {
 	version int
-	prune   int
 	barrier bool
 }
 
@@ -199,7 +199,7 @@ const persistQueueDepth = 16
 // an aggregator.Strategy, and publishes model versions to the store.
 //
 // State is split across two planes. The *broadcast plane* is an immutable
-// broadcastState (published params, blob/delta caches, version ring)
+// broadcastState (published params, version ring, lazy artifact cache)
 // paired with the current round behind one atomic pointer: check-in,
 // task, and status requests only ever load that pointer plus per-object
 // O(1) locks (registry shards, the round's own mutex), so the serving
@@ -210,12 +210,11 @@ const persistQueueDepth = 16
 //
 // A commit is a staged pipeline under mu: (1) sharded parallel
 // aggregation into the global model, (2) building the successor
-// broadcastState off to the side — pre-encoding the default cohort's
-// blob and the delta frames for the base versions live devices actually
-// hold (tracked per device in the registry), (3) inserting the snapshot
-// into the store in memory, swapping the serving pointer, and handing the
-// disk write to a write-behind worker (publish_pending counts the
-// backlog).
+// broadcastState off to the side — a clone of the params and a ring
+// append; nothing is encoded, the plane derives each wire artifact when
+// a device first asks for it, (3) inserting the snapshot into the store
+// in memory, swapping the serving pointer, and handing the disk write to
+// a write-behind worker (publish_pending counts the backlog).
 type Coordinator struct {
 	cfg      Config
 	reg      *Registry
@@ -243,9 +242,8 @@ type Coordinator struct {
 	rebuildMu   sync.Mutex
 	rebuildWG   sync.WaitGroup
 	schedCensus []sched.DeviceSample
-	// scratch recycles full-dim work vectors across the commit pipeline
-	// and the lazy delta-encode path, so steady-state delta encoding
-	// double-buffers instead of allocating a fresh vector per frame.
+	// scratch recycles full-dim work vectors (a shard's reduced partial,
+	// the planes' delta-encode diffs) instead of allocating one per use.
 	scratch *vecPool
 	// dim is the immutable flat parameter count, readable without
 	// touching the (commit-mutated) global model.
@@ -360,21 +358,7 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	c.version.Store(int64(v))
-	bs := newBroadcastState(v, m.Params().Clone(), nil, c.scratch)
-	if !cfg.OmitParams {
-		// With OmitParams no blob is ever served, so skip the encode —
-		// it costs O(dim) work and allocation per publish. Otherwise
-		// pay the default cohort's broadcast eagerly (the common-path
-		// scheme); other cohorts' blobs fill in lazily.
-		blob, err := codec.Encode(bs.published, cfg.Transport.Default.Task)
-		if err != nil {
-			return nil, err
-		}
-		bs.setBlob(cfg.Transport.Default.Task, blob)
-		if cfg.Transport.RingDepth() > 0 {
-			bs.ring = []ringEntry{{version: v, params: bs.published}}
-		}
-	}
+	bs := newBroadcastState(v, m.Params().Clone(), nil, cfg.Transport.RingDepth(), c.scratch)
 	// Pre-register every serving counter so a status page always carries
 	// the full zeroed key set before first traffic (a dashboard shouldn't
 	// have to guess whether a missing key is "no deltas yet" or "too old
@@ -390,7 +374,6 @@ func New(cfg Config) (*Coordinator, error) {
 		"task_unknown_scheme", "auth_rejected_token",
 		"broadcast_bytes_full", "broadcast_bytes_delta",
 		"delta_cache_hits", "delta_cache_misses", "delta_base_aged",
-		"delta_pre_encoded",
 		"update_enqueued", "update_accepted", "update_recv_binary",
 		"update_recv_json", "update_rejected_dim",
 		"update_rejected_nonfinite", "update_rejected_busy",
@@ -581,11 +564,6 @@ func (c *Coordinator) negotiate(info DeviceInfo, acceptOverride []codec.Kind) tr
 // actually be served) plus the uplink update under the cohort's update
 // scheme.
 func (c *Coordinator) taskEstimate(dec transport.Decision, q TaskQuery) sched.TaskEstimate {
-	if c.cfg.OmitParams {
-		// No blob is ever served: the task's downlink cost is a handful
-		// of headers, so only the uplink counts against the window.
-		return sched.TaskEstimate{UpBytes: sched.WireSizeEstimate(dec.Policy.Update, c.dim)}
-	}
 	down := dec.Policy.Task
 	// The base version is client-controlled: only a base the serving
 	// path could actually answer with a delta (1..current, within the
@@ -637,11 +615,10 @@ func (c *Coordinator) rebuildSchedLocked(now time.Time) {
 	ests := make(map[string]sched.TaskEstimate, 2)
 	for _, cohort := range []string{transport.CohortDefault, transport.CohortLowBW} {
 		p := c.cfg.Transport.PolicyFor(cohort)
-		e := sched.TaskEstimate{UpBytes: sched.WireSizeEstimate(p.Update, c.dim)}
-		if !c.cfg.OmitParams {
-			e.DownBytes = sched.WireSizeEstimate(p.Task, c.dim)
+		ests[cohort] = sched.TaskEstimate{
+			DownBytes: sched.WireSizeEstimate(p.Task, c.dim),
+			UpBytes:   sched.WireSizeEstimate(p.Update, c.dim),
 		}
-		ests[cohort] = e
 	}
 	c.schedCensus = c.reg.AppendSchedSamples(c.schedCensus[:0], c.cfg.Criteria, now, c.cfg.Sched.TelemetryTTL)
 	c.sched.Rebuild(c.schedCensus, c.cfg.RoundDeadline, ests)
@@ -766,13 +743,11 @@ func (c *Coordinator) RequestTaskWith(deviceID int64, q TaskQuery) (Task, error)
 		UpdateScheme: dec.Policy.Update,
 		LocalSteps:   c.cfg.LocalSteps,
 		Deadline:     r.Deadline,
+		Params:       bs.published,
+		plane:        bs,
 	}
-	if c.cfg.OmitParams {
-		return t, nil
-	}
-	t.Params = bs.published
 	if !q.Binary {
-		// JSON clients take Params through the per-version JSON cache;
+		// JSON clients take Params through the plane's JSON artifact;
 		// don't pay a blob encode they will never read.
 		return t, nil
 	}
@@ -800,7 +775,6 @@ func (c *Coordinator) RequestTaskWith(deviceID int64, q TaskQuery) (Task, error)
 			t.EncodedParams = blob
 			t.TaskScheme = dec.Policy.Delta
 			t.DeltaBase = q.BaseVersion
-			c.reg.NoteDelivered(deviceID, bs.version)
 			return t, nil
 		}
 		// The base aged out of the ring (or negotiation disabled
@@ -821,7 +795,6 @@ func (c *Coordinator) RequestTaskWith(deviceID int64, q TaskQuery) (Task, error)
 		return Task{}, err
 	}
 	t.EncodedParams = blob
-	c.reg.NoteDelivered(deviceID, bs.version)
 	return t, nil
 }
 
@@ -1005,13 +978,10 @@ func (c *Coordinator) persistLoop() {
 		if err == nil && req.barrier {
 			c.counters.Counter("persist_barrier").Inc()
 		}
-		if req.prune >= 1 {
-			// Versions are sequential, so pruning v-Keep on every commit
-			// retains exactly the newest KeepVersions snapshots.
-			if c.store.Delete(c.cfg.ModelName, req.prune) == nil {
-				c.counters.Counter("versions_pruned").Inc()
-			}
-		}
+		// A removal failure leaves a stale file behind, never a missing
+		// snapshot; the next commit's pass retries it.
+		pruned, _ := c.store.Retain(c.cfg.ModelName, req.version, c.cfg.KeepVersions)
+		c.counters.Counter("versions_pruned").Add(int64(pruned))
 		c.counters.Counter("publish_pending").Add(-1)
 	}
 }
@@ -1125,12 +1095,12 @@ func (c *Coordinator) checkDeadline() {
 //
 // Stage 1 aggregates the round's updates into the global model with the
 // sharded parallel reducer. Stage 2 builds the successor broadcast plane
-// off to the side: clones the published snapshot, pre-encodes the default
-// cohort's blob and the hot delta frames for the bases live devices hold,
-// and extends the version ring. Stage 3 inserts the serialized snapshot
-// into the store (in memory), swaps the serving pointer, and queues the
-// disk write to the write-behind worker — so the only I/O a commit waits
-// for is its own arithmetic.
+// off to the side: clones the published snapshot and extends the version
+// ring (no encoding — the plane fills its artifact cache on first
+// request). Stage 3 inserts the serialized snapshot into the store (in
+// memory), swaps the serving pointer, and queues the disk write to the
+// write-behind worker — so the only I/O a commit waits for is its own
+// arithmetic.
 func (c *Coordinator) commitLocked(r *Round, now time.Time) {
 	sv := c.serving.Load()
 	if sv.round != r {
@@ -1220,11 +1190,11 @@ func (c *Coordinator) commitLocked(r *Round, now time.Time) {
 // to the current plane's published snapshot and the round drops.
 // Callers hold mu.
 func (c *Coordinator) publishLocked(r *Round, bs *broadcastState, v int, now time.Time) bool {
-	next, err := c.buildBroadcast(bs, v, now)
-	if err != nil {
-		c.abortCommitLocked(r, bs, c.global.Params(), "round_publish_error", now)
-		return false
-	}
+	// The published clone cannot come from the scratch pool: the plane and
+	// the version ring retain it for RingDepth commits and in-flight
+	// readers share it read-only, so recycling it would tear a concurrent
+	// task response.
+	next := newBroadcastState(v, c.global.Params().Clone(), bs.ring, c.cfg.Transport.RingDepth(), c.scratch)
 	// The serialized snapshot lands in the store's memory before the
 	// serving swap (tasks must never reference a version the store
 	// cannot answer for); the disk write rides the write-behind queue.
@@ -1243,15 +1213,9 @@ func (c *Coordinator) publishLocked(r *Round, bs *broadcastState, v int, now tim
 	c.version.Store(int64(v))
 	c.counters.Counter("rounds_committed").Inc()
 	c.finishLocked(r, v, next, now)
-	prune := 0
-	if c.cfg.KeepVersions > 0 {
-		if old := v - c.cfg.KeepVersions; old >= 1 {
-			prune = old
-		}
-	}
 	c.counters.Counter("publish_pending").Inc()
 	barrier := c.cfg.PersistBarrier > 0 && v%c.cfg.PersistBarrier == 0
-	c.persist <- persistReq{version: v, prune: prune, barrier: barrier}
+	c.persist <- persistReq{version: v, barrier: barrier}
 	return true
 }
 
@@ -1267,100 +1231,6 @@ func (c *Coordinator) abortCommitLocked(r *Round, bs *broadcastState, params ten
 	c.counters.Counter(counter).Inc()
 	_ = r.conclude(PhaseAbandoned)
 	c.finishLocked(r, 0, bs, now)
-}
-
-// buildBroadcast assembles the broadcast plane for version v from the
-// freshly aggregated global params: the published clone, the extended
-// version ring, the default cohort's pre-encoded blob, and — using the
-// registry's per-device delivered-version tracking — pre-encoded delta
-// frames for the bases live devices actually hold, so the task storm
-// after the swap starts on warm caches.
-func (c *Coordinator) buildBroadcast(prev *broadcastState, v int, now time.Time) (*broadcastState, error) {
-	// The published clone itself cannot come from the scratch pool: the
-	// plane and the version ring retain it for DeltaHistory commits and
-	// in-flight readers share it read-only, so recycling it would tear a
-	// concurrent task response.
-	published := c.global.Params().Clone()
-	bs := newBroadcastState(v, published, nil, c.scratch)
-	if c.cfg.OmitParams {
-		return bs, nil
-	}
-	blob, err := codec.Encode(published, c.cfg.Transport.Default.Task)
-	if err != nil {
-		return nil, err
-	}
-	bs.setBlob(c.cfg.Transport.Default.Task, blob)
-	if k := c.cfg.Transport.RingDepth(); k > 0 {
-		// The ring shares the published snapshots (read-only), sized to
-		// the deepest cohort's window; keep the newest K entries so delta
-		// bases age out instead of accumulating a full model per commit
-		// forever.
-		ring := make([]ringEntry, 0, k)
-		if len(prev.ring) > 0 {
-			start := 0
-			if extra := len(prev.ring) + 1 - k; extra > 0 {
-				start = extra
-			}
-			ring = append(ring, prev.ring[start:]...)
-		}
-		bs.ring = append(ring, ringEntry{version: v, params: published})
-		c.preencodeDeltas(bs, now)
-	}
-	return bs, nil
-}
-
-// preencodeDeltas warms the new plane's delta cache with the frames the
-// fleet will request first: for every ring base some live device holds
-// (per the registry's delivered-version census), encode the base→v diff
-// under each cohort's delta scheme. Bases are spread across at most
-// GOMAXPROCS workers, each reusing one scratch vector for all its
-// bases, so commit-time memory is O(cores·dim) however deep the ring is
-// — an unbounded goroutine-per-base fan-out would hold ring-depth
-// full-dim vectors at once and defeat the scratch pool.
-func (c *Coordinator) preencodeDeltas(bs *broadcastState, now time.Time) {
-	held := c.reg.BaseVersions(now)
-	schemes := c.cfg.Transport.DeltaSchemes()
-	bases := make([]ringEntry, 0, len(bs.ring))
-	for _, e := range bs.ring {
-		if e.version != bs.version && held[e.version] > 0 {
-			bases = append(bases, e)
-		}
-	}
-	if len(bases) == 0 {
-		return
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(bases) {
-		workers = len(bases)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			diff := c.scratch.get()
-			defer c.scratch.put(diff)
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(bases) {
-					return
-				}
-				e := bases[i]
-				copy(diff, bs.published)
-				diff.Sub(e.params)
-				for _, s := range schemes {
-					blob, err := codec.EncodeDelta(diff, s)
-					if err != nil {
-						continue // that base falls back to lazy/full serving
-					}
-					bs.setDelta(e.version, s, blob)
-					c.counters.Counter("delta_pre_encoded").Inc()
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // abandonLocked drops a starved round and opens a fresh one on the same

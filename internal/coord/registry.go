@@ -62,7 +62,7 @@ const (
 // a million-device census: session attributes packed into one flag byte,
 // the capability list packed into a scheme-kind bitmask, timestamps as
 // unix nanos instead of 24-byte time.Time values, and telemetry in its
-// 32-byte compact form — ~104 bytes against the ~200-plus of the naive
+// 32-byte compact form — 96 bytes against the ~200-plus of the naive
 // struct-of-API-types layout, stored by value in the shard map so there
 // is no per-device heap object at all. Model/platform strings are
 // interned registry-wide, so their bytes are shared across the fleet.
@@ -74,11 +74,6 @@ type deviceState struct {
 	assignedRound uint64
 	sessionSec    float32
 	weight        float32
-	// baseVersion is the published model version last delivered to the
-	// device (0 = never served params). The commit pipeline reads the
-	// distribution of these to pre-encode the delta frames the next task
-	// storm will actually ask for.
-	baseVersion int32
 	// gateDenials counts consecutive deadline-gate rejections; every
 	// Nth is admitted as a re-measurement probe, and any fresh
 	// telemetry observation resets the streak.
@@ -93,7 +88,7 @@ type deviceState struct {
 }
 
 // setInfo overwrites the reported state (a check-in), leaving the
-// serving bookkeeping (assignment, base version, telemetry) untouched.
+// serving bookkeeping (assignment, telemetry) untouched.
 func (d *deviceState) setInfo(info DeviceInfo, intern func(string) string) {
 	d.model = intern(info.Model)
 	d.platform = intern(info.Platform)
@@ -594,38 +589,6 @@ func (r *Registry) NoteScreened(id int64) {
 		d.tel.Distrust()
 		s.devs[id] = d
 	}
-}
-
-// NoteDelivered records the published version the device now holds (it
-// was just served that version's full blob, or a delta rebuilding it).
-// O(1), one shard lock; unknown devices are ignored.
-func (r *Registry) NoteDelivered(id int64, version int) {
-	s := r.shard(id)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if d, ok := s.devs[id]; ok {
-		d.baseVersion = int32(version)
-		s.devs[id] = d
-	}
-}
-
-// BaseVersions counts live devices per last-delivered model version —
-// the commit pipeline's view of which delta bases the fleet actually
-// holds. O(fleet): it scans every shard, so it belongs in the commit
-// pipeline (once per publish), never on a serving path.
-func (r *Registry) BaseVersions(now time.Time) map[int]int {
-	out := make(map[int]int)
-	for i := range r.shards {
-		s := &r.shards[i]
-		s.mu.Lock()
-		for _, d := range s.devs {
-			if d.baseVersion > 0 && r.live(&d, now) {
-				out[int(d.baseVersion)]++
-			}
-		}
-		s.mu.Unlock()
-	}
-	return out
 }
 
 func (r *Registry) live(d *deviceState, now time.Time) bool {

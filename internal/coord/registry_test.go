@@ -193,40 +193,3 @@ func TestRegistryConcurrent(t *testing.T) {
 		t.Fatalf("census known = %d, want 50", st.Known)
 	}
 }
-
-// TestRegistryBaseVersionTracking pins the server-side delivered-version
-// bookkeeping the commit pipeline's delta pre-encoder plans from.
-func TestRegistryBaseVersionTracking(t *testing.T) {
-	r := NewRegistry(4, time.Minute)
-	now := time.Unix(1000, 0)
-	for id := int64(1); id <= 5; id++ {
-		r.CheckIn(testInfo(id), now)
-	}
-	// Nothing delivered yet → empty census.
-	if got := r.BaseVersions(now); len(got) != 0 {
-		t.Fatalf("pre-delivery base versions = %v, want empty", got)
-	}
-	r.NoteDelivered(1, 3)
-	r.NoteDelivered(2, 3)
-	r.NoteDelivered(3, 2)
-	r.NoteDelivered(99, 7) // unknown device: ignored, not created
-	got := r.BaseVersions(now)
-	if got[3] != 2 || got[2] != 1 || len(got) != 2 {
-		t.Fatalf("base versions = %v, want map[2:1 3:2]", got)
-	}
-	// Re-delivery moves a device to its new version.
-	r.NoteDelivered(3, 3)
-	if got := r.BaseVersions(now); got[3] != 3 || got[2] != 0 {
-		t.Fatalf("after re-delivery base versions = %v", got)
-	}
-	// Dead devices drop out of the census: their base won't be
-	// pre-encoded for.
-	later := now.Add(2 * time.Minute)
-	r.Heartbeat(1, later)
-	if got := r.BaseVersions(later); got[3] != 1 {
-		t.Fatalf("stale devices still counted: %v", got)
-	}
-	if _, ok := r.Get(99); ok {
-		t.Fatal("NoteDelivered created a device")
-	}
-}

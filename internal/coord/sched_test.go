@@ -282,7 +282,7 @@ func TestDeltaCacheBoundedByRing(t *testing.T) {
 		p.Scale(float64(v))
 		ring = append(ring, ringEntry{version: v, params: p})
 	}
-	bs := newBroadcastState(ringDepth, ring[ringDepth-1].params, ring, pool)
+	bs := newBroadcastState(ringDepth, ring[ringDepth-1].params, ring[:ringDepth-1], ringDepth, pool)
 
 	schemes := []codec.Scheme{codec.Q8, {Kind: codec.KindTopK}, codec.F32}
 	noChange := codec.TopK(1)
@@ -294,7 +294,7 @@ func TestDeltaCacheBoundedByRing(t *testing.T) {
 		}
 	}
 	entries := 0
-	bs.deltas.Range(func(_, _ any) bool { entries++; return true })
+	bs.cache.Range(func(_, _ any) bool { entries++; return true })
 	// Bases 1..ringDepth-1 x 3 schemes, plus the current-version
 	// no-change frame (one scheme: every request maps to noChange).
 	max := (ringDepth-1)*len(schemes) + 1

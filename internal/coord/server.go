@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync/atomic"
 	"time"
 
 	"flint/internal/codec"
@@ -187,14 +186,6 @@ type errorResponse struct {
 type Server struct {
 	c   *Coordinator
 	mux *http.ServeMux
-	// jsonParams caches the marshaled params array for the legacy JSON
-	// task path, keyed by published version.
-	jsonParams atomic.Pointer[jsonParamsCache]
-}
-
-type jsonParamsCache struct {
-	version int
-	raw     json.RawMessage
 }
 
 // NewServer wraps the coordinator in its /v1 JSON API.
@@ -384,7 +375,9 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.c.counters.Counter("task_sent_json").Inc()
-	params := s.paramsJSON(t)
+	// Marshaling fails only on a non-finite value, which the commit screen
+	// keeps out of every published snapshot; keep the handler alive.
+	params, _ := t.plane.paramsJSON()
 	s.c.counters.Counter("broadcast_bytes_full").Add(int64(len(params)))
 	writeJSON(w, http.StatusOK, taskWire{
 		RoundID:      t.RoundID,
@@ -396,24 +389,6 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 		DeadlineMS:   t.Deadline.UnixMilli(),
 		UpdateScheme: t.UpdateScheme.String(),
 	})
-}
-
-// paramsJSON returns the task's parameter vector as a marshaled JSON
-// array, re-rendering only when the published version changes. Concurrent
-// rebuilds are benign: both produce identical bytes.
-func (s *Server) paramsJSON(t Task) json.RawMessage {
-	if t.Params == nil {
-		return nil
-	}
-	if c := s.jsonParams.Load(); c != nil && c.version == t.BaseVersion {
-		return c.raw
-	}
-	raw, err := json.Marshal([]float64(t.Params))
-	if err != nil {
-		return nil // unreachable for a float slice; keep the handler alive
-	}
-	s.jsonParams.Store(&jsonParamsCache{version: t.BaseVersion, raw: raw})
-	return raw
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {

@@ -208,6 +208,36 @@ func (s *Store) Delete(name string, version int) error {
 	if _, ok := s.blob[name][version]; !ok {
 		return fmt.Errorf("modelstore: %s v%d not found", name, version)
 	}
+	return s.deleteLocked(name, version)
+}
+
+// Retain is the store's retention rule: it drops every stored version of
+// the named model at or below newest−keep, from memory and the backing
+// directory, and reports how many it dropped. Version numbers may have
+// gaps (a replica installing a tier's global versions skips the ones it
+// never saw), so the rule is a range, not "newest−keep exactly". keep <= 0
+// retains everything.
+func (s *Store) Retain(name string, newest, keep int) (int, error) {
+	if keep <= 0 {
+		return 0, nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	dropped := 0
+	for v := range s.blob[name] {
+		if v > newest-keep {
+			continue
+		}
+		if err := s.deleteLocked(name, v); err != nil {
+			return dropped, err
+		}
+		dropped++
+	}
+	return dropped, nil
+}
+
+// deleteLocked drops a stored version's bytes and files; callers hold mu.
+func (s *Store) deleteLocked(name string, version int) error {
 	delete(s.blob[name], version)
 	if s.dir != "" {
 		path := snapshotPath(s.dir, name, version)

@@ -242,3 +242,53 @@ func TestPersistBarrier(t *testing.T) {
 		t.Fatal("barrier re-persist corrupted the snapshot")
 	}
 }
+
+// TestRetainDropsEveryAgedVersion: retention is a range, so a store whose
+// version numbers have gaps (a replica that skipped installs) still ends
+// at the newest `keep` span — memory, .fct files and legacy .gob files.
+func TestRetainDropsEveryAgedVersion(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _ := model.New(model.KindA, 5)
+	var buf bytes.Buffer
+	if err := model.Save(m, &buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range []int{1, 3, 4, 7, 9, 10} {
+		if err := s.PutAt("gap", v, buf.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Persist("gap", v, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	legacy := filepath.Join(dir, "gap-v003.gob")
+	if err := os.WriteFile(legacy, []byte("old"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.Retain("gap", 10, -1); n != 0 || err != nil || len(s.Versions("gap")) != 6 {
+		t.Fatalf("keep<=0 must retain everything: dropped %d, err %v", n, err)
+	}
+	// newest−keep = 7: versions 1, 3, 4 and 7 go, with no stored v2/v5/v6
+	// to trip over.
+	n, err := s.Retain("gap", 10, 3)
+	if err != nil || n != 4 {
+		t.Fatalf("Retain dropped %d (err %v), want 4", n, err)
+	}
+	if got := s.Versions("gap"); len(got) != 2 || got[0] != 9 || got[1] != 10 {
+		t.Fatalf("versions after Retain = %v, want [9 10]", got)
+	}
+	files, _ := filepath.Glob(filepath.Join(dir, "gap-v*"))
+	if len(files) != 2 {
+		t.Fatalf("files after Retain = %v, want the v9 and v10 snapshots", files)
+	}
+	if n, err := s.Retain("gap", 10, 3); n != 0 || err != nil {
+		t.Fatalf("second Retain dropped %d (err %v), want a no-op", n, err)
+	}
+	if _, v, err := s.Latest("gap"); err != nil || v != 10 {
+		t.Fatalf("Latest after Retain = v%d, %v", v, err)
+	}
+}

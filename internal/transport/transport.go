@@ -156,10 +156,10 @@ func (c Config) RingDepth() int {
 }
 
 // DeltaSchemes lists the distinct delta-broadcast encodings the cohort
-// policies can assign — what a coordinator pre-encoding hot delta frames
-// at commit time must cover so every cohort's first request hits a warm
-// cache. Cohorts whose delta window is disabled contribute nothing: no
-// request of theirs can ever be answered with a delta frame.
+// policies can assign — the schemes a published version's delta frames
+// can be requested under. Cohorts whose delta window is disabled
+// contribute nothing: no request of theirs can ever be answered with a
+// delta frame.
 func (c Config) DeltaSchemes() []codec.Scheme {
 	var out []codec.Scheme
 	if c.DepthFor(CohortDefault) > 0 {

@@ -989,13 +989,12 @@ func BenchmarkSchedAssignUnderChurn(b *testing.B) {
 }
 
 // TestCommitDeltaScratchAllocs is the snapshot-GC-pressure satellite's
-// assertion: with several live devices pinning distinct delta bases, the
-// commit pipeline's per-commit allocation stays bounded — the transient
-// per-base diff vectors ride the coordinator's scratch pool instead of
-// allocating a fresh full-dim clone each (which at KindB's 189k params
-// cost ~1.5 MiB per base per commit before the pool; with 4+ pinned
-// bases that pushed a commit past 10 MiB, roughly double today's
-// budget).
+// assertion: with several devices asking each new version for deltas
+// from distinct bases, allocation per published version stays bounded —
+// the transient per-base diff vectors ride the coordinator's scratch pool
+// instead of allocating a fresh full-dim clone each (which at KindB's
+// 189k params costs ~1.5 MiB per base per version; with 4 bases that
+// pushes a version past the budget).
 func TestCommitDeltaScratchAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates allocation accounting")
@@ -1050,13 +1049,10 @@ func TestCommitDeltaScratchAllocs(t *testing.T) {
 		}
 	}
 
-	// Warm-up: pin 4 holder devices at distinct published bases, so
-	// every later commit pre-encodes delta frames for 4+ ring bases.
-	for i := int64(1); i <= 4; i++ {
+	// Warm-up: fill the ring past the deepest base the holders ask for.
+	const holders = 4
+	for i := int64(1); i <= holders; i++ {
 		checkin(i)
-		if _, err := c.RequestTask(i); err != nil {
-			t.Fatalf("holder %d: %v", i, err)
-		}
 		commit()
 	}
 
@@ -1065,13 +1061,21 @@ func TestCommitDeltaScratchAllocs(t *testing.T) {
 	runtime.ReadMemStats(&m0)
 	for i := 0; i < commits; i++ {
 		commit()
+		// Holder h still has v−h: four first requests, four lazy encodes.
+		v := c.Version()
+		for h := 1; h <= holders; h++ {
+			task, err := c.RequestTaskWith(int64(h), coord.TaskQuery{Binary: true, BaseVersion: v - h})
+			if err != nil || task.DeltaBase != v-h {
+				t.Fatalf("holder %d at v%d: delta base %d, err %v", h, v, task.DeltaBase, err)
+			}
+		}
 	}
 	runtime.ReadMemStats(&m1)
 	perCommit := (m1.TotalAlloc - m0.TotalAlloc) / commits
-	// Measured ~9.5 MiB/commit with the scratch pool (published clone,
-	// serialized snapshot, broadcast blob, encoded delta frames) and
-	// ~15.9 MiB without it — the pinned bases' per-commit diff clones.
-	// The budget sits between the two with ~25% headroom each way.
+	// Measured ~9.3 MiB/version with the scratch pool (published clone,
+	// serialized snapshot, broadcast blob, four encoded delta frames);
+	// each diff allocated fresh would add ~1.5 MiB, ~15 MiB in all. The
+	// budget sits between the two.
 	const budget = 12 << 20
 	if perCommit > budget {
 		t.Fatalf("commit pipeline allocates %.2f MiB/commit, budget %.2f MiB — did the delta scratch pool regress?",
