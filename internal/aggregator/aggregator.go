@@ -26,10 +26,10 @@ type Update struct {
 	// ingest→commit path never materializes a full-dim vector per
 	// update. When Delta is non-nil it wins and Payload is ignored.
 	// The robust column reducers (TrimmedMean, CoordinateMedian) decode
-	// per-worker windows via pooled scratch instead; strategies without
-	// any fused path (NormBound) call Materialize first, and the
-	// simulation-side wrappers (DP, SecAgg, poisoning) require a dense
-	// Delta.
+	// one cache-resident tile of every update at a time into pooled
+	// scratch instead; strategies without any fused path (NormBound) call
+	// Materialize first, and the simulation-side wrappers (DP, SecAgg,
+	// poisoning) require a dense Delta.
 	Payload *codec.Payload
 	// Weight is the aggregation weight, conventionally the client's
 	// example count |Dk|.
@@ -237,113 +237,31 @@ func (t TrimmedMean) Aggregate(global tensor.Vector, updates []Update) error {
 	return t.aggregateRange(global, updates, 0, len(global))
 }
 
-// aggregateRange implements rangeStrategy for the robust reducer, making
-// trimmed-mean a first-class live-path range kernel alongside FedAvg and
-// FedBuff. Payload-backed updates are NOT materialized up front: each
-// call decodes only its own [lo:hi) window, once per update, into the
-// worker's pooled cache-line-aligned column scratch (gatherRows) — so a
-// Parallel run touches each wire byte exactly once and a steady-state
-// commit allocates nothing. Per coordinate the column gather reads the
-// dense rows, partitions out the k smallest and k largest with partial
-// selection (O(n) expected), and folds the mean of the middle in. The
-// selection's pivot rule is deterministic, so every worker — and every
-// re-run — sums the middle values in the same order: parallel stays
-// bit-identical to sequential. Scalar validation runs identically in
-// every worker before any of them mutates global.
+// aggregateRange implements rangeStrategy: the per-side trim count comes
+// from trimCount and the range is reduced by the robust tile driver
+// (trimmedRange in robust.go), which never materializes more than one
+// tile of the update set. Scalar validation runs identically in every
+// worker before any of them mutates global.
 func (t TrimmedMean) aggregateRange(global tensor.Vector, updates []Update, lo, hi int) error {
 	if t.TrimFrac < 0 || t.TrimFrac >= 0.5 {
 		return fmt.Errorf("aggregator: trim fraction %v outside [0, 0.5)", t.TrimFrac)
 	}
-	k := int(t.TrimFrac * float64(len(updates)))
-	s := robustPool.Get().(*robustScratch)
-	defer s.release()
-	s.gatherRows(updates, lo, hi)
-	vals, rows := s.vals, s.rows
-	for j := lo; j < hi; j++ {
-		for i, row := range rows {
-			vals[i] = row[j-lo]
-		}
-		selectMiddle(vals, k)
-		var sum float64
-		for _, v := range vals[k : len(vals)-k] {
-			sum += v
-		}
-		if n := len(vals) - 2*k; n > 0 {
-			global[j] += sum / float64(n)
-		}
-	}
+	trimmedRange(global, updates, lo, hi, trimCount(t.TrimFrac, len(updates)))
 	return nil
 }
 
 // fusedPayloads marks the range kernel as reading wire-form updates
-// directly (via the per-worker window gather in gatherRows), so Parallel
-// no longer materializes every payload for it.
+// directly (the tile driver decodes each update's tile window itself), so
+// Parallel never materializes every payload for it.
 func (TrimmedMean) fusedPayloads() {}
 
-// selectMiddle partitions vals so its k smallest elements occupy
-// vals[:k] and its k largest vals[len-k:], leaving the middle in
-// between — everything a trimmed sum needs, without fully sorting.
-func selectMiddle(vals []float64, k int) {
-	if k <= 0 || 2*k >= len(vals) {
-		return
-	}
-	nthElement(vals, k-1)
-	nthElement(vals[k:], len(vals)-2*k-1)
-}
-
-// nthElement partially sorts a so that a[n] holds its n-th smallest
-// element with everything before it no larger and everything after no
-// smaller — an iterative quickselect with a deterministic median-of-three
-// pivot (reproducible sums) and an insertion-sort base case. The interval
-// shrinks strictly every iteration, so it terminates even on pathological
-// (e.g. NaN-laced) comparisons.
-func nthElement(a []float64, n int) {
-	lo, hi := 0, len(a)-1
-	for hi > lo {
-		if hi-lo < 12 {
-			insertSort(a[lo : hi+1])
-			return
-		}
-		// Median-of-three of (lo, mid, hi), parked at hi-1 as the pivot.
-		mid := lo + (hi-lo)/2
-		if a[mid] < a[lo] {
-			a[mid], a[lo] = a[lo], a[mid]
-		}
-		if a[hi] < a[lo] {
-			a[hi], a[lo] = a[lo], a[hi]
-		}
-		if a[hi] < a[mid] {
-			a[hi], a[mid] = a[mid], a[hi]
-		}
-		a[mid], a[hi-1] = a[hi-1], a[mid]
-		pivot := a[hi-1]
-		i := lo
-		for j := lo; j < hi-1; j++ {
-			if a[j] < pivot {
-				a[i], a[j] = a[j], a[i]
-				i++
-			}
-		}
-		a[i], a[hi-1] = a[hi-1], a[i]
-		switch {
-		case n == i:
-			return
-		case n < i:
-			hi = i - 1
-		default:
-			lo = i + 1
-		}
-	}
-}
-
-// insertSort sorts small slices in place without package sort's interface
-// overhead — the quickselect base case in the per-coordinate loop.
-func insertSort(xs []float64) {
-	for i := 1; i < len(xs); i++ {
-		for j := i; j > 0 && xs[j] < xs[j-1]; j-- {
-			xs[j], xs[j-1] = xs[j-1], xs[j]
-		}
-	}
+// trimCount is the number of updates TrimmedMean discards from each side
+// of a column of n: floor(frac·n), with an epsilon guard so products that
+// are whole numbers in exact arithmetic but land one ulp short in float64
+// (0.29 × 100 = 28.999999999999996) are not truncated a whole update low,
+// and capped so at least one middle element always survives.
+func trimCount(frac float64, n int) int {
+	return min(int(math.Floor(frac*float64(n)+1e-9)), (n-1)/2)
 }
 
 // NormBound wraps a strategy, clipping each update's L2 norm to Bound

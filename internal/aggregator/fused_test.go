@@ -232,7 +232,7 @@ func TestTrimmedMeanSelectionMatchesSort(t *testing.T) {
 			}
 		}
 		frac := rng.Float64() * 0.49
-		k := int(frac * float64(n))
+		k := trimCount(frac, n)
 
 		want := trimmedRefSum(col, k)
 		got := make([]float64, n)

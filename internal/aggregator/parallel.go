@@ -111,6 +111,12 @@ func (p Parallel) Aggregate(global tensor.Vector, updates []Update) error {
 			return err
 		}
 	}
+	return p.fork(rs, global, updates, workers)
+}
+
+// fork runs the range kernel over shardAlign-quantized contiguous ranges,
+// one goroutine each, and joins them. Callers have validated dimensions.
+func (p Parallel) fork(rs rangeStrategy, global tensor.Vector, updates []Update, workers int) error {
 	chunk := (len(global) + workers - 1) / workers
 	chunk = (chunk + shardAlign - 1) / shardAlign * shardAlign
 	errs := make([]error, workers)

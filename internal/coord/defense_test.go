@@ -2,6 +2,7 @@ package coord
 
 import (
 	"math"
+	"math/rand"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -341,5 +342,61 @@ func TestFleetPoisonReplay(t *testing.T) {
 	}
 	if math.IsNaN(st.ModelNorm) || math.IsInf(st.ModelNorm, 0) {
 		t.Fatalf("model norm %v after poisoned rounds", st.ModelNorm)
+	}
+}
+
+// TestDPApplyMatchesSeparatePasses pins the fused clip+noise pass to the
+// three-pass definition it replaced (norm, then clip the whole vector,
+// then noise the whole vector): bit-identical params and the same noise
+// stream in every mode — clip and noise, noise only (delta under the
+// cap), clip only, and neither.
+func TestDPApplyMatchesSeparatePasses(t *testing.T) {
+	const dim, version, n = 1000, 7, 13
+	rng := rand.New(rand.NewSource(3))
+	published := tensor.NewVector(dim)
+	delta := tensor.NewVector(dim)
+	for i := range published {
+		published[i] = rng.NormFloat64()
+		delta[i] = rng.NormFloat64() * 0.01 // norm ≈ 0.32
+	}
+	for _, cfg := range []DPConfig{
+		{Epsilon: 8, Delta: 1e-5, ClipNorm: 0.05, Seed: 77},
+		{Epsilon: 8, Delta: 1e-5, ClipNorm: 5, Seed: 77},
+		{ClipNorm: 0.05},
+		{ClipNorm: 5},
+	} {
+		d := newDPState(cfg)
+		want := published.Clone()
+		want.Add(delta)
+		got := want.Clone()
+
+		var s float64
+		for i := range want {
+			diff := want[i] - published[i]
+			s += diff * diff
+		}
+		if norm := math.Sqrt(s); norm > cfg.ClipNorm {
+			factor := cfg.ClipNorm / norm
+			for i := range want {
+				want[i] = published[i] + (want[i]-published[i])*factor
+			}
+		}
+		if d.sigma != 0 {
+			std := d.sigma * cfg.ClipNorm / n
+			noise := rand.New(rand.NewSource(cfg.Seed + version*1_000_003))
+			for i := range want {
+				want[i] += noise.NormFloat64() * std
+			}
+		}
+
+		eps, noised := d.apply(got, published, version, n)
+		if noised != (cfg.Epsilon > 0) || (eps > 0) != noised {
+			t.Fatalf("%+v: noised=%v eps=%v", cfg, noised, eps)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%+v: params[%d] = %v, separate passes give %v", cfg, i, got[i], want[i])
+			}
+		}
 	}
 }

@@ -48,24 +48,38 @@ func (d *dpState) apply(params, published tensor.Vector, version int, n int) (ep
 		diff := params[i] - published[i]
 		s += diff * diff
 	}
-	if norm := math.Sqrt(s); norm > d.cfg.ClipNorm {
-		// Scale the delta, not the params: the published base is not ours
-		// to shrink. An overflowed (+Inf) norm yields factor 0 — the delta
-		// vanishes and the round publishes the old params plus noise.
-		factor := d.cfg.ClipNorm / norm
-		for i := range params {
-			params[i] = published[i] + (params[i]-published[i])*factor
-		}
-	}
-	if d.sigma == 0 {
+	// Scale the delta, not the params: the published base is not ours to
+	// shrink. An overflowed (+Inf) norm yields factor 0 — the delta
+	// vanishes and the round publishes the old params plus noise.
+	norm := math.Sqrt(s)
+	clip := norm > d.cfg.ClipNorm
+	noised = d.sigma != 0
+	if !clip && !noised {
 		return 0, false
 	}
+	factor := d.cfg.ClipNorm / norm
 	std := d.sigma * d.cfg.ClipNorm / float64(n)
-	rng := rand.New(rand.NewSource(d.cfg.Seed + int64(version)*1_000_003))
-	for i := range params {
-		params[i] += rng.NormFloat64() * std
+	var rng *rand.Rand
+	if noised {
+		rng = rand.New(rand.NewSource(d.cfg.Seed + int64(version)*1_000_003))
 	}
-	return d.epsilonSpent(d.rounds.Add(1)), true
+	// Clip and noise share one pass. Each element still goes through the
+	// two expressions the separate passes applied, in the same order, and
+	// the noise stream is drawn in index order, so the published params are
+	// bit-identical to clipping the whole vector first.
+	for i, p := range params {
+		if clip {
+			p = published[i] + (p-published[i])*factor
+		}
+		if noised {
+			p += rng.NormFloat64() * std
+		}
+		params[i] = p
+	}
+	if noised {
+		eps = d.epsilonSpent(d.rounds.Add(1))
+	}
+	return eps, noised
 }
 
 // epsilonSpent is the accountant: cumulative ε over `rounds` noised

@@ -158,6 +158,59 @@ func BenchmarkParallelAggregate(b *testing.B) {
 	b.ReportMetric(seqNs, "seq_ns/op")
 }
 
+// BenchmarkRobustReduce prices the robust range kernels as the defended
+// commit runs them — the sharded reducer with the fused non-finite screen,
+// over q8 wire payloads of the 189k-param model — on a grid that puts
+// points on both sides of the kernels' trim-count crossover: trimmed-mean
+// at n/k = 13/2 (the serving benchmark's defended round), 32/6, 64/12 and
+// 64/25, and the coordinate median at n = 13 and 33. Reports ns per
+// column; B/op is the steady-state allocation (the tile scratch is pooled).
+func BenchmarkRobustReduce(b *testing.B) {
+	const dim = 189_039
+	grid := []struct {
+		name  string
+		n     int
+		strat aggregator.Strategy
+	}{
+		{"trimmed/n=13/k=2", 13, aggregator.TrimmedMean{TrimFrac: 2.5 / 13}},
+		{"trimmed/n=32/k=6", 32, aggregator.TrimmedMean{TrimFrac: 6.5 / 32}},
+		{"trimmed/n=64/k=12", 64, aggregator.TrimmedMean{TrimFrac: 12.5 / 64}},
+		{"trimmed/n=64/k=25", 64, aggregator.TrimmedMean{TrimFrac: 25.5 / 64}},
+		{"median/n=13", 13, aggregator.CoordinateMedian{}},
+		{"median/n=33", 33, aggregator.CoordinateMedian{}},
+	}
+	dense := makeUpdates(64, dim)
+	ups := make([]aggregator.Update, len(dense))
+	for i, u := range dense {
+		blob, err := codec.Encode(u.Delta, codec.Q8)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := codec.ParsePayload(blob)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ups[i] = aggregator.Update{ClientID: u.ClientID, Payload: p, Weight: 1}
+	}
+	for _, g := range grid {
+		b.Run(g.name, func(b *testing.B) {
+			par := aggregator.Parallel{Inner: g.strat, Screen: true}
+			global := tensor.NewVector(dim)
+			if err := par.Aggregate(global, ups[:g.n]); err != nil { // warm the scratch pool
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := par.Aggregate(global, ups[:g.n]); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/dim, "ns/column")
+		})
+	}
+}
+
 func BenchmarkSecAggMaskedSum(b *testing.B) {
 	ups := makeUpdates(8, 1519) // model A updates through the enclave
 	sec := aggregator.SecAgg{MaskScale: 1, Seed: 2}
