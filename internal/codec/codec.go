@@ -34,11 +34,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
-	"math"
 	"slices"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -178,181 +175,6 @@ var (
 	ErrChecksum = errors.New("codec: payload checksum mismatch")
 	ErrNotDelta = errors.New("codec: blob is not a delta frame")
 )
-
-// Encode serializes v under the scheme and returns the framed blob.
-func Encode(v tensor.Vector, s Scheme) ([]byte, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	dim := len(v)
-	if dim > MaxDim {
-		return nil, fmt.Errorf("%w: %d elements (max %d)", ErrDim, dim, MaxDim)
-	}
-	var payload []byte
-	switch s.Kind {
-	case KindRawF64:
-		payload = make([]byte, 8*dim)
-		for i, x := range v {
-			binary.LittleEndian.PutUint64(payload[8*i:], math.Float64bits(x))
-		}
-	case KindF32:
-		payload = make([]byte, 4*dim)
-		for i, x := range v {
-			binary.LittleEndian.PutUint32(payload[4*i:], math.Float32bits(float32(x)))
-		}
-	case KindQ8:
-		payload = encodeQ8(v)
-	case KindTopK:
-		payload = encodeTopK(v, s.TopK)
-	}
-	blob := make([]byte, headerSize+len(payload))
-	copy(blob, Magic)
-	blob[3] = Version
-	blob[4] = byte(s.Kind)
-	binary.LittleEndian.PutUint32(blob[8:], uint32(dim))
-	binary.LittleEndian.PutUint32(blob[12:], crc32.ChecksumIEEE(payload))
-	copy(blob[headerSize:], payload)
-	return blob, nil
-}
-
-// encodeQ8 emits [chunkSize u32][numChunks f32 scales][dim int8 values].
-// Each chunk's scale is maxAbs/127; values are round(x/scale) clamped to
-// ±127 (the -128 code is reserved), so |x - x̂| ≤ scale/2 plus float32
-// rounding of the scale itself.
-func encodeQ8(v tensor.Vector) []byte {
-	dim := len(v)
-	chunks := (dim + q8Chunk - 1) / q8Chunk
-	payload := make([]byte, 4+4*chunks+dim)
-	binary.LittleEndian.PutUint32(payload, q8Chunk)
-	scales := payload[4 : 4+4*chunks]
-	vals := payload[4+4*chunks:]
-	for c := 0; c < chunks; c++ {
-		lo, hi := c*q8Chunk, (c+1)*q8Chunk
-		if hi > dim {
-			hi = dim
-		}
-		maxAbs := 0.0
-		for _, x := range v[lo:hi] {
-			// NaN compares false everywhere, so it never drives the
-			// scale; it quantizes to 0 below.
-			if a := math.Abs(x); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		// Clamp instead of letting float32() overflow to +Inf: an Inf
-		// scale would decode every chunk element as 0*Inf = NaN.
-		scale := float32(maxAbs / 127)
-		if maxAbs/127 > math.MaxFloat32 {
-			scale = math.MaxFloat32
-		}
-		binary.LittleEndian.PutUint32(scales[4*c:], math.Float32bits(scale))
-		if scale == 0 {
-			continue // chunk is all zeros (vals already zeroed)
-		}
-		inv := 1 / float64(scale)
-		for i, x := range v[lo:hi] {
-			q := math.Round(x * inv)
-			// The comparisons also catch NaN (both false → q stays NaN
-			// only if unclamped), so saturate explicitly before the
-			// int8 conversion, whose behavior on non-integers in range
-			// is defined but on NaN is not.
-			switch {
-			case q > 127:
-				q = 127
-			case q < -127:
-				q = -127
-			case math.IsNaN(q):
-				q = 0
-			}
-			vals[lo+i] = byte(int8(q))
-		}
-	}
-	return payload
-}
-
-// encodeTopK emits [k u32][k u32 ascending indices][k f32 values],
-// keeping the k largest-magnitude entries.
-func encodeTopK(v tensor.Vector, k int) []byte {
-	dim := len(v)
-	if k <= 0 {
-		k = dim / 32
-		if k < 1 {
-			k = 1
-		}
-	}
-	if k > dim {
-		k = dim
-	}
-	// Selection runs O(dim log k) with O(k) extra space — a min-heap of
-	// the k strongest entries whose root is the weakest kept — instead
-	// of sorting a dim-length index slice: at the default k = dim/32 the
-	// full sort dominated the encode hot path. "Stronger" is larger
-	// magnitude with ties to the smaller index, matching the sort order
-	// this replaced, so encodings stay deterministic and byte-identical.
-	weaker := func(a, b int) bool {
-		ma, mb := math.Abs(v[a]), math.Abs(v[b])
-		if ma != mb {
-			return ma < mb
-		}
-		return a > b
-	}
-	kept := make([]int, 0, k)
-	siftDown := func(i int) {
-		for {
-			child := 2*i + 1
-			if child >= len(kept) {
-				return
-			}
-			if r := child + 1; r < len(kept) && weaker(kept[r], kept[child]) {
-				child = r
-			}
-			if !weaker(kept[child], kept[i]) {
-				return
-			}
-			kept[i], kept[child] = kept[child], kept[i]
-			i = child
-		}
-	}
-	for i := 0; i < dim; i++ {
-		if len(kept) < k {
-			kept = append(kept, i)
-			for j := len(kept) - 1; j > 0; {
-				p := (j - 1) / 2
-				if !weaker(kept[j], kept[p]) {
-					break
-				}
-				kept[j], kept[p] = kept[p], kept[j]
-				j = p
-			}
-		} else if weaker(kept[0], i) {
-			kept[0] = i
-			siftDown(0)
-		}
-	}
-	sort.Ints(kept)
-	payload := make([]byte, 4+8*k)
-	binary.LittleEndian.PutUint32(payload, uint32(k))
-	for i, j := range kept {
-		binary.LittleEndian.PutUint32(payload[4+4*i:], uint32(j))
-		binary.LittleEndian.PutUint32(payload[4+4*k+4*i:], math.Float32bits(float32(v[j])))
-	}
-	return payload
-}
-
-// EncodeDelta serializes diff — a difference against some base vector the
-// receiver already holds — under the scheme and returns the blob with the
-// delta flag set. The base's identity (which published version it was)
-// travels out of band; the frame only records that its payload is a
-// difference, so a delta blob can never be mistaken for a full vector by
-// a receiver that checks IsDelta.
-func EncodeDelta(diff tensor.Vector, s Scheme) ([]byte, error) {
-	blob, err := Encode(diff, s)
-	if err != nil {
-		return nil, err
-	}
-	blob[5] |= flagDelta
-	return blob, nil
-}
 
 // IsDelta reports whether the blob carries the delta-frame flag. It is a
 // cheap peek: the blob must at least open with a valid magic for the

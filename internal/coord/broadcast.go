@@ -38,9 +38,6 @@ type broadcastState struct {
 	// cache holds the derived artifacts (artifactKey → *artifact). Loads
 	// are lock-free for keys that exist.
 	cache sync.Map
-	// scratch recycles the transient diff vectors delta encoding needs
-	// (shared with the owning coordinator).
-	scratch *vecPool
 }
 
 // ringEntry is one retained published version.
@@ -49,12 +46,12 @@ type ringEntry struct {
 	params  tensor.Vector
 }
 
-// vecPool recycles full-dim work vectors for transient results (the
-// delta-encode diff, a shard's reduced partial), so in steady state the
-// same one or two vectors cycle instead of a fresh dim-sized allocation
-// per use. Retained snapshots (the published clone, ring entries) must
-// NOT come from here — pool vectors are overwritten on reuse, and a
-// retained one would tear under a concurrent reader.
+// vecPool recycles full-dim work vectors for transient results (a shard's
+// reduced partial), so in steady state the same one or two vectors cycle
+// instead of a fresh dim-sized allocation per use. Retained snapshots (the
+// published clone, ring entries) must NOT come from here — pool vectors
+// are overwritten on reuse, and a retained one would tear under a
+// concurrent reader.
 type vecPool struct {
 	dim  int
 	pool sync.Pool
@@ -114,8 +111,8 @@ var errBaseAged = errors.New("coord: delta base not in the version ring")
 // ring keeps its newest depth−1 entries and appends this version, so delta
 // bases age out instead of accumulating a full model per commit forever.
 // depth 0 disables delta serving.
-func newBroadcastState(version int, published tensor.Vector, prev []ringEntry, depth int, scratch *vecPool) *broadcastState {
-	bs := &broadcastState{version: version, published: published, scratch: scratch}
+func newBroadcastState(version int, published tensor.Vector, prev []ringEntry, depth int) *broadcastState {
+	bs := &broadcastState{version: version, published: published}
 	if depth > 0 {
 		if extra := len(prev) + 1 - depth; extra > 0 {
 			prev = prev[extra:]
@@ -156,11 +153,7 @@ func (bs *broadcastState) encode(key artifactKey) ([]byte, error) {
 	switch key.kind {
 	case artifactDelta:
 		base, _ := bs.baseParams(key.base) // in the ring: get admitted the key
-		diff := bs.scratch.get()
-		defer bs.scratch.put(diff)
-		copy(diff, bs.published)
-		diff.Sub(base)
-		return codec.EncodeDelta(diff, key.scheme)
+		return codec.EncodeDiff(bs.published, base, key.scheme)
 	case artifactJSON:
 		return json.Marshal([]float64(bs.published))
 	default:

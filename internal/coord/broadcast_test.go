@@ -7,6 +7,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"flint/internal/codec"
+	"flint/internal/tensor"
 )
 
 // cacheLen counts a plane's derived artifacts.
@@ -103,6 +106,54 @@ func TestArtifactEncodedExactlyOnce(t *testing.T) {
 				t.Fatalf("delta cache hits/misses = %d/%d, want %d/%d", hits, misses, wantHits, wantMisses)
 			}
 		})
+	}
+}
+
+// TestPlaneArtifactsFromSnapshots: what the plane serves is defined by the
+// two snapshots alone. A delta artifact is byte-for-byte the delta frame of
+// the materialized difference published − base, a full artifact the plain
+// encode of published — and the delta is produced straight from the ring
+// entries: the plane owns no scratch vector (it is built without a pool),
+// and the frame's own buffer is the encode's single allocation.
+func TestPlaneArtifactsFromSnapshots(t *testing.T) {
+	const dim = 1519
+	snapshot := func(seed float64) tensor.Vector {
+		v := make(tensor.Vector, dim)
+		for i := range v {
+			v[i] = seed * float64((i*7919)%113-56) / 97
+		}
+		return v
+	}
+	base, published := snapshot(0.01), snapshot(0.013)
+	published[3], published[dim-1] = base[3], base[dim-1] // some exact zeros in the diff
+	bs := newBroadcastState(2, published, []ringEntry{{version: 1, params: base}}, 4)
+	diff := published.Clone()
+	diff.Sub(base)
+	for _, s := range []codec.Scheme{codec.Q8, codec.TopK(0), codec.F32, codec.RawF64} {
+		want, err := codec.EncodeDelta(diff, s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		key := artifactKey{kind: artifactDelta, base: 1, scheme: s}
+		if got, _, err := bs.get(key); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%v delta artifact differs from EncodeDelta(published − base) (err %v)", s, err)
+		}
+		if want, err = codec.Encode(published, s); err != nil {
+			t.Fatal(err)
+		}
+		if got, err := bs.fullBlob(s); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%v full artifact differs from Encode(published) (err %v)", s, err)
+		}
+		if raceEnabled {
+			continue // the race runtime allocates on its own
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			if _, err := bs.encode(key); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 1 {
+			t.Fatalf("%v delta encode made %.0f allocations, want the frame alone", s, allocs)
+		}
 	}
 }
 

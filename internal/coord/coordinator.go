@@ -242,8 +242,8 @@ type Coordinator struct {
 	rebuildMu   sync.Mutex
 	rebuildWG   sync.WaitGroup
 	schedCensus []sched.DeviceSample
-	// scratch recycles full-dim work vectors (a shard's reduced partial,
-	// the planes' delta-encode diffs) instead of allocating one per use.
+	// scratch recycles full-dim work vectors (a shard's reduced partial)
+	// instead of allocating one per use.
 	scratch *vecPool
 	// dim is the immutable flat parameter count, readable without
 	// touching the (commit-mutated) global model.
@@ -358,7 +358,7 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	c.version.Store(int64(v))
-	bs := newBroadcastState(v, m.Params().Clone(), nil, cfg.Transport.RingDepth(), c.scratch)
+	bs := newBroadcastState(v, m.Params().Clone(), nil, cfg.Transport.RingDepth())
 	// Pre-register every serving counter so a status page always carries
 	// the full zeroed key set before first traffic (a dashboard shouldn't
 	// have to guess whether a missing key is "no deltas yet" or "too old
@@ -1194,7 +1194,7 @@ func (c *Coordinator) publishLocked(r *Round, bs *broadcastState, v int, now tim
 	// the version ring retain it for RingDepth commits and in-flight
 	// readers share it read-only, so recycling it would tear a concurrent
 	// task response.
-	next := newBroadcastState(v, c.global.Params().Clone(), bs.ring, c.cfg.Transport.RingDepth(), c.scratch)
+	next := newBroadcastState(v, c.global.Params().Clone(), bs.ring, c.cfg.Transport.RingDepth())
 	// The serialized snapshot lands in the store's memory before the
 	// serving swap (tasks must never reference a version the store
 	// cannot answer for); the disk write rides the write-behind queue.

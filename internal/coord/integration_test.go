@@ -618,8 +618,11 @@ func TestDeltaBroadcast(t *testing.T) {
 		if r.StatusCode != http.StatusAccepted {
 			t.Fatalf("update from device %d: HTTP %d", dev, r.StatusCode)
 		}
+		// The version counter moves just before the serving pair swaps:
+		// wait for the swap, or the next fetch can land on the concluded
+		// round and draw a 204.
 		deadline := time.Now().Add(10 * time.Second)
-		for c.Version() <= base {
+		for c.serving.Load().bcast.version <= base {
 			if time.Now().After(deadline) {
 				t.Fatalf("round after v%d never committed", base)
 			}

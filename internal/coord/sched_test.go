@@ -270,7 +270,6 @@ func TestAcceptChangesBetweenCheckins(t *testing.T) {
 // no-change topk:1 frame), so a hostile client cannot inflate the cache.
 func TestDeltaCacheBoundedByRing(t *testing.T) {
 	const dim = 64
-	pool := newVecPool(dim)
 	published := make(tensor.Vector, dim)
 	for i := range published {
 		published[i] = float64(i)
@@ -282,7 +281,7 @@ func TestDeltaCacheBoundedByRing(t *testing.T) {
 		p.Scale(float64(v))
 		ring = append(ring, ringEntry{version: v, params: p})
 	}
-	bs := newBroadcastState(ringDepth, ring[ringDepth-1].params, ring[:ringDepth-1], ringDepth, pool)
+	bs := newBroadcastState(ringDepth, ring[ringDepth-1].params, ring[:ringDepth-1], ringDepth)
 
 	schemes := []codec.Scheme{codec.Q8, {Kind: codec.KindTopK}, codec.F32}
 	noChange := codec.TopK(1)
@@ -307,8 +306,8 @@ func TestDeltaCacheBoundedByRing(t *testing.T) {
 }
 
 // TestDeltaScratchReuse (snapshot GC pressure): the pool hands the same
-// backing buffer out again after release, so steady-state delta encoding
-// double-buffers instead of allocating per frame.
+// backing buffer out again after release, so a shard's steady-state
+// partials double-buffer instead of allocating per commit.
 func TestDeltaScratchReuse(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode runtime randomizes sync.Pool reuse")

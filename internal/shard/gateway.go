@@ -20,6 +20,28 @@ import (
 // the largest zoo model is ~7.4 MB, far under this.
 const maxPartialBody = 64 << 20
 
+// partialPresize caps the buffer a declared Content-Length reserves before
+// a byte of the body has arrived: enough for the largest zoo model's
+// partial in one piece, and all a bare header can cost the gateway, whose
+// partial endpoint takes requests from anyone who can reach it.
+const partialPresize = 8 << 20
+
+// readSized reads r to the end into one buffer sized from the body's
+// declared Content-Length. io.ReadAll grows from 512 bytes, which for a
+// 1.5 MB partial is ~5× the body in transient garbage per read. The length
+// is a sizing hint only — at most partialPresize is taken on its word, a
+// body shorter or longer than declared still reads whole (growing as the
+// bytes come), and an unknown length (≤ 0) grows as ReadAll does.
+func readSized(r io.Reader, contentLength int64) ([]byte, error) {
+	var buf bytes.Buffer
+	if contentLength > 0 {
+		// MinRead of slack lets ReadFrom see EOF without regrowing.
+		buf.Grow(int(min(contentLength, partialPresize)) + bytes.MinRead)
+	}
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
+}
+
 // maxRoutedJSONBody bounds how much of a JSON /v1 body the gateway will
 // buffer to find the device id. Matches the coordinator's own update
 // budget, so the gateway never rejects a body a shard would accept.
@@ -399,7 +421,7 @@ func (g *Gateway) handlePartial(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", hdrWeight, err))
 		return
 	}
-	if pc.Blob, err = io.ReadAll(http.MaxBytesReader(w, r.Body, maxPartialBody)); err != nil {
+	if pc.Blob, err = readSized(http.MaxBytesReader(w, r.Body, maxPartialBody), r.ContentLength); err != nil {
 		writeError(w, http.StatusRequestEntityTooLarge, err)
 		return
 	}

@@ -326,3 +326,37 @@ func TestHTTPExchangeRoundTrip(t *testing.T) {
 		t.Fatalf("halted exchange returned %v, want ErrTierHalted", err)
 	}
 }
+
+// TestReadSized pins the partial-body read: a declared length buys the
+// one buffer the body needs (io.ReadAll's doubling from 512 B re-copied a
+// 1.5 MB partial ~5 times), while the length stays a hint — a body
+// shorter or longer than declared or an unknown length still read whole,
+// and a declaration reserves at most partialPresize ahead of the bytes.
+func TestReadSized(t *testing.T) {
+	body := bytes.Repeat([]byte("partial!"), 190_000) // ~1.5 MB
+	for _, tc := range []struct {
+		name     string
+		declared int64
+	}{
+		{"exact", int64(len(body))},
+		{"unknown", -1},
+		{"short-claim", 100},
+		{"long-claim", int64(2 * len(body))},
+		{"max-claim", maxPartialBody},
+		{"over-bound", maxPartialBody + 1},
+	} {
+		got, err := readSized(bytes.NewReader(body), tc.declared)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !bytes.Equal(got, body) {
+			t.Fatalf("%s: read %d bytes, want the %d-byte body", tc.name, len(got), len(body))
+		}
+		if tc.declared == int64(len(body)) && cap(got) > len(body)+len(body)/8 {
+			t.Fatalf("%s: buffer cap %d for a %d-byte body: grown by doubling, not sized from the length", tc.name, cap(got), len(body))
+		}
+		if cap(got) > 2*partialPresize {
+			t.Fatalf("%s: buffer cap %d for a %d-byte body: a declared length reserved more than partialPresize", tc.name, cap(got), len(body))
+		}
+	}
+}

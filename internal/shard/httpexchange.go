@@ -103,7 +103,7 @@ func (x *HTTPExchange) SubmitPartial(pc coord.PartialCommit) (coord.GlobalInstal
 	}
 	inst := coord.GlobalInstall{Version: version}
 	if resp.ContentLength != 0 {
-		blob, err := io.ReadAll(resp.Body)
+		blob, err := readSized(resp.Body, resp.ContentLength)
 		if err != nil {
 			return coord.GlobalInstall{}, fmt.Errorf("shard: read install blob: %w", err)
 		}

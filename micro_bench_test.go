@@ -227,17 +227,18 @@ func BenchmarkSecAggMaskedSum(b *testing.B) {
 
 // codecBenchVector builds a model-B-sized synthetic update (189k params),
 // the dense payload the serving protocol moves per task and per update.
-func codecBenchVector() tensor.Vector {
+func codecBenchVector() tensor.Vector { return codecBenchVectorDim(189_039) }
+
+func codecBenchVectorDim(dim int) tensor.Vector {
 	rng := rand.New(rand.NewSource(13))
-	v := tensor.NewVector(189_039)
+	v := tensor.NewVector(dim)
 	for i := range v {
 		v[i] = rng.NormFloat64() * 0.01
 	}
 	return v
 }
 
-func benchmarkCodecEncode(b *testing.B, s codec.Scheme) {
-	v := codecBenchVector()
+func benchmarkCodecEncode(b *testing.B, v tensor.Vector, s codec.Scheme) {
 	blob, err := codec.Encode(v, s)
 	if err != nil {
 		b.Fatal(err)
@@ -253,10 +254,62 @@ func benchmarkCodecEncode(b *testing.B, s codec.Scheme) {
 	}
 }
 
-func BenchmarkCodecEncodeRaw64(b *testing.B) { benchmarkCodecEncode(b, codec.RawF64) }
-func BenchmarkCodecEncodeF32(b *testing.B)   { benchmarkCodecEncode(b, codec.F32) }
-func BenchmarkCodecEncodeQ8(b *testing.B)    { benchmarkCodecEncode(b, codec.Q8) }
-func BenchmarkCodecEncodeTopK(b *testing.B)  { benchmarkCodecEncode(b, codec.TopK(0)) }
+// benchmarkCodecEncodeDims runs the encode at both serving models' sizes:
+// model B, where the kernel's per-element cost is the number, and model A
+// (1 519 params), where any dim-independent cost would show.
+func benchmarkCodecEncodeDims(b *testing.B, s codec.Scheme) {
+	for _, dim := range []int{189_039, 1519} {
+		b.Run(fmt.Sprintf("dim=%d", dim), func(b *testing.B) {
+			benchmarkCodecEncode(b, codecBenchVectorDim(dim), s)
+		})
+	}
+}
+
+func BenchmarkCodecEncodeRaw64(b *testing.B) {
+	benchmarkCodecEncode(b, codecBenchVector(), codec.RawF64)
+}
+func BenchmarkCodecEncodeF32(b *testing.B)  { benchmarkCodecEncodeDims(b, codec.F32) }
+func BenchmarkCodecEncodeQ8(b *testing.B)   { benchmarkCodecEncodeDims(b, codec.Q8) }
+func BenchmarkCodecEncodeTopK(b *testing.B) { benchmarkCodecEncodeDims(b, codec.TopK(0)) }
+
+// BenchmarkCodecEncodeTopKInputs prices the top-k selection on the inputs
+// built to defeat it — nothing to split, everything in one bucket, NaNs on
+// top — beside the Gaussian it is tuned on: the select is O(dim) whatever
+// the distribution, so none may cost a multiple of the first.
+func BenchmarkCodecEncodeTopKInputs(b *testing.B) {
+	const dim = 189_039
+	inputs := []struct {
+		name string
+		at   func(rng *rand.Rand, i int) float64
+	}{
+		{"gaussian", func(rng *rand.Rand, i int) float64 { return rng.NormFloat64() * 0.01 }},
+		{"all-equal", func(rng *rand.Rand, i int) float64 { return 0.37 * float64(1-2*(i&1)) }},
+		{"all-zero", func(rng *rand.Rand, i int) float64 { return 0 }},
+		{"one-binade", func(rng *rand.Rand, i int) float64 { return 1 + rng.Float64() }},
+		{"low-bits", func(rng *rand.Rand, i int) float64 {
+			return math.Float64frombits(math.Float64bits(0.25) | uint64(rng.Intn(5)))
+		}},
+		{"consecutive", func(rng *rand.Rand, i int) float64 {
+			return math.Float64frombits(math.Float64bits(1) + uint64(i*7919%dim))
+		}},
+		{"nan-laced", func(rng *rand.Rand, i int) float64 {
+			if rng.Intn(64) == 0 {
+				return math.NaN()
+			}
+			return rng.NormFloat64() * 0.01
+		}},
+	}
+	for _, in := range inputs {
+		b.Run(in.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(13))
+			v := tensor.NewVector(dim)
+			for i := range v {
+				v[i] = in.at(rng, i)
+			}
+			benchmarkCodecEncode(b, v, codec.TopK(0))
+		})
+	}
+}
 
 func benchmarkCodecDecode(b *testing.B, s codec.Scheme) {
 	blob, err := codec.Encode(codecBenchVector(), s)
@@ -291,13 +344,11 @@ func BenchmarkCodecDeltaBroadcast(b *testing.B) {
 	for i := range cur {
 		cur[i] += step.NormFloat64() * 0.001
 	}
-	diff := cur.Clone()
-	diff.Sub(base)
 	full, err := codec.Encode(cur, codec.F32)
 	if err != nil {
 		b.Fatal(err)
 	}
-	delta, err := codec.EncodeDelta(diff, codec.Q8)
+	delta, err := codec.EncodeDiff(cur, base, codec.Q8)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -314,8 +365,9 @@ func BenchmarkCodecDeltaBroadcast(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		// The per-commit server cost: encode the delta frame once.
-		if _, err := codec.EncodeDelta(diff, codec.Q8); err != nil {
+		// The server cost, paid once per (base, scheme) by the first
+		// requester: the delta frame straight from the two snapshots.
+		if _, err := codec.EncodeDiff(cur, base, codec.Q8); err != nil {
 			b.Fatal(err)
 		}
 	}
