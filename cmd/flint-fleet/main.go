@@ -41,7 +41,7 @@ import (
 	"sync"
 	"time"
 
-	"flint/internal/coord"
+	"flint/internal/fleet"
 	"flint/internal/network"
 	"flint/internal/vload"
 )
@@ -58,8 +58,7 @@ func main() {
 	poisonFraction := flag.Float64("poison-fraction", 0, "share of devices under adversary control (deterministic per seed; 0 disables)")
 	poisonMode := flag.String("poison-mode", "sign-flip", "attack compromised devices mount: sign-flip or random-noise")
 	poisonScale := flag.Float64("poison-scale", 10, "attack boost factor (sign-flip amplification / noise std multiplier)")
-	jsonFraction := flag.Float64("json-fraction", 0, "share of devices kept on the legacy JSON protocol (0 = all binary, 1 = all JSON)")
-	legacyFraction := flag.Float64("legacy-fraction", 0, "share of devices on pre-negotiation binary (full broadcast, no scheme advertisement)")
+	jsonFraction := flag.Float64("json-fraction", 0, "share of devices on the JSON protocol: no capability list, full broadcast (0 = all negotiated binary, 1 = all JSON)")
 	bandwidth := flag.Float64("bandwidth", 0, "simulate per-device links: median downlink Mbps (0 disables; uplink at 40%)")
 	churn := flag.Bool("churn", false, "drive availability from a generated diurnal session trace instead of an always-on loop")
 	traceScale := flag.Float64("trace-scale", 60, "churn: trace seconds replayed per wall second")
@@ -83,6 +82,9 @@ func main() {
 		bw = &m
 	}
 	if *virtual {
+		if *jobs != "" {
+			log.Fatal("-virtual and -jobs cannot be combined: the virtual-time load plane drives only the server's default job")
+		}
 		rep, err := vload.Run(vload.Config{
 			BaseURL:         *server,
 			Gateway:         *gateway,
@@ -100,11 +102,7 @@ func main() {
 		})
 		if rep != nil {
 			if *jsonOut {
-				enc := json.NewEncoder(os.Stdout)
-				enc.SetIndent("", "  ")
-				if err := enc.Encode(rep); err != nil {
-					log.Fatal(err)
-				}
+				printJSON(rep)
 			} else {
 				fmt.Print(rep.String())
 			}
@@ -114,7 +112,7 @@ func main() {
 		}
 		return
 	}
-	base := coord.FleetConfig{
+	base := fleet.Config{
 		BaseURL:        *server,
 		Devices:        *devices,
 		Rounds:         *rounds,
@@ -127,7 +125,6 @@ func main() {
 		PoisonMode:     *poisonMode,
 		PoisonScale:    *poisonScale,
 		JSONFraction:   *jsonFraction,
-		LegacyFraction: *legacyFraction,
 		Bandwidth:      bw,
 		Churn:          *churn,
 		TraceScale:     *traceScale,
@@ -138,14 +135,10 @@ func main() {
 		runJobs(base, *jobs, *jsonOut)
 		return
 	}
-	rep, err := coord.RunFleet(base)
+	rep, err := fleet.Run(base)
 	if rep != nil {
 		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rep); err != nil {
-				log.Fatal(err)
-			}
+			printJSON(rep)
 		} else {
 			fmt.Print(rep.String())
 			// The per-server counter block only applies to a flat
@@ -189,11 +182,20 @@ func main() {
 	}
 }
 
+// printJSON writes one indented JSON report document to stdout.
+func printJSON(v any) {
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(v); err != nil {
+		log.Fatal(err)
+	}
+}
+
 // runJobs drives one fleet per tenant concurrently: the device budget
 // splits evenly (remainder to the first jobs), each job's fleet gets a
 // disjoint device-ID range and its own seed, and tokens ride along from
 // the name=token syntax.
-func runJobs(base coord.FleetConfig, list string, jsonOut bool) {
+func runJobs(base fleet.Config, list string, jsonOut bool) {
 	type jobTarget struct {
 		name, token string
 	}
@@ -212,7 +214,7 @@ func runJobs(base coord.FleetConfig, list string, jsonOut bool) {
 	per := base.Devices / len(targets)
 	rem := base.Devices % len(targets)
 	var wg sync.WaitGroup
-	reps := make([]*coord.FleetReport, len(targets))
+	reps := make([]*fleet.Report, len(targets))
 	errs := make([]error, len(targets))
 	offset := int64(0)
 	for i, t := range targets {
@@ -226,24 +228,20 @@ func runJobs(base coord.FleetConfig, list string, jsonOut bool) {
 		offset += int64(cfg.Devices)
 		cfg.Seed = base.Seed + int64(i)*1_000_003
 		wg.Add(1)
-		go func(i int, cfg coord.FleetConfig) {
+		go func(i int, cfg fleet.Config) {
 			defer wg.Done()
-			reps[i], errs[i] = coord.RunFleet(cfg)
+			reps[i], errs[i] = fleet.Run(cfg)
 		}(i, cfg)
 	}
 	wg.Wait()
 	failed := false
 	for i, t := range targets {
 		if jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
 			if reps[i] != nil {
-				if err := enc.Encode(struct {
+				printJSON(struct {
 					Job string `json:"job"`
-					*coord.FleetReport
-				}{Job: t.name, FleetReport: reps[i]}); err != nil {
-					log.Fatal(err)
-				}
+					*fleet.Report
+				}{Job: t.name, Report: reps[i]})
 			}
 		} else if reps[i] != nil {
 			fmt.Printf("=== job %s ===\n%s", t.name, reps[i].String())

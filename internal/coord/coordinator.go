@@ -656,9 +656,8 @@ func (c *Coordinator) Heartbeat(id int64) error {
 }
 
 // RequestTask hands the device the current round's task with full
-// broadcast semantics — the pre-negotiation entry point, kept for
-// embedders and tests. Equivalent to RequestTaskWith(id, TaskQuery{
-// Binary: true}).
+// broadcast semantics — the convenience form of RequestTaskWith(id,
+// TaskQuery{Binary: true}) for embedders and tests.
 func (c *Coordinator) RequestTask(deviceID int64) (Task, error) {
 	return c.RequestTaskWith(deviceID, TaskQuery{Binary: true})
 }

@@ -3,12 +3,10 @@ package coord
 import (
 	"math"
 	"math/rand"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
-	"flint/internal/model"
 	"flint/internal/tensor"
 )
 
@@ -282,67 +280,6 @@ func TestRegistryNoteScreened(t *testing.T) {
 		t.Fatalf("distrust erased the EWMA priors: %+v", tel)
 	}
 	r.NoteScreened(99) // unknown devices are ignored
-}
-
-// TestFleetPoisonReplay is the live poison-replay drill in miniature —
-// and, under -race, the concurrency hammer for the defended commit path:
-// a fleet with a 25% sign-flip adversary drives wire-form poisoned and
-// clean payloads through screen → trimmed-mean → clip → noise
-// concurrently for 3+ rounds.
-func TestFleetPoisonReplay(t *testing.T) {
-	cfg := Config{
-		Mode:          ModeSync,
-		ModelKind:     model.KindA,
-		Seed:          1,
-		TargetUpdates: 12,
-		Quorum:        4,
-		OverCommit:    2,
-		RoundDeadline: 5 * time.Second,
-		QueueDepth:    128,
-		Aggregation:   AggregationConfig{Strategy: "trimmed-mean"},
-		DP:            DPConfig{Epsilon: 8},
-	}
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	srv := httptest.NewServer(NewServer(c))
-	defer srv.Close()
-
-	rep, err := RunFleet(FleetConfig{
-		BaseURL:        srv.URL,
-		Devices:        60,
-		Rounds:         3,
-		Seed:           7,
-		ThinkTime:      10 * time.Millisecond,
-		ComputeScale:   0.1,
-		DeltaBias:      0.05,
-		PoisonFraction: 0.25,
-		Timeout:        90 * time.Second,
-	})
-	if err != nil {
-		t.Fatalf("fleet: %v (report: %+v)", err, rep)
-	}
-	if rep.RoundsCommitted < 3 {
-		t.Fatalf("committed %d rounds, want >= 3", rep.RoundsCommitted)
-	}
-	if rep.PoisonedDevices == 0 || rep.PoisonedDevices >= 60 {
-		t.Fatalf("adversary compromised %d of 60 devices", rep.PoisonedDevices)
-	}
-	st := rep.FinalStatus
-	if st == nil {
-		t.Fatal("fleet report missing final status")
-	}
-	if st.Counters["updates_screened_norm"] == 0 {
-		t.Fatal("no poisoned update was ever norm-screened")
-	}
-	if st.Privacy == nil || st.Privacy.EpsilonSpent <= 0 || st.Counters["dp_rounds"] == 0 {
-		t.Fatalf("privacy accounting missing: %+v", st.Privacy)
-	}
-	if math.IsNaN(st.ModelNorm) || math.IsInf(st.ModelNorm, 0) {
-		t.Fatalf("model norm %v after poisoned rounds", st.ModelNorm)
-	}
 }
 
 // TestDPApplyMatchesSeparatePasses pins the fused clip+noise pass to the

@@ -19,164 +19,6 @@ import (
 	"flint/internal/transport"
 )
 
-// TestFleetEndToEnd drives a fleet of goroutine devices through a live
-// httptest server until at least 3 rounds commit, in both serving modes.
-// Run with -race: this is the subsystem's concurrency gauntlet.
-func TestFleetEndToEnd(t *testing.T) {
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
-		{
-			name: "SyncFedAvg",
-			cfg: Config{
-				Mode:          ModeSync,
-				ModelKind:     model.KindA,
-				Seed:          1,
-				TargetUpdates: 12,
-				Quorum:        4,
-				OverCommit:    2,
-				RoundDeadline: 5 * time.Second,
-				QueueDepth:    128,
-				KeepVersions:  -1,
-				Criteria:      availability.Criteria{RequireWiFi: true},
-			},
-		},
-		{
-			name: "AsyncFedBuff",
-			cfg: Config{
-				Mode:           ModeAsync,
-				ModelKind:      model.KindA,
-				Seed:           1,
-				TargetUpdates:  12,
-				Quorum:         4,
-				MaxInflight:    256,
-				RoundDeadline:  5 * time.Second,
-				MaxStaleness:   4,
-				StalenessAlpha: 0.5,
-				QueueDepth:     128,
-				KeepVersions:   -1,
-				Criteria:       availability.Criteria{RequireWiFi: true},
-			},
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			c, err := New(tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			srv := httptest.NewServer(NewServer(c))
-			defer srv.Close()
-
-			rep, err := RunFleet(FleetConfig{
-				BaseURL:      srv.URL,
-				Devices:      150,
-				Rounds:       3,
-				Seed:         7,
-				ThinkTime:    15 * time.Millisecond,
-				ComputeScale: 0.2,
-				Timeout:      90 * time.Second,
-			})
-			if err != nil {
-				t.Fatalf("fleet: %v (report: %+v)", err, rep)
-			}
-			if rep.RoundsCommitted < 3 {
-				t.Fatalf("committed %d rounds, want >= 3", rep.RoundsCommitted)
-			}
-			if rep.UpdatesAccepted < int64(3*tc.cfg.Quorum) {
-				t.Fatalf("only %d updates accepted", rep.UpdatesAccepted)
-			}
-			if rep.CheckInLatency.Count == 0 || rep.UpdateLatency.Count == 0 {
-				t.Fatalf("latency histograms empty: %+v", rep)
-			}
-			// The published model moved: aggregation really ran.
-			final, v, err := c.Store().Latest(c.Config().ModelName)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v < 4 {
-				t.Fatalf("store latest version = %d, want >= 4", v)
-			}
-			init, err := c.Store().Get(c.Config().ModelName, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diff := final.Params().Clone()
-			diff.Sub(init.Params())
-			if diff.Norm2() == 0 {
-				t.Fatal("model parameters unchanged after 3 committed rounds")
-			}
-		})
-	}
-}
-
-// TestFleetMixedProtocols runs binary-tensor and legacy-JSON clients
-// against the same server in the same rounds: the content-negotiation
-// contract is that neither cohort can tell the other exists.
-func TestFleetMixedProtocols(t *testing.T) {
-	c, err := New(Config{
-		Mode:          ModeSync,
-		ModelKind:     model.KindA,
-		Seed:          1,
-		TargetUpdates: 10,
-		Quorum:        4,
-		OverCommit:    2,
-		RoundDeadline: 5 * time.Second,
-		QueueDepth:    128,
-		KeepVersions:  -1,
-		Transport:     transport.Config{Default: transport.Policy{Update: codec.Q8}},
-		Criteria:      availability.Criteria{RequireWiFi: true},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	srv := httptest.NewServer(NewServer(c))
-	defer srv.Close()
-
-	rep, err := RunFleet(FleetConfig{
-		BaseURL:      srv.URL,
-		Devices:      80,
-		Rounds:       2,
-		Seed:         11,
-		ThinkTime:    15 * time.Millisecond,
-		ComputeScale: 0.2,
-		JSONFraction: 0.5,
-		Timeout:      90 * time.Second,
-	})
-	if err != nil {
-		t.Fatalf("fleet: %v (report: %+v)", err, rep)
-	}
-	if rep.BinaryDevices != 40 || rep.JSONDevices != 40 {
-		t.Fatalf("cohorts: %d binary, %d json", rep.BinaryDevices, rep.JSONDevices)
-	}
-	if rep.BytesSent == 0 || rep.BytesRecv == 0 {
-		t.Fatalf("wire stats empty: %+v", rep)
-	}
-	// Both protocols actually carried traffic on both directions.
-	for _, counter := range []string{"task_sent_binary", "task_sent_json", "update_recv_binary", "update_recv_json"} {
-		if c.Counters().Counter(counter).Value() == 0 {
-			t.Errorf("counter %s = 0: that protocol path never ran", counter)
-		}
-	}
-	// Quantized binary updates aggregated alongside JSON ones.
-	final, _, err := c.Store().Latest(c.Config().ModelName)
-	if err != nil {
-		t.Fatal(err)
-	}
-	init, err := c.Store().Get(c.Config().ModelName, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diff := final.Params().Clone()
-	diff.Sub(init.Params())
-	if diff.Norm2() == 0 {
-		t.Fatal("model parameters unchanged after mixed-protocol rounds")
-	}
-}
-
 // TestPublishedBlobCache checks the per-commit broadcast cache: the blob a
 // task carries decodes to the published parameters, is shared byte-for-byte
 // between requests at the same version, and is re-encoded after a commit.
@@ -377,7 +219,7 @@ func TestBinaryProtocolEdges(t *testing.T) {
 	// Accept negotiation: binary task with metadata headers and a codec
 	// blob body that decodes to the model dimension.
 	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/v1/task?device=7", nil)
-	req.Header.Set("Accept", ContentTypeTensor)
+	req.Header.Set("Accept", transport.ContentTypeTensor)
 	resp, err = client.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -387,27 +229,27 @@ func TestBinaryProtocolEdges(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("binary task: HTTP %d", resp.StatusCode)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != ContentTypeTensor {
+	if ct := resp.Header.Get("Content-Type"); ct != transport.ContentTypeTensor {
 		t.Fatalf("content type %q", ct)
 	}
-	if got := resp.Header.Get(hdrUpdateScheme); got != "q8" {
+	if got := resp.Header.Get(transport.HeaderUpdateScheme); got != "q8" {
 		t.Fatalf("update scheme header %q", got)
 	}
 	params, scheme, err := codec.Decode(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dim, _ := strconv.Atoi(resp.Header.Get(hdrDim))
+	dim, _ := strconv.Atoi(resp.Header.Get(transport.HeaderDim))
 	if scheme != codec.F32 || len(params) != dim || dim == 0 {
 		t.Fatalf("blob: scheme %v, %d params, dim header %d", scheme, len(params), dim)
 	}
 
 	post := func(body []byte, round, base string) int {
 		req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/update", bytes.NewReader(body))
-		req.Header.Set("Content-Type", ContentTypeTensor)
-		req.Header.Set(hdrDevice, "7")
-		req.Header.Set(hdrRound, round)
-		req.Header.Set(hdrBaseVersion, base)
+		req.Header.Set("Content-Type", transport.ContentTypeTensor)
+		req.Header.Set(transport.HeaderDevice, "7")
+		req.Header.Set(transport.HeaderRound, round)
+		req.Header.Set(transport.HeaderBaseVersion, base)
 		resp, err := client.Do(req)
 		if err != nil {
 			t.Fatal(err)
@@ -502,8 +344,8 @@ func TestTransportNegotiationEdges(t *testing.T) {
 	}
 	// And the served blob really is f32, not the cohort's q8.
 	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/v1/task?device=1", nil)
-	req.Header.Set("Accept", ContentTypeTensor)
-	req.Header.Set(hdrAcceptSchemes, "zstd-tensor,brotli9")
+	req.Header.Set("Accept", transport.ContentTypeTensor)
+	req.Header.Set(transport.HeaderAcceptSchemes, "zstd-tensor,brotli9")
 	resp, err := client.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -580,9 +422,9 @@ func TestDeltaBroadcast(t *testing.T) {
 	fetch := func(dev, base int) (*http.Response, []byte) {
 		t.Helper()
 		req, _ := http.NewRequest(http.MethodGet, fmt.Sprintf("%s/v1/task?device=%d", srv.URL, dev), nil)
-		req.Header.Set("Accept", ContentTypeTensor)
+		req.Header.Set("Accept", transport.ContentTypeTensor)
 		if base > 0 {
-			req.Header.Set(hdrBaseVersion, strconv.Itoa(base))
+			req.Header.Set(transport.HeaderBaseVersion, strconv.Itoa(base))
 		}
 		resp, err := client.Do(req)
 		if err != nil {
@@ -602,8 +444,8 @@ func TestDeltaBroadcast(t *testing.T) {
 	// waits for the commit it triggers.
 	submit := func(dev int, resp *http.Response) {
 		t.Helper()
-		round, _ := strconv.ParseUint(resp.Header.Get(hdrRound), 10, 64)
-		base, _ := strconv.Atoi(resp.Header.Get(hdrBaseVersion))
+		round, _ := strconv.ParseUint(resp.Header.Get(transport.HeaderRound), 10, 64)
+		base, _ := strconv.Atoi(resp.Header.Get(transport.HeaderBaseVersion))
 		delta := make([]float64, c.global.NumParams())
 		for i := range delta {
 			delta[i] = 0.001 * float64(dev)
@@ -640,7 +482,7 @@ func TestDeltaBroadcast(t *testing.T) {
 
 	// Round 1: device 1 takes the full broadcast at v1 and commits v2.
 	resp, body := fetch(1, 0)
-	if h := resp.Header.Get(hdrDelta); h != "" {
+	if h := resp.Header.Get(transport.HeaderDelta); h != "" {
 		t.Fatalf("fresh device got a delta frame (base %s)", h)
 	}
 	v1, _, err := codec.Decode(body)
@@ -652,8 +494,8 @@ func TestDeltaBroadcast(t *testing.T) {
 	// Device 2 holds v1: it gets a delta frame against it that rebuilds
 	// the published v2 exactly (raw64 end to end).
 	resp, body = fetch(2, 1)
-	if got := resp.Header.Get(hdrDelta); got != "1" {
-		t.Fatalf("%s = %q, want 1", hdrDelta, got)
+	if got := resp.Header.Get(transport.HeaderDelta); got != "1" {
+		t.Fatalf("%s = %q, want 1", transport.HeaderDelta, got)
 	}
 	if !codec.IsDelta(body) {
 		t.Fatal("delta response body not delta-framed")
@@ -687,7 +529,7 @@ func TestDeltaBroadcast(t *testing.T) {
 	}
 	aged := c.Counters().Counter("delta_base_aged").Value()
 	resp, _ = fetch(1, 1)
-	if h := resp.Header.Get(hdrDelta); h != "" {
+	if h := resp.Header.Get(transport.HeaderDelta); h != "" {
 		t.Fatalf("aged-out base still served a delta (base %s)", h)
 	}
 	if c.Counters().Counter("delta_base_aged").Value() <= aged {
@@ -696,7 +538,7 @@ func TestDeltaBroadcast(t *testing.T) {
 
 	// An up-to-date device gets a near-empty "no change" frame.
 	resp, body = fetch(2, 4)
-	if got := resp.Header.Get(hdrDelta); got != "4" {
+	if got := resp.Header.Get(transport.HeaderDelta); got != "4" {
 		t.Fatalf("current-version delta header %q", got)
 	}
 	if len(body) > 256 {
@@ -715,9 +557,9 @@ func TestDeltaBroadcast(t *testing.T) {
 	// A device that cannot decode topk must not get the topk no-change
 	// shortcut: its frame stays within the schemes it advertised.
 	req, _ := http.NewRequest(http.MethodGet, srv.URL+"/v1/task?device=3", nil)
-	req.Header.Set("Accept", ContentTypeTensor)
-	req.Header.Set(hdrBaseVersion, "4")
-	req.Header.Set(hdrAcceptSchemes, "f32,q8")
+	req.Header.Set("Accept", transport.ContentTypeTensor)
+	req.Header.Set(transport.HeaderBaseVersion, "4")
+	req.Header.Set(transport.HeaderAcceptSchemes, "f32,q8")
 	r2, err := client.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -727,7 +569,7 @@ func TestDeltaBroadcast(t *testing.T) {
 	if err != nil || r2.StatusCode != http.StatusOK {
 		t.Fatalf("constrained no-change fetch: HTTP %d, err %v", r2.StatusCode, err)
 	}
-	if got := r2.Header.Get(hdrDelta); got != "4" {
+	if got := r2.Header.Get(transport.HeaderDelta); got != "4" {
 		t.Fatalf("constrained no-change delta header %q", got)
 	}
 	if _, s, err := codec.Decode(body); err != nil || s.Kind == codec.KindTopK || s.Kind == codec.KindRawF64 {
@@ -759,10 +601,10 @@ func TestUpdateOversizeRejected(t *testing.T) {
 	copy(oversize, "FCT") // plausible start; the size check must fire first
 
 	req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/update", bytes.NewReader(oversize))
-	req.Header.Set("Content-Type", ContentTypeTensor)
-	req.Header.Set(hdrDevice, "1")
-	req.Header.Set(hdrRound, "1")
-	req.Header.Set(hdrBaseVersion, "1")
+	req.Header.Set("Content-Type", transport.ContentTypeTensor)
+	req.Header.Set(transport.HeaderDevice, "1")
+	req.Header.Set(transport.HeaderRound, "1")
+	req.Header.Set(transport.HeaderBaseVersion, "1")
 	resp, err := client.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -790,105 +632,6 @@ func TestUpdateOversizeRejected(t *testing.T) {
 	}
 	if c.Counters().Counter("update_rejected_oversize").Value() != 2 {
 		t.Fatal("oversize JSON update not counted")
-	}
-}
-
-// TestFleetTransportMix is the acceptance gauntlet scaled for CI: delta-
-// capable, legacy full-broadcast, and JSON devices share the same rounds
-// in both serving modes, deltas actually flow, and the downlink wire
-// stats surface in /v1/status.
-func TestFleetTransportMix(t *testing.T) {
-	for _, mode := range []Mode{ModeSync, ModeAsync} {
-		t.Run(string(mode), func(t *testing.T) {
-			cfg := Config{
-				Mode:          mode,
-				ModelKind:     model.KindA,
-				Seed:          1,
-				TargetUpdates: 12,
-				Quorum:        4,
-				OverCommit:    2,
-				MaxInflight:   256,
-				RoundDeadline: 5 * time.Second,
-				MaxStaleness:  4,
-				QueueDepth:    128,
-				KeepVersions:  -1,
-				Criteria:      availability.Criteria{}, // admit cellular: both cohorts serve
-			}
-			c, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			srv := httptest.NewServer(NewServer(c))
-			defer srv.Close()
-
-			// Rounds must exceed Devices/TargetUpdates (= 5): the fast
-			// commit pipeline can otherwise finish every round from
-			// devices' *first* task fetches alone, and delta frames only
-			// flow on a device's second fetch (when it holds a base).
-			rep, err := RunFleet(FleetConfig{
-				BaseURL:        srv.URL,
-				Devices:        60,
-				Rounds:         8,
-				Seed:           23,
-				ThinkTime:      15 * time.Millisecond,
-				ComputeScale:   0.2,
-				JSONFraction:   0.3,
-				LegacyFraction: 0.3,
-				Timeout:        90 * time.Second,
-			})
-			if err != nil {
-				t.Fatalf("fleet: %v (report: %+v)", err, rep)
-			}
-			if rep.RoundsCommitted < 3 {
-				t.Fatalf("committed %d rounds, want >= 3", rep.RoundsCommitted)
-			}
-			if rep.JSONDevices != 18 || rep.LegacyDevices != 18 || rep.BinaryDevices != 24 {
-				t.Fatalf("cohorts: %d json, %d legacy, %d binary",
-					rep.JSONDevices, rep.LegacyDevices, rep.BinaryDevices)
-			}
-			if rep.DeltaTasks == 0 {
-				t.Fatal("no delta frames flowed in a delta-capable fleet")
-			}
-			counters := c.Counters()
-			for _, name := range []string{
-				"task_sent_binary", "task_sent_json", "task_sent_delta",
-				"update_recv_binary", "update_recv_json",
-				"broadcast_bytes_full", "broadcast_bytes_delta",
-			} {
-				if counters.Counter(name).Value() == 0 {
-					t.Errorf("counter %s = 0: that path never ran", name)
-				}
-			}
-			if hits, misses := counters.Counter("delta_cache_hits").Value(),
-				counters.Counter("delta_cache_misses").Value(); hits+misses == 0 {
-				t.Error("delta cache never exercised")
-			}
-			// The downlink stats ride /v1/status like the uplink ones.
-			st := rep.FinalStatus
-			if st == nil {
-				t.Fatal("no final status")
-			}
-			for _, name := range []string{"broadcast_bytes_full", "broadcast_bytes_delta", "delta_cache_hits"} {
-				if _, ok := st.Counters[name]; !ok {
-					t.Errorf("status counters missing %s", name)
-				}
-			}
-			// Aggregation still converged across all three client kinds.
-			final, _, err := c.Store().Latest(c.Config().ModelName)
-			if err != nil {
-				t.Fatal(err)
-			}
-			init, err := c.Store().Get(c.Config().ModelName, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			moved := final.Params().Clone()
-			moved.Sub(init.Params())
-			if moved.Norm2() == 0 {
-				t.Fatal("model parameters unchanged after mixed-transport rounds")
-			}
-		})
 	}
 }
 

@@ -3,7 +3,6 @@ package coord
 import (
 	"errors"
 	"math/rand"
-	"net/http/httptest"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,7 +11,6 @@ import (
 	"flint/internal/availability"
 	"flint/internal/codec"
 	"flint/internal/model"
-	"flint/internal/network"
 	"flint/internal/sched"
 	"flint/internal/tensor"
 	"flint/internal/transport"
@@ -328,98 +326,6 @@ func TestDeltaScratchReuse(t *testing.T) {
 	if len(v3) != 8 {
 		t.Fatalf("pool handed out a %d-dim buffer", len(v3))
 	}
-}
-
-// TestFleetSchedulerChurn is the scheduling plane's end-to-end gauntlet:
-// a fleet with trace-driven availability churn and simulated mixed
-// bandwidth drives sync rounds over the live HTTP API. Every committed
-// round must close within its deadline, the scheduler must measure and
-// remap devices off their radio labels, and /v1/status must carry the
-// per-cohort bandwidth histograms. (Eligibility at assignment time is
-// structural: Registry.Assign re-validates the criteria atomically with
-// the assignment, so 100% of assigned devices are eligible by
-// construction — the test asserts assignments happened at all.)
-func TestFleetSchedulerChurn(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second live fleet run")
-	}
-	cfg := Config{
-		Mode:          ModeSync,
-		ModelKind:     model.KindA,
-		Seed:          1,
-		TargetUpdates: 12,
-		Quorum:        4,
-		OverCommit:    1.3,
-		RoundDeadline: 6 * time.Second,
-		QueueDepth:    256,
-		KeepVersions:  -1,
-		Criteria:      availability.Criteria{RequireWiFi: true},
-		Sched:         sched.Config{RebuildEvery: 150 * time.Millisecond, MinSamples: 1},
-	}
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	srv := httptest.NewServer(NewServer(c))
-	defer srv.Close()
-
-	bw := network.BandwidthModel{MedianMbps: 4, Sigma: 0.9, SlowFrac: 0.2, FloorMbps: 0.05}
-	rep, err := RunFleet(FleetConfig{
-		BaseURL:      srv.URL,
-		Devices:      400,
-		Rounds:       3,
-		Seed:         7,
-		ThinkTime:    15 * time.Millisecond,
-		ComputeScale: 0.2,
-		Churn:        true,
-		TraceScale:   60,
-		Bandwidth:    &bw,
-		Timeout:      90 * time.Second,
-		Client:       srv.Client(),
-	})
-	if err != nil {
-		t.Fatalf("fleet: %v (report: %+v)", err, rep)
-	}
-	if rep.RoundsCommitted < 3 {
-		t.Fatalf("committed %d rounds, want >= 3", rep.RoundsCommitted)
-	}
-	st := rep.FinalStatus
-	committed := 0
-	for _, r := range st.Recent {
-		if r.Phase != PhaseCommitted {
-			continue
-		}
-		committed++
-		if r.Duration > cfg.RoundDeadline {
-			t.Errorf("round %d closed in %s, past its %s deadline", r.ID, r.Duration, cfg.RoundDeadline)
-		}
-	}
-	if committed < 3 {
-		t.Fatalf("only %d committed rounds in history", committed)
-	}
-	if st.Counters["task_assigned"] < int64(3*cfg.TargetUpdates) {
-		t.Errorf("task_assigned = %d, want >= %d", st.Counters["task_assigned"], 3*cfg.TargetUpdates)
-	}
-	sr := st.Scheduler
-	if !sr.Enabled || sr.Measured == 0 {
-		t.Fatalf("scheduler measured nothing: %+v", sr)
-	}
-	if sr.Remapped == 0 {
-		t.Errorf("no device was remapped off its radio label (measured %d)", sr.Measured)
-	}
-	hist := 0
-	for _, cs := range sr.Cohorts {
-		for _, n := range cs.BandwidthHist {
-			hist += n
-		}
-	}
-	if hist == 0 {
-		t.Error("per-cohort bandwidth histograms are empty")
-	}
-	t.Logf("churn fleet: %d rounds, %d/%d measured, %d remapped, over-commit x%.2f, deadline denials %d",
-		rep.RoundsCommitted, sr.Measured, sr.Devices, sr.Remapped,
-		sr.OverCommitScale, st.Counters["task_denied_deadline"])
 }
 
 // TestCommitDuringEligibilityChurn is the -race hammer: commits run

@@ -15,57 +15,6 @@ import (
 	"flint/internal/transport"
 )
 
-// ContentTypeTensor marks binary tensor bodies (the internal/codec wire
-// format). Devices opt in by sending it in Accept on GET /v1/task and as
-// Content-Type on POST /v1/update; everything else falls back to the
-// legacy JSON protocol, so old clients keep working unchanged.
-const ContentTypeTensor = "application/x-flint-tensor"
-
-// Binary-protocol metadata travels in headers so the body can be the
-// cached codec blob verbatim. Header names are the protocol; keep them
-// stable.
-//
-// X-Flint-Base-Version is directional: on a task *request* it carries the
-// published version the device already holds (its delta base); on the
-// task *response* it names the version the task trains from. When the
-// response body is a delta frame, X-Flint-Delta carries the base version
-// the frame applies against (always the version the device sent —
-// otherwise the server fell back to the full blob and the header is
-// absent). X-Flint-Accept-Schemes echoes the device's check-in
-// capability list so negotiation also works per-request.
-const (
-	hdrDevice        = "X-Flint-Device"
-	hdrRound         = "X-Flint-Round"
-	hdrBaseVersion   = "X-Flint-Base-Version"
-	hdrModelKind     = "X-Flint-Model-Kind"
-	hdrDim           = "X-Flint-Dim"
-	hdrLocalSteps    = "X-Flint-Local-Steps"
-	hdrDeadlineMS    = "X-Flint-Deadline-Ms"
-	hdrUpdateScheme  = "X-Flint-Update-Scheme"
-	hdrWeight        = "X-Flint-Weight"
-	hdrDelta         = "X-Flint-Delta"
-	hdrAcceptSchemes = "X-Flint-Accept-Schemes"
-	hdrCohort        = "X-Flint-Cohort"
-	// Telemetry report headers on POST /v1/update: the device's observed
-	// task-download transfer (bytes and milliseconds) and its local
-	// training duration. They feed the scheduling plane's per-device
-	// EWMAs; the uplink half is measured server-side from the body
-	// transfer itself. All optional — devices predating the scheduler
-	// simply stay unmeasured.
-	hdrDownBytes = "X-Flint-Down-Bytes"
-	hdrDownMS    = "X-Flint-Down-Ms"
-	hdrTrainMS   = "X-Flint-Train-Ms"
-	// The uplink pair is honored only under virtual-time load
-	// (Sched.TimeCompression > 1): on a real deployment the server's own
-	// body-transfer measurement is the trustworthy uplink probe, but a
-	// compressed-time device's wire transfer happens at loopback speed in
-	// wall time while its simulated link lives in the virtual clock — the
-	// device must report the uplink half too or its UpBps EWMA would be
-	// off by the compression factor.
-	hdrUpBytes = "X-Flint-Up-Bytes"
-	hdrUpMS    = "X-Flint-Up-Ms"
-)
-
 // maxUpdateBody bounds a /v1/update body read: the largest zoo model is
 // ~922k params, far under this, and it keeps a hostile Content-Length
 // from ballooning the handler. Oversize bodies are rejected with 413 —
@@ -320,16 +269,16 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	q := TaskQuery{Binary: strings.Contains(r.Header.Get("Accept"), ContentTypeTensor)}
+	q := TaskQuery{Binary: strings.Contains(r.Header.Get("Accept"), transport.ContentTypeTensor)}
 	if q.Binary {
 		// The device names the version it already holds; a parse
 		// failure just means no delta, never a failed task.
-		if h := r.Header.Get(hdrBaseVersion); h != "" {
+		if h := r.Header.Get(transport.HeaderBaseVersion); h != "" {
 			if base, err := strconv.Atoi(h); err == nil && base > 0 {
 				q.BaseVersion = base
 			}
 		}
-		if h := r.Header.Get(hdrAcceptSchemes); h != "" {
+		if h := r.Header.Get(transport.HeaderAcceptSchemes); h != "" {
 			kinds, unknown := transport.ParseAccept(h)
 			if unknown > 0 {
 				s.c.counters.Counter("task_unknown_scheme").Add(int64(unknown))
@@ -353,17 +302,17 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 		// Binary path: metadata in headers, body is the cached codec
 		// blob verbatim — zero per-request encoding.
 		h := w.Header()
-		h.Set("Content-Type", ContentTypeTensor)
-		h.Set(hdrRound, strconv.FormatUint(t.RoundID, 10))
-		h.Set(hdrBaseVersion, strconv.Itoa(t.BaseVersion))
-		h.Set(hdrModelKind, string(t.ModelKind))
-		h.Set(hdrDim, strconv.Itoa(t.Dim))
-		h.Set(hdrLocalSteps, strconv.Itoa(t.LocalSteps))
-		h.Set(hdrDeadlineMS, strconv.FormatInt(t.Deadline.UnixMilli(), 10))
-		h.Set(hdrUpdateScheme, t.UpdateScheme.String())
-		h.Set(hdrCohort, t.Cohort)
+		h.Set("Content-Type", transport.ContentTypeTensor)
+		h.Set(transport.HeaderRound, strconv.FormatUint(t.RoundID, 10))
+		h.Set(transport.HeaderBaseVersion, strconv.Itoa(t.BaseVersion))
+		h.Set(transport.HeaderModelKind, string(t.ModelKind))
+		h.Set(transport.HeaderDim, strconv.Itoa(t.Dim))
+		h.Set(transport.HeaderLocalSteps, strconv.Itoa(t.LocalSteps))
+		h.Set(transport.HeaderDeadlineMS, strconv.FormatInt(t.Deadline.UnixMilli(), 10))
+		h.Set(transport.HeaderUpdateScheme, t.UpdateScheme.String())
+		h.Set(transport.HeaderCohort, t.Cohort)
 		if t.DeltaBase > 0 {
-			h.Set(hdrDelta, strconv.Itoa(t.DeltaBase))
+			h.Set(transport.HeaderDelta, strconv.Itoa(t.DeltaBase))
 			s.c.counters.Counter("task_sent_delta").Inc()
 			s.c.counters.Counter("broadcast_bytes_delta").Add(int64(len(t.EncodedParams)))
 		} else {
@@ -400,7 +349,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	r.Body = counter
 	t0 := time.Now()
 	var sub Submission
-	if strings.HasPrefix(r.Header.Get("Content-Type"), ContentTypeTensor) {
+	if strings.HasPrefix(r.Header.Get("Content-Type"), transport.ContentTypeTensor) {
 		parsed, err := s.binarySubmission(w, r)
 		if errors.Is(err, errBodyTooLarge) {
 			s.c.counters.Counter("update_rejected_oversize").Inc()
@@ -467,22 +416,22 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 // queue in wire form and the pooled buffer returns to the codec pool
 // when its round goes terminal.
 func (s *Server) binarySubmission(w http.ResponseWriter, r *http.Request) (Submission, error) {
-	id, err := strconv.ParseInt(r.Header.Get(hdrDevice), 10, 64)
+	id, err := strconv.ParseInt(r.Header.Get(transport.HeaderDevice), 10, 64)
 	if err != nil {
-		return Submission{}, fmt.Errorf("bad %s header: %w", hdrDevice, err)
+		return Submission{}, fmt.Errorf("bad %s header: %w", transport.HeaderDevice, err)
 	}
-	round, err := strconv.ParseUint(r.Header.Get(hdrRound), 10, 64)
+	round, err := strconv.ParseUint(r.Header.Get(transport.HeaderRound), 10, 64)
 	if err != nil {
-		return Submission{}, fmt.Errorf("bad %s header: %w", hdrRound, err)
+		return Submission{}, fmt.Errorf("bad %s header: %w", transport.HeaderRound, err)
 	}
-	base, err := strconv.Atoi(r.Header.Get(hdrBaseVersion))
+	base, err := strconv.Atoi(r.Header.Get(transport.HeaderBaseVersion))
 	if err != nil {
-		return Submission{}, fmt.Errorf("bad %s header: %w", hdrBaseVersion, err)
+		return Submission{}, fmt.Errorf("bad %s header: %w", transport.HeaderBaseVersion, err)
 	}
 	weight := 0.0
-	if h := r.Header.Get(hdrWeight); h != "" {
+	if h := r.Header.Get(transport.HeaderWeight); h != "" {
 		if weight, err = strconv.ParseFloat(h, 64); err != nil {
-			return Submission{}, fmt.Errorf("bad %s header: %w", hdrWeight, err)
+			return Submission{}, fmt.Errorf("bad %s header: %w", transport.HeaderWeight, err)
 		}
 	}
 	// A declared oversize body is refused before a single byte is read;
@@ -567,20 +516,20 @@ func (s *Server) observeUpdate(r *http.Request, id int64, upBytes int, upDur tim
 	// production clock (compression 1) a client-controlled uplink claim
 	// could whitewash a slow link, so the server's measurement stands.
 	if s.c.Scheduler().Config().TimeCompression > 1 {
-		if b, err := strconv.Atoi(r.Header.Get(hdrUpBytes)); err == nil && b > 0 && b <= maxUpdateBody {
-			if ms, err := strconv.ParseFloat(r.Header.Get(hdrUpMS), 64); err == nil && ms > 0 && ms <= maxReportedMS {
+		if b, err := strconv.Atoi(r.Header.Get(transport.HeaderUpBytes)); err == nil && b > 0 && b <= maxUpdateBody {
+			if ms, err := strconv.ParseFloat(r.Header.Get(transport.HeaderUpMS), 64); err == nil && ms > 0 && ms <= maxReportedMS {
 				o.UpBytes = b
 				o.UpDur = time.Duration(ms * float64(time.Millisecond))
 			}
 		}
 	}
-	if b, err := strconv.Atoi(r.Header.Get(hdrDownBytes)); err == nil && b > 0 && b <= maxUpdateBody {
-		if ms, err := strconv.ParseFloat(r.Header.Get(hdrDownMS), 64); err == nil && ms > 0 && ms <= maxReportedMS {
+	if b, err := strconv.Atoi(r.Header.Get(transport.HeaderDownBytes)); err == nil && b > 0 && b <= maxUpdateBody {
+		if ms, err := strconv.ParseFloat(r.Header.Get(transport.HeaderDownMS), 64); err == nil && ms > 0 && ms <= maxReportedMS {
 			o.DownBytes = b
 			o.DownDur = time.Duration(ms * float64(time.Millisecond))
 		}
 	}
-	if ms, err := strconv.ParseFloat(r.Header.Get(hdrTrainMS), 64); err == nil && ms > 0 && ms <= maxReportedMS {
+	if ms, err := strconv.ParseFloat(r.Header.Get(transport.HeaderTrainMS), 64); err == nil && ms > 0 && ms <= maxReportedMS {
 		o.Train = time.Duration(ms * float64(time.Millisecond))
 	}
 	s.c.ObserveTelemetry(id, o)

@@ -1,16 +1,13 @@
-package coord
+package fleet
 
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"net/http"
-	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -19,19 +16,19 @@ import (
 	"flint/internal/aggregator"
 	"flint/internal/availability"
 	"flint/internal/codec"
+	"flint/internal/coord"
 	"flint/internal/device"
 	"flint/internal/metrics"
 	"flint/internal/network"
 	"flint/internal/tensor"
-	"flint/internal/transport"
 )
 
-// FleetConfig drives a synthetic device fleet against a running coordination
+// Config drives a synthetic device fleet against a running coordination
 // server: thousands of goroutine "devices" drawn from the Fig 1 population
 // model (device.BenchPool profiles plus the Zipf long tail) check in, pull
 // tasks, simulate profile-scaled local training, and submit updates until
 // the server commits the requested number of rounds.
-type FleetConfig struct {
+type Config struct {
 	// BaseURL is the server root, e.g. http://127.0.0.1:8080.
 	BaseURL string
 	// Job routes the fleet at one tenant of a multi-job server: requests
@@ -89,17 +86,12 @@ type FleetConfig struct {
 	PoisonScale float64
 	// Timeout bounds the whole run.
 	Timeout time.Duration
-	// JSONFraction is the share of devices kept on the legacy JSON
-	// protocol (0 = the whole fleet negotiates the binary tensor
-	// protocol, 1 = all JSON). Mixed fleets exercise old and new
-	// clients in the same rounds.
+	// JSONFraction is the share of devices on the JSON protocol — the
+	// any-client baseline: no capability list, full broadcast every task
+	// (0 = the whole fleet negotiates the binary tensor protocol and
+	// tracks its base version for delta broadcast, 1 = all JSON). Mixed
+	// fleets exercise both client kinds in the same rounds.
 	JSONFraction float64
-	// LegacyFraction is the share of devices kept on the pre-negotiation
-	// binary protocol: they speak tensor blobs but advertise no
-	// capability list and never track a base version, so they always
-	// receive the full broadcast. Mixing them in proves delta-capable,
-	// legacy-binary, and JSON clients coexist in the same rounds.
-	LegacyFraction float64
 	// Bandwidth, when non-nil, gives every device a persistent sampled
 	// link (downlink from the model, uplink at a fraction of it) that the
 	// fleet actually honors: uploads stream through a rate-limited
@@ -127,9 +119,9 @@ type FleetConfig struct {
 	Client *http.Client
 }
 
-func (c FleetConfig) withDefaults() (FleetConfig, error) {
+func (c Config) withDefaults() (Config, error) {
 	if c.BaseURL == "" {
-		return c, fmt.Errorf("coord: fleet needs a base URL")
+		return c, fmt.Errorf("fleet: need a base URL")
 	}
 	c.BaseURL = strings.TrimRight(c.BaseURL, "/")
 	if c.Devices <= 0 {
@@ -142,20 +134,20 @@ func (c FleetConfig) withDefaults() (FleetConfig, error) {
 		c.ThinkTime = 20 * time.Millisecond
 	}
 	if c.ComputeScale < 0 {
-		return c, fmt.Errorf("coord: negative compute scale %v", c.ComputeScale)
+		return c, fmt.Errorf("fleet: negative compute scale %v", c.ComputeScale)
 	}
 	if c.DeltaScale <= 0 {
 		c.DeltaScale = 0.01
 	}
 	if c.PoisonFraction < 0 || c.PoisonFraction > 1 {
-		return c, fmt.Errorf("coord: poison fraction %v outside [0, 1]", c.PoisonFraction)
+		return c, fmt.Errorf("fleet: poison fraction %v outside [0, 1]", c.PoisonFraction)
 	}
 	switch c.PoisonMode {
 	case "":
 		c.PoisonMode = "sign-flip"
 	case "sign-flip", "random-noise":
 	default:
-		return c, fmt.Errorf("coord: unknown poison mode %q (want sign-flip or random-noise)", c.PoisonMode)
+		return c, fmt.Errorf("fleet: unknown poison mode %q (want sign-flip or random-noise)", c.PoisonMode)
 	}
 	if c.PoisonScale <= 0 {
 		c.PoisonScale = 10
@@ -164,17 +156,11 @@ func (c FleetConfig) withDefaults() (FleetConfig, error) {
 		c.Timeout = 2 * time.Minute
 	}
 	if c.JSONFraction < 0 || c.JSONFraction > 1 {
-		return c, fmt.Errorf("coord: JSON fraction %v outside [0, 1]", c.JSONFraction)
-	}
-	if c.LegacyFraction < 0 || c.LegacyFraction > 1 {
-		return c, fmt.Errorf("coord: legacy fraction %v outside [0, 1]", c.LegacyFraction)
-	}
-	if c.JSONFraction+c.LegacyFraction > 1 {
-		return c, fmt.Errorf("coord: JSON fraction %v + legacy fraction %v exceed 1", c.JSONFraction, c.LegacyFraction)
+		return c, fmt.Errorf("fleet: JSON fraction %v outside [0, 1]", c.JSONFraction)
 	}
 	if c.Bandwidth != nil {
 		if err := c.Bandwidth.Validate(); err != nil {
-			return c, fmt.Errorf("coord: %w", err)
+			return c, fmt.Errorf("fleet: %w", err)
 		}
 	}
 	if c.TraceScale <= 0 {
@@ -193,27 +179,11 @@ func (c FleetConfig) withDefaults() (FleetConfig, error) {
 // attack builds the adversary's Attack from the poison knobs (the same
 // simulator implementations the offline §4 ablations use, replayed over
 // the live protocol).
-func (c FleetConfig) attack() aggregator.Attack {
+func (c Config) attack() aggregator.Attack {
 	if c.PoisonMode == "random-noise" {
 		return aggregator.RandomNoise{Std: c.PoisonScale * c.DeltaScale}
 	}
 	return aggregator.SignFlip{Scale: c.PoisonScale}
-}
-
-// api builds a /v1 endpoint URL, routed through the job's path prefix
-// when the fleet targets a named tenant.
-func (c FleetConfig) api(path string) string {
-	if c.Job == "" {
-		return c.BaseURL + "/v1" + path
-	}
-	return c.BaseURL + "/v1/jobs/" + c.Job + path
-}
-
-// authorize attaches the job's bearer token to a request.
-func (c FleetConfig) authorize(req *http.Request) {
-	if c.Token != "" {
-		req.Header.Set("Authorization", "Bearer "+c.Token)
-	}
 }
 
 // LatencySummary is one operation's client-observed latency distribution in
@@ -227,27 +197,16 @@ type LatencySummary struct {
 }
 
 func summarizeLatency(ms []float64) LatencySummary {
-	if len(ms) == 0 {
-		return LatencySummary{}
-	}
-	sort.Float64s(ms)
-	return LatencySummary{
-		Count: len(ms),
-		P50:   metrics.Quantile(ms, 0.50),
-		P90:   metrics.Quantile(ms, 0.90),
-		P99:   metrics.Quantile(ms, 0.99),
-		Max:   ms[len(ms)-1],
-	}
+	s := metrics.Summarize(ms)
+	return LatencySummary{Count: s.Count, P50: s.Median, P90: s.P90, P99: s.P99, Max: s.Max}
 }
 
-// FleetReport is the load generator's result.
-type FleetReport struct {
+// Report is the load generator's result.
+type Report struct {
 	Devices int `json:"devices"`
 	// BinaryDevices negotiate schemes and track their base version for
-	// delta broadcast; LegacyDevices speak the pre-negotiation binary
-	// protocol (full broadcast only); JSONDevices stay on legacy JSON.
+	// delta broadcast; JSONDevices speak the JSON protocol.
 	BinaryDevices int `json:"binary_devices"`
-	LegacyDevices int `json:"legacy_devices"`
 	JSONDevices   int `json:"json_devices"`
 	// PoisonedDevices is how many fleet devices the configured adversary
 	// compromised (0 when PoisonFraction is 0).
@@ -260,11 +219,15 @@ type FleetReport struct {
 	TasksReceived   int64         `json:"tasks_received"`
 	// DeltaTasks counts tasks that arrived as delta frames against the
 	// device's last-seen version rather than full broadcasts.
-	DeltaTasks      int64   `json:"delta_tasks"`
-	UpdatesAccepted int64   `json:"updates_accepted"`
-	UpdatesRejected int64   `json:"updates_rejected"`
-	NetErrors       int64   `json:"net_errors"`
-	RequestsPerSec  float64 `json:"requests_per_sec"`
+	DeltaTasks      int64 `json:"delta_tasks"`
+	UpdatesAccepted int64 `json:"updates_accepted"`
+	UpdatesRejected int64 `json:"updates_rejected"`
+	NetErrors       int64 `json:"net_errors"`
+	// RequestsPerSec counts every completed exchange — check-ins, task
+	// polls whatever their answer (204 and 404 included, which is most
+	// polls in a deadline-gated or churned fleet) and update submissions —
+	// the same way internal/vload counts them; net errors are not requests.
+	RequestsPerSec float64 `json:"requests_per_sec"`
 	// BytesSent/BytesRecv are client-observed wire totals (request and
 	// response bodies across the whole fleet), the load generator's view
 	// of the codec's payload win.
@@ -274,17 +237,17 @@ type FleetReport struct {
 	TaskLatency    LatencySummary `json:"task_latency"`
 	UpdateLatency  LatencySummary `json:"update_latency"`
 	// FinalStatus is the server's status snapshot at fleet shutdown.
-	FinalStatus *StatusReport `json:"final_status,omitempty"`
+	FinalStatus *coord.StatusReport `json:"final_status,omitempty"`
 	// TierShards is the shard count of the gateway tier the fleet drove
 	// (0 when the fleet targeted a flat server).
 	TierShards int `json:"tier_shards,omitempty"`
 }
 
 // String renders the operator-facing summary cmd/flint-fleet prints.
-func (r *FleetReport) String() string {
+func (r *Report) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "fleet: %d devices (%d delta-capable, %d legacy binary, %d json) drove v%d → v%d (%d rounds) in %.2fs\n",
-		r.Devices, r.BinaryDevices, r.LegacyDevices, r.JSONDevices, r.StartVersion, r.EndVersion, r.RoundsCommitted, r.Wall.Seconds())
+	fmt.Fprintf(&b, "fleet: %d devices (%d delta-capable, %d json) drove v%d → v%d (%d rounds) in %.2fs\n",
+		r.Devices, r.BinaryDevices, r.JSONDevices, r.StartVersion, r.EndVersion, r.RoundsCommitted, r.Wall.Seconds())
 	if r.TierShards > 0 {
 		fmt.Fprintf(&b, "  tier: routed through a %d-shard gateway\n", r.TierShards)
 	}
@@ -331,36 +294,18 @@ func fmtBytes(n int64) string {
 	return fmt.Sprintf("%d B", n)
 }
 
-// fleetTotals aggregates counters across device goroutines.
+// fleetTotals aggregates counters across device goroutines. polls counts
+// completed task exchanges whatever their outcome; tasks the assigned ones.
 type fleetTotals struct {
-	checkins, tasks, deltas, accepted, rejected, netErrs atomic.Int64
+	checkins, polls, tasks, accepted, rejected, netErrs atomic.Int64
 }
 
 // bodyBufPool recycles response-body buffers across the fleet's protocol
-// loops: at 1200-device scale every poll used to allocate a fresh
-// model-dim-sized slice via io.ReadAll. Buffers grow to the broadcast
-// blob size once and are reused; nothing decoded from them escapes the
-// read (codec and JSON decoding both copy into fresh values).
+// loops: a buffer per device would pin a broadcast-blob-sized slice for
+// every goroutine. Buffers grow to the blob size once and are reused;
+// nothing decoded from them escapes the exchange (codec and JSON decoding
+// both copy into fresh values).
 var bodyBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// readBody drains r into a pooled buffer. Callers must finish with the
-// returned bytes before calling release, which returns the buffer to the
-// pool.
-func readBody(r io.Reader) (body []byte, release func(), err error) {
-	buf := bodyBufPool.Get().(*bytes.Buffer)
-	buf.Reset()
-	release = func() { bodyBufPool.Put(buf) }
-	if _, err := buf.ReadFrom(r); err != nil {
-		return nil, release, err
-	}
-	return buf.Bytes(), release, nil
-}
-
-// latRecorder collects per-device latencies locally (no cross-goroutine
-// contention) and merges them at shutdown.
-type latRecorder struct {
-	checkin, task, update []float64
-}
 
 type fleetDevice struct {
 	id       int64
@@ -369,19 +314,19 @@ type fleetDevice struct {
 	profile  device.Profile
 	modernOS bool
 	weight   float64
-	// binary devices speak the tensor protocol: Accept negotiation on
-	// /v1/task, client-side delta quantization on /v1/update.
+	// binary devices speak the tensor protocol: capability negotiation
+	// and delta tracking on /v1/task, client-side delta quantization on
+	// /v1/update. The rest speak JSON.
 	binary bool
-	// legacy marks a pre-negotiation binary device: no capability
-	// advertisement, no base tracking, full broadcast every task.
-	legacy bool
 	// poisoned devices mount the configured attack on every submission.
 	poisoned bool
 	rng      *rand.Rand
-	lat      latRecorder
+	// Per-exchange latencies in ms, collected locally (no cross-goroutine
+	// contention) and merged at shutdown.
+	latCheckin, latTask, latUpdate []float64
 	// params/version mirror the device's last applied model state: the
-	// base the server can serve deltas against. Only current (non-legacy)
-	// binary devices maintain them.
+	// base the server can serve deltas against. Only binary devices
+	// maintain them.
 	params  tensor.Vector
 	version int
 	// deltaTasks counts tasks received as delta frames.
@@ -406,9 +351,9 @@ type fleetDevice struct {
 	sessionLeft float64
 }
 
-// RunFleet executes the load generator and blocks until the server commits
+// Run executes the load generator and blocks until the server commits
 // cfg.Rounds rounds (or the timeout fires, which is an error).
-func RunFleet(cfg FleetConfig) (*FleetReport, error) {
+func Run(cfg Config) (*Report, error) {
 	cfg, err := cfg.withDefaults()
 	if err != nil {
 		return nil, err
@@ -419,15 +364,9 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The first jsonCount devices stay on the legacy JSON protocol, the
-	// next legacyCount on pre-negotiation binary; the rest negotiate
-	// schemes and track deltas. Deterministic, so tests can assert the
-	// mix.
+	// The first jsonCount devices speak JSON; the rest negotiate schemes
+	// and track deltas. Deterministic, so tests can assert the mix.
 	jsonCount := int(math.Round(cfg.JSONFraction * float64(cfg.Devices)))
-	legacyCount := int(math.Round(cfg.LegacyFraction * float64(cfg.Devices)))
-	if jsonCount+legacyCount > cfg.Devices {
-		legacyCount = cfg.Devices - jsonCount
-	}
 	var traces map[int64][]availability.Session
 	if cfg.Churn {
 		if traces, err = generateFleetTraces(cfg, pop); err != nil {
@@ -454,7 +393,6 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 			modernOS: rng.Float64() < s.Profile.ModernOSProb,
 			weight:   20 + float64(rng.Intn(180)),
 			binary:   i >= jsonCount,
-			legacy:   i >= jsonCount && i < jsonCount+legacyCount,
 			poisoned: adversary.Compromised(cfg.IDOffset + int64(i+1)),
 			rng:      rng,
 			sessions: traces[int64(i)],
@@ -474,22 +412,18 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
 	defer cancel()
 	start := time.Now()
-	tierShards := 0
-	if cfg.Gateway {
-		tier, err := waitTierHealthy(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		tierShards = tier.Tier.Shards
-	}
-	startStatus, err := fetchStatus(ctx, cfg)
+	cl := &Client{HTTP: cfg.Client, BaseURL: cfg.BaseURL, Job: cfg.Job, Token: cfg.Token, Gateway: cfg.Gateway}
+	startVersion, tierShards, err := cl.Ready(ctx)
 	if err != nil {
-		return nil, fmt.Errorf("coord: fleet cannot reach server: %w", err)
+		return nil, err
 	}
-	targetVersion := startStatus.Version + cfg.Rounds
+	targetVersion := startVersion + cfg.Rounds
 
 	var totals fleetTotals
-	var endStatus StatusReport
+	// Until a probe says otherwise the fleet ends where it started: a
+	// server unreachable at shutdown (e.g. it crashed) must not report a
+	// negative round count.
+	endStatus := coord.StatusReport{Version: startVersion}
 	reached := false
 	// Watcher: stop the fleet once the server has committed enough
 	// rounds.
@@ -503,7 +437,7 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 			case <-ctx.Done():
 				return
 			case <-tick.C:
-				st, err := fetchStatus(ctx, cfg)
+				st, err := cl.Status(ctx)
 				if err != nil {
 					continue
 				}
@@ -521,7 +455,7 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 		wg.Add(1)
 		go func(d *fleetDevice) {
 			defer wg.Done()
-			d.run(ctx, cfg, &totals)
+			d.run(ctx, cfg, cl, &totals)
 		}(d)
 	}
 	wg.Wait()
@@ -529,41 +463,34 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 	wall := time.Since(start)
 
 	if !reached {
-		if st, err := fetchStatus(context.Background(), cfg); err == nil {
-			endStatus = *st
-			reached = st.Version >= targetVersion
-		} else {
-			// Server unreachable at shutdown (e.g. it crashed): fall
-			// back to the last thing we know rather than a zero
-			// status that would report a negative round count.
-			endStatus = *startStatus
+		if st, err := cl.Status(context.Background()); err == nil {
+			endStatus, reached = *st, st.Version >= targetVersion
 		}
 	}
 	var checkin, task, update []float64
-	var bytesSent, bytesRecv int64
+	var bytesSent, bytesRecv, deltaTasks int64
 	for _, d := range devs {
-		checkin = append(checkin, d.lat.checkin...)
-		task = append(task, d.lat.task...)
-		update = append(update, d.lat.update...)
+		checkin = append(checkin, d.latCheckin...)
+		task = append(task, d.latTask...)
+		update = append(update, d.latUpdate...)
 		bytesSent += d.bytesSent
 		bytesRecv += d.bytesRecv
-		totals.deltas.Add(d.deltaTasks)
+		deltaTasks += d.deltaTasks
 	}
-	requests := totals.checkins.Load() + totals.tasks.Load() +
+	requests := totals.checkins.Load() + totals.polls.Load() +
 		totals.accepted.Load() + totals.rejected.Load()
-	rep := &FleetReport{
+	rep := &Report{
 		Devices:         cfg.Devices,
-		BinaryDevices:   cfg.Devices - jsonCount - legacyCount,
-		LegacyDevices:   legacyCount,
+		BinaryDevices:   cfg.Devices - jsonCount,
 		JSONDevices:     jsonCount,
 		PoisonedDevices: poisonedCount,
-		RoundsCommitted: endStatus.Version - startStatus.Version,
-		StartVersion:    startStatus.Version,
+		RoundsCommitted: endStatus.Version - startVersion,
+		StartVersion:    startVersion,
 		EndVersion:      endStatus.Version,
 		Wall:            wall,
 		CheckIns:        totals.checkins.Load(),
 		TasksReceived:   totals.tasks.Load(),
-		DeltaTasks:      totals.deltas.Load(),
+		DeltaTasks:      deltaTasks,
 		UpdatesAccepted: totals.accepted.Load(),
 		UpdatesRejected: totals.rejected.Load(),
 		NetErrors:       totals.netErrs.Load(),
@@ -577,7 +504,7 @@ func RunFleet(cfg FleetConfig) (*FleetReport, error) {
 		TierShards:      tierShards,
 	}
 	if !reached {
-		return rep, fmt.Errorf("coord: fleet timed out at version %d (wanted %d)", endStatus.Version, targetVersion)
+		return rep, fmt.Errorf("fleet: timed out at version %d (wanted %d)", endStatus.Version, targetVersion)
 	}
 	return rep, nil
 }
@@ -594,7 +521,7 @@ const traceDayOffset = 19 * 3600.0
 // session density is tuned so roughly a third of the fleet is available
 // at the peak — enough concurrency to drive rounds, enough churn that
 // eligibility flaps constantly.
-func generateFleetTraces(cfg FleetConfig, pop device.PopulationModel) (map[int64][]availability.Session, error) {
+func generateFleetTraces(cfg Config, pop device.PopulationModel) (map[int64][]availability.Session, error) {
 	sessions, err := availability.GenerateLog(availability.LogConfig{
 		Clients:          cfg.Devices,
 		Days:             1,
@@ -646,60 +573,63 @@ func (d *fleetDevice) sessionAt(elapsed time.Duration, scale float64) (sess *ava
 // run is one device's protocol loop: check in with fresh session state,
 // poll for a task, "train" for a profile-scaled interval, submit the delta.
 // In churn mode the loop only runs while the device's availability trace
-// has a window open; between windows it sleeps offline.
-func (d *fleetDevice) run(ctx context.Context, cfg FleetConfig, totals *fleetTotals) {
+// has a window open; between windows it sleeps offline. Every exchange
+// that completes is counted here, at the client call site; one that fails
+// in transport is a net error (unless the run is simply over).
+func (d *fleetDevice) run(ctx context.Context, cfg Config, cl *Client, totals *fleetTotals) {
 	if cfg.Churn && len(d.sessions) == 0 {
 		// A client with no sessions in the trace is offline for the whole
 		// replay.
 		return
 	}
+	netErr := func() {
+		if ctx.Err() == nil {
+			totals.netErrs.Add(1)
+		}
+	}
 	start := time.Now()
 	// Stagger start-up so the fleet doesn't arrive as one spike.
-	if !sleepCtx(ctx, time.Duration(d.rng.Int63n(int64(cfg.ThinkTime)+1))) {
+	if !SleepCtx(ctx, time.Duration(d.rng.Int63n(int64(cfg.ThinkTime)+1))) {
 		return
 	}
 	for {
 		if cfg.Churn {
 			sess, left, wait := d.sessionAt(time.Since(start), cfg.TraceScale)
 			if sess == nil {
-				if !sleepCtx(ctx, wait) {
+				if !SleepCtx(ctx, wait) {
 					return
 				}
 				continue
 			}
 			d.session, d.sessionLeft = sess, left
 		}
-		ok, err := d.checkIn(ctx, cfg)
+		eligible, err := d.checkIn(ctx, cfg, cl)
 		if err != nil {
-			if ctx.Err() != nil {
-				return
-			}
-			totals.netErrs.Add(1)
-			if !sleepCtx(ctx, cfg.ThinkTime) {
+			netErr()
+			if !SleepCtx(ctx, cfg.ThinkTime) {
 				return
 			}
 			continue
 		}
 		totals.checkins.Add(1)
-		if ok {
-			task, err := d.fetchTask(ctx, cfg)
-			if err != nil && ctx.Err() == nil {
-				totals.netErrs.Add(1)
+		if eligible {
+			task, err := d.fetchTask(ctx, cl)
+			if err != nil {
+				netErr()
+			} else {
+				totals.polls.Add(1)
 			}
 			if task != nil {
 				totals.tasks.Add(1)
 				train := d.trainTime(task.LocalSteps, cfg.ComputeScale)
-				if !sleepCtx(ctx, train) {
+				if !SleepCtx(ctx, train) {
 					return
 				}
 				d.lastTrainDur = train
-				accepted, err := d.submit(ctx, cfg, task)
+				accepted, err := d.submit(ctx, cfg, cl, task)
 				switch {
 				case err != nil:
-					if ctx.Err() != nil {
-						return
-					}
-					totals.netErrs.Add(1)
+					netErr()
 				case accepted:
 					totals.accepted.Add(1)
 				default:
@@ -708,7 +638,7 @@ func (d *fleetDevice) run(ctx context.Context, cfg FleetConfig, totals *fleetTot
 			}
 		}
 		jitter := time.Duration(d.rng.Int63n(int64(cfg.ThinkTime) + 1))
-		if !sleepCtx(ctx, cfg.ThinkTime/2+jitter) {
+		if !SleepCtx(ctx, cfg.ThinkTime/2+jitter) {
 			return
 		}
 	}
@@ -724,12 +654,30 @@ func (d *fleetDevice) trainTime(steps int, scale float64) time.Duration {
 	return time.Duration(float64(time.Millisecond) * perStepMS * float64(steps) * scale)
 }
 
-func (d *fleetDevice) checkIn(ctx context.Context, cfg FleetConfig) (bool, error) {
+// exchange runs one client call against a pooled body buffer, adding its
+// wire traffic to the device's counters and — when it completed — its
+// latency to lat.
+func (d *fleetDevice) exchange(lat *[]float64, call func(buf *bytes.Buffer) (Result, error)) (Result, error) {
+	buf := bodyBufPool.Get().(*bytes.Buffer)
+	defer bodyBufPool.Put(buf)
+	t0 := time.Now()
+	res, err := call(buf)
+	d.bytesSent += int64(res.Sent)
+	d.bytesRecv += int64(res.Recv)
+	if err == nil {
+		*lat = append(*lat, float64(time.Since(t0))/float64(time.Millisecond))
+	}
+	return res, err
+}
+
+// checkIn reports the device's session state and returns whether the
+// server found it eligible.
+func (d *fleetDevice) checkIn(ctx context.Context, cfg Config, cl *Client) (bool, error) {
 	// Session attributes are re-drawn per check-in: device state changes
 	// between sessions (§3.2), so eligibility flaps realistically. In
 	// churn mode they come from the availability trace's current window
 	// instead — the generated diurnal pattern, not a coin flip.
-	req := CheckInRequest{
+	req := coord.CheckInRequest{
 		DeviceID:    d.id,
 		Model:       d.model,
 		Platform:    d.platform,
@@ -751,142 +699,64 @@ func (d *fleetDevice) checkIn(ctx context.Context, cfg FleetConfig) (bool, error
 		// by the replay's compression factor.
 		req.SessionSec = d.sessionLeft / cfg.TraceScale
 	}
-	if d.binary && !d.legacy {
-		// Current clients advertise every kind this build decodes;
-		// legacy binary and JSON devices predate negotiation.
-		req.AcceptSchemes = transport.FormatAccept(transport.AllKinds())
-	}
-	var res CheckInResponse
-	t0 := time.Now()
-	code, err := doJSON(ctx, cfg, http.MethodPost, cfg.api("/checkin"), req, &res, d)
-	if err != nil {
-		return false, err
-	}
-	d.lat.checkin = append(d.lat.checkin, msSince(t0))
-	return code == http.StatusOK && res.Eligible, nil
-}
-
-func (d *fleetDevice) fetchTask(ctx context.Context, cfg FleetConfig) (*TaskResponse, error) {
 	if d.binary {
-		return d.fetchTaskBinary(ctx, cfg)
+		// JSON devices advertise nothing and get the server's unfiltered
+		// cohort policy.
+		req.AcceptSchemes = AcceptSchemes
 	}
-	var task TaskResponse
-	t0 := time.Now()
-	code, err := doJSON(ctx, cfg, http.MethodGet,
-		fmt.Sprintf("%s?device=%d", cfg.api("/task"), d.id), nil, &task, d)
-	if err != nil {
-		return nil, err
-	}
-	d.lat.task = append(d.lat.task, msSince(t0))
-	if code != http.StatusOK {
-		return nil, nil
-	}
-	return &task, nil
+	var out coord.CheckInResponse
+	res, err := d.exchange(&d.latCheckin, func(buf *bytes.Buffer) (res Result, err error) {
+		out, res, err = cl.CheckIn(ctx, buf, req)
+		return res, err
+	})
+	return res.Outcome == OK && out.Eligible, err
 }
 
-// fetchTaskBinary negotiates the tensor protocol via Accept and parses
-// the X-Flint-* metadata headers plus the codec blob body. Current
-// devices also advertise their scheme capabilities and the version they
-// already hold, so the server can ship a delta frame instead of the full
-// vector; legacy devices skip both and always receive full broadcasts. A
-// JSON reply (an old server) is decoded as the legacy response, so new
-// devices interoperate both ways.
-func (d *fleetDevice) fetchTaskBinary(ctx context.Context, cfg FleetConfig) (*TaskResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		fmt.Sprintf("%s?device=%d", cfg.api("/task"), d.id), nil)
-	if err != nil {
-		return nil, err
-	}
-	cfg.authorize(req)
-	req.Header.Set("Accept", ContentTypeTensor)
-	if !d.legacy {
-		req.Header.Set(hdrAcceptSchemes, transport.FormatAccept(transport.AllKinds()))
-		if d.version > 0 && d.params != nil {
-			req.Header.Set(hdrBaseVersion, strconv.Itoa(d.version))
+// fetchTask polls for a task (nil when the server assigned none). A
+// binary device names the version it holds so the server may answer with
+// a delta frame.
+func (d *fleetDevice) fetchTask(ctx context.Context, cl *Client) (*Task, error) {
+	var task *Task
+	res, err := d.exchange(&d.latTask, func(buf *bytes.Buffer) (res Result, err error) {
+		task, res, err = cl.FetchTask(ctx, buf, d.id, d.binary, d.version)
+		if task != nil && d.binary {
+			err = d.adopt(task) // while the pooled buffer is still ours
 		}
-	}
-	t0 := time.Now()
-	resp, err := cfg.Client.Do(req)
-	if err != nil {
+		return res, err
+	})
+	if err != nil || task == nil {
 		return nil, err
 	}
-	body, release, err := readBody(resp.Body)
-	defer release()
-	resp.Body.Close()
-	d.bytesRecv += int64(len(body))
-	if err != nil {
-		return nil, err
-	}
-	d.lat.task = append(d.lat.task, msSince(t0))
-	if resp.StatusCode != http.StatusOK {
-		return nil, nil
-	}
-	if d.downBps > 0 && len(body) > 0 {
+	if d.binary && d.downBps > 0 && res.Recv > 0 {
 		// Honor the simulated link: downloading the blob costs real wall
 		// time, and the observed transfer is reported to the server with
 		// the next update (the scheduler's downlink telemetry).
-		dur := time.Duration(float64(len(body)) / d.downBps * float64(time.Second))
-		if !sleepCtx(ctx, dur) {
+		dur := time.Duration(float64(res.Recv) / d.downBps * float64(time.Second))
+		if !SleepCtx(ctx, dur) {
 			return nil, ctx.Err()
 		}
-		d.lastDownBytes, d.lastDownDur = len(body), dur
-	}
-	if !strings.HasPrefix(resp.Header.Get("Content-Type"), ContentTypeTensor) {
-		var task TaskResponse
-		if err := json.Unmarshal(body, &task); err != nil {
-			return nil, err
-		}
-		return &task, nil
-	}
-	task := &TaskResponse{UpdateScheme: resp.Header.Get(hdrUpdateScheme)}
-	if task.RoundID, err = strconv.ParseUint(resp.Header.Get(hdrRound), 10, 64); err != nil {
-		return nil, fmt.Errorf("coord: bad %s header: %w", hdrRound, err)
-	}
-	if task.BaseVersion, err = strconv.Atoi(resp.Header.Get(hdrBaseVersion)); err != nil {
-		return nil, fmt.Errorf("coord: bad %s header: %w", hdrBaseVersion, err)
-	}
-	if task.Dim, err = strconv.Atoi(resp.Header.Get(hdrDim)); err != nil {
-		return nil, fmt.Errorf("coord: bad %s header: %w", hdrDim, err)
-	}
-	if task.LocalSteps, err = strconv.Atoi(resp.Header.Get(hdrLocalSteps)); err != nil {
-		return nil, fmt.Errorf("coord: bad %s header: %w", hdrLocalSteps, err)
-	}
-	if task.DeadlineMS, err = strconv.ParseInt(resp.Header.Get(hdrDeadlineMS), 10, 64); err != nil {
-		return nil, fmt.Errorf("coord: bad %s header: %w", hdrDeadlineMS, err)
-	}
-	task.ModelKind = resp.Header.Get(hdrModelKind)
-	if len(body) > 0 {
-		if h := resp.Header.Get(hdrDelta); h != "" {
-			// Delta frame: fold it into the params we already hold.
-			deltaBase, err := strconv.Atoi(h)
-			if err != nil {
-				return nil, fmt.Errorf("coord: bad %s header: %w", hdrDelta, err)
-			}
-			if d.params == nil || deltaBase != d.version {
-				return nil, fmt.Errorf("coord: delta against v%d but device holds v%d", deltaBase, d.version)
-			}
-			params, _, err := codec.ApplyDelta(d.params, body)
-			if err != nil {
-				return nil, fmt.Errorf("coord: bad task delta: %w", err)
-			}
-			d.params, d.version = params, task.BaseVersion
-			d.deltaTasks++
-			task.Params = params
-			return task, nil
-		}
-		params, _, err := codec.Decode(body)
-		if err != nil {
-			return nil, fmt.Errorf("coord: bad task tensor: %w", err)
-		}
-		if !d.legacy {
-			d.params, d.version = params, task.BaseVersion
-		}
-		task.Params = params
+		d.lastDownBytes, d.lastDownDur = res.Recv, dur
 	}
 	return task, nil
 }
 
-func (d *fleetDevice) submit(ctx context.Context, cfg FleetConfig, task *TaskResponse) (bool, error) {
+// adopt rebuilds a binary task's parameters — folding a delta reply into
+// the held version — and keeps them as the device's next delta base.
+func (d *fleetDevice) adopt(task *Task) error {
+	params, err := task.Rebuild(d.params, d.version)
+	if err != nil {
+		return err
+	}
+	if task.DeltaBase > 0 {
+		d.deltaTasks++
+	}
+	d.params, d.version, task.Body = params, task.BaseVersion, nil
+	return nil
+}
+
+// submit posts the device's synthetic update for the task and reports
+// whether the server accepted it.
+func (d *fleetDevice) submit(ctx context.Context, cfg Config, cl *Client, task *Task) (bool, error) {
 	delta := make(tensor.Vector, task.Dim)
 	for i := range delta {
 		delta[i] = d.rng.NormFloat64()*cfg.DeltaScale + cfg.DeltaBias
@@ -897,32 +767,17 @@ func (d *fleetDevice) submit(ctx context.Context, cfg FleetConfig, task *TaskRes
 		// attacker traffic apart except by the update's contents.
 		delta = cfg.attack().Poison(aggregator.Update{ClientID: d.id, Delta: delta}, d.rng).Delta
 	}
+	u := Update{Device: d.id, Round: task.RoundID, BaseVersion: task.BaseVersion, Weight: d.weight}
 	// Binary uploads only when the server advertised a scheme with the
-	// task: a pre-codec server never does, so new devices degrade to
+	// task: a pre-codec server never does, so binary devices degrade to
 	// JSON against it instead of shipping blobs it would reject.
-	if d.binary && task.UpdateScheme != "" {
-		return d.submitBinary(ctx, cfg, task, delta)
+	if !d.binary || task.UpdateScheme == "" {
+		res, err := d.exchange(&d.latUpdate, func(buf *bytes.Buffer) (Result, error) {
+			return cl.SubmitJSON(ctx, buf, u, delta)
+		})
+		return res.Outcome == OK, err
 	}
-	req := UpdateRequest{
-		DeviceID:    d.id,
-		RoundID:     task.RoundID,
-		BaseVersion: task.BaseVersion,
-		Weight:      d.weight,
-		Delta:       delta,
-	}
-	var res UpdateResponse
-	t0 := time.Now()
-	code, err := doJSON(ctx, cfg, http.MethodPost, cfg.api("/update"), req, &res, d)
-	if err != nil {
-		return false, err
-	}
-	d.lat.update = append(d.lat.update, msSince(t0))
-	return code == http.StatusAccepted && res.Accepted, nil
-}
-
-// submitBinary quantizes the delta client-side with the scheme the server
-// requested in the task and ships the codec blob.
-func (d *fleetDevice) submitBinary(ctx context.Context, cfg FleetConfig, task *TaskResponse, delta tensor.Vector) (bool, error) {
+	// Quantize client-side with the scheme the server requested.
 	scheme, err := codec.ParseScheme(task.UpdateScheme)
 	if err != nil {
 		scheme = codec.F32 // unknown future scheme: a safe lossy default
@@ -931,166 +786,22 @@ func (d *fleetDevice) submitBinary(ctx context.Context, cfg FleetConfig, task *T
 	if err != nil {
 		return false, err
 	}
-	var upBody io.Reader = bytes.NewReader(blob)
+	var body io.Reader = bytes.NewReader(blob)
 	if d.upBps > 0 {
 		// Rate-limit the upload stream itself so the server's observed
 		// /v1/update transfer timing — its uplink telemetry — reflects
 		// the simulated link, not loopback.
-		upBody = &throttledReader{r: upBody, bps: d.upBps, ctx: ctx}
+		body = &throttledReader{r: body, bps: d.upBps, ctx: ctx}
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, cfg.api("/update"), upBody)
-	if err != nil {
-		return false, err
+	u.DownBytes, u.DownMS = d.lastDownBytes, float64(d.lastDownDur)/float64(time.Millisecond)
+	u.TrainMS = float64(d.lastTrainDur) / float64(time.Millisecond)
+	res, err := d.exchange(&d.latUpdate, func(buf *bytes.Buffer) (Result, error) {
+		return cl.SubmitTensor(ctx, buf, u, body)
+	})
+	if err == nil {
+		d.bytesSent += int64(len(blob))
 	}
-	cfg.authorize(req)
-	req.Header.Set("Content-Type", ContentTypeTensor)
-	req.Header.Set(hdrDevice, strconv.FormatInt(d.id, 10))
-	req.Header.Set(hdrRound, strconv.FormatUint(task.RoundID, 10))
-	req.Header.Set(hdrBaseVersion, strconv.Itoa(task.BaseVersion))
-	req.Header.Set(hdrWeight, strconv.FormatFloat(d.weight, 'g', -1, 64))
-	if d.lastDownBytes > 0 {
-		req.Header.Set(hdrDownBytes, strconv.Itoa(d.lastDownBytes))
-		req.Header.Set(hdrDownMS, strconv.FormatFloat(float64(d.lastDownDur)/float64(time.Millisecond), 'g', -1, 64))
-	}
-	if d.lastTrainDur > 0 {
-		req.Header.Set(hdrTrainMS, strconv.FormatFloat(float64(d.lastTrainDur)/float64(time.Millisecond), 'g', -1, 64))
-	}
-	t0 := time.Now()
-	resp, err := cfg.Client.Do(req)
-	if err != nil {
-		return false, err
-	}
-	d.bytesSent += int64(len(blob))
-	body, release, err := readBody(resp.Body)
-	defer release()
-	resp.Body.Close()
-	d.bytesRecv += int64(len(body))
-	if err != nil {
-		return false, err
-	}
-	d.lat.update = append(d.lat.update, msSince(t0))
-	if resp.StatusCode != http.StatusAccepted {
-		return false, nil
-	}
-	var res UpdateResponse
-	if err := json.Unmarshal(body, &res); err != nil {
-		return false, err
-	}
-	return res.Accepted, nil
-}
-
-func fetchStatus(ctx context.Context, cfg FleetConfig) (*StatusReport, error) {
-	if cfg.Gateway {
-		tier, err := fetchTier(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		return &StatusReport{Version: tier.Version}, nil
-	}
-	var st StatusReport
-	code, err := doJSON(ctx, cfg, http.MethodGet, cfg.api("/status"), nil, &st, nil)
-	if err != nil {
-		return nil, err
-	}
-	if code != http.StatusOK {
-		return nil, fmt.Errorf("coord: status returned HTTP %d", code)
-	}
-	return &st, nil
-}
-
-// tierProbe is the slice of the gateway rollup the fleet needs: the
-// tier's global version for progress watching plus enough membership to
-// gate the start on health. Decoded locally because coord cannot import
-// internal/shard (the shard tier builds on this package).
-type tierProbe struct {
-	Version int `json:"version"`
-	Tier    struct {
-		Shards  int  `json:"shards"`
-		Healthy bool `json:"healthy"`
-	} `json:"tier"`
-}
-
-// fetchTier reads the gateway's /v1/status rollup. The rollup is always
-// served with HTTP 200 — tier health is a field, not a status code — so
-// a transport or non-200 result means the gateway itself is unreachable.
-func fetchTier(ctx context.Context, cfg FleetConfig) (*tierProbe, error) {
-	var tp tierProbe
-	code, err := doJSON(ctx, cfg, http.MethodGet, cfg.BaseURL+"/v1/status", nil, &tp, nil)
-	if err != nil {
-		return nil, err
-	}
-	if code != http.StatusOK {
-		return nil, fmt.Errorf("coord: gateway rollup returned HTTP %d", code)
-	}
-	return &tp, nil
-}
-
-// waitTierHealthy blocks until the gateway reports every shard inside
-// its heartbeat grace window. Launching devices into a halted tier would
-// only measure the halt gate's 503s, so the fleet gates its start here.
-func waitTierHealthy(ctx context.Context, cfg FleetConfig) (*tierProbe, error) {
-	for {
-		tier, err := fetchTier(ctx, cfg)
-		if err == nil && tier.Tier.Healthy {
-			return tier, nil
-		}
-		select {
-		case <-ctx.Done():
-			if err == nil {
-				err = fmt.Errorf("tier still unhealthy (%d shards)", tier.Tier.Shards)
-			}
-			return nil, fmt.Errorf("coord: fleet gave up waiting for tier health: %w (%v)", ctx.Err(), err)
-		case <-time.After(100 * time.Millisecond):
-		}
-	}
-}
-
-// doJSON issues one JSON request and decodes the body when the status code
-// carries one. It returns the status code so callers can branch on protocol
-// outcomes (204 no task, 409 late, 503 shed) without treating them as
-// transport errors. A non-nil dev gets the request/response body sizes
-// added to its wire-traffic counters.
-func doJSON(ctx context.Context, cfg FleetConfig, method, url string, in, out any, dev *fleetDevice) (int, error) {
-	var body io.Reader
-	var sent int64
-	if in != nil {
-		raw, err := json.Marshal(in)
-		if err != nil {
-			return 0, err
-		}
-		sent = int64(len(raw))
-		body = bytes.NewReader(raw)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, url, body)
-	if err != nil {
-		return 0, err
-	}
-	cfg.authorize(req)
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := cfg.Client.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if dev != nil {
-		dev.bytesSent += sent
-	}
-	raw, release, err := readBody(resp.Body)
-	defer release()
-	if dev != nil {
-		dev.bytesRecv += int64(len(raw))
-	}
-	if err != nil {
-		return resp.StatusCode, err
-	}
-	if out != nil && resp.StatusCode < 300 && resp.StatusCode != http.StatusNoContent {
-		if err := json.Unmarshal(raw, out); err != nil {
-			return resp.StatusCode, err
-		}
-	}
-	return resp.StatusCode, nil
+	return res.Outcome == OK, err
 }
 
 // throttledReader meters a payload stream at bps bytes/second in small
@@ -1113,18 +824,16 @@ func (t *throttledReader) Read(p []byte) (int, error) {
 	}
 	n, err := t.r.Read(p)
 	if n > 0 && t.bps > 0 {
-		if !sleepCtx(t.ctx, time.Duration(float64(n)/t.bps*float64(time.Second))) {
+		if !SleepCtx(t.ctx, time.Duration(float64(n)/t.bps*float64(time.Second))) {
 			return n, t.ctx.Err()
 		}
 	}
 	return n, err
 }
 
-func msSince(t0 time.Time) float64 { return float64(time.Since(t0)) / float64(time.Millisecond) }
-
-// sleepCtx sleeps for d unless the context ends first; it reports whether
-// the fleet should keep running.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
+// SleepCtx sleeps for d unless the context ends first; it reports whether
+// the driver should keep running.
+func SleepCtx(ctx context.Context, d time.Duration) bool {
 	if d <= 0 {
 		return ctx.Err() == nil
 	}

@@ -2,7 +2,6 @@ package model
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
 	"io"
 
@@ -11,8 +10,7 @@ import (
 )
 
 // Checkpoint framing: a magic/format-version header in front of a codec
-// tensor blob, so unknown or corrupt checkpoints fail with a clear error
-// instead of a raw gob decode error.
+// tensor blob, so unknown or corrupt checkpoints fail with a clear error.
 //
 //	offset  size  field
 //	0       4     magic "FLNT"
@@ -24,13 +22,6 @@ const (
 	saveMagic   = "FLNT"
 	saveVersion = 1
 )
-
-// snapshot is the legacy (pre-codec) wire format: a bare gob of kind and
-// weights. Load still accepts it via the shim below.
-type snapshot struct {
-	Kind   Kind
-	Params []float64
-}
 
 // Save writes the model's kind and parameters to w — the model-store
 // checkpoint format shared by centralized and FL training (paper §3.1's
@@ -57,24 +48,16 @@ func Save(m Model, w io.Writer) error {
 	return nil
 }
 
-// Load reconstructs a model from a Save stream. Streams written before
-// the versioned header existed (bare gob snapshots) still load.
+// Load reconstructs a model from a Save stream.
 func Load(r io.Reader) (Model, error) {
 	raw, err := io.ReadAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("model: load: %w", err)
 	}
-	if bytes.HasPrefix(raw, []byte(saveMagic)) {
-		return loadVersioned(raw[len(saveMagic):])
+	if !bytes.HasPrefix(raw, []byte(saveMagic)) {
+		return nil, fmt.Errorf("model: load: unrecognized checkpoint (no %q header)", saveMagic)
 	}
-	// Legacy shim: pre-codec checkpoints were bare gob snapshots with no
-	// magic. Anything that is neither is reported as unrecognized rather
-	// than as a confusing gob internal error alone.
-	var snap snapshot
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&snap); err != nil {
-		return nil, fmt.Errorf("model: load: unrecognized checkpoint (no %q header and not a legacy gob snapshot): %w", saveMagic, err)
-	}
-	return fromKindParams(snap.Kind, snap.Params)
+	return loadVersioned(raw[len(saveMagic):])
 }
 
 func loadVersioned(rest []byte) (Model, error) {

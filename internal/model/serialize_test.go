@@ -2,39 +2,12 @@ package model
 
 import (
 	"bytes"
-	"encoding/gob"
 	"strings"
 	"testing"
 )
 
-// TestLoadLegacyGob proves the shim: checkpoints written before the
-// versioned header existed (bare gob snapshots) still load.
-func TestLoadLegacyGob(t *testing.T) {
-	m, err := New(KindA, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	legacy := snapshot{Kind: m.Kind(), Params: m.Params()}
-	if err := gob.NewEncoder(&buf).Encode(legacy); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("legacy gob load: %v", err)
-	}
-	if loaded.Kind() != KindA {
-		t.Fatalf("kind = %s", loaded.Kind())
-	}
-	diff := loaded.Params().Clone()
-	diff.Sub(m.Params())
-	if diff.Norm2() != 0 {
-		t.Fatal("legacy load changed parameters")
-	}
-}
-
 // TestLoadCorruptCheckpoint checks that damage at each framing layer
-// yields a clear, identifying error rather than a bare gob failure.
+// yields a clear, identifying error.
 func TestLoadCorruptCheckpoint(t *testing.T) {
 	m, err := New(KindA, 1)
 	if err != nil {

@@ -244,11 +244,6 @@ func (s *Store) deleteLocked(name string, version int) error {
 		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
 			return fmt.Errorf("modelstore: remove %s: %w", path, err)
 		}
-		// Directories written before the codec refactor used .gob.
-		legacy := filepath.Join(s.dir, fmt.Sprintf("%s-v%03d.gob", name, version))
-		if err := os.Remove(legacy); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("modelstore: remove %s: %w", legacy, err)
-		}
 	}
 	return nil
 }

@@ -245,7 +245,7 @@ func TestPersistBarrier(t *testing.T) {
 
 // TestRetainDropsEveryAgedVersion: retention is a range, so a store whose
 // version numbers have gaps (a replica that skipped installs) still ends
-// at the newest `keep` span — memory, .fct files and legacy .gob files.
+// at the newest `keep` span — memory and .fct files.
 func TestRetainDropsEveryAgedVersion(t *testing.T) {
 	dir := t.TempDir()
 	s, err := New(dir)
@@ -264,10 +264,6 @@ func TestRetainDropsEveryAgedVersion(t *testing.T) {
 		if err := s.Persist("gap", v, false); err != nil {
 			t.Fatal(err)
 		}
-	}
-	legacy := filepath.Join(dir, "gap-v003.gob")
-	if err := os.WriteFile(legacy, []byte("old"), 0o644); err != nil {
-		t.Fatal(err)
 	}
 	if n, err := s.Retain("gap", 10, -1); n != 0 || err != nil || len(s.Versions("gap")) != 6 {
 		t.Fatalf("keep<=0 must retain everything: dropped %d, err %v", n, err)

@@ -14,6 +14,7 @@ import (
 
 	"flint/internal/coord"
 	"flint/internal/metrics"
+	"flint/internal/transport"
 )
 
 // maxPartialBody bounds a /shard/v1/partial read: a raw64 partial of
@@ -228,8 +229,8 @@ func (g *Gateway) route(w http.ResponseWriter, r *http.Request) {
 			err = fmt.Errorf("bad device parameter: %w", err)
 		}
 	case "update":
-		if strings.HasPrefix(r.Header.Get("Content-Type"), coord.ContentTypeTensor) {
-			device, err = strconv.ParseInt(r.Header.Get("X-Flint-Device"), 10, 64)
+		if strings.HasPrefix(r.Header.Get("Content-Type"), transport.ContentTypeTensor) {
+			device, err = strconv.ParseInt(r.Header.Get(transport.HeaderDevice), 10, 64)
 			if err != nil {
 				err = fmt.Errorf("bad X-Flint-Device header: %w", err)
 			}
@@ -437,7 +438,7 @@ func (g *Gateway) handlePartial(w http.ResponseWriter, r *http.Request) {
 	}
 	g.counters.Counter("partials_proxied").Inc()
 	w.Header().Set(hdrVersion, strconv.Itoa(inst.Version))
-	w.Header().Set("Content-Type", coord.ContentTypeTensor)
+	w.Header().Set("Content-Type", transport.ContentTypeTensor)
 	w.Header().Set("Content-Length", strconv.Itoa(len(inst.Blob)))
 	w.WriteHeader(http.StatusOK)
 	w.Write(inst.Blob)

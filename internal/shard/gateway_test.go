@@ -15,6 +15,7 @@ import (
 	"flint/internal/codec"
 	"flint/internal/coord"
 	"flint/internal/tensor"
+	"flint/internal/transport"
 )
 
 // recordingBackend is a fake shard replica: it records which paths and
@@ -167,7 +168,7 @@ func TestGatewayRoutesByDeviceID(t *testing.T) {
 
 		// Binary update (header id, streamed body).
 		req, _ := http.NewRequest(http.MethodPost, srv.URL+"/v1/update", bytes.NewReader([]byte{1, 2, 3}))
-		req.Header.Set("Content-Type", coord.ContentTypeTensor)
+		req.Header.Set("Content-Type", transport.ContentTypeTensor)
 		req.Header.Set("X-Flint-Device", strconv.FormatInt(id, 10))
 		resp, err = http.DefaultClient.Do(req)
 		if err != nil {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"flint/internal/coord"
+	"flint/internal/transport"
 )
 
 // The tier exchange's private wire surface, hosted by the gateway next
@@ -74,7 +75,7 @@ func (x *HTTPExchange) SubmitPartial(pc coord.PartialCommit) (coord.GlobalInstal
 	if err != nil {
 		return coord.GlobalInstall{}, err
 	}
-	req.Header.Set("Content-Type", coord.ContentTypeTensor)
+	req.Header.Set("Content-Type", transport.ContentTypeTensor)
 	req.Header.Set(hdrShard, strconv.Itoa(pc.ShardID))
 	if pc.Job != "" {
 		req.Header.Set(hdrJob, pc.Job)

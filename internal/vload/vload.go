@@ -2,12 +2,13 @@
 // availability, and link models driven against the real HTTP serving
 // stack at fleet scales the goroutine-per-device generator cannot reach.
 //
-// Where internal/coord's RunFleet backs every simulated device with a
+// Where internal/fleet's Run backs every simulated device with a
 // goroutine (topping out around a thousand devices), vload multiplexes
 // thousands of virtual devices per worker goroutine: each worker owns a
 // partition of the fleet and an event heap (internal/vclock) keyed in
 // *virtual* seconds, and replays wake → poll → train → update protocol
-// traffic through a bounded keep-alive connection pool. The virtual
+// traffic through the same wire-protocol client (fleet.Client) over a
+// bounded keep-alive connection pool. The virtual
 // clock runs at Compression virtual seconds per wall second — a full
 // diurnal availability cycle over a million devices compresses into
 // minutes of wall clock — and is allowed to fall behind when the system
@@ -29,9 +30,7 @@ package vload
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -45,9 +44,9 @@ import (
 	"flint/internal/availability"
 	"flint/internal/codec"
 	"flint/internal/coord"
+	"flint/internal/fleet"
 	"flint/internal/network"
 	"flint/internal/tensor"
-	"flint/internal/transport"
 	"flint/internal/vclock"
 )
 
@@ -307,6 +306,7 @@ type totals struct {
 // worker count IS the connection-pool bound.
 type worker struct {
 	cfg     *Config
+	cl      *fleet.Client
 	rng     *rand.Rand
 	q       vclock.Queue
 	devs    []vdev
@@ -316,7 +316,11 @@ type worker struct {
 	tot     *totals
 	// diurnalMean normalizes session-rate thinning (precomputed).
 	diurnalMean float64
-	buf         bytes.Buffer // pooled response-body scratch
+	// buf is the response-body scratch and batch the check-in request
+	// scratch every exchange of this worker reuses (one request in
+	// flight per worker).
+	buf   bytes.Buffer
+	batch []coord.CheckInRequest
 }
 
 func (w *worker) schedule(v float64, idx int32, kind int) {
@@ -344,19 +348,16 @@ func (w *worker) nextSessionStart(v float64) float64 {
 // median, device state re-drawn with the hour-of-day shifts, and the
 // check-in queued for the next batch flush. The first poll lands a few
 // virtual seconds in (forcing the flush if the batch hasn't filled).
-func (w *worker) wake(idx int32) {
+func (w *worker) wake(ctx context.Context, idx int32) {
 	d := &w.devs[idx]
 	hour := w.cfg.hourAt(w.vnow)
 	dur := w.cfg.SessionMedianSec * math.Exp(w.rng.NormFloat64()*1.1)
 	d.sessionEnd = w.vnow + dur
 	d.wifi = w.rng.Float64() < clamp01(w.cfg.WiFiProb+availability.WiFiShift(hour))
 	d.battery = w.rng.Float64() < clamp01(w.cfg.BatteryHighProb+availability.BatteryShift(hour))
-	if !d.pending {
-		d.pending = true
-		w.pending = append(w.pending, idx)
-	}
+	w.enqueue(idx)
 	if len(w.pending) >= w.cfg.Batch {
-		w.flushCheckIns(nil)
+		w.flushCheckIns(ctx)
 	}
 	w.schedule(w.vnow+1+4*w.rng.Float64(), idx, evPoll)
 }
@@ -399,61 +400,53 @@ func (w *worker) checkInReq(idx int32) coord.CheckInRequest {
 		ModernOS:      d.modern,
 		SessionSec:    left / w.cfg.Compression,
 		Weight:        float64(d.weight),
-		AcceptSchemes: transport.FormatAccept(transport.AllKinds()),
+		AcceptSchemes: fleet.AcceptSchemes,
 	}
 }
 
-// flushCheckIns posts the pending batch (ctx nil means the worker's run
-// context, already bound into the config's client timeout). Check-ins
-// are idempotent, so a failed batch is just retried by each device's
-// next wake; the devices are unmarked either way.
+// count adds one exchange's wire traffic to the totals and reports
+// whether it completed; a transport failure is a net error unless the
+// run is simply over.
+func (w *worker) count(ctx context.Context, res fleet.Result, err error) bool {
+	w.tot.bytesSent.Add(int64(res.Sent))
+	w.tot.bytesRecv.Add(int64(res.Recv))
+	if err != nil && ctx.Err() == nil {
+		w.tot.netErrs.Add(1)
+	}
+	return err == nil
+}
+
+// flushCheckIns posts the pending batch. Check-ins are idempotent, so a
+// failed batch is just retried by each device's next wake; the devices
+// are unmarked either way.
 func (w *worker) flushCheckIns(ctx context.Context) {
 	if len(w.pending) == 0 {
 		return
 	}
-	req := coord.BatchCheckInRequest{Devices: make([]coord.CheckInRequest, 0, len(w.pending))}
+	w.batch = w.batch[:0]
 	for _, idx := range w.pending {
-		req.Devices = append(req.Devices, w.checkInReq(idx))
+		w.batch = append(w.batch, w.checkInReq(idx))
 		w.devs[idx].pending = false
 	}
-	n := len(w.pending)
 	w.pending = w.pending[:0]
-	raw, err := json.Marshal(req)
-	if err != nil {
-		w.tot.netErrs.Add(1)
+	_, res, err := w.cl.CheckInBatch(ctx, &w.buf, w.batch)
+	if !w.count(ctx, res, err) {
 		return
 	}
-	hreq, err := http.NewRequest(http.MethodPost, w.cfg.BaseURL+"/v1/checkin/batch", bytes.NewReader(raw))
-	if err != nil {
-		w.tot.netErrs.Add(1)
-		return
-	}
-	if ctx != nil {
-		hreq = hreq.WithContext(ctx)
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	w.tot.bytesSent.Add(int64(len(raw)))
-	resp, err := w.cfg.Client.Do(hreq)
-	if err != nil {
-		w.tot.netErrs.Add(1)
-		return
-	}
-	body, err := w.readBody(resp.Body)
-	resp.Body.Close()
-	w.tot.bytesRecv.Add(int64(len(body)))
-	if err != nil || resp.StatusCode != http.StatusOK {
+	if res.Outcome != fleet.OK {
 		w.tot.netErrs.Add(1)
 		return
 	}
 	w.tot.batches.Add(1)
-	w.tot.checkins.Add(int64(n))
+	w.tot.checkins.Add(int64(len(w.batch)))
 }
 
-// readBody drains r into the worker's reusable scratch buffer.
-func (w *worker) readBody(r io.Reader) ([]byte, error) {
-	w.buf.Reset()
-	_, err := w.buf.ReadFrom(r)
-	return w.buf.Bytes(), err
+// enqueue marks the device for the next batched check-in.
+func (w *worker) enqueue(idx int32) {
+	if d := &w.devs[idx]; !d.pending {
+		d.pending = true
+		w.pending = append(w.pending, idx)
+	}
 }
 
 // poll is one GET /v1/task. It returns true when a task was accepted and
@@ -461,61 +454,33 @@ func (w *worker) readBody(r io.Reader) ([]byte, error) {
 // session lapsed).
 func (w *worker) poll(ctx context.Context, idx int32) bool {
 	d := &w.devs[idx]
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		w.cfg.BaseURL+"/v1/task?device="+strconv.FormatInt(d.id, 10), nil)
-	if err != nil {
-		w.tot.netErrs.Add(1)
+	task, res, err := w.cl.FetchTask(ctx, &w.buf, d.id, true, 0)
+	if !w.count(ctx, res, err) {
 		return false
 	}
-	req.Header.Set("Accept", coord.ContentTypeTensor)
-	req.Header.Set("X-Flint-Accept-Schemes", transport.FormatAccept(transport.AllKinds()))
 	w.tot.polls.Add(1)
-	resp, err := w.cfg.Client.Do(req)
-	if err != nil {
-		if ctx.Err() == nil {
-			w.tot.netErrs.Add(1)
-		}
+	switch res.Outcome {
+	case fleet.OK:
+	case fleet.NoTask:
 		return false
-	}
-	body, err := w.readBody(resp.Body)
-	resp.Body.Close()
-	w.tot.bytesRecv.Add(int64(len(body)))
-	if err != nil {
-		w.tot.netErrs.Add(1)
-		return false
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNoContent:
-		return false
-	case http.StatusNotFound:
-		// Unknown device: swept between sessions (or the batch that
-		// carried its check-in failed). Re-enqueue the registration; the
-		// next poll finds it live.
-		if !d.pending {
-			d.pending = true
-			w.pending = append(w.pending, idx)
-		}
+	case fleet.UnknownDevice:
+		// Swept between sessions (or the batch that carried its check-in
+		// failed). Re-enqueue the registration; the next poll finds it
+		// live.
+		w.enqueue(idx)
 		return false
 	default:
 		w.tot.netErrs.Add(1)
 		return false
 	}
-	round, err1 := strconv.ParseUint(resp.Header.Get("X-Flint-Round"), 10, 64)
-	base, err2 := strconv.Atoi(resp.Header.Get("X-Flint-Base-Version"))
-	dim, err3 := strconv.Atoi(resp.Header.Get("X-Flint-Dim"))
-	if err1 != nil || err2 != nil || err3 != nil || dim <= 0 {
-		w.tot.netErrs.Add(1)
-		return false
-	}
 	w.tot.tasks.Add(1)
-	d.round, d.base, d.dim = round, int32(base), int32(dim)
-	d.scheme = resp.Header.Get("X-Flint-Update-Scheme")
+	d.round, d.base, d.dim = task.RoundID, int32(task.BaseVersion), int32(task.Dim)
+	d.scheme = task.UpdateScheme
 	// The blob download and local training cost *virtual* time: the
 	// device's simulated link rate and compute, not the loopback wire.
-	downV := float64(len(body)) / float64(d.downBps)
+	downV := float64(res.Recv) / float64(d.downBps)
 	trainV := w.cfg.TrainMedianSec * math.Exp(w.rng.NormFloat64()*0.8)
-	d.downBytes, d.downV, d.trainV = int32(len(body)), float32(downV), float32(trainV)
+	d.downBytes, d.downV, d.trainV = int32(res.Recv), float32(downV), float32(trainV)
 	w.schedule(w.vnow+downV+trainV, idx, evFinish)
 	return true
 }
@@ -549,11 +514,11 @@ func updateBlob(scheme string, dim int) ([]byte, error) {
 }
 
 // finish is one POST /v1/update: the cached blob with the device's
-// virtual-clock telemetry headers — download transfer, training
-// duration, and (because the wall-clock body transfer is loopback noise
-// under compression) the uplink transfer too, all in virtual
-// milliseconds. This is the feed that makes the scheduler's EWMAs equal
-// the simulated link rates.
+// virtual-clock telemetry — download transfer, training duration, and
+// (because the wall-clock body transfer is loopback noise under
+// compression) the uplink transfer too, all in virtual milliseconds. This
+// is the feed that makes the scheduler's EWMAs equal the simulated link
+// rates.
 func (w *worker) finish(ctx context.Context, idx int32) {
 	d := &w.devs[idx]
 	blob, err := updateBlob(d.scheme, int(d.dim))
@@ -561,40 +526,22 @@ func (w *worker) finish(ctx context.Context, idx int32) {
 		w.tot.netErrs.Add(1)
 		return
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		w.cfg.BaseURL+"/v1/update", bytes.NewReader(blob))
-	if err != nil {
-		w.tot.netErrs.Add(1)
+	res, err := w.cl.SubmitTensor(ctx, &w.buf, fleet.Update{
+		Device:      d.id,
+		Round:       d.round,
+		BaseVersion: int(d.base),
+		Weight:      float64(d.weight),
+		DownBytes:   int(d.downBytes),
+		DownMS:      float64(d.downV) * 1000,
+		TrainMS:     float64(d.trainV) * 1000,
+		UpBytes:     len(blob),
+		UpMS:        float64(len(blob)) / float64(d.upBps) * 1000,
+	}, bytes.NewReader(blob))
+	if !w.count(ctx, res, err) {
 		return
 	}
-	upV := float64(len(blob)) / float64(d.upBps)
-	h := req.Header
-	h.Set("Content-Type", coord.ContentTypeTensor)
-	h.Set("X-Flint-Device", strconv.FormatInt(d.id, 10))
-	h.Set("X-Flint-Round", strconv.FormatUint(d.round, 10))
-	h.Set("X-Flint-Base-Version", strconv.Itoa(int(d.base)))
-	h.Set("X-Flint-Weight", strconv.FormatFloat(float64(d.weight), 'g', -1, 64))
-	h.Set("X-Flint-Down-Bytes", strconv.Itoa(int(d.downBytes)))
-	h.Set("X-Flint-Down-Ms", strconv.FormatFloat(float64(d.downV)*1000, 'g', -1, 64))
-	h.Set("X-Flint-Train-Ms", strconv.FormatFloat(float64(d.trainV)*1000, 'g', -1, 64))
-	h.Set("X-Flint-Up-Bytes", strconv.Itoa(len(blob)))
-	h.Set("X-Flint-Up-Ms", strconv.FormatFloat(upV*1000, 'g', -1, 64))
 	w.tot.bytesSent.Add(int64(len(blob)))
-	resp, err := w.cfg.Client.Do(req)
-	if err != nil {
-		if ctx.Err() == nil {
-			w.tot.netErrs.Add(1)
-		}
-		return
-	}
-	body, err := w.readBody(resp.Body)
-	resp.Body.Close()
-	w.tot.bytesRecv.Add(int64(len(body)))
-	if err != nil {
-		w.tot.netErrs.Add(1)
-		return
-	}
-	if resp.StatusCode == http.StatusAccepted {
+	if res.Outcome == fleet.OK {
 		w.tot.updatesOK.Add(1)
 	} else {
 		w.tot.updatesErr.Add(1)
@@ -615,7 +562,7 @@ func (w *worker) run(ctx context.Context, start time.Time) float64 {
 		w.vnow = float64(ev.Time)
 		targetWall := time.Duration(w.vnow / w.cfg.Compression * float64(time.Second))
 		if ahead := targetWall - time.Since(start); ahead > 0 {
-			if !sleepCtx(ctx, ahead) {
+			if !fleet.SleepCtx(ctx, ahead) {
 				return w.vnow
 			}
 		}
@@ -627,7 +574,7 @@ func (w *worker) run(ctx context.Context, start time.Time) float64 {
 		d := &w.devs[idx]
 		switch kind {
 		case evWake:
-			w.wake(idx)
+			w.wake(ctx, idx)
 		case evPoll:
 			if d.pending {
 				// The device's check-in is still queued: flush before the
@@ -665,6 +612,7 @@ func Run(cfg Config) (*Report, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
 	defer cancel()
 
+	cl := &fleet.Client{HTTP: cfg.Client, BaseURL: cfg.BaseURL, Gateway: cfg.Gateway}
 	var tot totals
 	meanD := 0.0
 	for h := 0; h < 24; h++ {
@@ -682,13 +630,12 @@ func Run(cfg Config) (*Report, error) {
 		if hi > cfg.Devices {
 			hi = cfg.Devices
 		}
-		if lo >= hi {
-			workers[wi] = &worker{cfg: &cfg, rng: rand.New(rand.NewSource(cfg.Seed + int64(wi))), tot: &tot,
-				vmax: cfg.VirtualDuration.Seconds(), diurnalMean: meanD}
-			continue
+		if lo > hi {
+			lo = hi // more workers than device ranges: an idle worker
 		}
 		w := &worker{
 			cfg:         &cfg,
+			cl:          cl,
 			rng:         rand.New(rand.NewSource(cfg.Seed + int64(wi)*7919)),
 			devs:        make([]vdev, hi-lo),
 			vmax:        cfg.VirtualDuration.Seconds(),
@@ -708,17 +655,9 @@ func Run(cfg Config) (*Report, error) {
 		workers[wi] = w
 	}
 
-	tierShards := 0
-	if cfg.Gateway {
-		tier, err := waitTierHealthy(ctx, cfg)
-		if err != nil {
-			return nil, err
-		}
-		tierShards = tier.Tier.Shards
-	}
-	startVersion, _, err := fetchVersion(ctx, cfg)
+	startVersion, tierShards, err := cl.Ready(ctx)
 	if err != nil {
-		return nil, fmt.Errorf("vload: cannot reach server: %w", err)
+		return nil, err
 	}
 
 	// Phase 1 — the registration storm: every device batch-checked-in
@@ -734,8 +673,7 @@ func Run(cfg Config) (*Report, error) {
 		go func(w *worker) {
 			defer regWG.Done()
 			for i := range w.devs {
-				w.devs[i].pending = true
-				w.pending = append(w.pending, int32(i))
+				w.enqueue(int32(i))
 				if len(w.pending) >= cfg.Batch {
 					w.flushCheckIns(ctx)
 				}
@@ -774,9 +712,9 @@ func Run(cfg Config) (*Report, error) {
 			case <-runCtx.Done():
 				return
 			case <-tick.C:
-				if v, _, err := fetchVersion(runCtx, cfg); err == nil {
-					endVersion.Store(int64(v))
-					if cfg.Rounds > 0 && v >= startVersion+cfg.Rounds {
+				if st, err := cl.Status(runCtx); err == nil {
+					endVersion.Store(int64(st.Version))
+					if cfg.Rounds > 0 && st.Version >= startVersion+cfg.Rounds {
 						stopRun()
 						return
 					}
@@ -832,9 +770,9 @@ func Run(cfg Config) (*Report, error) {
 	// Final status (fresh context: the run context may have expired).
 	finalCtx, cancelFinal := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancelFinal()
-	if v, st, err := fetchVersion(finalCtx, cfg); err == nil {
-		endVersion.Store(int64(v))
-		if st != nil {
+	if st, err := cl.Status(finalCtx); err == nil {
+		endVersion.Store(int64(st.Version))
+		if !cfg.Gateway {
 			rep.FinalStatus = st
 			rep.RegistryBytesPerDev = st.Scheduler.Footprint.RegistryBytesPerDev
 			rep.SchedulerBytesPerDev = st.Scheduler.Footprint.SchedulerBytesPerDev
@@ -848,88 +786,4 @@ func Run(cfg Config) (*Report, error) {
 			rep.EndVersion, cfg.Rounds, rep.StartVersion)
 	}
 	return rep, nil
-}
-
-// tierProbe is the slice of the gateway rollup vload needs (decoded
-// locally: importing internal/shard here would be a needless coupling).
-type tierProbe struct {
-	Version int `json:"version"`
-	Tier    struct {
-		Shards  int  `json:"shards"`
-		Healthy bool `json:"healthy"`
-	} `json:"tier"`
-}
-
-// fetchVersion reads the server's current published version — from the
-// gateway rollup's top level in tier mode, else from /v1/status (whose
-// full document is also returned for the shutdown snapshot).
-func fetchVersion(ctx context.Context, cfg Config) (int, *coord.StatusReport, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, cfg.BaseURL+"/v1/status", nil)
-	if err != nil {
-		return 0, nil, err
-	}
-	resp, err := cfg.Client.Do(req)
-	if err != nil {
-		return 0, nil, err
-	}
-	defer resp.Body.Close()
-	raw, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return 0, nil, fmt.Errorf("vload: status probe: HTTP %d (%v)", resp.StatusCode, err)
-	}
-	if cfg.Gateway {
-		var tp tierProbe
-		if err := json.Unmarshal(raw, &tp); err != nil {
-			return 0, nil, err
-		}
-		return tp.Version, nil, nil
-	}
-	var st coord.StatusReport
-	if err := json.Unmarshal(raw, &st); err != nil {
-		return 0, nil, err
-	}
-	return st.Version, &st, nil
-}
-
-// waitTierHealthy blocks until the gateway reports every shard alive
-// (launching a million virtual devices into a halted tier would only
-// measure the halt gate).
-func waitTierHealthy(ctx context.Context, cfg Config) (*tierProbe, error) {
-	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, cfg.BaseURL+"/v1/status", nil)
-		if err != nil {
-			return nil, err
-		}
-		if resp, err := cfg.Client.Do(req); err == nil {
-			raw, rerr := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-			resp.Body.Close()
-			if rerr == nil && resp.StatusCode == http.StatusOK {
-				var tp tierProbe
-				if json.Unmarshal(raw, &tp) == nil && tp.Tier.Healthy {
-					return &tp, nil
-				}
-			}
-		}
-		select {
-		case <-ctx.Done():
-			return nil, fmt.Errorf("vload: gave up waiting for tier health: %w", ctx.Err())
-		case <-time.After(100 * time.Millisecond):
-		}
-	}
-}
-
-// sleepCtx sleeps for d unless the context ends first; it reports
-// whether the run should continue.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
 }

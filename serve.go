@@ -7,6 +7,7 @@ import (
 	"flint/internal/aggregator"
 	"flint/internal/codec"
 	"flint/internal/coord"
+	"flint/internal/fleet"
 	"flint/internal/sched"
 	"flint/internal/shard"
 	"flint/internal/tenant"
@@ -15,8 +16,9 @@ import (
 )
 
 // Live serving (the production half of the platform): a wall-clock
-// federated coordination server plus a fleet load generator. See
-// internal/coord and DESIGN.md §6.
+// federated coordination server (internal/coord) plus a fleet load
+// generator on the device side of its wire protocol (internal/fleet). See
+// DESIGN.md §6.
 type (
 	// Coordinator is the live federated training server.
 	Coordinator = coord.Coordinator
@@ -36,9 +38,9 @@ type (
 	// CoordPrivacyReport is the DP accountant's /v1/status view.
 	CoordPrivacyReport = coord.PrivacyReport
 	// FleetConfig drives the synthetic device fleet.
-	FleetConfig = coord.FleetConfig
+	FleetConfig = fleet.Config
 	// FleetReport is the load generator's result.
-	FleetReport = coord.FleetReport
+	FleetReport = fleet.Report
 )
 
 // Serving modes.
@@ -58,7 +60,7 @@ func NewCoordinator(cfg CoordConfig) (*Coordinator, error) { return coord.New(cf
 func CoordHandler(c *Coordinator) http.Handler { return coord.NewServer(c) }
 
 // RunFleet drives a simulated device fleet against a running server.
-func RunFleet(cfg FleetConfig) (*FleetReport, error) { return coord.RunFleet(cfg) }
+func RunFleet(cfg FleetConfig) (*FleetReport, error) { return fleet.Run(cfg) }
 
 // Multi-tenant job plane (internal/tenant): M independent FL jobs
 // hosted inside one server process behind /v1/jobs/<job>/... routing,
@@ -111,7 +113,7 @@ var (
 
 // TensorContentType is the Content-Type/Accept value that negotiates
 // binary tensor bodies on the /v1 serving API.
-const TensorContentType = coord.ContentTypeTensor
+const TensorContentType = transport.ContentTypeTensor
 
 // TensorTopK returns a sparse top-k scheme keeping k entries (0 = dim/32).
 func TensorTopK(k int) TensorScheme { return codec.TopK(k) }
