@@ -11,7 +11,6 @@ import (
 	"flint"
 	"flint/internal/aggregator"
 	"flint/internal/data"
-	"flint/internal/featurestore"
 	"flint/internal/fedsim"
 	"flint/internal/report"
 )
@@ -38,13 +37,8 @@ func main() {
 		words[i] = fmt.Sprintf("token_%d", i)
 	}
 	vocab := data.NewVocabulary(words)
-	planning, err := featurestore.PlanVocab(
-		[]featurestore.VocabAsset{featurestore.BuildAsset("message_tokens", vocab)}, 4096)
-	if err != nil {
-		log.Fatal(err)
-	}
 	fmt.Printf("  vocab file alternative: %s asset vs feature hashing at %.1f%% collisions\n\n",
-		report.MB(planning.VocabBytes), 100*planning.CollisionRate)
+		report.MB(vocab.SizeBytes()), 100*data.CollisionRate(vocab.Size()-1, 4096))
 
 	// Step 2 — FL vs centralized on synthetic messages (Table 4 row).
 	fmt.Println("== Step 2: FL training on synthetic proxy messages ==")

@@ -84,8 +84,6 @@ type (
 	DecisionWorkflow = workflow.Workflow
 	// WorkflowContext carries artifacts between steps.
 	WorkflowContext = workflow.Context
-	// WorkflowOutcome is the full decision record.
-	WorkflowOutcome = workflow.Outcome
 )
 
 // NewWorkflowContext creates an empty artifact context.
@@ -101,12 +99,7 @@ func ComputeProxyStats(name string, shards []ClientShard, lookbackDays int) Prox
 	return partition.ComputeStats(name, shards, lookbackDays)
 }
 
-// Privacy and security (§3.6).
-type (
-	// DPConfig parameterizes FL with differential privacy.
-	DPConfig = aggregator.DPConfig
-	// Adversary compromises a fraction of clients.
-	Adversary = aggregator.Adversary
-	// SecAgg simulates TEE-backed secure aggregation.
-	SecAgg = aggregator.SecAgg
-)
+// Privacy (§3.6).
+
+// DPConfig parameterizes FL with differential privacy.
+type DPConfig = aggregator.DPConfig

@@ -11,12 +11,11 @@
 //     device population modeling (Fig 1);
 //   - the proxy data generator with natural and Dirichlet partitioning
 //     (Table 2, Fig 5);
-//   - the device-cloud feature catalog (Fig 6);
 //   - the experimental framework: a virtual-clock leader/executor simulator
 //     with synchronous FedAvg and asynchronous FedBuff (Table 3, Figs 7/8/10);
 //   - resource forecasting (§3.5) and the decision workflow (Fig 9);
-//   - privacy/security evaluation: FL-DP, TEE-based SecAgg, poisoning and
-//     robust aggregation (§3.6).
+//   - privacy/security evaluation: FL-DP, the TEE aggregator's load,
+//     poisoning and robust aggregation (§3.6).
 //
 // See examples/ for runnable entry points and DESIGN.md for the full system
 // inventory.
@@ -43,8 +42,6 @@ type (
 	Spec = core.Spec
 	// CaseStudyResult is one Table 4 row.
 	CaseStudyResult = core.CaseStudyResult
-	// ModeComparison is one Table 3 column.
-	ModeComparison = core.ModeComparison
 )
 
 // Re-exported domain constants.
@@ -52,12 +49,6 @@ const (
 	Ads       = core.Ads
 	Messaging = core.Messaging
 	Search    = core.Search
-)
-
-// Experiment scales.
-var (
-	SmallScale  = core.SmallScale
-	MediumScale = core.MediumScale
 )
 
 // Simulation types (§3.4).
@@ -84,12 +75,6 @@ type (
 	Generator = data.Generator
 )
 
-// Training modes.
-const (
-	SyncFedAvg   = fedsim.Sync
-	AsyncFedBuff = fedsim.Async
-)
-
 // Model zoo kinds (Table 5).
 const (
 	ModelA = model.KindA
@@ -112,11 +97,6 @@ func AsyncConfig(spec Spec, scale Scale, seed int64) SimConfig {
 	return core.AsyncConfig(spec, scale, seed)
 }
 
-// SyncConfig builds a domain's FedAvg job configuration.
-func SyncConfig(spec Spec, scale Scale, seed int64) SimConfig {
-	return core.SyncConfig(spec, scale, seed)
-}
-
 // RunSimulation executes one FL simulation job.
 func RunSimulation(cfg SimConfig, env *SimEnvironment) (*SimReport, error) {
 	return fedsim.Run(cfg, env)
@@ -125,11 +105,6 @@ func RunSimulation(cfg SimConfig, env *SimEnvironment) (*SimReport, error) {
 // RunCaseStudy executes one domain's full §4 evaluation (Table 4 row).
 func RunCaseStudy(d Domain, scale Scale, seed int64) (*CaseStudyResult, error) {
 	return core.RunCaseStudy(d, scale, seed)
-}
-
-// CompareModes runs FedAvg vs FedBuff to a shared quality bar (Table 3).
-func CompareModes(d Domain, scale Scale, seed int64, headroom float64) (*ModeComparison, error) {
-	return core.CompareModes(d, scale, seed, headroom)
 }
 
 // NewModel constructs a Table 5 architecture.

@@ -2,8 +2,8 @@
 // FL platform: synchronous FedAvg (McMahan et al., 2017), asynchronous
 // FedBuff with staleness weighting (Nguyen et al., 2022), the privacy
 // enhancing technologies of §3.6 (update clipping + Gaussian noise for
-// FL-DP, additive-masking secure aggregation inside a simulated TEE), and
-// the robust-aggregation defenses evaluated against poisoning.
+// FL-DP, the TEE aggregator's ingest load), and the robust-aggregation
+// defenses evaluated against poisoning.
 package aggregator
 
 import (
@@ -27,9 +27,8 @@ type Update struct {
 	// update. When Delta is non-nil it wins and Payload is ignored.
 	// The robust column reducers (TrimmedMean, CoordinateMedian) decode
 	// one cache-resident tile of every update at a time into pooled
-	// scratch instead; strategies without any fused path (NormBound) call
-	// Materialize first, and the simulation-side wrappers (DP, SecAgg,
-	// poisoning) require a dense Delta.
+	// scratch instead; the simulation-side wrappers (DP, poisoning)
+	// require a dense Delta.
 	Payload *codec.Payload
 	// Weight is the aggregation weight, conventionally the client's
 	// example count |Dk|.
@@ -48,31 +47,6 @@ func (u Update) dim() int {
 		return u.Payload.Dim()
 	}
 	return 0
-}
-
-// Materialize returns an update set in which every payload-backed entry
-// has been decoded into a dense Delta — the fallback for strategies
-// without fused payload kernels. The input slice is never mutated; when
-// no entry is payload-backed it is returned as-is, allocation-free. The
-// materialized copies do not release the payloads (the ingest pipeline
-// owns that lifecycle).
-func Materialize(updates []Update) ([]Update, error) {
-	out := updates
-	for i, u := range updates {
-		if u.Delta != nil || u.Payload == nil {
-			continue
-		}
-		if &out[0] == &updates[0] {
-			out = make([]Update, len(updates))
-			copy(out, updates)
-		}
-		v, err := u.Payload.Materialize()
-		if err != nil {
-			return nil, fmt.Errorf("aggregator: materialize update from client %d: %w", u.ClientID, err)
-		}
-		out[i].Delta = v
-	}
-	return out, nil
 }
 
 // Strategy folds a batch of updates into the global parameter vector.
@@ -139,10 +113,6 @@ func (FedAvg) aggregateRange(global tensor.Vector, updates []Update, lo, hi int)
 	}
 	return nil
 }
-
-// fusedPayloads marks FedAvg's range kernel as reading wire payloads
-// directly (see payloadKernel).
-func (FedAvg) fusedPayloads() {}
 
 // addScaledRange applies one update's [lo:hi) window to g (= global[lo:hi])
 // with weight alpha, dense or fused.
@@ -211,10 +181,6 @@ func (f FedBuff) aggregateRange(global tensor.Vector, updates []Update, lo, hi i
 	return nil
 }
 
-// fusedPayloads marks FedBuff's range kernel as reading wire payloads
-// directly (see payloadKernel).
-func (FedBuff) fusedPayloads() {}
-
 // TrimmedMean is a robust strategy: coordinate-wise mean after discarding
 // the TrimFrac highest and lowest values per coordinate, a standard defense
 // against update poisoning (§3.6, §4.2).
@@ -250,11 +216,6 @@ func (t TrimmedMean) aggregateRange(global tensor.Vector, updates []Update, lo, 
 	return nil
 }
 
-// fusedPayloads marks the range kernel as reading wire-form updates
-// directly (the tile driver decodes each update's tile window itself), so
-// Parallel never materializes every payload for it.
-func (TrimmedMean) fusedPayloads() {}
-
 // trimCount is the number of updates TrimmedMean discards from each side
 // of a column of n: floor(frac·n), with an epsilon guard so products that
 // are whole numbers in exact arithmetic but land one ulp short in float64
@@ -262,38 +223,4 @@ func (TrimmedMean) fusedPayloads() {}
 // and capped so at least one middle element always survives.
 func trimCount(frac float64, n int) int {
 	return min(int(math.Floor(frac*float64(n)+1e-9)), (n-1)/2)
-}
-
-// NormBound wraps a strategy, clipping each update's L2 norm to Bound
-// before delegating — the norm-bounding defense of Sun et al. (2019).
-type NormBound struct {
-	Bound float64
-	Inner Strategy
-}
-
-// Name implements Strategy.
-func (n NormBound) Name() string { return fmt.Sprintf("norm-bound(%s)", n.Inner.Name()) }
-
-// Aggregate implements Strategy. Payload-backed updates are materialized
-// first — clipping needs a mutable dense copy anyway.
-func (n NormBound) Aggregate(global tensor.Vector, updates []Update) error {
-	if n.Bound <= 0 {
-		return fmt.Errorf("aggregator: norm bound must be positive, got %v", n.Bound)
-	}
-	if n.Inner == nil {
-		return fmt.Errorf("aggregator: norm bound needs an inner strategy")
-	}
-	ups, err := Materialize(updates)
-	if err != nil {
-		return err
-	}
-	clipped := make([]Update, len(ups))
-	for i, u := range ups {
-		c := u
-		c.Delta = u.Delta.Clone()
-		c.Payload = nil
-		c.Delta.Clip(n.Bound)
-		clipped[i] = c
-	}
-	return n.Inner.Aggregate(global, clipped)
 }

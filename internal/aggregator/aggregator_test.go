@@ -112,27 +112,6 @@ func TestTrimmedMeanDropsOutlier(t *testing.T) {
 	}
 }
 
-func TestNormBound(t *testing.T) {
-	global := tensor.Vector{0, 0}
-	big := upd(1, 1, 30, 40) // norm 50
-	if err := (NormBound{Bound: 5, Inner: FedAvg{}}).Aggregate(global, []Update{big}); err != nil {
-		t.Fatal(err)
-	}
-	if n := global.Norm2(); math.Abs(n-5) > 1e-9 {
-		t.Fatalf("clipped aggregate norm %v, want 5", n)
-	}
-	// Original update untouched.
-	if big.Delta[0] != 30 {
-		t.Fatal("NormBound must not mutate inputs")
-	}
-	if err := (NormBound{Bound: 0, Inner: FedAvg{}}).Aggregate(global, []Update{big}); err == nil {
-		t.Fatal("zero bound must error")
-	}
-	if err := (NormBound{Bound: 1}).Aggregate(global, []Update{big}); err == nil {
-		t.Fatal("missing inner must error")
-	}
-}
-
 func TestDPClipsAndNoises(t *testing.T) {
 	cfg := DPConfig{ClipNorm: 1, NoiseMultiplier: 0.1, Seed: 4}
 	dp, err := NewDP(cfg, FedAvg{})
@@ -202,37 +181,6 @@ func TestEpsilonApprox(t *testing.T) {
 	}
 	if _, err := cfg.EpsilonApprox(10, 2); err == nil {
 		t.Fatal("bad delta must error")
-	}
-}
-
-func TestSecAggMaskedSumMatchesPlainSum(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	dim := 20
-	var updates []Update
-	plain := tensor.NewVector(dim)
-	for c := 0; c < 7; c++ {
-		d := tensor.NewVector(dim)
-		for i := range d {
-			d[i] = rng.NormFloat64()
-		}
-		plain.Add(d)
-		updates = append(updates, Update{ClientID: int64(c + 1), Delta: d})
-	}
-	sec := SecAgg{MaskScale: 10, Seed: 3}
-	masked, err := sec.MaskedSum(updates, dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range plain {
-		if math.Abs(masked[i]-plain[i]) > 1e-6 {
-			t.Fatalf("coordinate %d: masked %v plain %v", i, masked[i], plain[i])
-		}
-	}
-	if _, err := sec.MaskedSum(nil, dim); err == nil {
-		t.Fatal("empty batch must error")
-	}
-	if _, err := sec.MaskedSum(updates, dim+1); err == nil {
-		t.Fatal("dim mismatch must error")
 	}
 }
 

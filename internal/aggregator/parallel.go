@@ -16,16 +16,11 @@ import (
 // run needs no synchronization beyond joining the workers — and because
 // each coordinate sees the identical sequence of floating-point
 // operations, the sharded result is bit-for-bit equal to the sequential
-// one (no merge step, no reassociation error).
+// one (no merge step, no reassociation error). Every range kernel reads
+// wire-form (Payload-backed) updates directly, so Parallel never decodes
+// the update set ahead of the fork.
 type rangeStrategy interface {
 	aggregateRange(global tensor.Vector, updates []Update, lo, hi int) error
-}
-
-// payloadKernel marks range strategies whose kernels read wire-form
-// (Payload-backed) updates directly; Parallel materializes the update set
-// up front for range strategies without it.
-type payloadKernel interface {
-	fusedPayloads()
 }
 
 // ErrNonFinite is the sentinel a screened aggregation returns when the
@@ -101,15 +96,6 @@ func (p Parallel) Aggregate(global tensor.Vector, updates []Update) error {
 	}
 	if err := validateDims(global, updates); err != nil {
 		return err
-	}
-	if _, fused := p.Inner.(payloadKernel); !fused {
-		// The inner kernel needs dense columns; decode wire-form updates
-		// once here rather than per worker.
-		var err error
-		updates, err = Materialize(updates)
-		if err != nil {
-			return err
-		}
 	}
 	return p.fork(rs, global, updates, workers)
 }

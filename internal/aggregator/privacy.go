@@ -93,54 +93,6 @@ func (c DPConfig) EpsilonApprox(rounds int, delta float64) (float64, error) {
 	return math.Sqrt(2*float64(rounds)*math.Log(1/delta)) / c.NoiseMultiplier, nil
 }
 
-// SecAgg simulates TEE-backed secure aggregation (§3.6): clients mask their
-// updates with pairwise-cancelling additive noise and the enclave sees only
-// the masked sum. Our simulation verifies the correctness invariant — the
-// unmasked aggregate equals the plain sum — and accounts for the enclave's
-// ingest bandwidth, the quantity §3.5 projects (2.68 MB/s for Task C).
-type SecAgg struct {
-	// MaskScale is the magnitude of the pairwise masks (statistically
-	// irrelevant after cancellation; non-zero to make leaks detectable).
-	MaskScale float64
-	Seed      int64
-}
-
-// MaskedSum computes the sum of deltas via pairwise masking: each ordered
-// client pair (i<j) shares a mask vector m_ij derived from their ids; i adds
-// it, j subtracts it. The enclave's view is each client's masked vector; the
-// sum telescopes to the true total.
-func (s SecAgg) MaskedSum(updates []Update, dim int) (tensor.Vector, error) {
-	if len(updates) == 0 {
-		return nil, fmt.Errorf("aggregator: secagg with no updates")
-	}
-	scale := s.MaskScale
-	if scale <= 0 {
-		scale = 1
-	}
-	masked := make([]tensor.Vector, len(updates))
-	for i, u := range updates {
-		if len(u.Delta) != dim {
-			return nil, fmt.Errorf("aggregator: secagg update %d has %d params, want %d", i, len(u.Delta), dim)
-		}
-		masked[i] = u.Delta.Clone()
-	}
-	for i := 0; i < len(updates); i++ {
-		for j := i + 1; j < len(updates); j++ {
-			pairRng := rand.New(rand.NewSource(s.Seed ^ (updates[i].ClientID*1_000_003 + updates[j].ClientID)))
-			for k := 0; k < dim; k++ {
-				m := pairRng.NormFloat64() * scale
-				masked[i][k] += m
-				masked[j][k] -= m
-			}
-		}
-	}
-	total := tensor.NewVector(dim)
-	for _, v := range masked {
-		total.Add(v)
-	}
-	return total, nil
-}
-
 // TEEThroughput describes the enclave-side aggregation load: updates per
 // second and ingest bandwidth, the §3.5 infrastructure projection.
 type TEEThroughput struct {

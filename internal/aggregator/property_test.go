@@ -112,43 +112,6 @@ func TestTrimmedMeanBoundedByHonestRange(t *testing.T) {
 	}
 }
 
-// TestSecAggLinearity: masked sums compose additively across disjoint
-// batches when the same client set is used (the mask telescoping holds per
-// batch independently).
-func TestSecAggLinearity(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	dim := 10
-	mk := func(ids []int64) ([]Update, tensor.Vector) {
-		ups := make([]Update, len(ids))
-		sum := tensor.NewVector(dim)
-		for i, id := range ids {
-			d := tensor.NewVector(dim)
-			for j := range d {
-				d[j] = rng.NormFloat64()
-			}
-			sum.Add(d)
-			ups[i] = Update{ClientID: id, Delta: d}
-		}
-		return ups, sum
-	}
-	sec := SecAgg{MaskScale: 5, Seed: 7}
-	upsA, sumA := mk([]int64{1, 2, 3})
-	upsB, sumB := mk([]int64{4, 5})
-	mA, err := sec.MaskedSum(upsA, dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mB, err := sec.MaskedSum(upsB, dim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < dim; j++ {
-		if math.Abs(mA[j]+mB[j]-(sumA[j]+sumB[j])) > 1e-6 {
-			t.Fatal("masked sums must compose additively")
-		}
-	}
-}
-
 // TestDPNoiseScalesInverselyWithBatch: averaging over more updates shrinks
 // the injected noise per the central Gaussian mechanism.
 func TestDPNoiseScalesInverselyWithBatch(t *testing.T) {

@@ -1,7 +1,6 @@
 package aggregator
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -9,14 +8,6 @@ import (
 
 	"flint/internal/tensor"
 )
-
-// ErrAllScreened is the sentinel the commit pipeline maps to its
-// round_aggregate_robust_error counter: the pre-reduce norm screen
-// rejected every update in the round, leaving nothing to aggregate.
-// Like ErrNonFinite it aborts the round with rollback semantics — the
-// screen runs before any mutation, so the rollback is a no-op, but the
-// round is dropped and its successor opens on the unchanged plane.
-var ErrAllScreened = errors.New("aggregator: norm screen rejected every update")
 
 // robustTile is the width, in columns, of the tile the robust reducers
 // walk their range in: every update's window of the tile is decoded once,
@@ -310,10 +301,6 @@ func (CoordinateMedian) aggregateRange(global tensor.Vector, updates []Update, l
 	trimmedRange(global, updates, lo, hi, (len(updates)-1)/2)
 	return nil
 }
-
-// fusedPayloads marks the range kernel as reading wire-form updates
-// directly, so Parallel never materializes the whole update set for it.
-func (CoordinateMedian) fusedPayloads() {}
 
 // medianInPlace returns the median of vals, reordering it. Odd lengths
 // take the middle element; even lengths average the two middles. Both

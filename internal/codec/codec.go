@@ -248,39 +248,11 @@ func Decode(blob []byte) (tensor.Vector, Scheme, error) {
 	return v, p.scheme, err
 }
 
-// payloadPool recycles DecodeFrom's payload scratch buffers: a server
-// decoding one update per device per round reuses a handful of buffers
-// grown to the wire payload size instead of allocating (and growing) a
-// fresh one per request the way io.ReadAll does.
+// payloadPool recycles DecodePayloadFrom's payload scratch buffers: a
+// server decoding one update per device per round reuses a handful of
+// buffers grown to the wire payload size instead of allocating (and
+// growing) a fresh one per request the way io.ReadAll does.
 var payloadPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// DecodeFrom reads exactly one framed blob from r and decodes it,
-// streaming: the 16-byte header is read and validated first, the
-// scheme-specific payload length is derived from it, and only then is the
-// payload read — into a pooled scratch buffer of exactly that size, which
-// is returned to the pool before DecodeFrom returns. A wantDim > 0
-// requires the header's element count to equal it, rejecting wrong-sized
-// tensors before any payload byte is read or allocated (0 accepts any
-// in-range count). Bytes after the frame are left unread in r.
-//
-// Callers that want the wire bytes themselves — and control over when the
-// pooled buffer goes back — use DecodePayloadFrom and Release instead;
-// DecodeFrom is the materializing wrapper over it.
-//
-// Read errors from r (e.g. an http.MaxBytesError from a bounded body) are
-// wrapped with %w so transports can branch on them.
-func DecodeFrom(r io.Reader, wantDim int) (tensor.Vector, Scheme, error) {
-	p, err := DecodePayloadFrom(r, wantDim)
-	if err != nil {
-		return nil, Scheme{}, err
-	}
-	defer p.Release()
-	v, err := p.Materialize()
-	if err != nil {
-		return nil, Scheme{}, err
-	}
-	return v, p.scheme, nil
-}
 
 // payloadChunk bounds how much readPayload allocates ahead of bytes that
 // have actually arrived when the declared length is untrusted.

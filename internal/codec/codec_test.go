@@ -409,7 +409,22 @@ func TestDeltaDownlinkReduction(t *testing.T) {
 	}
 }
 
-// countingReader tracks how many bytes DecodeFrom consumed from the
+// decodeFrom is the streaming decode a transport performs on a request
+// body: DecodePayloadFrom, Materialize, then Release of the pooled buffer.
+func decodeFrom(r io.Reader, wantDim int) (tensor.Vector, Scheme, error) {
+	p, err := DecodePayloadFrom(r, wantDim)
+	if err != nil {
+		return nil, Scheme{}, err
+	}
+	defer p.Release()
+	v, err := p.Materialize()
+	if err != nil {
+		return nil, Scheme{}, err
+	}
+	return v, p.scheme, nil
+}
+
+// countingReader tracks how many bytes decodeFrom consumed from the
 // stream, so tests can pin the "validate before buffering" contract.
 type countingReader struct {
 	r io.Reader
@@ -433,9 +448,9 @@ func TestDecodeFromMatchesDecode(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, gotScheme, err := DecodeFrom(bytes.NewReader(blob), len(v))
+		got, gotScheme, err := decodeFrom(bytes.NewReader(blob), len(v))
 		if err != nil {
-			t.Fatalf("%v: DecodeFrom: %v", s, err)
+			t.Fatalf("%v: decodeFrom: %v", s, err)
 		}
 		if gotScheme != wantScheme {
 			t.Fatalf("%v: scheme %v, want %v", s, gotScheme, wantScheme)
@@ -459,7 +474,7 @@ func TestDecodeFromMatchesDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := DecodeFrom(bytes.NewReader(blob), len(v))
+	got, _, err := decodeFrom(bytes.NewReader(blob), len(v))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,14 +491,14 @@ func TestDecodeFromDimMismatchStopsAtHeader(t *testing.T) {
 		t.Fatal(err)
 	}
 	cr := &countingReader{r: bytes.NewReader(blob)}
-	_, _, err = DecodeFrom(cr, 999)
+	_, _, err = decodeFrom(cr, 999)
 	if !errors.Is(err, ErrDim) {
 		t.Fatalf("dim mismatch error = %v, want ErrDim", err)
 	}
 	// The wrong-sized payload must never have been buffered: only the
 	// 16-byte header was consumed.
 	if cr.n > 16 {
-		t.Fatalf("DecodeFrom read %d bytes past a rejected header", cr.n)
+		t.Fatalf("decodeFrom read %d bytes past a rejected header", cr.n)
 	}
 }
 
@@ -494,7 +509,7 @@ func TestDecodeFromLeavesTrailingBytes(t *testing.T) {
 	}
 	stream := append(append([]byte{}, blob...), "trailing"...)
 	r := bytes.NewReader(stream)
-	if _, _, err := DecodeFrom(r, 256); err != nil {
+	if _, _, err := decodeFrom(r, 256); err != nil {
 		t.Fatal(err)
 	}
 	rest, _ := io.ReadAll(r)
@@ -510,22 +525,22 @@ func TestDecodeFromErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Truncated header.
-	if _, _, err := DecodeFrom(bytes.NewReader(blob[:7]), 0); !errors.Is(err, ErrTooShort) {
+	if _, _, err := decodeFrom(bytes.NewReader(blob[:7]), 0); !errors.Is(err, ErrTooShort) {
 		t.Fatalf("short header error = %v, want ErrTooShort", err)
 	}
 	// Truncated payload.
-	if _, _, err := DecodeFrom(bytes.NewReader(blob[:len(blob)-9]), 256); !errors.Is(err, ErrPayload) {
+	if _, _, err := decodeFrom(bytes.NewReader(blob[:len(blob)-9]), 256); !errors.Is(err, ErrPayload) {
 		t.Fatalf("short payload error = %v, want ErrPayload", err)
 	}
 	// Corrupt payload byte → checksum failure.
 	bad := append([]byte{}, blob...)
 	bad[20] ^= 0xFF
-	if _, _, err := DecodeFrom(bytes.NewReader(bad), 256); !errors.Is(err, ErrChecksum) {
+	if _, _, err := decodeFrom(bytes.NewReader(bad), 256); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("corrupt payload error = %v, want ErrChecksum", err)
 	}
 	// A non-codec read error surfaces wrapped, not swallowed.
 	failing := io.MultiReader(bytes.NewReader(blob[:30]), iotest.ErrReader(errBoom))
-	if _, _, err := DecodeFrom(failing, 256); !errors.Is(err, errBoom) {
+	if _, _, err := decodeFrom(failing, 256); !errors.Is(err, errBoom) {
 		t.Fatalf("reader error = %v, want errBoom in chain", err)
 	}
 }
@@ -543,7 +558,7 @@ func TestDecodeFromUntrustedDimClaims(t *testing.T) {
 	hdr[4] = byte(KindRawF64)
 	binary.LittleEndian.PutUint32(hdr[8:], MaxDim)
 	cr := &countingReader{r: bytes.NewReader(hdr)}
-	if _, _, err := DecodeFrom(cr, 0); !errors.Is(err, ErrPayload) {
+	if _, _, err := decodeFrom(cr, 0); !errors.Is(err, ErrPayload) {
 		t.Fatalf("hostile huge-dim stream error = %v, want ErrPayload", err)
 	}
 	if cr.n > 16 {
@@ -555,7 +570,7 @@ func TestDecodeFromUntrustedDimClaims(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, _, err := DecodeFrom(bytes.NewReader(blob), 0)
+	got, _, err := decodeFrom(bytes.NewReader(blob), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

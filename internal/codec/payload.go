@@ -160,7 +160,7 @@ func (p *Payload) Norm2() float64 {
 }
 
 // CopyRange decodes elements [lo, hi) into dst (len hi-lo), overwriting
-// it — the codec's one element decoder per scheme: Decode, DecodeFrom and
+// it — the codec's one element decoder per scheme: Decode and
 // Materialize are CopyRange over [0, dim), the robust reducers copy
 // per-worker windows, and the fused kernels repeat its element
 // expressions.
@@ -421,15 +421,19 @@ func parsePayload(blob []byte) (Payload, error) {
 	}, nil
 }
 
-// DecodePayloadFrom reads exactly one framed blob from r — the same
-// streaming discipline as DecodeFrom (header validated first, exact
-// payload length derived before any payload byte is read, CRC checked) —
-// but stops short of materializing: it returns a structurally validated
-// Payload that retains the pooled read buffer. The caller owns the
-// Payload and must Release it; until then the wire bytes are readable
-// zero-copy via AddScaledRange/At/AllFinite. A wantDim > 0 requires the
-// header's element count to equal it. Bytes after the frame are left
-// unread in r.
+// DecodePayloadFrom reads exactly one framed blob from r, streaming: the
+// 16-byte header is read and validated first, the scheme-specific payload
+// length is derived from it, and only then is the payload read — into a
+// pooled scratch buffer of exactly that size — and CRC checked. It stops
+// short of materializing: it returns a structurally validated Payload that
+// retains the pooled read buffer. The caller owns the Payload and must
+// Release it; until then the wire bytes are readable zero-copy via
+// AddScaledRange/At/AllFinite, or decoded with Materialize. A wantDim > 0
+// requires the header's element count to equal it, rejecting wrong-sized
+// tensors before any payload byte is read or allocated (0 accepts any
+// in-range count). Bytes after the frame are left unread in r. Read errors
+// from r (e.g. an http.MaxBytesError from a bounded body) are wrapped with
+// %w so transports can branch on them.
 func DecodePayloadFrom(r io.Reader, wantDim int) (*Payload, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -446,7 +450,7 @@ func DecodePayloadFrom(r io.Reader, wantDim int) (*Payload, error) {
 		return nil, fmt.Errorf("%w: blob declares %d elements, want %d", ErrDim, dim, wantDim)
 	}
 	// Derive the exact payload length; q8/top-k carry it in their own
-	// leading u32, read ahead and re-joined below (see DecodeFrom).
+	// leading u32, read ahead and re-joined by readPayload.
 	var prefix [4]byte
 	prefixLen := 0
 	plen := 0

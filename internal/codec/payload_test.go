@@ -194,9 +194,8 @@ func TestPayloadReleasePoisons(t *testing.T) {
 }
 
 // TestDecodePayloadFromReuse: sequential decode/release cycles reuse the
-// pooled buffer rather than growing fresh ones — the satellite fix for
-// DecodeFrom's previously unreturnable pool handle, observable as near-
-// zero per-cycle allocation.
+// pooled buffer rather than growing fresh ones, observable as near-zero
+// per-cycle allocation.
 func TestDecodePayloadFromReuse(t *testing.T) {
 	v := payloadTestVec(rand.New(rand.NewSource(2)), 4096)
 	blob, err := Encode(v, RawF64)

@@ -71,6 +71,22 @@ func TestClientOutcomes(t *testing.T) {
 			return res, err
 		}
 	}
+	// waitStatus polls /v1/status until cond holds: the commit an accepted
+	// update triggers runs on the ingest worker, after the 200.
+	waitStatus := func(t *testing.T, what string, cond func(*coord.StatusReport) bool) {
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+			st, err := cl.Status(ctx)
+			if err != nil {
+				t.Fatalf("status probe: %v", err)
+			}
+			if cond(st) {
+				return
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never happened: v%d, round %d %s on base v%d", what, st.Version, st.Round.ID, st.Round.Phase, st.Round.Base)
+			}
+		}
+	}
 	var task *Task
 	var held tensor.Vector // device 2's model, version 1
 	fetch := func(id int64, binary bool, base int) func() (Result, error) {
@@ -117,22 +133,19 @@ func TestClientOutcomes(t *testing.T) {
 			u := Update{Device: 2, Round: task.RoundID, BaseVersion: task.BaseVersion, Weight: 1, DownBytes: 100, DownMS: 5, TrainMS: 7}
 			return cl.SubmitTensor(ctx, &buf, u, bytes.NewReader(blob))
 		}, OK, func(t *testing.T) {
-			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-				st, err := cl.Status(ctx)
-				if err != nil {
-					t.Fatalf("status probe: %v", err)
-				}
-				if st.Version >= 2 {
-					return
-				}
-				if time.Now().After(deadline) {
-					t.Fatalf("update never committed: still v%d", st.Version)
-				}
-			}
+			waitStatus(t, "commit of v2", func(st *coord.StatusReport) bool { return st.Version >= 2 })
 		}},
+		// Device 1's round-1 update lands in round 2 as a stale async
+		// update and fills its target of 1, so it commits v3; the delta
+		// fetch below must not race that commit's aggregating/committed
+		// window, where the server answers 204.
 		{"json update", func() (Result, error) {
 			return cl.SubmitJSON(ctx, &buf, Update{Device: 1, Round: 1, BaseVersion: 1, Weight: 1}, make(tensor.Vector, len(held)))
-		}, OK, nil},
+		}, OK, func(t *testing.T) {
+			waitStatus(t, "commit of v3", func(st *coord.StatusReport) bool {
+				return st.Round.Phase == coord.PhaseOpen && st.Round.Base >= 3
+			})
+		}},
 		{"check-in again", checkIn(2, true, AcceptSchemes), OK, nil},
 		{"binary delta task", fetch(2, true, 1), OK, func(t *testing.T) {
 			if task.DeltaBase != 1 || task.BaseVersion < 2 {

@@ -266,6 +266,11 @@ func TestShardLossHaltsTierUntilRecovery(t *testing.T) {
 	if v := leader.Version(""); v != 2 {
 		t.Fatalf("tier advanced to v%d while halted", v)
 	}
+	// Nothing is admitted while unhealthy: every retry bounced off the
+	// gate, none reached the fold buffer.
+	if got := leader.Counters().Counter("tier_partials_received").Value(); got != 2 {
+		t.Fatalf("tier_partials_received = %d while halted, want 2", got)
+	}
 	if got := leader.Counters().Counter("tier_halts").Value(); got != 1 {
 		t.Fatalf("tier_halts = %d, want 1 (one membership-loss edge)", got)
 	}
@@ -282,6 +287,14 @@ func TestShardLossHaltsTierUntilRecovery(t *testing.T) {
 	driveRound(t, c1, 100, perShard, 1)
 	waitFor(t, "post-recovery fold", func() bool { return leader.Version("") == 3 })
 	waitFor(t, "shard 1 post-recovery install", func() bool { return c1.Version() == 3 })
+	// The parked partial drained exactly once: its retries after recovery
+	// did not land it twice, so the second fold saw one partial per shard.
+	if got := leader.Counters().Counter("tier_partials_received").Value(); got != 4 {
+		t.Fatalf("tier_partials_received = %d after recovery, want 4", got)
+	}
+	if got := leader.Counters().Counter("tier_folds").Value(); got != 2 {
+		t.Fatalf("tier_folds = %d after recovery, want 2", got)
+	}
 }
 
 // TestLeaderRejectsBadPartials covers the exchange's validation edges:

@@ -211,18 +211,6 @@ func BenchmarkRobustReduce(b *testing.B) {
 	}
 }
 
-func BenchmarkSecAggMaskedSum(b *testing.B) {
-	ups := makeUpdates(8, 1519) // model A updates through the enclave
-	sec := aggregator.SecAgg{MaskScale: 1, Seed: 2}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sec.MaskedSum(ups, 1519); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // ------------------------------------------- tensor codec wire format
 
 // codecBenchVector builds a model-B-sized synthetic update (189k params),
@@ -1132,7 +1120,9 @@ func TestCommitDeltaScratchAllocs(t *testing.T) {
 	delta := tensor.NewVector(189_039)
 
 	// commit drives one full round through the driver device and waits
-	// for the publish.
+	// for the publish. The version counter moves just before the next
+	// round opens on it: wait for that round, or the next task request
+	// can land on the concluded one and find no task.
 	commit := func() {
 		want := c.Version() + 1
 		task, err := c.RequestTask(driver)
@@ -1146,7 +1136,11 @@ func TestCommitDeltaScratchAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 		deadline := time.Now().Add(10 * time.Second)
-		for c.Version() < want {
+		opened := func() bool {
+			r := c.Status().Round
+			return r.Phase == coord.PhaseOpen && r.Base >= want
+		}
+		for c.Version() < want || !opened() {
 			if time.Now().After(deadline) {
 				t.Fatalf("commit to v%d never happened", want)
 			}

@@ -54,43 +54,8 @@ func TestServingFacade(t *testing.T) {
 			rep.BinaryDevices, rep.BytesSent, rep.BytesRecv)
 	}
 	// The scheduling plane is on by default and its report rides status.
-	var sr flint.SchedReport = c.Status().Scheduler
-	if !sr.Enabled {
+	if sr := c.Status().Scheduler; !sr.Enabled {
 		t.Fatalf("scheduler report: %+v", sr)
-	}
-	if labels := flint.SchedBucketLabels(); len(labels) == 0 {
-		t.Fatal("no bandwidth bucket labels")
-	}
-}
-
-// TestTensorFacade round-trips the codec exports.
-func TestTensorFacade(t *testing.T) {
-	v := []float64{0.25, -1, 3, 0}
-	s, err := flint.ParseTensorScheme("raw64")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s != flint.TensorRawF64 {
-		t.Fatalf("parsed scheme %v", s)
-	}
-	blob, err := flint.EncodeTensor(v, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, scheme, err := flint.DecodeTensor(blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scheme != flint.TensorRawF64 || len(got) != len(v) {
-		t.Fatalf("decoded scheme %v, %d elems", scheme, len(got))
-	}
-	for i := range v {
-		if got[i] != v[i] {
-			t.Fatalf("elem %d: %v != %v", i, got[i], v[i])
-		}
-	}
-	if _, err := flint.EncodeTensor(v, flint.TensorTopK(2)); err != nil {
-		t.Fatal(err)
 	}
 }
 
