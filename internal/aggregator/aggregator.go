@@ -107,21 +107,39 @@ func (FedAvg) aggregateRange(global tensor.Vector, updates []Update, lo, hi int)
 	for _, u := range updates {
 		totalW += weightOf(u)
 	}
-	g := global[lo:hi]
-	for _, u := range updates {
-		addScaledRange(g, weightOf(u)/totalW, u, lo, hi)
-	}
+	foldRange(global, updates, lo, hi, func(u Update) float64 {
+		return weightOf(u) / totalW
+	})
 	return nil
 }
 
-// addScaledRange applies one update's [lo:hi) window to g (= global[lo:hi])
-// with weight alpha, dense or fused.
-func addScaledRange(g tensor.Vector, alpha float64, u Update, lo, hi int) {
-	if u.Delta != nil {
-		g.AddScaled(alpha, u.Delta[lo:hi])
-		return
+// foldRange adds every update's [lo:hi) window, weighted by alpha(u), to
+// global[lo:hi] in slice order. Dense updates fold one at a time;
+// consecutive payload-backed ones go to codec.AddScaledGroup in windows
+// of four (the codec's group width), which loads each coordinate once
+// per group instead of once per update. Per coordinate the additions
+// happen in slice order either way, so the result is the
+// one-update-at-a-time fold bit for bit.
+func foldRange(global tensor.Vector, updates []Update, lo, hi int, alpha func(Update) float64) {
+	g := global[lo:hi]
+	var ps [4]*codec.Payload
+	var as [4]float64
+	n := 0
+	for _, u := range updates {
+		if u.Delta != nil {
+			codec.AddScaledGroup(g, ps[:n], as[:n], lo, hi)
+			n = 0
+			g.AddScaled(alpha(u), u.Delta[lo:hi])
+			continue
+		}
+		ps[n], as[n] = u.Payload, alpha(u)
+		n++
+		if n == len(ps) {
+			codec.AddScaledGroup(g, ps[:], as[:], lo, hi)
+			n = 0
+		}
 	}
-	u.Payload.AddScaledRange(g, alpha, lo, hi)
+	codec.AddScaledGroup(g, ps[:n], as[:n], lo, hi)
 }
 
 // FedBuff applies a buffered asynchronous aggregation with polynomial
@@ -174,10 +192,9 @@ func (f FedBuff) aggregateRange(global tensor.Vector, updates []Update, lo, hi i
 	if totalW == 0 {
 		return fmt.Errorf("aggregator: fedbuff with zero total weight")
 	}
-	g := global[lo:hi]
-	for _, u := range updates {
-		addScaledRange(g, lr*weightOf(u)*f.StalenessWeight(u.Staleness)/totalW, u, lo, hi)
-	}
+	foldRange(global, updates, lo, hi, func(u Update) float64 {
+		return lr * weightOf(u) * f.StalenessWeight(u.Staleness) / totalW
+	})
 	return nil
 }
 

@@ -1,7 +1,9 @@
 package aggregator
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"math/rand"
 	"testing"
@@ -151,6 +153,82 @@ func TestFusedParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// q8Blob hand-builds a q8 frame with the given chunk size, random scales
+// and random value bytes. The encoder always uses 256-element chunks; the
+// wire accepts any chunk up to codec.MaxDim from a device.
+func q8Blob(rng *rand.Rand, dim, chunk int) []byte {
+	chunks := (dim + chunk - 1) / chunk
+	blob := make([]byte, 16+4+4*chunks+dim)
+	copy(blob, codec.Magic)
+	blob[3] = codec.Version
+	blob[4] = byte(codec.KindQ8)
+	binary.LittleEndian.PutUint32(blob[8:], uint32(dim))
+	p := blob[16:]
+	binary.LittleEndian.PutUint32(p, uint32(chunk))
+	for c := 0; c < chunks; c++ {
+		binary.LittleEndian.PutUint32(p[4+4*c:], math.Float32bits(float32(rng.ExpFloat64()*0.02)))
+	}
+	rng.Read(p[4+4*chunks:])
+	binary.LittleEndian.PutUint32(blob[12:], crc32.ChecksumIEEE(p))
+	return blob
+}
+
+// wireAndDense parses blob into a payload-backed update and decodes it
+// into the equivalent dense one (the decode-then-reduce reference).
+func wireAndDense(t testing.TB, blob []byte, id int64, w float64, stale int) (wire, dense Update) {
+	t.Helper()
+	p, err := codec.ParsePayload(blob)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	v, _, err := codec.Decode(blob)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	return Update{ClientID: id, Payload: p, Weight: w, Staleness: stale},
+		Update{ClientID: id, Delta: v, Weight: w, Staleness: stale}
+}
+
+// sameBits fails unless got and want are bit-identical.
+func sameBits(t *testing.T, what string, got, want tensor.Vector) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: [%d] = %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestFusedForeignQ8Chunks: q8 updates whose chunk sizes are not the
+// encoder's 256 — {1, 7, 255, 256, 1000, dim} mixed in one update set, so
+// the group pass must break and resume — reduce through FedAvg and FedBuff,
+// sequential and sharded over five workers (whose 256-aligned boundaries
+// straddle the foreign chunks), bit-identical to the dense reference.
+func TestFusedForeignQ8Chunks(t *testing.T) {
+	const dim = 90_001 // × 16 updates > parallelMinWork, so Parallel forks
+	chunks := []int{256, 256, 256, 256, 7, 7, 7, 7, 1, 255, 1000, 256, 1000, 1000, dim, 1000}
+	rng := rand.New(rand.NewSource(13))
+	var wire, dense []Update
+	for i, chunk := range chunks {
+		w, d := wireAndDense(t, q8Blob(rng, dim, chunk), int64(i), rng.Float64()*10+0.5, rng.Intn(4))
+		wire, dense = append(wire, w), append(dense, d)
+	}
+	base := randVec(rng, dim)
+	for _, strat := range []Strategy{FedAvg{}, FedBuff{ServerLR: 0.9, Alpha: 0.5}} {
+		ref := base.Clone()
+		if err := strat.Aggregate(ref, dense); err != nil {
+			t.Fatalf("%s reference: %v", strat.Name(), err)
+		}
+		for _, s := range []Strategy{strat, Parallel{Inner: strat, Workers: 5}} {
+			got := base.Clone()
+			if err := s.Aggregate(got, wire); err != nil {
+				t.Fatalf("%s: %v", s.Name(), err)
+			}
+			sameBits(t, s.Name(), got, ref)
+		}
+	}
+}
+
 // TestParallelTrimmedMeanWireMatchesDense: a payload-backed update set
 // through the sharded trimmed-mean (per-worker window gather, no whole-
 // set materialization) matches the dense path exactly.
@@ -261,60 +339,74 @@ func trimmedRefSum(col []float64, k int) float64 {
 	return s
 }
 
-// FuzzFusedAggregateParity drives random dimensions, update counts, and
-// values through the fused q8/topk kernels (the lossy schemes, where a
-// kernel bug could hide behind quantization error) and requires exact
-// equality with decode-then-reduce, sequential and sharded.
+// FuzzFusedAggregateParity drives random dimensions, update counts (up to
+// 11, so every remainder after whole groups of four occurs) and update
+// forms — q8 with a random chunk size, raw64, f32, top-k, or dense — through
+// FedAvg or staleness-weighted FedBuff, and requires exact equality with
+// decode-then-reduce, sequential and sharded over three workers.
 func FuzzFusedAggregateParity(f *testing.F) {
 	f.Add(int64(1), uint16(300), uint8(3), true)
 	f.Add(int64(99), uint16(257), uint8(1), false)
 	f.Add(int64(7), uint16(1), uint8(5), true)
-	f.Fuzz(func(t *testing.T, seed int64, dimRaw uint16, nRaw uint8, q8 bool) {
+	f.Add(int64(4), uint16(1499), uint8(10), false)
+	f.Fuzz(func(t *testing.T, seed int64, dimRaw uint16, nRaw uint8, fedbuff bool) {
 		dim := int(dimRaw)%1500 + 1
-		n := int(nRaw)%6 + 1
-		scheme := codec.TopK(0)
-		if q8 {
-			scheme = codec.Q8
+		n := int(nRaw)%11 + 1
+		var strat rangeStrategy = FedAvg{}
+		if fedbuff {
+			strat = FedBuff{ServerLR: 0.8, Alpha: 0.5}
 		}
 		rng := rand.New(rand.NewSource(seed))
 		base := randVec(rng, dim)
 		fused := base.Clone()
 		par := base.Clone()
 		ref := base.Clone()
+		// Most updates share one form (and q8 chunk size), so runs long
+		// enough to group are common; a quarter draw their own and break
+		// the runs.
+		mainForm, mainChunk := rng.Intn(5), 256
+		if rng.Intn(2) == 0 {
+			mainChunk = rng.Intn(dim+300) + 1
+		}
 		var wire, dense []Update
 		for i := 0; i < n; i++ {
-			v := randVec(rng, dim)
-			blob, err := codec.Encode(v, scheme)
-			if err != nil {
-				t.Fatalf("encode: %v", err)
+			form, chunk := mainForm, mainChunk
+			if rng.Intn(4) == 0 {
+				form, chunk = rng.Intn(5), rng.Intn(dim+300)+1
 			}
-			p, err := codec.ParsePayload(blob)
-			if err != nil {
-				t.Fatalf("parse: %v", err)
+			var blob []byte
+			switch form {
+			case 0:
+				blob = q8Blob(rng, dim, chunk)
+			case 1:
+				blob = mustEncode(t, randVec(rng, dim), codec.RawF64)
+			case 2:
+				blob = mustEncode(t, randVec(rng, dim), codec.F32)
+			case 3:
+				blob = mustEncode(t, randVec(rng, dim), codec.TopK(0))
+			case 4:
+				u := Update{ClientID: int64(i), Delta: randVec(rng, dim), Weight: rng.Float64() * 5, Staleness: rng.Intn(5)}
+				wire, dense = append(wire, u), append(dense, u)
+				continue
 			}
-			decoded, _, err := codec.Decode(blob)
-			if err != nil {
-				t.Fatalf("decode: %v", err)
-			}
-			w := rng.Float64() * 5
-			wire = append(wire, Update{ClientID: int64(i), Payload: p, Weight: w})
-			dense = append(dense, Update{ClientID: int64(i), Delta: decoded, Weight: w})
+			w, d := wireAndDense(t, blob, int64(i), rng.Float64()*5, rng.Intn(5))
+			wire, dense = append(wire, w), append(dense, d)
 		}
-		if err := (FedAvg{}).Aggregate(fused, wire); err != nil {
+		if err := strat.aggregateRange(fused, wire, 0, dim); err != nil {
 			t.Fatalf("fused: %v", err)
 		}
-		if err := (Parallel{Inner: FedAvg{}, Workers: 3}).Aggregate(par, wire); err != nil {
-			t.Fatalf("parallel fused: %v", err)
+		if err := (Parallel{}).fork(strat, par, wire, 3); err != nil {
+			t.Fatalf("sharded fused: %v", err)
 		}
-		if err := (FedAvg{}).Aggregate(ref, dense); err != nil {
+		if err := strat.aggregateRange(ref, dense, 0, dim); err != nil {
 			t.Fatalf("reference: %v", err)
 		}
 		for i := range fused {
 			if fused[i] != ref[i] {
-				t.Fatalf("fused[%d]=%v ref=%v (dim %d n %d %v)", i, fused[i], ref[i], dim, n, scheme)
+				t.Fatalf("fused[%d]=%v ref=%v (dim %d n %d)", i, fused[i], ref[i], dim, n)
 			}
-			if par[i] != fused[i] {
-				t.Fatalf("par[%d]=%v fused=%v (dim %d n %d %v)", i, par[i], fused[i], dim, n, scheme)
+			if math.Float64bits(par[i]) != math.Float64bits(fused[i]) {
+				t.Fatalf("par[%d]=%v fused=%v (dim %d n %d)", i, par[i], fused[i], dim, n)
 			}
 		}
 	})

@@ -36,9 +36,11 @@ var ErrNonFinite = errors.New("aggregator: non-finite aggregate")
 const parallelMinWork = 1 << 20
 
 // shardAlign quantizes worker range boundaries, in coordinates. 256 is
-// the codec's q8 quantization chunk, so a shard never splits a chunk (no
-// two workers read the same scale word, and the fused q8 kernel's
-// chunk-walk never straddles a boundary); it is also 2 KiB of float64
+// the encoder's q8 chunk, so for the payloads it produces a boundary
+// falls on a chunk edge. A device may send any chunk size the wire
+// accepts, and then a chunk can straddle two workers: that is correct,
+// since scale words are read-only and shared and each worker's chunk walk
+// starts at its own lo, only not aligned. 256 is also 2 KiB of float64
 // accumulator — 32 cache lines — so adjacent workers never store to the
 // same line (no false sharing at the seams). Alignment only moves
 // boundaries; every coordinate still sees the identical operation

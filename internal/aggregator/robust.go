@@ -14,7 +14,7 @@ import (
 // the tile is reduced, and only then does the driver move on — so the
 // working set is a few 8 KiB rows (L1/L2-resident) however long the range
 // or large the update set. A multiple of shardAlign, so a tile never
-// splits a q8 quantization chunk either.
+// splits one of the encoder's 256-element q8 chunks either.
 const robustTile = 4 * shardAlign
 
 // robustStride is the distance between tile workspace rows, in float64s:

@@ -134,20 +134,15 @@ func (p *Payload) Norm2() float64 {
 			s += v * v
 		}
 	case KindQ8:
-		chunk := p.q8chunk
-		scales := d[4 : 4+4*p.q8chunks()]
-		vals := d[4+4*p.q8chunks():]
-		for j := 0; j < p.dim; {
-			c := j / chunk
-			end := (c + 1) * chunk
-			if end > p.dim {
-				end = p.dim
-			}
-			scale := float64(math.Float32frombits(binary.LittleEndian.Uint32(scales[4*c:])))
-			for ; j < end; j++ {
-				v := float64(int8(vals[j])) * scale
+		scales, vals := p.q8Sections()
+		for c, j := 0, 0; j < p.dim; c++ {
+			end := min(j+p.q8chunk, p.dim)
+			scale := q8Scale(scales, c)
+			for _, b := range vals[j:end] {
+				v := q8Value[b] * scale
 				s += v * v
 			}
+			j = end
 		}
 	case KindTopK:
 		k := p.scheme.TopK
@@ -185,21 +180,15 @@ func (p *Payload) CopyRange(dst tensor.Vector, lo, hi int) {
 		}
 	case KindQ8:
 		chunk := p.q8chunk
-		scales := d[4 : 4+4*p.q8chunks()]
-		vals := d[4+4*p.q8chunks():]
-		for j := lo; j < hi; {
-			c := j / chunk
-			end := (c + 1) * chunk
-			if end > hi {
-				end = hi
-			}
-			scale := float64(math.Float32frombits(binary.LittleEndian.Uint32(scales[4*c:])))
+		scales, vals := p.q8Sections()
+		for c, j := lo/chunk, lo; j < hi; c++ {
+			end := min((c+1)*chunk, hi)
+			scale := q8Scale(scales, c)
 			// Re-slicing both sides to the chunk's span lets the compiler
 			// drop the per-element bounds checks.
-			src := vals[j:end]
 			out := dst[j-lo : end-lo]
-			for i, b := range src {
-				out[i] = float64(int8(b)) * scale
+			for i, b := range vals[j:end][:len(out)] {
+				out[i] = q8Value[b] * scale
 			}
 			j = end
 		}
@@ -234,6 +223,28 @@ func (p *Payload) q8chunks() int {
 	return (p.dim + p.q8chunk - 1) / p.q8chunk
 }
 
+// q8Value is the q8 element decode: q8Value[b] == float64(int8(b)) for every
+// byte, exactly, so a table load replaces the int→float conversion and
+// every q8 accessor decodes an element as q8Value[b] * scale.
+var q8Value = func() (t [256]float64) {
+	for b := range t {
+		t[b] = float64(int8(b))
+	}
+	return t
+}()
+
+// q8Sections splits a q8 payload into its per-chunk scale words and its
+// value bytes.
+func (p *Payload) q8Sections() (scales, vals []byte) {
+	off := 4 + 4*p.q8chunks()
+	return p.data[4:off], p.data[off:]
+}
+
+// q8Scale decodes chunk c's scale word.
+func q8Scale(scales []byte, c int) float64 {
+	return float64(math.Float32frombits(binary.LittleEndian.Uint32(scales[4*c:])))
+}
+
 // At returns element i decoded on the fly (tests, spot checks; kernels
 // stream ranges instead).
 func (p *Payload) At(i int) float64 {
@@ -247,9 +258,8 @@ func (p *Payload) At(i int) float64 {
 	case KindF32:
 		return float64(math.Float32frombits(binary.LittleEndian.Uint32(d[4*i:])))
 	case KindQ8:
-		c := i / p.q8chunk
-		scale := float64(math.Float32frombits(binary.LittleEndian.Uint32(d[4+4*c:])))
-		return float64(int8(d[4+4*p.q8chunks()+i])) * scale
+		scales, vals := p.q8Sections()
+		return q8Value[vals[i]] * q8Scale(scales, i/p.q8chunk)
 	case KindTopK:
 		k := p.scheme.TopK
 		j := sort.Search(k, func(n int) bool {
@@ -264,67 +274,161 @@ func (p *Payload) At(i int) float64 {
 }
 
 // AddScaledRange folds dst[j-lo] += alpha * decoded[j] for j in [lo, hi)
-// — the fused decode→weight→reduce kernel. dst must be the caller's
-// global[lo:hi] window (len hi-lo). Every scheme computes the decoded
-// value with the exact expression CopyRange uses and applies it with
-// the exact expression tensor.AddScaled uses (v := decode(j); dst += alpha*v),
-// so a fused pass is bit-identical to materialize-then-AddScaled for
-// dense schemes and for q8. Top-k skips absent entries instead of adding
-// alpha*0, which is value-identical (it can only flip a -0 to +0).
+// — the fused decode→weight→reduce kernel: AddScaledGroup of this one
+// payload. dst must be the caller's global[lo:hi] window (len hi-lo).
 func (p *Payload) AddScaledRange(dst tensor.Vector, alpha float64, lo, hi int) {
-	if lo < 0 || hi > p.dim || lo > hi {
-		panic(fmt.Sprintf("codec: payload range [%d,%d) outside dim %d", lo, hi, p.dim))
+	AddScaledGroup(dst, []*Payload{p}, []float64{alpha}, lo, hi)
+}
+
+// groupWidth is how many payloads one group pass folds into a loaded
+// coordinate. An 8-wide pass measured slightly slower than 4 (16 and 32
+// q8 updates, one core): every member keeps an alpha, a scale and a
+// source pointer live across the loop, so past 4 the width buys register
+// pressure, not less accumulator traffic worth having.
+const groupWidth = 4
+
+// AddScaledGroup folds every payload of ps into dst in slice order:
+// dst[j-lo] += alphas[u] * decoded_u[j] for j in [lo, hi), where dst is
+// the caller's global[lo:hi] window (len hi-lo). Every decoded value is
+// computed with the exact expression CopyRange uses and applied with the
+// exact expression tensor.AddScaled uses (dst += alpha*v), so the fold is
+// bit-identical to materializing each payload and calling AddScaled once
+// per payload in order — except that top-k skips absent entries instead
+// of adding alpha*0, which is value-identical (it can only flip a -0 to
+// +0).
+//
+// Each run of groupWidth consecutive payloads with one layout (all raw64,
+// or all q8 with one chunk size) takes a group pass: a coordinate is
+// loaded once, the run's terms are added to it in slice order, and it is
+// stored once. Per coordinate that is the floating-point sequence of the
+// single passes, so grouping changes memory traffic, never a bit. f32,
+// top-k, runs that break the layout and the tail fold one payload per
+// pass.
+func AddScaledGroup(dst tensor.Vector, ps []*Payload, alphas []float64, lo, hi int) {
+	if len(alphas) != len(ps) {
+		panic(fmt.Sprintf("codec: %d payloads with %d weights", len(ps), len(alphas)))
+	}
+	for _, p := range ps {
+		if lo < 0 || hi > p.dim || lo > hi {
+			panic(fmt.Sprintf("codec: payload range [%d,%d) outside dim %d", lo, hi, p.dim))
+		}
 	}
 	if len(dst) != hi-lo {
 		panic(fmt.Sprintf("codec: payload range [%d,%d) into %d-elem dst", lo, hi, len(dst)))
 	}
-	d := p.data
-	switch p.scheme.Kind {
-	case KindRawF64:
-		b := d[8*lo : 8*hi]
-		for i := range dst {
-			v := math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
-			dst[i] += alpha * v
+	for len(ps) > 0 {
+		p, alpha, n := ps[0], alphas[0], 1
+		if len(ps) >= groupWidth && sameLayout(ps[:groupWidth]) {
+			n = groupWidth
 		}
-	case KindF32:
-		b := d[4*lo : 4*hi]
-		for i := range dst {
-			v := float64(math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:])))
-			dst[i] += alpha * v
-		}
-	case KindQ8:
-		chunk := p.q8chunk
-		scales := d[4 : 4+4*p.q8chunks()]
-		vals := d[4+4*p.q8chunks():]
-		for j := lo; j < hi; {
-			c := j / chunk
-			end := (c + 1) * chunk
-			if end > hi {
-				end = hi
+		switch p.scheme.Kind {
+		case KindRawF64:
+			addRaw64(dst, ps[:n], alphas[:n], lo, hi)
+		case KindF32:
+			b := p.data[4*lo : 4*hi]
+			for i := range dst {
+				v := float64(math.Float32frombits(binary.LittleEndian.Uint32(b[4*i:])))
+				dst[i] += alpha * v
 			}
-			scale := float64(math.Float32frombits(binary.LittleEndian.Uint32(scales[4*c:])))
-			for ; j < end; j++ {
-				v := float64(int8(vals[j])) * scale
+		case KindQ8:
+			addQ8(dst, ps[:n], alphas[:n], lo, hi)
+		case KindTopK:
+			d := p.data
+			k := p.scheme.TopK
+			idx := d[4 : 4+4*k]
+			valOff := 4 + 4*k
+			// Indices are validated strictly ascending, so the shard's
+			// slice of the sparse entries is one binary search plus a
+			// linear walk.
+			i := sort.Search(k, func(n int) bool {
+				return int(binary.LittleEndian.Uint32(idx[4*n:])) >= lo
+			})
+			for ; i < k; i++ {
+				j := int(binary.LittleEndian.Uint32(idx[4*i:]))
+				if j >= hi {
+					break
+				}
+				v := float64(math.Float32frombits(binary.LittleEndian.Uint32(d[valOff+4*i:])))
 				dst[j-lo] += alpha * v
 			}
 		}
-	case KindTopK:
-		k := p.scheme.TopK
-		idx := d[4 : 4+4*k]
-		valOff := 4 + 4*k
-		// Indices are validated strictly ascending, so the shard's slice
-		// of the sparse entries is one binary search plus a linear walk.
-		i := sort.Search(k, func(n int) bool {
-			return int(binary.LittleEndian.Uint32(idx[4*n:])) >= lo
-		})
-		for ; i < k; i++ {
-			j := int(binary.LittleEndian.Uint32(idx[4*i:]))
-			if j >= hi {
-				break
-			}
-			v := float64(math.Float32frombits(binary.LittleEndian.Uint32(d[valOff+4*i:])))
-			dst[j-lo] += alpha * v
+		ps, alphas = ps[n:], alphas[n:]
+	}
+}
+
+// sameLayout reports whether a run can share one group pass: all raw64,
+// or all q8 with one chunk size, so one walk serves every member.
+func sameLayout(ps []*Payload) bool {
+	k, chunk := ps[0].scheme.Kind, ps[0].q8chunk
+	if k != KindRawF64 && k != KindQ8 {
+		return false
+	}
+	for _, p := range ps[1:] {
+		if p.scheme.Kind != k || p.q8chunk != chunk {
+			return false
 		}
+	}
+	return true
+}
+
+// addRaw64 folds one raw64 payload, or a group of groupWidth.
+func addRaw64(dst tensor.Vector, ps []*Payload, alphas []float64, lo, hi int) {
+	b0 := ps[0].data[8*lo : 8*hi]
+	if len(ps) == 1 {
+		a0 := alphas[0]
+		for i := range dst {
+			dst[i] += a0 * math.Float64frombits(binary.LittleEndian.Uint64(b0[8*i:]))
+		}
+		return
+	}
+	b1 := ps[1].data[8*lo:][:len(b0)]
+	b2 := ps[2].data[8*lo:][:len(b0)]
+	b3 := ps[3].data[8*lo:][:len(b0)]
+	a0, a1, a2, a3 := alphas[0], alphas[1], alphas[2], alphas[3]
+	for i := range dst {
+		x := dst[i]
+		x += a0 * math.Float64frombits(binary.LittleEndian.Uint64(b0[8*i:]))
+		x += a1 * math.Float64frombits(binary.LittleEndian.Uint64(b1[8*i:]))
+		x += a2 * math.Float64frombits(binary.LittleEndian.Uint64(b2[8*i:]))
+		x += a3 * math.Float64frombits(binary.LittleEndian.Uint64(b3[8*i:]))
+		dst[i] = x
+	}
+}
+
+// addQ8 folds one q8 payload, or a group of groupWidth sharing a chunk
+// size, in one walk over the chunks: per chunk each member contributes
+// its scale and its value bytes, decoded as q8Value[b] * scale.
+func addQ8(dst tensor.Vector, ps []*Payload, alphas []float64, lo, hi int) {
+	chunk := ps[0].q8chunk
+	var scales, vals [groupWidth][]byte
+	for m, p := range ps {
+		scales[m], vals[m] = p.q8Sections()
+	}
+	for c, j := lo/chunk, lo; j < hi; c++ {
+		end := min((c+1)*chunk, hi)
+		// Re-slicing every source to the output span lets the compiler
+		// drop the per-element bounds checks.
+		out := dst[j-lo : end-lo]
+		v0, s0, a0 := vals[0][j:end][:len(out)], q8Scale(scales[0], c), alphas[0]
+		if len(ps) == 1 {
+			for i, b := range v0 {
+				out[i] += a0 * (q8Value[b] * s0)
+			}
+			j = end
+			continue
+		}
+		v1, s1, a1 := vals[1][j:end][:len(out)], q8Scale(scales[1], c), alphas[1]
+		v2, s2, a2 := vals[2][j:end][:len(out)], q8Scale(scales[2], c), alphas[2]
+		v3, s3, a3 := vals[3][j:end][:len(out)], q8Scale(scales[3], c), alphas[3]
+		for i := range out {
+			x := out[i]
+			x += a0 * (q8Value[v0[i]] * s0)
+			x += a1 * (q8Value[v1[i]] * s1)
+			x += a2 * (q8Value[v2[i]] * s2)
+			x += a3 * (q8Value[v3[i]] * s3)
+			out[i] = x
+		}
+		j = end
 	}
 }
 

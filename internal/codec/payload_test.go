@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"math/rand"
@@ -90,6 +91,149 @@ func TestPayloadAccessorsMatchDecode(t *testing.T) {
 			}
 			streamed.Release()
 		}
+	}
+}
+
+// TestQ8ValueTable: the q8 decode table is the int8 conversion, exactly.
+func TestQ8ValueTable(t *testing.T) {
+	for b := 0; b < 256; b++ {
+		if got, want := q8Value[b], float64(int8(b)); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("q8Value[%#x] = %v, want %v", b, got, want)
+		}
+	}
+}
+
+// q8Blob hand-builds a q8 frame from any chunk size, scale words and value
+// bytes — shapes the encoder never emits (it always uses 256-element
+// chunks and finite scales) but the wire accepts.
+func q8Blob(chunk int, scales []float32, vals []byte) []byte {
+	blob := make([]byte, headerSize+4+4*len(scales)+len(vals))
+	copy(blob, Magic)
+	blob[3] = Version
+	blob[4] = byte(KindQ8)
+	putU32(blob[8:], uint32(len(vals)))
+	p := blob[headerSize:]
+	putU32(p, uint32(chunk))
+	for c, s := range scales {
+		putU32(p[4+4*c:], math.Float32bits(s))
+	}
+	copy(p[4+4*len(scales):], vals)
+	refreshCRC(blob)
+	return blob
+}
+
+// TestAddScaledGroupMatchesSinglePasses: the group kernel over n = 1..4
+// payloads of one family, and over longer mixed sequences whose runs
+// break on scheme or q8 chunk size, equals CopyRange → AddScaled applied
+// per payload in slice order — bit for bit (top-k value-equal: its skipped
+// zeros may flip a -0) — with ±0, NaN and ±Inf in values, destinations
+// and q8 scales, zero and negative weights, maximum-magnitude scales, and
+// ranges that straddle chunk edges. A NaN only has to stay a NaN: Go fixes
+// neither its sign nor its payload, and the hardware returns whichever NaN
+// operand the compiler happened to place first.
+func TestAddScaledGroupMatchesSinglePasses(t *testing.T) {
+	const dim = 1000
+	rng := rand.New(rand.NewSource(22))
+	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.SmallestNonzeroFloat64}
+	vec := func(n int) tensor.Vector {
+		v := payloadTestVec(rng, n)
+		for k := 0; k < n/50; k++ {
+			v[rng.Intn(n)] = specials[rng.Intn(len(specials))]
+		}
+		return v
+	}
+	encoded := func(s Scheme) []byte {
+		blob, err := Encode(vec(dim), s)
+		if err != nil {
+			t.Fatalf("encode %v: %v", s, err)
+		}
+		return blob
+	}
+	q8 := func(chunk int) []byte {
+		scales := make([]float32, (dim+chunk-1)/chunk)
+		for c := range scales {
+			scales[c] = float32(rng.ExpFloat64() * 0.01)
+			if rng.Intn(8) == 0 {
+				scales[c] = float32(specials[rng.Intn(len(specials))]) // MaxFloat64 → +Inf
+			}
+			if rng.Intn(8) == 0 {
+				scales[c] = math.MaxFloat32 * float32(1-2*rng.Intn(2))
+			}
+		}
+		vals := make([]byte, dim)
+		rng.Read(vals)
+		return q8Blob(chunk, scales, vals)
+	}
+	families := []struct {
+		name string
+		blob func() []byte
+	}{
+		{"raw64", func() []byte { return encoded(RawF64) }},
+		{"f32", func() []byte { return encoded(F32) }},
+		{"topk", func() []byte { return encoded(TopK(100)) }},
+		{"q8/1", func() []byte { return q8(1) }},
+		{"q8/7", func() []byte { return q8(7) }},
+		{"q8/256", func() []byte { return q8(256) }},
+		{"q8/dim", func() []byte { return q8(dim) }},
+		{"q8/4096", func() []byte { return q8(4096) }},
+	}
+	alphaPool := []float64{0, math.Copysign(0, -1), 1, -1, -2.5, 1e-300, 3e300}
+	check := func(name string, blobs [][]byte) {
+		t.Helper()
+		ps := make([]*Payload, len(blobs))
+		alphas := make([]float64, len(blobs))
+		topk := false
+		for i, b := range blobs {
+			p, err := ParsePayload(b)
+			if err != nil {
+				t.Fatalf("%s: parse: %v", name, err)
+			}
+			ps[i] = p
+			topk = topk || p.Scheme().Kind == KindTopK
+			alphas[i] = rng.NormFloat64()
+			if rng.Intn(3) == 0 {
+				alphas[i] = alphaPool[rng.Intn(len(alphaPool))]
+			}
+		}
+		ranges := [][2]int{{0, dim}, {0, 0}, {6, 8}, {255, 257}, {999, 1000}}
+		for trial := 0; trial < 8; trial++ {
+			lo := rng.Intn(dim + 1)
+			ranges = append(ranges, [2]int{lo, lo + rng.Intn(dim-lo+1)})
+		}
+		for _, r := range ranges {
+			lo, hi := r[0], r[1]
+			got := vec(hi - lo)
+			want := got.Clone()
+			tmp := tensor.NewVector(hi - lo)
+			for u, p := range ps {
+				p.CopyRange(tmp, lo, hi)
+				want.AddScaled(alphas[u], tmp)
+			}
+			AddScaledGroup(got, ps, alphas, lo, hi)
+			for i := range got {
+				g, w := got[i], want[i]
+				if math.Float64bits(g) == math.Float64bits(w) || g != g && w != w || topk && g == w {
+					continue
+				}
+				t.Fatalf("%s [%d,%d): [%d] = %v want %v", name, lo, hi, lo+i, g, w)
+			}
+		}
+	}
+	for _, f := range families {
+		for n := 1; n <= 4; n++ {
+			blobs := make([][]byte, n)
+			for i := range blobs {
+				blobs[i] = f.blob()
+			}
+			check(fmt.Sprintf("%s n=%d", f.name, n), blobs)
+		}
+	}
+	for trial := 0; trial < 40; trial++ {
+		blobs := make([][]byte, 1+rng.Intn(9))
+		for i := range blobs {
+			blobs[i] = families[rng.Intn(len(families))].blob()
+		}
+		check(fmt.Sprintf("mixed trial %d", trial), blobs)
 	}
 }
 

@@ -97,29 +97,57 @@ func makeUpdates(n, dim int) []aggregator.Update {
 	return ups
 }
 
-func BenchmarkAggregateFedAvg(b *testing.B) {
-	ups := makeUpdates(16, 189_039)
+// wireUpdates re-encodes dense updates under scheme s as payload-backed
+// updates, the form the serving path reduces.
+func wireUpdates(b *testing.B, dense []aggregator.Update, s codec.Scheme) []aggregator.Update {
+	ups := make([]aggregator.Update, len(dense))
+	for i, u := range dense {
+		blob, err := codec.Encode(u.Delta, s)
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := codec.ParsePayload(blob)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ups[i] = aggregator.Update{ClientID: u.ClientID, Payload: p, Weight: u.Weight, Staleness: u.Staleness}
+	}
+	return ups
+}
+
+// benchmarkAggregate times one sequential strategy pass over ups on the
+// 189k-param model.
+func benchmarkAggregate(b *testing.B, s aggregator.Strategy, ups []aggregator.Update) {
 	global := tensor.NewVector(189_039)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := (aggregator.FedAvg{}).Aggregate(global, ups); err != nil {
+		if err := s.Aggregate(global, ups); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
+// BenchmarkAggregateFedAvg prices the FedAvg reduce on the 189k-param
+// model: dense deltas (the simulator's form) and q8 wire payloads (the
+// serving uplink's form; the flat commit reduces 16 of them on
+// bulk_rounds).
+func BenchmarkAggregateFedAvg(b *testing.B) {
+	dense := makeUpdates(32, 189_039)
+	q8 := wireUpdates(b, dense, codec.Q8)
+	b.Run("dense", func(b *testing.B) { benchmarkAggregate(b, aggregator.FedAvg{}, dense[:16]) })
+	b.Run("q8/n=16", func(b *testing.B) { benchmarkAggregate(b, aggregator.FedAvg{}, q8[:16]) })
+	b.Run("q8/n=32", func(b *testing.B) { benchmarkAggregate(b, aggregator.FedAvg{}, q8) })
+}
+
+// BenchmarkAggregateFedBuff prices the staleness-weighted reduce: dense
+// deltas, and the shard tier's leader fold — one raw64 partial from each
+// of 4 shards, one group pass of the codec kernel.
 func BenchmarkAggregateFedBuff(b *testing.B) {
-	ups := makeUpdates(16, 189_039)
-	global := tensor.NewVector(189_039)
+	dense := makeUpdates(16, 189_039)
 	f := aggregator.FedBuff{ServerLR: 1, Alpha: 0.5}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := f.Aggregate(global, ups); err != nil {
-			b.Fatal(err)
-		}
-	}
+	b.Run("dense", func(b *testing.B) { benchmarkAggregate(b, f, dense) })
+	b.Run("raw64/n=4", func(b *testing.B) { benchmarkAggregate(b, f, wireUpdates(b, dense[:4], codec.RawF64)) })
 }
 
 // BenchmarkParallelAggregate is the commit pipeline's stage-1 kernel at
