@@ -277,10 +277,10 @@ func fig10(scale core.Scale, seed int64) {
 		log.Fatal(err)
 	}
 	fmt.Println("Figure 10 — LR schedule stability (5 trials each, AUPR trajectories):")
-	for name, trials := range out {
-		fmt.Printf("  %s\n", name)
+	for _, sched := range schedules {
+		fmt.Printf("  %s\n", sched)
 		var finals []float64
-		for _, tr := range trials {
+		for _, tr := range out[sched.String()] {
 			fmt.Printf("    %s final %.4f\n", report.Sparkline(tr.Metrics), tr.Final)
 			finals = append(finals, tr.Final)
 		}

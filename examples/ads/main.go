@@ -99,8 +99,7 @@ func main() {
 	}
 	fmt.Printf("  TEE ingest: %.2f updates/s, %.3f MB/s (paper projects <3 MB/s)\n",
 		tee.UpdatesPerSec, tee.BytesPerSec/1e6)
-	dp := flint.DPConfig{ClipNorm: 1, NoiseMultiplier: 0.7}
-	eps, err := dp.EpsilonApprox(len(res.Report.Rounds), 1e-6)
+	eps, err := flint.EpsilonApprox(0.7, len(res.Report.Rounds), 1e-6)
 	if err != nil {
 		log.Fatal(err)
 	}

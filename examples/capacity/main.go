@@ -135,8 +135,7 @@ func main() {
 			{
 				Name: "privacy-review",
 				Run: func(c *flint.WorkflowContext) (string, bool, error) {
-					dp := flint.DPConfig{ClipNorm: 1, NoiseMultiplier: 1.4}
-					eps, err := dp.EpsilonApprox(scale.MaxRounds, 1e-6)
+					eps, err := flint.EpsilonApprox(1.4, scale.MaxRounds, 1e-6)
 					if err != nil {
 						return "", false, err
 					}

@@ -59,7 +59,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	runWith := func(adv *aggregator.Adversary, trim float64) float64 {
+	runWith := func(adv *aggregator.Adversary, agg aggregator.AggregationConfig) float64 {
 		env, _, err := flint.BuildEnvironment(spec, scale, seed)
 		if err != nil {
 			log.Fatal(err)
@@ -67,7 +67,7 @@ func main() {
 		cfg := flint.AsyncConfig(spec, scale, seed)
 		cfg.MaxRounds = 20
 		cfg.Adversary = adv
-		cfg.RobustTrimFrac = trim
+		cfg.Aggregation = agg
 		rep, err := fedsim.Run(cfg, env)
 		if err != nil {
 			log.Fatal(err)
@@ -81,9 +81,9 @@ func main() {
 		return best
 	}
 	attack := &aggregator.Adversary{Attack: aggregator.SignFlip{Scale: 4}, Fraction: 0.25, Seed: 5}
-	clean := runWith(nil, 0)
-	poisoned := runWith(attack, 0)
-	defended := runWith(attack, 0.25)
+	clean := runWith(nil, aggregator.AggregationConfig{})
+	poisoned := runWith(attack, aggregator.AggregationConfig{})
+	defended := runWith(attack, aggregator.AggregationConfig{Strategy: "trimmed-mean", TrimFrac: 0.25})
 	tbl := report.NewTable("Poisoning (25% compromised, sign-flip x4)", "condition", "best AUPR")
 	tbl.AddRow("clean", fmt.Sprintf("%.4f", clean))
 	tbl.AddRow("poisoned, FedBuff", fmt.Sprintf("%.4f", poisoned))

@@ -99,7 +99,9 @@ func ComputeProxyStats(name string, shards []ClientShard, lookbackDays int) Prox
 	return partition.ComputeStats(name, shards, lookbackDays)
 }
 
-// Privacy (§3.6).
-
-// DPConfig parameterizes FL with differential privacy.
-type DPConfig = aggregator.DPConfig
+// EpsilonApprox is the privacy accountant (§3.6): the (ε, δ) spent by
+// `rounds` Gaussian-mechanism rounds at noise multiplier sigma — the same
+// function the live server's DP stage reports.
+func EpsilonApprox(sigma float64, rounds int, delta float64) (float64, error) {
+	return aggregator.EpsilonApprox(sigma, rounds, delta)
+}

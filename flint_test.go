@@ -100,8 +100,7 @@ func TestPublicAPIModels(t *testing.T) {
 	if err := flint.DefaultBandwidth.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	dp := flint.DPConfig{ClipNorm: 1, NoiseMultiplier: 1}
-	eps, err := dp.EpsilonApprox(10, 1e-6)
+	eps, err := flint.EpsilonApprox(1, 10, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,12 @@
 // Package aggregator implements the server-side update aggregation of the
 // FL platform: synchronous FedAvg (McMahan et al., 2017), asynchronous
 // FedBuff with staleness weighting (Nguyen et al., 2022), the privacy
-// enhancing technologies of §3.6 (update clipping + Gaussian noise for
-// FL-DP, the TEE aggregator's ingest load), and the robust-aggregation
-// defenses evaluated against poisoning.
+// enhancing technologies of §3.6 (aggregate clipping + Gaussian noise for
+// FL-DP with its accountant, the TEE aggregator's ingest load), and the
+// robust-aggregation defenses evaluated against poisoning. The commit
+// configuration (AggregationConfig, DPConfig) is defined here once, so the
+// live server and the simulator build the same screen → reduce → DP
+// stages from it.
 package aggregator
 
 import (
@@ -27,8 +30,8 @@ type Update struct {
 	// update. When Delta is non-nil it wins and Payload is ignored.
 	// The robust column reducers (TrimmedMean, CoordinateMedian) decode
 	// one cache-resident tile of every update at a time into pooled
-	// scratch instead; the simulation-side wrappers (DP, poisoning)
-	// require a dense Delta.
+	// scratch instead; the simulated poisoning adversary requires a
+	// dense Delta.
 	Payload *codec.Payload
 	// Weight is the aggregation weight, conventionally the client's
 	// example count |Dk|.
@@ -240,4 +243,83 @@ func (t TrimmedMean) aggregateRange(global tensor.Vector, updates []Update, lo, 
 // and capped so at least one middle element always survives.
 func trimCount(frac float64, n int) int {
 	return min(int(math.Floor(frac*float64(n)+1e-9)), (n-1)/2)
+}
+
+// AggregationConfig selects a commit's reducer and its pre-reduce norm
+// screen — one definition for the live server and the simulator. The
+// zero value keeps the mode's default reducer (FedAvg for sync, FedBuff
+// for async) with no screening.
+type AggregationConfig struct {
+	// Strategy names the reducer: "" keeps the mode default, "fedavg"
+	// and "fedbuff" pin it explicitly (and must match the mode), and
+	// "trimmed-mean" / "coordinate-median" install the Byzantine-robust
+	// column reducers, which need the round's full update population in
+	// one place.
+	Strategy string
+	// TrimFrac is trimmed-mean's per-side trim fraction in [0, 0.5)
+	// (default 0.1 when Strategy is "trimmed-mean").
+	TrimFrac float64
+	// ScreenMaxNorm rejects updates whose L2 norm exceeds this absolute
+	// cap before they enter the reduce (0 disables).
+	ScreenMaxNorm float64
+	// ScreenMedianFactor rejects updates whose norm exceeds this multiple
+	// of the round's median update norm (0 disables). Unlike the robust
+	// reducers, the screen is a per-update predicate, so it stays sound
+	// applied per cohort.
+	ScreenMedianFactor float64
+}
+
+// Robust reports whether the named strategy is a column reducer that
+// needs the round's full update population.
+func (a AggregationConfig) Robust() bool {
+	return a.Strategy == "trimmed-mean" || a.Strategy == "coordinate-median"
+}
+
+// WithDefaults range-checks the config for a job in sync or async mode
+// and fills trimmed-mean's default trim fraction.
+func (a AggregationConfig) WithDefaults(async bool) (AggregationConfig, error) {
+	switch a.Strategy {
+	case "", "trimmed-mean", "coordinate-median":
+	case "fedavg":
+		if async {
+			return a, fmt.Errorf("aggregator: aggregation %q requires sync mode", a.Strategy)
+		}
+	case "fedbuff":
+		if !async {
+			return a, fmt.Errorf("aggregator: aggregation %q requires async mode", a.Strategy)
+		}
+	default:
+		return a, fmt.Errorf("aggregator: unknown aggregation strategy %q (want fedavg, fedbuff, trimmed-mean, or coordinate-median)", a.Strategy)
+	}
+	if a.Strategy == "trimmed-mean" {
+		if a.TrimFrac == 0 {
+			a.TrimFrac = 0.1
+		}
+		if a.TrimFrac < 0 || a.TrimFrac >= 0.5 {
+			return a, fmt.Errorf("aggregator: trim fraction %v outside [0, 0.5)", a.TrimFrac)
+		}
+	} else if a.TrimFrac != 0 {
+		return a, fmt.Errorf("aggregator: trim fraction set but aggregation strategy is %q, not trimmed-mean", a.Strategy)
+	}
+	return a, a.Screen().Validate()
+}
+
+// Screen is the norm screen the config names (zero value: disabled).
+func (a AggregationConfig) Screen() NormScreen {
+	return NormScreen{MaxNorm: a.ScreenMaxNorm, MedianFactor: a.ScreenMedianFactor}
+}
+
+// Reducer builds the configured reducer for a defaulted config: the
+// robust reducers by name, otherwise the mode's — buff for async rounds,
+// FedAvg for sync ones.
+func (a AggregationConfig) Reducer(async bool, buff FedBuff) Strategy {
+	switch {
+	case a.Strategy == "trimmed-mean":
+		return TrimmedMean{TrimFrac: a.TrimFrac}
+	case a.Strategy == "coordinate-median":
+		return CoordinateMedian{}
+	case async:
+		return buff
+	}
+	return FedAvg{}
 }

@@ -112,57 +112,130 @@ func TestTrimmedMeanDropsOutlier(t *testing.T) {
 	}
 }
 
+// TestDPClipsAndNoises: the stage clips the aggregate round delta to the
+// clip norm, noises it, and never touches the published base.
 func TestDPClipsAndNoises(t *testing.T) {
-	cfg := DPConfig{ClipNorm: 1, NoiseMultiplier: 0.1, Seed: 4}
-	dp, err := NewDP(cfg, FedAvg{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	global := tensor.NewVector(2)
+	published := tensor.NewVector(2)
 	big := upd(1, 1, 300, 400)
-	if err := dp.Aggregate(global, []Update{big}); err != nil {
-		t.Fatal(err)
+	aggregate := func(cfg DPConfig) (tensor.Vector, float64, bool) {
+		t.Helper()
+		params := published.Clone()
+		if err := (FedAvg{}).Aggregate(params, []Update{big}); err != nil {
+			t.Fatal(err)
+		}
+		eps, noised := NewDP(cfg).Apply(params, published, 2, 1)
+		return params, eps, noised
 	}
-	// Aggregate must be near the clipped direction (norm ≈ 1), noise std 0.1.
-	if n := global.Norm2(); n > 1.6 || n < 0.4 {
+	// ε = 48 at δ = 1e-5 is σ ≈ 0.1: the aggregate stays near the clipped
+	// direction (norm ≈ 1) with noise std 0.1.
+	got, eps, noised := aggregate(DPConfig{Epsilon: 48, Delta: 1e-5, ClipNorm: 1, Seed: 4})
+	if n := got.Norm2(); n > 1.6 || n < 0.4 {
 		t.Fatalf("DP aggregate norm %v far from clip norm 1", n)
 	}
-	if big.Delta[0] != 300 {
-		t.Fatal("DP must not mutate inputs")
+	if !noised || eps <= 0 {
+		t.Fatalf("noised round: noised=%v eps=%v", noised, eps)
 	}
-	// Zero noise multiplier: deterministic clip-only behaviour.
-	dp0, err := NewDP(DPConfig{ClipNorm: 1, NoiseMultiplier: 0, Seed: 1}, FedAvg{})
-	if err != nil {
-		t.Fatal(err)
+	if big.Delta[0] != 300 || published.Norm2() != 0 {
+		t.Fatal("DP must not mutate the updates or the published base")
 	}
-	g0 := tensor.NewVector(2)
-	if err := dp0.Aggregate(g0, []Update{big}); err != nil {
-		t.Fatal(err)
+	// Clip only: deterministic, spends no budget.
+	got, eps, noised = aggregate(DPConfig{ClipNorm: 1})
+	if math.Abs(got.Norm2()-1) > 1e-9 {
+		t.Fatalf("clip-only norm %v", got.Norm2())
 	}
-	if math.Abs(g0.Norm2()-1) > 1e-9 {
-		t.Fatalf("clip-only norm %v", g0.Norm2())
+	if noised || eps != 0 {
+		t.Fatalf("clip-only round: noised=%v eps=%v", noised, eps)
 	}
 }
 
 func TestDPValidation(t *testing.T) {
-	if _, err := NewDP(DPConfig{ClipNorm: 0}, FedAvg{}); err == nil {
-		t.Fatal("zero clip must fail")
+	for _, bad := range []DPConfig{
+		{Epsilon: -1},
+		{ClipNorm: -2},
+		{Epsilon: 8, Delta: 1.5},
+		{ClipNorm: 1, Delta: -1},
+	} {
+		if _, err := bad.WithDefaults(1); err == nil {
+			t.Fatalf("%+v must fail", bad)
+		}
 	}
-	if _, err := NewDP(DPConfig{ClipNorm: 1, NoiseMultiplier: -1}, FedAvg{}); err == nil {
-		t.Fatal("negative noise must fail")
+	got, err := DPConfig{Epsilon: 8}.WithDefaults(7)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := NewDP(DPConfig{ClipNorm: 1}, nil); err == nil {
-		t.Fatal("nil inner must fail")
+	if got.Delta != 1e-5 || got.ClipNorm != 1 || got.Seed != 7 {
+		t.Fatalf("dp defaults: %+v", got)
+	}
+	if off, err := (DPConfig{Delta: 3}).WithDefaults(7); err != nil || off != (DPConfig{Delta: 3}) {
+		t.Fatalf("a disabled config is left alone: %+v, %v", off, err)
+	}
+	if NewDP(DPConfig{}) != nil {
+		t.Fatal("a disabled config builds no stage")
+	}
+}
+
+// TestDPApplyMatchesSeparatePasses pins the fused clip+noise pass to the
+// three-pass definition it replaced (norm, then clip the whole vector,
+// then noise the whole vector): bit-identical params and the same noise
+// stream in every mode — clip and noise, noise only (delta under the
+// cap), clip only, and neither.
+func TestDPApplyMatchesSeparatePasses(t *testing.T) {
+	const dim, version, n = 1000, 7, 13
+	rng := rand.New(rand.NewSource(3))
+	published := tensor.NewVector(dim)
+	delta := tensor.NewVector(dim)
+	for i := range published {
+		published[i] = rng.NormFloat64()
+		delta[i] = rng.NormFloat64() * 0.01 // norm ≈ 0.32
+	}
+	for _, cfg := range []DPConfig{
+		{Epsilon: 8, Delta: 1e-5, ClipNorm: 0.05, Seed: 77},
+		{Epsilon: 8, Delta: 1e-5, ClipNorm: 5, Seed: 77},
+		{ClipNorm: 0.05},
+		{ClipNorm: 5},
+	} {
+		d := NewDP(cfg)
+		want := published.Clone()
+		want.Add(delta)
+		got := want.Clone()
+
+		var s float64
+		for i := range want {
+			diff := want[i] - published[i]
+			s += diff * diff
+		}
+		if norm := math.Sqrt(s); norm > cfg.ClipNorm {
+			factor := cfg.ClipNorm / norm
+			for i := range want {
+				want[i] = published[i] + (want[i]-published[i])*factor
+			}
+		}
+		if d.sigma != 0 {
+			std := d.sigma * cfg.ClipNorm / n
+			noise := rand.New(rand.NewSource(cfg.Seed + version*1_000_003))
+			for i := range want {
+				want[i] += noise.NormFloat64() * std
+			}
+		}
+
+		eps, noised := d.Apply(got, published, version, n)
+		if noised != (cfg.Epsilon > 0) || (eps > 0) != noised {
+			t.Fatalf("%+v: noised=%v eps=%v", cfg, noised, eps)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%+v: params[%d] = %v, separate passes give %v", cfg, i, got[i], want[i])
+			}
+		}
 	}
 }
 
 func TestEpsilonApprox(t *testing.T) {
-	cfg := DPConfig{ClipNorm: 1, NoiseMultiplier: 1}
-	e1, err := cfg.EpsilonApprox(100, 1e-6)
+	e1, err := EpsilonApprox(1, 100, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e2, err := cfg.EpsilonApprox(400, 1e-6)
+	e2, err := EpsilonApprox(1, 400, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,15 +245,67 @@ func TestEpsilonApprox(t *testing.T) {
 	if math.Abs(e2/e1-2) > 1e-9 {
 		t.Fatalf("sqrt composition: e2/e1 = %v, want 2", e2/e1)
 	}
-	noNoise := DPConfig{ClipNorm: 1, NoiseMultiplier: 0}
-	if e, _ := noNoise.EpsilonApprox(10, 1e-6); !math.IsInf(e, 1) {
+	if e, _ := EpsilonApprox(0, 10, 1e-6); !math.IsInf(e, 1) {
 		t.Fatal("zero noise must yield infinite epsilon")
 	}
-	if _, err := cfg.EpsilonApprox(0, 1e-6); err == nil {
+	if _, err := EpsilonApprox(1, 0, 1e-6); err == nil {
 		t.Fatal("zero rounds must error")
 	}
-	if _, err := cfg.EpsilonApprox(10, 2); err == nil {
+	if _, err := EpsilonApprox(1, 10, 2); err == nil {
 		t.Fatal("bad delta must error")
+	}
+	// The stage's σ inverts the per-round bound: one noised round spends
+	// exactly the configured ε.
+	d := NewDP(DPConfig{Epsilon: 8, Delta: 1e-5, ClipNorm: 1})
+	if e, _ := EpsilonApprox(d.sigma, 1, 1e-5); math.Abs(e-8) > 1e-12 {
+		t.Fatalf("one round at σ(ε=8) spends %v", e)
+	}
+}
+
+// TestAggregationConfigReducer: one constructor picks every reducer the
+// server and the simulator run, after the range checks and defaults.
+func TestAggregationConfigReducer(t *testing.T) {
+	buff := FedBuff{ServerLR: 0.5, Alpha: 1}
+	for _, tc := range []struct {
+		cfg   AggregationConfig
+		async bool
+		want  Strategy
+	}{
+		{AggregationConfig{}, false, FedAvg{}},
+		{AggregationConfig{}, true, buff},
+		{AggregationConfig{Strategy: "fedavg"}, false, FedAvg{}},
+		{AggregationConfig{Strategy: "fedbuff"}, true, buff},
+		{AggregationConfig{Strategy: "trimmed-mean"}, false, TrimmedMean{TrimFrac: 0.1}},
+		{AggregationConfig{Strategy: "trimmed-mean", TrimFrac: 0.25}, true, TrimmedMean{TrimFrac: 0.25}},
+		{AggregationConfig{Strategy: "coordinate-median"}, false, CoordinateMedian{}},
+	} {
+		cfg, err := tc.cfg.WithDefaults(tc.async)
+		if err != nil {
+			t.Fatalf("%+v: %v", tc.cfg, err)
+		}
+		if got := cfg.Reducer(tc.async, buff); got != tc.want {
+			t.Fatalf("%+v async=%v: reducer %#v, want %#v", tc.cfg, tc.async, got, tc.want)
+		}
+	}
+	for _, bad := range []struct {
+		cfg   AggregationConfig
+		async bool
+	}{
+		{AggregationConfig{Strategy: "krum"}, false},
+		{AggregationConfig{Strategy: "fedavg"}, true},
+		{AggregationConfig{Strategy: "fedbuff"}, false},
+		{AggregationConfig{Strategy: "trimmed-mean", TrimFrac: 0.5}, false},
+		{AggregationConfig{TrimFrac: 0.1}, false},
+		{AggregationConfig{ScreenMaxNorm: -1}, false},
+		{AggregationConfig{ScreenMedianFactor: 0.5}, false},
+	} {
+		if _, err := bad.cfg.WithDefaults(bad.async); err == nil {
+			t.Fatalf("%+v async=%v must fail", bad.cfg, bad.async)
+		}
+	}
+	screen := AggregationConfig{ScreenMaxNorm: 3, ScreenMedianFactor: 4}.Screen()
+	if screen != (NormScreen{MaxNorm: 3, MedianFactor: 4}) {
+		t.Fatalf("screen %+v", screen)
 	}
 }
 

@@ -4,93 +4,197 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync/atomic"
 
 	"flint/internal/tensor"
 )
 
-// DPConfig parameterizes FL with differential privacy (§3.6): each client
-// update is clipped to ClipNorm and Gaussian noise with standard deviation
-// NoiseMultiplier·ClipNorm/n is added to the average of n updates — the
-// central-DP Gaussian mechanism on the aggregate.
+// DPConfig enables the commit pipeline's post-reduce central-DP stage
+// (§3.6): the round's aggregate delta is clipped to ClipNorm and seeded
+// Gaussian noise is added before publishing, with a per-round (ε, δ)
+// accountant. The zero value disables the stage.
 type DPConfig struct {
-	ClipNorm        float64
-	NoiseMultiplier float64
-	Seed            int64
+	// Epsilon is the per-round ε target; > 0 enables noise with
+	// multiplier σ = sqrt(2·ln(1/δ))/ε (the inversion of EpsilonApprox).
+	Epsilon float64
+	// Delta is the DP δ (default 1e-5 when the stage is enabled).
+	Delta float64
+	// ClipNorm caps the L2 norm of the aggregate delta (default 1 when
+	// Epsilon > 0; setting it alone enables clipping without noise).
+	ClipNorm float64
+	// Seed seeds the Gaussian noise; the per-round stream is derived
+	// from it and the committed version, so a replayed round reproduces
+	// its noise exactly (0 = the job's seed).
+	Seed int64
 }
 
-// Validate reports configuration errors.
-func (c DPConfig) Validate() error {
-	if c.ClipNorm <= 0 {
-		return fmt.Errorf("aggregator: DP clip norm must be positive, got %v", c.ClipNorm)
+// Enabled reports whether the DP stage runs at commit.
+func (d DPConfig) Enabled() bool { return d.ClipNorm > 0 || d.Epsilon > 0 }
+
+// WithDefaults range-checks the config and, when the stage is enabled,
+// fills δ, the clip norm and the noise seed (jobSeed when unset).
+func (d DPConfig) WithDefaults(jobSeed int64) (DPConfig, error) {
+	if d.Epsilon < 0 {
+		return d, fmt.Errorf("aggregator: negative dp epsilon %v", d.Epsilon)
 	}
-	if c.NoiseMultiplier < 0 {
-		return fmt.Errorf("aggregator: DP noise multiplier must be >= 0, got %v", c.NoiseMultiplier)
+	if d.ClipNorm < 0 {
+		return d, fmt.Errorf("aggregator: negative dp clip norm %v", d.ClipNorm)
 	}
-	return nil
+	if !d.Enabled() {
+		return d, nil
+	}
+	if d.Delta == 0 {
+		d.Delta = 1e-5
+	}
+	if d.Delta <= 0 || d.Delta >= 1 {
+		return d, fmt.Errorf("aggregator: dp delta %v outside (0, 1)", d.Delta)
+	}
+	if d.ClipNorm == 0 {
+		d.ClipNorm = 1
+	}
+	if d.Seed == 0 {
+		d.Seed = jobSeed
+	}
+	return d, nil
 }
 
-// DP wraps a strategy with the clip-and-noise mechanism.
+// DP is the central-DP commit stage, shared by the live server and the
+// simulator. It runs after the reduce, on the aggregate round delta:
+// the updates may be pooled wire payloads, and clipping the single
+// aggregate keeps the stage O(dim) with zero allocation. Order within a
+// commit: screen → reduce → clip → noise.
 type DP struct {
-	Config DPConfig
-	Inner  Strategy
-	rng    *rand.Rand
+	cfg DPConfig
+	// sigma is the Gaussian noise multiplier σ = sqrt(2·ln(1/δ))/ε — the
+	// inversion of the accountant's per-round bound, so one noised round
+	// spends exactly the configured ε. Zero when Epsilon is 0 (clip-only).
+	sigma float64
+	// rounds counts noised commits — the accountant's composition input.
+	// Atomic because /v1/status reads it off the commit path.
+	rounds atomic.Int64
 }
 
-// NewDP builds the wrapper with its own seeded noise source.
-func NewDP(cfg DPConfig, inner Strategy) (*DP, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// NewDP builds the stage for a defaulted config (see WithDefaults); nil
+// when the config disables it.
+func NewDP(cfg DPConfig) *DP {
+	if !cfg.Enabled() {
+		return nil
 	}
-	if inner == nil {
-		return nil, fmt.Errorf("aggregator: DP needs an inner strategy")
+	d := &DP{cfg: cfg}
+	if cfg.Epsilon > 0 {
+		d.sigma = math.Sqrt(2*math.Log(1/cfg.Delta)) / cfg.Epsilon
 	}
-	return &DP{Config: cfg, Inner: inner, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
+	return d
 }
 
-// Name implements Strategy.
-func (d *DP) Name() string { return fmt.Sprintf("dp(%s)", d.Inner.Name()) }
-
-// Aggregate implements Strategy: clips every update, delegates, then
-// perturbs the aggregate with calibrated Gaussian noise.
-func (d *DP) Aggregate(global tensor.Vector, updates []Update) error {
-	if len(updates) == 0 {
-		return fmt.Errorf("aggregator: DP with no updates")
+// Apply clips the aggregate round delta (params − published) to ClipNorm
+// and perturbs params with seeded Gaussian noise of standard deviation
+// σ·ClipNorm/n, n being the kept update count. The noise stream is seeded
+// from (Seed, version), not a shared mutable rng, so a commit's noise
+// depends only on its configuration and committed version: two
+// pipelines replaying the same rounds publish bit-identical models.
+// Returns the cumulative ε after this round and whether noise was added
+// (false in clip-only mode, which spends no budget).
+func (d *DP) Apply(params, published tensor.Vector, version int, n int) (eps float64, noised bool) {
+	var s float64
+	for i := range params {
+		diff := params[i] - published[i]
+		s += diff * diff
 	}
-	clipped := make([]Update, len(updates))
-	for i, u := range updates {
-		c := u
-		c.Delta = u.Delta.Clone()
-		c.Delta.Clip(d.Config.ClipNorm)
-		clipped[i] = c
+	// Scale the delta, not the params: the published base is not ours to
+	// shrink. An overflowed (+Inf) norm yields factor 0 — the delta
+	// vanishes and the round publishes the old params plus noise.
+	norm := math.Sqrt(s)
+	clip := norm > d.cfg.ClipNorm
+	noised = d.sigma != 0
+	if !clip && !noised {
+		return 0, false
 	}
-	if err := d.Inner.Aggregate(global, clipped); err != nil {
-		return err
+	factor := d.cfg.ClipNorm / norm
+	std := d.sigma * d.cfg.ClipNorm / float64(n)
+	var rng *rand.Rand
+	if noised {
+		rng = rand.New(rand.NewSource(d.cfg.Seed + int64(version)*1_000_003))
 	}
-	std := d.Config.NoiseMultiplier * d.Config.ClipNorm / float64(len(updates))
-	if std > 0 {
-		for i := range global {
-			global[i] += d.rng.NormFloat64() * std
+	// Clip and noise share one pass. Each element still goes through the
+	// two expressions the separate passes applied, in the same order, and
+	// the noise stream is drawn in index order, so the published params are
+	// bit-identical to clipping the whole vector first.
+	for i, p := range params {
+		if clip {
+			p = published[i] + (p-published[i])*factor
 		}
+		if noised {
+			p += rng.NormFloat64() * std
+		}
+		params[i] = p
 	}
-	return nil
+	if noised {
+		eps = d.epsilonSpent(d.rounds.Add(1))
+	}
+	return eps, noised
+}
+
+// epsilonSpent is the accountant: cumulative ε over `rounds` noised
+// commits at δ.
+func (d *DP) epsilonSpent(rounds int64) float64 {
+	if rounds <= 0 || d.sigma == 0 {
+		return 0
+	}
+	eps, err := EpsilonApprox(d.sigma, int(rounds), d.cfg.Delta)
+	if err != nil {
+		return math.Inf(1) // unreachable: rounds > 0 and Delta was validated
+	}
+	return eps
+}
+
+// PrivacyReport is /v1/status's view of the DP stage: the effective
+// mechanism parameters and the accountant's running total.
+type PrivacyReport struct {
+	// ClipNorm is the aggregate-delta L2 cap.
+	ClipNorm float64 `json:"clip_norm"`
+	// Sigma is the noise multiplier σ; 0 means clip-only (no noise, no
+	// budget).
+	Sigma float64 `json:"noise_multiplier"`
+	// Delta is the DP δ.
+	Delta float64 `json:"delta"`
+	// EpsilonPerRound is the configured per-round ε target.
+	EpsilonPerRound float64 `json:"epsilon_per_round"`
+	// DPRounds counts noised commits so far.
+	DPRounds int64 `json:"dp_rounds"`
+	// EpsilonSpent is the cumulative ε over DPRounds at Delta.
+	EpsilonSpent float64 `json:"epsilon_spent"`
+}
+
+// Report snapshots the mechanism parameters and the accountant.
+func (d *DP) Report() *PrivacyReport {
+	rounds := d.rounds.Load()
+	return &PrivacyReport{
+		ClipNorm:        d.cfg.ClipNorm,
+		Sigma:           d.sigma,
+		Delta:           d.cfg.Delta,
+		EpsilonPerRound: d.cfg.Epsilon,
+		DPRounds:        rounds,
+		EpsilonSpent:    d.epsilonSpent(rounds),
+	}
 }
 
 // EpsilonApprox returns a coarse (ε, δ)-DP accounting for `rounds`
-// compositions of the Gaussian mechanism via the strong-composition-style
-// bound ε ≈ sqrt(2·rounds·ln(1/δ))/σ, usable for the decision workflow's
-// privacy-budget gate. It is an engineering estimate, not a tight RDP
-// account.
-func (c DPConfig) EpsilonApprox(rounds int, delta float64) (float64, error) {
+// compositions of the Gaussian mechanism with noise multiplier sigma via
+// the strong-composition-style bound ε ≈ sqrt(2·rounds·ln(1/δ))/σ — the
+// live accountant and the decision workflow's privacy-budget gate. It is
+// an engineering estimate, not a tight RDP account.
+func EpsilonApprox(sigma float64, rounds int, delta float64) (float64, error) {
 	if rounds <= 0 {
 		return 0, fmt.Errorf("aggregator: rounds must be positive, got %d", rounds)
 	}
 	if delta <= 0 || delta >= 1 {
 		return 0, fmt.Errorf("aggregator: delta %v outside (0,1)", delta)
 	}
-	if c.NoiseMultiplier == 0 {
+	if sigma == 0 {
 		return math.Inf(1), nil
 	}
-	return math.Sqrt(2*float64(rounds)*math.Log(1/delta)) / c.NoiseMultiplier, nil
+	return math.Sqrt(2*float64(rounds)*math.Log(1/delta)) / sigma, nil
 }
 
 // TEEThroughput describes the enclave-side aggregation load: updates per

@@ -113,26 +113,17 @@ func TestTrimmedMeanBoundedByHonestRange(t *testing.T) {
 }
 
 // TestDPNoiseScalesInverselyWithBatch: averaging over more updates shrinks
-// the injected noise per the central Gaussian mechanism.
+// the injected noise per the central Gaussian mechanism (std σ·C/n).
 func TestDPNoiseScalesInverselyWithBatch(t *testing.T) {
 	noiseMag := func(n int) float64 {
-		dp, err := NewDP(DPConfig{ClipNorm: 1e-9, NoiseMultiplier: 1, Seed: 5}, FedAvg{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Zero deltas isolate the noise (clip norm is negligible).
-		updates := make([]Update, n)
-		for i := range updates {
-			updates[i] = Update{ClientID: int64(i), Delta: tensor.NewVector(1000)}
-		}
-		global := tensor.NewVector(1000)
+		dp := NewDP(DPConfig{Epsilon: 4.8, Delta: 1e-5, ClipNorm: 1, Seed: 5})
+		// A zero round delta isolates the noise (nothing to clip).
+		published := tensor.NewVector(1000)
 		var total float64
-		for rep := 0; rep < 5; rep++ {
-			global.Zero()
-			if err := dp.Aggregate(global, updates); err != nil {
-				t.Fatal(err)
-			}
-			total += global.Norm2()
+		for version := 2; version < 7; version++ {
+			params := tensor.NewVector(1000)
+			dp.Apply(params, published, version, n)
+			total += params.Norm2()
 		}
 		return total / 5
 	}

@@ -141,12 +141,6 @@ func DiurnalIntensity(hour int) float64 {
 	return diurnalCurve[((hour%24)+24)%24]
 }
 
-// WeekdayIntensity exposes the day-of-week scaling (0 = Monday), the
-// weekly half of the Fig 2 fluctuation shape. Days outside 0–6 wrap.
-func WeekdayIntensity(day int) float64 {
-	return weekdayFactor[((day%7)+7)%7]
-}
-
 // WiFiShift and BatteryShift expose the hour-of-day device-state drifts
 // (WiFi up overnight at home, batteries draining into the evening) for
 // load planes sampling device state procedurally. Hours wrap as in

@@ -380,7 +380,8 @@ func TestPayloadAliasingUnderConcurrentCommits(t *testing.T) {
 // TestWriteBehindPersistence pins the stage-3 contract: commits return
 // before their disk write, versions are readable from the store
 // immediately, publish_pending drains, and Close flushes every committed
-// snapshot to the backing directory.
+// snapshot to the backing directory. Running past recentRounds commits
+// also pins the bound on the finished-round log.
 func TestWriteBehindPersistence(t *testing.T) {
 	dir := t.TempDir()
 	cfg := syncTestConfig()
@@ -392,7 +393,7 @@ func TestWriteBehindPersistence(t *testing.T) {
 	}
 	name := c.Config().ModelName
 
-	const rounds = 3
+	const rounds = recentRounds + 2
 	for round := 0; round < rounds; round++ {
 		base := c.Version()
 		for id := int64(1); id <= 3; id++ {
@@ -404,6 +405,11 @@ func TestWriteBehindPersistence(t *testing.T) {
 		if _, err := c.Store().Get(name, base+1); err != nil {
 			t.Fatalf("v%d not in store right after commit: %v", base+1, err)
 		}
+	}
+	recent := c.Status().Recent
+	if len(recent) != recentRounds || recent[0].NewVersion != rounds+2-recentRounds ||
+		recent[recentRounds-1].NewVersion != rounds+1 {
+		t.Fatalf("round log after %d commits: %+v, want the last %d", rounds, recent, recentRounds)
 	}
 	c.Close()
 	if got := c.Counters().Counter("publish_pending").Value(); got != 0 {

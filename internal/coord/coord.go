@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"time"
 
+	"flint/internal/aggregator"
 	"flint/internal/availability"
 	"flint/internal/model"
 	"flint/internal/sched"
@@ -50,62 +51,13 @@ func ParseMode(s string) (Mode, error) {
 	return "", fmt.Errorf("coord: unknown mode %q (want sync or async)", s)
 }
 
-// AggregationConfig selects the commit pipeline's reducer and the
-// pre-reduce robust screen. The zero value keeps the mode's default
-// strategy (FedAvg for sync, FedBuff for async) with no screening.
-type AggregationConfig struct {
-	// Strategy names the reducer: "" keeps the mode default, "fedavg"
-	// and "fedbuff" pin it explicitly (and must match the mode), and
-	// "trimmed-mean" / "coordinate-median" install the Byzantine-robust
-	// column reducers. The robust reducers need the round's full update
-	// population in one place, so they require sync mode and are
-	// rejected in hierarchical (shard) mode, where each replica reduces
-	// only its own cohort.
-	Strategy string
-	// TrimFrac is trimmed-mean's per-side trim fraction in [0, 0.5)
-	// (default 0.1 when Strategy is "trimmed-mean").
-	TrimFrac float64
-	// ScreenMaxNorm rejects updates whose L2 norm exceeds this absolute
-	// cap before they enter the reduce (0 disables).
-	ScreenMaxNorm float64
-	// ScreenMedianFactor rejects updates whose norm exceeds this multiple
-	// of the round's median update norm (0 disables; a robust Strategy
-	// defaults it to 4 when neither screen knob is set — boosted attacks
-	// announce themselves by norm before they reach the reducer). Unlike
-	// the robust reducers, the screen is a per-update predicate and so
-	// stays legal in shard mode, applied per shard cohort.
-	ScreenMedianFactor float64
-}
-
-// robust reports whether the named strategy needs the full update
-// population (and therefore sync mode on an unsharded coordinator).
-func (a AggregationConfig) robust() bool {
-	return a.Strategy == "trimmed-mean" || a.Strategy == "coordinate-median"
-}
-
-// DPConfig enables the commit pipeline's post-reduce central-DP stage
-// (§3.6 on the live path): the round's aggregate delta is clipped to
-// ClipNorm and seeded Gaussian noise is added before publishing, with a
-// per-round (ε, δ) accountant surfaced in /v1/status. The zero value
-// disables the stage.
-type DPConfig struct {
-	// Epsilon is the per-round ε target; > 0 enables noise with
-	// multiplier σ = sqrt(2·ln(1/δ))/ε (the accountant's approximation,
-	// matching aggregator.DPConfig.EpsilonApprox).
-	Epsilon float64
-	// Delta is the DP δ (default 1e-5 when Epsilon > 0).
-	Delta float64
-	// ClipNorm caps the L2 norm of the aggregate delta (default 1 when
-	// Epsilon > 0; setting it alone enables clipping without noise).
-	ClipNorm float64
-	// Seed seeds the Gaussian noise; the per-round stream is derived
-	// from it and the committed version, so a replayed round reproduces
-	// its noise exactly (0 = Config.Seed).
-	Seed int64
-}
-
-// Enabled reports whether the DP stage runs at commit.
-func (d DPConfig) Enabled() bool { return d.ClipNorm > 0 || d.Epsilon > 0 }
+// AggregationConfig and DPConfig are the commit pipeline's reducer/screen
+// and central-DP settings; their fields, range checks and defaults live in
+// internal/aggregator, shared with the simulator.
+type (
+	AggregationConfig = aggregator.AggregationConfig
+	DPConfig          = aggregator.DPConfig
+)
 
 // Config parameterizes a Coordinator.
 type Config struct {
@@ -180,11 +132,15 @@ type Config struct {
 
 	// Aggregation selects the commit reducer and pre-reduce norm screen.
 	// The zero value keeps the mode's default strategy with no screen.
+	// The robust reducers require sync mode, are refused in hierarchical
+	// (shard) mode, and default ScreenMedianFactor to 4 when neither
+	// screen knob is set.
 	Aggregation AggregationConfig
 
 	// DP enables central differential privacy on the commit path: clip
 	// the aggregate delta, add seeded Gaussian noise, account ε per
-	// round. The zero value disables it.
+	// round. The zero value disables it; shard mode refuses it, and its
+	// noise seed defaults to Seed.
 	DP DPConfig
 
 	// Exchange, when non-nil, puts the coordinator in hierarchical
@@ -221,8 +177,6 @@ type Config struct {
 	// 0 means the default. Long-running servers need a bound — every
 	// version is a full serialized model.
 	KeepVersions int
-	// HistoryLimit bounds the in-memory committed/abandoned round log.
-	HistoryLimit int
 
 	// Clock overrides time.Now for tests.
 	Clock func() time.Time
@@ -298,20 +252,11 @@ func (c Config) withDefaults() (Config, error) {
 			return c, fmt.Errorf("coord: negative shard id %d", c.ShardID)
 		}
 	}
-	switch c.Aggregation.Strategy {
-	case "", "trimmed-mean", "coordinate-median":
-	case "fedavg":
-		if c.Mode != ModeSync {
-			return c, fmt.Errorf("coord: aggregation %q requires sync mode, got %s", c.Aggregation.Strategy, c.Mode)
-		}
-	case "fedbuff":
-		if c.Mode != ModeAsync {
-			return c, fmt.Errorf("coord: aggregation %q requires async mode, got %s", c.Aggregation.Strategy, c.Mode)
-		}
-	default:
-		return c, fmt.Errorf("coord: unknown aggregation strategy %q (want fedavg, fedbuff, trimmed-mean, or coordinate-median)", c.Aggregation.Strategy)
+	var err error
+	if c.Aggregation, err = c.Aggregation.WithDefaults(c.Mode == ModeAsync); err != nil {
+		return c, fmt.Errorf("coord: %w", err)
 	}
-	if c.Aggregation.robust() {
+	if c.Aggregation.Robust() {
 		if c.Mode != ModeSync {
 			// The robust column reducers select per coordinate over the whole
 			// round population; FedBuff's incremental buffer folds have no
@@ -321,57 +266,26 @@ func (c Config) withDefaults() (Config, error) {
 		if c.Exchange != nil {
 			return c, fmt.Errorf("coord: robust aggregation %q is unavailable in hierarchical (shard) mode: each shard reduces only its own cohort, so a per-shard median/trim would not be robust over the round population — use the per-shard norm screen (ScreenMaxNorm / ScreenMedianFactor) instead", c.Aggregation.Strategy)
 		}
+		// Boosted attacks announce themselves by norm before they reach
+		// the reducer, so a robust reducer brings a median-factor screen
+		// unless either screen knob is set.
 		if c.Aggregation.ScreenMaxNorm == 0 && c.Aggregation.ScreenMedianFactor == 0 {
 			c.Aggregation.ScreenMedianFactor = 4
 		}
 	}
-	if c.Aggregation.Strategy == "trimmed-mean" {
-		if c.Aggregation.TrimFrac == 0 {
-			c.Aggregation.TrimFrac = 0.1
-		}
-		if c.Aggregation.TrimFrac < 0 || c.Aggregation.TrimFrac >= 0.5 {
-			return c, fmt.Errorf("coord: trim fraction %v outside [0, 0.5)", c.Aggregation.TrimFrac)
-		}
-	} else if c.Aggregation.TrimFrac != 0 {
-		return c, fmt.Errorf("coord: trim fraction set but aggregation strategy is %q, not trimmed-mean", c.Aggregation.Strategy)
+	if c.DP, err = c.DP.WithDefaults(c.Seed); err != nil {
+		return c, fmt.Errorf("coord: %w", err)
 	}
-	if c.Aggregation.ScreenMaxNorm < 0 {
-		return c, fmt.Errorf("coord: negative screen max norm %v", c.Aggregation.ScreenMaxNorm)
-	}
-	if f := c.Aggregation.ScreenMedianFactor; f != 0 && f < 1 {
-		return c, fmt.Errorf("coord: screen median factor %v below 1", f)
-	}
-	if c.DP.Epsilon < 0 {
-		return c, fmt.Errorf("coord: negative dp epsilon %v", c.DP.Epsilon)
-	}
-	if c.DP.ClipNorm < 0 {
-		return c, fmt.Errorf("coord: negative dp clip norm %v", c.DP.ClipNorm)
-	}
-	if c.DP.Enabled() {
-		if c.Exchange != nil {
-			// The DP stage noises the full-population aggregate once per
-			// round; per-shard noise would compound σ by sqrt(shards) and the
-			// accountant would undercount. The tier leader is where a sharded
-			// DP stage belongs; until it exists, reject rather than mislead.
-			return c, fmt.Errorf("coord: central DP is unavailable in hierarchical (shard) mode: noise must be added once over the full round population, not per shard")
-		}
-		if c.DP.Delta == 0 {
-			c.DP.Delta = 1e-5
-		}
-		if c.DP.Delta <= 0 || c.DP.Delta >= 1 {
-			return c, fmt.Errorf("coord: dp delta %v outside (0, 1)", c.DP.Delta)
-		}
-		if c.DP.ClipNorm == 0 {
-			c.DP.ClipNorm = 1
-		}
-		if c.DP.Seed == 0 {
-			c.DP.Seed = c.Seed
-		}
+	if c.DP.Enabled() && c.Exchange != nil {
+		// The DP stage noises the full-population aggregate once per
+		// round; per-shard noise would compound σ by sqrt(shards) and the
+		// accountant would undercount. The tier leader is where a sharded
+		// DP stage belongs; until it exists, reject rather than mislead.
+		return c, fmt.Errorf("coord: central DP is unavailable in hierarchical (shard) mode: noise must be added once over the full round population, not per shard")
 	}
 	if c.LocalSteps <= 0 {
 		c.LocalSteps = 20
 	}
-	var err error
 	if c.Transport, err = c.Transport.WithDefaults(); err != nil {
 		return c, fmt.Errorf("coord: %w", err)
 	}
@@ -383,9 +297,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.KeepVersions == 0 {
 		c.KeepVersions = 8
-	}
-	if c.HistoryLimit <= 0 {
-		c.HistoryLimit = 256
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now

@@ -167,7 +167,7 @@ type StatusReport struct {
 	// fleet-visible drift metric the poison-replay drills assert on.
 	ModelNorm float64 `json:"model_norm"`
 	// Privacy is the DP stage's accountant view; nil when DP is off.
-	Privacy *PrivacyReport `json:"privacy,omitempty"`
+	Privacy *aggregator.PrivacyReport `json:"privacy,omitempty"`
 }
 
 // serving pairs the current round with the broadcast plane it trains
@@ -193,6 +193,9 @@ type persistReq struct {
 // the commit pipeline wait for the disk — bounded memory beats unbounded
 // deferral — but the serving paths never notice either way.
 const persistQueueDepth = 16
+
+// recentRounds bounds the finished-round log /v1/status reports.
+const recentRounds = 8
 
 // Coordinator is the live federated training server: it tracks the device
 // fleet in a sharded registry, runs the round lifecycle, folds updates via
@@ -224,7 +227,7 @@ type Coordinator struct {
 	// layer (zero value = disabled); dp is the post-reduce clip-and-noise
 	// stage (nil = disabled).
 	screen     aggregator.NormScreen
-	dp         *dpState
+	dp         *aggregator.DP
 	counters   *metrics.CounterSet
 	negotiator *transport.Negotiator
 	// sched is the scheduling plane: measured-bandwidth cohort map,
@@ -270,8 +273,8 @@ type Coordinator struct {
 	// mutates. Guarded by mu.
 	global model.Model
 
-	// historyMu guards the finished-round log (commit appends O(1),
-	// /v1/status reads).
+	// historyMu guards the finished-round log: the last recentRounds
+	// committed/abandoned rounds, which /v1/status returns whole.
 	historyMu sync.Mutex
 	history   []RoundSummary
 
@@ -333,26 +336,12 @@ func New(cfg Config) (*Coordinator, error) {
 	// per-coordinate selection is deterministic). Screen folds the
 	// post-aggregate non-finite sweep into the same pass, per worker
 	// range, while the accumulator is still cache-hot.
-	switch cfg.Aggregation.Strategy {
-	case "trimmed-mean":
-		c.strategy = aggregator.Parallel{Inner: aggregator.TrimmedMean{TrimFrac: cfg.Aggregation.TrimFrac}, Screen: true}
-	case "coordinate-median":
-		c.strategy = aggregator.Parallel{Inner: aggregator.CoordinateMedian{}, Screen: true}
-	default:
-		switch cfg.Mode {
-		case ModeSync:
-			c.strategy = aggregator.Parallel{Inner: aggregator.FedAvg{}, Screen: true}
-		case ModeAsync:
-			c.strategy = aggregator.Parallel{Inner: aggregator.FedBuff{ServerLR: cfg.ServerLR, Alpha: cfg.StalenessAlpha}, Screen: true}
-		}
+	c.strategy = aggregator.Parallel{
+		Inner:  cfg.Aggregation.Reducer(cfg.Mode == ModeAsync, aggregator.FedBuff{ServerLR: cfg.ServerLR, Alpha: cfg.StalenessAlpha}),
+		Screen: true,
 	}
-	c.screen = aggregator.NormScreen{
-		MaxNorm:      cfg.Aggregation.ScreenMaxNorm,
-		MedianFactor: cfg.Aggregation.ScreenMedianFactor,
-	}
-	if cfg.DP.Enabled() {
-		c.dp = newDPState(cfg.DP)
-	}
+	c.screen = cfg.Aggregation.Screen()
+	c.dp = aggregator.NewDP(cfg.DP)
 	v, err := store.Put(cfg.ModelName, m)
 	if err != nil {
 		return nil, err
@@ -1169,7 +1158,7 @@ func (c *Coordinator) commitLocked(r *Round, now time.Time) {
 	// here can reintroduce what the fused non-finite screen just ruled
 	// out.
 	if c.dp != nil {
-		eps, noised := c.dp.apply(params, bs.published, bs.version+1, len(updates))
+		eps, noised := c.dp.Apply(params, bs.published, bs.version+1, len(updates))
 		if noised {
 			c.counters.Counter("dp_rounds").Inc()
 			r.noteEpsilon(eps)
@@ -1276,8 +1265,8 @@ func (c *Coordinator) finishLocked(r *Round, newVersion int, bs *broadcastState,
 	summary := r.summary(newVersion, now)
 	c.historyMu.Lock()
 	c.history = append(c.history, summary)
-	if len(c.history) > c.cfg.HistoryLimit {
-		c.history = c.history[len(c.history)-c.cfg.HistoryLimit:]
+	if len(c.history) > recentRounds {
+		c.history = c.history[len(c.history)-recentRounds:]
 	}
 	c.historyMu.Unlock()
 	next := c.newRound(r.ID+1, bs, now)
@@ -1294,15 +1283,8 @@ func (c *Coordinator) Status() StatusReport {
 	census := c.reg.Census(c.cfg.Criteria, now)
 	sv := c.serving.Load()
 	rs := sv.round.status()
-	recent := make([]RoundSummary, 0, 8)
 	c.historyMu.Lock()
-	if n := len(c.history); n > 0 {
-		lo := n - 8
-		if lo < 0 {
-			lo = 0
-		}
-		recent = append(recent, c.history[lo:]...)
-	}
+	recent := append([]RoundSummary(nil), c.history...)
 	c.historyMu.Unlock()
 	sr := c.sched.Report()
 	// Stamp the registry half of the footprint section into the report
@@ -1331,7 +1313,7 @@ func (c *Coordinator) Status() StatusReport {
 		ModelNorm: sv.bcast.published.Norm2(),
 	}
 	if c.dp != nil {
-		st.Privacy = c.dp.report()
+		st.Privacy = c.dp.Report()
 	}
 	return st
 }

@@ -88,12 +88,15 @@ type Config struct {
 	// poll tasks to run from a leader node").
 	Executors int
 
-	// DP optionally wraps aggregation with clip+noise (§3.6).
-	DP *aggregator.DPConfig
+	// Aggregation selects the reducer and the pre-reduce norm screen, as
+	// on the live server (the zero value keeps the mode's reducer with no
+	// screen; robust reducers are allowed in either mode here).
+	Aggregation aggregator.AggregationConfig
+	// DP enables the server's central-DP stage (§3.6): clip the round's
+	// aggregate delta, add noise seeded per version (0 seed = Seed).
+	DP aggregator.DPConfig
 	// Adversary optionally poisons compromised clients' updates.
 	Adversary *aggregator.Adversary
-	// Robust switches aggregation to trimmed-mean (defense evaluation).
-	RobustTrimFrac float64
 
 	// CheckpointEvery rounds the leader persists state ("the leader
 	// frequently checkpoints the virtual time and recent model weights");
@@ -154,13 +157,11 @@ func (c Config) Validate() error {
 	if c.Executors <= 0 {
 		return fmt.Errorf("fedsim: Executors must be positive, got %d", c.Executors)
 	}
-	if c.RobustTrimFrac < 0 || c.RobustTrimFrac >= 0.5 {
-		return fmt.Errorf("fedsim: RobustTrimFrac %v outside [0,0.5)", c.RobustTrimFrac)
+	if _, err := c.Aggregation.WithDefaults(c.Mode == Async); err != nil {
+		return err
 	}
-	if c.DP != nil {
-		if err := c.DP.Validate(); err != nil {
-			return err
-		}
+	if _, err := c.DP.WithDefaults(c.Seed); err != nil {
+		return err
 	}
 	if c.Adversary != nil {
 		if err := c.Adversary.Validate(); err != nil {
@@ -171,30 +172,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("fedsim: CheckpointEvery set without CheckpointPath")
 	}
 	return nil
-}
-
-// strategy builds the aggregation pipeline from the config.
-func (c Config) strategy() (aggregator.Strategy, error) {
-	var s aggregator.Strategy
-	switch c.Mode {
-	case Sync:
-		s = aggregator.FedAvg{}
-	case Async:
-		s = aggregator.FedBuff{ServerLR: c.ServerLR, Alpha: c.StalenessAlpha}
-	default:
-		return nil, fmt.Errorf("fedsim: unknown mode %q", c.Mode)
-	}
-	if c.RobustTrimFrac > 0 {
-		s = aggregator.TrimmedMean{TrimFrac: c.RobustTrimFrac}
-	}
-	if c.DP != nil {
-		dp, err := aggregator.NewDP(*c.DP, s)
-		if err != nil {
-			return nil, err
-		}
-		s = dp
-	}
-	return s, nil
 }
 
 // ShardProvider resolves a client id to its local dataset. Generators

@@ -417,7 +417,7 @@ func TestDPRun(t *testing.T) {
 	env := testEnv(t, 100, 25)
 	cfg := asyncConfig(26)
 	cfg.MaxRounds = 4
-	cfg.DP = &aggregator.DPConfig{ClipNorm: 1, NoiseMultiplier: 0.05, Seed: 3}
+	cfg.DP = aggregator.DPConfig{Epsilon: 8, ClipNorm: 1, Seed: 3}
 	rep, err := Run(cfg, env)
 	if err != nil {
 		t.Fatal(err)
@@ -432,7 +432,7 @@ func TestPoisonWithRobustDefense(t *testing.T) {
 	cfg := asyncConfig(28)
 	cfg.MaxRounds = 5
 	cfg.Adversary = &aggregator.Adversary{Attack: aggregator.SignFlip{Scale: 5}, Fraction: 0.2, Seed: 4}
-	cfg.RobustTrimFrac = 0.25
+	cfg.Aggregation = aggregator.AggregationConfig{Strategy: "trimmed-mean", TrimFrac: 0.25}
 	rep, err := Run(cfg, env)
 	if err != nil {
 		t.Fatal(err)

@@ -35,7 +35,11 @@ type sim struct {
 	cursor *windowCursor
 	pool   *executorPool
 	snaps  *snapshotStore
+	// screen → strat → dp are the server's commit stages, built from the
+	// same configuration (dp is nil when DP is off).
+	screen aggregator.NormScreen
 	strat  aggregator.Strategy
+	dp     *aggregator.DP
 
 	global    tensor.Vector
 	evalModel model.Model
@@ -66,10 +70,9 @@ func newSim(cfg Config, env *Environment) (*sim, error) {
 	if err := env.Validate(); err != nil {
 		return nil, err
 	}
-	strat, err := cfg.strategy()
-	if err != nil {
-		return nil, err
-	}
+	// Validate accepted both configs, so defaulting cannot fail here.
+	agg, _ := cfg.Aggregation.WithDefaults(cfg.Mode == Async)
+	dp, _ := cfg.DP.WithDefaults(cfg.Seed)
 	evalModel, err := model.New(cfg.ModelKind, cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -89,7 +92,9 @@ func newSim(cfg Config, env *Environment) (*sim, error) {
 		cursor:    newWindowCursor(env.Trace),
 		pool:      pool,
 		snaps:     newSnapshotStore(),
-		strat:     strat,
+		screen:    agg.Screen(),
+		strat:     agg.Reducer(cfg.Mode == Async, aggregator.FedBuff{ServerLR: cfg.ServerLR, Alpha: cfg.StalenessAlpha}),
+		dp:        aggregator.NewDP(dp),
 		global:    evalModel.Params().Clone(),
 		evalModel: evalModel,
 		busyUntil: make(map[int64]float64),
@@ -191,7 +196,7 @@ func (s *sim) dispatch(w availability.Window) *task {
 }
 
 // chargeCompute accounts device time for a finished task.
-func (s *sim) chargeCompute(t *task, observedEnd float64) {
+func (s *sim) chargeCompute(t *task) {
 	var sec float64
 	switch {
 	case t.failed:
@@ -204,7 +209,6 @@ func (s *sim) chargeCompute(t *task, observedEnd float64) {
 	if sec < 0 {
 		sec = 0
 	}
-	_ = observedEnd
 	s.cur.ComputeSec += sec
 	s.report.TotalComputeSec += sec
 }
@@ -226,10 +230,24 @@ func (s *sim) aggregate() error {
 		}
 		updates = poisoned
 	}
-	lrRound := s.round
-	if err := s.strat.Aggregate(s.global, updates); err != nil {
+	// The server's commit: screen → reduce → clip → noise, with the DP
+	// noise keyed to the version this round publishes, numbered like the
+	// model store's (initial params are v1).
+	kept, _ := s.screen.Apply(updates)
+	if len(kept) == 0 {
+		return fmt.Errorf("fedsim: the norm screen rejected all %d updates", len(updates))
+	}
+	var published tensor.Vector
+	if s.dp != nil {
+		published = s.global.Clone()
+	}
+	if err := s.strat.Aggregate(s.global, kept); err != nil {
 		return err
 	}
+	if s.dp != nil {
+		s.dp.Apply(s.global, published, s.round+2, len(kept))
+	}
+	lrRound := s.round
 	s.round++
 	now := s.clock.Now()
 	s.cur.Round = s.round
@@ -384,7 +402,7 @@ func (s *sim) fillSlots() {
 // insertion, and aggregation when the buffer fills.
 func (s *sim) completeAsync(t *task) error {
 	s.inflight--
-	s.chargeCompute(t, s.clock.Now())
+	s.chargeCompute(t)
 	switch {
 	case t.failed:
 		s.cur.Failed++
@@ -540,7 +558,7 @@ func (s *sim) runSyncRound() (bool, error) {
 	aggregated := 0
 	lastAggEnd := s.clock.Now()
 	for _, d := range completions {
-		s.chargeCompute(d.t, d.end)
+		s.chargeCompute(d.t)
 		switch {
 		case d.t.failed:
 			s.cur.Failed++

@@ -27,12 +27,6 @@ func EvalAUPR(m Model, ds *data.Dataset) (float64, error) {
 	return metrics.AUPR(scores, labels)
 }
 
-// EvalLogLoss evaluates mean binary cross-entropy on the dataset.
-func EvalLogLoss(m Model, ds *data.Dataset) (float64, error) {
-	scores, labels := Scores(m, ds)
-	return metrics.LogLoss(scores, labels)
-}
-
 // EvalNDCG evaluates mean NDCG@k over the dataset's query groups, the
 // offline metric for the search domain (Table 4). Records without a QueryID
 // and zero-relevance groups (queries with no engagement, for which NDCG is

@@ -14,17 +14,6 @@ func Sigmoid(x float64) float64 {
 	return e / (1 + e)
 }
 
-// ReLU returns max(0, x).
-func ReLU(x float64) float64 {
-	if x > 0 {
-		return x
-	}
-	return 0
-}
-
-// Tanh returns the hyperbolic tangent of x.
-func Tanh(x float64) float64 { return math.Tanh(x) }
-
 // ApplyReLU applies ReLU element-wise in place and records the active mask in
 // mask (1 where x>0). mask may be nil.
 func ApplyReLU(v, mask Vector) {

@@ -1340,11 +1340,11 @@ func BenchmarkAblationRobustAggregation(b *testing.B) {
 		for _, mode := range []struct {
 			name string
 			adv  *aggregator.Adversary
-			trim float64
+			agg  aggregator.AggregationConfig
 		}{
-			{"clean", nil, 0},
-			{"poisoned", adversary, 0},
-			{"poisoned+trimmed-mean", adversary, 0.25},
+			{"clean", nil, aggregator.AggregationConfig{}},
+			{"poisoned", adversary, aggregator.AggregationConfig{}},
+			{"poisoned+trimmed-mean", adversary, aggregator.AggregationConfig{Strategy: "trimmed-mean", TrimFrac: 0.25}},
 		} {
 			env, _, err := core.BuildEnvironment(spec, scale, 1)
 			if err != nil {
@@ -1352,7 +1352,7 @@ func BenchmarkAblationRobustAggregation(b *testing.B) {
 			}
 			cfg := core.AsyncConfig(spec, scale, 1)
 			cfg.Adversary = mode.adv
-			cfg.RobustTrimFrac = mode.trim
+			cfg.Aggregation = mode.agg
 			rep, err := fedsim.Run(cfg, env)
 			if err != nil {
 				b.Fatal(err)
