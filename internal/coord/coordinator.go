@@ -1164,7 +1164,13 @@ func (c *Coordinator) commitLocked(r *Round, now time.Time) {
 			r.noteEpsilon(eps)
 		}
 	}
-	if c.publishLocked(r, bs, bs.version+1, now) {
+	// The serialized snapshot the store will hold for the new version.
+	var buf bytes.Buffer
+	if err := model.Save(c.global, &buf); err != nil {
+		c.abortCommitLocked(r, bs, params, "round_publish_error", now)
+		return
+	}
+	if c.publishLocked(r, bs, bs.version+1, buf.Bytes(), now) {
 		c.counters.Counter("updates_aggregated").Add(int64(len(updates)))
 	}
 }
@@ -1173,11 +1179,14 @@ func (c *Coordinator) commitLocked(r *Round, now time.Time) {
 // updated global params becoming version v (stage 2: successor
 // broadcast plane; stage 3: store insert, serving swap, write-behind
 // persist). Both the local aggregation path and the hierarchical
-// install path end here. A failure is a publish failure: devices could
-// not fetch the version we would be announcing, so the params roll back
-// to the current plane's published snapshot and the round drops.
-// Callers hold mu.
-func (c *Coordinator) publishLocked(r *Round, bs *broadcastState, v int, now time.Time) bool {
+// install path end here; each hands over ckpt, the checkpoint bytes of
+// the params it produced, which the store keeps (the local commit
+// serializes with model.Save, an install frames the leader's raw64
+// blob as received). A failure is a publish failure: devices could not
+// fetch the version we would be announcing, so the params roll back to
+// the current plane's published snapshot and the round drops. Callers
+// hold mu.
+func (c *Coordinator) publishLocked(r *Round, bs *broadcastState, v int, ckpt []byte, now time.Time) bool {
 	// The published clone cannot come from the scratch pool: the plane and
 	// the version ring retain it for RingDepth commits and in-flight
 	// readers share it read-only, so recycling it would tear a concurrent
@@ -1186,12 +1195,7 @@ func (c *Coordinator) publishLocked(r *Round, bs *broadcastState, v int, now tim
 	// The serialized snapshot lands in the store's memory before the
 	// serving swap (tasks must never reference a version the store
 	// cannot answer for); the disk write rides the write-behind queue.
-	var buf bytes.Buffer
-	if err := model.Save(c.global, &buf); err != nil {
-		c.abortCommitLocked(r, bs, c.global.Params(), "round_publish_error", now)
-		return false
-	}
-	if err := c.store.PutAt(c.cfg.ModelName, v, buf.Bytes()); err != nil {
+	if err := c.store.PutAt(c.cfg.ModelName, v, ckpt); err != nil {
 		c.abortCommitLocked(r, bs, c.global.Params(), "round_publish_error", now)
 		return false
 	}

@@ -7,6 +7,7 @@ import (
 
 	"flint/internal/aggregator"
 	"flint/internal/codec"
+	"flint/internal/model"
 )
 
 // ErrTierHalted is what a PartialExchange returns while the shard
@@ -161,6 +162,14 @@ func (c *Coordinator) exchangeLoop(r *Round, pc PartialCommit) {
 // tier did not advance (the leader is still buffering partials), the
 // round concludes on the unchanged plane. Either way the successor
 // round opens and assignment resumes.
+//
+// The install runs under mu with the shard's round parked, so it copies
+// each vector once: the blob is validated as a view (CRC and structure),
+// decoded straight into the global params, and stored as the received
+// bytes behind the checkpoint header — which is exactly what model.Save
+// would write for those params, without re-encoding or re-checksumming
+// them. Only a raw64, non-delta blob of this model's dimension installs;
+// anything else is rejected before the params are touched.
 func (c *Coordinator) installGlobal(r *Round, inst GlobalInstall) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -184,12 +193,14 @@ func (c *Coordinator) installGlobal(r *Round, inst GlobalInstall) {
 		c.finishLocked(r, 0, bs, now)
 		return
 	}
-	params, _, err := codec.Decode(inst.Blob)
-	if err == nil && len(params) != c.dim {
-		err = fmt.Errorf("coord: install v%d carries %d params, want %d", inst.Version, len(params), c.dim)
+	view, err := codec.ParsePayload(inst.Blob)
+	if err == nil && (view.Scheme().Kind != codec.KindRawF64 || view.IsDelta() || view.Dim() != c.dim) {
+		err = fmt.Errorf("coord: install v%d is a %s blob of %d params (delta %t), want raw64 of %d",
+			inst.Version, view.Scheme(), view.Dim(), view.IsDelta(), c.dim)
 	}
+	var ckpt []byte
 	if err == nil {
-		err = c.global.SetParams(params)
+		ckpt, err = model.Frame(c.global.Kind(), inst.Blob)
 	}
 	if err != nil {
 		// A malformed install is a publish failure: stay on the old
@@ -199,7 +210,8 @@ func (c *Coordinator) installGlobal(r *Round, inst GlobalInstall) {
 		c.abortCommitLocked(r, bs, nil, "round_publish_error", now)
 		return
 	}
-	if !c.publishLocked(r, bs, inst.Version, now) {
+	view.CopyRange(c.global.Params(), 0, c.dim)
+	if !c.publishLocked(r, bs, inst.Version, ckpt, now) {
 		// publishLocked rolled the params back to the old plane's
 		// published snapshot and dropped the round.
 		return

@@ -23,22 +23,41 @@ const (
 	saveVersion = 1
 )
 
+// Frame returns a checkpoint of a model of the given kind whose
+// parameters are already encoded as the codec blob: the header and blob
+// in one allocation (Frame(kind, nil) is the bare header). For a raw64
+// blob of m.Params() the bytes equal what Save(m) writes, because the
+// raw64 encoding is deterministic, so a caller holding such a blob
+// checkpoints it without re-encoding or re-checksumming the parameters.
+// The blob is not validated here.
+func Frame(kind Kind, blob []byte) ([]byte, error) {
+	if len(kind) == 0 || len(kind) > 255 {
+		return nil, fmt.Errorf("model: save: bad kind %q", kind)
+	}
+	var buf [len(saveMagic) + 2 + 255]byte
+	hdr := append(buf[:0], saveMagic...)
+	hdr = append(hdr, saveVersion, byte(len(kind)))
+	hdr = append(hdr, kind...)
+	// Join makes the one allocation without first zeroing the bytes it
+	// copies the blob over.
+	return bytes.Join([][]byte{hdr, blob}, nil), nil
+}
+
 // Save writes the model's kind and parameters to w — the model-store
 // checkpoint format shared by centralized and FL training (paper §3.1's
 // shared model store, §3.4's leader checkpointing).
 func Save(m Model, w io.Writer) error {
-	kind := string(m.Kind())
-	if len(kind) == 0 || len(kind) > 255 {
-		return fmt.Errorf("model: save: bad kind %q", kind)
+	kind := m.Kind()
+	// The header alone: Save streams the blob after it rather than
+	// copying it into one buffer.
+	hdr, err := Frame(kind, nil)
+	if err != nil {
+		return err
 	}
 	blob, err := codec.Encode(m.Params(), codec.RawF64)
 	if err != nil {
 		return fmt.Errorf("model: save %s: %w", kind, err)
 	}
-	hdr := make([]byte, 0, len(saveMagic)+2+len(kind))
-	hdr = append(hdr, saveMagic...)
-	hdr = append(hdr, saveVersion, byte(len(kind)))
-	hdr = append(hdr, kind...)
 	if _, err := w.Write(hdr); err != nil {
 		return fmt.Errorf("model: save %s: %w", kind, err)
 	}

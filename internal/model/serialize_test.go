@@ -2,9 +2,57 @@ package model
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
+
+	"flint/internal/codec"
 )
+
+// TestFrameMatchesSave pins the framing both checkpoint writers share:
+// Frame over the raw64 blob of a model's params is Save's output byte
+// for byte, and it loads back to the same kind and bits.
+func TestFrameMatchesSave(t *testing.T) {
+	for _, kind := range []Kind{KindA, KindB} {
+		m, err := New(kind, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := Save(m, &buf); err != nil {
+			t.Fatal(err)
+		}
+		blob, err := codec.Encode(m.Params(), codec.RawF64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		framed, err := Frame(kind, blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(framed, buf.Bytes()) {
+			t.Fatalf("%s: Frame differs from Save (%d vs %d bytes)", kind, len(framed), buf.Len())
+		}
+		if cap(framed) != len(framed) {
+			t.Fatalf("%s: Frame allocated %d bytes for a %d-byte checkpoint", kind, cap(framed), len(framed))
+		}
+		back, err := Load(bytes.NewReader(framed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.Kind() != kind {
+			t.Fatalf("loaded kind %s, want %s", back.Kind(), kind)
+		}
+		for i, x := range back.Params() {
+			if math.Float64bits(x) != math.Float64bits(m.Params()[i]) {
+				t.Fatalf("%s: param %d differs after Frame → Load", kind, i)
+			}
+		}
+	}
+	if _, err := Frame("", nil); err == nil {
+		t.Fatal("Frame accepted an empty kind")
+	}
+}
 
 // TestLoadCorruptCheckpoint checks that damage at each framing layer
 // yields a clear, identifying error.

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -239,6 +240,97 @@ func TestGatewayRollup(t *testing.T) {
 	if err := json.Unmarshal(roll.Shards[1].Status, &st); err != nil || st.ShardIndex != 1 {
 		t.Fatalf("shard row 1 carries wrong status doc: %s", roll.Shards[1].Status)
 	}
+}
+
+// TestGatewayRelaysTaskBodies drives the relay through a one-shard
+// gateway: a multi-chunk body arrives whole and exact with no proxy
+// error; a body the shard aborts mid-stream is counted in proxy_errors
+// and reaches the client as a failed read, not as a short body that
+// looks complete; and a client that hangs up is not a proxy error.
+func TestGatewayRelaysTaskBodies(t *testing.T) {
+	if _, ok := any(writerOnly{}).(io.ReaderFrom); ok {
+		t.Fatal("writerOnly exposes ReadFrom: the relay buffer would be bypassed")
+	}
+	body := make([]byte, 3*relayBufSize+12345)
+	for i := range body {
+		body[i] = byte(i * 7)
+	}
+	waiting := make(chan struct{})
+	backend := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Query().Get("device") {
+		case "2":
+			// Chunked (no Content-Length), cut off after the first chunk.
+			w.WriteHeader(http.StatusOK)
+			w.Write(body[:relayBufSize])
+			w.(http.Flusher).Flush()
+			panic(http.ErrAbortHandler)
+		case "3":
+			// Hold the response until the gateway gives up on it.
+			close(waiting)
+			<-r.Context().Done()
+		default:
+			w.Write(body)
+		}
+	}))
+	defer backend.Close()
+	leader, err := NewLeader(LeaderConfig{Shards: 1, Grace: time.Hour, Params: testParams})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader.Ping(0)
+	gw, err := NewGateway(GatewayConfig{Shards: []string{backend.URL}, Leader: leader})
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{}, 1)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer func() { served <- struct{}{} }()
+		gw.ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	proxyErrors := func(what string, want int64) {
+		t.Helper()
+		<-served
+		if n := gw.Counters().Counter("proxy_errors").Value(); n != want {
+			t.Fatalf("proxy_errors = %d after %s, want %d", n, what, want)
+		}
+	}
+
+	resp, err := http.Get(srv.URL + "/v1/task?device=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || !bytes.Equal(got, body) {
+		t.Fatalf("relayed %d of %d bytes (err %v), or altered them", len(got), len(body), err)
+	}
+	proxyErrors("a clean relay", 0)
+
+	resp, err = http.Get(srv.URL + "/v1/task?device=2")
+	if err == nil {
+		_, err = io.ReadAll(resp.Body)
+		resp.Body.Close()
+	}
+	if err == nil {
+		t.Fatal("client read a body the shard aborted mid-stream as complete")
+	}
+	proxyErrors("a mid-body abort", 1)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-waiting
+		cancel()
+	}()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/task?device=3", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := http.DefaultClient.Do(req); err == nil {
+		resp.Body.Close()
+		t.Fatal("a canceled request got a response")
+	}
+	proxyErrors("a client hang-up", 1)
 }
 
 // TestHTTPExchangeRoundTrip drives the wire form of the exchange: a

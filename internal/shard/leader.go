@@ -293,8 +293,9 @@ func (l *Leader) SubmitPartial(pc coord.PartialCommit) (coord.GlobalInstall, err
 // non-finite partial slipped through a shard's screen, or a poisoned
 // weight) rolls the params back and drops the buffer: the tier keeps
 // its last good version and the shards' next rounds refill the buffer.
+// The rollback source is jg.blob, which encodes the last good params
+// bit-exactly, so no fold pays for a copy made just in case.
 func (l *Leader) foldLocked(job string, jg *jobGlobal) {
-	prev := jg.params.Clone()
 	err := l.strategy.Aggregate(jg.params, jg.buffer)
 	if err == nil {
 		var blob []byte
@@ -305,7 +306,11 @@ func (l *Leader) foldLocked(job string, jg *jobGlobal) {
 		}
 	}
 	if err != nil {
-		copy(jg.params, prev)
+		last, perr := codec.ParsePayload(jg.blob)
+		if perr != nil {
+			panic(fmt.Sprintf("shard: job %q install blob no longer parses: %v", job, perr))
+		}
+		last.CopyRange(jg.params, 0, len(jg.params))
 		l.counters.Counter("tier_fold_errors").Inc()
 	}
 	for i := range jg.buffer {

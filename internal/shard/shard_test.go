@@ -1,11 +1,16 @@
 package shard
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"flint/internal/codec"
 	"flint/internal/coord"
 	"flint/internal/model"
 	"flint/internal/tensor"
@@ -65,22 +70,8 @@ func driveRound(t *testing.T, c *coord.Coordinator, base int64, n int, scale flo
 	t.Helper()
 	for i := int64(1); i <= int64(n); i++ {
 		id := base + i
-		var task coord.Task
+		task := requestTask(t, c, id)
 		deadline := time.Now().Add(10 * time.Second)
-		for {
-			tk, err := c.RequestTask(id)
-			if err == nil {
-				task = tk
-				break
-			}
-			if !errors.Is(err, coord.ErrNoTask) {
-				t.Fatal(err)
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("device %d starved waiting for a task", id)
-			}
-			time.Sleep(time.Millisecond)
-		}
 		delta := tensor.NewVector(task.Dim)
 		for j := range delta {
 			delta[j] = scale * float64((int64(j)+id)%13-6) / 100
@@ -102,6 +93,23 @@ func driveRound(t *testing.T, c *coord.Coordinator, base int64, n int, scale flo
 			time.Sleep(time.Millisecond)
 		}
 	}
+}
+
+// requestTask polls until c serves device id a task. A commit or install
+// publishes its version before the successor round opens, so a request
+// made right after Version() moves can still meet the concluded round.
+func requestTask(t *testing.T, c *coord.Coordinator, id int64) coord.Task {
+	t.Helper()
+	var task coord.Task
+	waitFor(t, fmt.Sprintf("a task for device %d", id), func() bool {
+		tk, err := c.RequestTask(id)
+		if err != nil && !errors.Is(err, coord.ErrNoTask) {
+			t.Fatal(err)
+		}
+		task = tk
+		return err == nil
+	})
+	return task
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -150,14 +158,8 @@ func TestSingleShardTierMatchesFlatCommit(t *testing.T) {
 	waitFor(t, "flat commit", func() bool { return flat.Version() >= 2 })
 
 	_, tier := leader.Global("")
-	flatTask, err := flat.RequestTask(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shardTask, err := sharded.RequestTask(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	flatTask := requestTask(t, flat, 1)
+	shardTask := requestTask(t, sharded, 1)
 	if len(tier) != len(flatTask.Params) {
 		t.Fatalf("dim mismatch: tier %d, flat %d", len(tier), len(flatTask.Params))
 	}
@@ -224,6 +226,133 @@ func TestTwoShardTierFoldsAcrossShards(t *testing.T) {
 	}
 	if st.Jobs[""].Version != 3 {
 		t.Fatalf("status job version = %d, want 3", st.Jobs[""].Version)
+	}
+}
+
+// TestInstallStoresReceivedBytes pins the install fast path's invariant:
+// a shard stores the leader's raw64 blob behind the checkpoint header
+// instead of re-serializing its own params, so at every installed
+// version the stored bytes are model.Save of the leader's global, byte
+// for byte, and load back to the leader's bits.
+func TestInstallStoresReceivedBytes(t *testing.T) {
+	const devices, installs = 2, 8
+	leader, err := NewLeader(LeaderConfig{Shards: 1, Grace: time.Hour, Params: testParams})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader.Ping(0)
+	dir := t.TempDir()
+	c, err := coord.New(coord.Config{
+		Mode: coord.ModeSync, ModelKind: model.KindA, Seed: 7,
+		TargetUpdates: devices, Quorum: devices, OverCommit: 1,
+		RoundDeadline: time.Hour, Exchange: leader,
+		StoreDir: dir, KeepVersions: -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	name := c.Config().ModelName
+	checkInFleet(t, c, 0, devices)
+	want := make(map[int][]byte)
+	for v := 2; v < 2+installs; v++ {
+		driveRound(t, c, 0, devices, float64(v))
+		waitFor(t, "install", func() bool { return c.Version() == v })
+		lv, global := leader.Global("")
+		if lv != v {
+			t.Fatalf("leader at v%d, shard installed v%d", lv, v)
+		}
+		m, err := model.New(model.KindA, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SetParams(global); err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := model.Save(m, &buf); err != nil {
+			t.Fatal(err)
+		}
+		want[v] = buf.Bytes()
+		stored, err := c.Store().Get(name, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j, p := range stored.Params() {
+			if math.Float64bits(p) != math.Float64bits(global[j]) {
+				t.Fatalf("v%d: stored param %d = %v, leader's %v", v, j, p, global[j])
+			}
+		}
+	}
+	// Close waits out the last install's bookkeeping and flushes the
+	// write-behind queue: every version's stored bytes are on disk.
+	c.Close()
+	if got := c.Counters().Counter("global_installs").Value(); got != installs {
+		t.Fatalf("global_installs = %d, want %d", got, installs)
+	}
+	for v, w := range want {
+		got, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("%s-v%03d.fct", name, v)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, w) {
+			t.Fatalf("v%d: stored checkpoint (%d bytes) differs from model.Save of the leader's global (%d bytes)", v, len(got), len(w))
+		}
+	}
+}
+
+// TestLeaderFoldRollsBack: a fold the non-finite screen rejects leaves
+// the tier on its last good version and bits — restored from that
+// version's install blob — and the next good fold advances from there.
+func TestLeaderFoldRollsBack(t *testing.T) {
+	leader, err := NewLeader(LeaderConfig{Shards: 1, Grace: time.Hour, Params: testParams})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader.Ping(0)
+	if err := leader.EnsureJob(""); err != nil {
+		t.Fatal(err)
+	}
+	_, before := leader.Global("")
+	bad := tensor.NewVector(len(before))
+	bad[len(bad)/2] = math.Inf(1)
+	submit := func(partial tensor.Vector) coord.GlobalInstall {
+		blob, err := codec.Encode(partial, codec.RawF64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := leader.SubmitPartial(coord.PartialCommit{BaseVersion: 1, Updates: 1, Weight: 1, Blob: blob})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return inst
+	}
+	if inst := submit(bad); inst.Version != 1 || len(inst.Blob) != 0 {
+		t.Fatalf("rejected fold answered v%d with %d install bytes", inst.Version, len(inst.Blob))
+	}
+	if got := leader.Counters().Counter("tier_fold_errors").Value(); got != 1 {
+		t.Fatalf("tier_fold_errors = %d, want 1", got)
+	}
+	_, after := leader.Global("")
+	for j := range before {
+		if math.Float64bits(after[j]) != math.Float64bits(before[j]) {
+			t.Fatalf("param %d = %v after rollback, want %v", j, after[j], before[j])
+		}
+	}
+	good := tensor.NewVector(len(before))
+	good.Fill(0.25)
+	inst := submit(good)
+	if inst.Version != 2 {
+		t.Fatalf("good fold after a rollback reached v%d, want v2", inst.Version)
+	}
+	got, _, err := codec.Decode(inst.Blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j := range got {
+		if want := before[j] + 0.25; got[j] != want {
+			t.Fatalf("v2 param %d = %v, want %v", j, got[j], want)
+		}
 	}
 }
 
