@@ -27,11 +27,15 @@ const robustStride = robustTile + 8
 // streamMaxTrim is the largest per-side trim count the streaming selection
 // network handles; above it the tile is reduced by quickselect instead.
 // The network costs n·2k compare-exchanges a column and the selection n·c,
-// c being 10 to 15 exchanges' worth (falling slowly with n), so the
-// dispatch is on k alone. Measured on the bench box the two tie at k=4 for
-// n=64 and at k=7 for n=32 and the network wins every k a round of 13 can
-// have; 6 keeps the small-round median and trimmed 32/6 on the network
-// (BenchmarkRobustReduce prices both sides).
+// c being 10 to 15 scalar exchanges' worth (falling slowly with n) and
+// about twice that many packed ones, so the dispatch is on k alone. With
+// the packed amd64 exchange the two tie between k=11 and 12 for n=64, and
+// at n=32 the network still wins at k=12; with the scalar loop other
+// GOARCHes run they tie at k=4–5 and k=7–8 (BenchmarkTileKernels). Either
+// way the network wins every k a round of 13 can have. Raising the constant
+// would change the published bits of every round whose k crosses it (the
+// kernels sum the middle values in different orders), so it stays at 6,
+// which keeps the small-round median and trimmed 32/6 on the network.
 const streamMaxTrim = 6
 
 // scratch is a pooled float64 workspace: one worker's tile rows in
@@ -154,9 +158,11 @@ func streamTile(buf []float64, updates []Update, lo, hi, k int) []float64 {
 	return sum
 }
 
-// compareExchange sorts each column's pair: the smaller of (lo[c], hi[c])
-// ends in lo, the larger in hi. min and max propagate NaN into both.
-func compareExchange(lo, hi []float64) {
+// compareExchangeGeneric sorts each column's pair: the smaller of (lo[c],
+// hi[c]) ends in lo, the larger in hi. min and max propagate NaN into both.
+// It is compareExchange on every GOARCH but amd64, and the oracle the
+// packed amd64 kernel is tested against.
+func compareExchangeGeneric(lo, hi []float64) {
 	hi = hi[:len(lo)]
 	for c, a := range lo {
 		b := hi[c]

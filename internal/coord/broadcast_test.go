@@ -34,7 +34,9 @@ func freshPlaneCoordinator(t *testing.T, n int) *Coordinator {
 	for id := int64(1); id <= int64(n); id++ {
 		submitFor(t, c, id, join(t, c, id))
 	}
-	eventually(t, 5*time.Second, func() bool { return c.Version() == 2 }, "warm-up round never committed")
+	// Wait for the v2 plane itself: Version() moves before the commit swaps
+	// the serving plane, and the v1 plane holds the warm-up's artifacts.
+	eventually(t, 5*time.Second, func() bool { return c.serving.Load().bcast.version == 2 }, "warm-up round never committed")
 	for id := int64(101); id <= int64(100+n); id++ {
 		c.CheckIn(testInfo(id))
 	}
