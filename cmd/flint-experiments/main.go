@@ -1,6 +1,6 @@
 // Command flint-experiments regenerates every table and figure of the paper
-// in one run, printing paper-vs-measured rows. This is the harness behind
-// EXPERIMENTS.md; expect several minutes at the default scale.
+// in one run, printing paper-vs-measured rows. Expect several minutes at the
+// default scale; the -quick run is recorded in testdata/transcripts/.
 package main
 
 import (
@@ -14,6 +14,7 @@ import (
 	"flint/internal/device"
 	"flint/internal/fedsim"
 	"flint/internal/forecast"
+	"flint/internal/metrics"
 	"flint/internal/model"
 	"flint/internal/partition"
 	"flint/internal/report"
@@ -284,8 +285,8 @@ func fig10(scale core.Scale, seed int64) {
 			fmt.Printf("    %s final %.4f\n", report.Sparkline(tr.Metrics), tr.Final)
 			finals = append(finals, tr.Final)
 		}
-		mean, sd := meanStd(finals)
-		fmt.Printf("    across trials: mean %.4f stdev %.4f\n", mean, sd)
+		sum := metrics.Summarize(finals)
+		fmt.Printf("    across trials: mean %.4f stdev %.4f\n", sum.Mean, sum.Std)
 	}
 	fmt.Println()
 }
@@ -316,38 +317,4 @@ func table4(scale core.Scale, seed int64) {
 			d, report.Dur(budget.ComputeSec), budget.TasksStarted)
 	}
 	fmt.Println(tbl.String())
-}
-
-func meanStd(xs []float64) (float64, float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	var sum float64
-	for _, x := range xs {
-		sum += x
-	}
-	mean := sum / float64(len(xs))
-	var sq float64
-	for _, x := range xs {
-		sq += (x - mean) * (x - mean)
-	}
-	return mean, sqrtf(sq / float64(len(xs)))
-}
-
-func sqrtf(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	z := x
-	for i := 0; i < 30; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

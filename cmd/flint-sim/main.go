@@ -25,7 +25,6 @@ func main() {
 	staleness := flag.Int("staleness", 10, "async staleness limit")
 	cohort := flag.Int("cohort", 8, "sync cohort size")
 	seed := flag.Int64("seed", 1, "job seed")
-	ckpt := flag.String("checkpoint", "", "checkpoint path (enables checkpointing every 5 rounds)")
 	flag.Parse()
 
 	d := core.Domain(*domainFlag)
@@ -53,10 +52,6 @@ func main() {
 		cfg.MaxStaleness = *staleness
 	default:
 		log.Fatalf("unknown mode %q", *mode)
-	}
-	if *ckpt != "" {
-		cfg.CheckpointEvery = 5
-		cfg.CheckpointPath = *ckpt
 	}
 
 	rep, err := fedsim.Run(cfg, env)

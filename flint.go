@@ -9,8 +9,8 @@
 //   - real-world measurement: on-device benchmarks (Table 5, Fig 4),
 //     availability traces and participation criteria (Table 1, Fig 2),
 //     device population modeling (Fig 1);
-//   - the proxy data generator with natural and Dirichlet partitioning
-//     (Table 2, Fig 5);
+//   - the proxy data generator: per-client partitions, their Table 2
+//     statistics and the executor file layout (Table 2, Fig 5);
 //   - the experimental framework: a virtual-clock leader/executor simulator
 //     with synchronous FedAvg and asynchronous FedBuff (Table 3, Figs 7/8/10);
 //   - resource forecasting (§3.5) and the decision workflow (Fig 9);

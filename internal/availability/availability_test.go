@@ -98,10 +98,6 @@ func TestCriteriaAdmit(t *testing.T) {
 	if all.Admit(s4) {
 		t.Fatal("must reject old OS")
 	}
-	compat := Criteria{CompatibleDevices: map[string]bool{"iPhone-13": true}}
-	if compat.Admit(s) {
-		t.Fatal("must reject incompatible device")
-	}
 	short := Criteria{MinSessionSec: 600}
 	if short.Admit(s) {
 		t.Fatal("must reject short session")

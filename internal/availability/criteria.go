@@ -7,17 +7,12 @@ import (
 )
 
 // Criteria is a participation filter over sessions (§3.2): device state
-// (WiFi, battery, foreground is implicit in the session log), compute
-// capability (a compatible-device list derived from on-device benchmarks),
-// and user attributes are composed with AND semantics, as in Table 1's
-// A∩B∩C row.
+// (WiFi, battery, foreground is implicit in the session log) and session
+// length are composed with AND semantics, as in Table 1's A∩B∩C row.
 type Criteria struct {
 	RequireWiFi        bool
 	RequireBatteryHigh bool
 	RequireModernOS    bool
-	// CompatibleDevices restricts to benchmark-approved device models;
-	// nil admits every device (criterion unused).
-	CompatibleDevices map[string]bool
 	// MinSessionSec drops sessions too short to complete a task's
 	// download/train/upload pipeline.
 	MinSessionSec float64
@@ -32,9 +27,6 @@ func (c Criteria) Admit(s Session) bool {
 		return false
 	}
 	if c.RequireModernOS && !s.ModernOS {
-		return false
-	}
-	if c.CompatibleDevices != nil && !c.CompatibleDevices[s.Device] {
 		return false
 	}
 	if s.Duration() < c.MinSessionSec {

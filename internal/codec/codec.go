@@ -99,9 +99,6 @@ var (
 // TopK returns a sparse top-k scheme keeping k entries (0 = dim/32).
 func TopK(k int) Scheme { return Scheme{Kind: KindTopK, TopK: k} }
 
-// Lossless reports whether decoding recovers the exact input values.
-func (s Scheme) Lossless() bool { return s.Kind == KindRawF64 }
-
 // Validate rejects unknown kinds and negative parameters.
 func (s Scheme) Validate() error {
 	switch s.Kind {

@@ -578,7 +578,7 @@ func (r *Registry) ReleaseIf(id int64, round uint64) {
 
 // NoteScreened records that the norm screen rejected the device's update
 // at commit: its telemetry trust is revoked (sample counts zeroed, EWMAs
-// kept — see sched.Telemetry.Distrust), so the scheduling plane treats it
+// kept — see sched.TelemetryState.Distrust), so the scheduling plane treats it
 // as unmeasured until fresh honest transfers re-earn trust. O(1), one
 // shard lock; unknown devices are ignored.
 func (r *Registry) NoteScreened(id int64) {

@@ -144,21 +144,3 @@ func TestRunLRStudy(t *testing.T) {
 		t.Fatal("zero trials must fail")
 	}
 }
-
-func TestPaperExpectations(t *testing.T) {
-	if len(PaperExpectations) < 30 {
-		t.Fatalf("expectations registry too small: %d", len(PaperExpectations))
-	}
-	t4 := PaperValuesFor("table4")
-	if len(t4) != 6 {
-		t.Fatalf("table4 expectations: %d", len(t4))
-	}
-	for _, v := range PaperExpectations {
-		if v.Experiment == "" || v.Name == "" || v.Unit == "" {
-			t.Fatalf("incomplete expectation: %+v", v)
-		}
-	}
-	if got := PaperValuesFor("nothing"); got != nil {
-		t.Fatal("unknown experiment should return nil")
-	}
-}

@@ -1,8 +1,8 @@
 // Package core assembles the FLINT platform components into the paper's
 // experiments: the three case-study domains (§4: advertising, messaging,
-// search), the FedAvg-vs-FedBuff comparison of Table 3, the FL-vs-
-// centralized comparison of Table 4, and the paper-expected values used by
-// EXPERIMENTS.md to record paper-vs-measured for every table and figure.
+// search), the FedAvg-vs-FedBuff comparison of Table 3 and the FL-vs-
+// centralized comparison of Table 4. flint-experiments prints them beside
+// the paper's numbers; testdata/transcripts/ holds its output.
 package core
 
 import (

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"flint/internal/availability"
-	"flint/internal/device"
 	"flint/internal/fedsim"
 	"flint/internal/forecast"
 	"flint/internal/model"
@@ -13,9 +12,9 @@ import (
 )
 
 // TestEndToEndPipeline exercises the full platform flow the way the Fig 9
-// decision workflow composes it: measurement → proxy → benchmark-derived
-// compatibility → criteria-filtered simulation → forecasting. This is the
-// repository's primary cross-package integration test.
+// decision workflow composes it: measurement → proxy → criteria-filtered
+// simulation → forecasting. This is the repository's primary cross-package
+// integration test.
 func TestEndToEndPipeline(t *testing.T) {
 	seed := int64(77)
 	scale := Scale{Clients: 120, TestRecords: 1000, TraceDays: 7, MaxRounds: 12, EvalEvery: 4, MaxShardExamples: 150, SessionsPerDay: 6}
@@ -24,18 +23,7 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// 1. Compute-capability criterion from on-device benchmarks (§3.2).
-	pool := device.BenchPool()
-	compatible, _, err := device.CompatibleDevices(spec.Kind, pool, device.DefaultCompatibility)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(compatible) == 0 {
-		t.Fatal("no compatible devices for model B")
-	}
-	spec.Criteria.CompatibleDevices = compatible
-
-	// 2. Build environment through the criteria.
+	// 1. Build environment through the criteria.
 	env, _, err := BuildEnvironment(spec, scale, seed)
 	if err != nil {
 		t.Fatal(err)
@@ -44,7 +32,7 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatal("criteria wiped out the trace")
 	}
 
-	// 3. Simulate.
+	// 2. Simulate.
 	cfg := AsyncConfig(spec, scale, seed)
 	rep, err := fedsim.Run(cfg, env)
 	if err != nil {
@@ -54,7 +42,7 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatal("no rounds")
 	}
 
-	// 4. Forecast.
+	// 3. Forecast.
 	budget, err := forecast.BudgetFromReport(rep)
 	if err != nil {
 		t.Fatal(err)
@@ -81,7 +69,7 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatal("no workers planned")
 	}
 
-	// 5. Drive it through the workflow engine.
+	// 4. Drive it through the workflow engine.
 	wf := &workflow.Workflow{Name: "integration", Steps: []workflow.Step{
 		{Name: "sim", Run: func(c *workflow.Context) (string, bool, error) {
 			c.Put("report", rep)
@@ -102,7 +90,7 @@ func TestEndToEndPipeline(t *testing.T) {
 
 // TestCaseStudyMessagingLearns runs the messaging domain at small scale and
 // asserts the FL path moves above chance (full parity needs the bench-scale
-// round budget; see EXPERIMENTS.md).
+// round budget; see testdata/transcripts/).
 func TestCaseStudyMessagingLearns(t *testing.T) {
 	scale := tinyScale
 	scale.MaxRounds = 40

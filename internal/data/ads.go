@@ -141,9 +141,6 @@ func (g *AdsGenerator) Name() string { return "ads" }
 // NumClients returns the configured client population.
 func (g *AdsGenerator) NumClients() int { return g.cfg.Clients }
 
-// Config returns the generator configuration.
-func (g *AdsGenerator) Config() AdsConfig { return g.cfg }
-
 // adsProfile is a client's latent interest profile.
 type adsProfile struct {
 	denseShift tensor.Vector

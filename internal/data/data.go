@@ -70,15 +70,6 @@ func (d *Dataset) LabelRatio() float64 {
 	return float64(pos) / float64(len(d.Examples))
 }
 
-// ByClient groups examples by ClientID preserving order within a client.
-func (d *Dataset) ByClient() map[int64][]*Example {
-	out := make(map[int64][]*Example)
-	for _, e := range d.Examples {
-		out[e.ClientID] = append(out[e.ClientID], e)
-	}
-	return out
-}
-
 // ByQuery groups examples by QueryID preserving order, for ranking metrics.
 func (d *Dataset) ByQuery() map[int64][]*Example {
 	out := make(map[int64][]*Example)
@@ -121,6 +112,3 @@ type ClientShard struct {
 	ClientID int64
 	Examples []*Example
 }
-
-// NumExamples returns the shard size |Dk| used in the task-duration model.
-func (s *ClientShard) NumExamples() int { return len(s.Examples) }

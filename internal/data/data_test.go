@@ -8,9 +8,9 @@ import (
 
 func TestDatasetBasics(t *testing.T) {
 	ds := &Dataset{Examples: []*Example{
-		{ClientID: 1, Label: 1},
-		{ClientID: 1, Label: 0},
-		{ClientID: 2, Label: 1},
+		{QueryID: 1, Label: 1},
+		{QueryID: 1, Label: 0},
+		{QueryID: 2, Label: 1},
 	}}
 	if ds.Len() != 3 {
 		t.Fatalf("Len = %d", ds.Len())
@@ -18,9 +18,9 @@ func TestDatasetBasics(t *testing.T) {
 	if got := ds.LabelRatio(); got != 2.0/3 {
 		t.Fatalf("LabelRatio = %v", got)
 	}
-	groups := ds.ByClient()
+	groups := ds.ByQuery()
 	if len(groups) != 2 || len(groups[1]) != 2 || len(groups[2]) != 1 {
-		t.Fatalf("ByClient = %v", groups)
+		t.Fatalf("ByQuery = %v", groups)
 	}
 }
 
@@ -65,24 +65,16 @@ func TestVocabulary(t *testing.T) {
 	if v.Size() != 3 { // oov + a + b
 		t.Fatalf("Size = %d", v.Size())
 	}
-	if v.Lookup("a") != 1 || v.Lookup("b") != 2 {
-		t.Fatalf("ids: a=%d b=%d", v.Lookup("a"), v.Lookup("b"))
+	// Re-adding a known word returns its first-seen id.
+	if a, b := v.Add("a"), v.Add("b"); a != 1 || b != 2 || v.Size() != 3 {
+		t.Fatalf("ids: a=%d b=%d size=%d", a, b, v.Size())
 	}
-	if v.Lookup("zzz") != OOV {
-		t.Fatal("missing word must map to OOV")
+	if id := v.Add("c"); id != 3 {
+		t.Fatalf("new word id %d, want 3", id)
 	}
-	if v.Word(1) != "a" || v.Word(99) != "<oov>" {
-		t.Fatalf("Word: %q %q", v.Word(1), v.Word(99))
-	}
-	if v.SizeBytes() <= 0 {
-		t.Fatal("SizeBytes must be positive")
-	}
-	tr := v.Truncate(1)
-	if tr.Size() != 2 || tr.Lookup("a") != 1 || tr.Lookup("b") != OOV {
-		t.Fatalf("Truncate: size=%d a=%d b=%d", tr.Size(), tr.Lookup("a"), tr.Lookup("b"))
-	}
-	if got := len(v.Words()); got != 2 {
-		t.Fatalf("Words len = %d", got)
+	// "<oov>" + a + b + c, each string plus a 4-byte id.
+	if got := v.SizeBytes(); got != 5+4+3*(1+4) {
+		t.Fatalf("SizeBytes = %d", got)
 	}
 }
 
@@ -141,9 +133,6 @@ func TestQuantityModel(t *testing.T) {
 	}
 	if err := (QuantityModel{Min: 5, Cap: 2}).Validate(); err == nil {
 		t.Fatal("cap below min must fail validation")
-	}
-	if (QuantityModel{Mu: 0, Sigma: 0}).Mean() != 1 {
-		t.Fatal("Mean of logN(0,0) is 1")
 	}
 }
 

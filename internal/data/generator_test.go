@@ -140,9 +140,6 @@ func TestSearchGenerator(t *testing.T) {
 			t.Fatalf("group has %d clicked documents, want at most 1", clicks)
 		}
 	}
-	if g.ClickLabel(&Example{Relevance: 3}) != 1 || g.ClickLabel(&Example{Relevance: 1}) != 0 {
-		t.Fatal("ClickLabel thresholds wrong")
-	}
 	// Record-level click ratio must be rare, near Dataset C's 0.06.
 	pool := Pool(g, 50)
 	if r := pool.LabelRatio(); r < 0.02 || r > 0.12 {

@@ -140,9 +140,6 @@ func (g *MessagingGenerator) Name() string { return "messaging" }
 // NumClients returns the configured client population.
 func (g *MessagingGenerator) NumClients() int { return g.cfg.Clients }
 
-// Config returns the generator configuration.
-func (g *MessagingGenerator) Config() MessagingConfig { return g.cfg }
-
 func (g *MessagingGenerator) clientMixture(rng *rand.Rand) []float64 {
 	// Dirichlet(0.3) over topics: most clients concentrate on few topics.
 	mix := make([]float64, g.cfg.Topics)

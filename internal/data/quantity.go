@@ -47,12 +47,6 @@ func (q QuantityModel) Validate() error {
 	return nil
 }
 
-// Mean returns the analytic mean of the uncapped log-normal, a quick sanity
-// handle for calibration tests.
-func (q QuantityModel) Mean() float64 {
-	return math.Exp(q.Mu + q.Sigma*q.Sigma/2)
-}
-
 // Quantity models calibrated against Table 2 of the paper.
 var (
 	// AdsQuantity targets mean≈99, std≈667 (capped at the paper's observed

@@ -78,9 +78,6 @@ func (g *SearchGenerator) Name() string { return "search" }
 // NumClients returns the configured client population.
 func (g *SearchGenerator) NumClients() int { return g.cfg.Clients }
 
-// Config returns the generator configuration.
-func (g *SearchGenerator) Config() SearchConfig { return g.cfg }
-
 // GenerateClient deterministically materializes client id's shard. QueryIDs
 // are globally unique: id*maxQueriesPerClient + local index.
 func (g *SearchGenerator) GenerateClient(id int64) ClientShard {
@@ -157,12 +154,4 @@ func (g *SearchGenerator) TestSet(n int) *Dataset {
 		id++
 	}
 	return ds
-}
-
-// ClickLabel converts graded relevance into the binary training label.
-func (g *SearchGenerator) ClickLabel(ex *Example) float64 {
-	if ex.Relevance >= g.cfg.RelevanceCut {
-		return 1
-	}
-	return 0
 }

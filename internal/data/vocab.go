@@ -14,9 +14,6 @@ type Vocabulary struct {
 	words []string // index 1..n; words[0] is the OOV sentinel
 }
 
-// OOV is the id returned for strings not present in the vocabulary.
-const OOV = 0
-
 // NewVocabulary builds a vocabulary from words in first-seen order.
 // Duplicates are ignored.
 func NewVocabulary(words []string) *Vocabulary {
@@ -38,22 +35,6 @@ func (v *Vocabulary) Add(w string) int {
 	return id
 }
 
-// Lookup returns the id of w, or OOV if absent.
-func (v *Vocabulary) Lookup(w string) int {
-	if id, ok := v.ids[w]; ok {
-		return id
-	}
-	return OOV
-}
-
-// Word returns the string for id, or the OOV sentinel when out of range.
-func (v *Vocabulary) Word(id int) string {
-	if id < 0 || id >= len(v.words) {
-		return v.words[OOV]
-	}
-	return v.words[id]
-}
-
 // Size returns the number of ids including the OOV slot.
 func (v *Vocabulary) Size() int { return len(v.words) }
 
@@ -67,25 +48,6 @@ func (v *Vocabulary) SizeBytes() int {
 		total += len(w) + 4
 	}
 	return total
-}
-
-// Truncate returns a new vocabulary keeping only the first n words (plus the
-// OOV slot), the reduction applied to the messaging embedding in §4.2.
-func (v *Vocabulary) Truncate(n int) *Vocabulary {
-	if n >= v.Size()-1 {
-		n = v.Size() - 1
-	}
-	out := &Vocabulary{ids: make(map[string]int, n), words: []string{"<oov>"}}
-	for _, w := range v.words[1 : n+1] {
-		out.Add(w)
-	}
-	return out
-}
-
-// Words returns the in-vocabulary words sorted by id.
-func (v *Vocabulary) Words() []string {
-	out := append([]string(nil), v.words[1:]...)
-	return out
 }
 
 // HashFeature maps a categorical feature string into [0, dim) with FNV-1a,

@@ -116,16 +116,6 @@ func cpuPercent(computeSec, totalSec float64, p Profile) float64 {
 	return 100 * busy / totalSec / float64(p.Cores)
 }
 
-// SecPerRecordOn exposes the projection for the simulator's task-duration
-// model (t in taskDuration = t·E·|Dk| + 2M/N).
-func SecPerRecordOn(kind model.Kind, p Profile) (float64, error) {
-	m, err := model.New(kind, 0)
-	if err != nil {
-		return 0, err
-	}
-	return secPerRecord(m.Cost(), p), nil
-}
-
 // Table5Row aggregates a model's benchmark across the device pool, matching
 // the paper's reporting: mean/stdev training time over `records` records and
 // mean CPU utilization across 27 devices.

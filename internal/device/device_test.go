@@ -260,16 +260,18 @@ func TestTimeDistribution(t *testing.T) {
 	}
 }
 
+// TestSecPerRecordOn covers the per-record projection a benchmark run
+// reports for one device.
 func TestSecPerRecordOn(t *testing.T) {
 	pool := BenchPool()
-	s, err := SecPerRecordOn(model.KindA, pool[0])
+	r, err := Run(model.KindA, pool[0], 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s <= 0 {
-		t.Fatalf("sec/record %v", s)
+	if r.SecPerRecord <= 0 {
+		t.Fatalf("sec/record %v", r.SecPerRecord)
 	}
-	if _, err := SecPerRecordOn(model.Kind("x"), pool[0]); err == nil {
+	if _, err := Run(model.Kind("x"), pool[0], 10, 1); err == nil {
 		t.Fatal("unknown kind must error")
 	}
 }

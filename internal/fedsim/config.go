@@ -72,10 +72,6 @@ type Config struct {
 
 	// MaxRounds stops the job after this many aggregations.
 	MaxRounds int
-	// MaxVirtualSec stops the job when the virtual clock passes this.
-	MaxVirtualSec float64
-	// TargetMetric stops the job once the eval metric reaches it (0 = off).
-	TargetMetric float64
 	// EvalEvery evaluates every N rounds (0 disables evaluation).
 	EvalEvery int
 	// Metric picks the offline metric (AUPR or NDCG).
@@ -97,13 +93,6 @@ type Config struct {
 	DP aggregator.DPConfig
 	// Adversary optionally poisons compromised clients' updates.
 	Adversary *aggregator.Adversary
-
-	// CheckpointEvery rounds the leader persists state ("the leader
-	// frequently checkpoints the virtual time and recent model weights");
-	// 0 disables.
-	CheckpointEvery int
-	// CheckpointPath is the checkpoint file destination.
-	CheckpointPath string
 
 	// HaltAtRound/HaltDurationSec inject a leader/executor outage: the
 	// leader "halts dispatching tasks until all executors have pinged it
@@ -148,8 +137,8 @@ func (c Config) Validate() error {
 	if c.Schedule == nil {
 		return fmt.Errorf("fedsim: Schedule is required")
 	}
-	if c.MaxRounds <= 0 && c.MaxVirtualSec <= 0 && c.TargetMetric <= 0 {
-		return fmt.Errorf("fedsim: need at least one stop condition")
+	if c.MaxRounds <= 0 {
+		return fmt.Errorf("fedsim: MaxRounds must be positive, got %d", c.MaxRounds)
 	}
 	if c.FailureRate < 0 || c.FailureRate >= 1 {
 		return fmt.Errorf("fedsim: FailureRate %v outside [0,1)", c.FailureRate)
@@ -167,9 +156,6 @@ func (c Config) Validate() error {
 		if err := c.Adversary.Validate(); err != nil {
 			return err
 		}
-	}
-	if c.CheckpointEvery > 0 && c.CheckpointPath == "" {
-		return fmt.Errorf("fedsim: CheckpointEvery set without CheckpointPath")
 	}
 	return nil
 }

@@ -87,7 +87,7 @@ func taskDuration(perExampleSec float64, epochs, shardSize, updateBytes int, bw 
 
 // taskRNG derives the deterministic per-task randomness stream: task
 // durations, failures, and local shuffling depend only on (seed, taskSeq),
-// which keeps checkpoint-resumed runs aligned with the original schedule.
+// not on which executor runs the task or when it finishes.
 func taskRNG(seed int64, taskSeq uint64) *rand.Rand {
 	z := uint64(seed) ^ (0x9E3779B97F4A7C15 * (taskSeq + 1))
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9

@@ -2,7 +2,6 @@ package fedsim
 
 import (
 	"math"
-	"path/filepath"
 	"testing"
 
 	"flint/internal/aggregator"
@@ -267,74 +266,6 @@ func TestFailureInjection(t *testing.T) {
 	}
 }
 
-func TestCheckpointResume(t *testing.T) {
-	dir := t.TempDir()
-	ckPath := filepath.Join(dir, "leader.ck")
-
-	env := testEnv(t, 120, 17)
-	cfg := asyncConfig(18)
-	cfg.MaxRounds = 6
-	cfg.CheckpointEvery = 2
-	cfg.CheckpointPath = ckPath
-	rep1, err := Run(cfg, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep1.Rounds) != 6 {
-		t.Fatalf("first leg rounds %d", len(rep1.Rounds))
-	}
-
-	ck, err := LoadCheckpoint(ckPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ck.Round != 6 {
-		t.Fatalf("checkpoint at round %d, want 6", ck.Round)
-	}
-	if ck.VTime <= 0 || len(ck.Params) == 0 {
-		t.Fatalf("checkpoint incomplete: %+v", ck)
-	}
-
-	// Resume and run 6 more rounds.
-	env2 := testEnv(t, 120, 17)
-	cfg2 := cfg
-	cfg2.MaxRounds = 12
-	rep2, err := Resume(cfg2, env2, ck)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep2.Rounds) == 0 {
-		t.Fatal("resume produced no rounds")
-	}
-	firstResumed := rep2.Rounds[0]
-	if firstResumed.Round != 7 {
-		t.Fatalf("resume must continue from round 7, got %d", firstResumed.Round)
-	}
-	if firstResumed.VTime < ck.VTime {
-		t.Fatal("resumed vtime must not rewind")
-	}
-	last := rep2.Rounds[len(rep2.Rounds)-1]
-	if last.Round != 12 {
-		t.Fatalf("resume must reach round 12, got %d", last.Round)
-	}
-}
-
-func TestResumeValidation(t *testing.T) {
-	env := testEnv(t, 50, 19)
-	cfg := asyncConfig(20)
-	if _, err := Resume(cfg, env, nil); err == nil {
-		t.Fatal("nil checkpoint must error")
-	}
-	ck := &Checkpoint{Mode: Sync}
-	if _, err := Resume(cfg, env, ck); err == nil {
-		t.Fatal("mode mismatch must error")
-	}
-	ck2 := &Checkpoint{Mode: Async, Params: []float64{1, 2}}
-	if _, err := Resume(cfg, env, ck2); err == nil {
-		t.Fatal("param size mismatch must error")
-	}
-}
-
 func TestHaltInjection(t *testing.T) {
 	env := testEnv(t, 120, 21)
 	base := asyncConfig(22)
@@ -374,10 +305,10 @@ func TestConfigValidation(t *testing.T) {
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	// CheckpointEvery without path.
-	good.CheckpointEvery = 1
+	// MaxRounds is the one stop rule.
+	good.MaxRounds = 0
 	if err := good.Validate(); err == nil {
-		t.Fatal("checkpoint without path must fail")
+		t.Fatal("a job without MaxRounds must fail")
 	}
 }
 
@@ -442,25 +373,5 @@ func TestPoisonWithRobustDefense(t *testing.T) {
 	}
 	if math.IsNaN(rep.FinalMetric) {
 		t.Fatal("robust run must still evaluate")
-	}
-}
-
-func TestTargetMetricStops(t *testing.T) {
-	env := testEnv(t, 120, 29)
-	cfg := asyncConfig(30)
-	cfg.MaxRounds = 60
-	cfg.EvalEvery = 2
-	cfg.TargetMetric = 0.35 // modest AUPR target the job should hit early
-	rep, err := Run(cfg, env)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.StopReason == "target metric" {
-		if !rep.ReachedTarget {
-			t.Fatal("stop reason and ReachedTarget disagree")
-		}
-		if len(rep.Rounds) >= 60 {
-			t.Fatal("target stop should finish before max rounds")
-		}
 	}
 }

@@ -48,8 +48,6 @@ type Report struct {
 	FinalMetric float64
 	// FinalVTime is the virtual time when the job stopped.
 	FinalVTime float64
-	// ReachedTarget reports whether TargetMetric stopped the job.
-	ReachedTarget bool
 	// StopReason is a human-readable stop cause.
 	StopReason string
 }

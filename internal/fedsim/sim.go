@@ -64,9 +64,6 @@ func newSim(cfg Config, env *Environment) (*sim, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if cfg.MaxRounds <= 0 && cfg.MaxVirtualSec <= 0 {
-		return nil, fmt.Errorf("fedsim: need MaxRounds or MaxVirtualSec as a hard stop")
-	}
 	if err := env.Validate(); err != nil {
 		return nil, err
 	}
@@ -80,11 +77,6 @@ func newSim(cfg Config, env *Environment) (*sim, error) {
 	pool, err := newExecutorPool(cfg.Executors, cfg.ModelKind)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.MaxVirtualSec <= 0 {
-		// Hard safety stop: two virtual years bounds event processing even
-		// when a misconfigured job makes no round progress.
-		cfg.MaxVirtualSec = 2 * 365 * 86400
 	}
 	s := &sim{
 		cfg:       cfg,
@@ -136,12 +128,16 @@ func (s *sim) pushNextWindow() {
 // busy reports whether the client is mid-task at time t.
 func (s *sim) busy(id int64, t float64) bool { return s.busyUntil[id] > t }
 
-// hardStopReached checks the non-metric stop conditions.
+// maxVirtualSec is a safety stop: two virtual years bound event processing
+// even when a misconfigured job makes no round progress.
+const maxVirtualSec = 2 * 365 * 86400
+
+// hardStopReached checks the stop conditions.
 func (s *sim) hardStopReached() (string, bool) {
-	if s.cfg.MaxRounds > 0 && s.round >= s.cfg.MaxRounds {
+	if s.round >= s.cfg.MaxRounds {
 		return "max rounds", true
 	}
-	if s.cfg.MaxVirtualSec > 0 && s.clock.Now() >= s.cfg.MaxVirtualSec {
+	if s.clock.Now() >= maxVirtualSec {
 		return "virtual time budget", true
 	}
 	return "", false
@@ -274,11 +270,6 @@ func (s *sim) aggregate() error {
 	if s.cfg.HaltAtRound > 0 && s.round == s.cfg.HaltAtRound && s.cfg.HaltDurationSec > 0 {
 		s.haltUntil = now + s.cfg.HaltDurationSec
 	}
-	if s.cfg.CheckpointEvery > 0 && s.round%s.cfg.CheckpointEvery == 0 {
-		if err := s.saveCheckpoint(); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -295,16 +286,6 @@ func (s *sim) evaluate() (float64, error) {
 		metric = model.MetricAUPR
 	}
 	return model.Eval(s.evalModel, s.env.EvalSet, metric)
-}
-
-// metricStop checks the target-metric stop condition against the latest
-// evaluated round.
-func (s *sim) metricStop() bool {
-	if s.cfg.TargetMetric <= 0 {
-		return false
-	}
-	last, ok := s.report.LastEvaluated()
-	return ok && last.Metric >= s.cfg.TargetMetric
 }
 
 // finalize stamps the report's terminal fields.
@@ -328,7 +309,6 @@ func (s *sim) finalize() {
 	s.report.TotalStale += s.cur.Stale
 	s.report.TotalFailed += s.cur.Failed
 	s.report.TotalStragglers += s.cur.Stragglers
-	s.report.ReachedTarget = s.metricStop()
 }
 
 // runAsync is the FedBuff event loop: the leader pops window-start and
@@ -341,17 +321,11 @@ func (s *sim) runAsync() error {
 			s.report.StopReason = reason
 			return s.drainInflight()
 		}
-		if s.metricStop() {
-			s.report.StopReason = "target metric"
-			return s.drainInflight()
-		}
 		ev, ok := s.queue.Pop()
 		if !ok {
 			s.report.StopReason = "trace exhausted"
 			return s.drainInflight()
 		}
-		// Resume can leave already-started windows behind the clock; they
-		// are processed at the current instant rather than rewinding.
 		if ev.Time > s.clock.Now() {
 			if err := s.clock.AdvanceTo(ev.Time); err != nil {
 				return err
@@ -462,10 +436,6 @@ func (s *sim) runSync() error {
 			s.report.StopReason = reason
 			return nil
 		}
-		if s.metricStop() {
-			s.report.StopReason = "target metric"
-			return nil
-		}
 		progressed, err := s.runSyncRound()
 		if err != nil {
 			return err
@@ -520,7 +490,7 @@ func (s *sim) gatherCohort(want int) ([]*task, error) {
 		}
 		s.pushNextWindow()
 		s.ready = append(s.ready, w)
-		if s.cfg.MaxVirtualSec > 0 && s.clock.Now() >= s.cfg.MaxVirtualSec {
+		if s.clock.Now() >= maxVirtualSec {
 			break
 		}
 	}

@@ -1,7 +1,6 @@
 // Package forecast implements §3.5's resource projections: total device
 // compute consumed by an FL job, aggregator (TEE) throughput and bandwidth
-// needs, cloud worker sizing against availability load swings, and a
-// carbon-footprint proxy for edge training.
+// needs, and cloud worker sizing against availability load swings.
 package forecast
 
 import (
@@ -107,28 +106,4 @@ func PlanInfra(rep *fedsim.Report, series availability.Series, updatesPerWorkerS
 		plan.Workers = 1
 	}
 	return plan, nil
-}
-
-// Carbon compares edge-training energy against an equivalent centralized
-// job, the §3.5 sustainability note: edge training is less energy-efficient
-// and has poorer renewable access (Wu et al., 2022).
-type Carbon struct {
-	DeviceWh     float64
-	DatacenterWh float64
-	// Multiplier is device/datacenter energy for the same work.
-	Multiplier float64
-}
-
-// EstimateCarbon assumes the centralized counterpart consumes the job's
-// aggregate FLOPs at datacenter efficiency.
-func EstimateCarbon(budget DeviceBudget, datacenterEfficiency float64) (Carbon, error) {
-	if datacenterEfficiency <= 0 || datacenterEfficiency > 1 {
-		return Carbon{}, fmt.Errorf("forecast: datacenter efficiency %v outside (0,1]", datacenterEfficiency)
-	}
-	c := Carbon{DeviceWh: budget.EnergyWh}
-	c.DatacenterWh = budget.EnergyWh * datacenterEfficiency
-	if c.DatacenterWh > 0 {
-		c.Multiplier = c.DeviceWh / c.DatacenterWh
-	}
-	return c, nil
 }

@@ -90,20 +90,3 @@ func TestPlanInfra(t *testing.T) {
 		t.Fatal("nil report must fail")
 	}
 }
-
-func TestEstimateCarbon(t *testing.T) {
-	b := DeviceBudget{EnergyWh: 100}
-	c, err := EstimateCarbon(b, 0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.DatacenterWh != 25 || c.Multiplier != 4 {
-		t.Fatalf("carbon: %+v", c)
-	}
-	if _, err := EstimateCarbon(b, 0); err == nil {
-		t.Fatal("bad efficiency must fail")
-	}
-	if _, err := EstimateCarbon(b, 2); err == nil {
-		t.Fatal("efficiency > 1 must fail")
-	}
-}

@@ -1,13 +1,12 @@
 package metrics
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// Counter is a monotonically increasing (or explicitly set) int64 gauge safe
-// for concurrent use. The zero value is ready.
+// Counter is a monotonically increasing int64 safe for concurrent use. The
+// zero value is ready.
 type Counter struct {
 	v atomic.Int64
 }
@@ -17,9 +16,6 @@ func (c *Counter) Inc() int64 { return c.v.Add(1) }
 
 // Add adds n and returns the new value.
 func (c *Counter) Add(n int64) int64 { return c.v.Add(n) }
-
-// Set overwrites the value (for gauges like queue depth).
-func (c *Counter) Set(n int64) { c.v.Store(n) }
 
 // Value returns the current value.
 func (c *Counter) Value() int64 { return c.v.Load() }
@@ -75,17 +71,5 @@ func Rollup(snaps ...map[string]int64) map[string]int64 {
 			out[name] += v
 		}
 	}
-	return out
-}
-
-// Names lists registered counter names sorted, for stable reporting.
-func (s *CounterSet) Names() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.m))
-	for name := range s.m {
-		out = append(out, name)
-	}
-	sort.Strings(out)
 	return out
 }

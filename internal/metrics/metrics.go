@@ -1,8 +1,8 @@
 // Package metrics implements the offline evaluation metrics used throughout
 // the paper's case studies: Area Under the Precision-Recall curve (AUPR, used
-// for the ads and messaging domains), ROC-AUC, Normalized Discounted
-// Cumulative Gain (NDCG, used for search ranking), accuracy, log-loss, and
-// the summary statistics (mean/std/median/max) reported in Tables 2–5.
+// for the ads and messaging domains), Normalized Discounted Cumulative Gain
+// (NDCG, used for search ranking), and the summary statistics
+// (mean/std/median/max) reported in Tables 2–5.
 package metrics
 
 import (
@@ -73,48 +73,6 @@ func AUPR(scores []float64, labels []bool) (float64, error) {
 	return ap / float64(positives), nil
 }
 
-// ROCAUC returns the area under the ROC curve via the rank-statistic
-// (Mann-Whitney U) formulation, handling ties with midranks.
-func ROCAUC(scores []float64, labels []bool) (float64, error) {
-	if len(scores) != len(labels) {
-		return 0, fmt.Errorf("metrics: %d scores but %d labels", len(scores), len(labels))
-	}
-	idx := make([]int, len(scores))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return scores[idx[a]] < scores[idx[b]] })
-	var nPos, nNeg int
-	rankSumPos := 0.0
-	i := 0
-	for i < len(idx) {
-		j := i
-		for j < len(idx) && scores[idx[j]] == scores[idx[i]] {
-			j++
-		}
-		// Midrank for the tie group [i, j) using 1-based ranks.
-		midrank := float64(i+j+1) / 2
-		for k := i; k < j; k++ {
-			if labels[idx[k]] {
-				rankSumPos += midrank
-			}
-		}
-		i = j
-	}
-	for _, l := range labels {
-		if l {
-			nPos++
-		} else {
-			nNeg++
-		}
-	}
-	if nPos == 0 || nNeg == 0 {
-		return 0, fmt.Errorf("metrics: ROCAUC undefined with %d positives, %d negatives", nPos, nNeg)
-	}
-	u := rankSumPos - float64(nPos)*float64(nPos+1)/2
-	return u / (float64(nPos) * float64(nNeg)), nil
-}
-
 // NDCG returns NDCG@k for one ranked list. relevances must be listed in the
 // order the model ranked the documents (best-scored first); k <= 0 means use
 // the full list. Returns 0 when all relevances are zero.
@@ -138,43 +96,4 @@ func dcgAt(rels []float64, k int) float64 {
 		s += (math.Pow(2, rels[i]) - 1) / math.Log2(float64(i)+2)
 	}
 	return s
-}
-
-// Accuracy returns the fraction of predictions whose thresholded score
-// (>= 0.5) matches the label.
-func Accuracy(scores []float64, labels []bool) (float64, error) {
-	if len(scores) != len(labels) {
-		return 0, fmt.Errorf("metrics: %d scores but %d labels", len(scores), len(labels))
-	}
-	if len(scores) == 0 {
-		return 0, fmt.Errorf("metrics: accuracy of empty set")
-	}
-	correct := 0
-	for i, s := range scores {
-		if (s >= 0.5) == labels[i] {
-			correct++
-		}
-	}
-	return float64(correct) / float64(len(scores)), nil
-}
-
-// LogLoss returns the mean binary cross-entropy of the scores.
-func LogLoss(scores []float64, labels []bool) (float64, error) {
-	if len(scores) != len(labels) {
-		return 0, fmt.Errorf("metrics: %d scores but %d labels", len(scores), len(labels))
-	}
-	if len(scores) == 0 {
-		return 0, fmt.Errorf("metrics: logloss of empty set")
-	}
-	const eps = 1e-12
-	var total float64
-	for i, p := range scores {
-		p = math.Max(eps, math.Min(1-eps, p))
-		if labels[i] {
-			total -= math.Log(p)
-		} else {
-			total -= math.Log(1 - p)
-		}
-	}
-	return total / float64(len(scores)), nil
 }

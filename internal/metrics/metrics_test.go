@@ -88,73 +88,6 @@ func TestAUPRRandomScoresNearBaseRate(t *testing.T) {
 	}
 }
 
-func TestROCAUC(t *testing.T) {
-	scores := []float64{0.9, 0.8, 0.2, 0.1}
-	labels := []bool{true, true, false, false}
-	got, err := ROCAUC(scores, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(got, 1, 1e-12) {
-		t.Fatalf("perfect ROCAUC = %v", got)
-	}
-	labels = []bool{false, false, true, true}
-	got, _ = ROCAUC(scores, labels)
-	if !almostEqual(got, 0, 1e-12) {
-		t.Fatalf("inverted ROCAUC = %v", got)
-	}
-	// All tied scores → 0.5.
-	got, _ = ROCAUC([]float64{1, 1, 1, 1}, []bool{true, false, true, false})
-	if !almostEqual(got, 0.5, 1e-12) {
-		t.Fatalf("tied ROCAUC = %v, want 0.5", got)
-	}
-}
-
-func TestROCAUCErrors(t *testing.T) {
-	if _, err := ROCAUC([]float64{1}, []bool{true}); err == nil {
-		t.Fatal("expected error with single class")
-	}
-	if _, err := ROCAUC([]float64{1, 2}, []bool{true}); err == nil {
-		t.Fatal("expected error on mismatch")
-	}
-}
-
-func TestROCAUCComplementSymmetry(t *testing.T) {
-	// Property: negating scores flips AUC to 1-AUC.
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 30; trial++ {
-		n := 5 + rng.Intn(50)
-		scores := make([]float64, n)
-		neg := make([]float64, n)
-		labels := make([]bool, n)
-		hasPos, hasNeg := false, false
-		for i := range scores {
-			scores[i] = rng.NormFloat64()
-			neg[i] = -scores[i]
-			labels[i] = rng.Intn(2) == 0
-			if labels[i] {
-				hasPos = true
-			} else {
-				hasNeg = true
-			}
-		}
-		if !hasPos || !hasNeg {
-			continue
-		}
-		a, err := ROCAUC(scores, labels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := ROCAUC(neg, labels)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !almostEqual(a+b, 1, 1e-9) {
-			t.Fatalf("AUC symmetry violated: %v + %v != 1", a, b)
-		}
-	}
-}
-
 func TestNDCG(t *testing.T) {
 	// Ideal order → 1.
 	if got := NDCG([]float64{3, 2, 1, 0}, 0); !almostEqual(got, 1, 1e-12) {
@@ -188,31 +121,6 @@ func TestNDCGBoundsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAccuracyAndLogLoss(t *testing.T) {
-	scores := []float64{0.9, 0.4, 0.6, 0.1}
-	labels := []bool{true, false, false, false}
-	acc, err := Accuracy(scores, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(acc, 0.75, 1e-12) {
-		t.Fatalf("accuracy = %v", acc)
-	}
-	ll, err := LogLoss(scores, labels)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ll <= 0 || math.IsInf(ll, 0) {
-		t.Fatalf("logloss = %v", ll)
-	}
-	if _, err := Accuracy(nil, nil); err == nil {
-		t.Fatal("empty accuracy should error")
-	}
-	if _, err := LogLoss(nil, nil); err == nil {
-		t.Fatal("empty logloss should error")
 	}
 }
 

@@ -95,8 +95,6 @@ func (e *embedding) rowsBackward(tokens []int, dseq []tensor.Vector) {
 	}
 }
 
-func (e *embedding) numParams() int { return e.w.Rows * e.w.Cols }
-
 // sparseLinear maps a multi-hot index set into a dense output:
 // out = b + Σ_{i∈idx} W[i]. It is the first layer of model B; a mobile
 // runtime would execute it as a dense [out x sparseDim] matmul, which is
@@ -128,8 +126,6 @@ func (s *sparseLinear) backward(idx []int, dout tensor.Vector) {
 		s.gw.Row(clampIndex(i, s.gw.Rows)).Add(dout)
 	}
 }
-
-func (s *sparseLinear) numParams() int { return s.w.Rows*s.w.Cols + len(s.b) }
 
 // conv1d is a temporal convolution over an embedded sequence with kernel
 // width k, mapping in channels to out channels, with same-length output via
@@ -195,8 +191,6 @@ func (c *conv1d) gatherWindow(seq []tensor.Vector, t int, window tensor.Vector) 
 		}
 	}
 }
-
-func (c *conv1d) numParams() int { return c.w.Rows*c.w.Cols + len(c.b) }
 
 // globalMaxPool reduces [L][dim] to [dim] keeping argmax positions for the
 // backward pass.

@@ -171,8 +171,6 @@ func (a *arena) vec(n int) tensor.Vector {
 	return v
 }
 
-func (a *arena) remaining() int { return len(a.buf) - a.off }
-
 // copyParams validates length and copies p into dst.
 func copyParams(dst, p tensor.Vector, kind Kind) error {
 	if len(p) != len(dst) {

@@ -392,13 +392,13 @@ func TestMultiTaskTrainsAllHeads(t *testing.T) {
 	if loss <= 0 {
 		t.Fatalf("loss %v", loss)
 	}
-	probs := mt.PredictTasks(ds.Examples[0])
-	if len(probs) != 3 {
-		t.Fatalf("want 3 task outputs, got %d", len(probs))
+	if multiTaskHeads != 3 {
+		t.Fatalf("want 3 task heads, got %d", multiTaskHeads)
 	}
-	for _, p := range probs {
-		if p < 0 || p > 1 {
-			t.Fatalf("task prob %v", p)
+	mt.trunkForward(ds.Examples[0])
+	for h := 0; h < multiTaskHeads; h++ {
+		if p := mt.headForward(h); p < 0 || p > 1 {
+			t.Fatalf("task %d prob %v", h, p)
 		}
 	}
 }

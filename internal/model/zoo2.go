@@ -249,16 +249,6 @@ func (m *multiTaskMLP) Predict(ex *data.Example) float64 {
 	return m.headForward(0)
 }
 
-// PredictTasks returns every head's probability.
-func (m *multiTaskMLP) PredictTasks(ex *data.Example) []float64 {
-	m.trunkForward(ex)
-	out := make([]float64, multiTaskHeads)
-	for t := range out {
-		out[t] = m.headForward(t)
-	}
-	return out
-}
-
 func (m *multiTaskMLP) TrainStep(ex *data.Example) float64 {
 	m.trunkForward(ex)
 	labels := ex.Tasks

@@ -1,17 +1,14 @@
 // Package partition implements the paper's proxy data generator (§3.3): it
-// converts a centralized dataset into per-client FL partitions — either by a
-// natural partitioning field (obfuscated member/device id) or by synthetic
-// Dirichlet label/quantity skew when identifiers must be discarded — and
-// writes one partition file per executor rather than one file per client,
-// the layout that §3.4 credits for fast random access and a bounded
-// namespace on pipeline storage.
+// derives the Table 2 FL metadata of per-client partitions and writes one
+// partition file per executor rather than one file per client, the layout
+// that §3.4 credits for fast random access and a bounded namespace on
+// pipeline storage.
 package partition
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 
 	"flint/internal/data"
 	"flint/internal/metrics"
@@ -101,140 +98,4 @@ func QuantityStats(name string, q data.QuantityModel, clients int, labelRatio fl
 		LabelRatio:   labelRatio,
 		LookbackDays: lookbackDays,
 	}, nil
-}
-
-// ByField groups a centralized dataset into client shards using the natural
-// partitioning field (Example.ClientID), the paper's preferred strategy
-// "when available". Shards come back sorted by client id for determinism.
-func ByField(ds *data.Dataset) []data.ClientShard {
-	groups := ds.ByClient()
-	ids := make([]int64, 0, len(groups))
-	for id := range groups {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	shards := make([]data.ClientShard, len(ids))
-	for i, id := range ids {
-		shards[i] = data.ClientShard{ClientID: id, Examples: groups[id]}
-	}
-	return shards
-}
-
-// DirichletConfig controls synthetic partitioning "when privacy is a
-// concern" and the client identifier is discarded (§3.3): label skew via a
-// per-client Dirichlet(Alpha) over classes, and quantity skew via the
-// domain quantity model.
-type DirichletConfig struct {
-	Clients int
-	// Alpha is the Dirichlet concentration; smaller = more label skew.
-	Alpha float64
-	// Quantity injects per-client record-count skew.
-	Quantity data.QuantityModel
-	Seed     int64
-}
-
-// Validate reports configuration errors.
-func (c DirichletConfig) Validate() error {
-	if c.Clients <= 0 {
-		return fmt.Errorf("partition: dirichlet clients must be positive, got %d", c.Clients)
-	}
-	if c.Alpha <= 0 {
-		return fmt.Errorf("partition: dirichlet alpha must be positive, got %v", c.Alpha)
-	}
-	return c.Quantity.Validate()
-}
-
-// Dirichlet splits the dataset into Clients shards with label and quantity
-// skew. Examples are consumed without replacement per label class; the
-// returned shards cover a subset of the dataset when quantity draws exceed
-// the available pool.
-func Dirichlet(ds *data.Dataset, cfg DirichletConfig) ([]data.ClientShard, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if ds.Len() == 0 {
-		return nil, fmt.Errorf("partition: dirichlet over empty dataset")
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	// Pools per binary class, shuffled for unbiased consumption.
-	var pools [2][]*data.Example
-	for _, ex := range ds.Examples {
-		if ex.Positive() {
-			pools[1] = append(pools[1], ex)
-		} else {
-			pools[0] = append(pools[0], ex)
-		}
-	}
-	for c := range pools {
-		rng.Shuffle(len(pools[c]), func(i, j int) {
-			pools[c][i], pools[c][j] = pools[c][j], pools[c][i]
-		})
-	}
-	next := [2]int{}
-	shards := make([]data.ClientShard, 0, cfg.Clients)
-	for k := 0; k < cfg.Clients; k++ {
-		id := int64(k)
-		want := cfg.Quantity.Sample(rng)
-		// Per-client class mixture ~ Dirichlet(alpha) over {neg, pos}.
-		a := gammaSample(rng, cfg.Alpha)
-		b := gammaSample(rng, cfg.Alpha)
-		posFrac := 0.5
-		if a+b > 0 {
-			posFrac = b / (a + b)
-		}
-		shard := data.ClientShard{ClientID: id}
-		for i := 0; i < want; i++ {
-			c := 0
-			if rng.Float64() < posFrac {
-				c = 1
-			}
-			if next[c] >= len(pools[c]) {
-				c = 1 - c // fall back to the other pool
-				if next[c] >= len(pools[c]) {
-					break // dataset exhausted
-				}
-			}
-			ex := pools[c][next[c]]
-			next[c]++
-			clone := *ex
-			clone.ClientID = id
-			shard.Examples = append(shard.Examples, &clone)
-		}
-		if len(shard.Examples) > 0 {
-			shards = append(shards, shard)
-		}
-		if next[0] >= len(pools[0]) && next[1] >= len(pools[1]) {
-			break
-		}
-	}
-	return shards, nil
-}
-
-// gammaSample draws from Gamma(shape, 1); see data.MessagingGenerator for
-// the same Marsaglia-Tsang construction.
-func gammaSample(rng *rand.Rand, shape float64) float64 {
-	if shape < 1 {
-		u := rng.Float64()
-		if u == 0 {
-			u = 1e-12
-		}
-		return gammaSample(rng, shape+1) * math.Pow(u, 1/shape)
-	}
-	d := shape - 1.0/3.0
-	c := 1 / (3 * math.Sqrt(d))
-	for {
-		x := rng.NormFloat64()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v
-		}
-		if u > 0 && math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v
-		}
-	}
 }

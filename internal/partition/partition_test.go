@@ -55,106 +55,6 @@ func TestQuantityStatsFullScaleShape(t *testing.T) {
 	}
 }
 
-func TestByFieldGroupsAndSorts(t *testing.T) {
-	ds := &data.Dataset{Examples: []*data.Example{
-		{ClientID: 5}, {ClientID: 1}, {ClientID: 5}, {ClientID: 3},
-	}}
-	shards := ByField(ds)
-	if len(shards) != 3 {
-		t.Fatalf("got %d shards", len(shards))
-	}
-	if shards[0].ClientID != 1 || shards[1].ClientID != 3 || shards[2].ClientID != 5 {
-		t.Fatalf("shards not sorted: %v %v %v", shards[0].ClientID, shards[1].ClientID, shards[2].ClientID)
-	}
-	if len(shards[2].Examples) != 2 {
-		t.Fatalf("client 5 should have 2 records")
-	}
-}
-
-func TestDirichletSkew(t *testing.T) {
-	// Build a balanced dataset, then verify small alpha yields heavily
-	// skewed per-client label ratios while large alpha stays mixed.
-	mk := func() *data.Dataset {
-		ds := &data.Dataset{}
-		for i := 0; i < 20000; i++ {
-			ex := &data.Example{}
-			if i%2 == 0 {
-				ex.Label = 1
-			}
-			ds.Examples = append(ds.Examples, ex)
-		}
-		return ds
-	}
-	q := data.QuantityModel{Mu: 3.5, Sigma: 0.3, Min: 5, Cap: 100}
-
-	skewed, err := Dirichlet(mk(), DirichletConfig{Clients: 100, Alpha: 0.05, Quantity: q, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mixed, err := Dirichlet(mk(), DirichletConfig{Clients: 100, Alpha: 100, Quantity: q, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	extremeFrac := func(shards []data.ClientShard) float64 {
-		extreme := 0
-		for _, s := range shards {
-			ds := data.Dataset{Examples: s.Examples}
-			r := ds.LabelRatio()
-			if r < 0.1 || r > 0.9 {
-				extreme++
-			}
-		}
-		return float64(extreme) / float64(len(shards))
-	}
-	if ef := extremeFrac(skewed); ef < 0.5 {
-		t.Fatalf("alpha=0.05 should give mostly extreme clients, got %.2f", ef)
-	}
-	if ef := extremeFrac(mixed); ef > 0.1 {
-		t.Fatalf("alpha=100 should give mixed clients, got %.2f", ef)
-	}
-}
-
-func TestDirichletValidation(t *testing.T) {
-	ds := &data.Dataset{Examples: []*data.Example{{}}}
-	q := data.QuantityModel{Mu: 1, Sigma: 0.1, Min: 1}
-	if _, err := Dirichlet(ds, DirichletConfig{Clients: 0, Alpha: 1, Quantity: q}); err == nil {
-		t.Fatal("zero clients must fail")
-	}
-	if _, err := Dirichlet(ds, DirichletConfig{Clients: 1, Alpha: 0, Quantity: q}); err == nil {
-		t.Fatal("zero alpha must fail")
-	}
-	if _, err := Dirichlet(&data.Dataset{}, DirichletConfig{Clients: 1, Alpha: 1, Quantity: q}); err == nil {
-		t.Fatal("empty dataset must fail")
-	}
-}
-
-func TestDirichletConservation(t *testing.T) {
-	// No example may be duplicated across shards.
-	ds := &data.Dataset{}
-	for i := 0; i < 1000; i++ {
-		ds.Examples = append(ds.Examples, &data.Example{QueryID: int64(i), Label: float64(i % 2)})
-	}
-	shards, err := Dirichlet(ds, DirichletConfig{
-		Clients: 50, Alpha: 0.5,
-		Quantity: data.QuantityModel{Mu: 3, Sigma: 0.5, Min: 1, Cap: 100}, Seed: 9,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[int64]bool)
-	for _, s := range shards {
-		for _, ex := range s.Examples {
-			if seen[ex.QueryID] {
-				t.Fatalf("example %d assigned twice", ex.QueryID)
-			}
-			seen[ex.QueryID] = true
-			if ex.ClientID != s.ClientID {
-				t.Fatal("clone must be re-stamped with shard client id")
-			}
-		}
-	}
-}
-
 func TestRoundRobin(t *testing.T) {
 	shards := adsShards(t, 23)
 	parts, err := RoundRobin(shards, 4)
@@ -220,15 +120,9 @@ func TestPartitionFileRoundTrip(t *testing.T) {
 }
 
 func TestTable2StatsFromAdsGenerator(t *testing.T) {
-	// End-to-end: generate, partition by field, compute stats — the
+	// End-to-end: generate per-client shards, compute stats — the
 	// pipeline behind Table 2's Dataset A column (down-scaled).
-	shards := adsShards(t, 400)
-	ds := &data.Dataset{}
-	for _, s := range shards {
-		ds.Examples = append(ds.Examples, s.Examples...)
-	}
-	regrouped := ByField(ds)
-	stats := ComputeStats("datasetA", regrouped, 90)
+	stats := ComputeStats("datasetA", adsShards(t, 400), 90)
 	if stats.ClientPop != 400 {
 		t.Fatalf("pop %d", stats.ClientPop)
 	}

@@ -42,29 +42,38 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 }
 
 func TestTelemetryEWMA(t *testing.T) {
-	var tel Telemetry
-	tel.ObserveUplink(1000, time.Second, 0.5)
-	if tel.UpBps != 1000 || tel.UpSamples != 1 {
+	// Every value below is exact in float32, the state's storage width.
+	var st TelemetryState
+	st.ObserveUplink(1000, time.Second, 0.5)
+	if tel := st.Telemetry(); tel.UpBps != 1000 || tel.UpSamples != 1 {
 		t.Fatalf("seed observation: %+v", tel)
 	}
-	tel.ObserveUplink(3000, time.Second, 0.5)
-	if tel.UpBps != 2000 {
+	st.ObserveUplink(3000, time.Second, 0.5)
+	if tel := st.Telemetry(); tel.UpBps != 2000 {
 		t.Fatalf("EWMA blend: got %v, want 2000", tel.UpBps)
 	}
 	// A zero-duration loopback observation must not produce +Inf.
-	tel.ObserveDownlink(500, 0, 0.5)
-	if tel.DownBps <= 0 || tel.DownBps > 500/minTransfer.Seconds()+1 {
+	st.ObserveDownlink(500, 0, 0.5)
+	if tel := st.Telemetry(); tel.DownBps <= 0 || tel.DownBps > 500/minTransfer.Seconds()+1 {
 		t.Fatalf("floored transfer produced %v B/s", tel.DownBps)
 	}
 	// Zero-byte and zero-duration task observations are dropped.
-	tel.ObserveUplink(0, time.Second, 0.5)
-	if tel.UpSamples != 2 {
+	st.ObserveUplink(0, time.Second, 0.5)
+	if tel := st.Telemetry(); tel.UpSamples != 2 {
 		t.Fatalf("zero-byte observation counted: %+v", tel)
 	}
-	tel.ObserveTask(2*time.Second, 0.5)
-	tel.ObserveTask(0, 0.5)
-	if tel.TaskSamples != 1 || tel.TaskSec != 2 {
+	st.ObserveTask(2*time.Second, 0.5)
+	st.ObserveTask(0, 0.5)
+	if tel := st.Telemetry(); tel.TaskSamples != 1 || tel.TaskSec != 2 {
 		t.Fatalf("task EWMA: %+v", tel)
+	}
+	// Sample counts are uint16 and saturate instead of wrapping.
+	var sat TelemetryState
+	for i := 0; i < 1<<16; i++ {
+		sat.ObserveTask(time.Second, 0.5)
+	}
+	if tel := sat.Telemetry(); tel.TaskSamples != 65535 || tel.TaskSec != 1 {
+		t.Fatalf("saturation: %+v", tel)
 	}
 }
 

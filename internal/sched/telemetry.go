@@ -7,9 +7,8 @@ import (
 
 // Telemetry is one device's measured serving history: EWMA link
 // throughput in each direction plus the reported local-task duration.
-// It is a plain value — the registry embeds one per device and guards it
-// with the device's shard lock, so the observe methods need no
-// synchronization of their own.
+// It is the census/decision value the scheduler reads; the registry stores
+// the compact TelemetryState per device and expands it at snapshot time.
 type Telemetry struct {
 	// UpBps is the EWMA uplink throughput (bytes/second) from
 	// server-observed /v1/update body-transfer timings.
@@ -40,47 +39,11 @@ const minTransfer = 100 * time.Microsecond
 // what its link actually does.
 const maxObservedBps = 1.25e9
 
-// ObserveUplink folds one observed /v1/update transfer (bytes moved over
-// d) into the uplink EWMA.
-func (t *Telemetry) ObserveUplink(bytes int, d time.Duration, alpha float64) {
-	if bytes <= 0 {
-		return
-	}
-	if d < minTransfer {
-		d = minTransfer
-	}
-	t.UpBps = ewma(t.UpBps, clampBps(float64(bytes)/d.Seconds()), alpha, t.UpSamples)
-	t.UpSamples++
-}
-
-// ObserveDownlink folds one reported task-download transfer into the
-// downlink EWMA.
-func (t *Telemetry) ObserveDownlink(bytes int, d time.Duration, alpha float64) {
-	if bytes <= 0 {
-		return
-	}
-	if d < minTransfer {
-		d = minTransfer
-	}
-	t.DownBps = ewma(t.DownBps, clampBps(float64(bytes)/d.Seconds()), alpha, t.DownSamples)
-	t.DownSamples++
-}
-
 func clampBps(x float64) float64 {
 	if x > maxObservedBps {
 		return maxObservedBps
 	}
 	return x
-}
-
-// ObserveTask folds one reported local-training duration into the
-// task-duration EWMA.
-func (t *Telemetry) ObserveTask(d time.Duration, alpha float64) {
-	if d <= 0 {
-		return
-	}
-	t.TaskSec = ewma(t.TaskSec, d.Seconds(), alpha, t.TaskSamples)
-	t.TaskSamples++
 }
 
 // ewma folds sample x into the running mean: the first observation seeds
@@ -90,18 +53,6 @@ func ewma(prev, x, alpha float64, samples int) float64 {
 		return x
 	}
 	return alpha*x + (1-alpha)*prev
-}
-
-// Distrust zeroes the telemetry's earned sample counts while keeping the
-// EWMA values — the same degradation Decayed applies to a long-idle
-// device, but immediate. The commit pipeline applies it to devices whose
-// updates the norm screen rejected: a device submitting outlier updates
-// forfeits the trust its measurements earned (it drops out of the
-// measured cohort map and the optimistic deadline gate), yet its next
-// honest transfers still blend against the old means rather than a cold
-// seed.
-func (t *Telemetry) Distrust() {
-	t.UpSamples, t.DownSamples, t.TaskSamples = 0, 0, 0
 }
 
 // maxDecaySteps caps the decay shift; 32 halvings zero any realistic
@@ -127,8 +78,8 @@ type TelemetryState struct {
 // Touch stamps the decay clock (a fresh observation of any kind).
 func (t *TelemetryState) Touch(now time.Time) { t.lastSampleNS = now.UnixNano() }
 
-// ObserveUplink folds one observed /v1/update transfer into the uplink
-// EWMA — Telemetry.ObserveUplink's semantics on the compact layout.
+// ObserveUplink folds one observed /v1/update transfer (bytes moved over
+// d) into the uplink EWMA.
 func (t *TelemetryState) ObserveUplink(bytes int, d time.Duration, alpha float64) {
 	if bytes <= 0 {
 		return
@@ -163,8 +114,13 @@ func (t *TelemetryState) ObserveTask(d time.Duration, alpha float64) {
 	t.taskN = satInc(t.taskN)
 }
 
-// Distrust zeroes the earned sample counts, keeping the EWMA values —
-// see Telemetry.Distrust.
+// Distrust zeroes the earned sample counts while keeping the EWMA values —
+// the same degradation Decayed applies to a long-idle device, but
+// immediate. The commit pipeline applies it to devices whose updates the
+// norm screen rejected: a device submitting outlier updates forfeits the
+// trust its measurements earned (it drops out of the measured cohort map
+// and the optimistic deadline gate), yet its next honest transfers still
+// blend against the old means rather than a cold seed.
 func (t *TelemetryState) Distrust() { t.upN, t.downN, t.taskN = 0, 0, 0 }
 
 // Telemetry expands the compact state to the census/decision value form.

@@ -31,25 +31,6 @@ func ApplyReLU(v, mask Vector) {
 	}
 }
 
-// Softmax writes the softmax of in to out (shift-stabilized).
-// in and out may alias.
-func Softmax(in, out Vector) {
-	mustSameLen(len(out), len(in), "Softmax")
-	m := in.Max()
-	var z float64
-	for i, x := range in {
-		e := math.Exp(x - m)
-		out[i] = e
-		z += e
-	}
-	if z == 0 {
-		z = 1
-	}
-	for i := range out {
-		out[i] /= z
-	}
-}
-
 // XavierInit fills v with uniform values in ±sqrt(6/(fanIn+fanOut)),
 // the Glorot initialization used for every dense layer in the model zoo.
 func XavierInit(v Vector, fanIn, fanOut int, rng *rand.Rand) {

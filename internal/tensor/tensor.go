@@ -91,37 +91,6 @@ func (v Vector) Norm2() float64 {
 	return math.Sqrt(s)
 }
 
-// Sum returns the sum of the elements of v.
-func (v Vector) Sum() float64 {
-	var s float64
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
-// Max returns the maximum element of v, or -Inf for an empty vector.
-func (v Vector) Max() float64 {
-	m := math.Inf(-1)
-	for _, x := range v {
-		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// ArgMax returns the index of the maximum element, or -1 for an empty vector.
-func (v Vector) ArgMax() int {
-	idx, m := -1, math.Inf(-1)
-	for i, x := range v {
-		if x > m {
-			m, idx = x, i
-		}
-	}
-	return idx
-}
-
 // Clip bounds the Euclidean norm of v to maxNorm, scaling in place when the
 // norm exceeds the bound. It returns the scaling factor applied (1 when no
 // clipping occurred). Clipping to a non-positive bound zeroes the vector.
@@ -152,17 +121,6 @@ func NewMatrix(rows, cols int) *Matrix {
 	}
 	return &Matrix{Rows: rows, Cols: cols, Data: NewVector(rows * cols)}
 }
-
-// Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: m.Data.Clone()}
-}
-
-// At returns the element at row i, column j.
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
-
-// Set assigns the element at row i, column j.
-func (m *Matrix) Set(i, j int, x float64) { m.Data[i*m.Cols+j] = x }
 
 // Row returns row i as a slice aliasing the matrix storage.
 func (m *Matrix) Row(i int) Vector { return m.Data[i*m.Cols : (i+1)*m.Cols] }

@@ -32,9 +32,6 @@ func (c *Clock) AdvanceTo(t Seconds) error {
 	return nil
 }
 
-// Reset restores the clock to a checkpointed time (used by leader recovery).
-func (c *Clock) Reset(t Seconds) { c.now = t }
-
 // Event is a scheduled occurrence in virtual time. Payload is opaque to the
 // queue; the sequence number breaks ties deterministically (FIFO within the
 // same instant).
