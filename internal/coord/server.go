@@ -74,6 +74,10 @@ const (
 	maxCheckInBatchBody = 8 << 20
 )
 
+// maxCheckInBody bounds a /v1/checkin body; a canonical check-in is about
+// 200 bytes.
+const maxCheckInBody = 64 << 10
+
 // CheckInResponse is the POST /v1/checkin reply.
 type CheckInResponse struct {
 	New      bool   `json:"new"`
@@ -97,20 +101,6 @@ type TaskResponse struct {
 	LocalSteps   int       `json:"local_steps"`
 	DeadlineMS   int64     `json:"deadline_unix_ms"`
 	UpdateScheme string    `json:"update_scheme,omitempty"`
-}
-
-// taskWire mirrors TaskResponse for encoding, with the params array as a
-// pre-marshaled json.RawMessage: the server renders the float vector to
-// JSON once per published version, not once per request.
-type taskWire struct {
-	RoundID      uint64          `json:"round_id"`
-	BaseVersion  int             `json:"base_version"`
-	ModelKind    string          `json:"model_kind"`
-	Dim          int             `json:"dim"`
-	Params       json.RawMessage `json:"params,omitempty"`
-	LocalSteps   int             `json:"local_steps"`
-	DeadlineMS   int64           `json:"deadline_unix_ms"`
-	UpdateScheme string          `json:"update_scheme,omitempty"`
 }
 
 // UpdateRequest is the POST /v1/update body.
@@ -162,9 +152,31 @@ func writeError(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, errorResponse{Error: err.Error()})
 }
 
+// writeReply writes an already encoded JSON reply, given in parts.
+func writeReply(w http.ResponseWriter, code int, parts ...[]byte) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	for _, b := range parts {
+		_, _ = w.Write(b)
+	}
+}
+
+// tooLarge reports whether err is a body over its byte budget.
+func tooLarge(err error) bool {
+	var e *http.MaxBytesError
+	return errors.As(err, &e)
+}
+
 func (s *Server) handleCheckIn(w http.ResponseWriter, r *http.Request) {
+	buf := getWireBuf()
+	defer putWireBuf(buf)
 	var req CheckInRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := readJSON(w, r, buf, maxCheckInBody, &req, (*scanner).checkIn); err != nil {
+		if tooLarge(err) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("check-in body exceeds %d-byte limit", maxCheckInBody))
+			return
+		}
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad check-in body: %w", err))
 		return
 	}
@@ -177,7 +189,7 @@ func (s *Server) handleCheckIn(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, fmt.Errorf("device quota full"))
 		return
 	}
-	writeJSON(w, http.StatusOK, CheckInResponse{
+	*buf = appendCheckInReply((*buf)[:0], &CheckInResponse{
 		New:          res.New,
 		Eligible:     res.Eligible,
 		Version:      res.Version,
@@ -186,6 +198,7 @@ func (s *Server) handleCheckIn(w http.ResponseWriter, r *http.Request) {
 		TaskScheme:   res.Policy.Task.String(),
 		UpdateScheme: res.Policy.Update.String(),
 	})
+	writeReply(w, http.StatusOK, *buf)
 }
 
 // deviceInfo converts a check-in wire record to the registry form,
@@ -214,11 +227,11 @@ func (s *Server) deviceInfo(req CheckInRequest) DeviceInfo {
 }
 
 func (s *Server) handleCheckInBatch(w http.ResponseWriter, r *http.Request) {
+	buf := getWireBuf()
+	defer putWireBuf(buf)
 	var req BatchCheckInRequest
-	body := http.MaxBytesReader(w, r.Body, maxCheckInBatchBody)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
+	if err := readJSON(w, r, buf, maxCheckInBatchBody, &req, (*scanner).batch); err != nil {
+		if tooLarge(err) {
 			writeError(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("batch body exceeds %d-byte limit", maxCheckInBatchBody))
 			return
@@ -240,7 +253,7 @@ func (s *Server) handleCheckInBatch(w http.ResponseWriter, r *http.Request) {
 		infos[i] = s.deviceInfo(req.Devices[i])
 	}
 	res := s.c.CheckInBatch(infos)
-	writeJSON(w, http.StatusOK, BatchCheckInResponse{
+	*buf = appendBatchReply((*buf)[:0], &BatchCheckInResponse{
 		Accepted:    res.Accepted,
 		New:         res.New,
 		Eligible:    res.Eligible,
@@ -248,6 +261,7 @@ func (s *Server) handleCheckInBatch(w http.ResponseWriter, r *http.Request) {
 		Version:     res.Version,
 		RoundID:     res.RoundID,
 	})
+	writeReply(w, http.StatusOK, *buf)
 }
 
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
@@ -328,16 +342,11 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 	// keeps out of every published snapshot; keep the handler alive.
 	params, _ := t.plane.paramsJSON()
 	s.c.counters.Counter("broadcast_bytes_full").Add(int64(len(params)))
-	writeJSON(w, http.StatusOK, taskWire{
-		RoundID:      t.RoundID,
-		BaseVersion:  t.BaseVersion,
-		ModelKind:    string(t.ModelKind),
-		Dim:          t.Dim,
-		Params:       params,
-		LocalSteps:   t.LocalSteps,
-		DeadlineMS:   t.Deadline.UnixMilli(),
-		UpdateScheme: t.UpdateScheme.String(),
-	})
+	buf := getWireBuf()
+	defer putWireBuf(buf)
+	b, at := appendTaskReply((*buf)[:0], &t, len(params) > 0)
+	*buf = b
+	writeReply(w, http.StatusOK, b[:at], params, b[at:])
 }
 
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
@@ -363,14 +372,14 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		sub = parsed
 		s.c.counters.Counter("update_recv_binary").Inc()
 	} else {
-		// The JSON decoder reads through the same budget: a
-		// MaxBytesReader failure mid-decode is an oversize body, not a
-		// syntax error.
+		// The body is read under the same budget: a read past it is an
+		// oversize body, not a syntax error.
 		var req UpdateRequest
-		r.Body = http.MaxBytesReader(w, r.Body, maxUpdateBody)
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			var tooBig *http.MaxBytesError
-			if errors.As(err, &tooBig) {
+		buf := getWireBuf()
+		err := readJSON(w, r, buf, maxUpdateBody, &req, (*scanner).update)
+		putWireBuf(buf)
+		if err != nil {
+			if tooLarge(err) {
 				s.c.counters.Counter("update_rejected_oversize").Inc()
 				writeError(w, http.StatusRequestEntityTooLarge, errBodyTooLarge)
 				return
@@ -403,7 +412,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	writeJSON(w, http.StatusAccepted, UpdateResponse{Accepted: true})
+	writeReply(w, http.StatusAccepted, acceptedReply)
 }
 
 // binarySubmission parses a binary /v1/update: metadata from X-Flint-*
@@ -452,8 +461,7 @@ func (s *Server) binarySubmission(w http.ResponseWriter, r *http.Request) (Submi
 	// path (no per-update make([]float64, dim) here at all).
 	payload, err := codec.DecodePayloadFrom(body, s.c.dim)
 	if err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
+		if tooLarge(err) {
 			return Submission{}, errBodyTooLarge
 		}
 		return Submission{}, fmt.Errorf("bad tensor body: %w", err)
@@ -462,9 +470,8 @@ func (s *Server) binarySubmission(w http.ResponseWriter, r *http.Request) (Submi
 	// hostile) client, not extra tolerance.
 	var trail [1]byte
 	n, rerr := body.Read(trail[:])
-	var tooBig *http.MaxBytesError
 	switch {
-	case errors.As(rerr, &tooBig):
+	case tooLarge(rerr):
 		payload.Release()
 		return Submission{}, errBodyTooLarge
 	case n != 0:
