@@ -69,7 +69,6 @@ func main() {
 	virtual := flag.Bool("virtual", false, "virtual-time load plane: multiplex batched virtual devices over event heaps in compressed virtual time (vload)")
 	compression := flag.Float64("compression", 60, "virtual: virtual seconds per wall second (server needs a matching -sched-time-compression)")
 	vduration := flag.Duration("vduration", 24*time.Hour, "virtual: virtual time to simulate (24h = one diurnal cycle)")
-	vworkers := flag.Int("vworkers", 0, "virtual: event-loop workers / connection-pool bound (0 = 4 x GOMAXPROCS)")
 	vbatch := flag.Int("vbatch", 2048, "virtual: devices per POST /v1/checkin/batch request")
 	vthink := flag.Duration("vthink", 120*time.Second, "virtual: mean in-session re-poll interval, in virtual time")
 	vsessions := flag.Float64("vsessions", 3, "virtual: mean device sessions per virtual day (diurnally modulated)")
@@ -93,7 +92,6 @@ func main() {
 			VirtualDuration: *vduration,
 			Rounds:          *rounds,
 			Seed:            *seed,
-			Workers:         *vworkers,
 			Batch:           *vbatch,
 			Think:           *vthink,
 			SessionsPerDay:  *vsessions,

@@ -37,9 +37,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":9090", "listen address")
 	shards := flag.String("shards", "", "comma-separated shard base URLs; list index = shard id (required)")
-	replicas := flag.Int("replicas", 0, "ring vnodes per shard (0 = default 64)")
 	grace := flag.Duration("grace", 3*time.Second, "heartbeat grace window; a shard silent longer halts the tier")
-	buffer := flag.Int("buffer", 0, "partials buffered per cross-shard fold (0 = one per shard)")
 	serverLR := flag.Float64("server-lr", 1, "cross-shard fold server learning rate")
 	alpha := flag.Float64("alpha", 0, "cross-shard fold staleness-discount exponent")
 	kind := flag.String("model", "A", "Table 5 model kind the tier trains (must match the shards)")
@@ -105,7 +103,6 @@ func main() {
 	leader, err := shard.NewLeader(shard.LeaderConfig{
 		Shards:         len(clean),
 		Grace:          *grace,
-		Buffer:         *buffer,
 		ServerLR:       *serverLR,
 		StalenessAlpha: *alpha,
 		Params:         params,
@@ -121,7 +118,6 @@ func main() {
 	}
 	gw, err := shard.NewGateway(shard.GatewayConfig{
 		Shards:     clean,
-		Replicas:   *replicas,
 		Leader:     leader,
 		DefaultJob: defaultJob,
 	})
@@ -129,12 +125,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	foldBuffer := *buffer
-	if foldBuffer <= 0 {
-		foldBuffer = len(clean)
-	}
 	fmt.Printf("tier: %d shards, grace %s, fold buffer %d, default job %q\n",
-		len(clean), *grace, foldBuffer, defaultJob)
+		len(clean), *grace, len(clean), defaultJob)
 	for i, u := range clean {
 		fmt.Printf("  shard %d: %s\n", i, u)
 	}

@@ -42,7 +42,6 @@ func main() {
 	deadline := flag.Duration("deadline", 15*time.Second, "round wall-clock deadline")
 	maxStale := flag.Int("max-staleness", 6, "async: reject updates older than this many versions (0 = unbounded)")
 	queue := flag.Int("queue", 0, "ingest queue depth (default 4x target)")
-	shards := flag.Int("shards", 64, "device registry lock stripes")
 	ttl := flag.Duration("ttl", 2*time.Minute, "device liveness TTL")
 	wifi := flag.Bool("require-wifi", true, "participation criterion A: WiFi")
 	battery := flag.Bool("require-battery", true, "participation criterion B: battery >= 80%")
@@ -70,16 +69,10 @@ func main() {
 	jobsFile := flag.String("jobs", "", "multi-tenant mode: JSON file of job specs (each spec overlays the flag-derived base config)")
 	admin := flag.Bool("admin", false, "enable POST /v1/jobs job registration")
 	maxDevices := flag.Int("max-devices", 0, "default job device quota (0 = unlimited; per-job specs override)")
-	schedOn := flag.Bool("sched", true, "enable the measured scheduling plane (bandwidth cohorts, deadline gate, dynamic over-commit)")
-	schedLowBWMbps := flag.Float64("sched-lowbw-mbps", 1.5, "measured downlink below this maps a device to the lowbw cohort")
-	schedAlpha := flag.Float64("sched-alpha", 0.3, "telemetry EWMA smoothing factor")
-	schedMaxOC := flag.Float64("sched-max-overcommit", 3, "cap on the deadline-driven sync assignment multiplier")
-	schedRebuild := flag.Duration("sched-rebuild", 2*time.Second, "scheduler fleet-view rebuild period")
 	schedCompression := flag.Float64("sched-time-compression", 1, "virtual-time fleets: device-reported timings arrive this many times faster than wall clock (match flint-fleet -virtual -compression)")
 	exchange := flag.String("exchange", "", "shard mode: gateway base URL for the tier exchange (the server becomes one replica of a sharded tier)")
 	shardID := flag.Int("shard-id", 0, "shard mode: this replica's index on the gateway's ring")
 	shardHB := flag.Duration("shard-heartbeat", time.Second, "shard mode: tier heartbeat interval (must be well under the leader's grace window)")
-	persistBarrier := flag.Int("persist-barrier", 8, "fsync the write-behind snapshot every N commits (negative disables the barrier)")
 	storeDir := flag.String("store-dir", "", "persist published model versions to this directory")
 	keepVersions := flag.Int("keep-versions", 8, "published model versions to retain (negative keeps all)")
 	statusEvery := flag.Duration("status-every", 5*time.Second, "periodic status log interval (0 disables)")
@@ -111,18 +104,17 @@ func main() {
 		DeltaHistory: *deltaHistory,
 	}
 	cfg := coord.Config{
-		Mode:           m,
-		ModelKind:      model.Kind(*kind),
-		ModelName:      *name,
-		Seed:           *seed,
-		TargetUpdates:  *target,
-		Quorum:         *quorum,
-		OverCommit:     *overCommit,
-		RoundDeadline:  *deadline,
-		MaxStaleness:   *maxStale,
-		QueueDepth:     *queue,
-		RegistryShards: *shards,
-		DeviceTTL:      *ttl,
+		Mode:          m,
+		ModelKind:     model.Kind(*kind),
+		ModelName:     *name,
+		Seed:          *seed,
+		TargetUpdates: *target,
+		Quorum:        *quorum,
+		OverCommit:    *overCommit,
+		RoundDeadline: *deadline,
+		MaxStaleness:  *maxStale,
+		QueueDepth:    *queue,
+		DeviceTTL:     *ttl,
 		Criteria: availability.Criteria{
 			RequireWiFi:        *wifi,
 			RequireBatteryHigh: *battery,
@@ -143,20 +135,12 @@ func main() {
 			ClipNorm: *dpClip,
 			Seed:     *dpSeed,
 		},
-		LocalSteps: *localSteps,
-		MaxDevices: *maxDevices,
-		Transport:  transportCfg,
-		Sched: sched.Config{
-			Disable:         !*schedOn,
-			Alpha:           *schedAlpha,
-			LowBWBps:        *schedLowBWMbps * 1e6 / 8,
-			MaxOverCommit:   *schedMaxOC,
-			RebuildEvery:    *schedRebuild,
-			TimeCompression: *schedCompression,
-		},
-		PersistBarrier: *persistBarrier,
-		StoreDir:       *storeDir,
-		KeepVersions:   *keepVersions,
+		LocalSteps:   *localSteps,
+		MaxDevices:   *maxDevices,
+		Transport:    transportCfg,
+		Sched:        sched.Config{TimeCompression: *schedCompression},
+		StoreDir:     *storeDir,
+		KeepVersions: *keepVersions,
 	}
 	if *exchange != "" {
 		// Shard mode: commits reduce to partials shipped to the tier
@@ -249,12 +233,8 @@ func main() {
 		}
 	}
 	def := reg.Default()
-	if sc := def.Coord.Config().Sched; !sc.Disable {
-		fmt.Printf("sched: lowbw < %.2f Mbps measured downlink, deadline gate (sync), over-commit ≤ %.1fx, rebuild every %s, telemetry TTL %s\n",
-			sc.LowBWBps*8/1e6, sc.MaxOverCommit, sc.RebuildEvery, sc.TelemetryTTL)
-	} else {
-		fmt.Println("sched: disabled (radio-label cohorts, static over-commit)")
-	}
+	fmt.Printf("sched: lowbw < %.2f Mbps measured downlink, deadline gate (sync), over-commit ≤ %.1fx, rebuild every %s, telemetry TTL %s\n",
+		sched.LowBWBps*8/1e6, sched.MaxOverCommit, def.Coord.Config().Sched.RebuildEvery, sched.TelemetryTTL)
 	fmt.Printf("listening on %s (/v1/* → default job %q, /v1/jobs/<job>/*, GET /v1/status rollup; admin registration %v)\n",
 		*addr, def.Spec.Name, *admin)
 	srv := tenant.NewServer(reg, *admin)

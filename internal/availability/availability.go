@@ -240,27 +240,3 @@ func clamp01(x float64) float64 {
 	}
 	return x
 }
-
-// MergeGaps post-processes raw foreground intervals per the paper's rule:
-// "short gaps where the app is in the background are subtracted from the
-// availability session duration, whereas longer gaps split a session into
-// two." Intervals must belong to one client and be sorted by start.
-func MergeGaps(intervals []Session, shortGap float64) []Session {
-	if len(intervals) == 0 {
-		return nil
-	}
-	out := []Session{intervals[0]}
-	for _, iv := range intervals[1:] {
-		last := &out[len(out)-1]
-		gap := iv.Start - last.End
-		if gap <= shortGap && iv.ClientID == last.ClientID {
-			// Subtract the short gap: extend the current session.
-			if iv.End > last.End {
-				last.End = iv.End
-			}
-			continue
-		}
-		out = append(out, iv)
-	}
-	return out
-}

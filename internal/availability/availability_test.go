@@ -116,28 +116,6 @@ func TestApplyShrinksLog(t *testing.T) {
 	}
 }
 
-func TestMergeGaps(t *testing.T) {
-	base := []Session{
-		{ClientID: 1, Start: 0, End: 100},
-		{ClientID: 1, Start: 110, End: 200}, // 10s gap: merge
-		{ClientID: 1, Start: 500, End: 600}, // 300s gap: split
-		{ClientID: 2, Start: 605, End: 700}, // different client: never merge
-	}
-	out := MergeGaps(base, 30)
-	if len(out) != 3 {
-		t.Fatalf("got %d sessions, want 3", len(out))
-	}
-	if out[0].End != 200 {
-		t.Fatalf("merged session must extend to 200, got %v", out[0].End)
-	}
-	if out[1].Start != 500 || out[2].ClientID != 2 {
-		t.Fatalf("split/client separation broken: %+v", out)
-	}
-	if MergeGaps(nil, 10) != nil {
-		t.Fatal("empty input must return nil")
-	}
-}
-
 func TestTraceAndSeries(t *testing.T) {
 	log := testLog(t, 1500, 5)
 	eligible := Apply(log, Criteria{RequireWiFi: true, RequireBatteryHigh: true, RequireModernOS: true})

@@ -1,82 +1,6 @@
 package availability
 
-import (
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
-
-// TestMergeGapsIdempotent: merging an already-merged log changes nothing.
-func TestMergeGapsIdempotent(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		var raw []Session
-		cursor := 0.0
-		for i := 0; i < 20; i++ {
-			cursor += rng.Float64() * 100
-			dur := rng.Float64()*200 + 1
-			raw = append(raw, Session{ClientID: 1, Start: cursor, End: cursor + dur})
-			cursor += dur
-		}
-		once := MergeGaps(raw, 30)
-		twice := MergeGaps(once, 30)
-		if len(once) != len(twice) {
-			t.Fatalf("idempotence violated: %d vs %d sessions", len(once), len(twice))
-		}
-		for i := range once {
-			if once[i] != twice[i] {
-				t.Fatal("idempotence violated: sessions differ")
-			}
-		}
-	}
-}
-
-// TestMergeGapsPreservesCoverage: every instant covered by an input session
-// stays covered after merging (merging only extends or joins).
-func TestMergeGapsPreservesCoverage(t *testing.T) {
-	raw := []Session{
-		{ClientID: 1, Start: 0, End: 10},
-		{ClientID: 1, Start: 15, End: 30},
-		{ClientID: 1, Start: 100, End: 110},
-	}
-	merged := MergeGaps(raw, 20)
-	covered := func(x float64) bool {
-		for _, s := range merged {
-			if s.Start <= x && x < s.End {
-				return true
-			}
-		}
-		return false
-	}
-	for _, x := range []float64{0, 5, 9.9, 15, 29, 100, 109} {
-		if !covered(x) {
-			t.Fatalf("instant %v lost coverage", x)
-		}
-	}
-}
-
-// TestMergeGapsNeverIncreasesCount holds for arbitrary sorted inputs.
-func TestMergeGapsNeverIncreasesCount(t *testing.T) {
-	f := func(starts []float64) bool {
-		var raw []Session
-		cursor := 0.0
-		for _, s := range starts {
-			if s < 0 {
-				s = -s
-			}
-			if s > 1e6 {
-				continue
-			}
-			cursor += s
-			raw = append(raw, Session{ClientID: 1, Start: cursor, End: cursor + 10})
-			cursor += 10
-		}
-		return len(MergeGaps(raw, 25)) <= len(raw)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
+import "testing"
 
 // TestCriteriaMonotonicity: adding criteria can only shrink the admitted
 // set.

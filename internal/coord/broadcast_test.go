@@ -166,7 +166,6 @@ func TestPlaneArtifactsFromSnapshots(t *testing.T) {
 // fleet-wide walk inside the commit lock would hang it.
 func TestCommitEncodesNothing(t *testing.T) {
 	cfg := syncTestConfig()
-	cfg.RegistryShards = 64
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

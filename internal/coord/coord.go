@@ -81,7 +81,7 @@ type Config struct {
 	// stragglers and dropouts don't stall the round (§3.4). When the
 	// scheduling plane has measured the fleet, each round's effective
 	// multiplier is this base scaled by the measured straggler tail
-	// (capped by Sched.MaxOverCommit).
+	// (capped by sched.MaxOverCommit).
 	OverCommit float64
 	// MaxInflight caps outstanding async assignments (0 = 4×Target).
 	MaxInflight int
@@ -94,9 +94,6 @@ type Config struct {
 	// QueueDepth bounds the update-ingest queue; a full queue sheds load
 	// with ErrBusy rather than blocking device connections.
 	QueueDepth int
-	// RegistryShards is the striped-lock shard count of the device
-	// registry.
-	RegistryShards int
 	// DeviceTTL is how long after its last check-in/heartbeat a device
 	// still counts as connected.
 	DeviceTTL time.Duration
@@ -125,9 +122,9 @@ type Config struct {
 	// Sched parameterizes the scheduling plane (internal/sched): the
 	// per-device telemetry EWMAs, the measured-bandwidth cohort map that
 	// overrides the WiFi/cellular transport classification, the sync
-	// deadline gate, and the straggler-tail over-commit model. The zero
-	// value is enabled with defaults; set Sched.Disable to recover the
-	// label-only behavior.
+	// deadline gate, and the straggler-tail over-commit model. It is
+	// always on; the zero value gets the defaults, and its fixed tuning
+	// is the package's constants.
 	Sched sched.Config
 
 	// Aggregation selects the commit reducer and pre-reduce norm screen.
@@ -161,12 +158,6 @@ type Config struct {
 	// in the gateway's consistent-hash ring).
 	ShardID int
 
-	// PersistBarrier makes every Nth committed version an fsync-ed
-	// write-behind flush, bounding how many snapshots a host crash can
-	// lose to the page cache (0 = default 8; negative disables the
-	// barrier entirely).
-	PersistBarrier int
-
 	// LocalSteps is the per-task local training step count hint sent to
 	// devices.
 	LocalSteps int
@@ -177,9 +168,6 @@ type Config struct {
 	// 0 means the default. Long-running servers need a bound — every
 	// version is a full serialized model.
 	KeepVersions int
-
-	// Clock overrides time.Now for tests.
-	Clock func() time.Time
 }
 
 // DefaultConfig returns a small sync-mode serving configuration.
@@ -231,9 +219,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.TargetUpdates
-	}
-	if c.RegistryShards <= 0 {
-		c.RegistryShards = 64
 	}
 	if c.DeviceTTL <= 0 {
 		c.DeviceTTL = 2 * time.Minute
@@ -292,14 +277,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.Sched, err = c.Sched.WithDefaults(); err != nil {
 		return c, fmt.Errorf("coord: %w", err)
 	}
-	if c.PersistBarrier == 0 {
-		c.PersistBarrier = 8
-	}
 	if c.KeepVersions == 0 {
 		c.KeepVersions = 8
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
 	}
 	return c, nil
 }

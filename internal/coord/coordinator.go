@@ -197,6 +197,16 @@ const persistQueueDepth = 16
 // recentRounds bounds the finished-round log /v1/status reports.
 const recentRounds = 8
 
+// persistBarrier makes every Nth committed version an fsync-ed
+// write-behind flush, bounding how many snapshots a host crash can lose
+// to the page cache.
+const persistBarrier = 8
+
+// registryShards is the striped-lock shard count of the device registry:
+// enough stripes that check-in, task and update traffic rarely contend
+// on one lock.
+const registryShards = 64
+
 // Coordinator is the live federated training server: it tracks the device
 // fleet in a sharded registry, runs the round lifecycle, folds updates via
 // an aggregator.Strategy, and publishes model versions to the store.
@@ -318,7 +328,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:        cfg,
-		reg:        NewRegistry(cfg.RegistryShards, cfg.DeviceTTL),
+		reg:        NewRegistry(registryShards, cfg.DeviceTTL),
 		store:      store,
 		counters:   metrics.NewCounterSet(),
 		negotiator: negotiator,
@@ -383,7 +393,7 @@ func New(cfg Config) (*Coordinator, error) {
 	for _, name := range exchangeCounters {
 		c.counters.Counter(name)
 	}
-	r := c.newRound(1, bs, cfg.Clock())
+	r := c.newRound(1, bs, time.Now())
 	c.serving.Store(&serving{round: r, bcast: bs})
 	c.roundID.Store(1)
 	c.deadlineNS.Store(r.Deadline.UnixNano())
@@ -445,7 +455,7 @@ func (c *Coordinator) Version() int { return int(c.version.Load()) }
 // cohort, and reports its eligibility under the serving criteria. O(1):
 // one shard lock, no coordinator lock.
 func (c *Coordinator) CheckIn(info DeviceInfo) CheckInResult {
-	now := c.cfg.Clock()
+	now := time.Now()
 	isNew, admitted := c.reg.TryCheckIn(info, now, c.cfg.MaxDevices)
 	c.counters.Counter("checkin_total").Inc()
 	if !admitted {
@@ -496,7 +506,7 @@ type BatchCheckInResult struct {
 // serving counters are bumped once per batch. Quota semantics match
 // CheckIn per device.
 func (c *Coordinator) CheckInBatch(infos []DeviceInfo) BatchCheckInResult {
-	now := c.cfg.Clock()
+	now := time.Now()
 	newCount, rejected := c.reg.CheckInBatch(infos, now, c.cfg.MaxDevices)
 	res := BatchCheckInResult{
 		Accepted:    len(infos) - len(rejected),
@@ -576,7 +586,7 @@ func (c *Coordinator) taskEstimate(dec transport.Decision, q TaskQuery) sched.Ta
 // uplink transfer, reported download timing and training duration) into
 // the device's telemetry EWMAs. O(1), one registry shard lock.
 func (c *Coordinator) ObserveTelemetry(id int64, o TelemetryObservation) {
-	c.reg.Observe(id, o, c.cfg.Sched.Alpha, c.cfg.Clock())
+	c.reg.Observe(id, o, time.Now())
 }
 
 // Scheduler exposes the scheduling plane (diagnostics, tests, benches).
@@ -595,9 +605,6 @@ func (c *Coordinator) rebuildSched(now time.Time) {
 // rebuildSchedLocked is the census walk body; callers hold rebuildMu
 // (which owns the reused schedCensus buffer).
 func (c *Coordinator) rebuildSchedLocked(now time.Time) {
-	if !c.sched.Enabled() {
-		return
-	}
 	// Per-cohort wire costs: a lowbw device's typical task moves its
 	// cohort's sparse encodings, so its straggler estimate must too —
 	// matching what the per-request gate (taskEstimate) would charge it.
@@ -609,7 +616,7 @@ func (c *Coordinator) rebuildSchedLocked(now time.Time) {
 			UpBytes:   sched.WireSizeEstimate(p.Update, c.dim),
 		}
 	}
-	c.schedCensus = c.reg.AppendSchedSamples(c.schedCensus[:0], c.cfg.Criteria, now, c.cfg.Sched.TelemetryTTL)
+	c.schedCensus = c.reg.AppendSchedSamples(c.schedCensus[:0], c.cfg.Criteria, now, sched.TelemetryTTL)
 	c.sched.Rebuild(c.schedCensus, c.cfg.RoundDeadline, ests)
 	c.counters.Counter("sched_rebuilds").Inc()
 }
@@ -620,9 +627,6 @@ func (c *Coordinator) rebuildSchedLocked(now time.Time) {
 // must never wait on an O(fleet) scan, and queueing walks behind an
 // overrun cadence would only dig the hole deeper.
 func (c *Coordinator) spawnRebuildSched(now time.Time) {
-	if !c.sched.Enabled() {
-		return
-	}
 	if !c.rebuildMu.TryLock() {
 		c.counters.Counter("sched_rebuild_skipped").Inc()
 		return
@@ -638,7 +642,7 @@ func (c *Coordinator) spawnRebuildSched(now time.Time) {
 // Heartbeat refreshes liveness for a checked-in device.
 func (c *Coordinator) Heartbeat(id int64) error {
 	c.counters.Counter("heartbeat_total").Inc()
-	if !c.reg.Heartbeat(id, c.cfg.Clock()) {
+	if !c.reg.Heartbeat(id, time.Now()) {
 		return ErrUnknownDevice
 	}
 	return nil
@@ -664,7 +668,7 @@ func (c *Coordinator) RequestTask(deviceID int64) (Task, error) {
 // issued mid-commit is answered immediately from the outgoing plane
 // instead of stalling behind aggregation or a disk write.
 func (c *Coordinator) RequestTaskWith(deviceID int64, q TaskQuery) (Task, error) {
-	now := c.cfg.Clock()
+	now := time.Now()
 	sv := c.serving.Load()
 	r, bs := sv.round, sv.bcast
 	info, tel, ok := c.reg.Snapshot(deviceID)
@@ -676,7 +680,7 @@ func (c *Coordinator) RequestTaskWith(deviceID int64, q TaskQuery) (Task, error)
 	// TTL loses its earned sample counts, so a stale "too slow" (or "fast
 	// enough") verdict degrades to the unmeasured optimistic default
 	// instead of pinning the device on week-old EWMAs.
-	tel = tel.Decayed(now, c.cfg.Sched.TelemetryTTL)
+	tel = tel.Decayed(now, sched.TelemetryTTL)
 	if !r.assignable(now) {
 		c.counters.Counter("task_denied_round").Inc()
 		return Task{}, ErrNoTask
@@ -689,7 +693,7 @@ func (c *Coordinator) RequestTaskWith(deviceID int64, q TaskQuery) (Task, error)
 		// remaining window: assigning it anyway would burn over-commit
 		// budget on a straggler. Async rounds skip the gate — FedBuff
 		// welcomes slow devices' carry-over updates by design. Once the
-		// consecutive-denial streak crosses ProbeEvery the device is
+		// consecutive-denial streak crosses the probe threshold the device is
 		// admitted anyway as a re-measurement probe (and keeps being
 		// admitted until fresh telemetry resets the streak — a probe
 		// that loses the assignment race below must retry, not wait out
@@ -905,7 +909,7 @@ func (c *Coordinator) watchdog() {
 	// faster than the deadline-driven tick must pull the tick down with
 	// it — otherwise a sub-tick Sched.RebuildEvery would be silently
 	// quantized to the tick period.
-	if r := c.cfg.Sched.RebuildEvery; c.sched.Enabled() && r < period {
+	if r := c.cfg.Sched.RebuildEvery; r < period {
 		period = r
 	}
 	if period < time.Millisecond {
@@ -913,7 +917,7 @@ func (c *Coordinator) watchdog() {
 	}
 	tick := time.NewTicker(period)
 	defer tick.Stop()
-	lastSweep := c.cfg.Clock()
+	lastSweep := time.Now()
 	lastRebuild := lastSweep
 	for {
 		select {
@@ -921,7 +925,7 @@ func (c *Coordinator) watchdog() {
 			return
 		case <-tick.C:
 			c.checkDeadline()
-			now := c.cfg.Clock()
+			now := time.Now()
 			if now.Sub(lastRebuild) >= c.cfg.Sched.RebuildEvery {
 				lastRebuild = now
 				c.spawnRebuildSched(now)
@@ -977,7 +981,7 @@ func (c *Coordinator) persistLoop() {
 // apply folds one submission into the current round and triggers the
 // commit pipeline when the round becomes ready.
 func (c *Coordinator) apply(sub Submission) {
-	now := c.cfg.Clock()
+	now := time.Now()
 	// Each handed-out task is good for exactly one submission: consuming
 	// the assignment here rejects duplicates (client retries after a
 	// timed-out response) and unsolicited updates, either of which would
@@ -1061,7 +1065,7 @@ func (c *Coordinator) apply(sub Submission) {
 // one once its deadline passes. The fast path is a single atomic load: an
 // idle server's watchdog tick takes no locks at all.
 func (c *Coordinator) checkDeadline() {
-	now := c.cfg.Clock()
+	now := time.Now()
 	if now.UnixNano() < c.deadlineNS.Load() {
 		// Mid-collection and far from the deadline; target-count commits
 		// are the ingest worker's job, so there is nothing to do here.
@@ -1206,8 +1210,7 @@ func (c *Coordinator) publishLocked(r *Round, bs *broadcastState, v int, ckpt []
 	c.counters.Counter("rounds_committed").Inc()
 	c.finishLocked(r, v, next, now)
 	c.counters.Counter("publish_pending").Inc()
-	barrier := c.cfg.PersistBarrier > 0 && v%c.cfg.PersistBarrier == 0
-	c.persist <- persistReq{version: v, barrier: barrier}
+	c.persist <- persistReq{version: v, barrier: v%persistBarrier == 0}
 	return true
 }
 
@@ -1283,7 +1286,7 @@ func (c *Coordinator) finishLocked(r *Round, newVersion int, bs *broadcastState,
 // the registry, so it belongs on dashboards, not hot paths). Like the
 // task path it shares no mutex with the commit pipeline.
 func (c *Coordinator) Status() StatusReport {
-	now := c.cfg.Clock()
+	now := time.Now()
 	census := c.reg.Census(c.cfg.Criteria, now)
 	sv := c.serving.Load()
 	rs := sv.round.status()

@@ -2,6 +2,7 @@ package coord
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -101,6 +102,37 @@ func TestCoordinatorSyncRoundCommits(t *testing.T) {
 	// The store holds both versions.
 	if got := c.Store().Versions(c.Config().ModelName); len(got) != 2 {
 		t.Fatalf("store versions = %v, want 2 entries", got)
+	}
+}
+
+// TestPersistBarrierEveryEighthVersion pins the fsync window: of 16
+// committed versions (v2..v17) the write-behind worker fsyncs exactly
+// v8 and v16, so a host crash loses at most persistBarrier-1 snapshots.
+func TestPersistBarrierEveryEighthVersion(t *testing.T) {
+	cfg := syncTestConfig()
+	cfg.StoreDir = t.TempDir()
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	id := int64(0)
+	for v := 2; v <= 17; v++ {
+		for k := 0; k < cfg.TargetUpdates; k++ {
+			id++
+			submitFor(t, c, id, join(t, c, id))
+		}
+		eventually(t, 5*time.Second, func() bool { return c.Version() == v },
+			fmt.Sprintf("round never committed version %d", v))
+	}
+	counter := func(name string) int64 { return c.Counters().Counter(name).Value() }
+	eventually(t, 5*time.Second, func() bool { return counter("publish_pending") == 0 },
+		"write-behind queue never drained")
+	if got := counter("persist_barrier"); got != 2 {
+		t.Fatalf("persist_barrier = %d after 16 commits, want 2", got)
+	}
+	if got := counter("persist_error"); got != 0 {
+		t.Fatalf("persist_error = %d", got)
 	}
 }
 

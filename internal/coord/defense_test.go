@@ -263,7 +263,7 @@ func TestRegistryNoteScreened(t *testing.T) {
 	now := time.Unix(1000, 0)
 	r.CheckIn(testInfo(1), now)
 	r.Observe(1, TelemetryObservation{UpBytes: 5000, UpDur: time.Second,
-		Train: 2 * time.Second}, 0.5, now)
+		Train: 2 * time.Second}, now)
 	if _, tel, _ := r.Snapshot(1); tel.UpSamples == 0 || tel.TaskSamples == 0 {
 		t.Fatalf("observation not recorded: %+v", tel)
 	}

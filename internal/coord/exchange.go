@@ -176,7 +176,7 @@ func (c *Coordinator) installGlobal(r *Round, inst GlobalInstall) {
 	if c.closed.Load() {
 		return
 	}
-	now := c.cfg.Clock()
+	now := time.Now()
 	sv := c.serving.Load()
 	if sv.round != r {
 		c.counters.Counter("round_fsm_error").Inc()

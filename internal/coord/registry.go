@@ -417,7 +417,7 @@ type TelemetryObservation struct {
 // Observe folds one serving observation into the device's telemetry
 // EWMAs and stamps the decay clock. O(1), one shard lock; unknown
 // devices are ignored.
-func (r *Registry) Observe(id int64, o TelemetryObservation, alpha float64, now time.Time) {
+func (r *Registry) Observe(id int64, o TelemetryObservation, now time.Time) {
 	s := r.shard(id)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -427,13 +427,13 @@ func (r *Registry) Observe(id int64, o TelemetryObservation, alpha float64, now 
 	}
 	d.tel.Touch(now)
 	if o.UpBytes > 0 {
-		d.tel.ObserveUplink(o.UpBytes, o.UpDur, alpha)
+		d.tel.ObserveUplink(o.UpBytes, o.UpDur)
 	}
 	if o.DownBytes > 0 {
-		d.tel.ObserveDownlink(o.DownBytes, o.DownDur, alpha)
+		d.tel.ObserveDownlink(o.DownBytes, o.DownDur)
 	}
 	if o.Train > 0 {
-		d.tel.ObserveTask(o.Train, alpha)
+		d.tel.ObserveTask(o.Train)
 	}
 	// Fresh measurements restart the deadline-gate denial streak: the
 	// next gate decision runs on this observation, not the stale one

@@ -128,7 +128,7 @@ func TestSchedulerDeadlineGate(t *testing.T) {
 	}
 
 	// Probe admission: the slow device's consecutive denials eventually
-	// earn a re-measurement probe (ProbeEvery defaults to 8; one denial
+	// earn a re-measurement probe (the probe threshold is 8; one denial
 	// already happened above), and a fresh observation resets the
 	// streak so the cadence restarts.
 	for i := 0; i < 6; i++ {
@@ -146,7 +146,7 @@ func TestSchedulerDeadlineGate(t *testing.T) {
 	// the next rebuild admits the device normally.
 	c.reg.Release(1)
 	observeBps(c, 1, 5e6)
-	c.rebuildSched(c.cfg.Clock())
+	c.rebuildSched(time.Now())
 	if _, err := c.RequestTask(1); err != nil {
 		t.Fatalf("re-measured device still gated: %v", err)
 	}
@@ -171,26 +171,27 @@ func TestSchedulerDeadlineGate(t *testing.T) {
 
 // TestSchedulerOverCommitProvisioning: after a rebuild over a
 // half-straggler fleet, freshly opened sync rounds carry a proportionally
-// larger assignment budget, clamped by MaxOverCommit.
+// larger assignment budget, clamped by sched.MaxOverCommit.
 func TestSchedulerOverCommitProvisioning(t *testing.T) {
 	cfg := syncTestConfig()
 	cfg.TargetUpdates, cfg.Quorum = 4, 4
 	cfg.OverCommit = 1.0
 	cfg.RoundDeadline = 2 * time.Second
-	cfg.Sched.MinCensus = 4 // the test fleet is the census
 	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
 
-	for id := int64(1); id <= 4; id++ {
+	// Eight devices, the scheduler's census floor: half fast, half slow.
+	for id := int64(1); id <= 8; id++ {
 		c.CheckIn(testInfo(id))
+		bps := 5e6
+		if id > 4 {
+			bps = 50
+		}
+		observeBps(c, id, bps)
 	}
-	observeBps(c, 1, 5e6)
-	observeBps(c, 2, 5e6)
-	observeBps(c, 3, 50)
-	observeBps(c, 4, 50)
 	c.rebuildSched(time.Now())
 
 	if got := c.sched.OverCommit(cfg.OverCommit); got != 2.0 {

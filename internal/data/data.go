@@ -11,11 +11,6 @@
 // (see DESIGN.md §2 for the substitution rationale).
 package data
 
-import (
-	"fmt"
-	"math/rand"
-)
-
 // Example is one training or inference record. Fields are populated per
 // domain: ads records use Dense+Sparse, messaging records use Tokens, search
 // records use Dense with QueryID grouping and a graded Label used as
@@ -75,34 +70,6 @@ func (d *Dataset) ByQuery() map[int64][]*Example {
 	out := make(map[int64][]*Example)
 	for _, e := range d.Examples {
 		out[e.QueryID] = append(out[e.QueryID], e)
-	}
-	return out
-}
-
-// Shuffle permutes the examples in place using rng.
-func (d *Dataset) Shuffle(rng *rand.Rand) {
-	rng.Shuffle(len(d.Examples), func(i, j int) {
-		d.Examples[i], d.Examples[j] = d.Examples[j], d.Examples[i]
-	})
-}
-
-// Split returns two datasets holding the first n and the remaining examples.
-func (d *Dataset) Split(n int) (*Dataset, *Dataset, error) {
-	if n < 0 || n > len(d.Examples) {
-		return nil, nil, fmt.Errorf("data: split point %d out of range [0,%d]", n, len(d.Examples))
-	}
-	return &Dataset{Examples: d.Examples[:n]}, &Dataset{Examples: d.Examples[n:]}, nil
-}
-
-// Concat returns a new dataset holding the examples of all inputs in order.
-func Concat(ds ...*Dataset) *Dataset {
-	total := 0
-	for _, d := range ds {
-		total += len(d.Examples)
-	}
-	out := &Dataset{Examples: make([]*Example, 0, total)}
-	for _, d := range ds {
-		out.Examples = append(out.Examples, d.Examples...)
 	}
 	return out
 }

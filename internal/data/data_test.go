@@ -24,42 +24,6 @@ func TestDatasetBasics(t *testing.T) {
 	}
 }
 
-func TestDatasetSplitAndConcat(t *testing.T) {
-	ds := &Dataset{Examples: []*Example{{}, {}, {}, {}}}
-	a, b, err := ds.Split(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Len() != 1 || b.Len() != 3 {
-		t.Fatalf("split sizes %d/%d", a.Len(), b.Len())
-	}
-	if _, _, err := ds.Split(5); err == nil {
-		t.Fatal("expected out-of-range error")
-	}
-	c := Concat(a, b)
-	if c.Len() != 4 {
-		t.Fatalf("concat size %d", c.Len())
-	}
-}
-
-func TestDatasetShuffleDeterministic(t *testing.T) {
-	mk := func() *Dataset {
-		ds := &Dataset{}
-		for i := 0; i < 50; i++ {
-			ds.Examples = append(ds.Examples, &Example{ClientID: int64(i)})
-		}
-		return ds
-	}
-	d1, d2 := mk(), mk()
-	d1.Shuffle(rand.New(rand.NewSource(9)))
-	d2.Shuffle(rand.New(rand.NewSource(9)))
-	for i := range d1.Examples {
-		if d1.Examples[i].ClientID != d2.Examples[i].ClientID {
-			t.Fatal("shuffle must be deterministic given the seed")
-		}
-	}
-}
-
 func TestVocabulary(t *testing.T) {
 	v := NewVocabulary([]string{"a", "b", "a"})
 	if v.Size() != 3 { // oov + a + b
@@ -75,32 +39,6 @@ func TestVocabulary(t *testing.T) {
 	// "<oov>" + a + b + c, each string plus a 4-byte id.
 	if got := v.SizeBytes(); got != 5+4+3*(1+4) {
 		t.Fatalf("SizeBytes = %d", got)
-	}
-}
-
-func TestHashFeature(t *testing.T) {
-	idx, err := HashFeature("country=US", 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if idx < 0 || idx >= 1000 {
-		t.Fatalf("hash out of range: %d", idx)
-	}
-	idx2, _ := HashFeature("country=US", 1000)
-	if idx != idx2 {
-		t.Fatal("hash must be deterministic")
-	}
-	if _, err := HashFeature("x", 0); err == nil {
-		t.Fatal("expected error for dim 0")
-	}
-	multi, err := HashFeatures([]string{"a", "b", "a"}, 50)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(multi); i++ {
-		if multi[i] <= multi[i-1] {
-			t.Fatal("HashFeatures must be sorted and deduplicated")
-		}
 	}
 }
 

@@ -143,27 +143,6 @@ func abs(x float64) float64 {
 	return x
 }
 
-// TestHashFeaturesStableAcrossRuns: hashing must be process-independent
-// (FNV, not map iteration), so device and cloud agree on indices.
-func TestHashFeaturesStableAcrossRuns(t *testing.T) {
-	want := map[string]int{}
-	for _, s := range []string{"country=US", "title=engineer", "industry=tech"} {
-		idx, err := HashFeature(s, 4133)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[s] = idx
-	}
-	for s, w := range want {
-		for i := 0; i < 5; i++ {
-			got, _ := HashFeature(s, 4133)
-			if got != w {
-				t.Fatalf("hash of %q unstable", s)
-			}
-		}
-	}
-}
-
 // TestMessagingTopicConcentration: clients should mostly draw tokens from
 // few topic bands — the non-IIDness that drives Fig 10's instability.
 func TestMessagingTopicConcentration(t *testing.T) {

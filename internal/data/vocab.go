@@ -1,11 +1,5 @@
 package data
 
-import (
-	"fmt"
-	"hash/fnv"
-	"sort"
-)
-
 // Vocabulary maps feature strings to dense integer ids, mirroring the
 // "vocabulary files" the paper's feature transformer ships to devices
 // (§4.1). Id 0 is reserved for out-of-vocabulary strings.
@@ -48,38 +42,6 @@ func (v *Vocabulary) SizeBytes() int {
 		total += len(w) + 4
 	}
 	return total
-}
-
-// HashFeature maps a categorical feature string into [0, dim) with FNV-1a,
-// the "feature hashing" substitution for vocabulary files discussed in §4.1
-// (Weinberger et al.): less storage for lower predictive power via
-// collisions.
-func HashFeature(s string, dim int) (int, error) {
-	if dim <= 0 {
-		return 0, fmt.Errorf("data: hash dimension must be positive, got %d", dim)
-	}
-	h := fnv.New64a()
-	h.Write([]byte(s))
-	return int(h.Sum64() % uint64(dim)), nil
-}
-
-// HashFeatures maps each string through HashFeature and returns the sorted,
-// deduplicated index list — the multi-hot encoding consumed by sparse models.
-func HashFeatures(ss []string, dim int) ([]int, error) {
-	seen := make(map[int]struct{}, len(ss))
-	for _, s := range ss {
-		idx, err := HashFeature(s, dim)
-		if err != nil {
-			return nil, err
-		}
-		seen[idx] = struct{}{}
-	}
-	out := make([]int, 0, len(seen))
-	for idx := range seen {
-		out = append(out, idx)
-	}
-	sort.Ints(out)
-	return out, nil
 }
 
 // CollisionRate estimates the fraction of n distinct features that collide

@@ -64,8 +64,8 @@ func (c *CohortStats) observe(downBps float64) {
 // Report is the scheduler's observability snapshot — the /v1/status
 // "scheduler" section.
 type Report struct {
-	// Enabled mirrors the configuration; a disabled scheduler publishes
-	// an empty report so dashboards can tell "off" from "no data yet".
+	// Enabled is always true: measured scheduling has no off switch. The
+	// key stays so status consumers keep their shape.
 	Enabled bool `json:"enabled"`
 	// Devices is the census size of the last rebuild; Measured counts
 	// devices with enough downlink samples for bandwidth cohorting;

@@ -50,47 +50,37 @@ import (
 	"flint/internal/transport"
 )
 
-// Config parameterizes the scheduling plane.
-type Config struct {
-	// Disable turns the scheduler off: cohorts fall back to the radio
-	// label, the deadline gate admits everyone, and OverCommit returns
-	// the configured base. The zero value is enabled — measured
-	// scheduling is the default serving behavior.
-	Disable bool
-	// Alpha is the EWMA smoothing factor for telemetry observations in
-	// (0, 1]; higher weighs recent transfers more. Default 0.3.
-	Alpha float64
-	// LowBWBps is the measured-downlink threshold (bytes/second) below
-	// which a device is mapped to the low-bandwidth cohort. Default
-	// 187500 B/s (1.5 Mbit/s).
-	LowBWBps float64
-	// MinSamples is how many downlink observations a device needs before
-	// its measurement overrides its radio label in the cohort map.
-	// Default 2 — one sample can be an artifact of a cold connection.
-	MinSamples int
+// The scheduling plane's fixed tuning. Each has one value in every
+// deployment, so none is a setting.
+const (
+	// alpha is the EWMA smoothing factor for telemetry observations:
+	// higher weighs recent transfers more.
+	alpha = 0.3
+	// LowBWBps is the measured-downlink threshold (1.5 Mbit/s, in
+	// bytes/second) below which a device is mapped to the low-bandwidth
+	// cohort.
+	LowBWBps = 187_500
 	// MaxOverCommit caps the deadline-driven assignment multiplier so a
 	// mostly-offline fleet cannot demand unbounded duplicate work.
-	// Default 3.
-	MaxOverCommit float64
-	// DeadlineSlack is the fraction of the remaining round window a task
+	MaxOverCommit = 3.0
+	// deadlineSlack is the fraction of the remaining round window a task
 	// estimate must fit inside to pass the gate (headroom for the model
-	// being an estimate). Default 0.8.
-	DeadlineSlack float64
-	// MinCensus is how many measured eligible devices a rebuild needs
+	// being an estimate).
+	deadlineSlack = 0.8
+	// minCensus is how many measured eligible devices a rebuild needs
 	// before the over-commit scale moves off the configured base — the
 	// fleet-level analogue of MinSamples, so one cold-start straggler
-	// cannot triple every round's assignment budget. Default 8;
-	// negative means no floor.
-	MinCensus int
+	// cannot triple every round's assignment budget.
+	minCensus = 8
 	// TelemetryTTL ages idle devices' telemetry toward "unmeasured":
 	// every full TTL without a fresh observation halves each EWMA's
 	// earned sample count (Telemetry.Decayed), so a device idle past a
 	// few TTLs falls below MinSamples and degrades to the unmeasured
 	// fallback instead of being pinned to a stale bandwidth verdict —
-	// the cohort map's analogue of the deadline gate's ProbeEvery
-	// re-measurement. Default 10m; negative disables decay.
-	TelemetryTTL time.Duration
-	// ProbeEvery is the consecutive deadline-gate denial streak after
+	// the cohort map's analogue of the deadline gate's probeEvery
+	// re-measurement.
+	TelemetryTTL = 10 * time.Minute
+	// probeEvery is the consecutive deadline-gate denial streak after
 	// which a device's requests are admitted as re-measurement probes
 	// (until fresh telemetry resets the streak). Telemetry is only
 	// refreshed on the update path, which a gated device never reaches
@@ -98,8 +88,16 @@ type Config struct {
 	// forever even after its link improved. The threshold stays armed
 	// once crossed, so a probe that loses the assignment race (full
 	// round budget) retries on the next request instead of waiting out
-	// another full streak. Default 8; negative disables probing.
-	ProbeEvery int
+	// another full streak.
+	probeEvery = 8
+)
+
+// Config parameterizes the scheduling plane.
+type Config struct {
+	// MinSamples is how many downlink observations a device needs before
+	// its measurement overrides its radio label in the cohort map.
+	// Default 2 — one sample can be an artifact of a cold connection.
+	MinSamples int
 	// RebuildEvery is how often the coordinator refreshes the fleet view
 	// (cohort map, over-commit, histograms). Default 2s.
 	RebuildEvery time.Duration
@@ -120,41 +118,8 @@ type Config struct {
 
 // WithDefaults fills zero fields and validates the result.
 func (c Config) WithDefaults() (Config, error) {
-	if c.Alpha == 0 {
-		c.Alpha = 0.3
-	}
-	if c.Alpha < 0 || c.Alpha > 1 {
-		return c, fmt.Errorf("sched: alpha %v outside (0, 1]", c.Alpha)
-	}
-	if c.LowBWBps == 0 {
-		c.LowBWBps = 187_500 // 1.5 Mbit/s
-	}
-	if c.LowBWBps < 0 {
-		return c, fmt.Errorf("sched: negative lowbw threshold %v", c.LowBWBps)
-	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 2
-	}
-	if c.MaxOverCommit == 0 {
-		c.MaxOverCommit = 3
-	}
-	if c.MaxOverCommit < 1 {
-		return c, fmt.Errorf("sched: max over-commit %v below 1", c.MaxOverCommit)
-	}
-	if c.DeadlineSlack == 0 {
-		c.DeadlineSlack = 0.8
-	}
-	if c.DeadlineSlack <= 0 || c.DeadlineSlack > 1 {
-		return c, fmt.Errorf("sched: deadline slack %v outside (0, 1]", c.DeadlineSlack)
-	}
-	if c.MinCensus == 0 {
-		c.MinCensus = 8
-	}
-	if c.ProbeEvery == 0 {
-		c.ProbeEvery = 8
-	}
-	if c.TelemetryTTL == 0 {
-		c.TelemetryTTL = 10 * time.Minute
 	}
 	if c.RebuildEvery <= 0 {
 		c.RebuildEvery = 2 * time.Second
@@ -212,7 +177,7 @@ func New(cfg Config) (*Scheduler, error) {
 	s.view.Store(&fleetView{
 		overCommit: 0,
 		cohorts:    map[int64]string{},
-		report:     Report{Enabled: !cfg.Disable},
+		report:     Report{Enabled: true},
 	})
 	return s, nil
 }
@@ -220,17 +185,11 @@ func New(cfg Config) (*Scheduler, error) {
 // Config returns the effective (defaulted) configuration.
 func (s *Scheduler) Config() Config { return s.cfg }
 
-// Enabled reports whether measured scheduling is active.
-func (s *Scheduler) Enabled() bool { return !s.cfg.Disable }
-
 // Cohort returns the device's transport cohort: the measured-bandwidth
 // mapping when the device has enough downlink samples, else "" — the
 // caller falls back to the radio label (exactly the pre-scheduler rule),
-// so an unmeasured or disabled fleet behaves as before.
+// so an unmeasured fleet behaves as before.
 func (s *Scheduler) Cohort(id int64) string {
-	if s.cfg.Disable {
-		return ""
-	}
 	return s.view.Load().cohorts[id]
 }
 
@@ -269,11 +228,11 @@ func (s *Scheduler) EstimateSeconds(tel Telemetry, est TaskEstimate) (float64, b
 }
 
 // Admit is the deadline gate: it reports whether the device's estimated
-// task duration fits inside the remaining round window (scaled by the
-// configured slack). Devices without telemetry are admitted — the gate
+// task duration fits inside the remaining round window (scaled by
+// deadlineSlack). Devices without telemetry are admitted — the gate
 // only rejects devices *measured* to be too slow.
 func (s *Scheduler) Admit(tel Telemetry, remaining time.Duration, est TaskEstimate) bool {
-	if s.cfg.Disable || remaining <= 0 {
+	if remaining <= 0 {
 		// A non-positive window is the round's problem (its own deadline
 		// check denies), not the device's.
 		return true
@@ -282,16 +241,14 @@ func (s *Scheduler) Admit(tel Telemetry, remaining time.Duration, est TaskEstima
 	if !ok {
 		return true
 	}
-	return sec <= remaining.Seconds()*s.cfg.DeadlineSlack
+	return sec <= remaining.Seconds()*deadlineSlack
 }
 
 // ProbeDue reports whether a device's nth consecutive deadline-gate
 // denial should be admitted anyway as a re-measurement probe: the
-// streak has reached the ProbeEvery threshold and no fresh telemetry
+// streak has reached the probeEvery threshold and no fresh telemetry
 // has reset it yet.
-func (s *Scheduler) ProbeDue(n int) bool {
-	return s.cfg.ProbeEvery > 0 && n >= s.cfg.ProbeEvery
-}
+func (s *Scheduler) ProbeDue(n int) bool { return n >= probeEvery }
 
 // OverCommit returns the sync-round assignment multiplier: the configured
 // base scaled up by the measured on-time fraction of the eligible fleet
@@ -300,16 +257,13 @@ func (s *Scheduler) ProbeDue(n int) bool {
 // Before the first rebuild — or with no measured devices — it returns the
 // base unchanged.
 func (s *Scheduler) OverCommit(base float64) float64 {
-	if s.cfg.Disable {
-		return base
-	}
 	v := s.view.Load()
 	if v.overCommit == 0 {
 		return base
 	}
 	oc := base * v.overCommit
-	if oc > s.cfg.MaxOverCommit {
-		oc = s.cfg.MaxOverCommit
+	if oc > MaxOverCommit {
+		oc = MaxOverCommit
 	}
 	if oc < base {
 		oc = base
@@ -331,9 +285,6 @@ func (s *Scheduler) Report() Report { return s.view.Load().report }
 // it isn't); a missing cohort falls back to the default cohort's entry.
 // O(fleet) — call it from a maintenance loop, never a serving path.
 func (s *Scheduler) Rebuild(devs []DeviceSample, deadline time.Duration, ests map[string]TaskEstimate) {
-	if s.cfg.Disable {
-		return
-	}
 	next := &fleetView{
 		cohorts: make(map[int64]string, len(devs)),
 		report: Report{
@@ -346,14 +297,14 @@ func (s *Scheduler) Rebuild(devs []DeviceSample, deadline time.Duration, ests ma
 	}
 	var estimates []float64
 	onTime, measuredEligible := 0, 0
-	window := deadline.Seconds() * s.cfg.DeadlineSlack
+	window := deadline.Seconds() * deadlineSlack
 	for _, d := range devs {
 		labelCohort := transport.LabelCohort(d.WiFi)
 		cohort := labelCohort
 		if d.Tel.DownSamples >= s.cfg.MinSamples {
 			// Measured: bandwidth decides, the radio label does not.
 			cohort = transport.CohortDefault
-			if d.Tel.DownBps < s.cfg.LowBWBps {
+			if d.Tel.DownBps < LowBWBps {
 				cohort = transport.CohortLowBW
 			}
 			next.cohorts[d.ID] = cohort
@@ -396,15 +347,15 @@ func (s *Scheduler) Rebuild(devs []DeviceSample, deadline time.Duration, ests ma
 		// The scale only moves once the census clears the fleet-level
 		// floor — a cold-start fleet whose first measured device happens
 		// to straggle must not triple every round's budget off n=1.
-		if measuredEligible >= s.cfg.MinCensus {
+		if measuredEligible >= minCensus {
 			frac := next.report.OnTimeFraction
 			// The scale is the inverse on-time fraction: collecting K
 			// updates from a fleet where only frac finish on time takes
 			// K/frac assignments in expectation. Floor the fraction so a
 			// transient all-slow census cannot explode the scale past
 			// the cap's reach.
-			if frac < 1/s.cfg.MaxOverCommit {
-				frac = 1 / s.cfg.MaxOverCommit
+			if frac < 1/MaxOverCommit {
+				frac = 1 / MaxOverCommit
 			}
 			next.overCommit = 1 / frac
 		}

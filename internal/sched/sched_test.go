@@ -23,54 +23,45 @@ func TestConfigDefaultsAndValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Alpha != 0.3 || cfg.LowBWBps != 187_500 || cfg.MinSamples != 2 ||
-		cfg.MaxOverCommit != 3 || cfg.DeadlineSlack != 0.8 ||
-		cfg.RebuildEvery != 2*time.Second || cfg.ProbeEvery != 8 || cfg.MinCensus != 8 {
+	if cfg.MinSamples != 2 || cfg.RebuildEvery != 2*time.Second || cfg.TimeCompression != 1 {
 		t.Fatalf("unexpected defaults: %+v", cfg)
 	}
-	for _, bad := range []Config{
-		{Alpha: 1.5},
-		{Alpha: -0.1},
-		{LowBWBps: -1},
-		{MaxOverCommit: 0.5},
-		{DeadlineSlack: 1.2},
-	} {
-		if _, err := bad.WithDefaults(); err == nil {
-			t.Errorf("config %+v validated", bad)
-		}
+	if _, err := (Config{TimeCompression: 0.5}).WithDefaults(); err == nil {
+		t.Error("compression below 1 validated")
 	}
 }
 
 func TestTelemetryEWMA(t *testing.T) {
 	// Every value below is exact in float32, the state's storage width.
 	var st TelemetryState
-	st.ObserveUplink(1000, time.Second, 0.5)
+	st.ObserveUplink(1000, time.Second)
 	if tel := st.Telemetry(); tel.UpBps != 1000 || tel.UpSamples != 1 {
 		t.Fatalf("seed observation: %+v", tel)
 	}
-	st.ObserveUplink(3000, time.Second, 0.5)
-	if tel := st.Telemetry(); tel.UpBps != 2000 {
-		t.Fatalf("EWMA blend: got %v, want 2000", tel.UpBps)
+	// alpha = 0.3: 0.3·3000 + 0.7·1000.
+	st.ObserveUplink(3000, time.Second)
+	if tel := st.Telemetry(); tel.UpBps != 1600 {
+		t.Fatalf("EWMA blend: got %v, want 1600", tel.UpBps)
 	}
 	// A zero-duration loopback observation must not produce +Inf.
-	st.ObserveDownlink(500, 0, 0.5)
+	st.ObserveDownlink(500, 0)
 	if tel := st.Telemetry(); tel.DownBps <= 0 || tel.DownBps > 500/minTransfer.Seconds()+1 {
 		t.Fatalf("floored transfer produced %v B/s", tel.DownBps)
 	}
 	// Zero-byte and zero-duration task observations are dropped.
-	st.ObserveUplink(0, time.Second, 0.5)
+	st.ObserveUplink(0, time.Second)
 	if tel := st.Telemetry(); tel.UpSamples != 2 {
 		t.Fatalf("zero-byte observation counted: %+v", tel)
 	}
-	st.ObserveTask(2*time.Second, 0.5)
-	st.ObserveTask(0, 0.5)
+	st.ObserveTask(2 * time.Second)
+	st.ObserveTask(0)
 	if tel := st.Telemetry(); tel.TaskSamples != 1 || tel.TaskSec != 2 {
 		t.Fatalf("task EWMA: %+v", tel)
 	}
 	// Sample counts are uint16 and saturate instead of wrapping.
 	var sat TelemetryState
 	for i := 0; i < 1<<16; i++ {
-		sat.ObserveTask(time.Second, 0.5)
+		sat.ObserveTask(time.Second)
 	}
 	if tel := sat.Telemetry(); tel.TaskSamples != 65535 || tel.TaskSec != 1 {
 		t.Fatalf("saturation: %+v", tel)
@@ -78,12 +69,12 @@ func TestTelemetryEWMA(t *testing.T) {
 }
 
 func TestAdmitDeadlineGate(t *testing.T) {
-	s := mustNew(t, Config{DeadlineSlack: 0.8})
+	s := mustNew(t, Config{})
 	est := TaskEstimate{DownBytes: 1_000_000, UpBytes: 1_000_000}
 	fast := Telemetry{DownBps: 1e6, UpBps: 1e6, DownSamples: 3, UpSamples: 3}
 	slow := Telemetry{DownBps: 1e4, UpBps: 1e4, DownSamples: 3, UpSamples: 3}
 
-	// fast: 2s estimate fits a 10s window (8s after slack).
+	// fast: 2s estimate fits a 10s window (8s after deadlineSlack).
 	if !s.Admit(fast, 10*time.Second, est) {
 		t.Error("fast device rejected")
 	}
@@ -101,11 +92,6 @@ func TestAdmitDeadlineGate(t *testing.T) {
 	if s.Admit(trained, 10*time.Second, est) {
 		t.Error("long-training device admitted")
 	}
-	// Disabled scheduler admits everyone.
-	off := mustNew(t, Config{Disable: true})
-	if !off.Admit(slow, 10*time.Second, est) {
-		t.Error("disabled scheduler rejected a device")
-	}
 	// Below MinSamples the EWMAs are untrusted in every decision: the
 	// gate admits exactly like the unmeasured case.
 	under := slow
@@ -116,22 +102,19 @@ func TestAdmitDeadlineGate(t *testing.T) {
 }
 
 func TestProbeDue(t *testing.T) {
-	s := mustNew(t, Config{ProbeEvery: 3})
-	// Threshold semantics: once the streak crosses ProbeEvery it stays
-	// armed (a probe that loses the assignment race must retry on the
-	// next request, not wait out another full streak).
-	for n, want := range map[int]bool{1: false, 2: false, 3: true, 4: true, 6: true} {
+	s := mustNew(t, Config{})
+	// Threshold semantics: once the streak crosses probeEvery (8) it
+	// stays armed (a probe that loses the assignment race must retry on
+	// the next request, not wait out another full streak).
+	for n, want := range map[int]bool{1: false, 7: false, 8: true, 9: true, 16: true} {
 		if got := s.ProbeDue(n); got != want {
 			t.Errorf("ProbeDue(%d) = %v, want %v", n, got, want)
 		}
 	}
-	if off := mustNew(t, Config{ProbeEvery: -1}); off.ProbeDue(8) {
-		t.Error("disabled probing still fires")
-	}
 }
 
 func TestRebuildCohortMapOverridesRadioLabel(t *testing.T) {
-	s := mustNew(t, Config{LowBWBps: 100_000, MinSamples: 2})
+	s := mustNew(t, Config{MinSamples: 2})
 	devs := []DeviceSample{
 		// Slow "WiFi" device: measured below threshold → lowbw.
 		{ID: 1, WiFi: true, Eligible: true, Tel: Telemetry{DownBps: 20_000, UpBps: 20_000, DownSamples: 3, UpSamples: 3}},
@@ -181,7 +164,7 @@ func TestRebuildCohortMapOverridesRadioLabel(t *testing.T) {
 }
 
 func TestOverCommitFromStragglerTail(t *testing.T) {
-	s := mustNew(t, Config{MaxOverCommit: 3, DeadlineSlack: 1, MinCensus: 2})
+	s := mustNew(t, Config{})
 	// Before any rebuild: base passes through.
 	if got := s.OverCommit(1.3); got != 1.3 {
 		t.Fatalf("pre-rebuild over-commit %v", got)
@@ -193,9 +176,18 @@ func TestOverCommitFromStragglerTail(t *testing.T) {
 		return DeviceSample{ID: id, WiFi: true, Eligible: true,
 			Tel: Telemetry{DownBps: bps, UpBps: bps, DownSamples: 3, UpSamples: 3}}
 	}
-	// 2 of 4 eligible devices finish a 200k-byte task inside 10s: the
-	// fast pair needs ~2s, the slow pair ~2000s.
-	devs := []DeviceSample{mk(1, 1e5), mk(2, 1e5), mk(3, 100), mk(4, 100)}
+	// fleet builds a census of n devices at bps (ids from id0).
+	fleet := func(id0 int64, n int, bps float64) []DeviceSample {
+		var out []DeviceSample
+		for i := 0; i < n; i++ {
+			out = append(out, mk(id0+int64(i), bps))
+		}
+		return out
+	}
+	// 4 of 8 eligible devices (the minCensus floor) finish a 200k-byte
+	// task inside the 8s window: the fast half needs ~2s, the slow half
+	// ~2000s.
+	devs := append(fleet(1, 4, 1e5), fleet(5, 4, 100)...)
 	s.Rebuild(devs, 10*time.Second, est)
 	if got := s.OverCommit(1.0); got != 2.0 {
 		t.Errorf("half-on-time fleet: over-commit %v, want 2.0", got)
@@ -207,14 +199,14 @@ func TestOverCommitFromStragglerTail(t *testing.T) {
 	if rep.EstTaskP50Sec <= 0 || rep.EstTaskP99Sec < rep.EstTaskP50Sec {
 		t.Errorf("straggler quantiles: p50=%v p99=%v", rep.EstTaskP50Sec, rep.EstTaskP99Sec)
 	}
-	// The cap bounds a mostly-slow fleet.
-	devs = []DeviceSample{mk(1, 1e5), mk(2, 100), mk(3, 100), mk(4, 100)}
+	// MaxOverCommit bounds a mostly-slow fleet.
+	devs = append(fleet(1, 2, 1e5), fleet(3, 6, 100)...)
 	s.Rebuild(devs, 10*time.Second, est)
 	if got := s.OverCommit(1.0); got != 3.0 {
 		t.Errorf("capped over-commit %v, want 3.0", got)
 	}
 	// The scale never pulls below the configured base.
-	devs = []DeviceSample{mk(1, 1e5), mk(2, 1e5)}
+	devs = fleet(1, 8, 1e5)
 	s.Rebuild(devs, 10*time.Second, est)
 	if got := s.OverCommit(1.3); got != 1.3 {
 		t.Errorf("all-on-time fleet: over-commit %v, want base 1.3", got)
@@ -235,12 +227,12 @@ func TestOverCommitFromStragglerTail(t *testing.T) {
 // ones — otherwise every lowbw device would be miscounted as a straggler
 // and over-commit would inflate for rounds that actually close on time.
 func TestRebuildUsesCohortEstimates(t *testing.T) {
-	s := mustNew(t, Config{LowBWBps: 1e6, MinSamples: 1, DeadlineSlack: 1})
+	s := mustNew(t, Config{MinSamples: 1})
 	devs := []DeviceSample{{ID: 1, WiFi: true, Eligible: true,
 		Tel: Telemetry{DownBps: 1e4, UpBps: 1e4, DownSamples: 2, UpSamples: 2}}}
 	ests := map[string]TaskEstimate{
 		// Default task: 5 MB → 500 s at 10 KB/s, hopeless. LowBW task:
-		// 25 KB each way → 5 s, comfortably inside the 10 s window.
+		// 25 KB each way → 5 s, inside the 8 s window.
 		transport.CohortDefault: {DownBytes: 5_000_000, UpBytes: 5_000_000},
 		transport.CohortLowBW:   {DownBytes: 25_000, UpBytes: 25_000},
 	}
@@ -294,7 +286,7 @@ func TestWireSizeEstimate(t *testing.T) {
 
 func TestTelemetryDecay(t *testing.T) {
 	now := time.Unix(1000, 0)
-	ttl := 10 * time.Minute
+	ttl := TelemetryTTL
 	tel := Telemetry{
 		UpBps: 5e5, DownBps: 2e5, TaskSec: 3,
 		UpSamples: 8, DownSamples: 4, TaskSamples: 2,
@@ -335,15 +327,5 @@ func TestTelemetryDecay(t *testing.T) {
 	// longer clears MinSamples, so the scheduler treats it as unmeasured.
 	if min := 2; tel.UpSamples >= min && tel.Decayed(now.Add(3*ttl), ttl).UpSamples >= min {
 		t.Fatal("decay never dropped the device below MinSamples")
-	}
-}
-
-func TestTelemetryTTLDefault(t *testing.T) {
-	cfg, err := Config{}.WithDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.TelemetryTTL != 10*time.Minute {
-		t.Fatalf("TelemetryTTL default = %s, want 10m", cfg.TelemetryTTL)
 	}
 }

@@ -48,7 +48,7 @@ func clampBps(x float64) float64 {
 
 // ewma folds sample x into the running mean: the first observation seeds
 // the series, later ones blend with weight alpha.
-func ewma(prev, x, alpha float64, samples int) float64 {
+func ewma(prev, x float64, samples int) float64 {
 	if samples == 0 {
 		return x
 	}
@@ -80,37 +80,37 @@ func (t *TelemetryState) Touch(now time.Time) { t.lastSampleNS = now.UnixNano() 
 
 // ObserveUplink folds one observed /v1/update transfer (bytes moved over
 // d) into the uplink EWMA.
-func (t *TelemetryState) ObserveUplink(bytes int, d time.Duration, alpha float64) {
+func (t *TelemetryState) ObserveUplink(bytes int, d time.Duration) {
 	if bytes <= 0 {
 		return
 	}
 	if d < minTransfer {
 		d = minTransfer
 	}
-	t.upBps = float32(ewma(float64(t.upBps), clampBps(float64(bytes)/d.Seconds()), alpha, int(t.upN)))
+	t.upBps = float32(ewma(float64(t.upBps), clampBps(float64(bytes)/d.Seconds()), int(t.upN)))
 	t.upN = satInc(t.upN)
 }
 
 // ObserveDownlink folds one reported task-download transfer into the
 // downlink EWMA.
-func (t *TelemetryState) ObserveDownlink(bytes int, d time.Duration, alpha float64) {
+func (t *TelemetryState) ObserveDownlink(bytes int, d time.Duration) {
 	if bytes <= 0 {
 		return
 	}
 	if d < minTransfer {
 		d = minTransfer
 	}
-	t.downBps = float32(ewma(float64(t.downBps), clampBps(float64(bytes)/d.Seconds()), alpha, int(t.downN)))
+	t.downBps = float32(ewma(float64(t.downBps), clampBps(float64(bytes)/d.Seconds()), int(t.downN)))
 	t.downN = satInc(t.downN)
 }
 
 // ObserveTask folds one reported local-training duration into the
 // task-duration EWMA.
-func (t *TelemetryState) ObserveTask(d time.Duration, alpha float64) {
+func (t *TelemetryState) ObserveTask(d time.Duration) {
 	if d <= 0 {
 		return
 	}
-	t.taskSec = float32(ewma(float64(t.taskSec), d.Seconds(), alpha, int(t.taskN)))
+	t.taskSec = float32(ewma(float64(t.taskSec), d.Seconds(), int(t.taskN)))
 	t.taskN = satInc(t.taskN)
 }
 

@@ -53,8 +53,6 @@ type GatewayConfig struct {
 	// Shards lists the replica base URLs; a URL's index is its shard id
 	// on the ring and the tier exchange.
 	Shards []string
-	// Replicas is the ring vnode count per shard (0 = default 64).
-	Replicas int
 	// Leader is the tier's round leader, hosted in the gateway process
 	// so the exchange and the halt gate share one membership view.
 	Leader *Leader
@@ -106,7 +104,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	if cfg.Leader == nil {
 		return nil, fmt.Errorf("shard: gateway needs a leader")
 	}
-	ring, err := NewRing(len(cfg.Shards), cfg.Replicas)
+	ring, err := NewRing(len(cfg.Shards))
 	if err != nil {
 		return nil, err
 	}

@@ -16,15 +16,13 @@ import (
 type LeaderConfig struct {
 	// Shards is the tier width N: how many replicas the leader expects
 	// to hear from. Membership is healthy only when every one of them
-	// has pinged within Grace.
+	// has pinged within Grace. It is also the cross-shard fold trigger:
+	// the leader folds once it has buffered N partials, one fold per
+	// tier-wide round generation.
 	Shards int
 	// Grace is the heartbeat freshness window; a shard whose last ping
 	// is older counts as lost and halts the tier (default 3s).
 	Grace time.Duration
-	// Buffer is the cross-shard fold trigger K: how many partials the
-	// leader buffers before folding them into the global model
-	// (default Shards, so one fold per tier-wide round generation).
-	Buffer int
 	// ServerLR and StalenessAlpha parameterize the cross-shard FedBuff
 	// fold: partials from shards that trained against an older global
 	// version are staleness-discounted, exactly like late async device
@@ -37,8 +35,6 @@ type LeaderConfig struct {
 	// seed — or the tier's installs would not be bit-compatible with
 	// the shards' check-in broadcasts. Required.
 	Params func(job string) (tensor.Vector, error)
-	// Clock overrides time.Now for tests.
-	Clock func() time.Time
 }
 
 func (c LeaderConfig) withDefaults() (LeaderConfig, error) {
@@ -48,9 +44,6 @@ func (c LeaderConfig) withDefaults() (LeaderConfig, error) {
 	if c.Grace <= 0 {
 		c.Grace = 3 * time.Second
 	}
-	if c.Buffer <= 0 {
-		c.Buffer = c.Shards
-	}
 	if c.ServerLR <= 0 {
 		c.ServerLR = 1
 	}
@@ -59,9 +52,6 @@ func (c LeaderConfig) withDefaults() (LeaderConfig, error) {
 	}
 	if c.Params == nil {
 		return c, fmt.Errorf("shard: leader needs a Params factory")
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
 	}
 	return c, nil
 }
@@ -134,7 +124,7 @@ func NewLeader(cfg LeaderConfig) (*Leader, error) {
 func (l *Leader) Ping(shardID int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.pingLocked(shardID, l.cfg.Clock())
+	return l.pingLocked(shardID, time.Now())
 }
 
 func (l *Leader) pingLocked(shardID int, now time.Time) error {
@@ -151,7 +141,7 @@ func (l *Leader) pingLocked(shardID int, now time.Time) error {
 func (l *Leader) Healthy() bool {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.healthyLocked(l.cfg.Clock())
+	return l.healthyLocked(time.Now())
 }
 
 func (l *Leader) healthyLocked(now time.Time) bool {
@@ -238,7 +228,7 @@ func (l *Leader) Counters() *metrics.CounterSet { return l.counters }
 func (l *Leader) SubmitPartial(pc coord.PartialCommit) (coord.GlobalInstall, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	now := l.cfg.Clock()
+	now := time.Now()
 	if err := l.pingLocked(pc.ShardID, now); err != nil {
 		l.counters.Counter("tier_bad_partials").Inc()
 		return coord.GlobalInstall{}, err
@@ -276,7 +266,7 @@ func (l *Leader) SubmitPartial(pc coord.PartialCommit) (coord.GlobalInstall, err
 	l.counters.Counter("tier_partials_received").Inc()
 	l.counters.Counter("tier_partial_wire_bytes").Add(int64(len(pc.Blob)))
 	l.counters.Counter("tier_updates_represented").Add(int64(pc.Updates))
-	if len(jg.buffer) >= l.cfg.Buffer {
+	if len(jg.buffer) >= l.cfg.Shards {
 		l.foldLocked(pc.Job, jg)
 	}
 	inst := coord.GlobalInstall{Version: jg.version}
@@ -342,7 +332,7 @@ type TierStatus struct {
 func (l *Leader) Status() TierStatus {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	now := l.cfg.Clock()
+	now := time.Now()
 	st := TierStatus{
 		Shards:     l.cfg.Shards,
 		Healthy:    l.healthyLocked(now),

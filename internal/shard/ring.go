@@ -19,10 +19,10 @@ import (
 	"sort"
 )
 
-// defaultReplicas is the vnode count per shard. 64 vnodes keep the
+// replicas is the vnode count per shard. 64 vnodes keep the
 // per-shard share of the id space within a few percent of uniform while
 // the ring stays small enough to sit in cache (N·64 16-byte entries).
-const defaultReplicas = 64
+const replicas = 64
 
 // Ring is a consistent-hash map from device ids to shard indices.
 // Each shard owns `replicas` pseudo-random points (vnodes) on a
@@ -45,13 +45,10 @@ type ringPoint struct {
 }
 
 // NewRing builds a ring over `shards` shards with `replicas` vnodes
-// each (replicas <= 0 selects the default).
-func NewRing(shards, replicas int) (*Ring, error) {
+// each.
+func NewRing(shards int) (*Ring, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("shard: ring needs at least one shard, got %d", shards)
-	}
-	if replicas <= 0 {
-		replicas = defaultReplicas
 	}
 	r := &Ring{
 		shards: shards,

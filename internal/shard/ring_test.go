@@ -3,17 +3,17 @@ package shard
 import "testing"
 
 func TestRingRejectsEmptyTier(t *testing.T) {
-	if _, err := NewRing(0, 0); err == nil {
+	if _, err := NewRing(0); err == nil {
 		t.Fatal("want error for zero shards")
 	}
 }
 
 func TestRingIsDeterministicAndStable(t *testing.T) {
-	a, err := NewRing(4, 0)
+	a, err := NewRing(4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := NewRing(4, 0)
+	b, err := NewRing(4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestRingIsDeterministicAndStable(t *testing.T) {
 
 func TestRingSpreadsLoad(t *testing.T) {
 	const shards, devices = 4, 20000
-	r, err := NewRing(shards, 0)
+	r, err := NewRing(shards)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +50,11 @@ func TestRingSpreadsLoad(t *testing.T) {
 
 func TestRingMinimalMovementOnGrowth(t *testing.T) {
 	const devices = 10000
-	r3, err := NewRing(3, 0)
+	r3, err := NewRing(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r4, err := NewRing(4, 0)
+	r4, err := NewRing(4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ type JobStatus struct {
 	RoundsCommitted   int64 `json:"rounds_committed"`
 	UpdatesAggregated int64 `json:"updates_aggregated"`
 	// DevicesKnown/Live are the job's registry census; MaxDevices its
-	// quota (0 = unlimited) and QuotaRejected how many check-ins the
+	// effective quota (0 = unlimited) and QuotaRejected how many check-ins the
 	// quota turned away.
 	DevicesKnown  int   `json:"devices_known"`
 	DevicesLive   int   `json:"devices_live"`
@@ -230,7 +230,7 @@ func (s *Server) jobStatus(j *Job) JobStatus {
 		UpdatesAggregated: st.Counters["updates_aggregated"],
 		DevicesKnown:      st.Devices.Known,
 		DevicesLive:       st.Devices.Live,
-		MaxDevices:        j.Spec.MaxDevices,
+		MaxDevices:        j.Coord.Config().MaxDevices,
 		QuotaRejected:     st.Counters["checkin_rejected_quota"],
 		Protected:         j.Spec.Token != "",
 		AuthRejected:      st.Counters["auth_rejected_token"],

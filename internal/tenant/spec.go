@@ -153,8 +153,9 @@ type JobSpec struct {
 	DPClipNorm float64 `json:"dp_clip_norm,omitempty"`
 	DPSeed     int64   `json:"dp_seed,omitempty"`
 	// MaxDevices is the job's device quota: how many distinct devices
-	// may be checked in at once (0 = unlimited). Over-quota check-ins
-	// get 429 and checkin_rejected_quota.
+	// may be checked in at once (0 inherits the base quota, where 0
+	// means unlimited). Over-quota check-ins get 429 and
+	// checkin_rejected_quota.
 	MaxDevices int `json:"max_devices,omitempty"`
 	// Token, when set, locks the job's routes behind bearer-token auth:
 	// requests must carry it as "Authorization: Bearer <token>" (or
@@ -265,7 +266,9 @@ func (s JobSpec) coordConfig(base coord.Config) (coord.Config, error) {
 	if s.DPSeed != 0 {
 		cfg.DP.Seed = s.DPSeed
 	}
-	cfg.MaxDevices = s.MaxDevices
+	if s.MaxDevices != 0 {
+		cfg.MaxDevices = s.MaxDevices
+	}
 	if cfg.Exchange != nil {
 		// A sharded multi-tenant server keys every partial by job name,
 		// so one tier leader can reduce several tenants independently.

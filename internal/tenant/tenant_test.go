@@ -229,6 +229,40 @@ func TestQuotaIsolation(t *testing.T) {
 	}
 }
 
+// TestBaseQuotaInherited: a spec without max_devices inherits the
+// server's base quota (flint-server -max-devices), like every other zero
+// spec field, and the job's status row reports the effective quota.
+func TestBaseQuotaInherited(t *testing.T) {
+	base := testBase()
+	base.MaxDevices = 3
+	reg := NewRegistry(base)
+	defer reg.Close()
+	if _, err := reg.Register(JobSpec{Name: "inherits"}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(NewServer(reg, false))
+	defer ts.Close()
+	for id := int64(1); id <= 4; id++ {
+		want := http.StatusOK
+		if id == 4 {
+			want = http.StatusTooManyRequests
+		}
+		code := doReq(t, "POST", ts.URL+"/v1/jobs/inherits/checkin", "",
+			coord.CheckInRequest{DeviceID: id, Model: "Pixel-6", Platform: "Android",
+				WiFi: true, BatteryHigh: true, SessionSec: 3600, Weight: 10}, nil)
+		if code != want {
+			t.Fatalf("checkin %d = %d, want %d", id, code, want)
+		}
+	}
+	var st StatusReport
+	if code := doReq(t, "GET", ts.URL+"/v1/status", "", nil, &st); code != 200 {
+		t.Fatalf("status = %d", code)
+	}
+	if row := st.Jobs["inherits"]; row.MaxDevices != 3 {
+		t.Fatalf("status row %+v, want max_devices 3", row)
+	}
+}
+
 func mustJSON(t *testing.T, v any) []byte {
 	t.Helper()
 	raw, err := json.Marshal(v)

@@ -91,23 +91,6 @@ func (v Vector) Norm2() float64 {
 	return math.Sqrt(s)
 }
 
-// Clip bounds the Euclidean norm of v to maxNorm, scaling in place when the
-// norm exceeds the bound. It returns the scaling factor applied (1 when no
-// clipping occurred). Clipping to a non-positive bound zeroes the vector.
-func (v Vector) Clip(maxNorm float64) float64 {
-	if maxNorm <= 0 {
-		v.Zero()
-		return 0
-	}
-	n := v.Norm2()
-	if n <= maxNorm || n == 0 {
-		return 1
-	}
-	f := maxNorm / n
-	v.Scale(f)
-	return f
-}
-
 // Matrix is a dense row-major matrix.
 type Matrix struct {
 	Rows, Cols int

@@ -51,48 +51,6 @@ func TestVectorCloneIsIndependent(t *testing.T) {
 	}
 }
 
-func TestClip(t *testing.T) {
-	v := Vector{3, 4} // norm 5
-	f := v.Clip(10)
-	if f != 1 || v[0] != 3 {
-		t.Fatalf("Clip below bound must be identity, got factor %v vec %v", f, v)
-	}
-	f = v.Clip(2.5)
-	if !almostEqual(f, 0.5, 1e-12) {
-		t.Fatalf("Clip factor: got %v want 0.5", f)
-	}
-	if !almostEqual(v.Norm2(), 2.5, 1e-12) {
-		t.Fatalf("Clip norm: got %v want 2.5", v.Norm2())
-	}
-	v.Clip(0)
-	if v.Norm2() != 0 {
-		t.Fatal("Clip(0) must zero the vector")
-	}
-}
-
-func TestClipNormInvariant(t *testing.T) {
-	// Property: after Clip(c) with c>0, norm <= c (+tolerance).
-	f := func(xs []float64, c float64) bool {
-		c = math.Abs(c)
-		if c == 0 || math.IsNaN(c) || math.IsInf(c, 0) {
-			c = 1
-		}
-		v := make(Vector, len(xs))
-		for i, x := range xs {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				x = 0
-			}
-			// Bound magnitudes so norms stay finite.
-			v[i] = math.Mod(x, 1e6)
-		}
-		v.Clip(c)
-		return v.Norm2() <= c*(1+1e-9)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestMatrixMulVec(t *testing.T) {
 	m := NewMatrix(2, 3)
 	copy(m.Data, Vector{1, 2, 3, 4, 5, 6})

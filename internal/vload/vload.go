@@ -50,6 +50,34 @@ import (
 	"flint/internal/vclock"
 )
 
+// The virtual population's fixed model. Each has one value in every run,
+// so none is a setting.
+const (
+	// startHour is the virtual clock's hour-of-day at t=0: the diurnal
+	// peak, so a short run begins with devices awake.
+	startHour = 19
+	// sessionMedianSec is the log-normal session-duration median in
+	// virtual seconds.
+	sessionMedianSec = 150
+	// trainMedianSec is the log-normal median of the simulated local
+	// training duration in virtual seconds.
+	trainMedianSec = 20
+	// wifiProb, batteryHighProb and modernOSProb are the Table 1
+	// device-state marginals, modulated per session hour by the
+	// availability curves.
+	wifiProb        = 0.70
+	batteryHighProb = 0.34
+	modernOSProb    = 0.93
+)
+
+// workerCount is the event-loop goroutine count for a fleet of the given
+// size: 4 x GOMAXPROCS, capped at 64 and at the fleet size. Each worker
+// multiplexes devices/workers virtual devices, and the count also bounds
+// concurrent in-flight HTTP requests — it sizes the connection pool.
+func workerCount(devices int) int {
+	return min(4*runtime.GOMAXPROCS(0), 64, devices)
+}
+
 // Config drives one virtual-time load run.
 type Config struct {
 	// BaseURL is the server root (a flint-server, or a flint-gateway
@@ -73,16 +101,7 @@ type Config struct {
 	// Rounds, when > 0, stops the run early once the server has
 	// committed that many rounds past the starting version.
 	Rounds int
-	// StartHour is the virtual clock's hour-of-day at t=0 (0-23;
-	// default 19, the diurnal peak, so a short run begins with devices
-	// awake). Set -1 for 0:00 explicitly.
-	StartHour int
-	Seed      int64
-	// Workers is the event-loop goroutine count; each multiplexes
-	// Devices/Workers virtual devices (default 4 x GOMAXPROCS, capped
-	// at 64). It also bounds concurrent in-flight HTTP requests — the
-	// connection-pool sizing knob.
-	Workers int
+	Seed   int64
 	// Batch is the registration/check-in batch size for
 	// POST /v1/checkin/batch (default 2048).
 	Batch int
@@ -91,26 +110,16 @@ type Config struct {
 	Think time.Duration
 	// SessionsPerDay is the per-device mean session count per virtual
 	// day, modulated by the diurnal curve (default 3, the paper's ads
-	// case study). SessionMedianSec is the log-normal session-duration
-	// median in virtual seconds (default 150).
-	SessionsPerDay   float64
-	SessionMedianSec float64
-	// TrainMedianSec is the log-normal median of the simulated local
-	// training duration in virtual seconds (default 20).
-	TrainMedianSec float64
+	// case study).
+	SessionsPerDay float64
 	// Bandwidth samples each device's persistent simulated link
 	// (downlink from the model, uplink at 40% of it); nil gets the
 	// fleet generator's default mixed-link model.
 	Bandwidth *network.BandwidthModel
-	// WiFiProb/BatteryHighProb/ModernOSProb are the Table 1 device-state
-	// marginals, modulated per session hour by the availability curves.
-	WiFiProb        float64
-	BatteryHighProb float64
-	ModernOSProb    float64
 	// Timeout bounds the whole run in wall time.
 	Timeout time.Duration
 	// Client overrides the HTTP client (tests inject the httptest
-	// client); the default sizes its idle pool to Workers.
+	// client); the default sizes its idle pool to the worker count.
 	Client *http.Client
 }
 
@@ -131,23 +140,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.VirtualDuration <= 0 {
 		c.VirtualDuration = 24 * time.Hour
 	}
-	switch {
-	case c.StartHour == 0:
-		c.StartHour = 19
-	case c.StartHour == -1:
-		c.StartHour = 0
-	case c.StartHour < 0 || c.StartHour > 23:
-		return c, fmt.Errorf("vload: start hour %d outside 0-23", c.StartHour)
-	}
-	if c.Workers <= 0 {
-		c.Workers = 4 * runtime.GOMAXPROCS(0)
-		if c.Workers > 64 {
-			c.Workers = 64
-		}
-	}
-	if c.Workers > c.Devices {
-		c.Workers = c.Devices
-	}
 	if c.Batch <= 0 {
 		c.Batch = 2048
 	}
@@ -157,34 +149,20 @@ func (c Config) withDefaults() (Config, error) {
 	if c.SessionsPerDay <= 0 {
 		c.SessionsPerDay = 3
 	}
-	if c.SessionMedianSec <= 0 {
-		c.SessionMedianSec = 150
-	}
-	if c.TrainMedianSec <= 0 {
-		c.TrainMedianSec = 20
-	}
 	if c.Bandwidth == nil {
 		c.Bandwidth = &network.BandwidthModel{MedianMbps: 4, Sigma: 0.9, SlowFrac: 0.2, FloorMbps: 0.05}
 	}
 	if err := c.Bandwidth.Validate(); err != nil {
 		return c, fmt.Errorf("vload: %w", err)
 	}
-	if c.WiFiProb == 0 {
-		c.WiFiProb = 0.70
-	}
-	if c.BatteryHighProb == 0 {
-		c.BatteryHighProb = 0.34
-	}
-	if c.ModernOSProb == 0 {
-		c.ModernOSProb = 0.93
-	}
 	if c.Timeout <= 0 {
 		c.Timeout = 10 * time.Minute
 	}
 	if c.Client == nil {
+		pool := 2 * workerCount(c.Devices)
 		tr := &http.Transport{
-			MaxIdleConns:        2 * c.Workers,
-			MaxIdleConnsPerHost: 2 * c.Workers,
+			MaxIdleConns:        pool,
+			MaxIdleConnsPerHost: pool,
 			IdleConnTimeout:     90 * time.Second,
 		}
 		c.Client = &http.Client{Transport: tr, Timeout: 30 * time.Second}
@@ -194,8 +172,8 @@ func (c Config) withDefaults() (Config, error) {
 
 // hourAt maps a virtual timestamp (seconds since run start) to its
 // virtual hour of day.
-func (c *Config) hourAt(v float64) int {
-	return int(math.Mod(float64(c.StartHour)+v/3600, 24))
+func hourAt(v float64) int {
+	return int(math.Mod(startHour+v/3600, 24))
 }
 
 // Report is the load plane's result.
@@ -337,7 +315,7 @@ func (w *worker) nextSessionStart(v float64) float64 {
 	peakRate := w.cfg.SessionsPerDay / 86400 / w.diurnalMean
 	for i := 0; i < 1_000_000; i++ {
 		v += w.rng.ExpFloat64() / peakRate
-		if w.rng.Float64() < availability.DiurnalIntensity(w.cfg.hourAt(v)) {
+		if w.rng.Float64() < availability.DiurnalIntensity(hourAt(v)) {
 			return v
 		}
 	}
@@ -350,11 +328,11 @@ func (w *worker) nextSessionStart(v float64) float64 {
 // virtual seconds in (forcing the flush if the batch hasn't filled).
 func (w *worker) wake(ctx context.Context, idx int32) {
 	d := &w.devs[idx]
-	hour := w.cfg.hourAt(w.vnow)
-	dur := w.cfg.SessionMedianSec * math.Exp(w.rng.NormFloat64()*1.1)
+	hour := hourAt(w.vnow)
+	dur := sessionMedianSec * math.Exp(w.rng.NormFloat64()*1.1)
 	d.sessionEnd = w.vnow + dur
-	d.wifi = w.rng.Float64() < clamp01(w.cfg.WiFiProb+availability.WiFiShift(hour))
-	d.battery = w.rng.Float64() < clamp01(w.cfg.BatteryHighProb+availability.BatteryShift(hour))
+	d.wifi = w.rng.Float64() < clamp01(wifiProb+availability.WiFiShift(hour))
+	d.battery = w.rng.Float64() < clamp01(batteryHighProb+availability.BatteryShift(hour))
 	w.enqueue(idx)
 	if len(w.pending) >= w.cfg.Batch {
 		w.flushCheckIns(ctx)
@@ -479,7 +457,7 @@ func (w *worker) poll(ctx context.Context, idx int32) bool {
 	// The blob download and local training cost *virtual* time: the
 	// device's simulated link rate and compute, not the loopback wire.
 	downV := float64(res.Recv) / float64(d.downBps)
-	trainV := w.cfg.TrainMedianSec * math.Exp(w.rng.NormFloat64()*0.8)
+	trainV := trainMedianSec * math.Exp(w.rng.NormFloat64()*0.8)
 	d.downBytes, d.downV, d.trainV = int32(res.Recv), float32(downV), float32(trainV)
 	w.schedule(w.vnow+downV+trainV, idx, evFinish)
 	return true
@@ -623,8 +601,8 @@ func Run(cfg Config) (*Report, error) {
 	// Partition the fleet across workers (contiguous ranges; device IDs
 	// are 1..Devices) and sample each device's persistent link and
 	// identity attributes.
-	workers := make([]*worker, cfg.Workers)
-	per := (cfg.Devices + cfg.Workers - 1) / cfg.Workers
+	workers := make([]*worker, workerCount(cfg.Devices))
+	per := (cfg.Devices + len(workers) - 1) / len(workers)
 	for wi := range workers {
 		lo, hi := wi*per, (wi+1)*per
 		if hi > cfg.Devices {
@@ -648,9 +626,9 @@ func Run(cfg Config) (*Report, error) {
 			down := cfg.Bandwidth.SampleBps(w.rng)
 			d.downBps, d.upBps = float32(down), float32(down*0.4)
 			d.weight = float32(20 + w.rng.Intn(180))
-			d.modern = w.rng.Float64() < cfg.ModernOSProb
-			d.wifi = w.rng.Float64() < cfg.WiFiProb
-			d.battery = w.rng.Float64() < cfg.BatteryHighProb
+			d.modern = w.rng.Float64() < modernOSProb
+			d.wifi = w.rng.Float64() < wifiProb
+			d.battery = w.rng.Float64() < batteryHighProb
 		}
 		workers[wi] = w
 	}
@@ -746,7 +724,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 	rep := &Report{
 		Devices:          cfg.Devices,
-		Workers:          cfg.Workers,
+		Workers:          len(workers),
 		Compression:      cfg.Compression,
 		VirtualSimulated: time.Duration(vmin * float64(time.Second)),
 		Wall:             wall,

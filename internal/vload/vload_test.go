@@ -146,26 +146,22 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := (Config{BaseURL: "http://x", Compression: 0.5}).withDefaults(); err == nil {
 		t.Fatal("compression below 1 accepted")
 	}
-	if _, err := (Config{BaseURL: "http://x", StartHour: 25}).withDefaults(); err == nil {
-		t.Fatal("start hour 25 accepted")
-	}
 	cfg, err := (Config{BaseURL: "http://x/"}).withDefaults()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.BaseURL != "http://x" || cfg.Compression != 60 || cfg.StartHour != 19 ||
+	if cfg.BaseURL != "http://x" || cfg.Compression != 60 ||
 		cfg.VirtualDuration != 24*time.Hour || cfg.Batch != 2048 {
 		t.Fatalf("unexpected defaults: %+v", cfg)
 	}
-	if cfg.Workers <= 0 || cfg.Client == nil || cfg.Bandwidth == nil {
+	if cfg.Client == nil || cfg.Bandwidth == nil {
 		t.Fatalf("defaults left zero fields: %+v", cfg)
 	}
-	// StartHour -1 is the explicit midnight spelling.
-	cfg, err = (Config{BaseURL: "http://x", StartHour: -1}).withDefaults()
-	if err != nil {
-		t.Fatal(err)
+	// The worker count never exceeds the fleet or the cap of 64.
+	if n := workerCount(3); n < 1 || n > 3 {
+		t.Fatalf("workerCount(3) = %d", n)
 	}
-	if cfg.StartHour != 0 {
-		t.Fatalf("StartHour -1 mapped to %d, want 0", cfg.StartHour)
+	if n := workerCount(1_000_000); n < 1 || n > 64 {
+		t.Fatalf("workerCount(1e6) = %d", n)
 	}
 }
