@@ -18,7 +18,7 @@
 // Against a sharded coordination tier, -gateway points the same fleet at
 // cmd/flint-gateway: the run waits for the tier to report healthy, then
 // drives rounds through the gateway's device routing — every other flag
-// (churn, bandwidth, fractions) works unchanged.
+// (fractions, poison replay) works unchanged.
 //
 // -virtual switches to the virtual-time load plane (internal/vload):
 // instead of a goroutine per device, batched virtual devices are
@@ -42,7 +42,6 @@ import (
 	"time"
 
 	"flint/internal/fleet"
-	"flint/internal/network"
 	"flint/internal/vload"
 )
 
@@ -53,15 +52,10 @@ func main() {
 	seed := flag.Int64("seed", 1, "population and behavior seed")
 	think := flag.Duration("think", 20*time.Millisecond, "mean device think time between protocol steps")
 	computeScale := flag.Float64("compute-scale", 1, "scale simulated local-training time (0 disables)")
-	deltaScale := flag.Float64("delta-scale", 0.01, "synthetic update delta magnitude")
 	deltaBias := flag.Float64("delta-bias", 0, "constant per-coordinate drift added to honest deltas (makes poison-induced divergence visible in model_norm)")
 	poisonFraction := flag.Float64("poison-fraction", 0, "share of devices under adversary control (deterministic per seed; 0 disables)")
-	poisonMode := flag.String("poison-mode", "sign-flip", "attack compromised devices mount: sign-flip or random-noise")
-	poisonScale := flag.Float64("poison-scale", 10, "attack boost factor (sign-flip amplification / noise std multiplier)")
+	poisonScale := flag.Float64("poison-scale", 10, "sign-flip boost factor compromised devices apply to their negated deltas")
 	jsonFraction := flag.Float64("json-fraction", 0, "share of devices on the JSON protocol: no capability list, full broadcast (0 = all negotiated binary, 1 = all JSON)")
-	bandwidth := flag.Float64("bandwidth", 0, "simulate per-device links: median downlink Mbps (0 disables; uplink at 40%)")
-	churn := flag.Bool("churn", false, "drive availability from a generated diurnal session trace instead of an always-on loop")
-	traceScale := flag.Float64("trace-scale", 60, "churn: trace seconds replayed per wall second")
 	timeout := flag.Duration("timeout", 2*time.Minute, "overall run deadline")
 	jobs := flag.String("jobs", "", "multi-tenant: comma-separated job list (name or name=token); devices split evenly across jobs with disjoint IDs")
 	gateway := flag.Bool("gateway", false, "-server is a shard-tier gateway (flint-gateway): wait for tier health, then watch the rollup for round progress")
@@ -74,12 +68,6 @@ func main() {
 	vsessions := flag.Float64("vsessions", 3, "virtual: mean device sessions per virtual day (diurnally modulated)")
 	flag.Parse()
 
-	var bw *network.BandwidthModel
-	if *bandwidth > 0 {
-		m := network.Default
-		m.MedianMbps = *bandwidth
-		bw = &m
-	}
 	if *virtual {
 		if *jobs != "" {
 			log.Fatal("-virtual and -jobs cannot be combined: the virtual-time load plane drives only the server's default job")
@@ -95,7 +83,6 @@ func main() {
 			Batch:           *vbatch,
 			Think:           *vthink,
 			SessionsPerDay:  *vsessions,
-			Bandwidth:       bw,
 			Timeout:         *timeout,
 		})
 		if rep != nil {
@@ -117,15 +104,10 @@ func main() {
 		Seed:           *seed,
 		ThinkTime:      *think,
 		ComputeScale:   *computeScale,
-		DeltaScale:     *deltaScale,
 		DeltaBias:      *deltaBias,
 		PoisonFraction: *poisonFraction,
-		PoisonMode:     *poisonMode,
 		PoisonScale:    *poisonScale,
 		JSONFraction:   *jsonFraction,
-		Bandwidth:      bw,
-		Churn:          *churn,
-		TraceScale:     *traceScale,
 		Timeout:        *timeout,
 		Gateway:        *gateway,
 	}

@@ -3,8 +3,6 @@ package aggregator
 import (
 	"fmt"
 	"math/rand"
-
-	"flint/internal/tensor"
 )
 
 // Attack mutates a subset of updates before aggregation, modeling the §4.1
@@ -37,29 +35,6 @@ func (a SignFlip) Poison(u Update, _ *rand.Rand) Update {
 	out := u
 	out.Delta = u.Delta.Clone()
 	out.Delta.Scale(-s)
-	return out
-}
-
-// RandomNoise replaces the update with large Gaussian noise, a crude
-// availability attack on convergence.
-type RandomNoise struct {
-	Std float64
-}
-
-// Name implements Attack.
-func (RandomNoise) Name() string { return "random-noise" }
-
-// Poison implements Attack.
-func (a RandomNoise) Poison(u Update, rng *rand.Rand) Update {
-	std := a.Std
-	if std <= 0 {
-		std = 1
-	}
-	out := u
-	out.Delta = tensor.NewVector(len(u.Delta))
-	for i := range out.Delta {
-		out.Delta[i] = rng.NormFloat64() * std
-	}
 	return out
 }
 

@@ -170,19 +170,6 @@ type Config struct {
 	KeepVersions int
 }
 
-// DefaultConfig returns a small sync-mode serving configuration.
-func DefaultConfig() Config {
-	return Config{
-		Mode:          ModeSync,
-		ModelKind:     model.KindA,
-		ModelName:     "served",
-		Seed:          1,
-		TargetUpdates: 16,
-		OverCommit:    1.3,
-		RoundDeadline: 30 * time.Second,
-	}
-}
-
 func (c Config) withDefaults() (Config, error) {
 	if c.Mode == "" {
 		c.Mode = ModeSync

@@ -1,8 +1,12 @@
 package coord
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -440,4 +444,122 @@ func TestCommitDuringEligibilityChurn(t *testing.T) {
 	if rep := c.Status().Scheduler; rep.Devices == 0 || rep.Measured == 0 {
 		t.Fatalf("scheduler never measured the churning fleet: %+v", rep)
 	}
+}
+
+// TestObserveUpdateTelemetry pins Server.observeUpdate's contract over
+// HTTP: binary updates carry the device's timing reports in headers, and
+// the registry's telemetry shows which ones the server believed. On a
+// production clock (compression 1) the server's own uplink measurement
+// stands against any claim; under compressed time the device's uplink
+// claim is the signal. Reported sizes beyond the update body budget and
+// durations beyond an hour are dropped in both.
+func TestObserveUpdateTelemetry(t *testing.T) {
+	type report struct {
+		upBytes, downBytes  int
+		upMS, downMS, train float64
+	}
+	post := func(t *testing.T, url string, id int64, blob []byte, rep report) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, url+"/v1/update", bytes.NewReader(blob))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := req.Header
+		h.Set("Content-Type", transport.ContentTypeTensor)
+		h.Set(transport.HeaderDevice, strconv.FormatInt(id, 10))
+		h.Set(transport.HeaderRound, "1")
+		h.Set(transport.HeaderBaseVersion, "1")
+		set := func(name string, v float64) {
+			if v != 0 {
+				h.Set(name, strconv.FormatFloat(v, 'f', -1, 64))
+			}
+		}
+		set(transport.HeaderUpBytes, float64(rep.upBytes))
+		set(transport.HeaderUpMS, rep.upMS)
+		set(transport.HeaderDownBytes, float64(rep.downBytes))
+		set(transport.HeaderDownMS, rep.downMS)
+		set(transport.HeaderTrainMS, rep.train)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	// measured marks an uplink EWMA that must be the server's loopback
+	// measurement of a ~6 KB body: far above every claimed rate below.
+	const measured = -1
+	cases := []struct {
+		name        string
+		compression float64
+		rep         report
+		// Expected telemetry; 0 means no sample was taken.
+		upBps, downBps, taskSec float64
+	}{
+		{"claim ignored at compression 1", 1,
+			report{upBytes: 100, upMS: 1000, downBytes: 20_000, downMS: 500, train: 1500},
+			measured, 40_000, 1.5},
+		{"oversize download dropped", 1,
+			report{downBytes: maxUpdateBody + 1, downMS: 500, train: maxReportedMS + 1},
+			measured, 0, 0},
+		{"overlong download dropped", 1,
+			report{downBytes: 20_000, downMS: maxReportedMS + 1, train: 250},
+			measured, 0, 0.25},
+		{"claim used under compression", 100,
+			report{upBytes: 50_000, upMS: 1000, downBytes: 20_000, downMS: 500},
+			50_000, 40_000, 0},
+		{"oversize claim dropped under compression", 100,
+			report{upBytes: maxUpdateBody + 1, upMS: 1000},
+			measured, 0, 0},
+		{"overlong claim dropped under compression", 100,
+			report{upBytes: 100, upMS: maxReportedMS + 1, train: maxReportedMS + 1},
+			measured, 0, 0},
+	}
+	for i, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := syncTestConfig()
+			cfg.Sched.TimeCompression = tc.compression
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			srv := httptest.NewServer(NewServer(c))
+			defer srv.Close()
+			blob, err := codec.Encode(tensor.NewVector(c.dim), codec.F32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			id := int64(i + 1)
+			c.CheckIn(testInfo(id))
+			post(t, srv.URL, id, blob, tc.rep)
+
+			_, tel, ok := c.reg.Snapshot(id)
+			if !ok {
+				t.Fatal("device vanished")
+			}
+			if tel.UpSamples != 1 {
+				t.Fatalf("%d uplink samples, want 1", tel.UpSamples)
+			}
+			if tc.upBps == measured {
+				if tel.UpBps < 1e4 {
+					t.Errorf("uplink %v B/s: the device's claim displaced the server's measurement", tel.UpBps)
+				}
+			} else if tel.UpBps != tc.upBps {
+				t.Errorf("uplink %v B/s, want the claimed %v", tel.UpBps, tc.upBps)
+			}
+			if want := boolToInt(tc.downBps != 0); tel.DownSamples != want || tel.DownBps != tc.downBps {
+				t.Errorf("downlink %v B/s over %d samples, want %v", tel.DownBps, tel.DownSamples, tc.downBps)
+			}
+			if want := boolToInt(tc.taskSec != 0); tel.TaskSamples != want || tel.TaskSec != tc.taskSec {
+				t.Errorf("train %v s over %d samples, want %v", tel.TaskSec, tel.TaskSamples, tc.taskSec)
+			}
+		})
+	}
+}
+
+func boolToInt(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -66,12 +66,13 @@ type BatchCheckInResponse struct {
 	RoundID     uint64  `json:"round_id"`
 }
 
-// maxCheckInBatch bounds one batch check-in's device count; larger fleets
+// MaxCheckInBatch bounds one batch check-in's device count; larger fleets
 // split across requests. The matching body budget assumes a generous
-// per-entry JSON size.
+// per-entry JSON size. The shard tier's gateway applies both before it
+// splits a batch, so a tier answers an oversize batch as a server does.
 const (
-	maxCheckInBatch     = 8192
-	maxCheckInBatchBody = 8 << 20
+	MaxCheckInBatch     = 8192
+	MaxCheckInBatchBody = 8 << 20
 )
 
 // maxCheckInBody bounds a /v1/checkin body; a canonical check-in is about
@@ -230,10 +231,10 @@ func (s *Server) handleCheckInBatch(w http.ResponseWriter, r *http.Request) {
 	buf := getWireBuf()
 	defer putWireBuf(buf)
 	var req BatchCheckInRequest
-	if err := readJSON(w, r, buf, maxCheckInBatchBody, &req, (*scanner).batch); err != nil {
+	if err := readJSON(w, r, buf, MaxCheckInBatchBody, &req, (*scanner).batch); err != nil {
 		if tooLarge(err) {
 			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("batch body exceeds %d-byte limit", maxCheckInBatchBody))
+				fmt.Errorf("batch body exceeds %d-byte limit", MaxCheckInBatchBody))
 			return
 		}
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad batch check-in body: %w", err))
@@ -243,9 +244,9 @@ func (s *Server) handleCheckInBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("empty device batch"))
 		return
 	}
-	if len(req.Devices) > maxCheckInBatch {
+	if len(req.Devices) > MaxCheckInBatch {
 		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d devices exceeds %d-device limit", len(req.Devices), maxCheckInBatch))
+			fmt.Errorf("batch of %d devices exceeds %d-device limit", len(req.Devices), MaxCheckInBatch))
 		return
 	}
 	infos := make([]DeviceInfo, len(req.Devices))
@@ -556,15 +557,4 @@ func deviceID(r *http.Request) (int64, error) {
 		return 0, fmt.Errorf("bad device id %q: %w", raw, err)
 	}
 	return id, nil
-}
-
-// ListenAndServe runs the API on addr until the server errors; it mirrors
-// http.ListenAndServe with sane timeouts for a long-polling device fleet.
-func (s *Server) ListenAndServe(addr string) error {
-	srv := &http.Server{
-		Addr:              addr,
-		Handler:           s,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	return srv.ListenAndServe()
 }

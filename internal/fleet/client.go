@@ -1,6 +1,11 @@
 // Package fleet is the device side of the serving protocol: one
 // wire-protocol Client (this file) and the wall-clock load generator built
-// on it (fleet.go). The server half lives in internal/coord; the two meet
+// on it (fleet.go). The generator's devices are always on and move bytes
+// at host speed; it drives what only real goroutine devices can — the
+// binary/JSON protocol mix with delta tracking, several jobs at once, the
+// gateway tier drills and the poison replay. Diurnal churn and simulated
+// links belong to the virtual-time plane (internal/vload), which drives
+// the same Client. The server half lives in internal/coord; the two meet
 // only at the wire contract — coord's JSON types and the names in
 // internal/transport/wire.go.
 package fleet

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -14,20 +13,25 @@ import (
 	"time"
 
 	"flint/internal/aggregator"
-	"flint/internal/availability"
 	"flint/internal/codec"
 	"flint/internal/coord"
 	"flint/internal/device"
 	"flint/internal/metrics"
-	"flint/internal/network"
 	"flint/internal/tensor"
 )
+
+// deltaScale is the standard deviation of every coordinate of a device's
+// synthetic update delta. Every run used this one value, so it is no
+// setting.
+const deltaScale = 0.01
 
 // Config drives a synthetic device fleet against a running coordination
 // server: thousands of goroutine "devices" drawn from the Fig 1 population
 // model (device.BenchPool profiles plus the Zipf long tail) check in, pull
 // tasks, simulate profile-scaled local training, and submit updates until
-// the server commits the requested number of rounds.
+// the server commits the requested number of rounds. Every device is
+// always on and its link is whatever the host gives it; availability churn
+// and simulated links are the virtual-time plane's (internal/vload).
 type Config struct {
 	// BaseURL is the server root, e.g. http://127.0.0.1:8080.
 	BaseURL string
@@ -43,8 +47,7 @@ type Config struct {
 	// the gateway's rollup for round progress (the rollup's top-level
 	// version is the tier's global version for the routed job). Device
 	// traffic itself is unchanged — the gateway routes every request to
-	// the device's owning shard transparently, so the churn/bandwidth
-	// flags exercise the tier exactly as they do a flat server.
+	// the device's owning shard transparently.
 	Gateway bool
 	// IDOffset shifts the fleet's device IDs (1..Devices become
 	// IDOffset+1..IDOffset+Devices) so concurrent fleets driving
@@ -62,8 +65,6 @@ type Config struct {
 	// ComputeScale scales the profile-derived local-training sleep
 	// (0 disables simulated compute entirely).
 	ComputeScale float64
-	// DeltaScale is the magnitude of the synthetic update deltas.
-	DeltaScale float64
 	// DeltaBias adds a constant per-coordinate drift to every honest
 	// device's synthetic delta, so the published model's norm moves in a
 	// deterministic direction round over round. Pure zero-mean deltas
@@ -75,14 +76,11 @@ type Config struct {
 	// PoisonFraction puts that share of the fleet under adversary
 	// control, chosen deterministically per (Seed, device ID) via the
 	// simulator's Adversary model — the §4.1 hub-and-spoke attack
-	// replayed against the live server. 0 disables.
+	// replayed against the live server: each compromised device submits
+	// its honest delta negated and boosted by PoisonScale. 0 disables.
 	PoisonFraction float64
-	// PoisonMode names the attack compromised devices mount: "sign-flip"
-	// (default; the honest delta negated and boosted by PoisonScale) or
-	// "random-noise" (Gaussian noise of std PoisonScale·DeltaScale).
-	PoisonMode string
-	// PoisonScale is the attack boost factor (default 10 — large enough
-	// that a median-factor norm screen sees the outliers).
+	// PoisonScale is the sign-flip boost factor (default 10 — large
+	// enough that a median-factor norm screen sees the outliers).
 	PoisonScale float64
 	// Timeout bounds the whole run.
 	Timeout time.Duration
@@ -92,28 +90,6 @@ type Config struct {
 	// tracks its base version for delta broadcast, 1 = all JSON). Mixed
 	// fleets exercise both client kinds in the same rounds.
 	JSONFraction float64
-	// Bandwidth, when non-nil, gives every device a persistent sampled
-	// link (downlink from the model, uplink at a fraction of it) that the
-	// fleet actually honors: uploads stream through a rate-limited
-	// reader (so the server's observed /v1/update transfer timing is the
-	// real simulated rate), task downloads cost a proportional sleep,
-	// and devices report their download and training timings back via
-	// the X-Flint-Down-*/X-Flint-Train-Ms headers — the scheduler's
-	// telemetry diet. Sampling is independent of the WiFi label, so the
-	// fleet contains fast "cellular" and slow "WiFi" devices for the
-	// measured cohort map to correct.
-	Bandwidth *network.BandwidthModel
-	// Churn drives device availability from a generated diurnal session
-	// trace (availability.GenerateLog) instead of an always-on loop:
-	// devices only check in while inside one of their trace windows, and
-	// their session attributes (WiFi, battery, expected remaining
-	// seconds) come from the window — the paper's §3.2 availability
-	// pattern hitting the live scheduler.
-	Churn bool
-	// TraceScale compresses trace time onto the wall clock when Churn is
-	// set: trace-seconds per wall-second (default 60 — a 10-minute
-	// session plays out in 10 wall seconds).
-	TraceScale float64
 	// Client overrides the HTTP client (tests inject the httptest
 	// client; the default is tuned for a many-device single-host fleet).
 	Client *http.Client
@@ -136,18 +112,8 @@ func (c Config) withDefaults() (Config, error) {
 	if c.ComputeScale < 0 {
 		return c, fmt.Errorf("fleet: negative compute scale %v", c.ComputeScale)
 	}
-	if c.DeltaScale <= 0 {
-		c.DeltaScale = 0.01
-	}
 	if c.PoisonFraction < 0 || c.PoisonFraction > 1 {
 		return c, fmt.Errorf("fleet: poison fraction %v outside [0, 1]", c.PoisonFraction)
-	}
-	switch c.PoisonMode {
-	case "":
-		c.PoisonMode = "sign-flip"
-	case "sign-flip", "random-noise":
-	default:
-		return c, fmt.Errorf("fleet: unknown poison mode %q (want sign-flip or random-noise)", c.PoisonMode)
 	}
 	if c.PoisonScale <= 0 {
 		c.PoisonScale = 10
@@ -158,14 +124,6 @@ func (c Config) withDefaults() (Config, error) {
 	if c.JSONFraction < 0 || c.JSONFraction > 1 {
 		return c, fmt.Errorf("fleet: JSON fraction %v outside [0, 1]", c.JSONFraction)
 	}
-	if c.Bandwidth != nil {
-		if err := c.Bandwidth.Validate(); err != nil {
-			return c, fmt.Errorf("fleet: %w", err)
-		}
-	}
-	if c.TraceScale <= 0 {
-		c.TraceScale = 60
-	}
 	if c.Client == nil {
 		tr := &http.Transport{
 			MaxIdleConns:        4096,
@@ -174,16 +132,6 @@ func (c Config) withDefaults() (Config, error) {
 		c.Client = &http.Client{Transport: tr, Timeout: 30 * time.Second}
 	}
 	return c, nil
-}
-
-// attack builds the adversary's Attack from the poison knobs (the same
-// simulator implementations the offline §4 ablations use, replayed over
-// the live protocol).
-func (c Config) attack() aggregator.Attack {
-	if c.PoisonMode == "random-noise" {
-		return aggregator.RandomNoise{Std: c.PoisonScale * c.DeltaScale}
-	}
-	return aggregator.SignFlip{Scale: c.PoisonScale}
 }
 
 // LatencySummary is one operation's client-observed latency distribution in
@@ -225,7 +173,7 @@ type Report struct {
 	NetErrors       int64 `json:"net_errors"`
 	// RequestsPerSec counts every completed exchange — check-ins, task
 	// polls whatever their answer (204 and 404 included, which is most
-	// polls in a deadline-gated or churned fleet) and update submissions —
+	// polls in a deadline-gated fleet) and update submissions —
 	// the same way internal/vload counts them; net errors are not requests.
 	RequestsPerSec float64 `json:"requests_per_sec"`
 	// BytesSent/BytesRecv are client-observed wire totals (request and
@@ -334,21 +282,9 @@ type fleetDevice struct {
 	// Client-observed wire traffic (request/response bodies), merged
 	// into the fleet totals at shutdown.
 	bytesSent, bytesRecv int64
-	// downBps/upBps are the device's persistent simulated link rates
-	// (bytes/second; 0 = link simulation off). lastDown*/lastTrain hold
-	// the most recent task's observed timings, reported to the server
-	// with the next update as scheduler telemetry.
-	downBps, upBps float64
-	lastDownBytes  int
-	lastDownDur    time.Duration
-	lastTrainDur   time.Duration
-	// sessions is the device's diurnal availability trace (churn mode):
-	// windows in trace seconds within one day, replayed cyclically at
-	// TraceScale. session is the window the device currently sits in and
-	// sessionLeft its remaining trace-seconds at selection time.
-	sessions    []availability.Session
-	session     *availability.Session
-	sessionLeft float64
+	// lastTrainDur is the most recent task's simulated training time,
+	// reported to the server with the update as scheduler telemetry.
+	lastTrainDur time.Duration
 }
 
 // Run executes the load generator and blocks until the server commits
@@ -367,17 +303,11 @@ func Run(cfg Config) (*Report, error) {
 	// The first jsonCount devices speak JSON; the rest negotiate schemes
 	// and track deltas. Deterministic, so tests can assert the mix.
 	jsonCount := int(math.Round(cfg.JSONFraction * float64(cfg.Devices)))
-	var traces map[int64][]availability.Session
-	if cfg.Churn {
-		if traces, err = generateFleetTraces(cfg, pop); err != nil {
-			return nil, err
-		}
-	}
 	// Compromise the configured fraction with the simulator's per-ID
 	// deterministic adversary, so a given (seed, fleet) always replays
 	// the same attacker set.
 	adversary := aggregator.Adversary{
-		Attack:   cfg.attack(),
+		Attack:   aggregator.SignFlip{Scale: cfg.PoisonScale},
 		Fraction: cfg.PoisonFraction,
 		Seed:     cfg.Seed,
 	}
@@ -395,17 +325,9 @@ func Run(cfg Config) (*Report, error) {
 			binary:   i >= jsonCount,
 			poisoned: adversary.Compromised(cfg.IDOffset + int64(i+1)),
 			rng:      rng,
-			sessions: traces[int64(i)],
 		}
 		if devs[i].poisoned {
 			poisonedCount++
-		}
-		if cfg.Bandwidth != nil {
-			// The link is sampled independently of any session's WiFi
-			// label: real fleets have congested WiFi and excellent LTE,
-			// which is exactly what measured cohorting must correct for.
-			devs[i].downBps = cfg.Bandwidth.SampleBps(rng)
-			devs[i].upBps = devs[i].downBps * 0.4
 		}
 	}
 
@@ -509,101 +431,23 @@ func Run(cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// traceDayOffset anchors the cyclic trace replay at 19:00 — near the
-// diurnal peak, so a churned fleet starts a run with devices available
-// and the availability level drifts as the replay walks the curve.
-const traceDayOffset = 19 * 3600.0
-
-// generateFleetTraces builds the churn-mode availability traces: one day
-// of diurnal sessions per client from the paper's synthetic session-log
-// generator, grouped per client (each client's slice stays
-// start-ordered, inherited from the generator's global sort). The
-// session density is tuned so roughly a third of the fleet is available
-// at the peak — enough concurrency to drive rounds, enough churn that
-// eligibility flaps constantly.
-func generateFleetTraces(cfg Config, pop device.PopulationModel) (map[int64][]availability.Session, error) {
-	sessions, err := availability.GenerateLog(availability.LogConfig{
-		Clients:          cfg.Devices,
-		Days:             1,
-		SessionsPerDay:   24,
-		MedianSessionSec: 480,
-		DurationSigma:    0.8,
-		WiFiProb:         0.72,
-		BatteryHighProb:  0.56,
-		Population:       pop,
-		Seed:             cfg.Seed + 101,
-	})
-	if err != nil {
-		return nil, err
-	}
-	by := make(map[int64][]availability.Session)
-	for _, s := range sessions {
-		by[s.ClientID] = append(by[s.ClientID], s)
-	}
-	return by, nil
-}
-
-// sessionAt finds the availability window covering the device's current
-// trace position (the wall clock scaled and wrapped onto the one-day
-// trace), returning it with the window's remaining trace-seconds — the
-// honest "expected remaining session" a check-in should report. When
-// the device is between windows it returns nil plus the wall-clock wait
-// until its next window opens.
-func (d *fleetDevice) sessionAt(elapsed time.Duration, scale float64) (sess *availability.Session, left float64, wait time.Duration) {
-	const day = 86400.0
-	pos := math.Mod(traceDayOffset+elapsed.Seconds()*scale, day)
-	nextStart := math.Inf(1)
-	for i := range d.sessions {
-		s := &d.sessions[i]
-		if s.Start <= pos && pos < s.End {
-			return s, s.End - pos, 0
-		}
-		if s.Start > pos && s.Start < nextStart {
-			nextStart = s.Start
-		}
-	}
-	if math.IsInf(nextStart, 1) {
-		// Past the day's last window: wait for the replay to wrap to the
-		// first one.
-		nextStart = d.sessions[0].Start + day
-	}
-	return nil, 0, time.Duration((nextStart - pos) / scale * float64(time.Second))
-}
-
 // run is one device's protocol loop: check in with fresh session state,
 // poll for a task, "train" for a profile-scaled interval, submit the delta.
-// In churn mode the loop only runs while the device's availability trace
-// has a window open; between windows it sleeps offline. Every exchange
-// that completes is counted here, at the client call site; one that fails
-// in transport is a net error (unless the run is simply over).
+// Every exchange that completes is counted here, at the client call site;
+// one that fails in transport is a net error (unless the run is simply
+// over).
 func (d *fleetDevice) run(ctx context.Context, cfg Config, cl *Client, totals *fleetTotals) {
-	if cfg.Churn && len(d.sessions) == 0 {
-		// A client with no sessions in the trace is offline for the whole
-		// replay.
-		return
-	}
 	netErr := func() {
 		if ctx.Err() == nil {
 			totals.netErrs.Add(1)
 		}
 	}
-	start := time.Now()
 	// Stagger start-up so the fleet doesn't arrive as one spike.
 	if !SleepCtx(ctx, time.Duration(d.rng.Int63n(int64(cfg.ThinkTime)+1))) {
 		return
 	}
 	for {
-		if cfg.Churn {
-			sess, left, wait := d.sessionAt(time.Since(start), cfg.TraceScale)
-			if sess == nil {
-				if !SleepCtx(ctx, wait) {
-					return
-				}
-				continue
-			}
-			d.session, d.sessionLeft = sess, left
-		}
-		eligible, err := d.checkIn(ctx, cfg, cl)
+		eligible, err := d.checkIn(ctx, cl)
 		if err != nil {
 			netErr()
 			if !SleepCtx(ctx, cfg.ThinkTime) {
@@ -672,11 +516,9 @@ func (d *fleetDevice) exchange(lat *[]float64, call func(buf *bytes.Buffer) (Res
 
 // checkIn reports the device's session state and returns whether the
 // server found it eligible.
-func (d *fleetDevice) checkIn(ctx context.Context, cfg Config, cl *Client) (bool, error) {
+func (d *fleetDevice) checkIn(ctx context.Context, cl *Client) (bool, error) {
 	// Session attributes are re-drawn per check-in: device state changes
-	// between sessions (§3.2), so eligibility flaps realistically. In
-	// churn mode they come from the availability trace's current window
-	// instead — the generated diurnal pattern, not a coin flip.
+	// between sessions (§3.2), so eligibility flaps realistically.
 	req := coord.CheckInRequest{
 		DeviceID:    d.id,
 		Model:       d.model,
@@ -686,18 +528,6 @@ func (d *fleetDevice) checkIn(ctx context.Context, cfg Config, cl *Client) (bool
 		ModernOS:    d.modernOS,
 		SessionSec:  30 + d.rng.ExpFloat64()*180,
 		Weight:      d.weight,
-	}
-	if d.session != nil {
-		req.WiFi = d.session.WiFi
-		req.BatteryHigh = d.session.BatteryHigh
-		req.ModernOS = d.session.ModernOS
-		// Remaining window time, not the window's full span — a device
-		// about to leave must not pass a MinSessionSec criterion on the
-		// strength of time it has already spent — and converted to wall
-		// seconds: the server's deadlines and TTLs run on the wall
-		// clock, so a trace-domain number would overstate availability
-		// by the replay's compression factor.
-		req.SessionSec = d.sessionLeft / cfg.TraceScale
 	}
 	if d.binary {
 		// JSON devices advertise nothing and get the server's unfiltered
@@ -717,25 +547,15 @@ func (d *fleetDevice) checkIn(ctx context.Context, cfg Config, cl *Client) (bool
 // a delta frame.
 func (d *fleetDevice) fetchTask(ctx context.Context, cl *Client) (*Task, error) {
 	var task *Task
-	res, err := d.exchange(&d.latTask, func(buf *bytes.Buffer) (res Result, err error) {
+	_, err := d.exchange(&d.latTask, func(buf *bytes.Buffer) (res Result, err error) {
 		task, res, err = cl.FetchTask(ctx, buf, d.id, d.binary, d.version)
 		if task != nil && d.binary {
 			err = d.adopt(task) // while the pooled buffer is still ours
 		}
 		return res, err
 	})
-	if err != nil || task == nil {
+	if err != nil {
 		return nil, err
-	}
-	if d.binary && d.downBps > 0 && res.Recv > 0 {
-		// Honor the simulated link: downloading the blob costs real wall
-		// time, and the observed transfer is reported to the server with
-		// the next update (the scheduler's downlink telemetry).
-		dur := time.Duration(float64(res.Recv) / d.downBps * float64(time.Second))
-		if !SleepCtx(ctx, dur) {
-			return nil, ctx.Err()
-		}
-		d.lastDownBytes, d.lastDownDur = res.Recv, dur
 	}
 	return task, nil
 }
@@ -759,13 +579,13 @@ func (d *fleetDevice) adopt(task *Task) error {
 func (d *fleetDevice) submit(ctx context.Context, cfg Config, cl *Client, task *Task) (bool, error) {
 	delta := make(tensor.Vector, task.Dim)
 	for i := range delta {
-		delta[i] = d.rng.NormFloat64()*cfg.DeltaScale + cfg.DeltaBias
+		delta[i] = d.rng.NormFloat64()*deltaScale + cfg.DeltaBias
 	}
 	if d.poisoned {
 		// Compromised devices submit the attack's version of their honest
 		// delta — through the same wire path, so the server can't tell
 		// attacker traffic apart except by the update's contents.
-		delta = cfg.attack().Poison(aggregator.Update{ClientID: d.id, Delta: delta}, d.rng).Delta
+		delta = aggregator.SignFlip{Scale: cfg.PoisonScale}.Poison(aggregator.Update{ClientID: d.id, Delta: delta}, d.rng).Delta
 	}
 	u := Update{Device: d.id, Round: task.RoundID, BaseVersion: task.BaseVersion, Weight: d.weight}
 	// Binary uploads only when the server advertised a scheme with the
@@ -786,49 +606,14 @@ func (d *fleetDevice) submit(ctx context.Context, cfg Config, cl *Client, task *
 	if err != nil {
 		return false, err
 	}
-	var body io.Reader = bytes.NewReader(blob)
-	if d.upBps > 0 {
-		// Rate-limit the upload stream itself so the server's observed
-		// /v1/update transfer timing — its uplink telemetry — reflects
-		// the simulated link, not loopback.
-		body = &throttledReader{r: body, bps: d.upBps, ctx: ctx}
-	}
-	u.DownBytes, u.DownMS = d.lastDownBytes, float64(d.lastDownDur)/float64(time.Millisecond)
 	u.TrainMS = float64(d.lastTrainDur) / float64(time.Millisecond)
 	res, err := d.exchange(&d.latUpdate, func(buf *bytes.Buffer) (Result, error) {
-		return cl.SubmitTensor(ctx, buf, u, body)
+		return cl.SubmitTensor(ctx, buf, u, bytes.NewReader(blob))
 	})
 	if err == nil {
 		d.bytesSent += int64(len(blob))
 	}
 	return res.Outcome == OK, err
-}
-
-// throttledReader meters a payload stream at bps bytes/second in small
-// chunks, so a reader on the far side of an HTTP connection observes a
-// transfer at the simulated link rate.
-type throttledReader struct {
-	r   io.Reader
-	bps float64
-	ctx context.Context
-}
-
-// throttleChunk is the metering granularity: small enough that a slow
-// link's rate shows up within one typical update blob, large enough that
-// the sleeps don't swamp the scheduler.
-const throttleChunk = 8 << 10
-
-func (t *throttledReader) Read(p []byte) (int, error) {
-	if len(p) > throttleChunk {
-		p = p[:throttleChunk]
-	}
-	n, err := t.r.Read(p)
-	if n > 0 && t.bps > 0 {
-		if !SleepCtx(t.ctx, time.Duration(float64(n)/t.bps*float64(time.Second))) {
-			return n, t.ctx.Err()
-		}
-	}
-	return n, err
 }
 
 // SleepCtx sleeps for d unless the context ends first; it reports whether

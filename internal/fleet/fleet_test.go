@@ -1,8 +1,10 @@
 package fleet
 
 import (
+	"encoding/json"
 	"math"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -10,8 +12,7 @@ import (
 	"flint/internal/codec"
 	"flint/internal/coord"
 	"flint/internal/model"
-	"flint/internal/network"
-	"flint/internal/sched"
+	"flint/internal/tenant"
 	"flint/internal/transport"
 )
 
@@ -331,94 +332,93 @@ func TestFleetPoisonReplay(t *testing.T) {
 	}
 }
 
-// TestFleetSchedulerChurn is the scheduling plane's end-to-end gauntlet:
-// a fleet with trace-driven availability churn and simulated mixed
-// bandwidth drives sync rounds over the live HTTP API. Every committed
-// round must close within its deadline, the scheduler must measure and
-// remap devices off their radio labels, and /v1/status must carry the
-// per-cohort bandwidth histograms. (Eligibility at assignment time is
-// structural: Registry.Assign re-validates the criteria atomically with
-// the assignment, so 100% of assigned devices are eligible by
-// construction — the test asserts assignments happened at all.)
-func TestFleetSchedulerChurn(t *testing.T) {
-	if testing.Short() {
-		t.Skip("multi-second live fleet run")
-	}
-	cfg := coord.Config{
-		Mode:          coord.ModeSync,
-		ModelKind:     model.KindA,
+// TestFleetMultiTenant drives the job plane end to end: one tenant router
+// hosting two jobs (one token-protected), two concurrent fleets on
+// disjoint device IDs, both committing rounds, plus the rollup status
+// shape.
+func TestFleetMultiTenant(t *testing.T) {
+	reg := tenant.NewRegistry(coord.Config{
+		Mode:          coord.ModeAsync,
 		Seed:          1,
-		TargetUpdates: 12,
+		TargetUpdates: 8,
 		Quorum:        4,
-		OverCommit:    1.3,
-		RoundDeadline: 6 * time.Second,
-		QueueDepth:    256,
-		KeepVersions:  -1,
-		Criteria:      availability.Criteria{RequireWiFi: true},
-		Sched:         sched.Config{RebuildEvery: 150 * time.Millisecond, MinSamples: 1},
-	}
-	c, err := coord.New(cfg)
+		RoundDeadline: 5 * time.Second,
+	})
+	defer reg.Close()
+	specs, err := tenant.LoadSpecs([]byte(`[
+		{"name": "ads"},
+		{"name": "msg", "mode": "async", "token": "fleet-t0ken"}
+	]`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	srv := httptest.NewServer(coord.NewServer(c))
+	for _, sp := range specs {
+		if _, err := reg.Register(sp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv := httptest.NewServer(tenant.NewServer(reg, false))
 	defer srv.Close()
 
-	bw := network.BandwidthModel{MedianMbps: 4, Sigma: 0.9, SlowFrac: 0.2, FloorMbps: 0.05}
-	rep, err := Run(Config{
-		BaseURL:      srv.URL,
-		Devices:      400,
-		Rounds:       3,
-		Seed:         7,
-		ThinkTime:    15 * time.Millisecond,
-		ComputeScale: 0.2,
-		Churn:        true,
-		TraceScale:   60,
-		Bandwidth:    &bw,
-		Timeout:      90 * time.Second,
-		Client:       srv.Client(),
-	})
+	fleet := func(job, token string, offset int64) Config {
+		return Config{
+			BaseURL:   srv.URL,
+			Job:       job,
+			Token:     token,
+			IDOffset:  offset,
+			Devices:   40,
+			Rounds:    2,
+			Seed:      3 + offset,
+			ThinkTime: 5 * time.Millisecond,
+			Timeout:   90 * time.Second,
+		}
+	}
+	var wg sync.WaitGroup
+	reports := make([]*Report, 2)
+	errs := make([]error, 2)
+	for i, cfg := range []Config{fleet("ads", "", 0), fleet("msg", "fleet-t0ken", 1000)} {
+		wg.Add(1)
+		go func(i int, cfg Config) {
+			defer wg.Done()
+			reports[i], errs[i] = Run(cfg)
+		}(i, cfg)
+	}
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("fleet %d: %v", i, err)
+		}
+		if reports[i].RoundsCommitted < 2 {
+			t.Fatalf("fleet %d committed %d rounds, want >= 2", i, reports[i].RoundsCommitted)
+		}
+	}
+
+	// The rollup sees both tenants' progress.
+	resp, err := srv.Client().Get(srv.URL + "/v1/status")
 	if err != nil {
-		t.Fatalf("fleet: %v (report: %+v)", err, rep)
+		t.Fatal(err)
 	}
-	if rep.RoundsCommitted < 3 {
-		t.Fatalf("committed %d rounds, want >= 3", rep.RoundsCommitted)
+	var st tenant.StatusReport
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
 	}
-	st := rep.FinalStatus
-	committed := 0
-	for _, r := range st.Recent {
-		if r.Phase != coord.PhaseCommitted {
-			continue
-		}
-		committed++
-		if r.Duration > cfg.RoundDeadline {
-			t.Errorf("round %d closed in %s, past its %s deadline", r.ID, r.Duration, cfg.RoundDeadline)
-		}
+	resp.Body.Close()
+	if st.DefaultJob != "ads" || st.Fleet.Jobs != 2 {
+		t.Fatalf("rollup: default %q, %d jobs", st.DefaultJob, st.Fleet.Jobs)
 	}
-	if committed < 3 {
-		t.Fatalf("only %d committed rounds in history", committed)
-	}
-	if st.Counters["task_assigned"] < int64(3*cfg.TargetUpdates) {
-		t.Errorf("task_assigned = %d, want >= %d", st.Counters["task_assigned"], 3*cfg.TargetUpdates)
-	}
-	sr := st.Scheduler
-	if !sr.Enabled || sr.Measured == 0 {
-		t.Fatalf("scheduler measured nothing: %+v", sr)
-	}
-	if sr.Remapped == 0 {
-		t.Errorf("no device was remapped off its radio label (measured %d)", sr.Measured)
-	}
-	hist := 0
-	for _, cs := range sr.Cohorts {
-		for _, n := range cs.BandwidthHist {
-			hist += n
+	for _, name := range []string{"ads", "msg"} {
+		if st.Jobs[name].RoundsCommitted < 2 {
+			t.Fatalf("job %s rollup shows %d rounds", name, st.Jobs[name].RoundsCommitted)
 		}
 	}
-	if hist == 0 {
-		t.Error("per-cohort bandwidth histograms are empty")
+	// A tokenless probe of the protected tenant stays locked out even
+	// while its own fleet runs.
+	probe, err := srv.Client().Get(srv.URL + "/v1/jobs/msg/task")
+	if err != nil {
+		t.Fatal(err)
 	}
-	t.Logf("churn fleet: %d rounds, %d/%d measured, %d remapped, over-commit x%.2f, deadline denials %d",
-		rep.RoundsCommitted, sr.Measured, sr.Devices, sr.Remapped,
-		sr.OverCommitScale, st.Counters["task_denied_deadline"])
+	probe.Body.Close()
+	if probe.StatusCode != 401 {
+		t.Fatalf("tokenless probe = %d, want 401", probe.StatusCode)
+	}
 }

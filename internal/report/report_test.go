@@ -19,8 +19,8 @@ func TestTableRender(t *testing.T) {
 		t.Fatalf("want 5 lines, got %d:\n%s", len(lines), out)
 	}
 	// Columns align: all data lines same prefix width for second column.
-	if tb.NumRows() != 2 {
-		t.Fatalf("rows %d", tb.NumRows())
+	if len(tb.rows) != 2 {
+		t.Fatalf("rows %d", len(tb.rows))
 	}
 }
 

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"flint/internal/coord"
+	"flint/internal/tenant"
 )
 
 // batchBackend is a fake shard that understands /v1/checkin/batch: it
@@ -63,11 +65,15 @@ func TestGatewayCheckInBatchSplit(t *testing.T) {
 	}
 	backs := make([]*batchBackend, 3)
 	urls := make([]string, 3)
+	var shard1 *httptest.Server
 	for i := range backs {
 		backs[i] = &batchBackend{index: i}
 		srv := httptest.NewServer(backs[i].handler())
 		t.Cleanup(srv.Close)
 		urls[i] = srv.URL
+		if i == 1 {
+			shard1 = srv
+		}
 	}
 	gw, err := NewGateway(GatewayConfig{Shards: urls, Leader: leader})
 	if err != nil {
@@ -131,15 +137,112 @@ func TestGatewayCheckInBatchSplit(t *testing.T) {
 		t.Fatalf("merged version/round %d/%d, want %d/%d", out.Version, out.RoundID, wantVer, wantVer+90)
 	}
 
-	// One shard failing poisons the whole batch: check-ins are
-	// idempotent, so the client retries everything against 502.
+	// One shard failing poisons the whole batch (check-ins are
+	// idempotent, so the client retries everything): a shard's error
+	// answer is relayed as it is, an unreachable shard is a 502, and only
+	// the latter is a proxy error.
 	backs[1].fail = true
-	resp2, err := http.Post(front.URL+"/v1/checkin/batch", "application/json", bytes.NewReader(raw))
+	post := func(want int) {
+		t.Helper()
+		resp, err := http.Post(front.URL+"/v1/checkin/batch", "application/json", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("partial shard failure returned %s (%s), want %d", resp.Status, body, want)
+		}
+	}
+	post(http.StatusInternalServerError)
+	if n := gw.Counters().Counter("proxy_errors").Value(); n != 0 {
+		t.Fatalf("relayed shard error counted as %d proxy errors", n)
+	}
+	shard1.Close()
+	post(http.StatusBadGateway)
+	if n := gw.Counters().Counter("proxy_errors").Value(); n != 1 {
+		t.Fatalf("unreachable shard counted as %d proxy errors, want 1", n)
+	}
+}
+
+// TestGatewayBatchMatchesServer sends the same batch check-ins to a
+// token-protected job on a flat tenant server and through a two-shard
+// gateway over tenant servers: the token reaches the shards, and both
+// fronts answer every case with the server's status.
+func TestGatewayBatchMatchesServer(t *testing.T) {
+	plane := func() *httptest.Server {
+		reg := tenant.NewRegistry(coord.Config{Mode: coord.ModeSync, Seed: 1, RoundDeadline: time.Minute})
+		t.Cleanup(reg.Close)
+		if _, err := reg.Register(tenant.JobSpec{Name: "secure", Token: "t0ken"}); err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(tenant.NewServer(reg, false))
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	leader, err := NewLeader(LeaderConfig{Shards: 2, Grace: time.Hour, Params: testParams})
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadGateway {
-		t.Fatalf("partial shard failure returned %s, want 502", resp2.Status)
+	gw, err := NewGateway(GatewayConfig{Shards: []string{plane().URL, plane().URL}, Leader: leader})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := httptest.NewServer(gw)
+	defer front.Close()
+	flat := plane()
+
+	batch := func(n int) []byte {
+		var req coord.BatchCheckInRequest
+		req.Devices = make([]coord.CheckInRequest, n)
+		for i := range req.Devices {
+			req.Devices[i] = coord.CheckInRequest{DeviceID: int64(i + 1), Model: "Pixel-6", WiFi: true}
+		}
+		raw, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	cases := []struct {
+		name, token string
+		body        []byte
+		want        int
+	}{
+		{"right token", "t0ken", batch(64), http.StatusOK},
+		{"wrong token", "guess", batch(64), http.StatusUnauthorized},
+		{"no devices", "t0ken", batch(0), http.StatusBadRequest},
+		{"too many devices", "t0ken", batch(coord.MaxCheckInBatch + 1), http.StatusRequestEntityTooLarge},
+		{"body too large", "t0ken", bytes.Repeat([]byte(" "), coord.MaxCheckInBatchBody+1), http.StatusRequestEntityTooLarge},
+	}
+	for _, front := range []struct{ name, url string }{{"flat", flat.URL}, {"gateway", front.URL}} {
+		for _, tc := range cases {
+			req, err := http.NewRequest(http.MethodPost, front.url+"/v1/jobs/secure/checkin/batch", bytes.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", "application/json")
+			req.Header.Set("Authorization", "Bearer "+tc.token)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s, %s: HTTP %d (%s), want %d", front.name, tc.name, resp.StatusCode, bytes.TrimSpace(body), tc.want)
+				continue
+			}
+			if tc.want != http.StatusOK {
+				continue
+			}
+			var out coord.BatchCheckInResponse
+			if err := json.Unmarshal(body, &out); err != nil || out.Accepted != 64 {
+				t.Errorf("%s, %s: reply %s (%v), want 64 accepted", front.name, tc.name, body, err)
+			}
+		}
+	}
+	if n := gw.Counters().Counter("proxy_errors").Value(); n != 0 {
+		t.Fatalf("proxy_errors = %d, want 0", n)
 	}
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -257,23 +258,21 @@ func (g *Gateway) route(w http.ResponseWriter, r *http.Request) {
 
 // routeCheckInBatch splits one batched check-in across the ring: the
 // body is decoded once, its devices partitioned by consistent-hashed
-// owner, and per-shard sub-batches forwarded concurrently, so a
-// registration storm keeps the batch path's per-shard lock amortization
-// end to end instead of collapsing to one mis-routed shard. The merged
-// reply sums the per-shard counts; any shard failure fails the whole
-// batch with 502 (check-ins are idempotent, so the load plane just
-// retries the batch).
+// owner, and per-shard sub-batches forwarded concurrently with the
+// request's headers (the job token rides along), so a registration storm
+// keeps the batch path's per-shard lock amortization end to end instead
+// of collapsing to one mis-routed shard. The gateway applies the server's
+// own batch limits first, so a tier answers an empty or oversize batch as
+// a flat server does. The merged reply sums the per-shard counts. One
+// failing shard fails the whole batch, and the lowest-numbered failing
+// shard decides the answer: a non-2xx status is relayed with its body, a
+// shard that cannot be reached is a 502 (check-ins are idempotent, so the
+// load plane just retries the batch).
 func (g *Gateway) routeCheckInBatch(w http.ResponseWriter, r *http.Request) {
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxRoutedJSONBody))
+	req, status, err := readBatch(w, r)
 	if err != nil {
 		g.counters.Counter("route_rejected").Inc()
-		writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
-		return
-	}
-	var req coord.BatchCheckInRequest
-	if err := json.Unmarshal(raw, &req); err != nil {
-		g.counters.Counter("route_rejected").Inc()
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad batch body: %w", err))
+		writeError(w, status, err)
 		return
 	}
 	parts := make([][]coord.CheckInRequest, len(g.shards))
@@ -282,69 +281,118 @@ func (g *Gateway) routeCheckInBatch(w http.ResponseWriter, r *http.Request) {
 		parts[si] = append(parts[si], d)
 	}
 	g.counters.Counter("checkin_batch_split").Inc()
-	var (
-		wg     sync.WaitGroup
-		mu     sync.Mutex
-		merged coord.BatchCheckInResponse
-		fails  []error
-	)
+	replies := make([]batchReply, len(g.shards))
+	var wg sync.WaitGroup
 	for si, devs := range parts {
 		if len(devs) == 0 {
 			continue
 		}
 		wg.Add(1)
-		go func(si int, devs []coord.CheckInRequest) {
+		go func() {
 			defer wg.Done()
-			body, err := json.Marshal(coord.BatchCheckInRequest{Devices: devs})
-			if err == nil {
-				var sub *http.Request
-				sub, err = http.NewRequestWithContext(r.Context(), http.MethodPost,
-					g.shards[si]+r.URL.RequestURI(), bytes.NewReader(body))
-				if err == nil {
-					sub.Header.Set("Content-Type", "application/json")
-					var resp *http.Response
-					if resp, err = g.client.Do(sub); err == nil {
-						defer resp.Body.Close()
-						var sr coord.BatchCheckInResponse
-						if resp.StatusCode != http.StatusOK {
-							err = fmt.Errorf("shard %d: status %s", si, resp.Status)
-						} else if err = json.NewDecoder(resp.Body).Decode(&sr); err == nil {
-							mu.Lock()
-							merged.Accepted += sr.Accepted
-							merged.New += sr.New
-							merged.Eligible += sr.Eligible
-							merged.RejectedIDs = append(merged.RejectedIDs, sr.RejectedIDs...)
-							// Shards publish independent version sequences;
-							// report the tier's furthest-along pair, which is
-							// all the advisory field promises here.
-							if sr.Version > merged.Version {
-								merged.Version = sr.Version
-							}
-							if sr.RoundID > merged.RoundID {
-								merged.RoundID = sr.RoundID
-							}
-							mu.Unlock()
-						}
-					}
-				}
-			}
-			if err != nil {
-				mu.Lock()
-				fails = append(fails, err)
-				mu.Unlock()
-			}
-		}(si, devs)
+			replies[si] = g.forwardBatch(r, si, devs)
+		}()
 	}
 	wg.Wait()
-	if len(fails) > 0 {
-		if r.Context().Err() == nil { // not a proxy error when the client hung up (see proxy)
-			g.counters.Counter("proxy_errors").Inc()
+	var merged coord.BatchCheckInResponse
+	for si, rep := range replies {
+		switch {
+		case rep.err != nil:
+			if r.Context().Err() == nil { // not a proxy error when the client hung up (see proxy)
+				g.counters.Counter("proxy_errors").Inc()
+			}
+			writeError(w, http.StatusBadGateway, fmt.Errorf("batch check-in: shard %d: %w", si, rep.err))
+			return
+		case rep.status != 0:
+			for k, vs := range rep.header {
+				if k != "Content-Length" {
+					w.Header()[k] = vs
+				}
+			}
+			w.WriteHeader(rep.status)
+			w.Write(rep.body)
+			return
 		}
-		writeError(w, http.StatusBadGateway, fmt.Errorf("batch check-in: %d shard(s) failed: %v", len(fails), fails[0]))
-		return
+		sr := rep.reply
+		merged.Accepted += sr.Accepted
+		merged.New += sr.New
+		merged.Eligible += sr.Eligible
+		merged.RejectedIDs = append(merged.RejectedIDs, sr.RejectedIDs...)
+		// Shards publish independent version sequences; report the tier's
+		// furthest-along pair, which is all the advisory field promises
+		// here.
+		merged.Version = max(merged.Version, sr.Version)
+		merged.RoundID = max(merged.RoundID, sr.RoundID)
 	}
 	g.counters.Counter("route_by_device").Inc()
 	writeJSON(w, http.StatusOK, merged)
+}
+
+// readBatch reads a batch check-in body under the server's limits,
+// returning the status a server would answer with when it breaks one.
+func readBatch(w http.ResponseWriter, r *http.Request) (coord.BatchCheckInRequest, int, error) {
+	var req coord.BatchCheckInRequest
+	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, coord.MaxCheckInBatchBody))
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return req, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("batch body exceeds %d-byte limit", coord.MaxCheckInBatchBody)
+	}
+	if err != nil {
+		return req, http.StatusBadRequest, fmt.Errorf("read body: %w", err)
+	}
+	if err := json.Unmarshal(raw, &req); err != nil {
+		return req, http.StatusBadRequest, fmt.Errorf("bad batch body: %w", err)
+	}
+	if len(req.Devices) == 0 {
+		return req, http.StatusBadRequest, fmt.Errorf("empty device batch")
+	}
+	if len(req.Devices) > coord.MaxCheckInBatch {
+		return req, http.StatusRequestEntityTooLarge,
+			fmt.Errorf("batch of %d devices exceeds %d-device limit", len(req.Devices), coord.MaxCheckInBatch)
+	}
+	return req, http.StatusOK, nil
+}
+
+// batchReply is one shard's answer to its sub-batch: the decoded reply,
+// a non-2xx status to relay with its headers and body, or a transport
+// failure.
+type batchReply struct {
+	reply  coord.BatchCheckInResponse
+	status int
+	header http.Header
+	body   []byte
+	err    error
+}
+
+// forwardBatch posts one shard's sub-batch with the client request's
+// headers.
+func (g *Gateway) forwardBatch(r *http.Request, si int, devs []coord.CheckInRequest) batchReply {
+	body, err := json.Marshal(coord.BatchCheckInRequest{Devices: devs})
+	if err != nil {
+		return batchReply{err: err}
+	}
+	sub, err := http.NewRequestWithContext(r.Context(), http.MethodPost,
+		g.shards[si]+r.URL.RequestURI(), bytes.NewReader(body))
+	if err != nil {
+		return batchReply{err: err}
+	}
+	sub.Header = r.Header.Clone()
+	sub.Header.Del("Connection")
+	sub.Header.Set("Content-Type", "application/json")
+	resp, err := g.client.Do(sub)
+	if err != nil {
+		return batchReply{err: err}
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		// A server's error body is one short JSON line.
+		msg, err := io.ReadAll(io.LimitReader(resp.Body, 64<<10))
+		return batchReply{status: resp.StatusCode, header: resp.Header, body: msg, err: err}
+	}
+	var rep batchReply
+	rep.err = json.NewDecoder(resp.Body).Decode(&rep.reply)
+	return rep
 }
 
 // bufferDeviceJSON reads a JSON body once, extracts its device_id, and

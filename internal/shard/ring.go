@@ -35,7 +35,6 @@ const replicas = 64
 //
 // A Ring is immutable after construction and safe for concurrent use.
 type Ring struct {
-	shards int
 	points []ringPoint // sorted by hash
 }
 
@@ -50,10 +49,7 @@ func NewRing(shards int) (*Ring, error) {
 	if shards <= 0 {
 		return nil, fmt.Errorf("shard: ring needs at least one shard, got %d", shards)
 	}
-	r := &Ring{
-		shards: shards,
-		points: make([]ringPoint, 0, shards*replicas),
-	}
+	r := &Ring{points: make([]ringPoint, 0, shards*replicas)}
 	var key [16]byte
 	for s := 0; s < shards; s++ {
 		binary.LittleEndian.PutUint64(key[:8], uint64(s))
@@ -73,9 +69,6 @@ func NewRing(shards int) (*Ring, error) {
 	})
 	return r, nil
 }
-
-// Shards reports the shard count the ring was built over.
-func (r *Ring) Shards() int { return r.shards }
 
 // Shard maps a device id to its owning shard index.
 func (r *Ring) Shard(deviceID int64) int {

@@ -269,8 +269,10 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rep)
 }
 
-// ListenAndServe runs the multi-tenant API on addr until the server
-// errors, mirroring coord.Server.ListenAndServe's timeouts.
+// ListenAndServe runs a serving handler (the multi-tenant API or the
+// tier gateway) on addr until the server errors: http.ListenAndServe
+// with a header-read timeout, which a long-polling device fleet needs
+// and the default server lacks.
 func ListenAndServe(addr string, h http.Handler) error {
 	srv := &http.Server{
 		Addr:              addr,

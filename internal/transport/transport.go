@@ -222,9 +222,6 @@ func NewNegotiator(cfg Config) (*Negotiator, error) {
 	return &Negotiator{cfg: cfg}, nil
 }
 
-// Config returns the effective (defaulted) policy configuration.
-func (n *Negotiator) Config() Config { return n.cfg }
-
 // Classify maps device state to its cohort name without negotiating
 // schemes (diagnostics and tests; serving uses Negotiate). A valid
 // Cohort pin — the measured-bandwidth assignment a scheduler computed —

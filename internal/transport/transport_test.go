@@ -68,7 +68,7 @@ func TestClassifyCohortPin(t *testing.T) {
 	}
 	// The pin carries through negotiation to the policy.
 	dec := n.Negotiate(Device{WiFi: true, Cohort: CohortLowBW, Accept: AllKinds()})
-	if dec.Cohort != CohortLowBW || dec.Policy != n.Config().LowBW {
+	if dec.Cohort != CohortLowBW || dec.Policy != n.cfg.LowBW {
 		t.Fatalf("pinned negotiation = %+v", dec)
 	}
 }
@@ -132,7 +132,7 @@ func TestNegotiateLegacyClient(t *testing.T) {
 	if dec.Cohort != CohortDefault || dec.Fallback {
 		t.Fatalf("decision = %+v", dec)
 	}
-	if dec.Policy != n.Config().Default {
+	if dec.Policy != n.cfg.Default {
 		t.Fatalf("legacy policy filtered: %+v", dec.Policy)
 	}
 }
@@ -142,7 +142,7 @@ func TestNegotiateLegacyClient(t *testing.T) {
 func TestNegotiateHonorsAccept(t *testing.T) {
 	n := mustNegotiator(t, Config{})
 	full := n.Negotiate(Device{WiFi: true, Accept: AllKinds()})
-	if full.Fallback || full.Policy != n.Config().Default {
+	if full.Fallback || full.Policy != n.cfg.Default {
 		t.Fatalf("full-capability decision = %+v", full)
 	}
 

@@ -70,6 +70,13 @@ const (
 	modernOSProb    = 0.93
 )
 
+// link samples each device's persistent simulated link: a log-normal
+// downlink around 4 Mbps with a fifth of the fleet on slow links, the
+// uplink at 40% of it. The draw ignores the WiFi label, so the fleet
+// holds fast "cellular" and slow "WiFi" devices for the scheduler's
+// measured cohort map to correct.
+var link = network.BandwidthModel{MedianMbps: 4, Sigma: 0.9, SlowFrac: 0.2, FloorMbps: 0.05}
+
 // workerCount is the event-loop goroutine count for a fleet of the given
 // size: 4 x GOMAXPROCS, capped at 64 and at the fleet size. Each worker
 // multiplexes devices/workers virtual devices, and the count also bounds
@@ -112,10 +119,6 @@ type Config struct {
 	// day, modulated by the diurnal curve (default 3, the paper's ads
 	// case study).
 	SessionsPerDay float64
-	// Bandwidth samples each device's persistent simulated link
-	// (downlink from the model, uplink at 40% of it); nil gets the
-	// fleet generator's default mixed-link model.
-	Bandwidth *network.BandwidthModel
 	// Timeout bounds the whole run in wall time.
 	Timeout time.Duration
 	// Client overrides the HTTP client (tests inject the httptest
@@ -148,12 +151,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.SessionsPerDay <= 0 {
 		c.SessionsPerDay = 3
-	}
-	if c.Bandwidth == nil {
-		c.Bandwidth = &network.BandwidthModel{MedianMbps: 4, Sigma: 0.9, SlowFrac: 0.2, FloorMbps: 0.05}
-	}
-	if err := c.Bandwidth.Validate(); err != nil {
-		return c, fmt.Errorf("vload: %w", err)
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 10 * time.Minute
@@ -623,7 +620,7 @@ func Run(cfg Config) (*Report, error) {
 		for i := range w.devs {
 			d := &w.devs[i]
 			d.id = int64(lo + i + 1)
-			down := cfg.Bandwidth.SampleBps(w.rng)
+			down := link.SampleBps(w.rng)
 			d.downBps, d.upBps = float32(down), float32(down*0.4)
 			d.weight = float32(20 + w.rng.Intn(180))
 			d.modern = w.rng.Float64() < modernOSProb

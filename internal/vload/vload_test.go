@@ -8,20 +8,18 @@ import (
 	"flint/internal/availability"
 	"flint/internal/coord"
 	"flint/internal/model"
-	"flint/internal/network"
 	"flint/internal/sched"
 )
 
-// TestVirtualFleetSchedulerParity is the load plane's end-to-end
-// gauntlet, the compressed-time sibling of coord's
-// TestFleetSchedulerChurn: a virtual fleet two hours of diurnal time
-// deep, 120x compressed, drives sync rounds over the live HTTP API with
-// a server whose scheduler runs the matching TimeCompression. The same
-// things must hold as for the wall-clock fleet — every committed round
-// closes within its (wall) deadline, the scheduler measures devices from
-// their virtual-clock telemetry and remaps them off their radio labels,
-// and the census histograms fill — plus the batch-check-in path must
-// carry the registrations and the footprint accounting must be live.
+// TestVirtualFleetSchedulerParity is the scheduling plane's end-to-end
+// gauntlet under diurnal churn and simulated mixed links: a virtual
+// fleet two hours of diurnal time deep, 120x compressed, drives sync
+// rounds over the live HTTP API with a server whose scheduler runs the
+// matching TimeCompression. Every committed round closes within its
+// (wall) deadline, the scheduler measures devices from their
+// virtual-clock telemetry and remaps them off their radio labels, the
+// census histograms fill, the batch-check-in path carries the
+// registrations and the footprint accounting is live.
 func TestVirtualFleetSchedulerParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second live virtual-fleet run")
@@ -62,7 +60,6 @@ func TestVirtualFleetSchedulerParity(t *testing.T) {
 		Batch:           512,
 		Think:           60 * time.Second,
 		SessionsPerDay:  24,
-		Bandwidth:       &network.BandwidthModel{MedianMbps: 4, Sigma: 0.9, SlowFrac: 0.2, FloorMbps: 0.05},
 		Timeout:         90 * time.Second,
 		Client:          srv.Client(),
 	})
@@ -154,8 +151,11 @@ func TestConfigValidation(t *testing.T) {
 		cfg.VirtualDuration != 24*time.Hour || cfg.Batch != 2048 {
 		t.Fatalf("unexpected defaults: %+v", cfg)
 	}
-	if cfg.Client == nil || cfg.Bandwidth == nil {
+	if cfg.Client == nil {
 		t.Fatalf("defaults left zero fields: %+v", cfg)
+	}
+	if err := link.Validate(); err != nil {
+		t.Fatalf("link model: %v", err)
 	}
 	// The worker count never exceeds the fleet or the cap of 64.
 	if n := workerCount(3); n < 1 || n > 3 {
