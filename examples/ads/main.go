@@ -9,25 +9,32 @@ import (
 	"fmt"
 	"log"
 
-	"flint"
+	"flint/internal/aggregator"
+	"flint/internal/availability"
+	"flint/internal/core"
+	"flint/internal/data"
+	"flint/internal/device"
+	"flint/internal/forecast"
+	"flint/internal/model"
+	"flint/internal/partition"
 	"flint/internal/report"
 )
 
 func main() {
 	seed := int64(7)
-	scale := flint.Scale{
+	scale := core.Scale{
 		Clients: 250, TestRecords: 2500, TraceDays: 14,
 		MaxRounds: 150, EvalEvery: 15, MaxShardExamples: 300,
 	}
 
 	// Step 1 — participation criteria and availability (§4.1, Table 1).
 	fmt.Println("== Step 1: client participation and availability ==")
-	logCfg := flint.DefaultSessionLog(scale.Clients, seed)
-	sessions, err := flint.GenerateSessionLog(logCfg)
+	logCfg := availability.DefaultLogConfig(scale.Clients, seed)
+	sessions, err := availability.GenerateLog(logCfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	t1, err := flint.ComputeTable1(sessions)
+	t1, err := availability.ComputeTable1(sessions)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -40,30 +47,30 @@ func main() {
 
 	// Step 2 — proxy dataset (§4.1, Table 2 Dataset A shape).
 	fmt.Println("== Step 2: proxy dataset ==")
-	spec, err := flint.SpecFor(flint.Ads)
+	spec, err := core.SpecFor(core.Ads)
 	if err != nil {
 		log.Fatal(err)
 	}
-	env, gen, err := flint.BuildEnvironment(spec, scale, seed)
+	env, gen, err := core.BuildEnvironment(spec, scale, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
-	shards := make([]flint.ClientShard, 0, scale.Clients)
+	shards := make([]data.ClientShard, 0, scale.Clients)
 	for id := int64(0); id < int64(scale.Clients); id++ {
 		shards = append(shards, gen.GenerateClient(id))
 	}
-	stats := flint.ComputeProxyStats("datasetA", shards, 90)
+	stats := partition.ComputeStats("datasetA", shards, 90)
 	fmt.Printf("  %s\n  (paper: pop 700k, max 39,731, avg 99, std 667, label 0.28)\n\n", stats)
 
 	// Step 3 — mobile-ready model selection (§4.1, Table 5).
 	fmt.Println("== Step 3: model selection (SDK size limit < 1 MB) ==")
-	rows, err := flint.RunDeviceBenchmarks(flint.BenchDevicePool(), 1000, seed)
+	rows, err := device.Table5(device.BenchPool(), 1000, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
 	sel := report.NewTable("Candidates", "model", "params", "storage", "network", "fits SDK (<1MB)")
 	for _, r := range rows {
-		if r.Model != flint.ModelA && r.Model != flint.ModelB && r.Model != flint.ModelC {
+		if r.Model != model.KindA && r.Model != model.KindB && r.Model != model.KindC {
 			continue
 		}
 		fits := "no"
@@ -79,7 +86,7 @@ func main() {
 
 	// Step 4 — systems and model performance (Table 4 row).
 	fmt.Println("== Step 4: FL training vs centralized ==")
-	res, err := flint.RunCaseStudy(flint.Ads, scale, seed)
+	res, err := core.RunCaseStudy(core.Ads, scale, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,13 +100,13 @@ func main() {
 
 	// Step 5 — security and privacy (§4.1).
 	fmt.Println("== Step 5: security & privacy ==")
-	tee, err := flint.ForecastTEELoad(res.Report, env.UpdateBytes)
+	tee, err := forecast.TEELoad(res.Report, env.UpdateBytes)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("  TEE ingest: %.2f updates/s, %.3f MB/s (paper projects <3 MB/s)\n",
 		tee.UpdatesPerSec, tee.BytesPerSec/1e6)
-	eps, err := flint.EpsilonApprox(0.7, len(res.Report.Rounds), 1e-6)
+	eps, err := aggregator.EpsilonApprox(0.7, len(res.Report.Rounds), 1e-6)
 	if err != nil {
 		log.Fatal(err)
 	}

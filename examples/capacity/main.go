@@ -8,38 +8,47 @@ import (
 	"fmt"
 	"log"
 
-	"flint"
+	"flint/internal/aggregator"
+	"flint/internal/availability"
+	"flint/internal/core"
+	"flint/internal/data"
+	"flint/internal/device"
+	"flint/internal/fedsim"
+	"flint/internal/forecast"
+	"flint/internal/model"
+	"flint/internal/partition"
 	"flint/internal/report"
+	"flint/internal/workflow"
 )
 
 func main() {
 	seed := int64(55)
-	scale := flint.Scale{
+	scale := core.Scale{
 		Clients: 200, TestRecords: 1800, TraceDays: 14,
 		MaxRounds: 160, EvalEvery: 10, MaxShardExamples: 250,
 		SessionsPerDay: 6, // an engaged app population
 	}
-	ctx := flint.NewWorkflowContext()
+	ctx := workflow.NewContext()
 
-	wf := &flint.DecisionWorkflow{
+	wf := &workflow.Workflow{
 		Name: "ads-fl-integration",
-		Steps: []flint.WorkflowStep{
+		Steps: []workflow.Step{
 			{
 				Name: "client-availability",
-				Run: func(c *flint.WorkflowContext) (string, bool, error) {
-					sessions, err := flint.GenerateSessionLog(flint.DefaultSessionLog(scale.Clients, seed))
+				Run: func(c *workflow.Context) (string, bool, error) {
+					sessions, err := availability.GenerateLog(availability.DefaultLogConfig(scale.Clients, seed))
 					if err != nil {
 						return "", false, err
 					}
-					t1, err := flint.ComputeTable1(sessions)
+					t1, err := availability.ComputeTable1(sessions)
 					if err != nil {
 						return "", false, err
 					}
-					eligible := flint.ApplyCriteria(sessions, flint.Criteria{
+					eligible := availability.Apply(sessions, availability.Criteria{
 						RequireWiFi: true, RequireBatteryHigh: true, RequireModernOS: true,
 					})
-					trace := flint.BuildTrace(eligible)
-					series, err := flint.ComputeAvailabilitySeries(trace, 3600)
+					trace := availability.BuildTrace(eligible)
+					series, err := availability.ComputeSeries(trace, 3600)
 					if err != nil {
 						return "", false, err
 					}
@@ -52,20 +61,20 @@ func main() {
 			},
 			{
 				Name: "proxy-dataset",
-				Run: func(c *flint.WorkflowContext) (string, bool, error) {
-					spec, err := flint.SpecFor(flint.Ads)
+				Run: func(c *workflow.Context) (string, bool, error) {
+					spec, err := core.SpecFor(core.Ads)
 					if err != nil {
 						return "", false, err
 					}
-					_, gen, err := flint.BuildEnvironment(spec, scale, seed)
+					_, gen, err := core.BuildEnvironment(spec, scale, seed)
 					if err != nil {
 						return "", false, err
 					}
-					shards := make([]flint.ClientShard, 0, scale.Clients)
+					shards := make([]data.ClientShard, 0, scale.Clients)
 					for id := int64(0); id < int64(scale.Clients); id++ {
 						shards = append(shards, gen.GenerateClient(id))
 					}
-					stats := flint.ComputeProxyStats("ads", shards, 90)
+					stats := partition.ComputeStats("ads", shards, 90)
 					detail := fmt.Sprintf("pop %d, avg %.0f rec/client, label %.2f",
 						stats.ClientPop, stats.AvgRecords, stats.LabelRatio)
 					// Gate: enough clients and a non-degenerate label ratio.
@@ -74,13 +83,13 @@ func main() {
 			},
 			{
 				Name: "model-footprint",
-				Run: func(c *flint.WorkflowContext) (string, bool, error) {
-					rows, err := flint.RunDeviceBenchmarks(flint.BenchDevicePool(), 500, seed)
+				Run: func(c *workflow.Context) (string, bool, error) {
+					rows, err := device.Table5(device.BenchPool(), 500, seed)
 					if err != nil {
 						return "", false, err
 					}
 					for _, r := range rows {
-						if r.Model == flint.ModelB {
+						if r.Model == model.KindB {
 							detail := fmt.Sprintf("model B: %.2f MB storage, %.2f MB/round, %.1fs/500rec mean",
 								r.StorageMB, r.NetworkMB, r.MeanTimeS)
 							// Gate: the §4.1 SDK limit (<1 MB).
@@ -92,8 +101,8 @@ func main() {
 			},
 			{
 				Name: "training-quality",
-				Run: func(c *flint.WorkflowContext) (string, bool, error) {
-					res, err := flint.RunCaseStudy(flint.Ads, scale, seed)
+				Run: func(c *workflow.Context) (string, bool, error) {
+					res, err := core.RunCaseStudy(core.Ads, scale, seed)
 					if err != nil {
 						return "", false, err
 					}
@@ -109,19 +118,19 @@ func main() {
 			},
 			{
 				Name: "resource-budget",
-				Run: func(c *flint.WorkflowContext) (string, bool, error) {
+				Run: func(c *workflow.Context) (string, bool, error) {
 					repAny, _ := c.Get("report")
-					rep := repAny.(*flint.SimReport)
-					budget, err := flint.ForecastDeviceBudget(rep)
+					rep := repAny.(*fedsim.Report)
+					budget, err := forecast.BudgetFromReport(rep)
 					if err != nil {
 						return "", false, err
 					}
-					tee, err := flint.ForecastTEELoad(rep, 780<<10)
+					tee, err := forecast.TEELoad(rep, 780<<10)
 					if err != nil {
 						return "", false, err
 					}
 					seriesAny, _ := c.Get("series")
-					infra, err := flint.PlanInfrastructure(rep, seriesAny.(flint.AvailabilitySeries), 10)
+					infra, err := forecast.PlanInfra(rep, seriesAny.(availability.Series), 10)
 					if err != nil {
 						return "", false, err
 					}
@@ -134,8 +143,8 @@ func main() {
 			},
 			{
 				Name: "privacy-review",
-				Run: func(c *flint.WorkflowContext) (string, bool, error) {
-					eps, err := flint.EpsilonApprox(1.4, scale.MaxRounds, 1e-6)
+				Run: func(c *workflow.Context) (string, bool, error) {
+					eps, err := aggregator.EpsilonApprox(1.4, scale.MaxRounds, 1e-6)
 					if err != nil {
 						return "", false, err
 					}

@@ -8,8 +8,8 @@ import (
 	"fmt"
 	"log"
 
-	"flint"
 	"flint/internal/aggregator"
+	"flint/internal/core"
 	"flint/internal/data"
 	"flint/internal/fedsim"
 	"flint/internal/report"
@@ -17,7 +17,7 @@ import (
 
 func main() {
 	seed := int64(21)
-	scale := flint.Scale{
+	scale := core.Scale{
 		Clients: 200, TestRecords: 2000, TraceDays: 14,
 		MaxRounds: 600, EvalEvery: 50, MaxShardExamples: 250,
 		SessionsPerDay: 6,
@@ -42,7 +42,7 @@ func main() {
 
 	// Step 2 — FL vs centralized on synthetic messages (Table 4 row).
 	fmt.Println("== Step 2: FL training on synthetic proxy messages ==")
-	res, err := flint.RunCaseStudy(flint.Messaging, scale, seed)
+	res, err := core.RunCaseStudy(core.Messaging, scale, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,16 +55,16 @@ func main() {
 	// Step 3 — security: coordinated data poisoning (§4.2) evaluated with
 	// and without a robust-aggregation defense.
 	fmt.Println("== Step 3: poisoning evaluation ==")
-	spec, err := flint.SpecFor(flint.Messaging)
+	spec, err := core.SpecFor(core.Messaging)
 	if err != nil {
 		log.Fatal(err)
 	}
 	runWith := func(adv *aggregator.Adversary, agg aggregator.AggregationConfig) float64 {
-		env, _, err := flint.BuildEnvironment(spec, scale, seed)
+		env, _, err := core.BuildEnvironment(spec, scale, seed)
 		if err != nil {
 			log.Fatal(err)
 		}
-		cfg := flint.AsyncConfig(spec, scale, seed)
+		cfg := core.AsyncConfig(spec, scale, seed)
 		cfg.MaxRounds = 20
 		cfg.Adversary = adv
 		cfg.Aggregation = agg

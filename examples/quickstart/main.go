@@ -8,25 +8,27 @@ import (
 	"fmt"
 	"log"
 
-	"flint"
+	"flint/internal/core"
+	"flint/internal/fedsim"
+	"flint/internal/forecast"
 	"flint/internal/report"
 )
 
 func main() {
-	scale := flint.Scale{
+	scale := core.Scale{
 		Clients: 120, TestRecords: 1200, TraceDays: 7,
 		MaxRounds: 20, EvalEvery: 4, MaxShardExamples: 200,
 	}
-	spec, err := flint.SpecFor(flint.Ads)
+	spec, err := core.SpecFor(core.Ads)
 	if err != nil {
 		log.Fatal(err)
 	}
-	env, _, err := flint.BuildEnvironment(spec, scale, 42)
+	env, _, err := core.BuildEnvironment(spec, scale, 42)
 	if err != nil {
 		log.Fatal(err)
 	}
-	cfg := flint.AsyncConfig(spec, scale, 42)
-	rep, err := flint.RunSimulation(cfg, env)
+	cfg := core.AsyncConfig(spec, scale, 42)
+	rep, err := fedsim.Run(cfg, env)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,7 +57,7 @@ func main() {
 	fmt.Printf("AUPR trajectory: %s\n", report.Sparkline(vals))
 	fmt.Printf("Summary: %s\n", rep.String())
 
-	budget, err := flint.ForecastDeviceBudget(rep)
+	budget, err := forecast.BudgetFromReport(rep)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,13 +8,17 @@ import (
 	"fmt"
 	"log"
 
-	"flint"
+	"flint/internal/core"
+	"flint/internal/data"
+	"flint/internal/device"
+	"flint/internal/model"
+	"flint/internal/partition"
 	"flint/internal/report"
 )
 
 func main() {
 	seed := int64(33)
-	scale := flint.Scale{
+	scale := core.Scale{
 		Clients: 400, TestRecords: 2400, TraceDays: 14,
 		MaxRounds: 150, EvalEvery: 15,
 	}
@@ -22,12 +26,12 @@ func main() {
 	// Step 1 — latency budget: on-device ranking removes the network round
 	// trip from the sub-100ms budget (§4.3).
 	fmt.Println("== Step 1: latency budget ==")
-	m, err := flint.NewModel(flint.ModelA, seed)
+	m, err := model.New(model.KindA, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
 	cost := m.Cost()
-	pool := flint.BenchDevicePool()
+	pool := device.BenchPool()
 	infMs := cost.InferFLOPs / (pool[0].MatmulGFLOPS * 1e9) * 1000
 	fmt.Printf("  model A on-device inference ≈ %.3f ms/candidate on a flagship device\n", infMs)
 	fmt.Printf("  vs a centralized round trip of 30-100 ms — locally cached documents\n")
@@ -35,19 +39,19 @@ func main() {
 
 	// Step 2 — the quantity skew of search data (Table 2, Dataset C).
 	fmt.Println("== Step 2: dataset shape ==")
-	spec, err := flint.SpecFor(flint.Search)
+	spec, err := core.SpecFor(core.Search)
 	if err != nil {
 		log.Fatal(err)
 	}
-	_, gen, err := flint.BuildEnvironment(spec, scale, seed)
+	_, gen, err := core.BuildEnvironment(spec, scale, seed)
 	if err != nil {
 		log.Fatal(err)
 	}
-	shards := make([]flint.ClientShard, 0, scale.Clients)
+	shards := make([]data.ClientShard, 0, scale.Clients)
 	for id := int64(0); id < int64(scale.Clients); id++ {
 		shards = append(shards, gen.GenerateClient(id))
 	}
-	stats := flint.ComputeProxyStats("datasetC", shards, 61)
+	stats := partition.ComputeStats("datasetC", shards, 61)
 	fmt.Printf("  %s\n", stats)
 	fmt.Println("  (paper: 16.4M clients, avg 1.53 records — most clients hold one query,")
 	fmt.Println("   while \"superusers\" dominate the record mass)")
@@ -55,7 +59,7 @@ func main() {
 
 	// Step 3 — FL training vs centralized, NDCG (Table 4 row).
 	fmt.Println("== Step 3: federated ranking quality ==")
-	res, err := flint.RunCaseStudy(flint.Search, scale, seed)
+	res, err := core.RunCaseStudy(core.Search, scale, seed)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,42 +4,49 @@ import (
 	"math"
 	"testing"
 
-	"flint"
+	"flint/internal/aggregator"
+	"flint/internal/availability"
+	"flint/internal/core"
+	"flint/internal/device"
+	"flint/internal/fedsim"
+	"flint/internal/forecast"
+	"flint/internal/model"
+	"flint/internal/network"
 )
 
-// TestPublicAPIQuickstart exercises the facade end to end the way the
-// examples do: spec → environment → simulation → forecasts.
+// TestPublicAPIQuickstart drives the offline packages end to end the way
+// the examples do: spec → environment → simulation → forecasts.
 func TestPublicAPIQuickstart(t *testing.T) {
-	scale := flint.Scale{
+	scale := core.Scale{
 		Clients: 100, TestRecords: 800, TraceDays: 7,
 		MaxRounds: 6, EvalEvery: 3, MaxShardExamples: 120, SessionsPerDay: 6,
 	}
-	spec, err := flint.SpecFor(flint.Ads)
+	spec, err := core.SpecFor(core.Ads)
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, gen, err := flint.BuildEnvironment(spec, scale, 1)
+	env, gen, err := core.BuildEnvironment(spec, scale, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if gen.NumClients() != 100 {
 		t.Fatalf("clients %d", gen.NumClients())
 	}
-	rep, err := flint.RunSimulation(flint.AsyncConfig(spec, scale, 1), env)
+	rep, err := fedsim.Run(core.AsyncConfig(spec, scale, 1), env)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rep.Rounds) != 6 {
 		t.Fatalf("rounds %d", len(rep.Rounds))
 	}
-	budget, err := flint.ForecastDeviceBudget(rep)
+	budget, err := forecast.BudgetFromReport(rep)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if budget.ComputeSec <= 0 {
 		t.Fatal("no compute accounted")
 	}
-	tee, err := flint.ForecastTEELoad(rep, env.UpdateBytes)
+	tee, err := forecast.TEELoad(rep, env.UpdateBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,36 +55,36 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 }
 
-// TestPublicAPIMeasurement covers the availability and device facades.
+// TestPublicAPIMeasurement covers the availability and device tooling.
 func TestPublicAPIMeasurement(t *testing.T) {
-	sessions, err := flint.GenerateSessionLog(flint.DefaultSessionLog(300, 2))
+	sessions, err := availability.GenerateLog(availability.DefaultLogConfig(300, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	t1, err := flint.ComputeTable1(sessions)
+	t1, err := availability.ComputeTable1(sessions)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if t1.Intersect <= 0 || t1.Intersect >= 1 {
 		t.Fatalf("intersection %v", t1.Intersect)
 	}
-	eligible := flint.ApplyCriteria(sessions, flint.Criteria{RequireWiFi: true})
+	eligible := availability.Apply(sessions, availability.Criteria{RequireWiFi: true})
 	if len(eligible) >= len(sessions) {
 		t.Fatal("criteria must filter")
 	}
-	trace := flint.BuildTrace(eligible)
-	series, err := flint.ComputeAvailabilitySeries(trace, 3600)
+	trace := availability.BuildTrace(eligible)
+	series, err := availability.ComputeSeries(trace, 3600)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if series.Peak <= 0 {
 		t.Fatal("empty series")
 	}
-	pool := flint.BenchDevicePool()
+	pool := device.BenchPool()
 	if len(pool) != 27 {
 		t.Fatalf("pool %d", len(pool))
 	}
-	rows, err := flint.RunDeviceBenchmarks(pool, 200, 1)
+	rows, err := device.Table5(pool, 200, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,10 +93,11 @@ func TestPublicAPIMeasurement(t *testing.T) {
 	}
 }
 
-// TestPublicAPIModels covers the model-zoo facade.
+// TestPublicAPIModels covers the model zoo, the bandwidth model and the
+// privacy accountant.
 func TestPublicAPIModels(t *testing.T) {
-	for _, k := range []flint.ModelKind{flint.ModelA, flint.ModelB, flint.ModelC, flint.ModelD, flint.ModelE} {
-		m, err := flint.NewModel(k, 1)
+	for _, k := range []model.Kind{model.KindA, model.KindB, model.KindC, model.KindD, model.KindE} {
+		m, err := model.New(k, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,10 +105,10 @@ func TestPublicAPIModels(t *testing.T) {
 			t.Fatalf("model %s empty", k)
 		}
 	}
-	if err := flint.DefaultBandwidth.Validate(); err != nil {
+	if err := network.Default.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	eps, err := flint.EpsilonApprox(1, 10, 1e-6)
+	eps, err := aggregator.EpsilonApprox(1, 10, 1e-6)
 	if err != nil {
 		t.Fatal(err)
 	}

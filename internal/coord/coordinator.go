@@ -262,17 +262,10 @@ type Coordinator struct {
 	// touching the (commit-mutated) global model.
 	dim int
 
-	// version and roundID mirror committed state for lock-free reads on
-	// the check-in path.
-	version atomic.Int64
-	roundID atomic.Uint64
-
 	// serving is the atomically swapped (round, broadcast plane) pair —
-	// everything the task path reads.
+	// the one home of the published version, the round id and the
+	// deadline. Every lock-free reader loads it once.
 	serving atomic.Pointer[serving]
-	// deadlineNS mirrors the current round's deadline so the watchdog's
-	// idle tick is a single atomic load, no locks.
-	deadlineNS atomic.Int64
 
 	// mu is the round-plane lock: it serializes the commit/abandon
 	// pipeline (round lifecycle edges, aggregation into global, snapshot
@@ -356,7 +349,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.version.Store(int64(v))
 	bs := newBroadcastState(v, m.Params().Clone(), nil, cfg.Transport.RingDepth())
 	// Pre-register every serving counter so a status page always carries
 	// the full zeroed key set before first traffic (a dashboard shouldn't
@@ -395,8 +387,6 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	r := c.newRound(1, bs, time.Now())
 	c.serving.Store(&serving{round: r, bcast: bs})
-	c.roundID.Store(1)
-	c.deadlineNS.Store(r.Deadline.UnixNano())
 	c.loopWG.Add(2)
 	go c.ingestLoop()
 	go c.watchdog()
@@ -449,7 +439,7 @@ func (c *Coordinator) Counters() *metrics.CounterSet { return c.counters }
 func (c *Coordinator) Store() *modelstore.Store { return c.store }
 
 // Version returns the latest published model version.
-func (c *Coordinator) Version() int { return int(c.version.Load()) }
+func (c *Coordinator) Version() int { return c.serving.Load().bcast.version }
 
 // CheckIn registers or refreshes a device, negotiates its transport
 // cohort, and reports its eligibility under the serving criteria. O(1):
@@ -472,11 +462,12 @@ func (c *Coordinator) CheckIn(info DeviceInfo) CheckInResult {
 		// server can honor; it is served the f32 universal baseline.
 		c.counters.Counter("transport_fallback_f32").Inc()
 	}
+	sv := c.serving.Load()
 	return CheckInResult{
 		New:      isNew,
 		Eligible: eligible,
-		Version:  int(c.version.Load()),
-		RoundID:  c.roundID.Load(),
+		Version:  sv.bcast.version,
+		RoundID:  sv.round.ID,
 		Cohort:   dec.Cohort,
 		Policy:   dec.Policy,
 	}
@@ -508,12 +499,13 @@ type BatchCheckInResult struct {
 func (c *Coordinator) CheckInBatch(infos []DeviceInfo) BatchCheckInResult {
 	now := time.Now()
 	newCount, rejected := c.reg.CheckInBatch(infos, now, c.cfg.MaxDevices)
+	sv := c.serving.Load()
 	res := BatchCheckInResult{
 		Accepted:    len(infos) - len(rejected),
 		New:         newCount,
 		RejectedIDs: rejected,
-		Version:     int(c.version.Load()),
-		RoundID:     c.roundID.Load(),
+		Version:     sv.bcast.version,
+		RoundID:     sv.round.ID,
 	}
 	var rejectedSet map[int64]struct{}
 	if len(rejected) > 0 {
@@ -561,8 +553,8 @@ func (c *Coordinator) negotiate(info DeviceInfo, acceptOverride []codec.Kind) tr
 // gate: the downlink blob under the cohort's broadcast scheme (the delta
 // scheme when the device's base is still in the ring — what it would
 // actually be served) plus the uplink update under the cohort's update
-// scheme.
-func (c *Coordinator) taskEstimate(dec transport.Decision, q TaskQuery) sched.TaskEstimate {
+// scheme. cur is the plane version the request already loaded.
+func (c *Coordinator) taskEstimate(dec transport.Decision, q TaskQuery, cur int) sched.TaskEstimate {
 	down := dec.Policy.Task
 	// The base version is client-controlled: only a base the serving
 	// path could actually answer with a delta (1..current, within the
@@ -571,8 +563,7 @@ func (c *Coordinator) taskEstimate(dec transport.Decision, q TaskQuery) sched.Ta
 	// with a ~100x underestimated download and then be served the full
 	// blob anyway.
 	if depth := c.cfg.Transport.DepthFor(dec.Cohort); depth > 0 {
-		if cur := c.version.Load(); q.BaseVersion > 0 && int64(q.BaseVersion) <= cur &&
-			cur-int64(q.BaseVersion) < int64(depth) {
+		if q.BaseVersion > 0 && q.BaseVersion <= cur && cur-q.BaseVersion < depth {
 			down = dec.Policy.Delta
 		}
 	}
@@ -688,7 +679,7 @@ func (c *Coordinator) RequestTaskWith(deviceID int64, q TaskQuery) (Task, error)
 	// Negotiation is pure, so it runs before the assignment is taken: the
 	// deadline gate needs the cohort's wire schemes to cost the task.
 	dec := c.negotiate(info, q.Accept)
-	if c.cfg.Mode == ModeSync && !c.sched.Admit(tel, r.Deadline.Sub(now), c.taskEstimate(dec, q)) {
+	if c.cfg.Mode == ModeSync && !c.sched.Admit(tel, r.Deadline.Sub(now), c.taskEstimate(dec, q, bs.version)) {
 		// The device is measured too slow to finish inside this round's
 		// remaining window: assigning it anyway would burn over-commit
 		// budget on a straggler. Async rounds skip the gate — FedBuff
@@ -1007,9 +998,9 @@ func (c *Coordinator) apply(sub Submission) {
 	// commit means one more generation has passed, and both the
 	// MaxStaleness bound and FedBuff's discount must see it.
 	for attempt := 0; ; attempt++ {
-		r := c.serving.Load().round
-		version := int(c.version.Load())
-		staleness := version - sub.BaseVersion
+		sv := c.serving.Load()
+		r := sv.round
+		staleness := sv.bcast.version - sub.BaseVersion
 		if staleness < 0 {
 			sub.release()
 			c.counters.Counter("update_rejected_future").Inc()
@@ -1066,7 +1057,7 @@ func (c *Coordinator) apply(sub Submission) {
 // idle server's watchdog tick takes no locks at all.
 func (c *Coordinator) checkDeadline() {
 	now := time.Now()
-	if now.UnixNano() < c.deadlineNS.Load() {
+	if now.Before(c.serving.Load().round.Deadline) {
 		// Mid-collection and far from the deadline; target-count commits
 		// are the ingest worker's job, so there is nothing to do here.
 		return
@@ -1206,7 +1197,6 @@ func (c *Coordinator) publishLocked(r *Round, bs *broadcastState, v int, ckpt []
 	if err := r.conclude(PhaseCommitted); err != nil {
 		c.counters.Counter("round_fsm_error").Inc()
 	}
-	c.version.Store(int64(v))
 	c.counters.Counter("rounds_committed").Inc()
 	c.finishLocked(r, v, next, now)
 	c.counters.Counter("publish_pending").Inc()
@@ -1278,8 +1268,6 @@ func (c *Coordinator) finishLocked(r *Round, newVersion int, bs *broadcastState,
 	c.historyMu.Unlock()
 	next := c.newRound(r.ID+1, bs, now)
 	c.serving.Store(&serving{round: next, bcast: bs})
-	c.roundID.Store(next.ID)
-	c.deadlineNS.Store(next.Deadline.UnixNano())
 }
 
 // Status reports the coordinator's full serving state (O(fleet): it scans
@@ -1307,7 +1295,7 @@ func (c *Coordinator) Status() StatusReport {
 		Mode:        c.cfg.Mode,
 		ModelKind:   c.cfg.ModelKind,
 		ModelName:   c.cfg.ModelName,
-		Version:     int(c.version.Load()),
+		Version:     sv.bcast.version,
 		Round:       rs,
 		Devices:     census,
 		Scheduler:   sr,

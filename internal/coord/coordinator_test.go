@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -408,5 +410,61 @@ func TestCoordinatorCriteriaGateTasks(t *testing.T) {
 	}
 	if _, err := c.RequestTask(1); err != nil {
 		t.Fatalf("RequestTask(eligible) = %v", err)
+	}
+}
+
+// TestVersionNeverRunsAheadOfServing pins that Version() is read from the
+// serving pair: once Version() reports v, the round Status serves is
+// already based on v or later. A sync job commits continuously while a
+// reader checks the two back to back.
+func TestVersionNeverRunsAheadOfServing(t *testing.T) {
+	cfg := syncTestConfig()
+	cfg.TargetUpdates, cfg.Quorum = 2, 2
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	const commits = 12
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for id := int64(1); id <= 3; id++ {
+		wg.Add(1)
+		go func(id int64) {
+			defer wg.Done()
+			c.CheckIn(testInfo(id))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				task, err := c.RequestTask(id)
+				if err != nil {
+					runtime.Gosched()
+					continue
+				}
+				delta := tensor.NewVector(task.Dim)
+				delta.Fill(0.001)
+				_ = c.SubmitUpdate(Submission{DeviceID: id, RoundID: task.RoundID,
+					BaseVersion: task.BaseVersion, Weight: 10, Delta: delta})
+			}
+		}(id)
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+
+	deadline := time.Now().Add(20 * time.Second)
+	for c.Version() < 1+commits {
+		if time.Now().After(deadline) {
+			t.Fatalf("only reached version %d", c.Version())
+		}
+		v := c.Version()
+		if base := c.Status().Round.Base; base < v {
+			t.Fatalf("Version() = %d but the served round is based on v%d", v, base)
+		}
 	}
 }

@@ -13,10 +13,6 @@ import (
 	"flint/internal/metrics"
 )
 
-// hdrJobToken is the non-standard token header for clients that can't
-// set Authorization (some embedded HTTP stacks reserve it).
-const hdrJobToken = "X-Flint-Job-Token"
-
 // JobStatus is one job's row in the fleet status rollup: enough to see
 // every tenant's training progress at a glance without the per-job
 // status page's full scheduler and counter detail.
@@ -139,7 +135,7 @@ func (s *Server) routeJob(w http.ResponseWriter, r *http.Request, sub string) {
 	}
 	if rest == "" {
 		// GET /v1/jobs/<job> — the summary row, handy for scripts.
-		writeJSON(w, http.StatusOK, s.jobStatus(job))
+		writeJSON(w, http.StatusOK, jobStatus(job, job.Coord.Status()))
 		return
 	}
 	// Shallow-clone with a rewritten path (the http.StripPrefix idiom):
@@ -163,13 +159,8 @@ func (s *Server) authed(w http.ResponseWriter, r *http.Request, job *Job) bool {
 	if want == "" {
 		return true
 	}
-	got := r.Header.Get(hdrJobToken)
-	if h := r.Header.Get("Authorization"); h != "" {
-		if tok, ok := strings.CutPrefix(h, "Bearer "); ok {
-			got = tok
-		}
-	}
-	if subtle.ConstantTimeCompare([]byte(got), []byte(want)) == 1 {
+	got, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
+	if ok && subtle.ConstantTimeCompare([]byte(got), []byte(want)) == 1 {
 		return true
 	}
 	job.Coord.Counters().Counter("auth_rejected_token").Inc()
@@ -187,7 +178,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		jobs := s.reg.Jobs()
 		out := make([]JobStatus, 0, len(jobs))
 		for _, j := range jobs {
-			out = append(out, s.jobStatus(j))
+			out = append(out, jobStatus(j, j.Coord.Status()))
 		}
 		writeJSON(w, http.StatusOK, out)
 	case http.MethodPost:
@@ -209,16 +200,15 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			writeError(w, code, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, s.jobStatus(job))
+		writeJSON(w, http.StatusCreated, jobStatus(job, job.Coord.Status()))
 	default:
 		w.Header().Set("Allow", "GET, POST")
 		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
 	}
 }
 
-// jobStatus condenses one job's full status into its rollup row.
-func (s *Server) jobStatus(j *Job) JobStatus {
-	st := j.Coord.Status()
+// jobStatus condenses job j's full status report st into its rollup row.
+func jobStatus(j *Job, st coord.StatusReport) JobStatus {
 	return JobStatus{
 		Name:              j.Spec.Name,
 		Mode:              st.Mode,
@@ -240,7 +230,8 @@ func (s *Server) jobStatus(j *Job) JobStatus {
 // handleStatus renders the fleet rollup: the default job's full report
 // inlined for backward compatibility, plus every job's summary row and
 // the cross-tenant sums. O(sum of fleets) — a dashboard endpoint, like
-// every coordinator's own status page.
+// every coordinator's own status page. Each job's Status is taken once,
+// so the embedded report and the default job's row agree.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	jobs := s.reg.Jobs()
 	if len(jobs) == 0 {
@@ -249,19 +240,22 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	def := s.reg.Default()
 	rep := StatusReport{
-		StatusReport: def.Coord.Status(),
-		DefaultJob:   def.Spec.Name,
-		Jobs:         make(map[string]JobStatus, len(jobs)),
+		DefaultJob: def.Spec.Name,
+		Jobs:       make(map[string]JobStatus, len(jobs)),
 	}
 	snaps := make([]map[string]int64, 0, len(jobs)+1)
 	for _, j := range jobs {
-		js := s.jobStatus(j)
+		st := j.Coord.Status()
+		if j == def {
+			rep.StatusReport = st
+		}
+		js := jobStatus(j, st)
 		rep.Jobs[j.Spec.Name] = js
 		rep.Fleet.DevicesKnown += js.DevicesKnown
 		rep.Fleet.DevicesLive += js.DevicesLive
 		rep.Fleet.RoundsCommitted += js.RoundsCommitted
 		rep.Fleet.UpdatesAggregated += js.UpdatesAggregated
-		snaps = append(snaps, j.Coord.Counters().Snapshot())
+		snaps = append(snaps, st.Counters)
 	}
 	snaps = append(snaps, s.reg.counters.Snapshot())
 	rep.Fleet.Jobs = len(jobs)

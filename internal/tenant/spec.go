@@ -22,26 +22,20 @@ import (
 )
 
 // Duration is a time.Duration that unmarshals from a JSON duration
-// string ("15s", "2m30s") or a bare number of seconds, so job spec
-// files read naturally either way.
+// string ("15s", "2m30s").
 type Duration time.Duration
 
 // UnmarshalJSON implements json.Unmarshaler.
 func (d *Duration) UnmarshalJSON(b []byte) error {
 	var s string
-	if err := json.Unmarshal(b, &s); err == nil {
-		parsed, err := time.ParseDuration(s)
-		if err != nil {
-			return fmt.Errorf("tenant: bad duration %q: %w", s, err)
-		}
-		*d = Duration(parsed)
-		return nil
+	if err := json.Unmarshal(b, &s); err != nil {
+		return fmt.Errorf("tenant: duration must be a duration string like \"90s\", got %s", b)
 	}
-	var secs float64
-	if err := json.Unmarshal(b, &secs); err != nil {
-		return fmt.Errorf("tenant: duration must be a string or seconds number, got %s", b)
+	parsed, err := time.ParseDuration(s)
+	if err != nil {
+		return fmt.Errorf("tenant: bad duration %q: %w", s, err)
 	}
-	*d = Duration(secs * float64(time.Second))
+	*d = Duration(parsed)
 	return nil
 }
 
@@ -158,9 +152,8 @@ type JobSpec struct {
 	// checkin_rejected_quota.
 	MaxDevices int `json:"max_devices,omitempty"`
 	// Token, when set, locks the job's routes behind bearer-token auth:
-	// requests must carry it as "Authorization: Bearer <token>" (or
-	// X-Flint-Job-Token). Wrong or missing tokens get 401 and
-	// auth_rejected_token.
+	// requests must carry it as "Authorization: Bearer <token>". Wrong
+	// or missing tokens get 401 and auth_rejected_token.
 	Token string `json:"token,omitempty"`
 }
 
@@ -286,18 +279,11 @@ func (s JobSpec) CoordConfig(base coord.Config) (coord.Config, error) {
 	return s.coordConfig(base)
 }
 
-// LoadSpecs parses a jobs file: a JSON array of job specs (or an object
-// with a "jobs" array, so a file can carry future top-level settings).
+// LoadSpecs parses a jobs file: a JSON array of job specs.
 func LoadSpecs(data []byte) ([]JobSpec, error) {
 	var specs []JobSpec
-	if err := json.Unmarshal(data, &specs); err == nil {
-		return specs, nil
+	if err := json.Unmarshal(data, &specs); err != nil {
+		return nil, fmt.Errorf("tenant: jobs file must be a JSON array of specs: %w", err)
 	}
-	var wrapped struct {
-		Jobs []JobSpec `json:"jobs"`
-	}
-	if err := json.Unmarshal(data, &wrapped); err != nil {
-		return nil, fmt.Errorf("tenant: jobs file must be a JSON array of specs or {\"jobs\": [...]}: %w", err)
-	}
-	return wrapped.Jobs, nil
+	return specs, nil
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -88,9 +89,9 @@ func doReq(t *testing.T, method, url, token string, body, out any) int {
 
 // TestJobRoutingAndAuth pins the tenant router's isolation contract:
 // unknown jobs 404 at the tenant plane, a protected job rejects wrong
-// and missing tokens with 401 (counted against the probed job), both
-// token carriers work, and the bare /v1/* alias reaches the default job
-// with its own auth applied.
+// and missing tokens with 401 (counted against the probed job), the
+// bearer header is the only token carrier, and the bare /v1/* alias
+// reaches the default job with its own auth applied.
 func TestJobRoutingAndAuth(t *testing.T) {
 	reg, ts := newTestPlane(t, false,
 		JobSpec{Name: "alpha"},
@@ -127,19 +128,20 @@ func TestJobRoutingAndAuth(t *testing.T) {
 		t.Fatalf("alpha auth_rejected_token = %d, want 0", got)
 	}
 
-	// The right token works through both carriers.
+	// The right token works as a bearer token, and only there: the same
+	// token in any other header is a missing token.
 	if code := doReq(t, "GET", ts.URL+"/v1/jobs/beta/status", "s3cret", nil, nil); code != 200 {
 		t.Fatalf("beta with bearer token = %d, want 200", code)
 	}
 	req, _ := http.NewRequest("GET", ts.URL+"/v1/jobs/beta/status", nil)
-	req.Header.Set(hdrJobToken, "s3cret")
+	req.Header.Set("X-Flint-Job-Token", "s3cret")
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("beta with %s = %d, want 200", hdrJobToken, resp.StatusCode)
+	if resp.StatusCode != 401 {
+		t.Fatalf("beta with only X-Flint-Job-Token = %d, want 401", resp.StatusCode)
 	}
 
 	// Bare /v1/* aliases the default job (alpha, first registered): a
@@ -381,6 +383,52 @@ func TestStatusRollup(t *testing.T) {
 	if bytes.Contains(mustJSON(t, st), []byte("hunter2-zz")) {
 		t.Fatal("status JSON leaks a job token")
 	}
+
+	// Under concurrent commits the embedded report and the default job's
+	// row come from one Status, so they agree on version and round.
+	ca := reg.Get("a").Coord
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for id := int64(100); id < 103; id++ {
+		wg.Add(1)
+		go func(id int64) {
+			defer wg.Done()
+			ca.CheckIn(testInfo(id))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				task, err := ca.RequestTask(id)
+				if err != nil {
+					continue
+				}
+				delta := tensor.NewVector(task.Dim)
+				delta.Fill(1e-4)
+				_ = ca.SubmitUpdate(coord.Submission{DeviceID: id, RoundID: task.RoundID,
+					BaseVersion: task.BaseVersion, Weight: 10, Delta: delta})
+			}
+		}(id)
+	}
+	defer func() {
+		close(stop)
+		wg.Wait()
+	}()
+	deadline := time.Now().Add(20 * time.Second)
+	for st.Version < 6 {
+		if time.Now().After(deadline) {
+			t.Fatalf("job a only reached version %d", st.Version)
+		}
+		st = StatusReport{}
+		if code := doReq(t, "GET", ts.URL+"/v1/status", "", nil, &st); code != 200 {
+			t.Fatalf("status = %d, want 200", code)
+		}
+		if row := st.Jobs["a"]; row.Version != st.Version || row.Round != st.Round.ID {
+			t.Fatalf("embedded report v%d round %d, jobs[a] row v%d round %d",
+				st.Version, st.Round.ID, row.Version, row.Round)
+		}
+	}
 }
 
 // TestSpecOverlay pins the inheritance contract: zero fields keep the
@@ -424,14 +472,24 @@ func TestSpecOverlay(t *testing.T) {
 		t.Fatal("unset spec field did not inherit the base")
 	}
 
-	// The spec JSON round-trips durations both ways.
-	specs, err := LoadSpecs([]byte(`{"jobs":[{"name":"x","round_deadline":"90s"},{"name":"y","round_deadline":4}]}`))
+	// A jobs file is a JSON array of specs with duration strings.
+	specs, err := LoadSpecs([]byte(`[{"name":"x","round_deadline":"90s"},{"name":"y","round_deadline":"4s"}]`))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(specs) != 2 || time.Duration(specs[0].RoundDeadline) != 90*time.Second ||
 		time.Duration(specs[1].RoundDeadline) != 4*time.Second {
 		t.Fatalf("LoadSpecs = %+v", specs)
+	}
+	// The object wrapper and bare seconds are refused, and the error
+	// names the accepted form.
+	for _, tc := range []struct{ file, want string }{
+		{`{"jobs":[{"name":"x"}]}`, "JSON array of specs"},
+		{`[{"name":"y","round_deadline":4}]`, "duration string"},
+	} {
+		if _, err := LoadSpecs([]byte(tc.file)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("LoadSpecs(%s) error = %v, want one naming %q", tc.file, err, tc.want)
+		}
 	}
 }
 
