@@ -15,10 +15,9 @@
 // ads and half at job messaging (authenticating with its token), with
 // disjoint device IDs per job.
 //
-// Against a sharded coordination tier, -gateway points the same fleet at
-// cmd/flint-gateway: the run waits for the tier to report healthy, then
-// drives rounds through the gateway's device routing — every other flag
-// (fractions, poison replay) works unchanged.
+// -server may also name a sharded tier's cmd/flint-gateway, which the
+// fleet learns from its /v1/status: it waits for the tier to turn healthy
+// and watches each job's tier version; every other flag works unchanged.
 //
 // -virtual switches to the virtual-time load plane (internal/vload):
 // instead of a goroutine per device, batched virtual devices are
@@ -58,13 +57,10 @@ func main() {
 	jsonFraction := flag.Float64("json-fraction", 0, "share of devices on the JSON protocol: no capability list, full broadcast (0 = all negotiated binary, 1 = all JSON)")
 	timeout := flag.Duration("timeout", 2*time.Minute, "overall run deadline")
 	jobs := flag.String("jobs", "", "multi-tenant: comma-separated job list (name or name=token); devices split evenly across jobs with disjoint IDs")
-	gateway := flag.Bool("gateway", false, "-server is a shard-tier gateway (flint-gateway): wait for tier health, then watch the rollup for round progress")
 	jsonOut := flag.Bool("json", false, "emit the full report as JSON")
 	virtual := flag.Bool("virtual", false, "virtual-time load plane: multiplex batched virtual devices over event heaps in compressed virtual time (vload)")
 	compression := flag.Float64("compression", 60, "virtual: virtual seconds per wall second (server needs a matching -sched-time-compression)")
 	vduration := flag.Duration("vduration", 24*time.Hour, "virtual: virtual time to simulate (24h = one diurnal cycle)")
-	vbatch := flag.Int("vbatch", 2048, "virtual: devices per POST /v1/checkin/batch request")
-	vthink := flag.Duration("vthink", 120*time.Second, "virtual: mean in-session re-poll interval, in virtual time")
 	vsessions := flag.Float64("vsessions", 3, "virtual: mean device sessions per virtual day (diurnally modulated)")
 	flag.Parse()
 
@@ -74,14 +70,11 @@ func main() {
 		}
 		rep, err := vload.Run(vload.Config{
 			BaseURL:         *server,
-			Gateway:         *gateway,
 			Devices:         *devices,
 			Compression:     *compression,
 			VirtualDuration: *vduration,
 			Rounds:          *rounds,
 			Seed:            *seed,
-			Batch:           *vbatch,
-			Think:           *vthink,
 			SessionsPerDay:  *vsessions,
 			Timeout:         *timeout,
 		})
@@ -109,7 +102,6 @@ func main() {
 		PoisonScale:    *poisonScale,
 		JSONFraction:   *jsonFraction,
 		Timeout:        *timeout,
-		Gateway:        *gateway,
 	}
 	if *jobs != "" {
 		runJobs(base, *jobs, *jsonOut)
@@ -121,10 +113,7 @@ func main() {
 			printJSON(rep)
 		} else {
 			fmt.Print(rep.String())
-			// The per-server counter block only applies to a flat
-			// coordinator: a gateway's rollup carries tier state
-			// instead, already rendered by the report line above.
-			if st := rep.FinalStatus; st != nil && rep.TierShards == 0 {
+			if st := rep.FinalStatus; st != nil {
 				fmt.Printf("  server: mode=%s model=%s committed=%d abandoned=%d accepted=%d shed=%d\n",
 					st.Mode, st.ModelKind, st.Counters["rounds_committed"],
 					st.Counters["rounds_abandoned"], st.Counters["update_accepted"],

@@ -38,8 +38,6 @@ func main() {
 	addr := flag.String("addr", ":9090", "listen address")
 	shards := flag.String("shards", "", "comma-separated shard base URLs; list index = shard id (required)")
 	grace := flag.Duration("grace", 3*time.Second, "heartbeat grace window; a shard silent longer halts the tier")
-	serverLR := flag.Float64("server-lr", 1, "cross-shard fold server learning rate")
-	alpha := flag.Float64("alpha", 0, "cross-shard fold staleness-discount exponent")
 	kind := flag.String("model", "A", "Table 5 model kind the tier trains (must match the shards)")
 	name := flag.String("name", "served", "default job name (must match the shards' -name)")
 	seed := flag.Int64("seed", 1, "model init seed (must match the shards)")
@@ -82,9 +80,6 @@ func main() {
 	}
 	defaultJob := specs[0].Name
 	params := func(job string) (tensor.Vector, error) {
-		if job == "" {
-			job = defaultJob
-		}
 		sp, ok := byName[job]
 		if !ok {
 			return nil, fmt.Errorf("job %q not in the gateway's spec set", job)
@@ -100,21 +95,17 @@ func main() {
 		return m.Params(), nil
 	}
 
-	leader, err := shard.NewLeader(shard.LeaderConfig{
-		Shards:         len(clean),
-		Grace:          *grace,
-		ServerLR:       *serverLR,
-		StalenessAlpha: *alpha,
-		Params:         params,
-	})
+	leader, err := shard.NewLeader(shard.LeaderConfig{Shards: len(clean), Grace: *grace, Params: params})
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Eager default-job init so the rollup reports a live version (and
-	// the fleet generator's watcher has a baseline) before the first
-	// partial lands.
-	if err := leader.EnsureJob(defaultJob); err != nil {
-		log.Fatal(err)
+	// Eager init of every job, so the rollup lists each one at a live
+	// version (and a load generator's watcher has a baseline for its
+	// job) before the first partial lands.
+	for _, sp := range specs {
+		if err := leader.EnsureJob(sp.Name); err != nil {
+			log.Fatal(err)
+		}
 	}
 	gw, err := shard.NewGateway(shard.GatewayConfig{
 		Shards:     clean,

@@ -345,11 +345,19 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c.screen = cfg.Aggregation.Screen()
 	c.dp = aggregator.NewDP(cfg.DP)
-	v, err := store.Put(cfg.ModelName, m)
-	if err != nil {
+	// Version 1 enters the store as every commit's does, but persisted
+	// synchronously and fsync-ed: a directory that cannot take it fails New.
+	var snap bytes.Buffer
+	if err := model.Save(m, &snap); err != nil {
 		return nil, err
 	}
-	bs := newBroadcastState(v, m.Params().Clone(), nil, cfg.Transport.RingDepth())
+	if err := store.PutAt(cfg.ModelName, 1, snap.Bytes()); err != nil {
+		return nil, err
+	}
+	if err := store.Persist(cfg.ModelName, 1, true); err != nil {
+		return nil, err
+	}
+	bs := newBroadcastState(1, m.Params().Clone(), nil, cfg.Transport.RingDepth())
 	// Pre-register every serving counter so a status page always carries
 	// the full zeroed key set before first traffic (a dashboard shouldn't
 	// have to guess whether a missing key is "no deltas yet" or "too old

@@ -1,10 +1,14 @@
 package coord
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -135,6 +139,41 @@ func TestPersistBarrierEveryEighthVersion(t *testing.T) {
 	}
 	if got := counter("persist_error"); got != 0 {
 		t.Fatalf("persist_error = %d", got)
+	}
+}
+
+// TestNewPersistsVersionOne: with a store directory, the initial version's
+// checkpoint is on disk when New returns, and a directory that cannot take
+// that file fails New instead of serving a version it never persisted.
+func TestNewPersistsVersionOne(t *testing.T) {
+	cfg := syncTestConfig()
+	cfg.StoreDir = t.TempDir()
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	raw, err := os.ReadFile(filepath.Join(cfg.StoreDir, c.Config().ModelName+"-v001.fct"))
+	if err != nil {
+		t.Fatalf("v1 not on disk when New returned: %v", err)
+	}
+	onDisk, err := model.Load(bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := model.New(cfg.ModelKind, cfg.Seed)
+	if !slices.Equal(onDisk.Params(), want.Params()) {
+		t.Fatal("persisted v1 differs from the initial model")
+	}
+
+	blocked := syncTestConfig()
+	blocked.StoreDir = t.TempDir()
+	if err := os.Mkdir(filepath.Join(blocked.StoreDir, "served-v001.fct"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := New(blocked); err == nil {
+		c.Close()
+		t.Fatal("New succeeded with a directory sitting at the v1 checkpoint path")
 	}
 }
 

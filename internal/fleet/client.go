@@ -34,7 +34,9 @@ var AcceptSchemes = transport.FormatAccept(transport.AllKinds())
 // Client speaks the device protocol against one job of one server (or
 // gateway). It is protocol only: drivers own pacing, retries, counting and
 // latency recording, and pass in the response-body buffer each exchange
-// reuses. A Client is immutable and safe for concurrent use.
+// reuses. Ready, called once before the Client is shared, learns whether
+// BaseURL is a flat server or a shard-tier gateway; after that a Client is
+// immutable and safe for concurrent use.
 type Client struct {
 	// HTTP is the caller's connection pool.
 	HTTP *http.Client
@@ -43,10 +45,11 @@ type Client struct {
 	// Job routes requests to /v1/jobs/<Job>/... instead of the bare /v1
 	// default-job alias; Token, when set, rides as Authorization: Bearer.
 	Job, Token string
-	// Gateway marks BaseURL as a shard-tier gateway. Device traffic is
-	// unchanged (the gateway routes every request to the device's owning
-	// shard); only the Status and Ready probes read the tier rollup.
-	Gateway bool
+	// shards is the tier width Ready discovered (0 for a flat server).
+	// Device traffic is the same either way — the gateway routes every
+	// request to the device's owning shard; only Status reads the tier
+	// rollup.
+	shards int
 }
 
 // Outcome is how the server answered one exchange. Every HTTP status is
@@ -303,15 +306,19 @@ func (c *Client) SubmitJSON(ctx context.Context, buf *bytes.Buffer, u Update, de
 	}, nil)
 }
 
-// tierStatus is the slice of a gateway's /v1/status rollup a driver
-// needs: the tier's global version for progress watching plus enough
-// membership to gate a start on health. The rollup is always HTTP 200 —
-// tier health is a field, not a status code.
-type tierStatus struct {
+// rollup is the slice of a /v1/status document Ready and status read.
+// Only a shard-tier gateway's rollup has a tier section — its width,
+// membership health and each job's global version, next to the default
+// job's at the top level — so a flat server's Shards decodes as 0. The
+// rollup is always HTTP 200: tier health is a field, not a status code.
+type rollup struct {
 	Version int `json:"version"`
 	Tier    struct {
 		Shards  int  `json:"shards"`
 		Healthy bool `json:"healthy"`
+		Jobs    map[string]struct {
+			Version int `json:"version"`
+		} `json:"jobs"`
 	} `json:"tier"`
 }
 
@@ -325,46 +332,84 @@ func (c *Client) probe(ctx context.Context, url string, out any) error {
 	return err
 }
 
-func (c *Client) tier(ctx context.Context) (tierStatus, error) {
-	var tier tierStatus
-	err := c.probe(ctx, c.BaseURL+"/v1/status", &tier)
-	return tier, err
-}
-
-// Status reads the job's /v1/status. Against a gateway it reads the tier
-// rollup instead — which nests per-shard documents — and returns a bare
-// document carrying only the tier's global version.
-func (c *Client) Status(ctx context.Context) (*coord.StatusReport, error) {
-	if c.Gateway {
-		tier, err := c.tier(ctx)
-		return &coord.StatusReport{Version: tier.Version}, err
+// status reads the job's version and, from a flat server, its whole
+// /v1/status document. Through a tier it reads the gateway's rollup,
+// which nests per-shard documents, so only the version comes back: the
+// rollup's tier.jobs[Job], or its top-level version when Job is empty.
+func (c *Client) status(ctx context.Context) (int, *coord.StatusReport, error) {
+	if c.shards == 0 {
+		st := new(coord.StatusReport)
+		err := c.probe(ctx, c.url("/status"), st)
+		return st.Version, st, err
 	}
-	st := new(coord.StatusReport)
-	return st, c.probe(ctx, c.url("/status"), st)
+	var r rollup
+	err := c.probe(ctx, c.BaseURL+"/v1/status", &r)
+	if c.Job != "" {
+		r.Version = r.Tier.Jobs[c.Job].Version
+	}
+	return r.Version, nil, err
 }
 
-// Ready returns the published version a run starts from and the tier's
-// shard count (0 for a flat server). Against a gateway it first blocks
-// until every shard is inside its heartbeat grace window: launching
-// devices into a halted tier would only measure the halt gate's 503s.
+// Ready learns what BaseURL is and returns the version a run starts from
+// and the tier's shard count (0 for a flat server). A /v1/status document
+// whose tier section counts one or more shards is a gateway's rollup:
+// Ready records the width, so status reads the job's tier version from
+// then on, and blocks until every shard is inside its heartbeat grace
+// window — launching devices into a halted tier would only measure the
+// halt gate's 503s.
 func (c *Client) Ready(ctx context.Context) (version, shards int, err error) {
-	if !c.Gateway {
-		st, err := c.Status(ctx)
-		if err != nil {
+	var r rollup
+	for {
+		if err := c.probe(ctx, c.BaseURL+"/v1/status", &r); err != nil {
 			return 0, 0, fmt.Errorf("fleet: cannot reach server: %w", err)
 		}
-		return st.Version, 0, nil
-	}
-	for {
-		tier, err := c.tier(ctx)
-		if err == nil && tier.Tier.Healthy {
-			return tier.Version, tier.Tier.Shards, nil
-		}
-		if err == nil {
-			err = fmt.Errorf("tier still unhealthy (%d shards)", tier.Tier.Shards)
+		if c.shards = r.Tier.Shards; c.shards == 0 || r.Tier.Healthy {
+			break
 		}
 		if !SleepCtx(ctx, 100*time.Millisecond) {
-			return 0, 0, fmt.Errorf("fleet: gave up waiting for tier health: %w (%v)", ctx.Err(), err)
+			return 0, 0, fmt.Errorf("fleet: gave up waiting for tier health: %w (%d shards)", ctx.Err(), c.shards)
 		}
+	}
+	if version, _, err = c.status(ctx); err != nil {
+		return 0, 0, fmt.Errorf("fleet: cannot reach server: %w", err)
+	}
+	return version, c.shards, nil
+}
+
+// WatchRounds is the round watcher both load planes share, started once
+// Ready has returned start: every tick it reads the job's version until
+// that is rounds past start (never, when rounds is 0), then ends the run
+// through stop. The returned end stops the run, waits for the watcher and
+// reads the job's status once more under a fresh deadline. It returns the
+// newest version seen — start if no probe answered — and the final
+// document, which is nil through a tier or when that read failed.
+func (c *Client) WatchRounds(ctx context.Context, stop context.CancelFunc, tick time.Duration, start, rounds int) (end func() (int, *coord.StatusReport)) {
+	version := start // written by the watcher, read by end after done
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		t := time.NewTicker(tick)
+		defer t.Stop()
+		for rounds <= 0 || version < start+rounds {
+			select {
+			case <-ctx.Done():
+				return
+			case <-t.C:
+			}
+			if v, _, err := c.status(ctx); err == nil {
+				version = v
+			}
+		}
+		stop()
+	}()
+	return func() (int, *coord.StatusReport) {
+		stop()
+		<-done
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if v, st, err := c.status(ctx); err == nil {
+			return v, st
+		}
+		return version, nil
 	}
 }

@@ -75,7 +75,7 @@ func TestClientOutcomes(t *testing.T) {
 	// update triggers runs on the ingest worker, after the 200.
 	waitStatus := func(t *testing.T, what string, cond func(*coord.StatusReport) bool) {
 		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-			st, err := cl.Status(ctx)
+			_, st, err := cl.status(ctx)
 			if err != nil {
 				t.Fatalf("status probe: %v", err)
 			}

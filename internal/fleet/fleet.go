@@ -33,7 +33,9 @@ const deltaScale = 0.01
 // always on and its link is whatever the host gives it; availability churn
 // and simulated links are the virtual-time plane's (internal/vload).
 type Config struct {
-	// BaseURL is the server root, e.g. http://127.0.0.1:8080.
+	// BaseURL is the server root, e.g. http://127.0.0.1:8080: a
+	// coordination server or a shard-tier gateway (cmd/flint-gateway),
+	// which the client tells apart from its /v1/status (Client.Ready).
 	BaseURL string
 	// Job routes the fleet at one tenant of a multi-job server: requests
 	// go to /v1/jobs/<Job>/... instead of the bare /v1 default-job alias.
@@ -41,14 +43,6 @@ type Config struct {
 	// Token is the job's bearer token, sent as Authorization: Bearer on
 	// every request when non-empty.
 	Token string
-	// Gateway marks BaseURL as a shard-tier gateway (cmd/flint-gateway)
-	// rather than a single coordinator: the fleet waits for the tier's
-	// membership to report healthy before launching devices and watches
-	// the gateway's rollup for round progress (the rollup's top-level
-	// version is the tier's global version for the routed job). Device
-	// traffic itself is unchanged — the gateway routes every request to
-	// the device's owning shard transparently.
-	Gateway bool
 	// IDOffset shifts the fleet's device IDs (1..Devices become
 	// IDOffset+1..IDOffset+Devices) so concurrent fleets driving
 	// different jobs of one server use disjoint identities.
@@ -184,7 +178,8 @@ type Report struct {
 	CheckInLatency LatencySummary `json:"checkin_latency"`
 	TaskLatency    LatencySummary `json:"task_latency"`
 	UpdateLatency  LatencySummary `json:"update_latency"`
-	// FinalStatus is the server's status snapshot at fleet shutdown.
+	// FinalStatus is the server's status snapshot at fleet shutdown (nil
+	// through a tier, whose rollup nests per-shard documents instead).
 	FinalStatus *coord.StatusReport `json:"final_status,omitempty"`
 	// TierShards is the shard count of the gateway tier the fleet drove
 	// (0 when the fleet targeted a flat server).
@@ -334,44 +329,14 @@ func Run(cfg Config) (*Report, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
 	defer cancel()
 	start := time.Now()
-	cl := &Client{HTTP: cfg.Client, BaseURL: cfg.BaseURL, Job: cfg.Job, Token: cfg.Token, Gateway: cfg.Gateway}
+	cl := &Client{HTTP: cfg.Client, BaseURL: cfg.BaseURL, Job: cfg.Job, Token: cfg.Token}
 	startVersion, tierShards, err := cl.Ready(ctx)
 	if err != nil {
 		return nil, err
 	}
-	targetVersion := startVersion + cfg.Rounds
+	end := cl.WatchRounds(ctx, cancel, 50*time.Millisecond, startVersion, cfg.Rounds)
 
 	var totals fleetTotals
-	// Until a probe says otherwise the fleet ends where it started: a
-	// server unreachable at shutdown (e.g. it crashed) must not report a
-	// negative round count.
-	endStatus := coord.StatusReport{Version: startVersion}
-	reached := false
-	// Watcher: stop the fleet once the server has committed enough
-	// rounds.
-	watchDone := make(chan struct{})
-	go func() {
-		defer close(watchDone)
-		tick := time.NewTicker(50 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-tick.C:
-				st, err := cl.Status(ctx)
-				if err != nil {
-					continue
-				}
-				if st.Version >= targetVersion {
-					endStatus, reached = *st, true
-					cancel()
-					return
-				}
-			}
-		}
-	}()
-
 	var wg sync.WaitGroup
 	for _, d := range devs {
 		wg.Add(1)
@@ -381,14 +346,9 @@ func Run(cfg Config) (*Report, error) {
 		}(d)
 	}
 	wg.Wait()
-	<-watchDone
 	wall := time.Since(start)
+	endVersion, final := end()
 
-	if !reached {
-		if st, err := cl.Status(context.Background()); err == nil {
-			endStatus, reached = *st, st.Version >= targetVersion
-		}
-	}
 	var checkin, task, update []float64
 	var bytesSent, bytesRecv, deltaTasks int64
 	for _, d := range devs {
@@ -406,9 +366,9 @@ func Run(cfg Config) (*Report, error) {
 		BinaryDevices:   cfg.Devices - jsonCount,
 		JSONDevices:     jsonCount,
 		PoisonedDevices: poisonedCount,
-		RoundsCommitted: endStatus.Version - startVersion,
+		RoundsCommitted: endVersion - startVersion,
 		StartVersion:    startVersion,
-		EndVersion:      endStatus.Version,
+		EndVersion:      endVersion,
 		Wall:            wall,
 		CheckIns:        totals.checkins.Load(),
 		TasksReceived:   totals.tasks.Load(),
@@ -422,11 +382,11 @@ func Run(cfg Config) (*Report, error) {
 		CheckInLatency:  summarizeLatency(checkin),
 		TaskLatency:     summarizeLatency(task),
 		UpdateLatency:   summarizeLatency(update),
-		FinalStatus:     &endStatus,
+		FinalStatus:     final,
 		TierShards:      tierShards,
 	}
-	if !reached {
-		return rep, fmt.Errorf("fleet: timed out at version %d (wanted %d)", endStatus.Version, targetVersion)
+	if target := startVersion + cfg.Rounds; endVersion < target {
+		return rep, fmt.Errorf("fleet: timed out at version %d (wanted %d)", endVersion, target)
 	}
 	return rep, nil
 }

@@ -16,7 +16,7 @@ import (
 )
 
 // Store keeps versioned serialized models by name. It is safe for
-// concurrent use; an optional directory persists every put.
+// concurrent use; an optional directory persists what Persist is asked to.
 type Store struct {
 	mu   sync.RWMutex
 	blob map[string]map[int][]byte
@@ -38,34 +38,6 @@ func New(dir string) (*Store, error) {
 		next: make(map[string]int),
 		dir:  dir,
 	}, nil
-}
-
-// Put stores a new version of the named model and returns its version
-// number (starting at 1).
-func (s *Store) Put(name string, m model.Model) (int, error) {
-	if name == "" {
-		return 0, fmt.Errorf("modelstore: empty model name")
-	}
-	var buf bytes.Buffer
-	if err := model.Save(m, &buf); err != nil {
-		return 0, err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.blob[name] == nil {
-		s.blob[name] = make(map[int][]byte)
-		s.next[name] = 0
-	}
-	s.next[name]++
-	v := s.next[name]
-	s.blob[name][v] = buf.Bytes()
-	if s.dir != "" {
-		path := snapshotPath(s.dir, name, v)
-		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-			return 0, fmt.Errorf("modelstore: persist %s: %w", path, err)
-		}
-	}
-	return v, nil
 }
 
 // PutAt inserts pre-serialized snapshot bytes at an explicit version,

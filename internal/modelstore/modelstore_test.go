@@ -10,6 +10,16 @@ import (
 	"flint/internal/model"
 )
 
+// snapshot serializes m the way every publisher does before PutAt.
+func snapshot(t testing.TB, m model.Model) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := model.Save(m, &buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
 func TestPutGetLatest(t *testing.T) {
 	s, err := New("")
 	if err != nil {
@@ -17,16 +27,11 @@ func TestPutGetLatest(t *testing.T) {
 	}
 	m1, _ := model.New(model.KindA, 1)
 	m2, _ := model.New(model.KindA, 2)
-	v1, err := s.Put("ads", m1)
-	if err != nil {
+	if err := s.PutAt("ads", 1, snapshot(t, m1)); err != nil {
 		t.Fatal(err)
 	}
-	v2, err := s.Put("ads", m2)
-	if err != nil {
+	if err := s.PutAt("ads", 2, snapshot(t, m2)); err != nil {
 		t.Fatal(err)
-	}
-	if v1 != 1 || v2 != 2 {
-		t.Fatalf("versions %d %d", v1, v2)
 	}
 	got, err := s.Get("ads", 1)
 	if err != nil {
@@ -47,7 +52,7 @@ func TestPutGetLatest(t *testing.T) {
 func TestErrors(t *testing.T) {
 	s, _ := New("")
 	m, _ := model.New(model.KindA, 1)
-	if _, err := s.Put("", m); err == nil {
+	if err := s.PutAt("", 1, snapshot(t, m)); err == nil {
 		t.Fatal("empty name must fail")
 	}
 	if _, err := s.Get("nope", 1); err == nil {
@@ -68,7 +73,10 @@ func TestPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	m, _ := model.New(model.KindB, 3)
-	if _, err := s.Put("msg", m); err != nil {
+	if err := s.PutAt("msg", 1, snapshot(t, m)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Persist("msg", 1, false); err != nil {
 		t.Fatal(err)
 	}
 	matches, _ := filepath.Glob(filepath.Join(dir, "msg-v*.fct"))
@@ -160,19 +168,20 @@ func TestPutAtAndPersist(t *testing.T) {
 	if err := mem.Persist("wb", 3, true); err != nil {
 		t.Fatal(err)
 	}
-
-	// Put after PutAt continues the numbering past the explicit version.
-	if v, err := s.Put("wb", m); err != nil || v != 2 {
-		t.Fatalf("Put after PutAt = v%d, %v", v, err)
-	}
 }
 
 func TestVersionsAndNames(t *testing.T) {
 	s, _ := New("")
 	m, _ := model.New(model.KindA, 1)
-	s.Put("b", m)
-	s.Put("a", m)
-	s.Put("a", m)
+	raw := snapshot(t, m)
+	for _, nv := range []struct {
+		name    string
+		version int
+	}{{"b", 1}, {"a", 1}, {"a", 2}} {
+		if err := s.PutAt(nv.name, nv.version, raw); err != nil {
+			t.Fatal(err)
+		}
+	}
 	if got := s.Versions("a"); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("versions: %v", got)
 	}
@@ -185,13 +194,14 @@ func TestVersionsAndNames(t *testing.T) {
 func TestConcurrentAccess(t *testing.T) {
 	s, _ := New("")
 	m, _ := model.New(model.KindA, 1)
+	raw := snapshot(t, m)
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
-				if _, err := s.Put("shared", m); err != nil {
+				if err := s.PutAt("shared", 1+i*20+j, raw); err != nil {
 					t.Error(err)
 					return
 				}

@@ -154,8 +154,6 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		g.handlePartial(w, r)
 	case pathPing:
 		g.handlePing(w, r)
-	case pathTier:
-		writeJSON(w, http.StatusOK, g.leader.Status())
 	case "/v1/status":
 		g.handleRollup(w, r)
 	default:

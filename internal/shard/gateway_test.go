@@ -240,6 +240,15 @@ func TestGatewayRollup(t *testing.T) {
 	if err := json.Unmarshal(roll.Shards[1].Status, &st); err != nil || st.ShardIndex != 1 {
 		t.Fatalf("shard row 1 carries wrong status doc: %s", roll.Shards[1].Status)
 	}
+	// The rollup's tier section is the leader's only status document.
+	tier, err := http.Get(srv.URL + "/shard/v1/status")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tier.Body.Close()
+	if tier.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /shard/v1/status = %s, want 404", tier.Status)
+	}
 }
 
 // TestGatewayRelaysTaskBodies drives the relay through a one-shard

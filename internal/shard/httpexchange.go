@@ -17,7 +17,6 @@ import (
 //
 //	POST /shard/v1/partial  body = codec blob, metadata in X-Flint-*
 //	POST /shard/v1/ping?shard=N
-//	GET  /shard/v1/status   leader TierStatus JSON
 //
 // A partial's body is the exact blob coord's partialLocked encoded —
 // the exchange never re-frames it — and a behind shard's response body
@@ -27,7 +26,6 @@ import (
 const (
 	pathPartial = "/shard/v1/partial"
 	pathPing    = "/shard/v1/ping"
-	pathTier    = "/shard/v1/status"
 
 	hdrShard   = "X-Flint-Shard"
 	hdrJob     = "X-Flint-Job"

@@ -23,12 +23,6 @@ type LeaderConfig struct {
 	// Grace is the heartbeat freshness window; a shard whose last ping
 	// is older counts as lost and halts the tier (default 3s).
 	Grace time.Duration
-	// ServerLR and StalenessAlpha parameterize the cross-shard FedBuff
-	// fold: partials from shards that trained against an older global
-	// version are staleness-discounted, exactly like late async device
-	// updates inside one coordinator. Defaults 1 and 0.
-	ServerLR       float64
-	StalenessAlpha float64
 	// Params builds a job's initial global parameter vector the first
 	// time the leader sees the job (version 1). It must derive the
 	// vector from the same spec the shards booted from — model kind and
@@ -43,12 +37,6 @@ func (c LeaderConfig) withDefaults() (LeaderConfig, error) {
 	}
 	if c.Grace <= 0 {
 		c.Grace = 3 * time.Second
-	}
-	if c.ServerLR <= 0 {
-		c.ServerLR = 1
-	}
-	if c.StalenessAlpha < 0 {
-		return c, fmt.Errorf("shard: negative staleness alpha %v", c.StalenessAlpha)
 	}
 	if c.Params == nil {
 		return c, fmt.Errorf("shard: leader needs a Params factory")
@@ -78,11 +66,12 @@ type jobGlobal struct {
 
 // Leader is the tier's round leader: it tracks shard membership through
 // heartbeats, enforces halt-until-healthy on the exchange, and folds
-// shard partials into each job's global model through the same
-// parallel range kernels a single coordinator commits with. It
-// implements coord.PartialExchange, so an in-process tier (tests, the
-// sharded benchmark) wires coordinators straight to it; the gateway
-// exposes the same two verbs over HTTP for the multi-process tier.
+// shard partials into each job's global model — a data-weighted mean,
+// with no staleness discount — through the same parallel range kernels
+// a single coordinator commits with. It implements coord.PartialExchange,
+// so an in-process tier (tests, the sharded benchmark) wires coordinators
+// straight to it; the gateway exposes the same two verbs over HTTP for
+// the multi-process tier.
 type Leader struct {
 	cfg      LeaderConfig
 	strategy aggregator.Strategy
@@ -106,7 +95,7 @@ func NewLeader(cfg LeaderConfig) (*Leader, error) {
 	l := &Leader{
 		cfg: cfg,
 		strategy: aggregator.Parallel{
-			Inner:  aggregator.FedBuff{ServerLR: cfg.ServerLR, Alpha: cfg.StalenessAlpha},
+			Inner:  aggregator.FedBuff{ServerLR: 1},
 			Screen: true,
 		},
 		counters: metrics.NewCounterSet(),
@@ -257,12 +246,7 @@ func (l *Leader) SubmitPartial(pc coord.PartialCommit) (coord.GlobalInstall, err
 		l.counters.Counter("tier_bad_partials").Inc()
 		return coord.GlobalInstall{}, err
 	}
-	jg.buffer = append(jg.buffer, aggregator.Update{
-		ClientID:  int64(pc.ShardID),
-		Payload:   payload,
-		Weight:    pc.Weight,
-		Staleness: jg.version - pc.BaseVersion,
-	})
+	jg.buffer = append(jg.buffer, aggregator.Update{ClientID: int64(pc.ShardID), Payload: payload, Weight: pc.Weight})
 	l.counters.Counter("tier_partials_received").Inc()
 	l.counters.Counter("tier_partial_wire_bytes").Add(int64(len(pc.Blob)))
 	l.counters.Counter("tier_updates_represented").Add(int64(pc.Updates))
@@ -277,14 +261,15 @@ func (l *Leader) SubmitPartial(pc coord.PartialCommit) (coord.GlobalInstall, err
 }
 
 // foldLocked advances one job's global model by folding the buffered
-// shard partials through the parallel FedBuff kernels: a data-weighted,
-// staleness-discounted mean of the partials, stepped by ServerLR —
-// FedAvg across shards when everything is fresh. A failed fold (a
-// non-finite partial slipped through a shard's screen, or a poisoned
-// weight) rolls the params back and drops the buffer: the tier keeps
-// its last good version and the shards' next rounds refill the buffer.
-// The rollback source is jg.blob, which encodes the last good params
-// bit-exactly, so no fold pays for a copy made just in case.
+// shard partials through the parallel FedBuff kernels at server rate 1:
+// the data-weighted mean of the partials, FedAvg across shards. A partial
+// trained against an older global version weighs the same as a fresh one
+// — nothing is staleness-discounted. A failed fold (a non-finite partial
+// slipped through a shard's screen, or a poisoned weight) rolls the
+// params back and drops the buffer: the tier keeps its last good version
+// and the shards' next rounds refill the buffer. The rollback source is
+// jg.blob, which encodes the last good params bit-exactly, so no fold
+// pays for a copy made just in case.
 func (l *Leader) foldLocked(job string, jg *jobGlobal) {
 	err := l.strategy.Aggregate(jg.params, jg.buffer)
 	if err == nil {

@@ -87,14 +87,11 @@ func workerCount(devices int) int {
 
 // Config drives one virtual-time load run.
 type Config struct {
-	// BaseURL is the server root (a flint-server, or a flint-gateway
-	// when Gateway is set).
+	// BaseURL is the server root: a flint-server, or a flint-gateway
+	// whose tier the run waits on to turn healthy (fleet.Client.Ready
+	// tells them apart). Device traffic is the same either way; the
+	// gateway splits batched check-ins across its shards.
 	BaseURL string
-	// Gateway marks BaseURL as a shard-tier gateway: the run waits for
-	// tier health and watches the rollup's top-level version for round
-	// progress; device traffic is routed per device transparently
-	// (batched check-ins are split across shards by the gateway).
-	Gateway bool
 	// Devices is the virtual fleet size.
 	Devices int
 	// Compression is the virtual-time rate: virtual seconds per wall
@@ -203,14 +200,14 @@ type Report struct {
 	StartVersion    int           `json:"start_version"`
 	EndVersion      int           `json:"end_version"`
 	// RegistryBytesPerDev/SchedulerBytesPerDev echo the server's
-	// /v1/status footprint section at shutdown (0 in gateway mode,
-	// where the rollup nests per-shard documents instead).
+	// /v1/status footprint section at shutdown (0 through a tier, whose
+	// rollup nests per-shard documents instead).
 	RegistryBytesPerDev  float64 `json:"registry_bytes_per_device,omitempty"`
 	SchedulerBytesPerDev float64 `json:"scheduler_bytes_per_device,omitempty"`
 	SchedDevices         int     `json:"sched_census_devices,omitempty"`
 	TierShards           int     `json:"tier_shards,omitempty"`
-	// FinalStatus is the server's shutdown snapshot (nil in gateway
-	// mode).
+	// FinalStatus is the server's shutdown snapshot (nil through a
+	// tier).
 	FinalStatus *coord.StatusReport `json:"final_status,omitempty"`
 }
 
@@ -587,7 +584,7 @@ func Run(cfg Config) (*Report, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), cfg.Timeout)
 	defer cancel()
 
-	cl := &fleet.Client{HTTP: cfg.Client, BaseURL: cfg.BaseURL, Gateway: cfg.Gateway}
+	cl := &fleet.Client{HTTP: cfg.Client, BaseURL: cfg.BaseURL}
 	var tot totals
 	meanD := 0.0
 	for h := 0; h < 24; h++ {
@@ -675,28 +672,7 @@ func Run(cfg Config) (*Report, error) {
 	// Round watcher: stop early once the target version lands.
 	runCtx, stopRun := context.WithCancel(ctx)
 	defer stopRun()
-	var endVersion atomic.Int64
-	endVersion.Store(int64(startVersion))
-	watchDone := make(chan struct{})
-	go func() {
-		defer close(watchDone)
-		tick := time.NewTicker(250 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-runCtx.Done():
-				return
-			case <-tick.C:
-				if st, err := cl.Status(runCtx); err == nil {
-					endVersion.Store(int64(st.Version))
-					if cfg.Rounds > 0 && st.Version >= startVersion+cfg.Rounds {
-						stopRun()
-						return
-					}
-				}
-			}
-		}
-	}()
+	end := cl.WatchRounds(runCtx, stopRun, 250*time.Millisecond, startVersion, cfg.Rounds)
 
 	start := time.Now()
 	reached := make([]float64, len(workers))
@@ -709,9 +685,8 @@ func Run(cfg Config) (*Report, error) {
 		}(wi, w)
 	}
 	wg.Wait()
-	stopRun()
-	<-watchDone
 	wall := time.Since(start)
+	endVersion, final := end()
 
 	vmin := cfg.VirtualDuration.Seconds()
 	for wi, w := range workers {
@@ -742,19 +717,13 @@ func Run(cfg Config) (*Report, error) {
 	if wall > 0 {
 		rep.AchievedCompression = vmin / wall.Seconds()
 	}
-	// Final status (fresh context: the run context may have expired).
-	finalCtx, cancelFinal := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancelFinal()
-	if st, err := cl.Status(finalCtx); err == nil {
-		endVersion.Store(int64(st.Version))
-		if !cfg.Gateway {
-			rep.FinalStatus = st
-			rep.RegistryBytesPerDev = st.Scheduler.Footprint.RegistryBytesPerDev
-			rep.SchedulerBytesPerDev = st.Scheduler.Footprint.SchedulerBytesPerDev
-			rep.SchedDevices = st.Scheduler.Devices
-		}
+	if final != nil {
+		rep.FinalStatus = final
+		rep.RegistryBytesPerDev = final.Scheduler.Footprint.RegistryBytesPerDev
+		rep.SchedulerBytesPerDev = final.Scheduler.Footprint.SchedulerBytesPerDev
+		rep.SchedDevices = final.Scheduler.Devices
 	}
-	rep.EndVersion = int(endVersion.Load())
+	rep.EndVersion = endVersion
 	rep.RoundsCommitted = rep.EndVersion - rep.StartVersion
 	if cfg.Rounds > 0 && rep.RoundsCommitted < cfg.Rounds {
 		return rep, fmt.Errorf("vload: stopped at version %d (wanted %d committed rounds past %d)",
