@@ -180,6 +180,9 @@ func runJobs(base fleet.Config, list string, jsonOut bool) {
 	if len(targets) == 0 {
 		log.Fatal("-jobs: no job names given")
 	}
+	if base.Devices < len(targets) {
+		log.Fatalf("-devices %d is fewer than the %d jobs in -jobs: every job needs at least one device", base.Devices, len(targets))
+	}
 	per := base.Devices / len(targets)
 	rem := base.Devices % len(targets)
 	var wg sync.WaitGroup

@@ -179,9 +179,8 @@ type Task struct {
 // FetchTask polls GET /v1/task for one device. A binary request
 // negotiates the tensor protocol: it advertises AcceptSchemes and, when
 // held > 0, names the version the device already holds so the server may
-// answer with a delta frame. A JSON reply to a binary request (a server
-// that predates the codec) is parsed as the JSON protocol, so binary
-// clients interoperate both ways. The task is nil unless the outcome is OK.
+// answer with a delta frame, and a reply that is not a tensor is an
+// error. The task is nil unless the outcome is OK.
 func (c *Client) FetchTask(ctx context.Context, buf *bytes.Buffer, device int64, binary bool, held int) (*Task, Result, error) {
 	url := c.url("/task") + "?device=" + strconv.FormatInt(device, 10)
 	var hdr func(http.Header)
@@ -199,11 +198,14 @@ func (c *Client) FetchTask(ctx context.Context, buf *bytes.Buffer, device int64,
 		return nil, res, err
 	}
 	t := new(Task)
-	if strings.HasPrefix(resp.Header.Get("Content-Type"), transport.ContentTypeTensor) {
+	switch ct := resp.Header.Get("Content-Type"); {
+	case !binary:
+		err = json.Unmarshal(buf.Bytes(), &t.TaskResponse)
+	case strings.HasPrefix(ct, transport.ContentTypeTensor):
 		err = t.parseHeaders(resp.Header)
 		t.Body = buf.Bytes()
-	} else {
-		err = json.Unmarshal(buf.Bytes(), &t.TaskResponse)
+	default:
+		err = fmt.Errorf("fleet: binary task request answered with %q", ct)
 	}
 	if err == nil && t.Dim <= 0 {
 		err = fmt.Errorf("fleet: task with dimension %d", t.Dim)
@@ -336,6 +338,7 @@ func (c *Client) probe(ctx context.Context, url string, out any) error {
 // /v1/status document. Through a tier it reads the gateway's rollup,
 // which nests per-shard documents, so only the version comes back: the
 // rollup's tier.jobs[Job], or its top-level version when Job is empty.
+// A job the rollup does not list is an error, as a flat server's 404 is.
 func (c *Client) status(ctx context.Context) (int, *coord.StatusReport, error) {
 	if c.shards == 0 {
 		st := new(coord.StatusReport)
@@ -343,11 +346,14 @@ func (c *Client) status(ctx context.Context) (int, *coord.StatusReport, error) {
 		return st.Version, st, err
 	}
 	var r rollup
-	err := c.probe(ctx, c.BaseURL+"/v1/status", &r)
-	if c.Job != "" {
-		r.Version = r.Tier.Jobs[c.Job].Version
+	if err := c.probe(ctx, c.BaseURL+"/v1/status", &r); err != nil || c.Job == "" {
+		return r.Version, nil, err
 	}
-	return r.Version, nil, err
+	job, ok := r.Tier.Jobs[c.Job]
+	if !ok {
+		return 0, nil, fmt.Errorf("fleet: the tier serves no job %q", c.Job)
+	}
+	return job.Version, nil, nil
 }
 
 // Ready learns what BaseURL is and returns the version a run starts from
@@ -371,7 +377,7 @@ func (c *Client) Ready(ctx context.Context) (version, shards int, err error) {
 		}
 	}
 	if version, _, err = c.status(ctx); err != nil {
-		return 0, 0, fmt.Errorf("fleet: cannot reach server: %w", err)
+		return 0, 0, err
 	}
 	return version, c.shards, nil
 }

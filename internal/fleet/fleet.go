@@ -548,10 +548,7 @@ func (d *fleetDevice) submit(ctx context.Context, cfg Config, cl *Client, task *
 		delta = aggregator.SignFlip{Scale: cfg.PoisonScale}.Poison(aggregator.Update{ClientID: d.id, Delta: delta}, d.rng).Delta
 	}
 	u := Update{Device: d.id, Round: task.RoundID, BaseVersion: task.BaseVersion, Weight: d.weight}
-	// Binary uploads only when the server advertised a scheme with the
-	// task: a pre-codec server never does, so binary devices degrade to
-	// JSON against it instead of shipping blobs it would reject.
-	if !d.binary || task.UpdateScheme == "" {
+	if !d.binary {
 		res, err := d.exchange(&d.latUpdate, func(buf *bytes.Buffer) (Result, error) {
 			return cl.SubmitJSON(ctx, buf, u, delta)
 		})
@@ -560,7 +557,7 @@ func (d *fleetDevice) submit(ctx context.Context, cfg Config, cl *Client, task *
 	// Quantize client-side with the scheme the server requested.
 	scheme, err := codec.ParseScheme(task.UpdateScheme)
 	if err != nil {
-		scheme = codec.F32 // unknown future scheme: a safe lossy default
+		return false, err
 	}
 	blob, err := codec.Encode(delta, scheme)
 	if err != nil {

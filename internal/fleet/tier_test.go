@@ -2,6 +2,7 @@ package fleet_test
 
 import (
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -115,6 +116,30 @@ func TestFleetDrivesJobThroughTier(t *testing.T) {
 	}
 	if v := leader.Version("a"); v != 1 {
 		t.Errorf("leader holds job a at v%d, want 1", v)
+	}
+}
+
+// TestFleetUnknownJobThroughTier: a job the tier's rollup does not list
+// fails Ready at once with an error naming it, as a flat server's 404 on
+// /v1/jobs/<job>/status does, instead of reading as version 0 and
+// spinning until the run's timeout.
+func TestFleetUnknownJobThroughTier(t *testing.T) {
+	_, url := newTier(t)
+	const timeout = 30 * time.Second
+	start := time.Now()
+	rep, err := fleet.Run(fleet.Config{
+		BaseURL: url,
+		Job:     "nosuch",
+		Devices: 4,
+		Rounds:  1,
+		Seed:    5,
+		Timeout: timeout,
+	})
+	if err == nil || !strings.Contains(err.Error(), `"nosuch"`) {
+		t.Fatalf("fleet on an unknown job: err %v (report: %+v)", err, rep)
+	}
+	if took := time.Since(start); took > timeout/3 {
+		t.Errorf("unknown job failed after %v, want well inside the %v timeout", took, timeout)
 	}
 }
 

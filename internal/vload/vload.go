@@ -471,7 +471,7 @@ func updateBlob(scheme string, dim int) ([]byte, error) {
 	}
 	sch, err := codec.ParseScheme(scheme)
 	if err != nil {
-		sch = codec.F32
+		return nil, err
 	}
 	delta := make(tensor.Vector, dim)
 	for i := range delta {

@@ -165,3 +165,17 @@ func TestConfigValidation(t *testing.T) {
 		t.Fatalf("workerCount(1e6) = %d", n)
 	}
 }
+
+// TestUpdateBlobRejectsUnknownScheme: a task whose update scheme does not
+// parse (none at all included) is an error the worker counts as a net
+// error, not an f32 upload.
+func TestUpdateBlobRejectsUnknownScheme(t *testing.T) {
+	for _, scheme := range []string{"", "bogus"} {
+		if blob, err := updateBlob(scheme, 3); err == nil {
+			t.Errorf("updateBlob(%q) = %d bytes, want an error", scheme, len(blob))
+		}
+	}
+	if _, err := updateBlob("q8", 3); err != nil {
+		t.Fatal(err)
+	}
+}

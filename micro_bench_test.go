@@ -4,15 +4,11 @@
 package flint_test
 
 import (
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -26,7 +22,6 @@ import (
 	"flint/internal/partition"
 	"flint/internal/report"
 	"flint/internal/sched"
-	"flint/internal/tenant"
 	"flint/internal/tensor"
 )
 
@@ -441,570 +436,6 @@ func BenchmarkCodecJSONBaseline(b *testing.B) {
 	}
 }
 
-// ------------------------------------------------- coord serving hot paths
-
-// BenchmarkCoordCheckin measures device check-in throughput on the live
-// coordination server's sharded registry (the O(1) fleet-facing path).
-func BenchmarkCoordCheckin(b *testing.B) {
-	c, err := coord.New(coord.Config{
-		Mode:          coord.ModeSync,
-		ModelKind:     model.KindA,
-		Seed:          1,
-		TargetUpdates: 1 << 20, // never aggregate during the bench
-		Quorum:        1 << 20,
-		RoundDeadline: time.Hour,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	var next atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		id := next.Add(1)
-		info := coord.DeviceInfo{
-			ID: id, Model: "Pixel-6", Platform: "Android",
-			WiFi: true, BatteryHigh: true, ModernOS: true,
-			SessionSec: 120, Weight: 40,
-		}
-		for pb.Next() {
-			c.CheckIn(info)
-		}
-	})
-}
-
-// BenchmarkCoordUpdateSubmit measures the device contribution path end to
-// end: task assignment plus update submission through the bounded ingest
-// queue, including the worker's FedBuff folds every 64 accepted updates.
-// Each handed-out task is good for exactly one submission, so the loop must
-// re-request a task per update — exactly what a real device does.
-func BenchmarkCoordUpdateSubmit(b *testing.B) {
-	c, err := coord.New(coord.Config{
-		Mode:           coord.ModeAsync,
-		ModelKind:      model.KindA,
-		Seed:           1,
-		TargetUpdates:  64,
-		Quorum:         64,
-		MaxInflight:    1 << 20,
-		RoundDeadline:  time.Hour,
-		QueueDepth:     1024,
-		StalenessAlpha: 0.5,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	dim := 1519 // model A
-	delta := tensor.NewVector(dim)
-	for i := range delta {
-		delta[i] = 0.001
-	}
-	var next atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		id := next.Add(1)
-		c.CheckIn(coord.DeviceInfo{
-			ID: id, Model: "Pixel-6", Platform: "Android",
-			WiFi: true, BatteryHigh: true, ModernOS: true,
-			SessionSec: 3600, Weight: 10,
-		})
-		for pb.Next() {
-			// The previous submission may still be in the queue, with
-			// the assignment not yet consumed: ErrNoTask here is the
-			// pipeline's backpressure, so yield and retry.
-			var task coord.Task
-			for {
-				t, err := c.RequestTask(id)
-				if err == nil {
-					task = t
-					break
-				}
-				if !errors.Is(err, coord.ErrNoTask) {
-					b.Error(err)
-					return
-				}
-				runtime.Gosched()
-			}
-			sub := coord.Submission{
-				DeviceID:    id,
-				RoundID:     task.RoundID,
-				BaseVersion: task.BaseVersion,
-				Weight:      10,
-				Delta:       delta,
-			}
-			// A full queue is backpressure, not failure: yield and retry,
-			// so the bench measures sustainable ingest throughput.
-			for {
-				err := c.SubmitUpdate(sub)
-				if err == nil {
-					break
-				}
-				if !errors.Is(err, coord.ErrBusy) {
-					b.Error(err)
-					return
-				}
-				runtime.Gosched()
-			}
-		}
-	})
-	b.StopTimer()
-	accepted := c.Counters().Counter("update_accepted").Value()
-	committed := c.Counters().Counter("rounds_committed").Value()
-	if b.N > 64 && accepted == 0 {
-		b.Fatal("no updates accepted: benchmark is measuring the rejection path")
-	}
-	b.ReportMetric(float64(committed)/b.Elapsed().Seconds(), "commits/sec")
-}
-
-// BenchmarkCommitLatency is the zero-copy commit path's headline number:
-// one full ingest→commit cycle on the 189k-param model — 16 devices
-// request tasks, submit q8 updates in wire form, and the pipeline
-// aggregates straight out of the pooled payload bytes (fused dequantize +
-// weight + reduce + non-finite screen in one pass) and publishes. The
-// materialize-then-reduce baseline — decode every update to a fresh dense
-// vector at ingress, as the pipeline did before the fused kernels — runs
-// in setup over the same blobs and is reported as materialized_ns/op,
-// materialized_B/op, and the speedup ratio (acceptance: ≥1.5x ns/op,
-// ≥50% fewer bytes). Both numbers include the whole pipeline (snapshot
-// build, broadcast encode, store insert), so the ratio understates the
-// ingest-side win rather than inflating it.
-func BenchmarkCommitLatency(b *testing.B) {
-	const (
-		dim     = 189_039
-		devices = 16
-	)
-	c, err := coord.New(coord.Config{
-		Mode:          coord.ModeSync,
-		ModelKind:     model.KindB, // 189k params
-		Seed:          1,
-		TargetUpdates: devices,
-		Quorum:        devices,
-		OverCommit:    1, // each device holds exactly one task per round
-		RoundDeadline: time.Hour,
-		QueueDepth:    64,
-		KeepVersions:  4, // bound store growth across b.N commits
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	for id := int64(1); id <= devices; id++ {
-		c.CheckIn(coord.DeviceInfo{
-			ID: id, Model: "Pixel-6", Platform: "Android",
-			WiFi: true, BatteryHigh: true, ModernOS: true,
-			SessionSec: 3600, Weight: 10,
-		})
-	}
-	// Pre-encoded q8 update blobs (the live uplink default): the bench
-	// measures the server's commit path, not the device-side encode.
-	rng := rand.New(rand.NewSource(21))
-	blobs := make([][]byte, devices)
-	for d := range blobs {
-		v := tensor.NewVector(dim)
-		for j := range v {
-			v[j] = rng.NormFloat64() * 0.01
-		}
-		blob, err := codec.Encode(v, codec.Q8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		blobs[d] = blob
-	}
-
-	// round drives one full commit: every device requests its task and
-	// submits, then the caller's clock runs until the version advances.
-	// makeSub builds a fresh Submission per attempt — SubmitUpdate takes
-	// payload ownership on every outcome, so a Submission is single-use.
-	round := func(makeSub func(d int, task coord.Task) coord.Submission) {
-		want := c.Version() + 1
-		for d := 0; d < devices; d++ {
-			id := int64(d + 1)
-			var task coord.Task
-			for {
-				t, err := c.RequestTask(id)
-				if err == nil {
-					task = t
-					break
-				}
-				if !errors.Is(err, coord.ErrNoTask) {
-					b.Fatal(err)
-				}
-				runtime.Gosched() // commit in flight; next round opens shortly
-			}
-			for {
-				err := c.SubmitUpdate(makeSub(d, task))
-				if err == nil {
-					break
-				}
-				if !errors.Is(err, coord.ErrBusy) {
-					b.Fatal(err)
-				}
-				runtime.Gosched()
-			}
-		}
-		for c.Version() < want {
-			runtime.Gosched()
-		}
-	}
-
-	// Materialize-then-reduce reference: decode each wire blob into a
-	// fresh dense vector (the old ingress) and submit that.
-	const refRounds = 3
-	var ms0, ms1 runtime.MemStats
-	runtime.ReadMemStats(&ms0)
-	t0 := time.Now()
-	for i := 0; i < refRounds; i++ {
-		round(func(d int, task coord.Task) coord.Submission {
-			v, _, err := codec.Decode(blobs[d])
-			if err != nil {
-				b.Fatal(err)
-			}
-			return coord.Submission{
-				DeviceID: int64(d + 1), RoundID: task.RoundID,
-				BaseVersion: task.BaseVersion, Weight: 1, Delta: v,
-			}
-		})
-	}
-	matNs := float64(time.Since(t0).Nanoseconds()) / refRounds
-	runtime.ReadMemStats(&ms1)
-	matBytes := float64(ms1.TotalAlloc-ms0.TotalAlloc) / refRounds
-
-	// Zero-copy path: the pooled payload rides the queue in wire form and
-	// the fused q8 kernel reduces straight out of it.
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		round(func(d int, task coord.Task) coord.Submission {
-			p, err := codec.DecodePayloadFrom(bytes.NewReader(blobs[d]), dim)
-			if err != nil {
-				b.Fatal(err)
-			}
-			return coord.Submission{
-				DeviceID: int64(d + 1), RoundID: task.RoundID,
-				BaseVersion: task.BaseVersion, Weight: 1, Payload: p,
-			}
-		})
-	}
-	b.StopTimer()
-	fusedNs := float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	b.ReportMetric(matNs, "materialized_ns/op")
-	b.ReportMetric(matBytes, "materialized_B/op")
-	b.ReportMetric(matNs/fusedNs, "speedup")
-}
-
-// BenchmarkRobustCommitLatency prices the defended commit path: the same
-// 189k-param, 16-device wire-form cycle as BenchmarkCommitLatency, but
-// through the full robustness pipeline — per-update norm screen (4 of the
-// 16 blobs are sign-flip-boosted ×10 and rejected every round), sharded
-// trimmed-mean over the survivors' pooled payload windows, then the
-// central-DP clip + seeded-noise stage. The gated baseline pins how much
-// the defenses cost on top of the raw zero-copy commit; screened-counter
-// verification keeps a silently disabled screen from faking the number.
-func BenchmarkRobustCommitLatency(b *testing.B) {
-	const (
-		dim      = 189_039
-		devices  = 16
-		poisoned = 4
-	)
-	c, err := coord.New(coord.Config{
-		Mode:          coord.ModeSync,
-		ModelKind:     model.KindB, // 189k params
-		Seed:          1,
-		TargetUpdates: devices,
-		Quorum:        devices - poisoned,
-		OverCommit:    1,
-		RoundDeadline: time.Hour,
-		QueueDepth:    64,
-		KeepVersions:  4,
-		Aggregation:   coord.AggregationConfig{Strategy: "trimmed-mean"},
-		DP:            coord.DPConfig{Epsilon: 8},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	for id := int64(1); id <= devices; id++ {
-		c.CheckIn(coord.DeviceInfo{
-			ID: id, Model: "Pixel-6", Platform: "Android",
-			WiFi: true, BatteryHigh: true, ModernOS: true,
-			SessionSec: 3600, Weight: 10,
-		})
-	}
-	rng := rand.New(rand.NewSource(21))
-	blobs := make([][]byte, devices)
-	for d := range blobs {
-		v := tensor.NewVector(dim)
-		for j := range v {
-			v[j] = rng.NormFloat64() * 0.01
-		}
-		if d < poisoned {
-			v.Scale(-10) // boosted sign-flip: norm 10× the honest median
-		}
-		blob, err := codec.Encode(v, codec.Q8)
-		if err != nil {
-			b.Fatal(err)
-		}
-		blobs[d] = blob
-	}
-	round := func() {
-		want := c.Version() + 1
-		for d := 0; d < devices; d++ {
-			id := int64(d + 1)
-			var task coord.Task
-			for {
-				t, err := c.RequestTask(id)
-				if err == nil {
-					task = t
-					break
-				}
-				if !errors.Is(err, coord.ErrNoTask) {
-					b.Fatal(err)
-				}
-				runtime.Gosched()
-			}
-			for {
-				p, err := codec.DecodePayloadFrom(bytes.NewReader(blobs[d]), dim)
-				if err != nil {
-					b.Fatal(err)
-				}
-				err = c.SubmitUpdate(coord.Submission{
-					DeviceID: id, RoundID: task.RoundID,
-					BaseVersion: task.BaseVersion, Weight: 1, Payload: p,
-				})
-				if err == nil {
-					break
-				}
-				if !errors.Is(err, coord.ErrBusy) {
-					b.Fatal(err)
-				}
-				runtime.Gosched()
-			}
-		}
-		for c.Version() < want {
-			runtime.Gosched()
-		}
-	}
-	round() // warm pools; proves the defended pipeline commits at all
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		round()
-	}
-	b.StopTimer()
-	screened := c.Counters().Counter("updates_screened_norm").Value()
-	if want := int64(poisoned) * int64(b.N+1); screened != want {
-		b.Fatalf("updates_screened_norm = %d, want %d: the screen is not doing its job", screened, want)
-	}
-	if c.Counters().Counter("dp_rounds").Value() == 0 {
-		b.Fatal("dp_rounds = 0: the DP stage never ran")
-	}
-	b.ReportMetric(float64(screened)/float64(b.N+1), "screened/round")
-}
-
-// benchServePopulation is the device-id cycle length for the task-serve
-// storm benchmarks below: large enough that assignment collisions are
-// rare, small enough that a long ramp can't grow the registry past it.
-const benchServePopulation = 16384
-
-// BenchmarkTaskServeDuringCommit measures the headline serving claim of
-// the broadcast-plane split: task-request latency on the 189k-param model
-// *while the commit pipeline is continuously aggregating, encoding, and
-// publishing*. Before the split every /v1/task waited on the coordinator
-// mutex a commit held through O(K·dim) work and a store write; now the
-// task path reads an atomic snapshot and never blocks. Each op is one
-// device check-in + task request (what a round-start task storm looks
-// like); committed rounds during the bench are reported so a run that
-// quietly stopped committing can't fake the number.
-func BenchmarkTaskServeDuringCommit(b *testing.B) {
-	c, err := coord.New(coord.Config{
-		Mode:           coord.ModeAsync,
-		ModelKind:      model.KindB, // 189k params
-		Seed:           1,
-		TargetUpdates:  16,
-		Quorum:         16,
-		MaxInflight:    1 << 30,
-		RoundDeadline:  time.Hour,
-		QueueDepth:     4096,
-		StalenessAlpha: 0.5,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	info := func(id int64) coord.DeviceInfo {
-		return coord.DeviceInfo{
-			ID: id, Model: "Pixel-6", Platform: "Android",
-			WiFi: true, BatteryHigh: true, ModernOS: true,
-			SessionSec: 3600, Weight: 10,
-		}
-	}
-	// Committer goroutines keep the pipeline permanently busy: request,
-	// submit, repeat — every 48 accepted updates is a full commit.
-	stop := make(chan struct{})
-	var committerWG sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		committerWG.Add(1)
-		go func(id int64) {
-			defer committerWG.Done()
-			c.CheckIn(info(id))
-			var delta tensor.Vector
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				task, err := c.RequestTask(id)
-				if err != nil {
-					runtime.Gosched()
-					continue
-				}
-				if delta == nil {
-					delta = tensor.NewVector(task.Dim)
-					delta.Fill(0.0001)
-				}
-				_ = c.SubmitUpdate(coord.Submission{
-					DeviceID: id, RoundID: task.RoundID,
-					BaseVersion: task.BaseVersion, Weight: 10, Delta: delta,
-				})
-			}
-		}(int64(w + 1))
-	}
-	// Cycle a fixed population instead of registering a fresh device per
-	// op: registry size and cohort-rebuild cost must not scale with
-	// whatever iteration count the bench framework ramps to, or the
-	// ns/op depends on b.N (the gated number turns into a coin flip).
-	var next atomic.Int64
-	start := c.Version()
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			id := 1<<20 + next.Add(1)%benchServePopulation
-			c.CheckIn(info(id))
-			if _, err := c.RequestTaskWith(id, coord.TaskQuery{Binary: true}); err != nil &&
-				!errors.Is(err, coord.ErrNoTask) {
-				b.Error(err)
-				return
-			}
-		}
-	})
-	b.StopTimer()
-	close(stop)
-	committerWG.Wait()
-	commits := c.Version() - start
-	if commits == 0 && b.Elapsed() > time.Second {
-		// Short calibration runs legitimately end between commits; a
-		// long run without one means the pipeline stalled and the
-		// headline number is fake.
-		b.Fatal("no commits happened: the bench measured an idle server")
-	}
-	b.ReportMetric(float64(commits)/b.Elapsed().Seconds(), "commits/sec")
-}
-
-// BenchmarkMultiJobTaskServe is the tenancy tax gauge: the same task-serve
-// storm as BenchmarkTaskServeDuringCommit, aimed at one job of a
-// multi-tenant registry while 1 vs 3 jobs run their commit pipelines in
-// the same process. Per-job coordinators share nothing but the Go
-// runtime, so the jobs=3 number should track jobs=1 up to plain CPU
-// contention — a widening gap means tenant state bled into a shared
-// structure on the hot path.
-func BenchmarkMultiJobTaskServe(b *testing.B) {
-	for _, jobs := range []int{1, 3} {
-		b.Run(fmt.Sprintf("jobs=%d", jobs), func(b *testing.B) {
-			base := coord.Config{
-				Mode:           coord.ModeAsync,
-				ModelKind:      model.KindB, // 189k params
-				Seed:           1,
-				TargetUpdates:  16,
-				Quorum:         16,
-				MaxInflight:    1 << 30,
-				RoundDeadline:  time.Hour,
-				QueueDepth:     4096,
-				StalenessAlpha: 0.5,
-			}
-			reg := tenant.NewRegistry(base)
-			defer reg.Close()
-			coords := make([]*coord.Coordinator, 0, jobs)
-			for i := 0; i < jobs; i++ {
-				job, err := reg.Register(tenant.JobSpec{Name: fmt.Sprintf("job-%d", i)})
-				if err != nil {
-					b.Fatal(err)
-				}
-				coords = append(coords, job.Coord)
-			}
-			info := func(id int64) coord.DeviceInfo {
-				return coord.DeviceInfo{
-					ID: id, Model: "Pixel-6", Platform: "Android",
-					WiFi: true, BatteryHigh: true, ModernOS: true,
-					SessionSec: 3600, Weight: 10,
-				}
-			}
-			// Two committers per job keep every tenant's pipeline busy.
-			stop := make(chan struct{})
-			var committerWG sync.WaitGroup
-			for _, c := range coords {
-				for w := 0; w < 2; w++ {
-					committerWG.Add(1)
-					go func(c *coord.Coordinator, id int64) {
-						defer committerWG.Done()
-						c.CheckIn(info(id))
-						var delta tensor.Vector
-						for {
-							select {
-							case <-stop:
-								return
-							default:
-							}
-							task, err := c.RequestTask(id)
-							if err != nil {
-								runtime.Gosched()
-								continue
-							}
-							if delta == nil {
-								delta = tensor.NewVector(task.Dim)
-								delta.Fill(0.0001)
-							}
-							_ = c.SubmitUpdate(coord.Submission{
-								DeviceID: id, RoundID: task.RoundID,
-								BaseVersion: task.BaseVersion, Weight: 10, Delta: delta,
-							})
-						}
-					}(c, int64(w+1))
-				}
-			}
-			served := coords[0]
-			// Fixed population for the same reason as
-			// BenchmarkTaskServeDuringCommit: ns/op must not depend on b.N.
-			var next atomic.Int64
-			start := served.Version()
-			b.ReportAllocs()
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				for pb.Next() {
-					id := 1<<20 + next.Add(1)%benchServePopulation
-					served.CheckIn(info(id))
-					if _, err := served.RequestTaskWith(id, coord.TaskQuery{Binary: true}); err != nil &&
-						!errors.Is(err, coord.ErrNoTask) {
-						b.Error(err)
-						return
-					}
-				}
-			})
-			b.StopTimer()
-			close(stop)
-			committerWG.Wait()
-			commits := served.Version() - start
-			if commits == 0 && b.Elapsed() > time.Second {
-				b.Fatal("no commits happened: the bench measured an idle server")
-			}
-			b.ReportMetric(float64(commits)/b.Elapsed().Seconds(), "commits/sec")
-		})
-	}
-}
-
 // ------------------------------------------------------ scheduling plane
 
 // BenchmarkSchedCohortRebuild measures the scheduler's fleet-view
@@ -1056,58 +487,7 @@ func BenchmarkSchedCohortRebuild(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedAssignUnderChurn measures assignment throughput while
-// the fleet composition churns: every op is a fresh device checking in
-// with random eligibility attributes, feeding one telemetry observation,
-// and requesting a task — with the scheduler's rebuild loop live at a
-// 50ms cadence underneath. This is the serving path the scheduling plane
-// must not slow down.
-func BenchmarkSchedAssignUnderChurn(b *testing.B) {
-	c, err := coord.New(coord.Config{
-		Mode:           coord.ModeAsync,
-		ModelKind:      model.KindA,
-		Seed:           1,
-		TargetUpdates:  1 << 20,
-		Quorum:         1 << 20,
-		MaxInflight:    1 << 30,
-		RoundDeadline:  time.Hour,
-		StalenessAlpha: 0.5,
-		Sched:          sched.Config{RebuildEvery: 50 * time.Millisecond, MinSamples: 1},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
-	var next atomic.Int64
-	var assigned atomic.Int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		rng := rand.New(rand.NewSource(next.Add(1) * 7919))
-		for pb.Next() {
-			id := next.Add(1)
-			info := coord.DeviceInfo{
-				ID: id, Model: "Pixel-6", Platform: "Android",
-				WiFi: rng.Intn(2) == 0, BatteryHigh: rng.Intn(2) == 0, ModernOS: true,
-				SessionSec: 120, Weight: 40,
-			}
-			c.CheckIn(info)
-			bps := 1e4 * math.Exp(rng.NormFloat64()*2)
-			c.ObserveTelemetry(id, coord.TelemetryObservation{
-				UpBytes: int(bps), UpDur: time.Second,
-				DownBytes: int(bps), DownDur: time.Second,
-			})
-			if _, err := c.RequestTask(id); err == nil {
-				assigned.Add(1)
-			}
-		}
-	})
-	b.StopTimer()
-	if b.N > 100 && assigned.Load() == 0 {
-		b.Fatal("no assignments: the bench measured the denial path")
-	}
-	b.ReportMetric(float64(assigned.Load())/b.Elapsed().Seconds(), "assigns/sec")
-}
+// ------------------------------------------------------ commit pipeline
 
 // TestCommitDeltaScratchAllocs is the snapshot-GC-pressure satellite's
 // assertion: with several devices asking each new version for deltas
