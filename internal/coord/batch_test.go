@@ -3,8 +3,10 @@ package coord
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 	"time"
 
@@ -184,5 +186,117 @@ func TestServerCheckInBatch(t *testing.T) {
 	fp := st.Scheduler.Footprint
 	if fp.Devices != 10 || fp.RegistryBytes <= 0 || fp.RegistryBytesPerDev <= 0 {
 		t.Fatalf("status footprint not populated: %+v", fp)
+	}
+}
+
+// hostileBatches returns two batch bodies just under MaxCheckInBatchBody
+// that each list millions of empty devices: one the canonical scanner
+// reads, one that an escape sends to encoding/json.
+func hostileBatches() []struct {
+	name string
+	body []byte
+} {
+	build := func(head string) []byte {
+		b := append([]byte(`{"devices":[`), head...)
+		for len(b) < MaxCheckInBatchBody-8 {
+			b = append(b, `{},`...)
+		}
+		return append(b, `{}]}`...)
+	}
+	return []struct {
+		name string
+		body []byte
+	}{{"canonical", build("")}, {"non-canonical", build(`{"model":"\u0041"},`)}}
+}
+
+// allocatedBy returns the least TotalAlloc growth over three calls of f:
+// other goroutines may allocate during one call, not during all three.
+func allocatedBy(f func()) uint64 {
+	least := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// TestHostileBatchAllocBounded: a batch body of millions of devices is
+// refused with 413 for the cost of reading it — at most 4× its size —
+// not after decoding every device.
+func TestHostileBatchAllocBounded(t *testing.T) {
+	c, err := New(Config{Mode: ModeSync, ModelKind: model.KindA, Seed: 1, TargetUpdates: 4, RoundDeadline: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	srv := NewServer(c)
+	for _, tc := range hostileBatches() {
+		name, body := tc.name, tc.body
+		code := 0
+		alloc := allocatedBy(func() {
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/checkin/batch", bytes.NewReader(body)))
+			code = rec.Code
+		})
+		if code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s hostile batch: HTTP %d, want 413", name, code)
+		}
+		t.Logf("%s hostile batch of %d bytes: HTTP %d, %d bytes allocated", name, len(body), code, alloc)
+		if alloc > 4*uint64(len(body)) {
+			t.Fatalf("%s hostile batch of %d bytes allocated %d bytes", name, len(body), alloc)
+		}
+	}
+	if c.reg.Known() != 0 {
+		t.Fatalf("a refused batch registered %d devices", c.reg.Known())
+	}
+}
+
+// TestCheckInHandlerAllocs pins the registration path's allocations: a
+// warm batch of 2 048 devices costs the same handful as one of 256, and a
+// single check-in stays under a fixed ceiling.
+func TestCheckInHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime allocates on its own")
+	}
+	c, err := New(Config{Mode: ModeSync, ModelKind: model.KindA, Seed: 1, TargetUpdates: 4, RoundDeadline: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	srv := NewServer(c)
+	serve := func(path string, body []byte) {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: HTTP %d %s", path, rec.Code, rec.Body)
+		}
+	}
+	device := func(id int64) CheckInRequest {
+		return CheckInRequest{DeviceID: id, Model: "Pixel-6", Platform: "Android", WiFi: id%2 == 0, BatteryHigh: true,
+			ModernOS: true, SessionSec: 600, Weight: 12, AcceptSchemes: "f32,q8,topk,raw64"}
+	}
+	allocs := func(n int) float64 {
+		var req BatchCheckInRequest
+		for id := int64(1); id <= int64(n); id++ {
+			req.Devices = append(req.Devices, device(id))
+		}
+		body := marshal(t, req)
+		serve("/v1/checkin/batch", body) // registers the devices and warms the pools
+		return testing.AllocsPerRun(20, func() { serve("/v1/checkin/batch", body) })
+	}
+	small, large := allocs(256), allocs(2048)
+	if large-small > 8 {
+		t.Fatalf("batch check-in allocations grow with the batch: %.0f at 256 devices, %.0f at 2 048", small, large)
+	}
+	one := marshal(t, device(1))
+	// 22 when written (28 before the capability list became a bitmask),
+	// most of them httptest's request and recorder.
+	if got := testing.AllocsPerRun(50, func() { serve("/v1/checkin", one) }); got > 24 {
+		t.Fatalf("single check-in made %.0f allocations, ceiling 24", got)
+	} else {
+		t.Logf("allocations: batch of 256 %.0f, batch of 2 048 %.0f, single check-in %.0f", small, large, got)
 	}
 }

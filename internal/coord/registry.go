@@ -1,6 +1,8 @@
 package coord
 
 import (
+	"maps"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -29,8 +31,14 @@ type DeviceInfo struct {
 	Weight float64
 	// Accept lists the codec scheme kinds the device advertised it can
 	// decode at check-in (nil = legacy client, assumed to decode all);
-	// transport negotiation constrains cohort policies to it.
+	// transport negotiation constrains cohort policies to it. The lists
+	// the server decodes and Registry.Get returns are shared and
+	// read-only: one enum-ordered list per set of kinds (acceptLists).
 	Accept []codec.Kind
+	// interned: Model and Platform are the intern table's copies
+	// already (a batch whose every string the decoder found there), so
+	// the registry stores them without a second lookup.
+	interned bool
 }
 
 // session converts the reported state into the availability.Session shape
@@ -65,9 +73,10 @@ const (
 // 32-byte compact form — 96 bytes against the ~200-plus of the naive
 // struct-of-API-types layout, stored by value in the shard map so there
 // is no per-device heap object at all. Model/platform strings are
-// interned registry-wide, so their bytes are shared across the fleet.
+// interned on the way in (internString), so their bytes are shared
+// across the fleet.
 type deviceState struct {
-	model, platform string // interned — header only, bytes shared
+	model, platform string
 	lastSeenNS      int64
 	// assignedRound is the round the device currently holds a task for
 	// (0 = idle).
@@ -89,9 +98,11 @@ type deviceState struct {
 
 // setInfo overwrites the reported state (a check-in), leaving the
 // serving bookkeeping (assignment, telemetry) untouched.
-func (d *deviceState) setInfo(info DeviceInfo, intern func(string) string) {
-	d.model = intern(info.Model)
-	d.platform = intern(info.Platform)
+func (d *deviceState) setInfo(info DeviceInfo) {
+	d.model, d.platform = info.Model, info.Platform
+	if !info.interned {
+		d.model, d.platform = internString(info.Model), internString(info.Platform)
+	}
 	d.sessionSec = float32(info.SessionSec)
 	d.weight = float32(info.Weight)
 	d.flags &^= devWiFi | devBatteryHigh | devModernOS | devAcceptKnown
@@ -125,7 +136,7 @@ func (d *deviceState) info(id int64) DeviceInfo {
 		Weight:      float64(d.weight),
 	}
 	if d.flags&devAcceptKnown != 0 {
-		out.Accept = unpackAccept(d.accept)
+		out.Accept = acceptLists[d.accept]
 	}
 	return out
 }
@@ -144,10 +155,10 @@ func (d *deviceState) session(id int64) availability.Session {
 	}
 }
 
-// packAccept folds a capability list into a scheme-kind bitmask.
-// Negotiation is membership-based (transport.Negotiate builds a set), so
-// the list's order is not state worth 24 bytes of slice header plus a
-// heap array per device.
+// packAccept folds a capability list into a scheme-kind bitmask, bit
+// 1<<k per kind k as transport.AcceptMask sets them. Negotiation is
+// membership-based, so the list's order is not state worth 24 bytes of
+// slice header plus a heap array per device.
 func packAccept(kinds []codec.Kind) uint8 {
 	var mask uint8
 	for _, k := range kinds {
@@ -158,16 +169,145 @@ func packAccept(kinds []codec.Kind) uint8 {
 	return mask
 }
 
-// unpackAccept expands the bitmask in kind-enum order. Always non-nil:
-// an empty advertised list round-trips as empty, not legacy.
-func unpackAccept(mask uint8) []codec.Kind {
-	out := make([]codec.Kind, 0, 4)
-	for k := codec.Kind(1); k <= 7; k++ {
-		if mask&(1<<uint(k)) != 0 {
-			out = append(out, k)
+// acceptLists expands every bitmask into its kinds in enum order: the one
+// shared list each decoded or stored capability set reads as. Each is
+// non-nil (an empty advertised list stays empty, not legacy) and full to
+// capacity, so a caller's append copies instead of writing into it.
+var acceptLists = func() (t [256][]codec.Kind) {
+	for mask := range t {
+		l := []codec.Kind{}
+		for k := codec.Kind(1); k <= 7; k++ {
+			if mask&(1<<uint(k)) != 0 {
+				l = append(l, k)
+			}
+		}
+		t[mask] = l[:len(l):len(l)]
+	}
+	return t
+}()
+
+// Interning. A fleet reports a vocabulary of hardware models, platforms
+// and capability lists far smaller than its device count, so the registry
+// stores one shared copy of each string and the check-in decoder looks
+// the body's bytes up in the same table instead of allocating them per
+// device. Only what the registry admits is added (internString, from
+// setInfo and after a check-in is admitted), so a refused or undecodable
+// body adds nothing. The table is process-wide and bounded: past
+// internCap strings, or for a string longer than internMaxLen, the string
+// is stored as given, a copy its device owns and Sweep frees with it.
+const (
+	// internCap bounds the distinct strings held. A miss costs O(1)
+	// amortized at any size (internTable), so the cap is set by memory
+	// alone: full, with internMaxLen-byte strings, it holds 9 MiB of
+	// heap (4 MiB of string bytes, the rest map), shared by every
+	// tenant. No measured fleet vocabulary backs it; it sits far above
+	// the 19 strings of the bench's fleet and, unverified, above the
+	// distinct model names a real Android fleet reports.
+	internCap = 1 << 16
+	// internMaxLen bounds an interned string's length: hardware model
+	// names run to a few dozen bytes.
+	internMaxLen = 64
+)
+
+// interns is the process-wide intern table: the decoder looks strings up
+// in it (lookup) and the registry adds what it admits (internString).
+var interns internTable
+
+// internTable maps a string's bytes to its one shared copy, the way
+// sync.Map promotes its dirty map. Lookups in the promoted map take no
+// lock and allocate nothing. Strings added since the last promotion wait
+// in dirty, under mu, until as many locked operations as the promoted map
+// holds strings have passed; then the two merge into a new promoted map.
+// A merge copies at most twice the operations it waited for, so a miss
+// costs O(1) amortized however full the table is.
+type internTable struct {
+	read    atomic.Pointer[map[string]string] // immutable once stored
+	pending atomic.Bool                       // dirty is non-empty
+	mu      sync.Mutex
+	dirty   map[string]string // added since the last promotion, not in read
+	misses  int               // locked operations since the last promotion
+}
+
+// lookup returns the shared copy of string(b), if the table holds one.
+func (t *internTable) lookup(b []byte) (string, bool) {
+	if len(b) == 0 {
+		return "", false
+	}
+	if m := t.read.Load(); m != nil {
+		if s, ok := (*m)[string(b)]; ok {
+			return s, true
 		}
 	}
-	return out
+	if !t.pending.Load() {
+		return "", false
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	defer t.missLocked()
+	s, ok := t.dirty[string(b)]
+	return s, ok
+}
+
+// internString returns the shared copy of s, adding a copy of s when the
+// table has room. Callers pass only strings the registry has admitted.
+func internString(s string) string {
+	t := &interns
+	m := t.read.Load()
+	if m != nil {
+		if v, ok := (*m)[s]; ok {
+			return v
+		}
+	}
+	if s == "" || len(s) > internMaxLen || m != nil && len(*m) >= internCap {
+		return s
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	defer t.missLocked()
+	if v, ok := t.dirty[s]; ok {
+		return v
+	}
+	if m = t.read.Load(); m != nil {
+		if v, ok := (*m)[s]; ok {
+			return v
+		}
+	}
+	if t.lenLocked() >= internCap {
+		return s
+	}
+	// A copy, so the table never pins a caller's larger buffer.
+	s = strings.Clone(s)
+	if t.dirty == nil {
+		t.dirty = map[string]string{}
+	}
+	t.dirty[s] = s
+	t.pending.Store(true)
+	return s
+}
+
+func (t *internTable) lenLocked() int {
+	n := len(t.dirty)
+	if m := t.read.Load(); m != nil {
+		n += len(*m)
+	}
+	return n
+}
+
+// missLocked counts one locked operation and promotes dirty once they
+// reach the promoted map's size.
+func (t *internTable) missLocked() {
+	m := t.read.Load()
+	if t.misses++; len(t.dirty) == 0 || m != nil && t.misses < len(*m) {
+		return
+	}
+	next := make(map[string]string, t.lenLocked())
+	if m != nil {
+		maps.Copy(next, *m)
+	}
+	maps.Copy(next, t.dirty)
+	t.read.Store(&next)
+	t.dirty, t.misses = nil, 0
+	t.pending.Store(false)
 }
 
 // regShard is one lock stripe of the registry. Padding is omitted: shards
@@ -189,11 +329,6 @@ type Registry struct {
 	// yet swept) — the O(1) input to quota admission, maintained
 	// atomically because inserts race across shards.
 	known atomic.Int64
-	// interned deduplicates model/platform strings fleet-wide: a
-	// million devices report a few hundred distinct hardware models, so
-	// per-device string bytes are pure waste. sync.Map because the path
-	// is read-mostly after warmup (one store per distinct string ever).
-	interned sync.Map // string -> string
 }
 
 // NewRegistry creates a registry with the given stripe count and liveness
@@ -207,18 +342,6 @@ func NewRegistry(shards int, ttl time.Duration) *Registry {
 		r.shards[i].devs = make(map[int64]deviceState)
 	}
 	return r
-}
-
-// intern returns the registry's canonical copy of s.
-func (r *Registry) intern(s string) string {
-	if s == "" {
-		return ""
-	}
-	if v, ok := r.interned.Load(s); ok {
-		return v.(string)
-	}
-	v, _ := r.interned.LoadOrStore(s, s)
-	return v.(string)
 }
 
 // shardIndex hashes a device ID onto a stripe index (Fibonacci
@@ -257,7 +380,7 @@ func (r *Registry) TryCheckIn(info DeviceInfo, now time.Time, quota int) (isNew,
 // check-in paths; the caller holds s.mu.
 func (r *Registry) checkInLocked(s *regShard, info DeviceInfo, now time.Time, quota int) (isNew, ok bool) {
 	if d, exists := s.devs[info.ID]; exists {
-		d.setInfo(info, r.intern)
+		d.setInfo(info)
 		d.lastSeenNS = now.UnixNano()
 		s.devs[info.ID] = d
 		return false, true
@@ -267,7 +390,7 @@ func (r *Registry) checkInLocked(s *regShard, info DeviceInfo, now time.Time, qu
 		return true, false
 	}
 	var d deviceState
-	d.setInfo(info, r.intern)
+	d.setInfo(info)
 	d.lastSeenNS = now.UnixNano()
 	s.devs[info.ID] = d
 	return true, true
@@ -297,13 +420,28 @@ func (r *Registry) CheckInBatch(infos []DeviceInfo, now time.Time, quota int) (n
 		}
 		return newCount, rejected
 	}
-	groups := make([][]int32, len(r.shards))
+	// Counting sort of input indices by stripe, so grouping costs two
+	// allocations at any batch size. at[si] first counts stripe si's
+	// devices, then starts its run in order, then ends it.
+	at := make([]int32, len(r.shards))
+	for i := range infos {
+		at[r.shardIndex(infos[i].ID)]++
+	}
+	var sum int32
+	for si, n := range at {
+		at[si], sum = sum, sum+n
+	}
+	order := make([]int32, len(infos))
 	for i := range infos {
 		si := r.shardIndex(infos[i].ID)
-		groups[si] = append(groups[si], int32(i))
+		order[at[si]] = int32(i)
+		at[si]++
 	}
 	rejectedIdx := []int32{}
-	for si, g := range groups {
+	var lo int32
+	for si := range r.shards {
+		g := order[lo:at[si]]
+		lo = at[si]
 		if len(g) == 0 {
 			continue
 		}

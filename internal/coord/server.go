@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -8,7 +9,9 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
+	"unsafe"
 
 	"flint/internal/codec"
 	"flint/internal/tensor"
@@ -181,7 +184,7 @@ func (s *Server) handleCheckIn(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad check-in body: %w", err))
 		return
 	}
-	res := s.c.CheckIn(s.deviceInfo(req))
+	res := s.c.CheckIn(s.deviceInfo(&req))
 	if res.OverQuota {
 		// The job's device quota is full: the device was not registered.
 		// 429 + Retry-After is the contract — sweeps free slots as stale
@@ -190,6 +193,7 @@ func (s *Server) handleCheckIn(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusTooManyRequests, fmt.Errorf("device quota full"))
 		return
 	}
+	internString(req.AcceptSchemes)
 	*buf = appendCheckInReply((*buf)[:0], &CheckInResponse{
 		New:          res.New,
 		Eligible:     res.Eligible,
@@ -206,7 +210,7 @@ func (s *Server) handleCheckIn(w http.ResponseWriter, r *http.Request) {
 // counting unknown advertised schemes (future clients may advertise
 // schemes this server has never heard of; they degrade through
 // negotiation, but the operator should be able to see it happening).
-func (s *Server) deviceInfo(req CheckInRequest) DeviceInfo {
+func (s *Server) deviceInfo(req *CheckInRequest) DeviceInfo {
 	info := DeviceInfo{
 		ID:          req.DeviceID,
 		Model:       req.Model,
@@ -218,42 +222,101 @@ func (s *Server) deviceInfo(req CheckInRequest) DeviceInfo {
 		Weight:      req.Weight,
 	}
 	if req.AcceptSchemes != "" {
-		kinds, unknown := transport.ParseAccept(req.AcceptSchemes)
+		mask, unknown := transport.AcceptMask(req.AcceptSchemes)
 		if unknown > 0 {
 			s.c.counters.Counter("checkin_unknown_scheme").Add(int64(unknown))
 		}
-		info.Accept = kinds
+		info.Accept = acceptLists[mask]
 	}
 	return info
 }
 
-func (s *Server) handleCheckInBatch(w http.ResponseWriter, r *http.Request) {
+// ReadCheckInBatch reads a POST /v1/checkin/batch body into req under the
+// batch limits, MaxCheckInBatchBody bytes and MaxCheckInBatch devices, and
+// returns the status a server answers it with: 200, or the 400 or 413 that
+// goes with err. The device limit holds before any device past it is
+// decoded, so an oversize batch costs its body buffer and no more.
+// req.Devices' backing array is reused.
+func ReadCheckInBatch(w http.ResponseWriter, r *http.Request, req *BatchCheckInRequest) (int, error) {
+	code, _, err := readCheckInBatch(w, r, req)
+	return code, err
+}
+
+// readCheckInBatch is ReadCheckInBatch that also reports whether any
+// decoded string is a fresh copy rather than the intern table's.
+func readCheckInBatch(w http.ResponseWriter, r *http.Request, req *BatchCheckInRequest) (code int, fresh bool, err error) {
 	buf := getWireBuf()
 	defer putWireBuf(buf)
-	var req BatchCheckInRequest
-	if err := readJSON(w, r, buf, MaxCheckInBatchBody, &req, (*scanner).batch); err != nil {
+	if err := readBody(w, r, buf, MaxCheckInBatchBody); err != nil {
 		if tooLarge(err) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("batch body exceeds %d-byte limit", MaxCheckInBatchBody))
-			return
+			return http.StatusRequestEntityTooLarge, false, fmt.Errorf("batch body exceeds %d-byte limit", MaxCheckInBatchBody)
 		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad batch check-in body: %w", err))
-		return
+		return http.StatusBadRequest, false, fmt.Errorf("bad batch check-in body: %w", err)
+	}
+	s := scanner{b: *buf}
+	if s.batch(req); s.bad {
+		if n := batchCount(*buf); n > MaxCheckInBatch {
+			return http.StatusRequestEntityTooLarge, false, fmt.Errorf("batch of %d devices exceeds %d-device limit", n, MaxCheckInBatch)
+		}
+		*req = BatchCheckInRequest{}
+		if err := json.NewDecoder(bytes.NewReader(*buf)).Decode(req); err != nil {
+			return http.StatusBadRequest, false, fmt.Errorf("bad batch check-in body: %w", err)
+		}
+		s.fresh = true
 	}
 	if len(req.Devices) == 0 {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("empty device batch"))
+		return http.StatusBadRequest, false, fmt.Errorf("empty device batch")
+	}
+	return http.StatusOK, s.fresh, nil
+}
+
+// batchScratch is one batch check-in's decoded body and its devices'
+// registry form, recycled across requests. Arrays over maxPooledWire bytes
+// are not kept, so a rare maximum-size batch does not pin them.
+type batchScratch struct {
+	req   BatchCheckInRequest
+	infos []DeviceInfo
+}
+
+var batchScratches = sync.Pool{New: func() any { return new(batchScratch) }}
+
+func putBatchScratch(sc *batchScratch) {
+	devs := sc.req.Devices
+	if cap(devs)*int(unsafe.Sizeof(CheckInRequest{}))+cap(sc.infos)*int(unsafe.Sizeof(DeviceInfo{})) > maxPooledWire {
 		return
 	}
-	if len(req.Devices) > MaxCheckInBatch {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d devices exceeds %d-device limit", len(req.Devices), MaxCheckInBatch))
+	// Drop the strings so the pool pins none of them.
+	clear(devs)
+	clear(sc.infos)
+	sc.req.Devices, sc.infos = devs[:0], sc.infos[:0]
+	batchScratches.Put(sc)
+}
+
+func (s *Server) handleCheckInBatch(w http.ResponseWriter, r *http.Request) {
+	sc := batchScratches.Get().(*batchScratch)
+	defer putBatchScratch(sc)
+	req := &sc.req
+	code, fresh, err := readCheckInBatch(w, r, req)
+	if err != nil {
+		writeError(w, code, err)
 		return
 	}
-	infos := make([]DeviceInfo, len(req.Devices))
 	for i := range req.Devices {
-		infos[i] = s.deviceInfo(req.Devices[i])
+		info := s.deviceInfo(&req.Devices[i])
+		info.interned = !fresh
+		sc.infos = append(sc.infos, info)
 	}
-	res := s.c.CheckInBatch(infos)
+	res := s.c.CheckInBatch(sc.infos)
+	if fresh && len(res.RejectedIDs) == 0 {
+		// The registry interned model and platform as it admitted each
+		// device; the capability lists it keeps as masks are interned
+		// here, once the whole batch is in.
+		for i := range req.Devices {
+			internString(req.Devices[i].AcceptSchemes)
+		}
+	}
+	buf := getWireBuf()
+	defer putWireBuf(buf)
 	*buf = appendBatchReply((*buf)[:0], &BatchCheckInResponse{
 		Accepted:    res.Accepted,
 		New:         res.New,
@@ -294,11 +357,11 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if h := r.Header.Get(transport.HeaderAcceptSchemes); h != "" {
-			kinds, unknown := transport.ParseAccept(h)
+			mask, unknown := transport.AcceptMask(h)
 			if unknown > 0 {
 				s.c.counters.Counter("task_unknown_scheme").Add(int64(unknown))
 			}
-			q.Accept = kinds
+			q.Accept = acceptLists[mask]
 		}
 	}
 	t, err := s.c.RequestTaskWith(id, q)

@@ -3,7 +3,9 @@ package coord
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"unicode/utf8"
@@ -36,20 +38,49 @@ func putWireBuf(p *[]byte) {
 }
 
 // readJSON reads r's body whole into *buf under a limit-byte budget and
-// decodes it into v with scan. A body over the budget, declared or
-// streamed, fails with *http.MaxBytesError. The buffer grows only as bytes
-// arrive: a declared Content-Length under the budget reserves nothing.
+// decodes it into v with scan.
 func readJSON[T any](w http.ResponseWriter, r *http.Request, buf *[]byte, limit int64, v *T, scan func(*scanner, *T)) error {
-	if r.ContentLength > limit {
-		return &http.MaxBytesError{Limit: limit}
-	}
-	bb := bytes.NewBuffer((*buf)[:0])
-	_, err := bb.ReadFrom(http.MaxBytesReader(w, r.Body, limit))
-	*buf = bb.Bytes()
-	if err != nil {
+	if err := readBody(w, r, buf, limit); err != nil {
 		return err
 	}
 	return decodeJSON(*buf, v, scan)
+}
+
+// readBody reads r's body whole into *buf under a limit-byte budget. A
+// body over the budget, declared or streamed, fails with
+// *http.MaxBytesError. The buffer grows only as bytes arrive, doubling up
+// to the budget and no further: a declared Content-Length under the
+// budget reserves nothing, and a body at the budget costs about twice its
+// size in all.
+func readBody(w http.ResponseWriter, r *http.Request, buf *[]byte, limit int64) error {
+	if r.ContentLength > limit {
+		return &http.MaxBytesError{Limit: limit}
+	}
+	body := http.MaxBytesReader(w, r.Body, limit)
+	b := (*buf)[:0]
+	defer func() { *buf = b }()
+	for {
+		if len(b) == cap(b) && int64(len(b)) < limit {
+			b = slices.Grow(b, int(min(max(int64(cap(b)), bytes.MinRead), limit-int64(len(b)))))
+		}
+		var err error
+		if len(b) < cap(b) {
+			var n int
+			n, err = body.Read(b[len(b):cap(b)])
+			b = b[:len(b)+n]
+		} else {
+			// At the budget, the reader returns no byte: it ends the
+			// body or fails it.
+			var probe [1]byte
+			_, err = body.Read(probe[:])
+		}
+		switch {
+		case err == io.EOF:
+			return nil
+		case err != nil:
+			return err
+		}
+	}
 }
 
 // decodeJSON decodes body into v with scan, the canonical-subset parser
@@ -71,6 +102,9 @@ type scanner struct {
 	b   []byte
 	i   int
 	bad bool // the input left the canonical subset
+	// fresh: some name was not in the intern table and decoded to a
+	// fresh copy.
+	fresh bool
 }
 
 // fail marks the input bad and moves the cursor to the end, so every later
@@ -128,11 +162,24 @@ func (s *scanner) member(n int) (key []byte, ok bool) {
 	return key, s.eat(':')
 }
 
+// name reads a string and returns the intern table's copy when it holds
+// one (interns), a fresh copy otherwise: the scanner only looks strings
+// up, and the registry adds the ones it admits.
+func (s *scanner) name() string {
+	b := s.str()
+	if v, ok := interns.lookup(b); ok || len(b) == 0 {
+		return v
+	}
+	s.fresh = true
+	return string(b)
+}
+
 // str reads a string with no escapes and no control bytes whose contents
-// are valid UTF-8: the strings encoding/json copies through unchanged.
-func (s *scanner) str() string {
+// are valid UTF-8, the strings encoding/json copies through unchanged, and
+// returns its contents in place.
+func (s *scanner) str() []byte {
 	if !s.eat('"') {
-		return ""
+		return nil
 	}
 	start, ascii := s.i, true
 	for ; s.i < len(s.b); s.i++ {
@@ -142,18 +189,18 @@ func (s *scanner) str() string {
 			s.i++
 			if !ascii && !utf8.Valid(v) {
 				s.fail()
-				return ""
+				return nil
 			}
-			return string(v)
+			return v
 		case c == '\\' || c < ' ':
 			s.fail()
-			return ""
+			return nil
 		case c >= utf8.RuneSelf:
 			ascii = false
 		}
 	}
 	s.fail()
-	return ""
+	return nil
 }
 
 // number reads one literal of the JSON number grammar.
@@ -277,9 +324,9 @@ func (s *scanner) checkIn(req *CheckInRequest) {
 		case "device_id":
 			req.DeviceID, err = strconv.ParseInt(string(s.number()), 10, 64)
 		case "model":
-			req.Model = s.str()
+			req.Model = s.name()
 		case "platform":
-			req.Platform = s.str()
+			req.Platform = s.name()
 		case "wifi":
 			req.WiFi = s.bool()
 		case "battery_high":
@@ -291,7 +338,7 @@ func (s *scanner) checkIn(req *CheckInRequest) {
 		case "weight":
 			req.Weight, err = strconv.ParseFloat(string(s.number()), 64)
 		case "accept_schemes":
-			req.AcceptSchemes = s.str()
+			req.AcceptSchemes = s.name()
 		default:
 			s.fail()
 			return
@@ -315,11 +362,19 @@ func (s *scanner) batch(req *BatchCheckInRequest) {
 			s.fail()
 			return
 		}
-		req.Devices = []CheckInRequest{}
+		// A caller's array is reused; past the batch limit the body
+		// goes to the fallback, where batchCount refuses it.
+		if req.Devices = req.Devices[:0]; req.Devices == nil {
+			req.Devices = []CheckInRequest{}
+		}
 		if !s.open() {
 			continue
 		}
 		for {
+			if len(req.Devices) == MaxCheckInBatch {
+				s.fail()
+				return
+			}
 			req.Devices = append(req.Devices, CheckInRequest{})
 			s.checkIn(&req.Devices[len(req.Devices)-1])
 			if !s.more() {
@@ -327,6 +382,45 @@ func (s *scanner) batch(req *BatchCheckInRequest) {
 			}
 		}
 	}
+}
+
+// batchCount bounds the devices encoding/json would decode from a batch
+// body without decoding any: the most elements an array member of the
+// top-level object holds (an empty array counts one). It reads only
+// structure — brackets, braces, commas and where strings end — so no
+// key spelling or escape gets past it.
+func batchCount(body []byte) int {
+	depth, n, most := 0, 0, 0
+	inArray := false // the member value being read is an array
+	for i := 0; i < len(body); i++ {
+		switch c := body[i]; c {
+		case '"':
+			for i++; i < len(body) && body[i] != '"'; i++ {
+				if body[i] == '\\' {
+					i++
+				}
+			}
+		case '{', '[':
+			if depth++; depth == 1 && c == '[' {
+				return 0 // not an object: encoding/json decodes nothing
+			}
+			if depth == 2 {
+				inArray, n = c == '[', 1
+			}
+		case '}', ']':
+			if depth == 2 && inArray {
+				most = max(most, n)
+			}
+			if depth--; depth == 0 {
+				return most
+			}
+		case ',':
+			if depth == 2 && inArray {
+				n++
+			}
+		}
+	}
+	return most
 }
 
 func (s *scanner) update(req *UpdateRequest) {

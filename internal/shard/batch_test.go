@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -244,5 +246,46 @@ func TestGatewayBatchMatchesServer(t *testing.T) {
 	}
 	if n := gw.Counters().Counter("proxy_errors").Value(); n != 0 {
 		t.Fatalf("proxy_errors = %d, want 0", n)
+	}
+}
+
+// TestGatewayHostileBatchAllocBounded: the gateway refuses a batch body of
+// millions of devices with 413 for the cost of reading it — at most 4× its
+// size — before decoding the devices or forwarding a byte, whether the
+// body is canonical or carries an escape.
+func TestGatewayHostileBatchAllocBounded(t *testing.T) {
+	shard := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		t.Errorf("hostile batch forwarded to a shard: %s", r.URL)
+	}))
+	defer shard.Close()
+	leader, err := NewLeader(LeaderConfig{Shards: 1, Grace: time.Hour, Params: testParams})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw, err := NewGateway(GatewayConfig{Shards: []string{shard.URL}, Leader: leader})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, head := range []string{"", `{"model":"\u0041"},`} {
+		body := append([]byte(`{"devices":[`), head...)
+		for len(body) < coord.MaxCheckInBatchBody-8 {
+			body = append(body, `{},`...)
+		}
+		body = append(body, `{}]}`...)
+		least := uint64(math.MaxUint64)
+		for range 3 {
+			rec := httptest.NewRecorder()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			gw.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/checkin/batch", bytes.NewReader(body)))
+			runtime.ReadMemStats(&after)
+			if rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("hostile batch %q…: HTTP %d, want 413", head, rec.Code)
+			}
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+		if least > 4*uint64(len(body)) {
+			t.Fatalf("hostile batch %q… of %d bytes allocated %d bytes", head, len(body), least)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -267,8 +266,8 @@ func (g *Gateway) route(w http.ResponseWriter, r *http.Request) {
 // shard that cannot be reached is a 502 (check-ins are idempotent, so the
 // load plane just retries the batch).
 func (g *Gateway) routeCheckInBatch(w http.ResponseWriter, r *http.Request) {
-	req, status, err := readBatch(w, r)
-	if err != nil {
+	var req coord.BatchCheckInRequest
+	if status, err := coord.ReadCheckInBatch(w, r, &req); err != nil {
 		g.counters.Counter("route_rejected").Inc()
 		writeError(w, status, err)
 		return
@@ -324,32 +323,6 @@ func (g *Gateway) routeCheckInBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	g.counters.Counter("route_by_device").Inc()
 	writeJSON(w, http.StatusOK, merged)
-}
-
-// readBatch reads a batch check-in body under the server's limits,
-// returning the status a server would answer with when it breaks one.
-func readBatch(w http.ResponseWriter, r *http.Request) (coord.BatchCheckInRequest, int, error) {
-	var req coord.BatchCheckInRequest
-	raw, err := io.ReadAll(http.MaxBytesReader(w, r.Body, coord.MaxCheckInBatchBody))
-	var tooLarge *http.MaxBytesError
-	if errors.As(err, &tooLarge) {
-		return req, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch body exceeds %d-byte limit", coord.MaxCheckInBatchBody)
-	}
-	if err != nil {
-		return req, http.StatusBadRequest, fmt.Errorf("read body: %w", err)
-	}
-	if err := json.Unmarshal(raw, &req); err != nil {
-		return req, http.StatusBadRequest, fmt.Errorf("bad batch body: %w", err)
-	}
-	if len(req.Devices) == 0 {
-		return req, http.StatusBadRequest, fmt.Errorf("empty device batch")
-	}
-	if len(req.Devices) > coord.MaxCheckInBatch {
-		return req, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d devices exceeds %d-device limit", len(req.Devices), coord.MaxCheckInBatch)
-	}
-	return req, http.StatusOK, nil
 }
 
 // batchReply is one shard's answer to its sub-batch: the decoded reply,

@@ -265,15 +265,15 @@ func (n *Negotiator) Negotiate(d Device) Decision {
 	if d.Accept == nil {
 		return dec
 	}
-	accepts := make(map[codec.Kind]bool, len(d.Accept))
+	var accepts uint8
 	for _, k := range d.Accept {
-		accepts[k] = true
+		accepts |= kindBit(k)
 	}
 	pick := func(want codec.Scheme) codec.Scheme {
 		switch {
-		case accepts[want.Kind]:
+		case accepts&kindBit(want.Kind) != 0:
 			return want
-		case accepts[codec.KindF32]:
+		case accepts&kindBit(codec.KindF32) != 0:
 			return codec.F32
 		default:
 			dec.Fallback = true
@@ -292,27 +292,54 @@ func AllKinds() []codec.Kind {
 	return []codec.Kind{codec.KindF32, codec.KindQ8, codec.KindTopK, codec.KindRawF64}
 }
 
-// kindNames maps wire names to kinds for ParseAccept. Scheme parameters
-// (topk:k) are a server-side choice; capability lists carry bare kinds.
-var kindNames = map[string]codec.Kind{
-	"raw64": codec.KindRawF64,
-	"f32":   codec.KindF32,
-	"q8":    codec.KindQ8,
-	"topk":  codec.KindTopK,
+// acceptNames lists the wire names ParseAccept recognizes. Scheme
+// parameters (topk:k) are a server-side choice; capability lists carry
+// bare kinds.
+var acceptNames = [...]struct {
+	name string
+	kind codec.Kind
+}{{"f32", codec.KindF32}, {"q8", codec.KindQ8}, {"topk", codec.KindTopK}, {"raw64", codec.KindRawF64}}
+
+// kindBit is k's bit in an AcceptMask mask: 1<<k for the kinds 1..7 a
+// uint8 can hold, 0 for any other value.
+func kindBit(k codec.Kind) uint8 {
+	if k < 1 || k > 7 {
+		return 0
+	}
+	return 1 << k
 }
 
 // ParseAccept parses a comma-separated advertised scheme list ("f32,q8")
-// into the kinds this server recognizes, reporting how many entries it
-// did not — future clients may advertise schemes an older server has
-// never heard of, and those must degrade, not error. The result is
+// into the kinds this server recognizes, in first-appearance order without
+// repeats, reporting how many entries it did not — future clients may
+// advertise schemes an older server has never heard of, and those must
+// degrade, not error. Names match case-insensitively. The result is
 // always non-nil: an all-unknown list yields an empty (not nil) slice,
 // preserving the "advertised but unusable" signal Negotiate keys on.
 func ParseAccept(list string) (kinds []codec.Kind, unknown int) {
-	kinds = []codec.Kind{}
-	seen := map[codec.Kind]bool{}
-	for _, name := range strings.Split(list, ",") {
-		name = strings.ToLower(strings.TrimSpace(name))
-		if name == "" {
+	kinds = make([]codec.Kind, 0, len(acceptNames))
+	_, unknown = scanAccept(list, &kinds)
+	return kinds, unknown
+}
+
+// AcceptMask is ParseAccept folded into a bitmask — bit 1<<k set for
+// every recognized kind k — for callers that need only membership, as
+// negotiation does. It allocates nothing.
+func AcceptMask(list string) (mask uint8, unknown int) {
+	return scanAccept(list, nil)
+}
+
+// scanAccept walks list's entries, appending each recognized kind to
+// *kinds (when kinds is non-nil) the first time it appears.
+func scanAccept(list string, kinds *[]codec.Kind) (mask uint8, unknown int) {
+	for more := true; more; {
+		var name string
+		if i := strings.IndexByte(list, ','); i >= 0 {
+			name, list = list[:i], list[i+1:]
+		} else {
+			name, more = list, false
+		}
+		if name = strings.TrimSpace(name); name == "" {
 			continue
 		}
 		// Tolerate parameterized advertisements ("topk:64"): the kind
@@ -320,17 +347,24 @@ func ParseAccept(list string) (kinds []codec.Kind, unknown int) {
 		if base, _, ok := strings.Cut(name, ":"); ok {
 			name = base
 		}
-		k, ok := kindNames[name]
-		if !ok {
-			unknown++
-			continue
+		k := codec.KindInvalid
+		for _, n := range acceptNames {
+			if strings.EqualFold(name, n.name) {
+				k = n.kind
+				break
+			}
 		}
-		if !seen[k] {
-			seen[k] = true
-			kinds = append(kinds, k)
+		switch {
+		case k == codec.KindInvalid:
+			unknown++
+		case mask&kindBit(k) == 0:
+			mask |= kindBit(k)
+			if kinds != nil {
+				*kinds = append(*kinds, k)
+			}
 		}
 	}
-	return kinds, unknown
+	return mask, unknown
 }
 
 // FormatAccept renders a capability list for the wire, the inverse of

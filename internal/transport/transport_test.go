@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -282,4 +283,62 @@ func TestPerCohortDeltaDepth(t *testing.T) {
 	if got := half.DeltaSchemes(); len(got) != 1 || got[0] != codec.Q8 {
 		t.Fatalf("half-disabled DeltaSchemes = %v", got)
 	}
+}
+
+// referenceParseAccept is the split/lowercase/map parser ParseAccept
+// replaced, kept as its oracle.
+func referenceParseAccept(list string) (kinds []codec.Kind, unknown int) {
+	kindNames := map[string]codec.Kind{
+		"raw64": codec.KindRawF64,
+		"f32":   codec.KindF32,
+		"q8":    codec.KindQ8,
+		"topk":  codec.KindTopK,
+	}
+	kinds = []codec.Kind{}
+	seen := map[codec.Kind]bool{}
+	for _, name := range strings.Split(list, ",") {
+		name = strings.ToLower(strings.TrimSpace(name))
+		if name == "" {
+			continue
+		}
+		if base, _, ok := strings.Cut(name, ":"); ok {
+			name = base
+		}
+		k, ok := kindNames[name]
+		if !ok {
+			unknown++
+			continue
+		}
+		if !seen[k] {
+			seen[k] = true
+			kinds = append(kinds, k)
+		}
+	}
+	return kinds, unknown
+}
+
+// FuzzParseAccept holds ParseAccept and AcceptMask to the reference
+// parser: the same kinds in the same order, the same unknown count, and a
+// mask with exactly those kinds' bits.
+func FuzzParseAccept(f *testing.F) {
+	for _, s := range []string{
+		"", ",", "f32,q8,topk,raw64", "f32, q8,topk:128,raw64,f32,mystery", " F32 ,Q8", "TOPK:9,topk",
+		"topK", "top\u212a", "\u0130", "q8:::9", ":::", "🚀,💾", "f3 2", "raw64\xff", "\u00a0q8\u00a0", "q8\x85", "RAW64,,,f32:",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, list string) {
+		kinds, unknown := ParseAccept(list)
+		want, wantUnknown := referenceParseAccept(list)
+		if kinds == nil || !slices.Equal(kinds, want) || unknown != wantUnknown {
+			t.Fatalf("ParseAccept(%q) = %v, %d; reference %v, %d", list, kinds, unknown, want, wantUnknown)
+		}
+		var wantMask uint8
+		for _, k := range want {
+			wantMask |= 1 << k
+		}
+		if mask, n := AcceptMask(list); mask != wantMask || n != wantUnknown {
+			t.Fatalf("AcceptMask(%q) = %08b, %d; want %08b, %d", list, mask, n, wantMask, wantUnknown)
+		}
+	})
 }
