@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"flint/internal/tensor"
 )
@@ -15,6 +16,11 @@ const (
 	// tileLen is the encoders' read window. It equals the q8 chunk so that
 	// one tile is exactly one quantization block.
 	tileLen = q8Chunk
+
+	// onePassMin is the smallest vector encodeTopK filters before it
+	// selects, and sampleLen the keys its floor is drawn from.
+	onePassMin = 4096
+	sampleLen  = 1024
 
 	// maxDigit bounds the top-k select's radix: 2 048 counters, 8 KB of
 	// stack that stays in L1.
@@ -25,6 +31,10 @@ const (
 	// top-k threshold of any but a near-total k, narrow enough to leave
 	// the first digit mantissa bits to split on.
 	guessSpan = 8
+
+	// halfPred is the float64 just below 0.5: the quantizer's rounding
+	// bias (quantizeGeneric).
+	halfPred = 0.49999999999999994
 
 	signBit = 1 << 63
 	// infBits is +Inf's bit pattern: magnitude keys above it are NaNs.
@@ -42,11 +52,8 @@ func (s source) tile(buf *[tileLen]float64, lo int) []float64 {
 	if s.base == nil {
 		return s.cur[lo:hi]
 	}
-	cur, base := s.cur[lo:hi], s.base[lo:hi]
-	d := buf[:len(cur)]
-	for i, c := range cur {
-		d[i] = c - base[i]
-	}
+	d := buf[:hi-lo]
+	subTile(d, s.cur[lo:hi], s.base[lo:hi])
 	return d
 }
 
@@ -111,17 +118,11 @@ func encode(src source, s Scheme, flags byte) ([]byte, error) {
 	switch s.Kind {
 	case KindRawF64:
 		for lo := 0; lo < dim; lo += tileLen {
-			out := payload[8*lo:]
-			for i, x := range src.tile(&buf, lo) {
-				binary.LittleEndian.PutUint64(out[8*i:], math.Float64bits(x))
-			}
+			putF64(payload[8*lo:], src.tile(&buf, lo))
 		}
 	case KindF32:
 		for lo := 0; lo < dim; lo += tileLen {
-			out := payload[4*lo:]
-			for i, x := range src.tile(&buf, lo) {
-				binary.LittleEndian.PutUint32(out[4*i:], math.Float32bits(float32(x)))
-			}
+			putF32(payload[4*lo:], src.tile(&buf, lo))
 		}
 	case KindQ8:
 		binary.LittleEndian.PutUint32(payload, q8Chunk)
@@ -148,13 +149,7 @@ func encode(src source, s Scheme, flags byte) ([]byte, error) {
 // maxAbs/127, so |x - x̂| ≤ scale/2 plus float32 rounding of the scale
 // itself. out must arrive zeroed: an all-zero chunk is left untouched.
 func quantizeChunk(out []byte, t []float64) float32 {
-	maxAbs := 0.0
-	for _, x := range t {
-		// NaN compares false everywhere, so it never drives the scale.
-		if a := math.Abs(x); a > maxAbs {
-			maxAbs = a
-		}
-	}
+	maxAbs := absMax(t)
 	// Clamp instead of letting float32() overflow to +Inf: an Inf scale
 	// would decode every chunk element as 0*Inf = NaN.
 	scale := float32(maxAbs / 127)
@@ -164,26 +159,7 @@ func quantizeChunk(out []byte, t []float64) float32 {
 	if scale == 0 {
 		return 0
 	}
-	// Round half away from zero on the magnitude, in integers: for
-	// 0 ≤ a < 127, int(a + halfPred) is exactly math.Round(a). (Adding 0.5
-	// itself is not: pred(0.5) + 0.5 rounds up to 1.0.) The sign is folded
-	// back in two's complement, so neither it nor the rounding branches.
-	const halfPred = 0.49999999999999994 // the float64 just below 0.5
-	mag127 := math.Float64bits(127)
-	inv := 1 / float64(scale)
-	for i, x := range t {
-		yb := math.Float64bits(x * inv)
-		mag := yb &^ signBit
-		var q int32
-		switch {
-		case mag < mag127:
-			q = int32(math.Float64frombits(mag) + halfPred)
-		case mag <= infBits:
-			q = 127 // saturate; only an Inf or clamped-scale chunk gets here
-		}
-		neg := int32(int64(yb) >> 63)
-		out[i] = byte((q ^ neg) - neg)
-	}
+	quantize(out, t, 1/float64(scale))
 	return scale
 }
 
@@ -193,36 +169,124 @@ func quantizeChunk(out []byte, t []float64) float32 {
 // NaN > Inf > finite, equal to |x| order on finite values — with ties to
 // the smaller index. One ascending pass against the selected threshold
 // yields both the index order and the tie rule.
+//
+// A large vector keeping at most a quarter of its entries is first
+// filtered down to its strongest few (topkScratch.filter) and the select
+// and the emit run on those; when the filter cannot vouch for its
+// survivors the whole vector is selected, as a small one always is.
 func encodeTopK(payload []byte, src source, k int) {
 	dim := len(src.cur)
 	binary.LittleEndian.PutUint32(payload, uint32(k))
-	idx, vals := payload[4:4+4*k], payload[4+4*k:]
-	thresh, ties := uint64(0), k // k == dim keeps everything
+	out := topkOut{idx: payload[4 : 4+4*k], vals: payload[4+4*k:], ties: k} // k == dim keeps everything
+	if k < dim && dim >= onePassMin && k <= dim/4 {
+		sc := topkPool.Get().(*topkScratch)
+		defer topkPool.Put(sc)
+		if n := sc.filter(src, k); n >= k {
+			vals, idx := sc.vals[:n], sc.idx[:n]
+			if n > k {
+				out.thresh, out.ties = selectThreshold(source{cur: vals}, k)
+			}
+			for j, x := range vals {
+				out.add(int(idx[j]), x)
+			}
+			return
+		}
+	}
 	if k < dim {
-		thresh, ties = selectThreshold(src, k)
+		out.thresh, out.ties = selectThreshold(src, k)
+	}
+	var buf [tileLen]float64
+	for lo := 0; lo < dim && out.n < k; lo += tileLen {
+		for i, x := range src.tile(&buf, lo) {
+			out.add(lo+i, x)
+		}
+	}
+}
+
+// topkOut is encodeTopK's emit: the index and value halves of the
+// payload, n entries written so far, and the selected split — keys above
+// thresh are kept, and the first ties entries equal to it.
+type topkOut struct {
+	idx, vals []byte
+	thresh    uint64
+	ties, n   int
+}
+
+// add writes x, the entry at index i, if the split keeps it. Entries must
+// arrive in ascending index order.
+func (o *topkOut) add(i int, x float64) {
+	key := math.Float64bits(x) &^ signBit
+	if key < o.thresh {
+		return
+	}
+	if key == o.thresh {
+		if o.ties == 0 {
+			return
+		}
+		o.ties--
+	}
+	if 4*o.n == len(o.idx) {
+		return // exactly k entries pass; a wrong threshold must not write past idx
+	}
+	binary.LittleEndian.PutUint32(o.idx[4*o.n:], uint32(i))
+	binary.LittleEndian.PutUint32(o.vals[4*o.n:], math.Float32bits(float32(x)))
+	o.n++
+}
+
+// topkScratch holds the one-pass select's sample and its survivors. It is
+// pooled: model B's default k keeps ~12 000 survivors, 0.3 MB of them.
+type topkScratch struct {
+	sample [sampleLen]uint64
+	vals   []float64
+	idx    []uint32
+}
+
+var topkPool = sync.Pool{New: func() any { return new(topkScratch) }}
+
+// filter is the one-pass select's first stage. A strided sample of the
+// keys sets a floor near the top 1.5·k of the vector (with 16 sample
+// ranks of margin); one pass then stores every entry whose key reaches
+// the floor, NaNs included, in index order in sc.vals and sc.idx. It
+// returns the count. The survivors hold the k strongest entries, with
+// their tie order, whenever there are at least k of them, since every
+// entry left out is weaker than every survivor; fewer means the floor
+// landed above the k-th key. It returns −1 when the floor is a NaN or the
+// survivors outgrow their limit, about twice what the floor's rank
+// promises: before the pass if the sample's keys at or above the floor
+// already predict that (ties at the floor: equal or low-bit keys), else
+// at the first tile that crosses it. Either way the caller falls back to
+// selecting on the whole vector: one pass more at most.
+func (sc *topkScratch) filter(src source, k int) int {
+	dim := int64(len(src.cur))
+	for i := range sc.sample {
+		j := int64(i) * dim / sampleLen
+		x := src.cur[j]
+		if src.base != nil {
+			x -= src.base[j]
+		}
+		sc.sample[i] = math.Float64bits(x) &^ signBit
+	}
+	slices.Sort(sc.sample[:])
+	rank := (3*int64(k)*sampleLen+2*dim-1)/(2*dim) + 16
+	floor := sc.sample[sampleLen-rank]
+	if floor > infBits {
+		return -1 // a NaN floor: the filter would keep only NaNs
+	}
+	limit := 2*k + int(64*dim/sampleLen)
+	if ge, _ := slices.BinarySearch(sc.sample[:], floor); (sampleLen-int64(ge))*dim/sampleLen > int64(limit) {
+		return -1 // ties at the floor: the sample already predicts too many
+	}
+	if need := limit + tileLen + 1; len(sc.vals) < need {
+		sc.vals, sc.idx = make([]float64, need), make([]uint32, need)
 	}
 	var buf [tileLen]float64
 	n := 0
-	for lo := 0; lo < dim && n < k; lo += tileLen {
-		for i, x := range src.tile(&buf, lo) {
-			key := math.Float64bits(x) &^ signBit
-			if key < thresh {
-				continue
-			}
-			if key == thresh {
-				if ties == 0 {
-					continue
-				}
-				ties--
-			}
-			if n == k {
-				return // exactly k entries pass; a wrong threshold must not write past idx
-			}
-			binary.LittleEndian.PutUint32(idx[4*n:], uint32(lo+i))
-			binary.LittleEndian.PutUint32(vals[4*n:], math.Float32bits(float32(x)))
-			n++
+	for lo := 0; lo < len(src.cur); lo += tileLen {
+		if n = filterTile(sc.vals, sc.idx, n, src.tile(&buf, lo), lo, floor); n > limit {
+			return -1
 		}
 	}
+	return n
 }
 
 // selectThreshold finds the magnitude key that splits src's k strongest

@@ -498,6 +498,15 @@ func FuzzEncodeParity(f *testing.F) {
 	}
 	gapped[0] = math.Float64frombits(math.Float64bits(1) | 1<<11)
 	f.Add(pack(gapped...), uint8(200))
+	// A Gaussian vector and base past onePassMin, so the one-pass top-k
+	// select runs under fuzzing (k = 0 keeps dim/32, 100 a few).
+	rng := rand.New(rand.NewSource(4096))
+	gauss := make([]float64, 2*onePassMin)
+	for i := range gauss {
+		gauss[i] = rng.NormFloat64() * 0.01
+	}
+	f.Add(pack(gauss...), uint8(0))
+	f.Add(pack(gauss...), uint8(100))
 	f.Fuzz(func(t *testing.T, raw []byte, k uint8) {
 		n := len(raw) / 16
 		v, base := tensor.NewVector(n), tensor.NewVector(n)

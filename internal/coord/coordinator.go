@@ -261,6 +261,9 @@ type Coordinator struct {
 	// dim is the immutable flat parameter count, readable without
 	// touching the (commit-mutated) global model.
 	dim int
+	// ckptLen is the length of global's checkpoint — fixed, as its kind
+	// and dim are — so a commit serializes into a buffer of that size.
+	ckptLen int
 
 	// serving is the atomically swapped (round, broadcast plane) pair —
 	// the one home of the published version, the round id and the
@@ -351,6 +354,7 @@ func New(cfg Config) (*Coordinator, error) {
 	if err := model.Save(m, &snap); err != nil {
 		return nil, err
 	}
+	c.ckptLen = snap.Len()
 	if err := store.PutAt(cfg.ModelName, 1, snap.Bytes()); err != nil {
 		return nil, err
 	}
@@ -1168,8 +1172,8 @@ func (c *Coordinator) commitLocked(r *Round, now time.Time) {
 		}
 	}
 	// The serialized snapshot the store will hold for the new version.
-	var buf bytes.Buffer
-	if err := model.Save(c.global, &buf); err != nil {
+	buf := bytes.NewBuffer(make([]byte, 0, c.ckptLen))
+	if err := model.Save(c.global, buf); err != nil {
 		c.abortCommitLocked(r, bs, params, "round_publish_error", now)
 		return
 	}

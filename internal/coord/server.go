@@ -175,7 +175,7 @@ func (s *Server) handleCheckIn(w http.ResponseWriter, r *http.Request) {
 	buf := getWireBuf()
 	defer putWireBuf(buf)
 	var req CheckInRequest
-	if err := readJSON(w, r, buf, maxCheckInBody, &req, (*scanner).checkIn); err != nil {
+	if err := readCheckIn(w, r, buf, &req); err != nil {
 		if tooLarge(err) {
 			writeError(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("check-in body exceeds %d-byte limit", maxCheckInBody))
@@ -440,7 +440,7 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		// oversize body, not a syntax error.
 		var req UpdateRequest
 		buf := getWireBuf()
-		err := readJSON(w, r, buf, maxUpdateBody, &req, (*scanner).update)
+		err := readUpdate(w, r, buf, &req)
 		putWireBuf(buf)
 		if err != nil {
 			if tooLarge(err) {

@@ -37,13 +37,32 @@ func putWireBuf(p *[]byte) {
 	}
 }
 
-// readJSON reads r's body whole into *buf under a limit-byte budget and
-// decodes it into v with scan.
-func readJSON[T any](w http.ResponseWriter, r *http.Request, buf *[]byte, limit int64, v *T, scan func(*scanner, *T)) error {
-	if err := readBody(w, r, buf, limit); err != nil {
+// readCheckIn reads r's body whole into *buf under the check-in budget and
+// decodes it into req as decodeJSON does. The scan is a direct call, not a
+// func value, so the scanner stays on the stack.
+func readCheckIn(w http.ResponseWriter, r *http.Request, buf *[]byte, req *CheckInRequest) error {
+	if err := readBody(w, r, buf, maxCheckInBody); err != nil {
 		return err
 	}
-	return decodeJSON(*buf, v, scan)
+	s := scanner{b: *buf}
+	if s.checkIn(req); s.bad {
+		*req = CheckInRequest{}
+		return json.NewDecoder(bytes.NewReader(*buf)).Decode(req)
+	}
+	return nil
+}
+
+// readUpdate is readCheckIn for a JSON update body.
+func readUpdate(w http.ResponseWriter, r *http.Request, buf *[]byte, req *UpdateRequest) error {
+	if err := readBody(w, r, buf, maxUpdateBody); err != nil {
+		return err
+	}
+	s := scanner{b: *buf}
+	if s.update(req); s.bad {
+		*req = UpdateRequest{}
+		return json.NewDecoder(bytes.NewReader(*buf)).Decode(req)
+	}
+	return nil
 }
 
 // readBody reads r's body whole into *buf under a limit-byte budget. A

@@ -243,10 +243,10 @@ func TestReadJSONGrowsAsBytesArrive(t *testing.T) {
 		var req UpdateRequest
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		err := readJSON(httptest.NewRecorder(), r, buf, maxUpdateBody, &req, (*scanner).update)
+		err := readUpdate(httptest.NewRecorder(), r, buf, &req)
 		runtime.ReadMemStats(&after)
 		if err != nil || len(req.Delta) != 2 {
-			t.Fatalf("readJSON: %v, delta %v", err, req.Delta)
+			t.Fatalf("readUpdate: %v, delta %v", err, req.Delta)
 		}
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}

@@ -285,8 +285,14 @@ func BenchmarkCodecEncodeTopK(b *testing.B) { benchmarkCodecEncodeDims(b, codec.
 
 // BenchmarkCodecEncodeTopKInputs prices the top-k selection on the inputs
 // built to defeat it — nothing to split, everything in one bucket, NaNs on
-// top — beside the Gaussian it is tuned on: the select is O(dim) whatever
-// the distribution, so none may cost a multiple of the first.
+// top — beside the Gaussian it is tuned on. Gaussian, one-binade,
+// consecutive and NaN-laced inputs take the one-pass select; all-equal,
+// all-zero and low-bits tie at the sample's floor and fall back to the
+// whole-vector select, which is O(dim) whatever the distribution. A
+// fallback costs the sample's sort and at most one pass more than that
+// select alone, so no fallback row may cost much more than it did before
+// the one-pass select existed, and no row more than four times the
+// Gaussian one (low-bits, the dearest, takes three select scans: ~3×).
 func BenchmarkCodecEncodeTopKInputs(b *testing.B) {
 	const dim = 189_039
 	inputs := []struct {
