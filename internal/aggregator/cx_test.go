@@ -138,18 +138,29 @@ func FuzzCompareExchange(f *testing.F) {
 
 // robustGolden pins the published bits of the defended reducers: FNV-64a of
 // the little-endian float64 output of each case below, over fixed-seed q8
-// payloads. The constants were recorded before the packed compare-exchange
-// replaced the scalar loop, so a kernel edit that moves any bit of any
-// column fails here even if the kernel and its oracle change together.
+// payloads (or, for dense cases, Gaussian vectors laced with ±0 and
+// subnormals). The first three constants were recorded before the packed
+// compare-exchange replaced the scalar loop, the rest before the
+// register-resident network replaced the row walk, so a kernel edit that
+// moves any bit of any column fails here even if the kernel and its oracle
+// change together.
 var robustGolden = []struct {
 	name  string
 	strat rangeStrategy
 	n     int
+	dense bool
 	want  uint64
 }{
-	{"trimmed/n=13/k=2", TrimmedMean{TrimFrac: 2.5 / 13}, 13, 0xdd2ac7e1ef166960},
-	{"median/n=13", CoordinateMedian{}, 13, 0xe1d716b233239b6a},
-	{"trimmed/n=20/k=8", TrimmedMean{TrimFrac: 8.5 / 20}, 20, 0xa7b045f73a869fb9}, // quickselect
+	{"trimmed/n=13/k=2", TrimmedMean{TrimFrac: 2.5 / 13}, 13, false, 0xdd2ac7e1ef166960},
+	{"median/n=13", CoordinateMedian{}, 13, false, 0xe1d716b233239b6a},
+	{"trimmed/n=20/k=8", TrimmedMean{TrimFrac: 8.5 / 20}, 20, false, 0xa7b045f73a869fb9}, // quickselect
+	{"trimmed/n=13/k=1", TrimmedMean{TrimFrac: 1.5 / 13}, 13, false, 0xfee9e38786178627},
+	{"trimmed/n=13/k=3", TrimmedMean{TrimFrac: 3.5 / 13}, 13, false, 0x67d46fd7ab8afd7b},
+	{"trimmed/n=13/k=4", TrimmedMean{TrimFrac: 4.5 / 13}, 13, false, 0xfce117e9ffafbe92},
+	{"trimmed/n=13/k=5", TrimmedMean{TrimFrac: 5.5 / 13}, 13, false, 0x4dd04415cff47fc1},
+	{"trimmed/n=20/k=5", TrimmedMean{TrimFrac: 5.5 / 20}, 20, false, 0x570718e4e2236549},
+	{"trimmed/n=20/k=6", TrimmedMean{TrimFrac: 6.5 / 20}, 20, false, 0x30793e00d1b294aa},
+	{"dense/trimmed/n=16/k=3", TrimmedMean{TrimFrac: 3.5 / 16}, 16, true, 0x98d2ecff12b07a1c},
 }
 
 func hashVector(v tensor.Vector) uint64 {
@@ -173,10 +184,29 @@ func TestRobustReduceGolden(t *testing.T) {
 	for i := range ups {
 		ups[i], _ = wireAndDense(t, q8Blob(rng, dim, 256), int64(i), 1, 0)
 	}
+	dense := make([]Update, 20)
+	for i := range dense {
+		d := randVec(rng, dim)
+		for j := range d {
+			switch rng.Intn(64) {
+			case 0:
+				d[j] = 0
+			case 1:
+				d[j] = math.Copysign(0, -1)
+			case 2:
+				d[j] *= 0x1p-1030
+			}
+		}
+		dense[i] = Update{ClientID: int64(i), Delta: d, Weight: 1}
+	}
 	for _, g := range robustGolden {
+		set := ups
+		if g.dense {
+			set = dense
+		}
 		for _, workers := range []int{1, 2} {
 			global := base.Clone()
-			if err := (Parallel{Screen: true}).fork(g.strat, global, ups[:g.n], workers); err != nil {
+			if err := (Parallel{Screen: true}).fork(g.strat, global, set[:g.n], workers); err != nil {
 				t.Fatalf("%s workers=%d: %v", g.name, workers, err)
 			}
 			if got := hashVector(global); got != g.want {
