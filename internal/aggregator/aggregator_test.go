@@ -3,6 +3,7 @@ package aggregator
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"flint/internal/tensor"
@@ -228,6 +229,67 @@ func TestDPApplyMatchesSeparatePasses(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDPCommitMatchesInlineDraw: a commit's Begin → Apply → Release
+// publishes the params of the inline draw (one generator, drawn in index
+// order in the Apply loop) bit for bit, at GOMAXPROCS 1 and 2: after an
+// aborted commit of the same version released mid-draw, and on a pooled
+// vector left longer and dirty by a larger model's commit.
+func TestDPCommitMatchesInlineDraw(t *testing.T) {
+	const dim, version, n = 3*noiseBlock + 17, 9, 13
+	rng := rand.New(rand.NewSource(38))
+	published, delta := tensor.NewVector(dim), tensor.NewVector(dim)
+	for i := range published {
+		published[i] = rng.NormFloat64()
+		delta[i] = rng.NormFloat64() * 0.01
+	}
+	for _, procs := range []int{1, 2} {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		for _, cfg := range []DPConfig{
+			{Epsilon: 8, Delta: 1e-5, ClipNorm: 0.05, Seed: 77},
+			{Epsilon: 8, Delta: 1e-5, ClipNorm: 50, Seed: 77},
+			{ClipNorm: 0.05},
+		} {
+			d := NewDP(cfg)
+			want := published.Clone()
+			want.Add(delta)
+			var s float64
+			for i := range want {
+				diff := want[i] - published[i]
+				s += diff * diff
+			}
+			clip := math.Sqrt(s) > cfg.ClipNorm
+			factor := cfg.ClipNorm / math.Sqrt(s)
+			noise := rand.New(rand.NewSource(cfg.Seed + version*1_000_003))
+			for i, p := range want {
+				if clip {
+					p = published[i] + (p-published[i])*factor
+				}
+				if d.sigma != 0 {
+					p += noise.NormFloat64() * (d.sigma * cfg.ClipNorm / n)
+				}
+				want[i] = p
+			}
+
+			d.Begin(version+1, 2*dim).Release() // a larger model's draw, left in the pool
+			aborted := d.Begin(version, dim)
+			aborted.Release()
+			aborted.Release() // idempotent
+			got := published.Clone()
+			got.Add(delta)
+			c := d.Begin(version, dim)
+			c.Apply(got, published, n)
+			c.Release()
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("GOMAXPROCS=%d %+v: params[%d] = %v, inline draw gives %v", procs, cfg, i, got[i], want[i])
+				}
+			}
+		}
+	}
+	var off *DP
+	off.Begin(1, dim).Release() // a disabled stage begins nothing
 }
 
 func TestEpsilonApprox(t *testing.T) {

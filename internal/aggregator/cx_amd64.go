@@ -11,3 +11,39 @@ func compareExchange(lo, hi []float64) {
 
 //go:noescape
 func compareExchangeSSE2(lo, hi []float64)
+
+// networkTileWidth is the tile width, in columns, of the register network:
+// its workspace holds the tile's n decoded rows at once, and a quarter of
+// robustTile keeps that inside the (2k+2) rows the row walk needed for
+// every round up to 4k+6 updates.
+const networkTileWidth = shardAlign
+
+// networkStride is the register network's row stride, in float64s: one
+// cache line past the tile, as robustStride is for the row walk.
+const networkStride = networkTileWidth + 8
+
+// networkScratchLen is the register network's workspace: the n decoded
+// rows and the sum row.
+func networkScratchLen(n, k int) int { return (n + 1) * networkStride }
+
+// networkTile is streamTile with the loop turned inside out: the tile's n
+// rows are decoded once, and then each pair of columns keeps its k minima,
+// k maxima and running sum in XMM registers while its n values stream
+// through (network_amd64.s), where the row walk loaded and stored every
+// level of every column once per update. Each value meets the levels in
+// the row walk's order, fill rule included, under compareExchangeSSE2's
+// exact instruction sequence, and the sum adds the same values in the
+// same order, so every bit — a NaN's payload included — is streamTile's.
+// An odd last column runs as a pair with the stride's padding column,
+// whose lane result lands in the sum row's padding and is never read.
+func networkTile(buf []float64, updates []Update, lo, hi, k int) []float64 {
+	n, w := len(updates), hi-lo
+	for i, u := range updates {
+		decodeWindow(buf[i*networkStride:][:w], u, lo, hi)
+	}
+	networkSSE2(buf[:(n+1)*networkStride], n, k, (w+1)/2)
+	return buf[n*networkStride:][:w]
+}
+
+//go:noescape
+func networkSSE2(rows []float64, n, k, pairs int)

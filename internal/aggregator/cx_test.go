@@ -215,3 +215,103 @@ func TestRobustReduceGolden(t *testing.T) {
 		}
 	}
 }
+
+// networkCheck reduces one tile of the dense updates ups (window [0, w))
+// with the streaming network as trimmedRange runs it (networkTile) and
+// with the row walk (streamTile), and fails unless the two sums are the
+// same bits and the updates are untouched. Two NaNs match whatever their
+// payloads: the row walk's sum is Go code, and which NaN operand its add
+// returns is the compiler's choice — the fuzzing build's instrumentation
+// flips it.
+func networkCheck(t testing.TB, ups []Update, w, k int) {
+	t.Helper()
+	n := len(ups)
+	before := make([]tensor.Vector, n)
+	for i, u := range ups {
+		before[i] = u.Delta.Clone()
+	}
+	want := streamTile(make([]float64, (2*k+2)*robustStride), ups, 0, w, k)
+	buf := make([]float64, networkScratchLen(n, k))
+	for i := range buf {
+		buf[i] = math.NaN() // a stale workspace must not leak into a sum
+	}
+	got := networkTile(buf, ups, 0, w, k)
+	for c := range want {
+		if !sameFloat(got[c], want[c]) {
+			t.Fatalf("n=%d k=%d w=%d column %d: network %v (%#x), row walk %v (%#x)",
+				n, k, w, c, got[c], math.Float64bits(got[c]), want[c], math.Float64bits(want[c]))
+		}
+	}
+	for i, u := range ups {
+		for c := range u.Delta {
+			if math.Float64bits(u.Delta[c]) != math.Float64bits(before[i][c]) {
+				t.Fatalf("n=%d k=%d w=%d: update %d mutated at %d", n, k, w, i, c)
+			}
+		}
+	}
+}
+
+// TestNetworkMatchesStreamTile: the network trimmedRange dispatches to
+// gives the row walk's bits for every population n ≤ 20 at every trim
+// count k ≤ streamMaxTrim it allows, at widths of one column, odd and even
+// few, and the full network tile and one short of it, over columns that
+// mix the compare-exchange specials (±0, ±Inf, NaNs, subnormals) with
+// small integers that tie.
+func TestNetworkMatchesStreamTile(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for n := 1; n <= 20; n++ {
+		for k := 0; k <= streamMaxTrim && 2*k < n; k++ {
+			for _, w := range []int{1, 2, 3, 7, networkTileWidth - 1, networkTileWidth} {
+				ups := make([]Update, n)
+				for i := range ups {
+					d := tensor.NewVector(w)
+					for c := range d {
+						if rng.Intn(4) == 0 {
+							d[c] = cxSpecials[rng.Intn(len(cxSpecials))]
+						} else {
+							d[c] = float64(rng.Intn(7) - 3)
+						}
+					}
+					ups[i] = Update{ClientID: int64(i), Delta: d}
+				}
+				networkCheck(t, ups, w, k)
+			}
+		}
+	}
+}
+
+// FuzzStreamNetwork: the property of TestNetworkMatchesStreamTile over
+// fuzzed tiles. n (1–20) rows of w (1–37) columns are cut from data, each
+// byte one value — a special below len(cxSpecials), otherwise a scrambled
+// bit pattern (any exponent, NaNs and subnormals included) — and reduced
+// at trim count k ≤ streamMaxTrim, 2k < n.
+func FuzzStreamNetwork(f *testing.F) {
+	f.Add([]byte{0, 1, 4, 5, 2, 3, 9, 12, 40, 200, 7, 8, 13}, uint8(13), uint8(2), uint8(1))
+	f.Add([]byte{4, 4, 4, 1, 0, 250, 6, 6}, uint8(20), uint8(6), uint8(3))
+	f.Add([]byte{}, uint8(1), uint8(0), uint8(36))
+	f.Fuzz(func(t *testing.T, data []byte, n, k, w uint8) {
+		value := func(b byte) float64 {
+			if int(b) < len(cxSpecials) {
+				return cxSpecials[b]
+			}
+			return math.Float64frombits(uint64(b) * 0x9e37_79b9_7f4a_7c15)
+		}
+		rows, width := 1+int(n)%20, 1+int(w)%37
+		trim := int(k) % (streamMaxTrim + 1)
+		trim = min(trim, (rows-1)/2)
+		ups := make([]Update, rows)
+		for i := range ups {
+			d := tensor.NewVector(width)
+			for c := range d {
+				j := i*width + c
+				if j < len(data) {
+					d[c] = value(data[j])
+				} else {
+					d[c] = value(byte(j*37 + 11))
+				}
+			}
+			ups[i] = Update{ClientID: int64(i), Delta: d}
+		}
+		networkCheck(t, ups, width, trim)
+	})
+}

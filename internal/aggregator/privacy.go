@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 
 	"flint/internal/tensor"
@@ -94,8 +95,77 @@ func NewDP(cfg DPConfig) *DP {
 // depends only on its configuration and committed version: two
 // pipelines replaying the same rounds publish bit-identical models.
 // Returns the cumulative ε after this round and whether noise was added
-// (false in clip-only mode, which spends no budget).
+// (false in clip-only mode, which spends no budget). It is Begin, the
+// commit's Apply and Release back to back; a commit calls those itself,
+// so the draw runs beside its screen and reduce.
 func (d *DP) Apply(params, published tensor.Vector, version int, n int) (eps float64, noised bool) {
+	c := d.Begin(version, len(params))
+	defer c.Release()
+	return c.Apply(params, published, n)
+}
+
+// DPCommit is one commit's pass through the DP stage: the noise of the
+// version it publishes, drawn on its own goroutine from Begin on.
+type DPCommit struct {
+	d     *DP
+	noise *dpNoise // nil in clip-only mode
+	wg    sync.WaitGroup
+	stop  atomic.Bool
+}
+
+// dpNoise is a pooled draw: the vector and the generator that fills it,
+// re-seeded for each version.
+type dpNoise struct {
+	z   []float64
+	rng *rand.Rand
+}
+
+var noisePool = sync.Pool{New: func() any { return &dpNoise{rng: rand.New(rand.NewSource(0))} }}
+
+// noiseBlock is how many draws run between checks for a Release that no
+// longer wants them (an aborted commit).
+const noiseBlock = 4096
+
+// Begin starts the pass of a commit that publishes version with dim
+// parameters. When the stage adds noise, the (Seed, version) stream is
+// drawn in index order into a pooled vector on its own goroutine, while
+// the caller screens and reduces; nothing outlives the commit, as the
+// vector goes back to the pool at Release. Every Begin must be paired
+// with a Release. Nil on a nil stage.
+func (d *DP) Begin(version, dim int) *DPCommit {
+	if d == nil {
+		return nil
+	}
+	c := &DPCommit{d: d}
+	if d.sigma == 0 {
+		return c
+	}
+	c.noise = noisePool.Get().(*dpNoise)
+	if cap(c.noise.z) < dim {
+		c.noise.z = make([]float64, dim)
+	}
+	z, rng := c.noise.z[:dim], c.noise.rng
+	// Seeding resets the generator, so a pooled one yields exactly the
+	// stream a fresh rand.New(rand.NewSource(seed)) would.
+	rng.Seed(d.cfg.Seed + int64(version)*1_000_003)
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		for lo := 0; lo < len(z) && !c.stop.Load(); lo += noiseBlock {
+			for i := range z[lo:min(lo+noiseBlock, len(z))] {
+				z[lo+i] = rng.NormFloat64()
+			}
+		}
+	}()
+	return c
+}
+
+// Apply clips and noises params as DP.Apply documents, waiting for the
+// draw Begin started and adding z[i]·std where DP.Apply drew z[i] inline —
+// the same value in the same expression, so the published params are
+// bit-identical. Call it at most once, before Release.
+func (c *DPCommit) Apply(params, published tensor.Vector, n int) (eps float64, noised bool) {
+	d := c.d
 	var s float64
 	for i := range params {
 		diff := params[i] - published[i]
@@ -112,20 +182,21 @@ func (d *DP) Apply(params, published tensor.Vector, version int, n int) (eps flo
 	}
 	factor := d.cfg.ClipNorm / norm
 	std := d.sigma * d.cfg.ClipNorm / float64(n)
-	var rng *rand.Rand
+	var z []float64
 	if noised {
-		rng = rand.New(rand.NewSource(d.cfg.Seed + int64(version)*1_000_003))
+		c.wg.Wait()
+		z = c.noise.z[:len(params)]
 	}
 	// Clip and noise share one pass. Each element still goes through the
 	// two expressions the separate passes applied, in the same order, and
-	// the noise stream is drawn in index order, so the published params are
-	// bit-identical to clipping the whole vector first.
+	// the noise stream was drawn in index order, so the published params
+	// are bit-identical to clipping the whole vector first.
 	for i, p := range params {
 		if clip {
 			p = published[i] + (p-published[i])*factor
 		}
 		if noised {
-			p += rng.NormFloat64() * std
+			p += z[i] * std
 		}
 		params[i] = p
 	}
@@ -133,6 +204,19 @@ func (d *DP) Apply(params, published tensor.Vector, version int, n int) (eps flo
 		eps = d.epsilonSpent(d.rounds.Add(1))
 	}
 	return eps, noised
+}
+
+// Release ends the pass: it stops a draw Apply never waited for, waits
+// for the goroutine and returns the vector to the pool. Idempotent; safe
+// on nil.
+func (c *DPCommit) Release() {
+	if c == nil || c.noise == nil {
+		return
+	}
+	c.stop.Store(true)
+	c.wg.Wait()
+	noisePool.Put(c.noise)
+	c.noise = nil
 }
 
 // epsilonSpent is the accountant: cumulative ε over `rounds` noised

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"sync"
 
+	"flint/internal/codec"
 	"flint/internal/tensor"
 )
 
@@ -28,14 +29,19 @@ const robustStride = robustTile + 8
 // network handles; above it the tile is reduced by quickselect instead.
 // The network costs n·2k compare-exchanges a column and the selection n·c,
 // c being 10 to 15 scalar exchanges' worth (falling slowly with n) and
-// about twice that many packed ones, so the dispatch is on k alone. With
-// the packed amd64 exchange the two tie between k=11 and 12 for n=64, and
-// at n=32 the network still wins at k=12; with the scalar loop other
-// GOARCHes run they tie at k=4–5 and k=7–8 (BenchmarkTileKernels). Either
-// way the network wins every k a round of 13 can have. Raising the constant
-// would change the published bits of every round whose k crosses it (the
-// kernels sum the middle values in different orders), so it stays at 6,
-// which keeps the small-round median and trimmed 32/6 on the network.
+// about twice that many packed ones, so the dispatch is on k alone. On
+// amd64 the network keeps each column pair's 2k levels in XMM registers
+// (networkTile), where an exchange costs 12 instructions and no memory
+// access; 2k = 12 levels, two row values and two temporaries take all
+// sixteen registers, so 6 is also as far as it reaches. At n = 32 and 64
+// it is 20–30 % under the row walk at k = 4–6, which is itself under the
+// selection there; the row walk and the selection tie between k = 11 and
+// 12 for n = 64, and with the scalar loop other GOARCHes run between
+// k = 4–5 and k = 7–8 (BenchmarkTileKernels). Either way the network wins
+// every k a round of 13 can have. Raising the constant would change the
+// published bits of every round whose k crosses it (the kernels sum the
+// middle values in different orders), so it stays at 6, which keeps the
+// small-round median and trimmed 32/6 on the network.
 const streamMaxTrim = 6
 
 // scratch is a pooled float64 workspace: one worker's tile rows in
@@ -56,12 +62,11 @@ func newScratch() any { return new(scratch) }
 var robustPool, screenPool = sync.Pool{New: newScratch}, sync.Pool{New: newScratch}
 
 // robustScratchLen is the tile workspace, in float64s, a reduce of n
-// updates at trim count k needs: the network keeps k running minima, k
-// running maxima, the decoded row and the tile's sum; the selection keeps
-// the tile's n decoded rows, the sum and one gathered column.
+// updates at trim count k needs: the network's (networkScratchLen), or the
+// selection's tile of n decoded rows, the sum and one gathered column.
 func robustScratchLen(n, k int) int {
 	if k <= streamMaxTrim {
-		return (2*k + 2) * robustStride
+		return networkScratchLen(n, k)
 	}
 	return (n+1)*robustStride + n
 }
@@ -88,8 +93,8 @@ func decodeWindow(dst []float64, u Update, lo, hi int) {
 // CoordinateMedian: global[j] += mean of column j's values after dropping
 // its k smallest and k largest, for j in [lo, hi), callers having ensured
 // 2k < len(updates). It walks the range tile by tile; each tile is reduced
-// to the sum of its middle values by the streaming network (small k) or by
-// quickselect (large k). Only middle values are ever added, so an
+// to the sum of its middle values by the streaming network (small k, in
+// tiles of networkTileWidth) or by quickselect (large k). Only middle values are ever added, so an
 // arbitrarily large trimmed outlier cannot cancel the honest sum away.
 // Either way a column sees the same operations in the same update order
 // wherever tile and range boundaries fall, so a sharded run is
@@ -102,14 +107,13 @@ func trimmedRange(global tensor.Vector, updates []Update, lo, hi, k int) {
 	defer robustPool.Put(s)
 	buf := s.grow(robustScratchLen(n, k))
 	middle := float64(n - 2*k)
-	for t := lo; t < hi; t += robustTile {
-		te := min(t+robustTile, hi)
-		var sum []float64
-		if k <= streamMaxTrim {
-			sum = streamTile(buf, updates, t, te, k)
-		} else {
-			sum = selectTile(buf, updates, t, te, k)
-		}
+	kernel, tile := selectTile, robustTile
+	if k <= streamMaxTrim {
+		kernel, tile = networkTile, networkTileWidth
+	}
+	for t := lo; t < hi; t += tile {
+		te := min(t+tile, hi)
+		sum := kernel(buf, updates, t, te, k)
 		g := global[t:te]
 		for c, x := range sum {
 			g[c] += x / middle
@@ -130,7 +134,9 @@ func trimmedRange(global tensor.Vector, updates []Update, lo, hi, k int) {
 // instead — row i < k after i minima, row i < 2k after i-k maxima — which
 // is a property of the row, not of the column, so no loop here branches
 // per element. A NaN poisons every level it passes and every later row
-// through them, down to the sum.
+// through them, down to the sum. On amd64 it is the oracle of networkTile,
+// which runs the same network with its levels in registers; elsewhere it
+// is the network.
 func streamTile(buf []float64, updates []Update, lo, hi, k int) []float64 {
 	w := hi - lo
 	row, sum := tileRow(buf, 2*k, w), tileRow(buf, 2*k+1, w)
@@ -340,8 +346,8 @@ func medianInPlace(vals []float64) float64 {
 // Boosted poisoning attacks (§4.2: sign-flip at scale s inflates the
 // update norm by s) are rejected here before they can claim trimmed-mean
 // slots or drag a weighted average. Norms of wire-form updates come from
-// Payload.Norm2, a single pass over the wire bytes with no
-// materialization.
+// codec.Norm2Group, one pass over the wire bytes of four updates at a
+// time with no materialization.
 type NormScreen struct {
 	// MaxNorm rejects updates with L2 norm above this absolute cap
 	// (0 disables).
@@ -413,20 +419,27 @@ func (s NormScreen) Apply(updates []Update) (kept, rejected []Update) {
 	return kept, rejected
 }
 
+// normGroup is how many consecutive updates one norm task covers: the
+// group codec.Norm2Group walks at once.
+const normGroup = 4
+
 // updateNorms fills norms[i] with updates[i]'s L2 norm. The norms sit on
-// the commit's critical path ahead of the reduce, so a set large enough to
-// pay for the fork is strided over GOMAXPROCS goroutines; each norm is
-// still one ascending pass by one goroutine, so every value — and the
-// screened set — is bit-identical to the serial loop.
+// the commit's critical path ahead of the reduce, so they are taken a
+// group of normGroup updates at a time (codec.Norm2Group, one walk for
+// four q8 payloads), and a set large enough to pay for the fork strides
+// its groups over GOMAXPROCS goroutines. Each norm is still one ascending
+// sum, so every value — and the screened set — is bit-identical to the
+// serial loop's.
 func updateNorms(norms []float64, updates []Update) {
-	workers := min(runtime.GOMAXPROCS(0), len(updates))
+	groups := (len(updates) + normGroup - 1) / normGroup
+	workers := min(runtime.GOMAXPROCS(0), groups)
 	work := 0
 	for _, u := range updates {
 		work += u.dim()
 	}
 	if workers <= 1 || work < parallelMinWork {
-		for i, u := range updates {
-			norms[i] = updateNorm(u)
+		for g := 0; g < groups; g++ {
+			groupNorms(norms, updates, g)
 		}
 		return
 	}
@@ -435,12 +448,29 @@ func updateNorms(norms []float64, updates []Update) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := w; i < len(updates); i += workers {
-				norms[i] = updateNorm(updates[i])
+			for g := w; g < groups; g += workers {
+				groupNorms(norms, updates, g)
 			}
 		}(w)
 	}
 	wg.Wait()
+}
+
+// groupNorms fills the norms of group g: through codec.Norm2Group when
+// every member is in wire form, one by one otherwise.
+func groupNorms(norms []float64, updates []Update, g int) {
+	lo, hi := g*normGroup, min((g+1)*normGroup, len(updates))
+	var ps [normGroup]*codec.Payload
+	for i, u := range updates[lo:hi] {
+		if u.Delta != nil || u.Payload == nil {
+			for i := lo; i < hi; i++ {
+				norms[i] = updateNorm(updates[i])
+			}
+			return
+		}
+		ps[i] = u.Payload
+	}
+	codec.Norm2Group(norms[lo:hi], ps[:hi-lo])
 }
 
 // updateNorm is the update's L2 norm, whichever form it carries.

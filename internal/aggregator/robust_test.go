@@ -366,8 +366,10 @@ func TestTileKernelsMatchSortReference(t *testing.T) {
 
 // BenchmarkTileKernels prices the two tile kernels head to head at every
 // trim count k = 4…12 for rounds of 32 and 64 q8 updates, bypassing the
-// streamMaxTrim dispatch — the measurement that places the crossover.
-// Reports ns per column.
+// streamMaxTrim dispatch — the measurement that places the crossover —
+// and, up to streamMaxTrim, the register network trimmedRange runs in the
+// row walk's place (networkTile, on tiles of networkTileWidth). Reports
+// ns per column.
 func BenchmarkTileKernels(b *testing.B) {
 	const tiles = 16
 	rng := rand.New(rand.NewSource(91))
@@ -378,12 +380,18 @@ func BenchmarkTileKernels(b *testing.B) {
 	for _, n := range []int{32, 64} {
 		buf := make([]float64, (n+1)*robustStride+n) // the selection's; the network's 2k+2 rows fit
 		for k := 4; k <= 12; k++ {
-			for _, name := range []string{"network", "selection"} {
-				kernel := tileKernels[name]
+			for _, name := range []string{"network", "selection", "register"} {
+				kernel, width := tileKernels[name], robustTile
+				if name == "register" {
+					if k > streamMaxTrim {
+						continue
+					}
+					kernel, width = networkTile, networkTileWidth
+				}
 				b.Run(fmt.Sprintf("n=%d/k=%d/%s", n, k, name), func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
-						for t := 0; t < tiles; t++ {
-							kernel(buf, ups[:n], t*robustTile, (t+1)*robustTile, k)
+						for t := 0; t < tiles*robustTile; t += width {
+							kernel(buf, ups[:n], t, t+width, k)
 						}
 					}
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/(tiles*robustTile), "ns/column")

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"math/bits"
 	"slices"
@@ -135,13 +136,36 @@ func encode(src source, s Scheme, flags byte) ([]byte, error) {
 	case KindTopK:
 		encodeTopK(payload, src, k)
 	}
-	copy(blob, Magic)
-	blob[3] = Version
-	blob[4] = byte(s.Kind)
-	blob[5] = flags
-	binary.LittleEndian.PutUint32(blob[8:], uint32(dim))
-	binary.LittleEndian.PutUint32(blob[12:], crc32.ChecksumIEEE(payload))
+	putHeader(blob, s.Kind, flags, dim, payload)
 	return blob, nil
+}
+
+// putHeader writes the 16-byte frame header of payload into hdr.
+func putHeader(hdr []byte, kind Kind, flags byte, dim int, payload []byte) {
+	copy(hdr, Magic)
+	hdr[3] = Version
+	hdr[4] = byte(kind)
+	hdr[5] = flags
+	binary.LittleEndian.PutUint32(hdr[8:], uint32(dim))
+	binary.LittleEndian.PutUint32(hdr[12:], crc32.ChecksumIEEE(payload))
+}
+
+// WriteRaw64 writes Encode(v, RawF64) to w, byte for byte, without
+// building the blob: the header, then the payload, which on a
+// little-endian machine is the vector's own bytes — so a checkpoint lands
+// in its caller's buffer in one copy.
+func WriteRaw64(w io.Writer, v tensor.Vector) error {
+	if len(v) > MaxDim {
+		return fmt.Errorf("%w: %d elements (max %d)", ErrDim, len(v), MaxDim)
+	}
+	payload := f64Bytes(v)
+	var hdr [headerSize]byte
+	putHeader(hdr[:], KindRawF64, 0, len(v), payload)
+	if _, err := w.Write(hdr[:]); err != nil {
+		return err
+	}
+	_, err := w.Write(payload)
+	return err
 }
 
 // quantizeChunk writes one q8 block — out[i] = round(t[i]/scale) clamped
@@ -266,14 +290,19 @@ func (sc *topkScratch) filter(src source, k int) int {
 		}
 		sc.sample[i] = math.Float64bits(x) &^ signBit
 	}
-	slices.Sort(sc.sample[:])
 	rank := (3*int64(k)*sampleLen+2*dim-1)/(2*dim) + 16
-	floor := sc.sample[sampleLen-rank]
+	floor := nthKey(sc.sample[:], int(sampleLen-rank))
 	if floor > infBits {
 		return -1 // a NaN floor: the filter would keep only NaNs
 	}
 	limit := 2*k + int(64*dim/sampleLen)
-	if ge, _ := slices.BinarySearch(sc.sample[:], floor); (sampleLen-int64(ge))*dim/sampleLen > int64(limit) {
+	var ge int64 // sample keys at or above the floor
+	for _, key := range sc.sample {
+		if key >= floor {
+			ge++
+		}
+	}
+	if ge*dim/sampleLen > int64(limit) {
 		return -1 // ties at the floor: the sample already predicts too many
 	}
 	if need := limit + tileLen + 1; len(sc.vals) < need {
@@ -287,6 +316,56 @@ func (sc *topkScratch) filter(src source, k int) int {
 		}
 	}
 	return n
+}
+
+// nthKey returns the n-th smallest of keys (0-based), reordering them: a
+// quickselect with a median-of-three pivot and an insertion sort below 16
+// keys. The value is the order statistic whatever the pivots, the sorted
+// keys[n].
+func nthKey(keys []uint64, n int) uint64 {
+	lo, hi := 0, len(keys)-1
+	for hi-lo >= 16 {
+		mid := lo + (hi-lo)/2
+		if keys[mid] < keys[lo] {
+			keys[mid], keys[lo] = keys[lo], keys[mid]
+		}
+		if keys[hi] < keys[lo] {
+			keys[hi], keys[lo] = keys[lo], keys[hi]
+		}
+		if keys[hi] < keys[mid] {
+			keys[hi], keys[mid] = keys[mid], keys[hi]
+		}
+		pivot := keys[mid]
+		i, j := lo, hi
+		for i <= j {
+			for keys[i] < pivot {
+				i++
+			}
+			for keys[j] > pivot {
+				j--
+			}
+			if i <= j {
+				keys[i], keys[j] = keys[j], keys[i]
+				i++
+				j--
+			}
+		}
+		// keys[lo..j] ≤ pivot, keys[i..hi] ≥ pivot, and any between equal it.
+		switch {
+		case n <= j:
+			hi = j
+		case n >= i:
+			lo = i
+		default:
+			return pivot
+		}
+	}
+	for i := lo + 1; i <= hi; i++ {
+		for j := i; j > lo && keys[j] < keys[j-1]; j-- {
+			keys[j], keys[j-1] = keys[j-1], keys[j]
+		}
+	}
+	return keys[n]
 }
 
 // selectThreshold finds the magnitude key that splits src's k strongest

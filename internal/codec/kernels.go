@@ -5,8 +5,8 @@ import (
 	"math"
 )
 
-// The generic encode kernels: the portable Go loops behind each per-tile
-// step of the encoders. On amd64 the SSE2 kernels (kernels_amd64.s) run
+// The generic kernels: the portable Go loops behind each per-tile step of
+// the encoders, and the q8 element decode. On amd64 the SSE2 kernels (kernels_amd64.s) run
 // the whole blocks of a tile and these run only its tail; elsewhere they
 // run everything. Either way they are the bit-exact reference the SSE2
 // kernels are held to (FuzzEncodeKernels).
@@ -81,4 +81,13 @@ func filterGeneric(vals []float64, idx []uint32, n int, t []float64, lo int, flo
 		}
 	}
 	return n
+}
+
+// decodeQ8Generic writes out[i] = q8Value[vals[i]] · scale, the q8 element
+// decode.
+func decodeQ8Generic(out []float64, vals []byte, scale float64) {
+	out = out[:len(vals)]
+	for i, b := range vals {
+		out[i] = q8Value[b] * scale
+	}
 }

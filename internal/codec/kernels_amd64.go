@@ -44,10 +44,12 @@ func putF32(out []byte, t []float64) {
 
 // putF64 is putF64Generic: on a little-endian machine the encoding is the
 // vector's own bytes.
-func putF64(out []byte, t []float64) {
-	if len(t) > 0 {
-		copy(out[:8*len(t)], unsafe.Slice((*byte)(unsafe.Pointer(&t[0])), 8*len(t)))
-	}
+func putF64(out []byte, t []float64) { copy(out[:8*len(t)], f64Bytes(t)) }
+
+// f64Bytes is t's raw64 payload, putF64Generic's bytes: t's own memory,
+// aliased, not copied.
+func f64Bytes(t []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(t))), 8*len(t))
 }
 
 // filterTile is filterGeneric. The SSE2 loop stores every lane at the next
@@ -58,6 +60,14 @@ func filterTile(vals []float64, idx []uint32, n int, t []float64, lo int, floor 
 	m := len(t) &^ 3
 	n += filterSSE2(vals[n:n+m+1], idx[n:n+m+1], t[:m], lo, math.Float64frombits(floor))
 	return filterGeneric(vals, idx, n, t[m:], lo+m, floor)
+}
+
+// decodeQ8 is decodeQ8Generic: see kernels_amd64.s for why each element
+// is the same float64.
+func decodeQ8(out []float64, vals []byte, scale float64) {
+	n := len(vals) &^ 7
+	decodeQ8SSE2(out[:n], vals[:n], scale)
+	decodeQ8Generic(out[n:len(vals)], vals[n:], scale)
 }
 
 //go:noescape
@@ -74,3 +84,6 @@ func putF32SSE2(out []byte, t []float64)
 
 //go:noescape
 func filterSSE2(vals []float64, idx []uint32, t []float64, lo int, floor float64) int
+
+//go:noescape
+func decodeQ8SSE2(out []float64, vals []byte, scale float64)

@@ -228,3 +228,50 @@ floop:
 fdone:
 	MOVQ DX, ret+88(FP)
 	RET
+
+// func decodeQ8SSE2(out []float64, vals []byte, scale float64)
+//
+// out[i] = float64(int8(vals[i])) · scale, eight elements per pass. Each
+// byte is sign-extended by unpacking it against itself and shifting it
+// back down arithmetically (to int16, then int32), CVTPL2PD converts each
+// int32 exactly, and MULPD multiplies each lane as MULSD does: the product
+// is q8Value[b] · scale, the generic decode's.
+TEXT ·decodeQ8SSE2(SB), NOSPLIT, $0-56
+	MOVQ     out_base+0(FP), DI
+	MOVQ     vals_base+24(FP), SI
+	MOVQ     vals_len+32(FP), CX
+	MOVSD    scale+48(FP), X7
+	MOVLHPS  X7, X7                // X7 = scale, both lanes
+	TESTQ    CX, CX
+	JZ       q8ddone
+
+q8dloop:
+	MOVQ      (SI), X0
+	PUNPCKLBW X0, X0
+	PSRAW     $8, X0               // eight int16s
+	MOVO      X0, X1
+	PUNPCKLWL X0, X0
+	PSRAL     $16, X0              // elements 0-3 as int32s
+	PUNPCKHWL X1, X1
+	PSRAL     $16, X1              // elements 4-7
+	CVTPL2PD  X0, X2
+	PSHUFD    $0xEE, X0, X0
+	CVTPL2PD  X0, X3
+	CVTPL2PD  X1, X4
+	PSHUFD    $0xEE, X1, X1
+	CVTPL2PD  X1, X5
+	MULPD     X7, X2
+	MULPD     X7, X3
+	MULPD     X7, X4
+	MULPD     X7, X5
+	MOVUPD    X2, (DI)
+	MOVUPD    X3, 16(DI)
+	MOVUPD    X4, 32(DI)
+	MOVUPD    X5, 48(DI)
+	ADDQ      $8, SI
+	ADDQ      $64, DI
+	SUBQ      $8, CX
+	JNZ       q8dloop
+
+q8ddone:
+	RET

@@ -10,6 +10,14 @@ func quantize(out []byte, t []float64, inv float64) { quantizeGeneric(out, t, in
 func putF32(out []byte, t []float64)                { putF32Generic(out, t) }
 func putF64(out []byte, t []float64)                { putF64Generic(out, t) }
 
+func decodeQ8(out []float64, vals []byte, scale float64) { decodeQ8Generic(out, vals, scale) }
+
 func filterTile(vals []float64, idx []uint32, n int, t []float64, lo int, floor uint64) int {
 	return filterGeneric(vals, idx, n, t, lo, floor)
+}
+
+func f64Bytes(t []float64) []byte {
+	b := make([]byte, 8*len(t))
+	putF64Generic(b, t)
+	return b
 }

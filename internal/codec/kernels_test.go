@@ -38,8 +38,9 @@ func packFloats(xs ...float64) []byte {
 // checkKernels holds every kernel to its generic twin on x (and on x cut
 // one element in, an 8- rather than 16-byte-aligned start), bit for bit:
 // the difference against x reversed, the abs-max, the quantizer at inv
-// and at the scale the encoder would derive, both float conversions and
-// the filter at inv's key and at the key of x's middle element (each
+// and at the scale the encoder would derive, both float conversions, the
+// q8 decode of codes cut from x's top bits at scales inv, float32(inv)
+// and the abs-max, and the filter at inv's key and at the key of x's middle element (each
 // clamped to +Inf's: a NaN floor is never passed).
 func checkKernels(t *testing.T, x []float64, inv float64) {
 	t.Helper()
@@ -85,6 +86,21 @@ func checkKernels(t *testing.T, x []float64, inv float64) {
 		putF64Generic(gd, x)
 		if !bytes.Equal(d, gd) {
 			t.Fatalf("putF64 n=%d differs from the generic", n)
+		}
+
+		codes := make([]byte, n)
+		for i, v := range x {
+			codes[i] = byte(math.Float64bits(v)>>56) ^ byte(37*i) // the sign and top exponent bits, stirred
+		}
+		for _, scale := range []float64{inv, float64(float32(inv)), m} {
+			v, gv := make([]float64, n), make([]float64, n)
+			decodeQ8(v, codes, scale)
+			decodeQ8Generic(gv, codes, scale)
+			for i := range v {
+				if math.Float64bits(v[i]) != math.Float64bits(gv[i]) {
+					t.Fatalf("decodeQ8 n=%d scale %v [%d]: code %d → %#x, generic %#x", n, scale, i, int8(codes[i]), math.Float64bits(v[i]), math.Float64bits(gv[i]))
+				}
+			}
 		}
 
 		floors := []uint64{min(math.Float64bits(inv)&^signBit, infBits)}
@@ -272,6 +288,35 @@ func TestEncodeAllocs(t *testing.T) {
 			}
 			if got := testing.AllocsPerRun(20, func() { _, _ = enc() }); got != 1 {
 				t.Errorf("%s %v: %.0f allocations, want 1", name, s, got)
+			}
+		}
+	}
+}
+
+// TestNthKeyMatchesSort: the sample's order statistic is the sorted
+// sample's element at every rank, over distinct, tied, constant, sorted
+// and reversed keys of lengths 1–40 and the sample's 1 024.
+func TestNthKeyMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	gens := map[string]func(i int) uint64{
+		"random":   func(int) uint64 { return rng.Uint64() },
+		"ties":     func(int) uint64 { return uint64(rng.Intn(4)) },
+		"constant": func(int) uint64 { return 7 },
+		"sorted":   func(i int) uint64 { return uint64(i) },
+		"reversed": func(i int) uint64 { return uint64(1<<20 - i) },
+	}
+	for name, gen := range gens {
+		for _, n := range []int{1, 2, 15, 16, 17, 40, sampleLen} {
+			keys := make([]uint64, n)
+			for i := range keys {
+				keys[i] = gen(i)
+			}
+			sorted := slices.Clone(keys)
+			slices.Sort(sorted)
+			for r := range n {
+				if got := nthKey(slices.Clone(keys), r); got != sorted[r] {
+					t.Fatalf("%s n=%d: nthKey(%d) = %d, sorted %d", name, n, r, got, sorted[r])
+				}
 			}
 		}
 	}

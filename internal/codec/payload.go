@@ -154,6 +154,57 @@ func (p *Payload) Norm2() float64 {
 	return math.Sqrt(s)
 }
 
+// Norm2Group sets norms[m] = ps[m].Norm2() for every member. Each run of
+// groupWidth consecutive q8 payloads with one dimension and one chunk size
+// is walked once, with one accumulator per member: each member's sum still
+// adds its own squares in ascending order, so every norm is bit-identical
+// to Norm2's, and the four independent chains hide the add latency that
+// bounds a single one. Other members take Norm2 alone.
+func Norm2Group(norms []float64, ps []*Payload) {
+	norms = norms[:len(ps)]
+	for len(ps) > 0 {
+		if len(ps) >= groupWidth && ps[0].scheme.Kind == KindQ8 && sameLayout(ps[:groupWidth]) &&
+			ps[1].dim == ps[0].dim && ps[2].dim == ps[0].dim && ps[3].dim == ps[0].dim {
+			norm2Q8Group(norms[:groupWidth], ps[:groupWidth])
+			norms, ps = norms[groupWidth:], ps[groupWidth:]
+			continue
+		}
+		norms[0] = ps[0].Norm2()
+		norms, ps = norms[1:], ps[1:]
+	}
+}
+
+// norm2Q8Group is Norm2 of a group of groupWidth q8 payloads sharing a
+// dimension and a chunk size, each element decoded as q8Value[b] * scale.
+func norm2Q8Group(norms []float64, ps []*Payload) {
+	dim, chunk := ps[0].dim, ps[0].q8chunk
+	var scales, vals [groupWidth][]byte
+	for m, p := range ps {
+		scales[m], vals[m] = p.q8Sections()
+	}
+	var s0, s1, s2, s3 float64
+	for c, j := 0, 0; j < dim; c++ {
+		end := min(j+chunk, dim)
+		// Re-slicing every source to the first's span lets the compiler
+		// drop the per-element bounds checks.
+		v0 := vals[0][j:end]
+		v1, v2, v3 := vals[1][j:end][:len(v0)], vals[2][j:end][:len(v0)], vals[3][j:end][:len(v0)]
+		c0, c1, c2, c3 := q8Scale(scales[0], c), q8Scale(scales[1], c), q8Scale(scales[2], c), q8Scale(scales[3], c)
+		for i, b := range v0 {
+			x0 := q8Value[b] * c0
+			x1 := q8Value[v1[i]] * c1
+			x2 := q8Value[v2[i]] * c2
+			x3 := q8Value[v3[i]] * c3
+			s0 += x0 * x0
+			s1 += x1 * x1
+			s2 += x2 * x2
+			s3 += x3 * x3
+		}
+		j = end
+	}
+	norms[0], norms[1], norms[2], norms[3] = math.Sqrt(s0), math.Sqrt(s1), math.Sqrt(s2), math.Sqrt(s3)
+}
+
 // CopyRange decodes elements [lo, hi) into dst (len hi-lo), overwriting
 // it — the codec's one element decoder per scheme: Decode and
 // Materialize are CopyRange over [0, dim), the robust reducers copy
@@ -184,12 +235,7 @@ func (p *Payload) CopyRange(dst tensor.Vector, lo, hi int) {
 		for c, j := lo/chunk, lo; j < hi; c++ {
 			end := min((c+1)*chunk, hi)
 			scale := q8Scale(scales, c)
-			// Re-slicing both sides to the chunk's span lets the compiler
-			// drop the per-element bounds checks.
-			out := dst[j-lo : end-lo]
-			for i, b := range vals[j:end][:len(out)] {
-				out[i] = q8Value[b] * scale
-			}
+			decodeQ8(dst[j-lo:end-lo], vals[j:end], scale)
 			j = end
 		}
 	case KindTopK:

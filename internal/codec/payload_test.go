@@ -361,3 +361,93 @@ func TestDecodePayloadFromReuse(t *testing.T) {
 		t.Fatalf("DecodePayloadFrom+Release allocates %.1f objects/op; pooled buffer not reused?", avg)
 	}
 }
+
+// TestNorm2GroupMatchesNorm2: Norm2Group gives every member Norm2's bits
+// (a NaN only has to stay a NaN) over runs of q8 payloads that share a
+// layout — walked as groups — and runs broken by a chunk size, a dimension
+// or a scheme, with NaN, ±Inf and extreme scales among the chunks.
+func TestNorm2GroupMatchesNorm2(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	q8 := func(dim, chunk int) *Payload {
+		scales := make([]float32, (dim+chunk-1)/chunk)
+		for c := range scales {
+			scales[c] = float32(rng.ExpFloat64() * 0.01)
+			switch rng.Intn(200) {
+			case 0:
+				scales[c] = float32(math.NaN())
+			case 1:
+				scales[c] = float32(math.Inf(1))
+			case 2:
+				scales[c] = math.MaxFloat32
+			}
+		}
+		vals := make([]byte, dim)
+		rng.Read(vals)
+		p, err := ParsePayload(q8Blob(chunk, scales, vals))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	f32 := func(dim int) *Payload {
+		blob, err := Encode(payloadTestVec(rng, dim), F32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := ParsePayload(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	for name, ps := range map[string][]*Payload{
+		"one group":    {q8(1000, 256), q8(1000, 256), q8(1000, 256), q8(1000, 256)},
+		"groups+tail":  {q8(777, 7), q8(777, 7), q8(777, 7), q8(777, 7), q8(777, 7), q8(777, 7), q8(777, 7), q8(777, 7), q8(777, 7)},
+		"chunk break":  {q8(1000, 256), q8(1000, 256), q8(1000, 100), q8(1000, 256), q8(1000, 256), q8(1000, 256), q8(1000, 256)},
+		"dim break":    {q8(1000, 256), q8(999, 256), q8(1000, 256), q8(1000, 256), q8(1000, 256)},
+		"scheme break": {f32(300), q8(300, 256), q8(300, 256), q8(300, 256), q8(300, 256), f32(300)},
+		"short":        {q8(10, 4), q8(10, 4), q8(10, 4)},
+		"empty":        {},
+	} {
+		norms := make([]float64, len(ps))
+		Norm2Group(norms, ps)
+		for m, p := range ps {
+			if want := p.Norm2(); math.Float64bits(norms[m]) != math.Float64bits(want) && !(norms[m] != norms[m] && want != want) {
+				t.Errorf("%s: member %d norm %v (%#x), Norm2 %v (%#x)", name, m, norms[m], math.Float64bits(norms[m]), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// TestWriteRaw64MatchesEncode: WriteRaw64 writes Encode(v, RawF64) byte for
+// byte — empty, odd-length and specials-laced vectors included — and
+// passes a failing writer's error back.
+func TestWriteRaw64MatchesEncode(t *testing.T) {
+	rng := rand.New(rand.NewSource(38))
+	for _, dim := range []int{0, 1, 7, 256, 1519} {
+		v := payloadTestVec(rng, dim)
+		for i := range v {
+			if rng.Intn(8) == 0 {
+				v[i] = kernelSpecials[rng.Intn(len(kernelSpecials))]
+			}
+		}
+		want, err := Encode(v, RawF64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := WriteRaw64(&got, v); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("dim %d: WriteRaw64 differs from Encode", dim)
+		}
+	}
+	if err := WriteRaw64(failWriter{}, tensor.NewVector(3)); err == nil {
+		t.Fatal("a failing writer's error was dropped")
+	}
+}
+
+type failWriter struct{}
+
+func (failWriter) Write([]byte) (int, error) { return 0, fmt.Errorf("disk full") }

@@ -1109,6 +1109,10 @@ func (c *Coordinator) commitLocked(r *Round, now time.Time) {
 		c.counters.Counter("round_fsm_error").Inc()
 		return
 	}
+	// The DP noise of the version this commit publishes is drawn beside
+	// the screen and the reduce (nil, and a no-op, when DP is off).
+	dp := c.dp.Begin(bs.version+1, len(c.global.Params()))
+	defer dp.Release()
 	// Stage 0: the pre-reduce norm screen. Outlier updates (boosted
 	// poison, norm overflow, NaN norms) never reach the reducer — or, in
 	// hierarchical mode, the shard partial; the screen is a per-update
@@ -1165,7 +1169,7 @@ func (c *Coordinator) commitLocked(r *Round, now time.Time) {
 	// here can reintroduce what the fused non-finite screen just ruled
 	// out.
 	if c.dp != nil {
-		eps, noised := c.dp.Apply(params, bs.published, bs.version+1, len(updates))
+		eps, noised := dp.Apply(params, bs.published, len(updates))
 		if noised {
 			c.counters.Counter("dp_rounds").Inc()
 			r.noteEpsilon(eps)

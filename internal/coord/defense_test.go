@@ -2,6 +2,7 @@ package coord
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -178,6 +179,61 @@ func TestDPCommitDeterministic(t *testing.T) {
 	}
 	if diff == 0 {
 		t.Fatal("DP commit identical to raw commit: clip+noise never ran")
+	}
+}
+
+// TestDPCommitAfterAbortMatches: the DP noise a commit draws beside its
+// screen and reduce depends on the version alone. A round the screen
+// empties aborts mid-draw, the next round draws the same version again,
+// and it publishes exactly the params of a server that never saw the
+// aborted round — at GOMAXPROCS 1 and 2.
+func TestDPCommitAfterAbortMatches(t *testing.T) {
+	cfg := syncTestConfig()
+	cfg.DP = DPConfig{Epsilon: 8, ClipNorm: 0.05, Seed: 77}
+	cfg.Aggregation.ScreenMaxNorm = 1
+	publish := func(abortFirst bool) tensor.Vector {
+		t.Helper()
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		submit := func(id int64, fill float64) {
+			t.Helper()
+			task := join(t, c, id)
+			delta := tensor.NewVector(task.Dim)
+			delta.Fill(fill)
+			if err := c.SubmitUpdate(Submission{
+				DeviceID: id, RoundID: task.RoundID, BaseVersion: task.BaseVersion,
+				Weight: 10, Delta: delta,
+			}); err != nil {
+				t.Fatalf("device %d: %v", id, err)
+			}
+		}
+		if abortFirst {
+			for id := int64(1); id <= 3; id++ {
+				submit(id, 100) // far past the screen's cap
+			}
+			eventually(t, 5*time.Second, func() bool {
+				return c.Counters().Counter("round_aggregate_robust_error").Value() == 1
+			}, "all-screened round was not aborted")
+		}
+		for id := int64(4); id <= 6; id++ {
+			submit(id, 0.001*float64(id))
+		}
+		eventually(t, 5*time.Second, func() bool { return c.Version() == 2 }, "round never committed")
+		return join(t, c, 9).Params
+	}
+	for _, procs := range []int{1, 2} {
+		func() {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			want, got := publish(false), publish(true)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("GOMAXPROCS=%d: param[%d] = %v after an aborted commit, %v without", procs, i, got[i], want[i])
+				}
+			}
+		}()
 	}
 }
 

@@ -228,7 +228,10 @@ func (s *sim) aggregate() error {
 	}
 	// The server's commit: screen → reduce → clip → noise, with the DP
 	// noise keyed to the version this round publishes, numbered like the
-	// model store's (initial params are v1).
+	// model store's (initial params are v1), and drawn, as the server draws
+	// it, beside the screen and the reduce.
+	dp := s.dp.Begin(s.round+2, len(s.global))
+	defer dp.Release()
 	kept, _ := s.screen.Apply(updates)
 	if len(kept) == 0 {
 		return fmt.Errorf("fedsim: the norm screen rejected all %d updates", len(updates))
@@ -241,7 +244,7 @@ func (s *sim) aggregate() error {
 		return err
 	}
 	if s.dp != nil {
-		s.dp.Apply(s.global, published, s.round+2, len(kept))
+		dp.Apply(s.global, published, len(kept))
 	}
 	lrRound := s.round
 	s.round++

@@ -31,37 +31,46 @@ const (
 // checkpoints it without re-encoding or re-checksumming the parameters.
 // The blob is not validated here.
 func Frame(kind Kind, blob []byte) ([]byte, error) {
-	if len(kind) == 0 || len(kind) > 255 {
-		return nil, fmt.Errorf("model: save: bad kind %q", kind)
+	var buf headerBuf
+	hdr, err := frameHeader(&buf, kind)
+	if err != nil {
+		return nil, err
 	}
-	var buf [len(saveMagic) + 2 + 255]byte
-	hdr := append(buf[:0], saveMagic...)
-	hdr = append(hdr, saveVersion, byte(len(kind)))
-	hdr = append(hdr, kind...)
 	// Join makes the one allocation without first zeroing the bytes it
 	// copies the blob over.
 	return bytes.Join([][]byte{hdr, blob}, nil), nil
 }
 
+// headerBuf holds a checkpoint header of the longest kind.
+type headerBuf [len(saveMagic) + 2 + 255]byte
+
+// frameHeader writes the checkpoint header of kind into buf.
+func frameHeader(buf *headerBuf, kind Kind) ([]byte, error) {
+	if len(kind) == 0 || len(kind) > 255 {
+		return nil, fmt.Errorf("model: save: bad kind %q", kind)
+	}
+	hdr := append(buf[:0], saveMagic...)
+	hdr = append(hdr, saveVersion, byte(len(kind)))
+	return append(hdr, kind...), nil
+}
+
 // Save writes the model's kind and parameters to w — the model-store
 // checkpoint format shared by centralized and FL training (paper §3.1's
-// shared model store, §3.4's leader checkpointing).
+// shared model store, §3.4's leader checkpointing). The parameters are
+// written as they are encoded (codec.WriteRaw64), never built into a blob
+// first, so a checkpoint into a buffer sized for it costs one copy of the
+// parameters and no allocation of their size.
 func Save(m Model, w io.Writer) error {
 	kind := m.Kind()
-	// The header alone: Save streams the blob after it rather than
-	// copying it into one buffer.
-	hdr, err := Frame(kind, nil)
+	var buf headerBuf
+	hdr, err := frameHeader(&buf, kind)
 	if err != nil {
 		return err
-	}
-	blob, err := codec.Encode(m.Params(), codec.RawF64)
-	if err != nil {
-		return fmt.Errorf("model: save %s: %w", kind, err)
 	}
 	if _, err := w.Write(hdr); err != nil {
 		return fmt.Errorf("model: save %s: %w", kind, err)
 	}
-	if _, err := w.Write(blob); err != nil {
+	if err := codec.WriteRaw64(w, m.Params()); err != nil {
 		return fmt.Errorf("model: save %s: %w", kind, err)
 	}
 	return nil

@@ -3,11 +3,54 @@ package model
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
 	"flint/internal/codec"
 )
+
+// TestSaveAllocatesNoBlob: a checkpoint into a buffer made at its length
+// is written in place — Save allocates nothing of the parameters' size (a
+// blob built first would be 1.5 MB at model B), and the bytes are still
+// Frame over Encode's raw64 blob.
+func TestSaveAllocatesNoBlob(t *testing.T) {
+	m, err := New(KindB, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := codec.Encode(m.Params(), codec.RawF64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Frame(KindB, blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufs := make([]*bytes.Buffer, 4)
+	for i := range bufs {
+		bufs[i] = bytes.NewBuffer(make([]byte, 0, len(want)))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, buf := range bufs {
+		if err := Save(m, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / uint64(len(bufs)); per > 4<<10 {
+		t.Fatalf("Save into a %d-byte buffer allocated %d bytes per checkpoint", len(want), per)
+	}
+	for _, buf := range bufs {
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatal("Save differs from Frame(kind, Encode(params, RawF64))")
+		}
+		if buf.Cap() != len(want) {
+			t.Fatalf("Save regrew the buffer to %d bytes", buf.Cap())
+		}
+	}
+}
 
 // TestFrameMatchesSave pins the framing both checkpoint writers share:
 // Frame over the raw64 blob of a model's params is Save's output byte
