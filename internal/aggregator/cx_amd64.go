@@ -14,8 +14,8 @@ func compareExchangeSSE2(lo, hi []float64)
 
 // networkTileWidth is the tile width, in columns, of the register network:
 // its workspace holds the tile's n decoded rows at once, and a quarter of
-// robustTile keeps that inside the (2k+2) rows the row walk needed for
-// every round up to 4k+6 updates.
+// robustTile keeps that inside the (2k+2) rows of robustStride the row
+// walk needed, for every round of up to 7k+6 updates.
 const networkTileWidth = shardAlign
 
 // networkStride is the register network's row stride, in float64s: one
@@ -33,7 +33,9 @@ func networkScratchLen(n, k int) int { return (n + 1) * networkStride }
 // level of every column once per update. Each value meets the levels in
 // the row walk's order, fill rule included, under compareExchangeSSE2's
 // exact instruction sequence, and the sum adds the same values in the
-// same order, so every bit — a NaN's payload included — is streamTile's.
+// same order with the sum as the first operand, so every bit is
+// streamTile's (a NaN's payload only up to which NaN operand Go's add in
+// streamTile returns, which is the compiler's choice).
 // An odd last column runs as a pair with the stride's padding column,
 // whose lane result lands in the sum row's padding and is never read.
 func networkTile(buf []float64, updates []Update, lo, hi, k int) []float64 {

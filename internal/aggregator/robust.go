@@ -94,8 +94,9 @@ func decodeWindow(dst []float64, u Update, lo, hi int) {
 // its k smallest and k largest, for j in [lo, hi), callers having ensured
 // 2k < len(updates). It walks the range tile by tile; each tile is reduced
 // to the sum of its middle values by the streaming network (small k, in
-// tiles of networkTileWidth) or by quickselect (large k). Only middle values are ever added, so an
-// arbitrarily large trimmed outlier cannot cancel the honest sum away.
+// tiles of networkTileWidth) or by quickselect (large k). Only middle
+// values are ever added, so an arbitrarily large trimmed outlier cannot
+// cancel the honest sum away.
 // Either way a column sees the same operations in the same update order
 // wherever tile and range boundaries fall, so a sharded run is
 // bit-identical to the sequential one. A NaN anywhere in a column makes

@@ -163,8 +163,7 @@ func (p *Payload) Norm2() float64 {
 func Norm2Group(norms []float64, ps []*Payload) {
 	norms = norms[:len(ps)]
 	for len(ps) > 0 {
-		if len(ps) >= groupWidth && ps[0].scheme.Kind == KindQ8 && sameLayout(ps[:groupWidth]) &&
-			ps[1].dim == ps[0].dim && ps[2].dim == ps[0].dim && ps[3].dim == ps[0].dim {
+		if len(ps) >= groupWidth && ps[0].scheme.Kind == KindQ8 && sameLayout(ps[:groupWidth]) {
 			norm2Q8Group(norms[:groupWidth], ps[:groupWidth])
 			norms, ps = norms[groupWidth:], ps[groupWidth:]
 			continue
@@ -403,14 +402,15 @@ func AddScaledGroup(dst tensor.Vector, ps []*Payload, alphas []float64, lo, hi i
 }
 
 // sameLayout reports whether a run can share one group pass: all raw64,
-// or all q8 with one chunk size, so one walk serves every member.
+// or all q8 with one chunk size, and one dimension, so one walk serves
+// every member.
 func sameLayout(ps []*Payload) bool {
-	k, chunk := ps[0].scheme.Kind, ps[0].q8chunk
+	k, chunk, dim := ps[0].scheme.Kind, ps[0].q8chunk, ps[0].dim
 	if k != KindRawF64 && k != KindQ8 {
 		return false
 	}
 	for _, p := range ps[1:] {
-		if p.scheme.Kind != k || p.q8chunk != chunk {
+		if p.scheme.Kind != k || p.q8chunk != chunk || p.dim != dim {
 			return false
 		}
 	}

@@ -401,13 +401,14 @@ func TestNorm2GroupMatchesNorm2(t *testing.T) {
 		return p
 	}
 	for name, ps := range map[string][]*Payload{
-		"one group":    {q8(1000, 256), q8(1000, 256), q8(1000, 256), q8(1000, 256)},
-		"groups+tail":  {q8(777, 7), q8(777, 7), q8(777, 7), q8(777, 7), q8(777, 7), q8(777, 7), q8(777, 7), q8(777, 7), q8(777, 7)},
-		"chunk break":  {q8(1000, 256), q8(1000, 256), q8(1000, 100), q8(1000, 256), q8(1000, 256), q8(1000, 256), q8(1000, 256)},
-		"dim break":    {q8(1000, 256), q8(999, 256), q8(1000, 256), q8(1000, 256), q8(1000, 256)},
-		"scheme break": {f32(300), q8(300, 256), q8(300, 256), q8(300, 256), q8(300, 256), f32(300)},
-		"short":        {q8(10, 4), q8(10, 4), q8(10, 4)},
-		"empty":        {},
+		"one group":     {q8(1000, 256), q8(1000, 256), q8(1000, 256), q8(1000, 256)},
+		"groups+tail":   {q8(777, 7), q8(777, 7), q8(777, 7), q8(777, 7), q8(777, 7), q8(777, 7), q8(777, 7), q8(777, 7), q8(777, 7)},
+		"chunk break":   {q8(1000, 256), q8(1000, 256), q8(1000, 100), q8(1000, 256), q8(1000, 256), q8(1000, 256), q8(1000, 256)},
+		"dim break":     {q8(1000, 256), q8(999, 256), q8(1000, 256), q8(1000, 256), q8(1000, 256)},
+		"dim break 4th": {q8(1000, 256), q8(1000, 256), q8(1000, 256), q8(999, 256)},
+		"scheme break":  {f32(300), q8(300, 256), q8(300, 256), q8(300, 256), q8(300, 256), f32(300)},
+		"short":         {q8(10, 4), q8(10, 4), q8(10, 4)},
+		"empty":         {},
 	} {
 		norms := make([]float64, len(ps))
 		Norm2Group(norms, ps)

@@ -31,27 +31,16 @@ const (
 // checkpoints it without re-encoding or re-checksumming the parameters.
 // The blob is not validated here.
 func Frame(kind Kind, blob []byte) ([]byte, error) {
-	var buf headerBuf
-	hdr, err := frameHeader(&buf, kind)
-	if err != nil {
-		return nil, err
-	}
-	// Join makes the one allocation without first zeroing the bytes it
-	// copies the blob over.
-	return bytes.Join([][]byte{hdr, blob}, nil), nil
-}
-
-// headerBuf holds a checkpoint header of the longest kind.
-type headerBuf [len(saveMagic) + 2 + 255]byte
-
-// frameHeader writes the checkpoint header of kind into buf.
-func frameHeader(buf *headerBuf, kind Kind) ([]byte, error) {
 	if len(kind) == 0 || len(kind) > 255 {
 		return nil, fmt.Errorf("model: save: bad kind %q", kind)
 	}
+	var buf [len(saveMagic) + 2 + 255]byte
 	hdr := append(buf[:0], saveMagic...)
 	hdr = append(hdr, saveVersion, byte(len(kind)))
-	return append(hdr, kind...), nil
+	hdr = append(hdr, kind...)
+	// Join makes the one allocation without first zeroing the bytes it
+	// copies the blob over.
+	return bytes.Join([][]byte{hdr, blob}, nil), nil
 }
 
 // Save writes the model's kind and parameters to w — the model-store
@@ -62,8 +51,9 @@ func frameHeader(buf *headerBuf, kind Kind) ([]byte, error) {
 // parameters and no allocation of their size.
 func Save(m Model, w io.Writer) error {
 	kind := m.Kind()
-	var buf headerBuf
-	hdr, err := frameHeader(&buf, kind)
+	// The header alone: Save streams the blob after it rather than
+	// copying it into one buffer.
+	hdr, err := Frame(kind, nil)
 	if err != nil {
 		return err
 	}
