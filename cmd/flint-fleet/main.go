@@ -5,9 +5,10 @@
 // local training, submit an update — and reports throughput and client-side
 // latency percentiles.
 //
-// Example:
+// Example, against a server running one async job with a buffer of 64
+// (jobs.json holds [{"name":"served","mode":"async","target_updates":64}]):
 //
-//	flint-server -mode async -target 64 &
+//	flint-server -jobs jobs.json &
 //	flint-fleet -server http://127.0.0.1:8080 -devices 2000 -rounds 5
 //
 // Against a multi-tenant server, -jobs splits the device budget across
@@ -26,7 +27,7 @@
 // The server must run with a matching -sched-time-compression so
 // device-reported virtual timings land in the right clock domain:
 //
-//	flint-server -mode sync -target 64 -sched-time-compression 360 &
+//	flint-server -sched-time-compression 360 &
 //	flint-fleet -virtual -devices 1000000 -compression 360 -vduration 24h
 package main
 

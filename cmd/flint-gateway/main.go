@@ -11,23 +11,20 @@
 // recovers — the paper's §3.4 halt-until-healthy rule run
 // horizontally.
 //
-// The gateway must be started with the same model flags (-model,
-// -seed, -name, or the same -jobs file) as its shards: the leader
-// builds each job's initial global parameters from them, and a
-// mismatch would make tier installs dimensionally incompatible with
-// the shards' own models (caught at the first partial, but caught
-// late).
+// The gateway must be started with the same -jobs file as its shards
+// (or, like them, with none): the leader builds each job's initial
+// global parameters from its spec, and a mismatch would make tier
+// installs dimensionally incompatible with the shards' own models
+// (caught at the first partial, but caught late).
 package main
 
 import (
 	"flag"
 	"fmt"
 	"log"
-	"os"
 	"strings"
 	"time"
 
-	"flint/internal/coord"
 	"flint/internal/model"
 	"flint/internal/shard"
 	"flint/internal/tenant"
@@ -38,10 +35,7 @@ func main() {
 	addr := flag.String("addr", ":9090", "listen address")
 	shards := flag.String("shards", "", "comma-separated shard base URLs; list index = shard id (required)")
 	grace := flag.Duration("grace", 3*time.Second, "heartbeat grace window; a shard silent longer halts the tier")
-	kind := flag.String("model", "A", "Table 5 model kind the tier trains (must match the shards)")
-	name := flag.String("name", "served", "default job name (must match the shards' -name)")
-	seed := flag.Int64("seed", 1, "model init seed (must match the shards)")
-	jobsFile := flag.String("jobs", "", "multi-tenant tier: the same JSON job-spec file the shards run with")
+	jobsFile := flag.String("jobs", "", "the same JSON job-spec file the shards run with (default: the one job {\"name\":\"served\"})")
 	flag.Parse()
 
 	urls := strings.Split(*shards, ",")
@@ -56,23 +50,13 @@ func main() {
 	}
 
 	// The leader derives each job's initial global params exactly the
-	// way a shard's tenant registry does: overlay the job's spec on the
-	// flag-derived base config, then build the model it names. Same
-	// spec in, bit-identical version-1 parameters out on both sides of
-	// the exchange.
-	base := coord.Config{ModelKind: model.Kind(*kind), ModelName: *name, Seed: *seed}
-	specs := []tenant.JobSpec{{Name: *name}}
-	if *jobsFile != "" {
-		data, err := os.ReadFile(*jobsFile)
-		if err != nil {
-			log.Fatalf("-jobs: %v", err)
-		}
-		if specs, err = tenant.LoadSpecs(data); err != nil {
-			log.Fatalf("-jobs: %v", err)
-		}
-		if len(specs) == 0 {
-			log.Fatalf("-jobs: %s declares no jobs", *jobsFile)
-		}
+	// way a shard's tenant registry does: overlay the job's spec on
+	// tenant.Base, then build the model it names. Same spec in,
+	// bit-identical version-1 parameters out on both sides of the
+	// exchange.
+	specs, err := tenant.ReadSpecs(*jobsFile)
+	if err != nil {
+		log.Fatalf("-jobs: %v", err)
 	}
 	byName := make(map[string]tenant.JobSpec, len(specs))
 	for _, sp := range specs {
@@ -84,7 +68,7 @@ func main() {
 		if !ok {
 			return nil, fmt.Errorf("job %q not in the gateway's spec set", job)
 		}
-		cfg, err := sp.CoordConfig(base)
+		cfg, err := sp.CoordConfig(tenant.Base())
 		if err != nil {
 			return nil, err
 		}

@@ -345,14 +345,10 @@ func TestFleetMultiTenant(t *testing.T) {
 		RoundDeadline: 5 * time.Second,
 	})
 	defer reg.Close()
-	specs, err := tenant.LoadSpecs([]byte(`[
-		{"name": "ads"},
-		{"name": "msg", "mode": "async", "token": "fleet-t0ken"}
-	]`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sp := range specs {
+	for _, sp := range []tenant.JobSpec{
+		{Name: "ads"},
+		{Name: "msg", Mode: "async", Token: "fleet-t0ken"},
+	} {
 		if _, err := reg.Register(sp); err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package tenant
 import (
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -68,6 +69,10 @@ type StatusReport struct {
 	// Fleet sums training progress and counters across tenants.
 	Fleet FleetRollup `json:"fleet"`
 }
+
+// maxSpecBytes bounds a POST /v1/jobs body: a spec is a few hundred
+// bytes, and the admin endpoint must not buffer whatever it is sent.
+const maxSpecBytes = 64 << 10
 
 // Server routes the multi-tenant /v1 API:
 //
@@ -187,8 +192,13 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		var spec JobSpec
-		if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad job spec: %w", err))
+		if err := decodeStrict(http.MaxBytesReader(w, r.Body, maxSpecBytes), &spec); err != nil {
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			writeError(w, code, fmt.Errorf("bad job spec: %w", err))
 			return
 		}
 		job, err := s.reg.Register(spec)

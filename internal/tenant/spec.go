@@ -12,14 +12,35 @@ package tenant
 import (
 	"encoding/json"
 	"fmt"
+	"io"
+	"os"
 	"path/filepath"
+	"strings"
 	"time"
 
+	"flint/internal/availability"
 	"flint/internal/codec"
 	"flint/internal/coord"
 	"flint/internal/model"
 	"flint/internal/transport"
 )
+
+// Base is the serving configuration every job spec overlays: the
+// settings whose serving value differs from coord's own defaults, plus
+// the model kind the shard gateway needs to build a job's version 1
+// without coord's defaulting. flint-server adds its process flags
+// (store, retention, device TTL, time compression, exchange) on top.
+func Base() coord.Config {
+	return coord.Config{
+		ModelKind:      model.KindA,
+		Seed:           1,
+		TargetUpdates:  32,
+		RoundDeadline:  15 * time.Second,
+		MaxStaleness:   6,
+		StalenessAlpha: 0.5,
+		Criteria:       availability.Criteria{RequireWiFi: true, RequireBatteryHigh: true},
+	}
+}
 
 // Duration is a time.Duration that unmarshals from a JSON duration
 // string ("15s", "2m30s").
@@ -45,8 +66,7 @@ func (d Duration) MarshalJSON() ([]byte, error) {
 }
 
 // CohortSpec is one transport cohort's wire-scheme assignment in a job
-// spec. Empty scheme strings inherit the server's base policy for that
-// cohort.
+// spec. Empty scheme strings inherit the base policy for that cohort.
 type CohortSpec struct {
 	// Task/Update/Delta are codec scheme strings ("raw64", "f32", "q8",
 	// "topk[:k]") for the cohort's broadcast, uplink, and
@@ -96,12 +116,12 @@ func parseSchemeInto(dst *codec.Scheme, raw string) error {
 
 // JobSpec declares one FL job of a multi-tenant server: what model it
 // trains, how its rounds run, how its bytes move, and who may join it.
-// Zero fields inherit the server's base (single-job) configuration, so
-// a spec states only what makes the job different.
+// Zero fields inherit the registry's base configuration (Base, in
+// flint-server), so a spec states only what makes the job different.
 type JobSpec struct {
 	// Name identifies the job in /v1/jobs/<name>/... routes, the
 	// modelstore, and the status rollup. Required; letters, digits,
-	// '-', '_', '.' only.
+	// '-', '_', '.' only, and not dots alone.
 	Name string `json:"name"`
 	// Mode is the training protocol ("sync" or "async").
 	Mode string `json:"mode,omitempty"`
@@ -163,6 +183,11 @@ func (s JobSpec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("tenant: job needs a name")
 	}
+	if strings.Trim(s.Name, ".") == "" {
+		// "." and ".." would put the job's store at or above the
+		// server's store root instead of in a subdirectory of its own.
+		return fmt.Errorf("tenant: job name %q is only dots", s.Name)
+	}
 	for _, r := range s.Name {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
@@ -177,11 +202,14 @@ func (s JobSpec) Validate() error {
 	return nil
 }
 
-// coordConfig overlays the spec on the server's base configuration and
+// CoordConfig overlays the spec on a base serving configuration and
 // returns the job's coordinator config: the job name becomes the
 // modelstore name, persistence lands in a per-job subdirectory, and
-// every zero spec field keeps the base value.
-func (s JobSpec) coordConfig(base coord.Config) (coord.Config, error) {
+// every zero spec field keeps the base value. Register derives each
+// job's coordinator through it, and the shard gateway's leader builds
+// each job's initial global params through it, so both sides of the
+// exchange agree on model identity.
+func (s JobSpec) CoordConfig(base coord.Config) (coord.Config, error) {
 	cfg := base
 	cfg.ModelName = s.Name
 	if base.StoreDir != "" {
@@ -270,20 +298,39 @@ func (s JobSpec) coordConfig(base coord.Config) (coord.Config, error) {
 	return cfg, nil
 }
 
-// CoordConfig overlays the spec on a base serving configuration — the
-// same derivation Register performs — so tier peers that must agree
-// with a job's coordinators on model identity (the shard gateway's
-// leader builds each job's initial global params) derive it from the
-// same spec file instead of duplicating the overlay rules.
-func (s JobSpec) CoordConfig(base coord.Config) (coord.Config, error) {
-	return s.coordConfig(base)
-}
-
-// LoadSpecs parses a jobs file: a JSON array of job specs.
-func LoadSpecs(data []byte) ([]JobSpec, error) {
+// ReadSpecs returns the jobs a server or gateway runs: the jobs file at
+// path — a JSON array of specs, strictly decoded — or, with no path,
+// the one default job {"name":"served"}.
+func ReadSpecs(path string) ([]JobSpec, error) {
+	if path == "" {
+		return []JobSpec{{Name: "served"}}, nil
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
 	var specs []JobSpec
-	if err := json.Unmarshal(data, &specs); err != nil {
-		return nil, fmt.Errorf("tenant: jobs file must be a JSON array of specs: %w", err)
+	if err := decodeStrict(f, &specs); err != nil {
+		return nil, fmt.Errorf("tenant: %s: a jobs file is a JSON array of specs: %w", path, err)
+	}
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("tenant: %s declares no jobs", path)
 	}
 	return specs, nil
+}
+
+// decodeStrict decodes one JSON value from r into v, refusing fields v
+// does not declare (a misspelled spec field would otherwise silently
+// inherit the base) and anything after the value.
+func decodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("data after the JSON value")
+	}
+	return nil
 }

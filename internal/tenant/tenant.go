@@ -41,7 +41,8 @@ type Registry struct {
 }
 
 // NewRegistry creates an empty job registry. base is the server-wide
-// default configuration (flag-derived); each job spec overlays it.
+// default configuration (Base plus flint-server's process flags); each
+// job spec overlays it.
 func NewRegistry(base coord.Config) *Registry {
 	r := &Registry{
 		base:     base,
@@ -66,7 +67,7 @@ func (r *Registry) Register(spec JobSpec) (*Job, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	cfg, err := spec.coordConfig(r.base)
+	cfg, err := spec.CoordConfig(r.base)
 	if err != nil {
 		return nil, err
 	}
