@@ -16,9 +16,13 @@
 // ads and half at job messaging (authenticating with its token), with
 // disjoint device IDs per job.
 //
-// -server may also name a sharded tier's cmd/flint-gateway, which the
-// fleet learns from its /v1/status: it waits for the tier to turn healthy
-// and watches each job's tier version; every other flag works unchanged.
+// -server may also name a sharded tier's cmd/flint-gateway. Its
+// /v1/status is the document a flint-server answers plus a tier section,
+// which is how the fleet tells the two apart: it waits for the tier to
+// turn healthy and watches each job's version in the same jobs map; every
+// other flag works unchanged. The closing server, protocol and downlink
+// lines come from the job's /v1/jobs/<job>/status, which only a flat
+// server has.
 //
 // -virtual switches to the virtual-time load plane (internal/vload):
 // instead of a goroutine per device, batched virtual devices are

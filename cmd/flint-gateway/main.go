@@ -5,8 +5,10 @@
 // replica over pooled keep-alive connections. It also hosts the tier's
 // round leader: shard partials arrive on the private /shard/v1
 // exchange as codec wire blobs, get folded into the global model
-// across shards, and GET /v1/status rolls every replica's status up
-// into one tier document. While any replica's heartbeat is missing the
+// across shards, and GET /v1/status answers the same document a
+// flint-server does, its shards' job rows and sums folded together, plus
+// a tier section: membership health, exchange and routing counters, and
+// one row per shard. While any replica's heartbeat is missing the
 // tier halts task assignment (503 on /v1/task) until membership
 // recovers — the paper's §3.4 halt-until-healthy rule run
 // horizontally.
@@ -62,7 +64,6 @@ func main() {
 	for _, sp := range specs {
 		byName[sp.Name] = sp
 	}
-	defaultJob := specs[0].Name
 	params := func(job string) (tensor.Vector, error) {
 		sp, ok := byName[job]
 		if !ok {
@@ -91,20 +92,16 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	gw, err := shard.NewGateway(shard.GatewayConfig{
-		Shards:     clean,
-		Leader:     leader,
-		DefaultJob: defaultJob,
-	})
+	gw, err := shard.NewGateway(shard.GatewayConfig{Shards: clean, Leader: leader})
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	fmt.Printf("tier: %d shards, grace %s, fold buffer %d, default job %q\n",
-		len(clean), *grace, len(clean), defaultJob)
+		len(clean), *grace, len(clean), specs[0].Name)
 	for i, u := range clean {
 		fmt.Printf("  shard %d: %s\n", i, u)
 	}
-	fmt.Printf("listening on %s (/v1/* routed by device id, /shard/v1/* exchange, GET /v1/status tier rollup)\n", *addr)
+	fmt.Printf("listening on %s (/v1/* routed by device id, /shard/v1/* exchange, GET /v1/status tier status)\n", *addr)
 	log.Fatal(tenant.ListenAndServe(*addr, gw))
 }

@@ -177,13 +177,21 @@ func TestServerProtocolEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st StatusReport
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	var st StatusReport
+	if err := json.Unmarshal(raw, &st); err != nil {
+		t.Fatal(err)
+	}
 	if st.Devices.Known != 1 || st.Round.ID != 1 || st.Mode != ModeSync {
 		t.Fatalf("status = %+v", st)
+	}
+	// The census keys are snake_case like every other key of the document.
+	if !bytes.Contains(raw, []byte(`"devices":{"known":1,"live":1,"eligible":`)) {
+		t.Fatalf("status census keys: %s", raw)
 	}
 }
 

@@ -735,10 +735,10 @@ func (r *Registry) live(d *deviceState, now time.Time) bool {
 
 // Stats is a point-in-time census of the registry.
 type Stats struct {
-	Known    int // devices ever checked in and not swept
-	Live     int // within the liveness TTL
-	Eligible int // live, idle, and admitted by the criteria
-	Assigned int // currently holding a task
+	Known    int `json:"known"`    // devices ever checked in and not swept
+	Live     int `json:"live"`     // within the liveness TTL
+	Eligible int `json:"eligible"` // live, idle, and admitted by the criteria
+	Assigned int `json:"assigned"` // currently holding a task
 }
 
 // Census scans the registry (O(n), for /v1/status — the serving paths never

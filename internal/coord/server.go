@@ -146,14 +146,17 @@ func NewServer(c *Coordinator) *Server {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-func writeJSON(w http.ResponseWriter, code int, v any) {
+// WriteJSON answers code with v as the JSON body: the one reply writer
+// the coordinator, the tenant router and the tier gateway share.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, errorResponse{Error: err.Error()})
+// WriteError answers code with the body {"error": err}.
+func WriteError(w http.ResponseWriter, code int, err error) {
+	WriteJSON(w, code, errorResponse{Error: err.Error()})
 }
 
 // writeReply writes an already encoded JSON reply, given in parts.
@@ -177,11 +180,11 @@ func (s *Server) handleCheckIn(w http.ResponseWriter, r *http.Request) {
 	var req CheckInRequest
 	if err := readCheckIn(w, r, buf, &req); err != nil {
 		if tooLarge(err) {
-			writeError(w, http.StatusRequestEntityTooLarge,
+			WriteError(w, http.StatusRequestEntityTooLarge,
 				fmt.Errorf("check-in body exceeds %d-byte limit", maxCheckInBody))
 			return
 		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad check-in body: %w", err))
+		WriteError(w, http.StatusBadRequest, fmt.Errorf("bad check-in body: %w", err))
 		return
 	}
 	res := s.c.CheckIn(s.deviceInfo(&req))
@@ -190,7 +193,7 @@ func (s *Server) handleCheckIn(w http.ResponseWriter, r *http.Request) {
 		// 429 + Retry-After is the contract — sweeps free slots as stale
 		// devices age out, so later attempts can succeed.
 		w.Header().Set("Retry-After", "60")
-		writeError(w, http.StatusTooManyRequests, fmt.Errorf("device quota full"))
+		WriteError(w, http.StatusTooManyRequests, fmt.Errorf("device quota full"))
 		return
 	}
 	internString(req.AcceptSchemes)
@@ -298,7 +301,7 @@ func (s *Server) handleCheckInBatch(w http.ResponseWriter, r *http.Request) {
 	req := &sc.req
 	code, fresh, err := readCheckInBatch(w, r, req)
 	if err != nil {
-		writeError(w, code, err)
+		WriteError(w, code, err)
 		return
 	}
 	for i := range req.Devices {
@@ -331,20 +334,20 @@ func (s *Server) handleCheckInBatch(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	id, err := deviceID(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	if err := s.c.Heartbeat(id); err != nil {
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, struct{}{})
+	WriteJSON(w, http.StatusOK, struct{}{})
 }
 
 func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 	id, err := deviceID(r)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	q := TaskQuery{Binary: strings.Contains(r.Header.Get("Accept"), transport.ContentTypeTensor)}
@@ -370,10 +373,10 @@ func (s *Server) handleTask(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusNoContent)
 		return
 	case errors.Is(err, ErrUnknownDevice):
-		writeError(w, http.StatusNotFound, err)
+		WriteError(w, http.StatusNotFound, err)
 		return
 	case err != nil:
-		writeError(w, http.StatusInternalServerError, err)
+		WriteError(w, http.StatusInternalServerError, err)
 		return
 	}
 	if q.Binary {
@@ -426,11 +429,11 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		parsed, err := s.binarySubmission(w, r)
 		if errors.Is(err, errBodyTooLarge) {
 			s.c.counters.Counter("update_rejected_oversize").Inc()
-			writeError(w, http.StatusRequestEntityTooLarge, err)
+			WriteError(w, http.StatusRequestEntityTooLarge, err)
 			return
 		}
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
+			WriteError(w, http.StatusBadRequest, err)
 			return
 		}
 		sub = parsed
@@ -445,10 +448,10 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			if tooLarge(err) {
 				s.c.counters.Counter("update_rejected_oversize").Inc()
-				writeError(w, http.StatusRequestEntityTooLarge, errBodyTooLarge)
+				WriteError(w, http.StatusRequestEntityTooLarge, errBodyTooLarge)
 				return
 			}
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad update body: %w", err))
+			WriteError(w, http.StatusBadRequest, fmt.Errorf("bad update body: %w", err))
 			return
 		}
 		sub = Submission{
@@ -467,13 +470,13 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	switch {
 	case errors.Is(err, ErrBusy):
 		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, err)
+		WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	case errors.Is(err, ErrClosed):
-		writeError(w, http.StatusServiceUnavailable, err)
+		WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	case err != nil:
-		writeError(w, http.StatusBadRequest, err)
+		WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	writeReply(w, http.StatusAccepted, acceptedReply)
@@ -607,7 +610,7 @@ func (s *Server) observeUpdate(r *http.Request, id int64, upBytes int, upDur tim
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.c.Status())
+	WriteJSON(w, http.StatusOK, s.c.Status())
 }
 
 func deviceID(r *http.Request) (int64, error) {

@@ -5,13 +5,14 @@
 // binary/JSON protocol mix with delta tracking, several jobs at once, the
 // gateway tier drills and the poison replay. Diurnal churn and simulated
 // links belong to the virtual-time plane (internal/vload), which drives
-// the same Client. The server half lives in internal/coord; the two meet
-// only at the wire contract — coord's JSON types and the names in
-// internal/transport/wire.go.
+// the same Client. The server half lives in internal/coord and
+// internal/tenant; they meet only at the wire contract — coord's and
+// tenant's JSON types and the names in internal/transport/wire.go.
 package fleet
 
 import (
 	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -23,6 +24,7 @@ import (
 
 	"flint/internal/codec"
 	"flint/internal/coord"
+	"flint/internal/tenant"
 	"flint/internal/tensor"
 	"flint/internal/transport"
 )
@@ -34,9 +36,9 @@ var AcceptSchemes = transport.FormatAccept(transport.AllKinds())
 // Client speaks the device protocol against one job of one server (or
 // gateway). It is protocol only: drivers own pacing, retries, counting and
 // latency recording, and pass in the response-body buffer each exchange
-// reuses. Ready, called once before the Client is shared, learns whether
-// BaseURL is a flat server or a shard-tier gateway; after that a Client is
-// immutable and safe for concurrent use.
+// reuses. A Client is immutable and safe for concurrent use; a flat server
+// and a shard-tier gateway look the same to it but for the gateway's tier
+// section in /v1/status.
 type Client struct {
 	// HTTP is the caller's connection pool.
 	HTTP *http.Client
@@ -45,11 +47,6 @@ type Client struct {
 	// Job routes requests to /v1/jobs/<Job>/... instead of the bare /v1
 	// default-job alias; Token, when set, rides as Authorization: Bearer.
 	Job, Token string
-	// shards is the tier width Ready discovered (0 for a flat server).
-	// Device traffic is the same either way — the gateway routes every
-	// request to the device's owning shard; only Status reads the tier
-	// rollup.
-	shards int
 }
 
 // Outcome is how the server answered one exchange. Every HTTP status is
@@ -308,22 +305,6 @@ func (c *Client) SubmitJSON(ctx context.Context, buf *bytes.Buffer, u Update, de
 	}, nil)
 }
 
-// rollup is the slice of a /v1/status document Ready and status read.
-// Only a shard-tier gateway's rollup has a tier section — its width,
-// membership health and each job's global version, next to the default
-// job's at the top level — so a flat server's Shards decodes as 0. The
-// rollup is always HTTP 200: tier health is a field, not a status code.
-type rollup struct {
-	Version int `json:"version"`
-	Tier    struct {
-		Shards  int  `json:"shards"`
-		Healthy bool `json:"healthy"`
-		Jobs    map[string]struct {
-			Version int `json:"version"`
-		} `json:"jobs"`
-	} `json:"tier"`
-}
-
 // probe GETs a status document. Probes run off the hot path (a watcher
 // tick), so they use their own buffer.
 func (c *Client) probe(ctx context.Context, url string, out any) error {
@@ -334,61 +315,54 @@ func (c *Client) probe(ctx context.Context, url string, out any) error {
 	return err
 }
 
-// status reads the job's version and, from a flat server, its whole
-// /v1/status document. Through a tier it reads the gateway's rollup,
-// which nests per-shard documents, so only the version comes back: the
-// rollup's tier.jobs[Job], or its top-level version when Job is empty.
-// A job the rollup does not list is an error, as a flat server's 404 is.
-func (c *Client) status(ctx context.Context) (int, *coord.StatusReport, error) {
-	if c.shards == 0 {
-		st := new(coord.StatusReport)
-		err := c.probe(ctx, c.url("/status"), st)
-		return st.Version, st, err
+// status reads /v1/status, the one document a flint-server and a
+// flint-gateway both answer, and the job's row in it: jobs[Job], or the
+// default job's when Job is empty. A job the document does not list is
+// an error; the document is nil only when it could not be read.
+func (c *Client) status(ctx context.Context) (*tenant.StatusReport, tenant.JobStatus, error) {
+	st := new(tenant.StatusReport)
+	if err := c.probe(ctx, c.BaseURL+"/v1/status", st); err != nil {
+		return nil, tenant.JobStatus{}, err
 	}
-	var r rollup
-	if err := c.probe(ctx, c.BaseURL+"/v1/status", &r); err != nil || c.Job == "" {
-		return r.Version, nil, err
-	}
-	job, ok := r.Tier.Jobs[c.Job]
+	name := cmp.Or(c.Job, st.DefaultJob)
+	js, ok := st.Jobs[name]
 	if !ok {
-		return 0, nil, fmt.Errorf("fleet: the tier serves no job %q", c.Job)
+		return st, js, fmt.Errorf("fleet: %s serves no job %q", c.BaseURL, name)
 	}
-	return job.Version, nil, nil
+	return st, js, nil
 }
 
-// Ready learns what BaseURL is and returns the version a run starts from
-// and the tier's shard count (0 for a flat server). A /v1/status document
-// whose tier section counts one or more shards is a gateway's rollup:
-// Ready records the width, so status reads the job's tier version from
-// then on, and blocks until every shard is inside its heartbeat grace
-// window — launching devices into a halted tier would only measure the
+// Ready reads /v1/status and returns the version the job starts from
+// and the tier's shard count (0 for a flat server). A document with a
+// tier section is a gateway's, and Ready blocks until the tier is
+// healthy — launching devices into a halted tier would only measure the
 // halt gate's 503s.
 func (c *Client) Ready(ctx context.Context) (version, shards int, err error) {
-	var r rollup
 	for {
-		if err := c.probe(ctx, c.BaseURL+"/v1/status", &r); err != nil {
+		st, js, err := c.status(ctx)
+		switch {
+		case st == nil:
 			return 0, 0, fmt.Errorf("fleet: cannot reach server: %w", err)
-		}
-		if c.shards = r.Tier.Shards; c.shards == 0 || r.Tier.Healthy {
-			break
+		case st.Tier == nil:
+			return js.Version, 0, err
+		case st.Tier.Healthy:
+			return js.Version, st.Tier.Shards, err
 		}
 		if !SleepCtx(ctx, 100*time.Millisecond) {
-			return 0, 0, fmt.Errorf("fleet: gave up waiting for tier health: %w (%d shards)", ctx.Err(), c.shards)
+			return 0, 0, fmt.Errorf("fleet: gave up waiting for tier health: %w (%d shards)", ctx.Err(), st.Tier.Shards)
 		}
 	}
-	if version, _, err = c.status(ctx); err != nil {
-		return 0, 0, err
-	}
-	return version, c.shards, nil
 }
 
 // WatchRounds is the round watcher both load planes share, started once
 // Ready has returned start: every tick it reads the job's version until
 // that is rounds past start (never, when rounds is 0), then ends the run
 // through stop. The returned end stops the run, waits for the watcher and
-// reads the job's status once more under a fresh deadline. It returns the
-// newest version seen — start if no probe answered — and the final
-// document, which is nil through a tier or when that read failed.
+// reads the job's row once more under a fresh deadline, and on a flat
+// server the job's detail document /v1/jobs/<job>/status. It returns the
+// newest version seen — start if no probe answered — and the detail
+// document, which is nil through a tier (its shards each have their own)
+// or when a read failed.
 func (c *Client) WatchRounds(ctx context.Context, stop context.CancelFunc, tick time.Duration, start, rounds int) (end func() (int, *coord.StatusReport)) {
 	version := start // written by the watcher, read by end after done
 	done := make(chan struct{})
@@ -402,8 +376,8 @@ func (c *Client) WatchRounds(ctx context.Context, stop context.CancelFunc, tick 
 				return
 			case <-t.C:
 			}
-			if v, _, err := c.status(ctx); err == nil {
-				version = v
+			if _, js, err := c.status(ctx); err == nil {
+				version = js.Version
 			}
 		}
 		stop()
@@ -413,9 +387,17 @@ func (c *Client) WatchRounds(ctx context.Context, stop context.CancelFunc, tick 
 		<-done
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
-		if v, st, err := c.status(ctx); err == nil {
-			return v, st
+		st, js, err := c.status(ctx)
+		if err != nil {
+			return version, nil
 		}
-		return version, nil
+		if st.Tier != nil {
+			return js.Version, nil
+		}
+		detail := new(coord.StatusReport)
+		if err := c.probe(ctx, c.BaseURL+"/v1/jobs/"+js.Name+"/status", detail); err != nil {
+			return js.Version, nil
+		}
+		return js.Version, detail
 	}
 }

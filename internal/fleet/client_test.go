@@ -16,13 +16,14 @@ import (
 	"flint/internal/transport"
 )
 
-// TestClientOutcomes walks the device protocol against a real
-// coord.NewServer, one exchange per row in protocol order: every server
+// TestClientOutcomes walks the device protocol against a real one-job
+// tenant server, one exchange per row in protocol order: every server
 // answer — a task in either protocol, a delta frame, no task, unknown
 // device, a shed update — must come back as a typed outcome with a nil
 // error, and the delta must rebuild to exactly the version it names.
 func TestClientOutcomes(t *testing.T) {
-	c, err := coord.New(coord.Config{
+	ctx := context.Background()
+	c, srv := serveJob(t, coord.Config{
 		Mode:           coord.ModeAsync,
 		ModelKind:      model.KindA,
 		Seed:           1,
@@ -37,14 +38,10 @@ func TestClientOutcomes(t *testing.T) {
 		// Lossless schemes, so rebuilt vectors compare exactly.
 		Transport: transport.Config{Default: transport.Policy{Task: codec.RawF64, Update: codec.RawF64, Delta: codec.RawF64}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	srv := httptest.NewServer(coord.NewServer(c))
-	defer srv.Close()
 	cl := &Client{HTTP: srv.Client(), BaseURL: srv.URL}
-	ctx := context.Background()
+	if v, shards, err := cl.Ready(ctx); err != nil || v != 1 || shards != 0 {
+		t.Fatalf("Ready = v%d, %d shards, %v; want v1 on a flat server", v, shards, err)
+	}
 	var buf bytes.Buffer
 
 	published := func(version int) tensor.Vector {
@@ -71,12 +68,13 @@ func TestClientOutcomes(t *testing.T) {
 			return res, err
 		}
 	}
-	// waitStatus polls /v1/status until cond holds: the commit an accepted
-	// update triggers runs on the ingest worker, after the 200.
+	// waitStatus polls the job's detail document until cond holds: the
+	// commit an accepted update triggers runs on the ingest worker, after
+	// the 200.
 	waitStatus := func(t *testing.T, what string, cond func(*coord.StatusReport) bool) {
 		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
-			_, st, err := cl.status(ctx)
-			if err != nil {
+			st := new(coord.StatusReport)
+			if err := cl.probe(ctx, srv.URL+"/v1/jobs/served/status", st); err != nil {
 				t.Fatalf("status probe: %v", err)
 			}
 			if cond(st) {

@@ -178,8 +178,8 @@ type Report struct {
 	CheckInLatency LatencySummary `json:"checkin_latency"`
 	TaskLatency    LatencySummary `json:"task_latency"`
 	UpdateLatency  LatencySummary `json:"update_latency"`
-	// FinalStatus is the server's status snapshot at fleet shutdown (nil
-	// through a tier, whose rollup nests per-shard documents instead).
+	// FinalStatus is the job's detail document at fleet shutdown (nil
+	// through a tier, which has no job detail document of its own).
 	FinalStatus *coord.StatusReport `json:"final_status,omitempty"`
 	// TierShards is the shard count of the gateway tier the fleet drove
 	// (0 when the fleet targeted a flat server).

@@ -16,6 +16,22 @@ import (
 	"flint/internal/transport"
 )
 
+// serveJob serves cfg as the one job "served" of a tenant server, the
+// way flint-server does, and returns the job's coordinator and the
+// server; both close when the test ends.
+func serveJob(t *testing.T, cfg coord.Config) (*coord.Coordinator, *httptest.Server) {
+	t.Helper()
+	reg := tenant.NewRegistry(cfg)
+	t.Cleanup(reg.Close)
+	job, err := reg.Register(tenant.JobSpec{Name: "served"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(tenant.NewServer(reg, false))
+	t.Cleanup(srv.Close)
+	return job.Coord, srv
+}
+
 // TestFleetEndToEnd drives a fleet of goroutine devices through a live
 // httptest server until at least 3 rounds commit, in both serving modes.
 // Run with -race: this is the subsystem's concurrency gauntlet.
@@ -59,13 +75,7 @@ func TestFleetEndToEnd(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			c, err := coord.New(tc.cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			srv := httptest.NewServer(coord.NewServer(c))
-			defer srv.Close()
+			c, srv := serveJob(t, tc.cfg)
 
 			rep, err := Run(Config{
 				BaseURL:      srv.URL,
@@ -113,7 +123,7 @@ func TestFleetEndToEnd(t *testing.T) {
 // against the same server in the same rounds: the content-negotiation
 // contract is that neither cohort can tell the other exists.
 func TestFleetMixedProtocols(t *testing.T) {
-	c, err := coord.New(coord.Config{
+	c, srv := serveJob(t, coord.Config{
 		Mode:          coord.ModeSync,
 		ModelKind:     model.KindA,
 		Seed:          1,
@@ -126,12 +136,6 @@ func TestFleetMixedProtocols(t *testing.T) {
 		Transport:     transport.Config{Default: transport.Policy{Update: codec.Q8}},
 		Criteria:      availability.Criteria{RequireWiFi: true},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	srv := httptest.NewServer(coord.NewServer(c))
-	defer srv.Close()
 
 	rep, err := Run(Config{
 		BaseURL:      srv.URL,
@@ -195,13 +199,7 @@ func TestFleetTransportMix(t *testing.T) {
 				KeepVersions:  -1,
 				Criteria:      availability.Criteria{}, // admit cellular: both cohorts serve
 			}
-			c, err := coord.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer c.Close()
-			srv := httptest.NewServer(coord.NewServer(c))
-			defer srv.Close()
+			c, srv := serveJob(t, cfg)
 
 			// Rounds must exceed Devices/TargetUpdates (= 5): the fast
 			// commit pipeline can otherwise finish every round from
@@ -289,13 +287,7 @@ func TestFleetPoisonReplay(t *testing.T) {
 		Aggregation:   coord.AggregationConfig{Strategy: "trimmed-mean"},
 		DP:            coord.DPConfig{Epsilon: 8},
 	}
-	c, err := coord.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	srv := httptest.NewServer(coord.NewServer(c))
-	defer srv.Close()
+	_, srv := serveJob(t, cfg)
 
 	rep, err := Run(Config{
 		BaseURL:        srv.URL,

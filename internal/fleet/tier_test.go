@@ -20,14 +20,14 @@ import (
 // the virtual-time run below.
 const tierCompression = 120
 
-// newTier boots an in-process two-shard tier hosting jobs "a" (the
+// newTier boots an in-process tier of n shards hosting jobs "a" (the
 // default) and "b": each shard is a tenant registry behind httptest whose
 // coordinators exchange partials with an in-process leader and ping it
-// from a heartbeat, and the gateway fronts both. Like flint-gateway, the
-// leader lists every job at v1 before any traffic. It returns the leader
-// and the gateway's URL; the tier turns healthy with the first heartbeats,
-// which the load planes' Ready waits for.
-func newTier(t *testing.T) (*shard.Leader, string) {
+// from a heartbeat, and the gateway fronts them. Like flint-gateway, the
+// leader holds every job at v1 before any traffic. It returns the leader,
+// the gateway's URL and the shards' URLs; the tier turns healthy with the
+// first heartbeats, which the load planes' Ready waits for.
+func newTier(t *testing.T, n int) (*shard.Leader, string, []string) {
 	t.Helper()
 	params := func(string) (tensor.Vector, error) {
 		m, err := model.New(model.KindA, 1)
@@ -36,7 +36,7 @@ func newTier(t *testing.T) (*shard.Leader, string) {
 		}
 		return m.Params(), nil
 	}
-	leader, err := shard.NewLeader(shard.LeaderConfig{Shards: 2, Grace: 2 * time.Second, Params: params})
+	leader, err := shard.NewLeader(shard.LeaderConfig{Shards: n, Grace: 2 * time.Second, Params: params})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func newTier(t *testing.T) (*shard.Leader, string) {
 			t.Fatal(err)
 		}
 	}
-	urls := make([]string, 2)
+	urls := make([]string, n)
 	for i := range urls {
 		reg := tenant.NewRegistry(coord.Config{
 			Mode:      coord.ModeSync,
@@ -74,13 +74,13 @@ func newTier(t *testing.T) (*shard.Leader, string) {
 		hb := shard.StartHeartbeat(leader, i, 100*time.Millisecond)
 		t.Cleanup(hb.Stop)
 	}
-	gw, err := shard.NewGateway(shard.GatewayConfig{Shards: urls, Leader: leader, DefaultJob: "a"})
+	gw, err := shard.NewGateway(shard.GatewayConfig{Shards: urls, Leader: leader})
 	if err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(gw)
 	t.Cleanup(srv.Close)
-	return leader, srv.URL
+	return leader, srv.URL, urls
 }
 
 // TestFleetDrivesJobThroughTier: pointed at a gateway, the fleet learns
@@ -88,7 +88,7 @@ func newTier(t *testing.T) (*shard.Leader, string) {
 // own tier version, so it stops after b's first fold while job "a" never
 // moves.
 func TestFleetDrivesJobThroughTier(t *testing.T) {
-	leader, url := newTier(t)
+	leader, url, _ := newTier(t, 2)
 	rep, err := fleet.Run(fleet.Config{
 		BaseURL:      url,
 		Job:          "b",
@@ -119,12 +119,12 @@ func TestFleetDrivesJobThroughTier(t *testing.T) {
 	}
 }
 
-// TestFleetUnknownJobThroughTier: a job the tier's rollup does not list
-// fails Ready at once with an error naming it, as a flat server's 404 on
-// /v1/jobs/<job>/status does, instead of reading as version 0 and
-// spinning until the run's timeout.
+// TestFleetUnknownJobThroughTier: a job the tier's /v1/status does not
+// list fails Ready at once with an error naming it, as it does on a flat
+// server, instead of reading as version 0 and spinning until the run's
+// timeout.
 func TestFleetUnknownJobThroughTier(t *testing.T) {
-	_, url := newTier(t)
+	_, url, _ := newTier(t, 2)
 	const timeout = 30 * time.Second
 	start := time.Now()
 	rep, err := fleet.Run(fleet.Config{
@@ -145,10 +145,10 @@ func TestFleetUnknownJobThroughTier(t *testing.T) {
 
 // TestVirtualFleetThroughTier: the virtual-time plane discovers the tier
 // the same way, splits its registration storm through the gateway's batch
-// check-in and reports no final status, since the rollup nests per-shard
-// documents.
+// check-in and reports no final status, since a tier has no job detail
+// document of its own.
 func TestVirtualFleetThroughTier(t *testing.T) {
-	_, url := newTier(t)
+	_, url, _ := newTier(t, 2)
 	rep, err := vload.Run(vload.Config{
 		BaseURL:         url,
 		Devices:         500,

@@ -29,7 +29,7 @@ type batchBackend struct {
 func (b *batchBackend) handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/v1/checkin/batch" {
-			writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+			coord.WriteJSON(w, http.StatusOK, map[string]any{"ok": true})
 			return
 		}
 		if b.fail {
@@ -46,7 +46,7 @@ func (b *batchBackend) handler() http.Handler {
 			b.seen = append(b.seen, d.DeviceID)
 		}
 		b.mu.Unlock()
-		writeJSON(w, http.StatusOK, coord.BatchCheckInResponse{
+		coord.WriteJSON(w, http.StatusOK, coord.BatchCheckInResponse{
 			Accepted: len(req.Devices),
 			New:      len(req.Devices),
 			Eligible: len(req.Devices) - 1,

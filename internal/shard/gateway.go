@@ -2,6 +2,7 @@ package shard
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -14,6 +15,7 @@ import (
 
 	"flint/internal/coord"
 	"flint/internal/metrics"
+	"flint/internal/tenant"
 	"flint/internal/transport"
 )
 
@@ -54,12 +56,9 @@ type GatewayConfig struct {
 	// on the ring and the tier exchange.
 	Shards []string
 	// Leader is the tier's round leader, hosted in the gateway process
-	// so the exchange and the halt gate share one membership view.
+	// so the exchange and the halt gate share one membership view. Its
+	// width must be len(Shards).
 	Leader *Leader
-	// DefaultJob names the job whose tier version the rollup reports as
-	// its top-level "version" — the field single-job clients (and the
-	// fleet generator's round watcher) poll for progress.
-	DefaultJob string
 }
 
 // gatewayCounters pre-register the routing plane's counter shape.
@@ -86,12 +85,11 @@ func haltRetryAfter(base float64) string {
 // public /v1 device API to shard replicas by consistent-hashed device
 // id over pooled keep-alive connections, hosts the leader's private
 // /shard/v1 exchange, enforces the §3.4 halt on task assignment, and
-// rolls every shard's /v1/status up into one tier view.
+// folds every shard's /v1/status into one tier document.
 type Gateway struct {
 	ring     *Ring
 	shards   []string
 	leader   *Leader
-	job      string
 	client   *http.Client
 	counters *metrics.CounterSet
 }
@@ -103,6 +101,9 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	}
 	if cfg.Leader == nil {
 		return nil, fmt.Errorf("shard: gateway needs a leader")
+	}
+	if n := cfg.Leader.cfg.Shards; n != len(cfg.Shards) {
+		return nil, fmt.Errorf("shard: gateway has %d shard URLs, its leader a tier of %d", len(cfg.Shards), n)
 	}
 	ring, err := NewRing(len(cfg.Shards))
 	if err != nil {
@@ -122,7 +123,6 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 		ring:   ring,
 		shards: shards,
 		leader: cfg.Leader,
-		job:    cfg.DefaultJob,
 		client: &http.Client{
 			// No client timeout: /v1/task long-polls ride through; the
 			// transport's pooled keep-alive connections are the point.
@@ -154,7 +154,7 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	case pathPing:
 		g.handlePing(w, r)
 	case "/v1/status":
-		g.handleRollup(w, r)
+		g.handleStatus(w, r)
 	default:
 		g.route(w, r)
 	}
@@ -192,7 +192,7 @@ func (g *Gateway) route(w http.ResponseWriter, r *http.Request) {
 	verb := op(r.URL.Path)
 	if verb == "" {
 		g.counters.Counter("route_rejected").Inc()
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown path %q", r.URL.Path))
+		coord.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown path %q", r.URL.Path))
 		return
 	}
 	if verb == "checkin" && strings.HasSuffix(r.URL.Path, "/checkin/batch") {
@@ -217,7 +217,7 @@ func (g *Gateway) route(w http.ResponseWriter, r *http.Request) {
 			// membership recovers.
 			g.counters.Counter("halt_rejected_tasks").Inc()
 			w.Header().Set("Retry-After", haltRetryAfter(1))
-			writeError(w, http.StatusServiceUnavailable, fmt.Errorf("shard tier halted (membership unhealthy)"))
+			coord.WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("shard tier halted (membership unhealthy)"))
 			return
 		}
 		device, err = strconv.ParseInt(r.URL.Query().Get("device"), 10, 64)
@@ -240,7 +240,7 @@ func (g *Gateway) route(w http.ResponseWriter, r *http.Request) {
 	}
 	if err != nil {
 		g.counters.Counter("route_rejected").Inc()
-		writeError(w, http.StatusBadRequest, err)
+		coord.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	shard := 0
@@ -269,7 +269,7 @@ func (g *Gateway) routeCheckInBatch(w http.ResponseWriter, r *http.Request) {
 	var req coord.BatchCheckInRequest
 	if status, err := coord.ReadCheckInBatch(w, r, &req); err != nil {
 		g.counters.Counter("route_rejected").Inc()
-		writeError(w, status, err)
+		coord.WriteError(w, status, err)
 		return
 	}
 	parts := make([][]coord.CheckInRequest, len(g.shards))
@@ -298,7 +298,7 @@ func (g *Gateway) routeCheckInBatch(w http.ResponseWriter, r *http.Request) {
 			if r.Context().Err() == nil { // not a proxy error when the client hung up (see proxy)
 				g.counters.Counter("proxy_errors").Inc()
 			}
-			writeError(w, http.StatusBadGateway, fmt.Errorf("batch check-in: shard %d: %w", si, rep.err))
+			coord.WriteError(w, http.StatusBadGateway, fmt.Errorf("batch check-in: shard %d: %w", si, rep.err))
 			return
 		case rep.status != 0:
 			for k, vs := range rep.header {
@@ -322,7 +322,7 @@ func (g *Gateway) routeCheckInBatch(w http.ResponseWriter, r *http.Request) {
 		merged.RoundID = max(merged.RoundID, sr.RoundID)
 	}
 	g.counters.Counter("route_by_device").Inc()
-	writeJSON(w, http.StatusOK, merged)
+	coord.WriteJSON(w, http.StatusOK, merged)
 }
 
 // batchReply is one shard's answer to its sub-batch: the decoded reply,
@@ -405,7 +405,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, shard int, body 
 	out, err := http.NewRequestWithContext(r.Context(), r.Method, g.shards[shard]+r.URL.RequestURI(), body)
 	if err != nil {
 		g.counters.Counter("proxy_errors").Inc()
-		writeError(w, http.StatusBadGateway, err)
+		coord.WriteError(w, http.StatusBadGateway, err)
 		return
 	}
 	out.Header = r.Header.Clone()
@@ -416,7 +416,7 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, shard int, body 
 		if r.Context().Err() == nil {
 			g.counters.Counter("proxy_errors").Inc()
 		}
-		writeError(w, http.StatusBadGateway, fmt.Errorf("shard %d: %w", shard, err))
+		coord.WriteError(w, http.StatusBadGateway, fmt.Errorf("shard %d: %w", shard, err))
 		return
 	}
 	defer resp.Body.Close()
@@ -441,43 +441,43 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, shard int, body 
 // the verdict back onto the wire (503 = halted, body = install blob).
 func (g *Gateway) handlePartial(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("want POST"))
+		coord.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("want POST"))
 		return
 	}
 	pc := coord.PartialCommit{Job: r.Header.Get(hdrJob)}
 	var err error
 	if pc.ShardID, err = strconv.Atoi(r.Header.Get(hdrShard)); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", hdrShard, err))
+		coord.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", hdrShard, err))
 		return
 	}
 	if pc.Round, err = strconv.ParseUint(r.Header.Get(hdrRound), 10, 64); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", hdrRound, err))
+		coord.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", hdrRound, err))
 		return
 	}
 	if pc.BaseVersion, err = strconv.Atoi(r.Header.Get(hdrBase)); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", hdrBase, err))
+		coord.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", hdrBase, err))
 		return
 	}
 	if pc.Updates, err = strconv.Atoi(r.Header.Get(hdrUpdates)); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", hdrUpdates, err))
+		coord.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", hdrUpdates, err))
 		return
 	}
 	if pc.Weight, err = strconv.ParseFloat(r.Header.Get(hdrWeight), 64); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", hdrWeight, err))
+		coord.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", hdrWeight, err))
 		return
 	}
 	if pc.Blob, err = readSized(http.MaxBytesReader(w, r.Body, maxPartialBody), r.ContentLength); err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, err)
+		coord.WriteError(w, http.StatusRequestEntityTooLarge, err)
 		return
 	}
 	inst, err := g.leader.SubmitPartial(pc)
 	if err == coord.ErrTierHalted {
 		w.Header().Set("Retry-After", haltRetryAfter(1))
-		writeError(w, http.StatusServiceUnavailable, err)
+		coord.WriteError(w, http.StatusServiceUnavailable, err)
 		return
 	}
 	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		coord.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	g.counters.Counter("partials_proxied").Inc()
@@ -491,97 +491,110 @@ func (g *Gateway) handlePartial(w http.ResponseWriter, r *http.Request) {
 // handlePing is the server side of the heartbeat verb.
 func (g *Gateway) handlePing(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("want POST"))
+		coord.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("want POST"))
 		return
 	}
 	id, err := strconv.Atoi(r.URL.Query().Get("shard"))
 	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad shard parameter: %w", err))
+		coord.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad shard parameter: %w", err))
 		return
 	}
 	if err := g.leader.Ping(id); err != nil {
-		writeError(w, http.StatusBadRequest, err)
+		coord.WriteError(w, http.StatusBadRequest, err)
 		return
 	}
 	w.WriteHeader(http.StatusOK)
 }
 
-// ShardStatus is one replica's row in the gateway rollup: its URL,
-// whether its status probe succeeded, and the raw status document when
-// it did.
-type ShardStatus struct {
-	Index  int             `json:"index"`
-	URL    string          `json:"url"`
-	OK     bool            `json:"ok"`
-	Error  string          `json:"error,omitempty"`
-	Status json.RawMessage `json:"status,omitempty"`
-}
-
-// Rollup is the gateway's /v1/status payload: the tier's authoritative
-// global version at the top level (so single-job pollers and the fleet
-// generator's round watcher keep reading "version" unchanged), the
-// leader's membership/exchange view, the routing counters, and every
-// shard's own status document.
-type Rollup struct {
-	Version int              `json:"version"`
-	Tier    TierStatus       `json:"tier"`
-	Gateway map[string]int64 `json:"gateway_counters"`
-	Shards  []ShardStatus    `json:"shards"`
-}
-
-// handleRollup fans a status probe out to every shard concurrently and
-// folds the responses into one tier document. The rollup itself always
-// answers 200 — a dead shard shows up as ok=false in its row and as
-// healthy=false in the tier section, which is the signal operators and
-// the smoke drill actually look for.
-func (g *Gateway) handleRollup(w http.ResponseWriter, r *http.Request) {
+// handleStatus answers /v1/status with the tenant server's document
+// folded over the shards, which it reads concurrently, each read bounded
+// by the leader's heartbeat grace so that one stalled shard cannot stall
+// the tier's status. Rows fold the way the tenant server folds jobs: a
+// job's counts and the fleet sums add up over the shards (a tier's
+// rounds_committed counts shard rounds), its version is the leader's,
+// and its other fields come from the first shard that answered. The
+// tier section adds the leader's and the gateway's state and a row per
+// shard. The answer is always 200: a dead shard is an ok=false row, and
+// healthy=false once its heartbeat lapses.
+func (g *Gateway) handleStatus(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("want GET"))
+		coord.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("want GET"))
 		return
 	}
 	g.counters.Counter("rollup_requests").Inc()
-	rows := make([]ShardStatus, len(g.shards))
+	tier := g.leader.tierStatus()
+	reps := make([]*tenant.StatusReport, len(g.shards))
+	ctx, cancel := context.WithTimeout(r.Context(), g.leader.cfg.Grace)
+	defer cancel()
 	var wg sync.WaitGroup
-	for i, base := range g.shards {
+	for i := range g.shards {
 		wg.Add(1)
-		go func(i int, base string) {
+		go func() {
 			defer wg.Done()
-			rows[i] = ShardStatus{Index: i, URL: base}
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, base+"/v1/status", nil)
+			row := &tier.ShardRows[i]
+			row.URL = g.shards[i]
+			rep, err := g.shardStatus(ctx, i)
 			if err != nil {
-				rows[i].Error = err.Error()
+				row.Error = err.Error()
 				return
 			}
-			resp, err := g.client.Do(req)
-			if err != nil {
-				rows[i].Error = err.Error()
-				return
+			reps[i], row.OK = rep, true
+			row.Versions = make(map[string]int, len(rep.Jobs))
+			for name, js := range rep.Jobs {
+				row.Versions[name] = js.Version
 			}
-			defer resp.Body.Close()
-			raw, err := io.ReadAll(io.LimitReader(resp.Body, 4<<20))
-			if err != nil || resp.StatusCode != http.StatusOK {
-				rows[i].Error = fmt.Sprintf("status %s", resp.Status)
-				return
-			}
-			rows[i].OK = true
-			rows[i].Status = raw
-		}(i, base)
+		}()
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, Rollup{
-		Version: g.leader.Version(g.job),
-		Tier:    g.leader.Status(),
-		Gateway: g.counters.Snapshot(),
-		Shards:  rows,
-	})
+	out := tenant.StatusReport{Jobs: make(map[string]tenant.JobStatus), Tier: &tier}
+	var counters []map[string]int64
+	for _, rep := range reps {
+		if rep == nil {
+			continue
+		}
+		if out.DefaultJob == "" {
+			out.DefaultJob = rep.DefaultJob
+		}
+		for name, js := range rep.Jobs {
+			if sum, ok := out.Jobs[name]; ok {
+				sum.RoundsCommitted += js.RoundsCommitted
+				sum.UpdatesAggregated += js.UpdatesAggregated
+				sum.DevicesKnown += js.DevicesKnown
+				sum.DevicesLive += js.DevicesLive
+				sum.QuotaRejected += js.QuotaRejected
+				sum.AuthRejected += js.AuthRejected
+				js = sum
+			} else {
+				js.Version = g.leader.Version(name)
+			}
+			out.Jobs[name] = js
+		}
+		out.Fleet.DevicesKnown += rep.Fleet.DevicesKnown
+		out.Fleet.DevicesLive += rep.Fleet.DevicesLive
+		out.Fleet.RoundsCommitted += rep.Fleet.RoundsCommitted
+		out.Fleet.UpdatesAggregated += rep.Fleet.UpdatesAggregated
+		counters = append(counters, rep.Fleet.Counters)
+	}
+	out.Fleet.Jobs = len(out.Jobs)
+	out.Fleet.Counters = metrics.Rollup(counters...)
+	tier.Gateway = g.counters.Snapshot()
+	coord.WriteJSON(w, http.StatusOK, out)
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+// shardStatus reads shard i's /v1/status document.
+func (g *Gateway) shardStatus(ctx context.Context, i int) (*tenant.StatusReport, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, g.shards[i]+"/v1/status", nil)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := g.client.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return nil, fmt.Errorf("status %s", resp.Status)
+	}
+	rep := new(tenant.StatusReport)
+	return rep, json.NewDecoder(io.LimitReader(resp.Body, 4<<20)).Decode(rep)
 }

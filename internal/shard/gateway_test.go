@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"sync"
 	"testing"
@@ -15,6 +16,7 @@ import (
 
 	"flint/internal/codec"
 	"flint/internal/coord"
+	"flint/internal/tenant"
 	"flint/internal/tensor"
 	"flint/internal/transport"
 )
@@ -46,10 +48,10 @@ func (b *recordingBackend) handler(index int) http.Handler {
 		b.hits = append(b.hits, fmt.Sprintf("%s %s %s", r.Method, r.URL.Path, device))
 		b.mu.Unlock()
 		if r.URL.Path == "/v1/status" {
-			writeJSON(w, http.StatusOK, map[string]any{"shard_index": index, "version": 1})
+			coord.WriteJSON(w, http.StatusOK, backendStatus(index))
 			return
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true})
+		coord.WriteJSON(w, http.StatusOK, map[string]any{"ok": true})
 	})
 }
 
@@ -204,10 +206,33 @@ func TestGatewayRoutesByDeviceID(t *testing.T) {
 	}
 }
 
+// backendStatus is fake shard i's /v1/status: one job "served" whose
+// counts and version differ per shard.
+func backendStatus(i int) tenant.StatusReport {
+	n := i + 1
+	return tenant.StatusReport{
+		DefaultJob: "served",
+		Jobs: map[string]tenant.JobStatus{"served": {
+			Name: "served", Mode: coord.ModeSync, Model: "A", Version: 10 + i, Round: uint64(20 + i),
+			Phase: coord.PhaseOpen, RoundsCommitted: int64(n), UpdatesAggregated: int64(10 * n),
+			DevicesKnown: 100 * n, DevicesLive: 50 * n, MaxDevices: 1000, QuotaRejected: int64(2 * n),
+			Protected: true, AuthRejected: int64(3 * n),
+		}},
+		Fleet: tenant.FleetRollup{
+			Jobs: 1, DevicesKnown: 100 * n, DevicesLive: 50 * n, RoundsCommitted: int64(n), UpdatesAggregated: int64(10 * n),
+			Counters: map[string]int64{"checkin_total": int64(7 * n), "tenant.auth_rejected_token": int64(3 * n)},
+		},
+	}
+}
+
+// TestGatewayRollup pins the tier's /v1/status fold: the shards' job rows
+// and fleet sections add up, each job's version is the leader's, every
+// other row field is the first answering shard's, and the tier section
+// carries the leader's verdict and one row per shard.
 func TestGatewayRollup(t *testing.T) {
 	gw, leader, _ := newTestGateway(t, 2)
 	leader.Ping(0)
-	if err := leader.EnsureJob(""); err != nil {
+	if err := leader.EnsureJob("served"); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(gw)
@@ -221,33 +246,102 @@ func TestGatewayRollup(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("rollup status %s", resp.Status)
 	}
-	var roll Rollup
+	var roll tenant.StatusReport
 	if err := json.NewDecoder(resp.Body).Decode(&roll); err != nil {
 		t.Fatal(err)
 	}
-	if roll.Version != 1 {
-		t.Fatalf("rollup version = %d, want 1 (eager default job)", roll.Version)
+	want := backendStatus(0).Jobs["served"]
+	want.Version = 1 // the leader's, not either shard's
+	want.RoundsCommitted, want.UpdatesAggregated = 3, 30
+	want.DevicesKnown, want.DevicesLive = 300, 150
+	want.QuotaRejected, want.AuthRejected = 6, 9
+	if got := roll.Jobs["served"]; roll.DefaultJob != "served" || len(roll.Jobs) != 1 || got != want {
+		t.Fatalf("folded job row %+v (default %q, %d rows), want %+v", got, roll.DefaultJob, len(roll.Jobs), want)
 	}
-	if roll.Tier.Healthy {
-		t.Fatal("rollup reports healthy with shard 1 silent")
+	wantFleet := tenant.FleetRollup{Jobs: 1, DevicesKnown: 300, DevicesLive: 150, RoundsCommitted: 3, UpdatesAggregated: 30,
+		Counters: map[string]int64{"checkin_total": 21, "tenant.auth_rejected_token": 9}}
+	if !reflect.DeepEqual(roll.Fleet, wantFleet) {
+		t.Fatalf("folded fleet %+v, want %+v", roll.Fleet, wantFleet)
 	}
-	if len(roll.Shards) != 2 || !roll.Shards[0].OK || !roll.Shards[1].OK {
-		t.Fatalf("rollup shard rows wrong: %+v", roll.Shards)
+	tier := roll.Tier
+	if tier == nil || tier.Healthy || tier.Shards != 2 {
+		t.Fatalf("tier section %+v: want 2 shards, unhealthy with shard 1 silent", tier)
 	}
-	var st struct {
-		ShardIndex int `json:"shard_index"`
+	if tier.Counters["tier_pings"] != 1 || tier.Gateway["rollup_requests"] != 1 {
+		t.Fatalf("tier counters %v, gateway counters %v", tier.Counters, tier.Gateway)
 	}
-	if err := json.Unmarshal(roll.Shards[1].Status, &st); err != nil || st.ShardIndex != 1 {
-		t.Fatalf("shard row 1 carries wrong status doc: %s", roll.Shards[1].Status)
+	if len(tier.ShardRows) != 2 {
+		t.Fatalf("tier has %d shard rows, want 2", len(tier.ShardRows))
+	}
+	for i, row := range tier.ShardRows {
+		if row.Index != i || !row.OK || row.Error != "" || row.URL == "" || row.Versions["served"] != 10+i {
+			t.Fatalf("shard row %d: %+v", i, row)
+		}
+	}
+	if tier.ShardRows[0].PingMS < 0 || tier.ShardRows[1].PingMS != -1 {
+		t.Fatalf("ping ages %d, %d: want shard 0 heard from, shard 1 never", tier.ShardRows[0].PingMS, tier.ShardRows[1].PingMS)
 	}
 	// The rollup's tier section is the leader's only status document.
-	tier, err := http.Get(srv.URL + "/shard/v1/status")
+	tierDoc, err := http.Get(srv.URL + "/shard/v1/status")
 	if err != nil {
 		t.Fatal(err)
 	}
-	tier.Body.Close()
-	if tier.StatusCode != http.StatusNotFound {
-		t.Fatalf("GET /shard/v1/status = %s, want 404", tier.Status)
+	tierDoc.Body.Close()
+	if tierDoc.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /shard/v1/status = %s, want 404", tierDoc.Status)
+	}
+}
+
+// TestGatewayStatusBoundedByGrace: a shard that never answers its status
+// read costs the tier's /v1/status one heartbeat grace, not the caller's
+// whole deadline, and shows as an ok=false row with its error while the
+// answering shard's rows still fold.
+func TestGatewayStatusBoundedByGrace(t *testing.T) {
+	const grace = 300 * time.Millisecond
+	leader, err := NewLeader(LeaderConfig{Shards: 2, Grace: grace, Params: testParams})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := httptest.NewServer((&recordingBackend{}).handler(0))
+	defer live.Close()
+	release := make(chan struct{})
+	stalled := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	defer stalled.Close()
+	defer close(release)
+	gw, err := NewGateway(GatewayConfig{Shards: []string{live.URL, stalled.URL}, Leader: leader})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(gw)
+	defer srv.Close()
+
+	client := &http.Client{Timeout: 5 * time.Second}
+	start := time.Now()
+	resp, err := client.Get(srv.URL + "/v1/status")
+	if err != nil {
+		t.Fatalf("tier status with a stalled shard: %v", err)
+	}
+	defer resp.Body.Close()
+	// About one grace; the bound leaves room for a loaded machine and
+	// still sits well inside the client's own deadline.
+	if took := time.Since(start); took > 2*time.Second {
+		t.Errorf("tier status took %v with a stalled shard, want about the %v grace", took, grace)
+	}
+	var roll tenant.StatusReport
+	if err := json.NewDecoder(resp.Body).Decode(&roll); err != nil {
+		t.Fatal(err)
+	}
+	rows := roll.Tier.ShardRows
+	if !rows[0].OK || rows[1].OK || rows[1].Error == "" {
+		t.Fatalf("shard rows %+v: want shard 0 ok, shard 1 failed with its error", rows)
+	}
+	if roll.Jobs["served"].DevicesKnown != 100 {
+		t.Fatalf("answering shard's row did not fold: %+v", roll.Jobs)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"flint/internal/codec"
 	"flint/internal/coord"
 	"flint/internal/metrics"
+	"flint/internal/tenant"
 	"flint/internal/tensor"
 )
 
@@ -294,46 +295,24 @@ func (l *Leader) foldLocked(job string, jg *jobGlobal) {
 	jg.buffer = jg.buffer[:0]
 }
 
-// TierJob is one job's row in the tier status report.
-type TierJob struct {
-	Version  int `json:"version"`
-	Buffered int `json:"buffered_partials"`
-}
-
-// TierStatus is the leader's half of the gateway status rollup: shard
-// membership, the halt verdict, per-job global versions, and the
-// exchange counters.
-type TierStatus struct {
-	Shards  int  `json:"shards"`
-	Healthy bool `json:"healthy"`
-	// LastPingMS is each shard's heartbeat age in milliseconds
-	// (negative = never heard from).
-	LastPingMS []int64            `json:"last_ping_ms"`
-	Jobs       map[string]TierJob `json:"jobs"`
-	Counters   map[string]int64   `json:"counters"`
-}
-
-// Status snapshots the tier for the gateway's /v1/status rollup.
-func (l *Leader) Status() TierStatus {
+// tierStatus is the leader's half of the gateway's tier section: the
+// width, the halt verdict, the exchange counters, and one row per shard
+// holding its index and heartbeat age for the gateway to complete.
+func (l *Leader) tierStatus() tenant.TierStatus {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	now := time.Now()
-	st := TierStatus{
-		Shards:     l.cfg.Shards,
-		Healthy:    l.healthyLocked(now),
-		LastPingMS: make([]int64, l.cfg.Shards),
-		Jobs:       make(map[string]TierJob, len(l.jobs)),
-		Counters:   l.counters.Snapshot(),
+	st := tenant.TierStatus{
+		Shards:    l.cfg.Shards,
+		Healthy:   l.healthyLocked(now),
+		Counters:  l.counters.Snapshot(),
+		ShardRows: make([]tenant.ShardRow, l.cfg.Shards),
 	}
 	for i, t := range l.lastPing {
-		if t.IsZero() {
-			st.LastPingMS[i] = -1
-		} else {
-			st.LastPingMS[i] = now.Sub(t).Milliseconds()
+		st.ShardRows[i] = tenant.ShardRow{Index: i, PingMS: -1}
+		if !t.IsZero() {
+			st.ShardRows[i].PingMS = now.Sub(t).Milliseconds()
 		}
-	}
-	for name, jg := range l.jobs {
-		st.Jobs[name] = TierJob{Version: jg.version, Buffered: len(jg.buffer)}
 	}
 	return st
 }

@@ -220,12 +220,12 @@ func TestTwoShardTierFoldsAcrossShards(t *testing.T) {
 	if got := leader.Counters().Counter("tier_partials_received").Value(); got != 4 {
 		t.Fatalf("tier_partials_received = %d, want 4", got)
 	}
-	st := leader.Status()
+	st := leader.tierStatus()
 	if !st.Healthy || st.Shards != 2 {
 		t.Fatalf("tier status unhealthy or wrong width: %+v", st)
 	}
-	if st.Jobs[""].Version != 3 {
-		t.Fatalf("status job version = %d, want 3", st.Jobs[""].Version)
+	if v := leader.Version(""); v != 3 {
+		t.Fatalf("job version = %d, want 3", v)
 	}
 }
 

@@ -2,7 +2,6 @@ package tenant
 
 import (
 	"crypto/subtle"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -51,23 +50,46 @@ type FleetRollup struct {
 	RoundsCommitted   int64 `json:"rounds_committed"`
 	UpdatesAggregated int64 `json:"updates_aggregated"`
 	// Counters is the key-wise sum of every job's counter set plus the
-	// tenant plane's routing counters.
+	// tenant plane's routing counters, which carry a "tenant." prefix.
 	Counters map[string]int64 `json:"counters"`
 }
 
-// StatusReport is the multi-tenant /v1/status payload. It embeds the
-// default job's full report — JSON-inlined, so single-tenant dashboards
-// and the fleet generator keep reading the fields they always have —
-// and adds the per-job rollup sections.
+// StatusReport is the one /v1/status document: what a flint-server
+// answers, and what a flint-gateway answers with its shards' documents
+// folded into it. Per-job detail (round, scheduler, every counter) is
+// the job's own /v1/jobs/<job>/status, a coord.StatusReport.
 type StatusReport struct {
-	coord.StatusReport
-	// DefaultJob names the tenant the embedded report (and every bare
-	// /v1/* request) describes.
+	// DefaultJob names the tenant every bare /v1/* request reaches.
 	DefaultJob string `json:"default_job"`
 	// Jobs summarizes every tenant by name.
 	Jobs map[string]JobStatus `json:"jobs"`
 	// Fleet sums training progress and counters across tenants.
 	Fleet FleetRollup `json:"fleet"`
+	// Tier is the shard tier's own state; only a gateway has one.
+	Tier *TierStatus `json:"tier,omitempty"`
+}
+
+// TierStatus is a gateway's section of /v1/status: the leader's width,
+// halt verdict and exchange counters, the gateway's routing counters,
+// and one row per shard.
+type TierStatus struct {
+	Shards    int              `json:"shards"`
+	Healthy   bool             `json:"healthy"`
+	Counters  map[string]int64 `json:"counters"`
+	Gateway   map[string]int64 `json:"gateway_counters"`
+	ShardRows []ShardRow       `json:"shard_rows"`
+}
+
+// ShardRow is one replica in the tier section: whether its /v1/status
+// answered, its heartbeat age in milliseconds (negative: never heard
+// from) and the version each of its jobs serves.
+type ShardRow struct {
+	Index    int            `json:"index"`
+	URL      string         `json:"url"`
+	OK       bool           `json:"ok"`
+	Error    string         `json:"error,omitempty"`
+	PingMS   int64          `json:"ping_ms"`
+	Versions map[string]int `json:"versions,omitempty"`
 }
 
 // maxSpecBytes bounds a POST /v1/jobs body: a spec is a few hundred
@@ -80,7 +102,7 @@ const maxSpecBytes = 64 << 10
 //	GET  /v1/jobs                list job summaries
 //	ANY  /v1/jobs/<job>/<rest>   auth, then the job's /v1/<rest> handler
 //	GET  /v1/jobs/<job>          the job's summary row
-//	GET  /v1/status              fleet rollup (embeds the default job)
+//	GET  /v1/status              every job's row and the fleet sums
 //	ANY  /v1/<rest>              default-job alias (backward compat)
 //
 // Auth is per-job: a job with a token rejects wrong/missing tokens with
@@ -114,7 +136,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		// speaks, including its auth when the default job carries one.
 		job := s.reg.Default()
 		if job == nil {
-			writeError(w, http.StatusServiceUnavailable, fmt.Errorf("no jobs registered"))
+			coord.WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("no jobs registered"))
 			return
 		}
 		if !s.authed(w, r, job) {
@@ -132,7 +154,7 @@ func (s *Server) routeJob(w http.ResponseWriter, r *http.Request, sub string) {
 	job := s.reg.Get(name)
 	if job == nil {
 		s.reg.counters.Counter("route_unknown_job").Inc()
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", name))
+		coord.WriteError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", name))
 		return
 	}
 	if !s.authed(w, r, job) {
@@ -140,7 +162,7 @@ func (s *Server) routeJob(w http.ResponseWriter, r *http.Request, sub string) {
 	}
 	if rest == "" {
 		// GET /v1/jobs/<job> — the summary row, handy for scripts.
-		writeJSON(w, http.StatusOK, jobStatus(job, job.Coord.Status()))
+		coord.WriteJSON(w, http.StatusOK, jobStatus(job, job.Coord.Status()))
 		return
 	}
 	// Shallow-clone with a rewritten path (the http.StripPrefix idiom):
@@ -171,7 +193,7 @@ func (s *Server) authed(w http.ResponseWriter, r *http.Request, job *Job) bool {
 	job.Coord.Counters().Counter("auth_rejected_token").Inc()
 	s.reg.counters.Counter("auth_rejected_token").Inc()
 	w.Header().Set("WWW-Authenticate", `Bearer realm="flint-job"`)
-	writeError(w, http.StatusUnauthorized, fmt.Errorf("job %q requires a valid bearer token", job.Spec.Name))
+	coord.WriteError(w, http.StatusUnauthorized, fmt.Errorf("job %q requires a valid bearer token", job.Spec.Name))
 	return false
 }
 
@@ -185,10 +207,10 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		for _, j := range jobs {
 			out = append(out, jobStatus(j, j.Coord.Status()))
 		}
-		writeJSON(w, http.StatusOK, out)
+		coord.WriteJSON(w, http.StatusOK, out)
 	case http.MethodPost:
 		if !s.admin {
-			writeError(w, http.StatusForbidden, fmt.Errorf("job registration is disabled (start the server with -admin)"))
+			coord.WriteError(w, http.StatusForbidden, fmt.Errorf("job registration is disabled (start the server with -admin)"))
 			return
 		}
 		var spec JobSpec
@@ -198,7 +220,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			if errors.As(err, &tooBig) {
 				code = http.StatusRequestEntityTooLarge
 			}
-			writeError(w, code, fmt.Errorf("bad job spec: %w", err))
+			coord.WriteError(w, code, fmt.Errorf("bad job spec: %w", err))
 			return
 		}
 		job, err := s.reg.Register(spec)
@@ -207,13 +229,13 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 			if strings.Contains(err.Error(), "already registered") {
 				code = http.StatusConflict
 			}
-			writeError(w, code, err)
+			coord.WriteError(w, code, err)
 			return
 		}
-		writeJSON(w, http.StatusCreated, jobStatus(job, job.Coord.Status()))
+		coord.WriteJSON(w, http.StatusCreated, jobStatus(job, job.Coord.Status()))
 	default:
 		w.Header().Set("Allow", "GET, POST")
-		writeError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
+		coord.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("method %s not allowed", r.Method))
 	}
 }
 
@@ -237,28 +259,23 @@ func jobStatus(j *Job, st coord.StatusReport) JobStatus {
 	}
 }
 
-// handleStatus renders the fleet rollup: the default job's full report
-// inlined for backward compatibility, plus every job's summary row and
+// handleStatus renders the fleet rollup: every job's summary row and
 // the cross-tenant sums. O(sum of fleets) — a dashboard endpoint, like
-// every coordinator's own status page. Each job's Status is taken once,
-// so the embedded report and the default job's row agree.
+// every coordinator's own status page.
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	jobs := s.reg.Jobs()
 	if len(jobs) == 0 {
-		writeError(w, http.StatusServiceUnavailable, fmt.Errorf("no jobs registered"))
+		coord.WriteError(w, http.StatusServiceUnavailable, fmt.Errorf("no jobs registered"))
 		return
 	}
-	def := s.reg.Default()
 	rep := StatusReport{
-		DefaultJob: def.Spec.Name,
+		DefaultJob: s.reg.Default().Spec.Name,
 		Jobs:       make(map[string]JobStatus, len(jobs)),
+		Fleet:      FleetRollup{Jobs: len(jobs)},
 	}
 	snaps := make([]map[string]int64, 0, len(jobs)+1)
 	for _, j := range jobs {
 		st := j.Coord.Status()
-		if j == def {
-			rep.StatusReport = st
-		}
 		js := jobStatus(j, st)
 		rep.Jobs[j.Spec.Name] = js
 		rep.Fleet.DevicesKnown += js.DevicesKnown
@@ -267,10 +284,16 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		rep.Fleet.UpdatesAggregated += js.UpdatesAggregated
 		snaps = append(snaps, st.Counters)
 	}
-	snaps = append(snaps, s.reg.counters.Snapshot())
-	rep.Fleet.Jobs = len(jobs)
-	rep.Fleet.Counters = metrics.Rollup(snaps...)
-	writeJSON(w, http.StatusOK, rep)
+	// The plane's counters keep a prefix of their own: a rejected token
+	// counts on the probed job and on the plane, and one unprefixed sum
+	// would count it twice.
+	plane := s.reg.counters.Snapshot()
+	prefixed := make(map[string]int64, len(plane))
+	for k, v := range plane {
+		prefixed["tenant."+k] = v
+	}
+	rep.Fleet.Counters = metrics.Rollup(append(snaps, prefixed)...)
+	coord.WriteJSON(w, http.StatusOK, rep)
 }
 
 // ListenAndServe runs a serving handler (the multi-tenant API or the
@@ -284,16 +307,4 @@ func ListenAndServe(addr string, h http.Handler) error {
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	return srv.ListenAndServe()
-}
-
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	_ = json.NewEncoder(w).Encode(v)
-}
-
-func writeError(w http.ResponseWriter, code int, err error) {
-	writeJSON(w, code, struct {
-		Error string `json:"error"`
-	}{Error: err.Error()})
 }

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -327,9 +329,9 @@ func TestAdminRegistration(t *testing.T) {
 	}
 }
 
-// TestStatusRollup pins the fleet status shape: the default job's
-// report inlined (backward compatibility), one row per job, and summed
-// fleet counters.
+// TestStatusRollup pins the fleet status shape: the default job's name,
+// one row per job and summed fleet counters, and nothing else — per-job
+// detail is each job's own /v1/jobs/<job>/status.
 func TestStatusRollup(t *testing.T) {
 	reg, ts := newTestPlane(t, false,
 		JobSpec{Name: "a"},
@@ -346,12 +348,11 @@ func TestStatusRollup(t *testing.T) {
 	if st.DefaultJob != "a" {
 		t.Fatalf("default job %q, want a", st.DefaultJob)
 	}
-	// The embedded report is the default job's: one known device.
-	if st.Devices.Known != 1 {
-		t.Fatalf("inlined devices.known = %d, want 1 (job a)", st.Devices.Known)
-	}
 	if len(st.Jobs) != 2 {
 		t.Fatalf("jobs rollup has %d rows, want 2", len(st.Jobs))
+	}
+	if a := st.Jobs["a"]; a.DevicesKnown != 1 || a.Version != 1 || a.Protected {
+		t.Fatalf("job a row = %+v", a)
 	}
 	b := st.Jobs["b"]
 	if !b.Protected || b.MaxDevices != 9 || b.DevicesKnown != 2 {
@@ -363,8 +364,13 @@ func TestStatusRollup(t *testing.T) {
 	if st.Fleet.Counters["checkin_total"] != 3 {
 		t.Fatalf("fleet checkin_total = %d, want 3", st.Fleet.Counters["checkin_total"])
 	}
-	// The raw JSON must inline the default report's fields at top level
-	// (single-tenant dashboards read "round", "devices", "counters").
+	if st.Fleet.Counters["tenant.jobs_registered"] != 2 {
+		t.Fatalf("fleet tenant.jobs_registered = %d, want 2", st.Fleet.Counters["tenant.jobs_registered"])
+	}
+	if st.Tier != nil {
+		t.Fatalf("a server's status has a tier section: %+v", st.Tier)
+	}
+	// The document is the three sections: no job's report is inlined.
 	resp, err := http.Get(ts.URL + "/v1/status")
 	if err != nil {
 		t.Fatal(err)
@@ -374,7 +380,10 @@ func TestStatusRollup(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	for _, key := range []string{"round", "devices", "counters", "jobs", "fleet", "default_job"} {
+	if len(flat) != 3 {
+		t.Errorf("/v1/status has top-level keys %v, want default_job, jobs and fleet", slices.Sorted(maps.Keys(flat)))
+	}
+	for _, key := range []string{"jobs", "fleet", "default_job"} {
 		if _, ok := flat[key]; !ok {
 			t.Errorf("/v1/status JSON missing top-level %q", key)
 		}
@@ -384,8 +393,8 @@ func TestStatusRollup(t *testing.T) {
 		t.Fatal("status JSON leaks a job token")
 	}
 
-	// Under concurrent commits the embedded report and the default job's
-	// row come from one Status, so they agree on version and round.
+	// Under concurrent commits every read is a whole document: the fleet
+	// sums are the sums of the rows beside them.
 	ca := reg.Get("a").Coord
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -416,18 +425,45 @@ func TestStatusRollup(t *testing.T) {
 		wg.Wait()
 	}()
 	deadline := time.Now().Add(20 * time.Second)
-	for st.Version < 6 {
+	for st.Jobs["a"].Version < 6 {
 		if time.Now().After(deadline) {
-			t.Fatalf("job a only reached version %d", st.Version)
+			t.Fatalf("job a only reached version %d", st.Jobs["a"].Version)
 		}
 		st = StatusReport{}
 		if code := doReq(t, "GET", ts.URL+"/v1/status", "", nil, &st); code != 200 {
 			t.Fatalf("status = %d, want 200", code)
 		}
-		if row := st.Jobs["a"]; row.Version != st.Version || row.Round != st.Round.ID {
-			t.Fatalf("embedded report v%d round %d, jobs[a] row v%d round %d",
-				st.Version, st.Round.ID, row.Version, row.Round)
+		a, b := st.Jobs["a"], st.Jobs["b"]
+		if st.Fleet.RoundsCommitted != a.RoundsCommitted+b.RoundsCommitted ||
+			st.Fleet.UpdatesAggregated != a.UpdatesAggregated+b.UpdatesAggregated {
+			t.Fatalf("fleet sums %+v disagree with rows a %+v, b %+v", st.Fleet, a, b)
 		}
+	}
+}
+
+// TestAuthRejectionsCountOnce: a rejected token counts on the probed job
+// and on the tenant plane, and the fleet sums keep the two apart, so N
+// rejected probes read N in the job's row and N in the fleet counters.
+func TestAuthRejectionsCountOnce(t *testing.T) {
+	_, ts := newTestPlane(t, false, JobSpec{Name: "a"}, JobSpec{Name: "b", Token: "s3cret"})
+	const probes = 3
+	for range probes {
+		if code := doReq(t, "GET", ts.URL+"/v1/jobs/b/status", "wrong", nil, nil); code != 401 {
+			t.Fatalf("wrong token = %d, want 401", code)
+		}
+	}
+	var st StatusReport
+	if code := doReq(t, "GET", ts.URL+"/v1/status", "", nil, &st); code != 200 {
+		t.Fatalf("status = %d, want 200", code)
+	}
+	if got := st.Jobs["b"].AuthRejected; got != probes {
+		t.Errorf("jobs.b.auth_rejected = %d, want %d", got, probes)
+	}
+	if got := st.Fleet.Counters["auth_rejected_token"]; got != probes {
+		t.Errorf("fleet.counters.auth_rejected_token = %d, want %d", got, probes)
+	}
+	if got := st.Fleet.Counters["tenant.auth_rejected_token"]; got != probes {
+		t.Errorf("fleet.counters.tenant.auth_rejected_token = %d, want %d", got, probes)
 	}
 }
 

@@ -199,9 +199,9 @@ type Report struct {
 	RoundsCommitted int           `json:"rounds_committed"`
 	StartVersion    int           `json:"start_version"`
 	EndVersion      int           `json:"end_version"`
-	// RegistryBytesPerDev/SchedulerBytesPerDev echo the server's
-	// /v1/status footprint section at shutdown (0 through a tier, whose
-	// rollup nests per-shard documents instead).
+	// RegistryBytesPerDev/SchedulerBytesPerDev echo the job's detail
+	// document's footprint section at shutdown (0 through a tier, which
+	// has no job detail document of its own).
 	RegistryBytesPerDev  float64 `json:"registry_bytes_per_device,omitempty"`
 	SchedulerBytesPerDev float64 `json:"scheduler_bytes_per_device,omitempty"`
 	SchedDevices         int     `json:"sched_census_devices,omitempty"`

@@ -9,6 +9,7 @@ import (
 	"flint/internal/coord"
 	"flint/internal/model"
 	"flint/internal/sched"
+	"flint/internal/tenant"
 )
 
 // TestVirtualFleetSchedulerParity is the scheduling plane's end-to-end
@@ -42,12 +43,12 @@ func TestVirtualFleetSchedulerParity(t *testing.T) {
 			TimeCompression: compression,
 		},
 	}
-	c, err := coord.New(cfg)
-	if err != nil {
+	reg := tenant.NewRegistry(cfg)
+	defer reg.Close()
+	if _, err := reg.Register(tenant.JobSpec{Name: "served"}); err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	srv := httptest.NewServer(coord.NewServer(c))
+	srv := httptest.NewServer(tenant.NewServer(reg, false))
 	defer srv.Close()
 
 	rep, err := Run(Config{

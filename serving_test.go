@@ -7,24 +7,27 @@ import (
 
 	"flint/internal/coord"
 	"flint/internal/fleet"
+	"flint/internal/tenant"
 )
 
 // TestServingFacade exercises the live serving stack the way an embedder
-// would: start a coordinator behind its HTTP API and drive a small fleet
-// through one committed round.
+// would: start a one-job tenant server, as flint-server does, and drive a
+// small fleet through one committed round.
 func TestServingFacade(t *testing.T) {
-	c, err := coord.New(coord.Config{
+	reg := tenant.NewRegistry(coord.Config{
 		Mode:          coord.ModeAsync,
 		Seed:          1,
 		TargetUpdates: 8,
 		Quorum:        4,
 		RoundDeadline: 5 * time.Second,
 	})
+	defer reg.Close()
+	job, err := reg.Register(tenant.JobSpec{Name: "served"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
-	srv := httptest.NewServer(coord.NewServer(c))
+	c := job.Coord
+	srv := httptest.NewServer(tenant.NewServer(reg, false))
 	defer srv.Close()
 
 	rep, err := fleet.Run(fleet.Config{
