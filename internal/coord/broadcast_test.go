@@ -205,9 +205,8 @@ func TestCommitEncodesNothing(t *testing.T) {
 }
 
 // gapExchange is a tier leader that is always ahead: every install skips a
-// version, as a shard sees when other shards' partials trigger folds in
-// between its own. The partial doubles as the install blob (raw64, right
-// dim).
+// version, as a shard sees when it missed an install (a malformed one it
+// rejected). The partial doubles as the install blob (raw64, right dim).
 type gapExchange struct{}
 
 func (gapExchange) SubmitPartial(pc PartialCommit) (GlobalInstall, error) {

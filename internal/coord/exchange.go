@@ -41,10 +41,10 @@ type PartialCommit struct {
 	Blob []byte
 }
 
-// GlobalInstall is the leader's response to a partial: the tier's
-// current global version, with the full parameter vector as a codec
-// blob when the submitting shard is behind (Blob is empty when the
-// shard's base already is the current version).
+// GlobalInstall is the leader's answer once a partial's generation has
+// folded: the tier's version and its params as a raw64 blob; a version
+// not above the partial's base reports a failed fold. The zero value
+// means the leader holds the partial: sent again, it waits for the fold.
 type GlobalInstall struct {
 	Version int
 	Blob    []byte
@@ -62,8 +62,7 @@ type PartialExchange interface {
 // a shard's status page is fully shaped before its first partial.
 var exchangeCounters = []string{
 	"partials_reduced", "partial_exchange_retries",
-	"partial_exchange_halted", "global_installs", "global_install_noop",
-	"global_install_error",
+	"partial_exchange_halted", "global_installs", "global_install_error",
 }
 
 // partialLocked is the hierarchical half of the commit pipeline: instead
@@ -71,9 +70,9 @@ var exchangeCounters = []string{
 // them — through the same parallel fused payload kernels, into a zeroed
 // scratch vector — to the cohort's weighted mean, encodes that partial
 // as a raw64 codec blob, and hands it to the exchange goroutine. The
-// round parks in PhaseAggregating until the leader's response installs
-// the next global version (or confirms the current one). Callers hold
-// mu; r must be the serving round and must have passed beginAggregate.
+// round parks in PhaseAggregating until the leader's answer installs
+// the generation's fold. Callers hold mu; r must be the serving round
+// and must have passed beginAggregate.
 func (c *Coordinator) partialLocked(r *Round, bs *broadcastState, updates []aggregator.Update, now time.Time) {
 	partial := c.scratch.get()
 	partial.Fill(0)
@@ -125,16 +124,19 @@ func (c *Coordinator) partialLocked(r *Round, bs *broadcastState, updates []aggr
 }
 
 // exchangeLoop ships one parked round's partial to the leader, retrying
-// through tier halts with bounded backoff — the shard-side half of
-// halt-until-healthy: assignment on this shard stays frozen (the parked
-// round serves no tasks) until the tier accepts the partial, then the
-// install reopens serving on the new global version.
+// through tier halts with bounded backoff (the leader never counts a
+// repeat twice) — the shard-side half of halt-until-healthy: the parked
+// round serves no tasks until the tier folds its generation, then the
+// install reopens serving on the leader's version.
 func (c *Coordinator) exchangeLoop(r *Round, pc PartialCommit) {
 	defer c.exchWG.Done()
 	backoff := 25 * time.Millisecond
 	const maxBackoff = 2 * time.Second
 	for {
 		inst, err := c.cfg.Exchange.SubmitPartial(pc)
+		if err == nil && len(inst.Blob) == 0 { // held: the repeat waits for the fold
+			inst, err = c.cfg.Exchange.SubmitPartial(pc)
+		}
 		if err == nil {
 			c.installGlobal(r, inst)
 			return
@@ -148,20 +150,16 @@ func (c *Coordinator) exchangeLoop(r *Round, pc PartialCommit) {
 			return
 		case <-time.After(backoff):
 		}
-		if backoff *= 2; backoff > maxBackoff {
-			backoff = maxBackoff
-		}
+		backoff = min(2*backoff, maxBackoff)
 	}
 }
 
-// installGlobal completes a parked round with the leader's response:
-// when the tier advanced, the returned global params replace this
-// replica's (bit-identical to the leader — the install blob is raw64),
-// a fresh broadcast plane is built, and the store/version/persist
-// machinery runs exactly as a local commit's publish stages; when the
-// tier did not advance (the leader is still buffering partials), the
-// round concludes on the unchanged plane. Either way the successor
-// round opens and assignment resumes.
+// installGlobal completes a parked round with the leader's answer: the
+// returned global params replace this replica's (bit-identical to the
+// leader — the install blob is raw64), a fresh broadcast plane is built,
+// and the store/version/persist machinery runs exactly as a local
+// commit's publish stages. An install that does not advance reports a
+// failed fold: the round is dropped as a failed local commit is.
 //
 // The install runs under mu with the shard's round parked, so it copies
 // each vector once: the blob is validated as a view (CRC and structure),
@@ -183,14 +181,8 @@ func (c *Coordinator) installGlobal(r *Round, inst GlobalInstall) {
 		return
 	}
 	bs := sv.bcast
-	if inst.Version <= bs.version || len(inst.Blob) == 0 {
-		// No global advance yet: the partial is in the leader's buffer.
-		c.counters.Counter("global_install_noop").Inc()
-		if err := r.conclude(PhaseCommitted); err != nil {
-			c.counters.Counter("round_fsm_error").Inc()
-		}
-		c.counters.Counter("rounds_committed").Inc()
-		c.finishLocked(r, 0, bs, now)
+	if inst.Version <= bs.version {
+		c.abortCommitLocked(r, bs, nil, "round_aggregate_error", now)
 		return
 	}
 	view, err := codec.ParsePayload(inst.Blob)
@@ -204,8 +196,8 @@ func (c *Coordinator) installGlobal(r *Round, inst GlobalInstall) {
 	}
 	if err != nil {
 		// A malformed install is a publish failure: stay on the old
-		// plane (params untouched) and drop the round; the next partial
-		// fetches a fresh install.
+		// plane (params untouched) and drop the round; the next
+		// generation's install replaces it.
 		c.counters.Counter("global_install_error").Inc()
 		c.abortCommitLocked(r, bs, nil, "round_publish_error", now)
 		return

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -111,10 +112,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	}
 	shards := make([]string, len(cfg.Shards))
 	for i, s := range cfg.Shards {
-		for len(s) > 0 && s[len(s)-1] == '/' {
-			s = s[:len(s)-1]
-		}
-		if s == "" {
+		if s = strings.TrimRight(s, "/"); s == "" {
 			return nil, fmt.Errorf("shard: empty URL for shard %d", i)
 		}
 		shards[i] = s
@@ -438,32 +436,24 @@ func (g *Gateway) proxy(w http.ResponseWriter, r *http.Request, shard int, body 
 
 // handlePartial is the server side of the exchange's partial verb: it
 // unpacks the X-Flint metadata, hands the blob to the leader, and maps
-// the verdict back onto the wire (503 = halted, body = install blob).
+// the verdict back onto the wire (503 = halted, 409 = send it again,
+// body = install blob). A held partial is handed over again, which waits
+// for the fold, so every 200 is an install.
 func (g *Gateway) handlePartial(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		coord.WriteError(w, http.StatusMethodNotAllowed, fmt.Errorf("want POST"))
 		return
 	}
 	pc := coord.PartialCommit{Job: r.Header.Get(hdrJob)}
-	var err error
-	if pc.ShardID, err = strconv.Atoi(r.Header.Get(hdrShard)); err != nil {
-		coord.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", hdrShard, err))
-		return
-	}
-	if pc.Round, err = strconv.ParseUint(r.Header.Get(hdrRound), 10, 64); err != nil {
-		coord.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", hdrRound, err))
-		return
-	}
-	if pc.BaseVersion, err = strconv.Atoi(r.Header.Get(hdrBase)); err != nil {
-		coord.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", hdrBase, err))
-		return
-	}
-	if pc.Updates, err = strconv.Atoi(r.Header.Get(hdrUpdates)); err != nil {
-		coord.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", hdrUpdates, err))
-		return
-	}
-	if pc.Weight, err = strconv.ParseFloat(r.Header.Get(hdrWeight), 64); err != nil {
-		coord.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad %s: %w", hdrWeight, err))
+	var errs [5]error
+	pc.ShardID, errs[0] = strconv.Atoi(r.Header.Get(hdrShard))
+	pc.Round, errs[1] = strconv.ParseUint(r.Header.Get(hdrRound), 10, 64)
+	pc.BaseVersion, errs[2] = strconv.Atoi(r.Header.Get(hdrBase))
+	pc.Updates, errs[3] = strconv.Atoi(r.Header.Get(hdrUpdates))
+	pc.Weight, errs[4] = strconv.ParseFloat(r.Header.Get(hdrWeight), 64)
+	err := errors.Join(errs[:]...)
+	if err != nil {
+		coord.WriteError(w, http.StatusBadRequest, fmt.Errorf("bad X-Flint partial headers: %w", err))
 		return
 	}
 	if pc.Blob, err = readSized(http.MaxBytesReader(w, r.Body, maxPartialBody), r.ContentLength); err != nil {
@@ -471,12 +461,18 @@ func (g *Gateway) handlePartial(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	inst, err := g.leader.SubmitPartial(pc)
-	if err == coord.ErrTierHalted {
+	if err == nil && len(inst.Blob) == 0 { // held: the repeat waits for the fold
+		inst, err = g.leader.SubmitPartial(pc)
+	}
+	switch {
+	case err == coord.ErrTierHalted:
 		w.Header().Set("Retry-After", haltRetryAfter(1))
 		coord.WriteError(w, http.StatusServiceUnavailable, err)
 		return
-	}
-	if err != nil {
+	case err == errRetry:
+		coord.WriteError(w, http.StatusConflict, err)
+		return
+	case err != nil:
 		coord.WriteError(w, http.StatusBadRequest, err)
 		return
 	}

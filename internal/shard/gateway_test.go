@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -438,8 +439,9 @@ func TestGatewayRelaysTaskBodies(t *testing.T) {
 
 // TestHTTPExchangeRoundTrip drives the wire form of the exchange: a
 // partial posted through HTTPExchange must reach the leader as the
-// exact codec blob, and a behind shard must get the raw64 install blob
-// back — both directions in codec wire form, no JSON re-framing.
+// exact codec blob, and every shard of the generation must get the
+// fold's raw64 install back — both directions in codec wire form, no
+// JSON re-framing.
 func TestHTTPExchangeRoundTrip(t *testing.T) {
 	gw, leader, _ := newTestGateway(t, 2)
 	srv := httptest.NewServer(gw)
@@ -469,41 +471,62 @@ func TestHTTPExchangeRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// First partial buffers: version stays 1, no install blob.
-	inst, err := x.SubmitPartial(coord.PartialCommit{
-		ShardID: 0, Round: 1, BaseVersion: 1, Updates: 4, Weight: 40, Blob: blob,
-	})
-	if err != nil {
-		t.Fatal(err)
+	// Shard 0's partial is held: its reply waits for the fold.
+	submit := func(shard int, round uint64) <-chan coord.GlobalInstall {
+		out := make(chan coord.GlobalInstall, 1)
+		go func() {
+			inst, err := x.SubmitPartial(coord.PartialCommit{
+				ShardID: shard, Round: round, BaseVersion: leader.Version(""), Updates: 4, Weight: 40, Blob: blob,
+			})
+			if err != nil {
+				t.Error(err)
+			}
+			out <- inst
+		}()
+		return out
 	}
-	if inst.Version != 1 || len(inst.Blob) != 0 {
-		t.Fatalf("buffered partial got install v%d (%d bytes), want noop v1", inst.Version, len(inst.Blob))
+	held := submit(0, 1)
+	waitFor(t, "shard 0's partial", func() bool { return leader.Counters().Counter("tier_partials_received").Value() == 1 })
+	select {
+	case inst := <-held:
+		t.Fatalf("held partial answered v%d before the fold", inst.Version)
+	case <-time.After(20 * time.Millisecond):
 	}
 
-	// Second partial completes the fold: version 2 plus the full raw64
-	// global, which must decode to init + partial (lr=1, equal weights,
-	// both partials identical).
-	inst, err = x.SubmitPartial(coord.PartialCommit{
-		ShardID: 1, Round: 1, BaseVersion: 1, Updates: 4, Weight: 40, Blob: blob,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if inst.Version != 2 || len(inst.Blob) == 0 {
-		t.Fatalf("fold-completing partial got v%d (%d bytes), want v2 with blob", inst.Version, len(inst.Blob))
-	}
-	got, scheme, err := codec.Decode(inst.Blob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scheme != codec.RawF64 {
-		t.Fatalf("install blob scheme %v, want raw64", scheme)
-	}
+	// Shard 1's partial completes the fold, and both shards get version 2
+	// with the leader's full raw64 global.
+	folded, held1 := <-submit(1, 1), <-held
 	_, tier := leader.Global("")
-	for j := range got {
-		if got[j] != tier[j] {
-			t.Fatalf("install blob diverges from leader at %d", j)
+	for _, inst := range []coord.GlobalInstall{folded, held1} {
+		if inst.Version != 2 {
+			t.Fatalf("fold answered v%d, want v2", inst.Version)
 		}
+		got, scheme, err := codec.Decode(inst.Blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scheme != codec.RawF64 {
+			t.Fatalf("install blob scheme %v, want raw64", scheme)
+		}
+		for j := range got {
+			if got[j] != tier[j] {
+				t.Fatalf("install blob diverges from leader at %d", j)
+			}
+		}
+	}
+
+	// A second partial from a held shard is answered 409, not as a halt.
+	held = submit(0, 2)
+	waitFor(t, "shard 0's next partial", func() bool { return leader.Counters().Counter("tier_partials_received").Value() == 3 })
+	_, err = x.SubmitPartial(coord.PartialCommit{ShardID: 0, Round: 3, BaseVersion: 2, Blob: blob})
+	if err == nil || err == coord.ErrTierHalted || !strings.Contains(err.Error(), "409") {
+		t.Fatalf("second partial from a held shard returned %v, want a 409", err)
+	}
+	if inst := <-submit(1, 2); inst.Version != 3 {
+		t.Fatalf("second fold answered v%d, want v3", inst.Version)
+	}
+	if inst := <-held; inst.Version != 3 {
+		t.Fatalf("held partial answered v%d, want v3", inst.Version)
 	}
 
 	// Halted exchange surfaces as ErrTierHalted across the wire.
@@ -554,5 +577,61 @@ func TestReadSized(t *testing.T) {
 		if cap(got) > 2*partialPresize {
 			t.Fatalf("%s: buffer cap %d for a %d-byte body: a declared length reserved more than partialPresize", tc.name, cap(got), len(body))
 		}
+	}
+}
+
+// TestFoldWaitIsBoundedByGrace: a held partial whose generation does not
+// fold — the other shard is alive but sends nothing — waits at most the
+// leader's Grace, in process and over HTTP. The shard then sends it again
+// as a plain retry: neither side counts a halt, the leader does not count
+// the partial twice, and closing the shard returns within Grace.
+func TestFoldWaitIsBoundedByGrace(t *testing.T) {
+	const grace = 300 * time.Millisecond
+	for _, wire := range []bool{false, true} {
+		t.Run(fmt.Sprintf("http=%v", wire), func(t *testing.T) {
+			leader, err := NewLeader(LeaderConfig{Shards: 2, Grace: grace, Params: testParams})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ex interface {
+				coord.PartialExchange
+				Pinger
+			} = leader
+			if wire {
+				gw, err := NewGateway(GatewayConfig{Shards: []string{"http://unused0", "http://unused1"}, Leader: leader})
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv := httptest.NewServer(gw)
+				defer srv.Close()
+				ex = NewHTTPExchange(srv.URL)
+			}
+			for s := range 2 {
+				hb := StartHeartbeat(ex, s, 20*time.Millisecond)
+				defer hb.Stop()
+			}
+			waitFor(t, "tier healthy", leader.Healthy)
+			c := newShardCoord(t, ex, 0, 2)
+			checkInFleet(t, c, 0, 2)
+			driveRound(t, c, 0, 2, 1)
+			waitFor(t, "a wait that hit Grace", func() bool {
+				return c.Counters().Counter("partial_exchange_retries").Value() > 0
+			})
+			if got := c.Counters().Counter("partial_exchange_halted").Value(); got != 0 {
+				t.Fatalf("partial_exchange_halted = %d after a fold wait", got)
+			}
+			lc := leader.Counters()
+			if h, p := lc.Counter("tier_halted_submissions").Value(), lc.Counter("tier_partials_received").Value(); h != 0 || p != 1 {
+				t.Fatalf("tier_halted_submissions = %d, tier_partials_received = %d; want 0 and 1", h, p)
+			}
+			start := time.Now()
+			c.Close()
+			if d := time.Since(start); d > grace+200*time.Millisecond {
+				t.Fatalf("Close took %v with a partial waiting, Grace is %v", d, grace)
+			}
+			if v := c.Version(); v != 1 {
+				t.Fatalf("shard moved to v%d without a fold", v)
+			}
+		})
 	}
 }

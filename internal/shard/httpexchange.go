@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"strconv"
+	"strings"
 	"time"
 
 	"flint/internal/coord"
@@ -19,10 +20,10 @@ import (
 //	POST /shard/v1/ping?shard=N
 //
 // A partial's body is the exact blob coord's partialLocked encoded —
-// the exchange never re-frames it — and a behind shard's response body
-// is the leader's raw64 global blob with the version in a header, so
-// both directions of the exchange move parameters in codec wire form
-// only.
+// the exchange never re-frames it — and the response body, sent when
+// the partial's generation has folded, is the leader's raw64 global blob
+// with the version in a header, so both directions of the exchange move
+// parameters in codec wire form only.
 const (
 	pathPartial = "/shard/v1/partial"
 	pathPing    = "/shard/v1/ping"
@@ -48,11 +49,8 @@ type HTTPExchange struct {
 // NewHTTPExchange builds an exchange client for a gateway base URL
 // ("http://host:port", no trailing slash needed).
 func NewHTTPExchange(base string) *HTTPExchange {
-	for len(base) > 0 && base[len(base)-1] == '/' {
-		base = base[:len(base)-1]
-	}
 	return &HTTPExchange{
-		base: base,
+		base: strings.TrimRight(base, "/"),
 		client: &http.Client{
 			Timeout: 30 * time.Second,
 			Transport: &http.Transport{
@@ -64,10 +62,11 @@ func NewHTTPExchange(base string) *HTTPExchange {
 	}
 }
 
-// SubmitPartial implements coord.PartialExchange over HTTP. A gateway
-// 503 maps back to coord.ErrTierHalted so the shard's exchange loop
-// keeps the round parked and retries — the halt crosses the wire as a
-// status code, not a payload.
+// SubmitPartial implements coord.PartialExchange over HTTP. The gateway
+// answers once the generation has folded, so every 200 is an install. A
+// 503 maps back to coord.ErrTierHalted — the halt crosses the wire as a
+// status code, not a payload — and any other status is a plain error;
+// the shard's exchange loop retries both with the round parked.
 func (x *HTTPExchange) SubmitPartial(pc coord.PartialCommit) (coord.GlobalInstall, error) {
 	req, err := http.NewRequest(http.MethodPost, x.base+pathPartial, bytes.NewReader(pc.Blob))
 	if err != nil {
@@ -75,9 +74,7 @@ func (x *HTTPExchange) SubmitPartial(pc coord.PartialCommit) (coord.GlobalInstal
 	}
 	req.Header.Set("Content-Type", transport.ContentTypeTensor)
 	req.Header.Set(hdrShard, strconv.Itoa(pc.ShardID))
-	if pc.Job != "" {
-		req.Header.Set(hdrJob, pc.Job)
-	}
+	req.Header.Set(hdrJob, pc.Job)
 	req.Header.Set(hdrRound, strconv.FormatUint(pc.Round, 10))
 	req.Header.Set(hdrBase, strconv.Itoa(pc.BaseVersion))
 	req.Header.Set(hdrUpdates, strconv.Itoa(pc.Updates))
@@ -100,15 +97,11 @@ func (x *HTTPExchange) SubmitPartial(pc coord.PartialCommit) (coord.GlobalInstal
 	if err != nil {
 		return coord.GlobalInstall{}, fmt.Errorf("shard: exchange response missing %s: %w", hdrVersion, err)
 	}
-	inst := coord.GlobalInstall{Version: version}
-	if resp.ContentLength != 0 {
-		blob, err := readSized(resp.Body, resp.ContentLength)
-		if err != nil {
-			return coord.GlobalInstall{}, fmt.Errorf("shard: read install blob: %w", err)
-		}
-		inst.Blob = blob
+	blob, err := readSized(resp.Body, resp.ContentLength)
+	if err != nil {
+		return coord.GlobalInstall{}, fmt.Errorf("shard: read install blob: %w", err)
 	}
-	return inst, nil
+	return coord.GlobalInstall{Version: version, Blob: blob}, nil
 }
 
 // Ping implements Pinger over HTTP.

@@ -1,7 +1,9 @@
 package shard
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -17,9 +19,9 @@ import (
 type LeaderConfig struct {
 	// Shards is the tier width N: how many replicas the leader expects
 	// to hear from. Membership is healthy only when every one of them
-	// has pinged within Grace. It is also the cross-shard fold trigger:
-	// the leader folds once it has buffered N partials, one fold per
-	// tier-wide round generation.
+	// has pinged within Grace. It is also the width of a generation:
+	// each job holds one partial slot per shard, and the leader folds
+	// when every slot is full.
 	Shards int
 	// Grace is the heartbeat freshness window; a shard whose last ping
 	// is older counts as lost and halts the tier (default 3s).
@@ -55,27 +57,33 @@ var leaderCounters = []string{
 }
 
 // jobGlobal is one job's tier-level model state: the authoritative
-// global version, its parameters, the pre-encoded raw64 install blob
-// every behind shard receives, and the partial buffer feeding the next
-// cross-shard fold.
+// global version, its parameters, the raw64 install blob every shard
+// receives, and the generation being filled: a slot per shard, the round
+// each shard last sent, and a channel the fold closes.
 type jobGlobal struct {
 	version int
 	params  tensor.Vector
 	blob    []byte // raw64 encoding of params at version
-	buffer  []aggregator.Update
+	slots   []aggregator.Update
+	rounds  []uint64
+	folded  chan struct{}
 }
+
+// errRetry asks a shard to send its partial again; it is not a halt.
+var errRetry = errors.New("shard: generation still filling, send the partial again")
+
+// tierFold is foldLocked's reduce, a constant rather than a setting.
+var tierFold = aggregator.Parallel{Inner: aggregator.FedBuff{ServerLR: 1}, Screen: true}
 
 // Leader is the tier's round leader: it tracks shard membership through
 // heartbeats, enforces halt-until-healthy on the exchange, and folds
 // shard partials into each job's global model — a data-weighted mean,
 // with no staleness discount — through the same parallel range kernels
-// a single coordinator commits with. It implements coord.PartialExchange,
-// so an in-process tier (tests, the sharded benchmark) wires coordinators
-// straight to it; the gateway exposes the same two verbs over HTTP for
-// the multi-process tier.
+// a single coordinator commits with. It implements coord.PartialExchange
+// for an in-process tier; the gateway serves the same two verbs over
+// HTTP for the multi-process tier.
 type Leader struct {
 	cfg      LeaderConfig
-	strategy aggregator.Strategy
 	counters *metrics.CounterSet
 
 	mu       sync.Mutex
@@ -94,11 +102,7 @@ func NewLeader(cfg LeaderConfig) (*Leader, error) {
 		return nil, err
 	}
 	l := &Leader{
-		cfg: cfg,
-		strategy: aggregator.Parallel{
-			Inner:  aggregator.FedBuff{ServerLR: 1},
-			Screen: true,
-		},
+		cfg:      cfg,
 		counters: metrics.NewCounterSet(),
 		lastPing: make([]time.Time, cfg.Shards),
 		jobs:     make(map[string]*jobGlobal),
@@ -174,7 +178,8 @@ func (l *Leader) jobLocked(job string) (*jobGlobal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: encode job %q globals: %w", job, err)
 	}
-	jg := &jobGlobal{version: 1, params: params, blob: blob}
+	jg := &jobGlobal{version: 1, params: params, blob: blob, slots: make([]aggregator.Update, l.cfg.Shards),
+		rounds: make([]uint64, l.cfg.Shards), folded: make(chan struct{})}
 	l.jobs[job] = jg
 	return jg, nil
 }
@@ -205,16 +210,16 @@ func (l *Leader) Global(job string) (int, tensor.Vector) {
 // the status rollup).
 func (l *Leader) Counters() *metrics.CounterSet { return l.counters }
 
-// SubmitPartial implements coord.PartialExchange: the leader side of
-// the hierarchical commit. A partial is proof of life (it refreshes the
-// submitter's heartbeat), then the halt gate runs: while any shard is
-// lost the partial is rejected with coord.ErrTierHalted and the shard's
-// parked round retries — no global progress happens on a partial view
-// of the fleet. Healthy submissions append to the job's fold buffer as
-// zero-copy payload views over the wire blob; the Buffer'th partial
-// triggers the cross-shard fold and advances the global version. The
-// response always carries the job's current version, with the full
-// raw64 global blob exactly when the submitting shard's base is behind.
+// SubmitPartial implements coord.PartialExchange. A partial is proof of
+// life (it refreshes the submitter's heartbeat), then the halt gate runs:
+// while any shard is lost it is rejected with coord.ErrTierHalted — no
+// global progress on a partial view of the fleet. A healthy partial takes
+// its shard's slot as a zero-copy payload view; the one that fills the
+// last slot folds and is answered with the install, any other at once
+// with the zero GlobalInstall. Sent again, a partial is a repeat, never
+// buffered twice, answered with the install once the fold is done: the
+// wait runs outside l.mu and ends with errRetry at Grace, as does a
+// different partial from a shard whose slot is full.
 func (l *Leader) SubmitPartial(pc coord.PartialCommit) (coord.GlobalInstall, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -228,14 +233,31 @@ func (l *Leader) SubmitPartial(pc coord.PartialCommit) (coord.GlobalInstall, err
 		return coord.GlobalInstall{}, coord.ErrTierHalted
 	}
 	jg, err := l.jobLocked(pc.Job)
+	if err == nil && pc.Round == 0 {
+		err = fmt.Errorf("shard: partial from shard %d names no round", pc.ShardID)
+	}
 	if err != nil {
 		l.counters.Counter("tier_bad_partials").Inc()
 		return coord.GlobalInstall{}, err
 	}
-	// The partial stays in wire form: ParsePayload is a validated view
-	// over the blob bytes, and the fold's range kernels read straight
-	// out of it — the zero-copy lifetime of PR 7 extended across the
-	// shard boundary.
+	slot := &jg.slots[pc.ShardID]
+	if pc.Round == jg.rounds[pc.ShardID] {
+		if folded := jg.folded; slot.Payload != nil {
+			l.mu.Unlock()
+			select {
+			case <-folded:
+			case <-time.After(l.cfg.Grace):
+				err = errRetry
+			}
+			l.mu.Lock()
+		}
+		return coord.GlobalInstall{Version: jg.version, Blob: jg.blob}, err
+	}
+	if slot.Payload != nil {
+		return coord.GlobalInstall{}, errRetry
+	}
+	// The partial stays in wire form: the fold's range kernels read
+	// straight out of the validated view (§13).
 	payload, err := codec.ParsePayload(pc.Blob)
 	if err == nil && payload.Dim() != len(jg.params) {
 		err = fmt.Errorf("shard: partial for job %q carries %d params, want %d", pc.Job, payload.Dim(), len(jg.params))
@@ -247,32 +269,27 @@ func (l *Leader) SubmitPartial(pc coord.PartialCommit) (coord.GlobalInstall, err
 		l.counters.Counter("tier_bad_partials").Inc()
 		return coord.GlobalInstall{}, err
 	}
-	jg.buffer = append(jg.buffer, aggregator.Update{ClientID: int64(pc.ShardID), Payload: payload, Weight: pc.Weight})
+	*slot = aggregator.Update{ClientID: int64(pc.ShardID), Payload: payload, Weight: pc.Weight}
+	jg.rounds[pc.ShardID] = pc.Round
 	l.counters.Counter("tier_partials_received").Inc()
 	l.counters.Counter("tier_partial_wire_bytes").Add(int64(len(pc.Blob)))
 	l.counters.Counter("tier_updates_represented").Add(int64(pc.Updates))
-	if len(jg.buffer) >= l.cfg.Shards {
-		l.foldLocked(pc.Job, jg)
+	if slices.ContainsFunc(jg.slots, func(u aggregator.Update) bool { return u.Payload == nil }) {
+		return coord.GlobalInstall{}, nil
 	}
-	inst := coord.GlobalInstall{Version: jg.version}
-	if pc.BaseVersion < jg.version {
-		inst.Blob = jg.blob
-	}
-	return inst, nil
+	l.foldLocked(pc.Job, jg)
+	return coord.GlobalInstall{Version: jg.version, Blob: jg.blob}, nil
 }
 
-// foldLocked advances one job's global model by folding the buffered
-// shard partials through the parallel FedBuff kernels at server rate 1:
-// the data-weighted mean of the partials, FedAvg across shards. A partial
-// trained against an older global version weighs the same as a fresh one
-// — nothing is staleness-discounted. A failed fold (a non-finite partial
-// slipped through a shard's screen, or a poisoned weight) rolls the
-// params back and drops the buffer: the tier keeps its last good version
-// and the shards' next rounds refill the buffer. The rollback source is
-// jg.blob, which encodes the last good params bit-exactly, so no fold
-// pays for a copy made just in case.
+// foldLocked closes one job's generation through the parallel FedBuff
+// kernels at server rate 1 — the data-weighted mean of the slots, FedAvg
+// across shards — and wakes the repeats waiting on it. A failed fold (a
+// non-finite partial past a shard's screen, or a poisoned weight) rolls
+// the params back, so every shard gets the last good install and drops
+// its round. The rollback source is jg.blob, the last good params
+// bit-exactly, so no fold pays for a copy made just in case.
 func (l *Leader) foldLocked(job string, jg *jobGlobal) {
-	err := l.strategy.Aggregate(jg.params, jg.buffer)
+	err := tierFold.Aggregate(jg.params, jg.slots)
 	if err == nil {
 		var blob []byte
 		if blob, err = codec.Encode(jg.params, codec.RawF64); err == nil {
@@ -289,10 +306,12 @@ func (l *Leader) foldLocked(job string, jg *jobGlobal) {
 		last.CopyRange(jg.params, 0, len(jg.params))
 		l.counters.Counter("tier_fold_errors").Inc()
 	}
-	for i := range jg.buffer {
-		jg.buffer[i].Payload.Release()
+	for i := range jg.slots {
+		jg.slots[i].Payload.Release()
 	}
-	jg.buffer = jg.buffer[:0]
+	clear(jg.slots)
+	close(jg.folded)
+	jg.folded = make(chan struct{})
 }
 
 // tierStatus is the leader's half of the gateway's tier section: the
