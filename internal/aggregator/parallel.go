@@ -26,8 +26,9 @@ type rangeStrategy interface {
 // ErrNonFinite is the sentinel a screened aggregation returns when the
 // aggregate contains NaN or ±Inf — finite updates can still sum past
 // MaxFloat64. The aggregate HAS been applied when this is returned;
-// callers that must not publish non-finite state roll back (the commit
-// pipeline copies the published snapshot over the params).
+// callers that must not publish non-finite state discard the target (the
+// commit pipeline and the tier leader reduce into an unpublished buffer
+// and drop it).
 var ErrNonFinite = errors.New("aggregator: non-finite aggregate")
 
 // parallelMinWork is the aggregation size (dim × update count) below

@@ -168,6 +168,59 @@ func WriteRaw64(w io.Writer, v tensor.Vector) error {
 	return err
 }
 
+// VersionBuf is one model version in one allocation: a caller's prefix
+// (a checkpoint header, or nothing), then the raw64 blob of the version's
+// parameters — its 16-byte header and payload. The params are writable
+// until Seal (or SetBlob); after that the buffer is immutable, and
+// Bytes is the prefix followed by Encode(Params, RawF64), byte for byte.
+// On amd64 the params view and the payload are the same memory; elsewhere
+// Seal writes the payload bytes from the params.
+type VersionBuf struct {
+	params tensor.Vector
+	raw    []byte // prefix ‖ header ‖ payload
+	prefix int
+	alias  bool // params is raw's payload
+}
+
+// NewVersionBuf allocates a version buffer of dim zero params behind
+// prefix, its header unwritten.
+func NewVersionBuf(prefix []byte, dim int) VersionBuf { return newVersionBuf(prefix, dim) }
+
+// Params is the version's parameter vector.
+func (b VersionBuf) Params() tensor.Vector { return b.params }
+
+// Bytes is the prefix followed by the raw64 blob.
+func (b VersionBuf) Bytes() []byte { return b.raw }
+
+// Seal writes the blob of the final params: the payload bytes where they
+// are not the params' own, and the header with its checksum.
+func (b VersionBuf) Seal() {
+	payload := b.raw[b.prefix+headerSize:]
+	if !b.alias {
+		putF64Generic(payload, b.params)
+	}
+	putHeader(b.raw[b.prefix:], KindRawF64, 0, len(b.params), payload)
+}
+
+// SetBlob fills the buffer with a raw64 blob received whole: the bytes
+// are copied verbatim behind the prefix, and the params are their
+// values. Another scheme, a delta, another dim or a bad checksum is an
+// error that leaves the buffer as it was.
+func (b VersionBuf) SetBlob(blob []byte) error {
+	p, err := parsePayload(blob)
+	if err == nil && (p.scheme.Kind != KindRawF64 || p.delta || p.dim != len(b.params)) {
+		err = fmt.Errorf("codec: a %s blob of %d params (delta %t), want raw64 of %d", p.scheme, p.dim, p.delta, len(b.params))
+	}
+	if err != nil {
+		return err
+	}
+	copy(b.raw[b.prefix:], blob)
+	if !b.alias {
+		p.CopyRange(b.params, 0, p.dim)
+	}
+	return nil
+}
+
 // quantizeChunk writes one q8 block — out[i] = round(t[i]/scale) clamped
 // to ±127 (the -128 code is reserved), NaN → 0 — and returns its scale,
 // maxAbs/127, so |x - x̂| ≤ scale/2 plus float32 rounding of the scale

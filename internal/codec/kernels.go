@@ -70,6 +70,14 @@ func putF64Generic(out []byte, t []float64) {
 	}
 }
 
+// newVersionBufGeneric is NewVersionBuf over two allocations: the params
+// and the bytes Seal writes them into.
+func newVersionBufGeneric(prefix []byte, dim int) VersionBuf {
+	raw := make([]byte, len(prefix)+headerSize+8*dim)
+	copy(raw, prefix)
+	return VersionBuf{params: make([]float64, dim), raw: raw, prefix: len(prefix)}
+}
+
 // filterGeneric appends to vals/idx, from slot n, every entry of t whose
 // magnitude key is at least floor — NaNs included — with its index lo+i,
 // and returns the new count. floor is a key no greater than +Inf's.

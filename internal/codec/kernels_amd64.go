@@ -52,6 +52,18 @@ func f64Bytes(t []float64) []byte {
 	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(t))), 8*len(t))
 }
 
+// newVersionBuf is newVersionBufGeneric in one allocation: the buffer is
+// float64 words, padded in front so that the payload after prefix and
+// header starts on a word, and the params are those words.
+func newVersionBuf(prefix []byte, dim int) VersionBuf {
+	pad := -(len(prefix) + headerSize) & 7
+	words := (pad + len(prefix) + headerSize) / 8
+	backing := make([]float64, words+dim)
+	raw := f64Bytes(backing)[pad:]
+	copy(raw, prefix)
+	return VersionBuf{params: backing[words:], raw: raw, prefix: len(prefix), alias: true}
+}
+
 // filterTile is filterGeneric. The SSE2 loop stores every lane at the next
 // slot and advances the count by the lane's bit, so it may write one slot
 // past the last survivor: vals and idx must have room for n+len(t)+1

@@ -16,6 +16,8 @@ func filterTile(vals []float64, idx []uint32, n int, t []float64, lo int, floor 
 	return filterGeneric(vals, idx, n, t, lo, floor)
 }
 
+func newVersionBuf(prefix []byte, dim int) VersionBuf { return newVersionBufGeneric(prefix, dim) }
+
 func f64Bytes(t []float64) []byte {
 	b := make([]byte, 8*len(t))
 	putF64Generic(b, t)

@@ -38,14 +38,8 @@ type Payload struct {
 	q8chunk int
 }
 
-// Scheme reports the encoding (TopK filled in for sparse payloads).
-func (p *Payload) Scheme() Scheme { return p.scheme }
-
 // Dim reports the element count of the encoded vector.
 func (p *Payload) Dim() int { return p.dim }
-
-// IsDelta reports whether the frame carried the delta flag.
-func (p *Payload) IsDelta() bool { return p.delta }
 
 // WireLen reports the payload size in bytes (header excluded).
 func (p *Payload) WireLen() int { return len(p.data) }

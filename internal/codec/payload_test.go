@@ -45,8 +45,8 @@ func TestPayloadAccessorsMatchDecode(t *testing.T) {
 				t.Fatalf("stream: %v", err)
 			}
 			for name, p := range map[string]*Payload{"parsed": parsed, "streamed": streamed} {
-				if p.Dim() != dim || p.Scheme() != wantScheme {
-					t.Fatalf("%s %v: dim %d scheme %v (want %d %v)", name, s, p.Dim(), p.Scheme(), dim, wantScheme)
+				if p.Dim() != dim || p.scheme != wantScheme {
+					t.Fatalf("%s %v: dim %d scheme %v (want %d %v)", name, s, p.Dim(), p.scheme, dim, wantScheme)
 				}
 				got, err := p.Materialize()
 				if err != nil {
@@ -189,7 +189,7 @@ func TestAddScaledGroupMatchesSinglePasses(t *testing.T) {
 				t.Fatalf("%s: parse: %v", name, err)
 			}
 			ps[i] = p
-			topk = topk || p.Scheme().Kind == KindTopK
+			topk = topk || p.scheme.Kind == KindTopK
 			alphas[i] = rng.NormFloat64()
 			if rng.Intn(3) == 0 {
 				alphas[i] = alphaPool[rng.Intn(len(alphaPool))]
@@ -422,10 +422,15 @@ func TestNorm2GroupMatchesNorm2(t *testing.T) {
 
 // TestWriteRaw64MatchesEncode: WriteRaw64 writes Encode(v, RawF64) byte for
 // byte — empty, odd-length and specials-laced vectors included — and
-// passes a failing writer's error back.
+// passes a failing writer's error back. So does a version buffer behind
+// every prefix length 0–9 (each alignment pad), sealed over v or filled
+// with SetBlob from that blob, while its params stay v bit for bit; the
+// aliasing buffer and its copying twin write the same bytes, and SetBlob
+// refuses what is not a raw64 blob of the buffer's dim.
 func TestWriteRaw64MatchesEncode(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
-	for _, dim := range []int{0, 1, 7, 256, 1519} {
+	prefix := []byte("FLNT\x01\x05hello")
+	for _, dim := range []int{0, 1, 7, 256, 1519, 4097, 189039} {
 		v := payloadTestVec(rng, dim)
 		for i := range v {
 			if rng.Intn(8) == 0 {
@@ -443,10 +448,66 @@ func TestWriteRaw64MatchesEncode(t *testing.T) {
 		if !bytes.Equal(got.Bytes(), want) {
 			t.Fatalf("dim %d: WriteRaw64 differs from Encode", dim)
 		}
+		for n := 0; n <= 9; n++ {
+			for name, build := range map[string]func([]byte, int) VersionBuf{"buffer": NewVersionBuf, "copying twin": newVersionBufGeneric} {
+				sealed := build(prefix[:n], dim)
+				copy(sealed.Params(), v)
+				sealed.Seal()
+				set := build(prefix[:n], dim)
+				if err := set.SetBlob(want); err != nil {
+					t.Fatalf("dim %d prefix %d %s: SetBlob: %v", dim, n, name, err)
+				}
+				for how, b := range map[string]VersionBuf{"sealed": sealed, "SetBlob": set} {
+					raw := b.Bytes()
+					if !bytes.Equal(raw[:n], prefix[:n]) || !bytes.Equal(raw[n:], want) {
+						t.Fatalf("dim %d prefix %d: %s %s bytes differ from prefix + Encode", dim, n, how, name)
+					}
+					for i, x := range b.Params() {
+						if math.Float64bits(x) != math.Float64bits(v[i]) {
+							t.Fatalf("dim %d prefix %d: %s %s param %d = %#x, want %#x", dim, n, how, name, i, math.Float64bits(x), math.Float64bits(v[i]))
+						}
+					}
+				}
+			}
+		}
 	}
 	if err := WriteRaw64(failWriter{}, tensor.NewVector(3)); err == nil {
 		t.Fatal("a failing writer's error was dropped")
 	}
+	v := payloadTestVec(rng, 33)
+	good, err := Encode(v, RawF64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := bytes.Clone(good)
+	flipped[len(flipped)-1] ^= 0xFF
+	for name, build := range map[string]func([]byte, int) VersionBuf{"buffer": NewVersionBuf, "copying twin": newVersionBufGeneric} {
+		b := build(prefix[:3], len(v))
+		if err := b.SetBlob(good); err != nil {
+			t.Fatal(err)
+		}
+		for _, bad := range [][]byte{flipped, mustEncodeBlob(t, v, F32, false), mustEncodeBlob(t, v, RawF64, true), mustEncodeBlob(t, v[1:], RawF64, false)} {
+			if err := b.SetBlob(bad); err == nil {
+				t.Fatalf("%s: SetBlob took a bad blob", name)
+			}
+			if !bytes.Equal(b.Bytes()[3:], good) || math.Float64bits(b.Params()[5]) != math.Float64bits(v[5]) {
+				t.Fatalf("%s: a refused SetBlob changed the buffer", name)
+			}
+		}
+	}
+}
+
+func mustEncodeBlob(t *testing.T, v tensor.Vector, s Scheme, delta bool) []byte {
+	t.Helper()
+	enc := Encode
+	if delta {
+		enc = EncodeDelta
+	}
+	blob, err := enc(v, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return blob
 }
 
 type failWriter struct{}

@@ -12,12 +12,14 @@ import (
 // broadcastState is the coordinator's immutable broadcast plane: one
 // published model version, the delta-base version ring, and the cache of
 // every wire artifact derived from them. The commit pipeline builds the
-// next plane off to the side — a clone and a ring append, no encoding —
-// and publishes it with a single atomic pointer swap; readers load the
-// pointer once and see a perfectly consistent version↔payload pairing,
-// with no lock shared with the commit path.
+// next plane off to the side — views of the sealed version buffer and a
+// ring append, no encoding — and publishes it with a single atomic
+// pointer swap; readers load the pointer once and see a perfectly
+// consistent version↔payload pairing, with no lock shared with the
+// commit path.
 //
-// The plane is the single producer of what it serves: the full blob per
+// The plane is the single producer of what it serves: the raw64 full blob
+// is the version buffer's own bytes, and every other full blob per
 // scheme, the delta frame per (base, scheme) and the legacy JSON params
 // array are each encoded by the first request that asks, exactly once
 // (concurrent requesters of the same artifact wait on that one encode),
@@ -30,6 +32,9 @@ type broadcastState struct {
 	// published is the immutable parameter snapshot at version; tasks
 	// share it read-only, so serving never copies.
 	published tensor.Vector
+	// raw64 is published's raw64 blob, from the same version buffer (nil:
+	// encoded on first request like the other schemes).
+	raw64 []byte
 	// ring retains the last Transport.RingDepth published versions
 	// (ascending, newest last — including this one) as delta-broadcast
 	// bases. Entries share published snapshots; all read-only.
@@ -44,33 +49,6 @@ type broadcastState struct {
 type ringEntry struct {
 	version int
 	params  tensor.Vector
-}
-
-// vecPool recycles full-dim work vectors for transient results (a shard's
-// reduced partial), so in steady state the same one or two vectors cycle
-// instead of a fresh dim-sized allocation per use. Retained snapshots (the
-// published clone, ring entries) must NOT come from here — pool vectors
-// are overwritten on reuse, and a retained one would tear under a
-// concurrent reader.
-type vecPool struct {
-	dim  int
-	pool sync.Pool
-}
-
-func newVecPool(dim int) *vecPool {
-	p := &vecPool{dim: dim}
-	p.pool.New = func() any { return make(tensor.Vector, dim) }
-	return p
-}
-
-// get returns a dim-sized vector with undefined contents.
-func (p *vecPool) get() tensor.Vector { return p.pool.Get().(tensor.Vector) }
-
-// put returns a vector to the pool; the caller must not touch it after.
-func (p *vecPool) put(v tensor.Vector) {
-	if len(v) == p.dim {
-		p.pool.Put(v)
-	}
 }
 
 // artifactKind names what an artifact encodes.
@@ -111,8 +89,8 @@ var errBaseAged = errors.New("coord: delta base not in the version ring")
 // ring keeps its newest depth−1 entries and appends this version, so delta
 // bases age out instead of accumulating a full model per commit forever.
 // depth 0 disables delta serving.
-func newBroadcastState(version int, published tensor.Vector, prev []ringEntry, depth int) *broadcastState {
-	bs := &broadcastState{version: version, published: published}
+func newBroadcastState(version int, published tensor.Vector, raw64 []byte, prev []ringEntry, depth int) *broadcastState {
+	bs := &broadcastState{version: version, published: published, raw64: raw64}
 	if depth > 0 {
 		if extra := len(prev) + 1 - depth; extra > 0 {
 			prev = prev[extra:]
@@ -163,6 +141,9 @@ func (bs *broadcastState) encode(key artifactKey) ([]byte, error) {
 
 // fullBlob returns the published vector encoded under s.
 func (bs *broadcastState) fullBlob(s codec.Scheme) ([]byte, error) {
+	if s.Kind == codec.KindRawF64 && bs.raw64 != nil {
+		return bs.raw64, nil
+	}
 	blob, _, err := bs.get(artifactKey{kind: artifactFull, scheme: s})
 	return blob, err
 }

@@ -128,7 +128,7 @@ func TestPlaneArtifactsFromSnapshots(t *testing.T) {
 	}
 	base, published := snapshot(0.01), snapshot(0.013)
 	published[3], published[dim-1] = base[3], base[dim-1] // some exact zeros in the diff
-	bs := newBroadcastState(2, published, []ringEntry{{version: 1, params: base}}, 4)
+	bs := newBroadcastState(2, published, nil, []ringEntry{{version: 1, params: base}}, 4)
 	diff := published.Clone()
 	diff.Sub(base)
 	for _, s := range []codec.Scheme{codec.Q8, codec.TopK(0), codec.F32, codec.RawF64} {

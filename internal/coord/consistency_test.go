@@ -3,6 +3,7 @@ package coord
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
 	"sync"
@@ -50,9 +51,11 @@ func (g *groundTruth) params(version int) (tensor.Vector, error) {
 // permanently busy. The invariant under test: a task's version metadata
 // and its payload always come from the same published snapshot, i.e. the
 // blob (or the delta applied to its base) reproduces the store's record
-// of exactly the version the task names, bit for bit (raw64 end to end).
-// Before the plane split this property required the coordinator mutex;
-// now the hammers never touch any lock the commit pipeline holds.
+// of exactly the version the task names, bit for bit (raw64 end to end),
+// and once the hammers stop every stored version still loads with the
+// bits first read for it. Before the plane split this property required
+// the coordinator mutex; now the hammers never touch any lock the commit
+// pipeline holds.
 func TestTaskSnapshotConsistencyUnderCommits(t *testing.T) {
 	c, err := New(Config{
 		Mode:           ModeAsync,
@@ -248,6 +251,21 @@ func TestTaskSnapshotConsistencyUnderCommits(t *testing.T) {
 	}
 	if v := c.Version(); v < 1+targetCommit {
 		t.Fatalf("only %d commits happened under load, want >= %d", v-1, targetCommit)
+	}
+	// Every retained version still loads, its checkpoint's CRC intact,
+	// with the bits first read for it: a version buffer is never written
+	// after its seal, whatever view of it was published.
+	name := c.Config().ModelName
+	for _, v := range c.Store().Versions(name) {
+		m, err := c.Store().Get(name, v)
+		if err != nil {
+			t.Fatalf("v%d no longer loads from the store: %v", v, err)
+		}
+		for j, x := range truth.v[v] {
+			if math.Float64bits(m.Params()[j]) != math.Float64bits(x) {
+				t.Fatalf("stored v%d param %d = %g, first read as %g", v, j, m.Params()[j], x)
+			}
+		}
 	}
 	// The hammer mix must actually have exercised the delta plane.
 	if c.Counters().Counter("task_sent_delta").Value()+c.Counters().Counter("delta_cache_hits").Value()+

@@ -1,7 +1,6 @@
 package coord
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -217,17 +216,22 @@ const registryShards = 64
 // task, and status requests only ever load that pointer plus per-object
 // O(1) locks (registry shards, the round's own mutex), so the serving
 // paths share no mutex with the commit pipeline and never block on
-// aggregation, encoding, or disk. The *round plane* — the global model,
-// round lifecycle transitions, and the commit pipeline — stays under mu,
-// which only the ingest worker and the deadline watchdog take.
+// aggregation, encoding, or disk. The *round plane* — round lifecycle
+// transitions and the commit pipeline — stays under mu, which only the
+// ingest worker and the deadline watchdog take.
 //
-// A commit is a staged pipeline under mu: (1) sharded parallel
-// aggregation into the global model, (2) building the successor
-// broadcastState off to the side — a clone of the params and a ring
-// append; nothing is encoded, the plane derives each wire artifact when
-// a device first asks for it, (3) inserting the snapshot into the store
-// in memory, swapping the serving pointer, and handing the disk write to
-// a write-behind worker (publish_pending counts the backlog).
+// Each version is one buffer (codec.VersionBuf): the checkpoint header,
+// then the raw64 blob of the params. The published params, their ring
+// entry, the store's checkpoint and the raw64 task blob are views of it,
+// and nothing writes it once it is sealed. A commit is a staged pipeline
+// under mu: (1) sharded parallel aggregation into a fresh buffer that
+// starts as a copy of the published params, then DP and the seal, (2)
+// building the successor broadcastState off to the side — a ring append;
+// nothing is encoded, the plane derives each other wire artifact when a
+// device first asks for it, (3) inserting the buffer into the store in
+// memory, swapping the serving pointer, and handing the disk write to a
+// write-behind worker (publish_pending counts the backlog). A failed
+// commit drops its buffer; the published one was never touched.
 type Coordinator struct {
 	cfg      Config
 	reg      *Registry
@@ -255,15 +259,11 @@ type Coordinator struct {
 	rebuildMu   sync.Mutex
 	rebuildWG   sync.WaitGroup
 	schedCensus []sched.DeviceSample
-	// scratch recycles full-dim work vectors (a shard's reduced partial)
-	// instead of allocating one per use.
-	scratch *vecPool
-	// dim is the immutable flat parameter count, readable without
-	// touching the (commit-mutated) global model.
+	// dim is the immutable flat parameter count.
 	dim int
-	// ckptLen is the length of global's checkpoint — fixed, as its kind
-	// and dim are — so a commit serializes into a buffer of that size.
-	ckptLen int
+	// ckptHdr is the checkpoint header of the model's kind: the prefix of
+	// every version buffer.
+	ckptHdr []byte
 
 	// serving is the atomically swapped (round, broadcast plane) pair —
 	// the one home of the published version, the round id and the
@@ -271,13 +271,10 @@ type Coordinator struct {
 	serving atomic.Pointer[serving]
 
 	// mu is the round-plane lock: it serializes the commit/abandon
-	// pipeline (round lifecycle edges, aggregation into global, snapshot
-	// builds, store inserts, serving swaps). Only the ingest worker and
-	// the watchdog take it — never a request handler.
+	// pipeline (round lifecycle edges, aggregation, version builds, store
+	// inserts, serving swaps). Only the ingest worker and the watchdog
+	// take it — never a request handler.
 	mu sync.Mutex
-	// global is the trainable model whose flat params aggregation
-	// mutates. Guarded by mu.
-	global model.Model
 
 	// historyMu guards the finished-round log: the last recentRounds
 	// committed/abandoned rounds, which /v1/status returns whole.
@@ -310,6 +307,10 @@ func New(cfg Config) (*Coordinator, error) {
 	if err != nil {
 		return nil, err
 	}
+	hdr, err := model.Frame(m.Kind())
+	if err != nil {
+		return nil, err
+	}
 	store, err := modelstore.New(cfg.StoreDir)
 	if err != nil {
 		return nil, err
@@ -329,9 +330,8 @@ func New(cfg Config) (*Coordinator, error) {
 		counters:   metrics.NewCounterSet(),
 		negotiator: negotiator,
 		sched:      scheduler,
-		scratch:    newVecPool(m.NumParams()),
 		dim:        m.NumParams(),
-		global:     m,
+		ckptHdr:    hdr,
 		ingest:     make(chan Submission, cfg.QueueDepth),
 		persist:    make(chan persistReq, persistQueueDepth),
 		done:       make(chan struct{}),
@@ -350,18 +350,16 @@ func New(cfg Config) (*Coordinator, error) {
 	c.dp = aggregator.NewDP(cfg.DP)
 	// Version 1 enters the store as every commit's does, but persisted
 	// synchronously and fsync-ed: a directory that cannot take it fails New.
-	var snap bytes.Buffer
-	if err := model.Save(m, &snap); err != nil {
-		return nil, err
-	}
-	c.ckptLen = snap.Len()
-	if err := store.PutAt(cfg.ModelName, 1, snap.Bytes()); err != nil {
+	buf := codec.NewVersionBuf(c.ckptHdr, c.dim)
+	copy(buf.Params(), m.Params())
+	buf.Seal()
+	if err := store.PutAt(cfg.ModelName, 1, buf.Bytes()); err != nil {
 		return nil, err
 	}
 	if err := store.Persist(cfg.ModelName, 1, true); err != nil {
 		return nil, err
 	}
-	bs := newBroadcastState(1, m.Params().Clone(), nil, cfg.Transport.RingDepth())
+	bs := newBroadcastState(1, buf.Params(), buf.Bytes()[len(c.ckptHdr):], nil, cfg.Transport.RingDepth())
 	// Pre-register every serving counter so a status page always carries
 	// the full zeroed key set before first traffic (a dashboard shouldn't
 	// have to guess whether a missing key is "no deltas yet" or "too old
@@ -1088,14 +1086,14 @@ func (c *Coordinator) checkDeadline() {
 // commitLocked runs the staged commit pipeline for round r. Callers hold
 // mu; r must have been loaded from the serving pointer.
 //
-// Stage 1 aggregates the round's updates into the global model with the
-// sharded parallel reducer. Stage 2 builds the successor broadcast plane
-// off to the side: clones the published snapshot and extends the version
-// ring (no encoding — the plane fills its artifact cache on first
-// request). Stage 3 inserts the serialized snapshot into the store (in
-// memory), swaps the serving pointer, and queues the disk write to the
-// write-behind worker — so the only I/O a commit waits for is its own
-// arithmetic.
+// Stage 1 aggregates the round's updates with the sharded parallel
+// reducer into a fresh version buffer holding a copy of the published
+// params, applies DP and seals it. Stage 2 builds the successor broadcast
+// plane off to the side: the buffer's params and raw64 blob and a ring
+// append (no encoding — the plane fills its artifact cache on first
+// request). Stage 3 inserts the buffer into the store (in memory), swaps
+// the serving pointer, and queues the disk write to the write-behind
+// worker — so the only I/O a commit waits for is its own arithmetic.
 func (c *Coordinator) commitLocked(r *Round, now time.Time) {
 	sv := c.serving.Load()
 	if sv.round != r {
@@ -1111,7 +1109,7 @@ func (c *Coordinator) commitLocked(r *Round, now time.Time) {
 	}
 	// The DP noise of the version this commit publishes is drawn beside
 	// the screen and the reduce (nil, and a no-op, when DP is off).
-	dp := c.dp.Begin(bs.version+1, len(c.global.Params()))
+	dp := c.dp.Begin(bs.version+1, c.dim)
 	defer dp.Release()
 	// Stage 0: the pre-reduce norm screen. Outlier updates (boosted
 	// poison, norm overflow, NaN norms) never reach the reducer — or, in
@@ -1119,8 +1117,7 @@ func (c *Coordinator) commitLocked(r *Round, now time.Time) {
 	// predicate, so per-cohort application stays sound where the robust
 	// reducers would not. Rejected updates stay in the round buffer (it
 	// still owns their payload releases at termination) but forfeit their
-	// devices' telemetry trust. A round the screen empties aborts before
-	// any mutation — rollback is the no-op case of the ErrNonFinite path.
+	// devices' telemetry trust. A round the screen empties aborts.
 	if c.screen.Enabled() {
 		kept, rejected := c.screen.Apply(updates)
 		if len(rejected) > 0 {
@@ -1130,7 +1127,7 @@ func (c *Coordinator) commitLocked(r *Round, now time.Time) {
 				c.reg.NoteScreened(u.ClientID)
 			}
 			if len(kept) == 0 {
-				c.abortCommitLocked(r, bs, nil, "round_aggregate_robust_error", now)
+				c.abortCommitLocked(r, bs, "round_aggregate_robust_error", now)
 				return
 			}
 			updates = kept
@@ -1146,20 +1143,18 @@ func (c *Coordinator) commitLocked(r *Round, now time.Time) {
 	// screen fused into each worker's range (the ingress screen in
 	// SubmitUpdate only sees individual updates; finite deltas can still
 	// sum past MaxFloat64 during aggregation, and a single Inf here
-	// would be republished forever).
-	params := c.global.Params()
+	// would be republished forever). A failure — a non-finite aggregate,
+	// or dimension drift that dooms the cohort, not the server — drops
+	// the round and the unpublished buffer, and serving goes on.
+	buf := codec.NewVersionBuf(c.ckptHdr, c.dim)
+	params := buf.Params()
+	copy(params, bs.published)
 	if err := c.strategy.Aggregate(params, updates); err != nil {
+		counter := "round_aggregate_error"
 		if errors.Is(err, aggregator.ErrNonFinite) {
-			// The aggregate was applied in place before the screen hit;
-			// roll back to the last published snapshot (captured
-			// pre-aggregation) before dropping the round.
-			c.abortCommitLocked(r, bs, params, "round_aggregate_nonfinite", now)
-			return
+			counter = "round_aggregate_nonfinite"
 		}
-		// Aggregation failure (dimension drift) dooms the cohort, not
-		// the server: drop the round and keep serving. The strategy
-		// validates before mutating, so there is nothing to roll back.
-		c.abortCommitLocked(r, bs, nil, "round_aggregate_error", now)
+		c.abortCommitLocked(r, bs, counter, now)
 		return
 	}
 	// Stage 1b: central DP — clip the aggregate round delta and add
@@ -1175,39 +1170,27 @@ func (c *Coordinator) commitLocked(r *Round, now time.Time) {
 			r.noteEpsilon(eps)
 		}
 	}
-	// The serialized snapshot the store will hold for the new version.
-	buf := bytes.NewBuffer(make([]byte, 0, c.ckptLen))
-	if err := model.Save(c.global, buf); err != nil {
-		c.abortCommitLocked(r, bs, params, "round_publish_error", now)
-		return
-	}
-	if c.publishLocked(r, bs, bs.version+1, buf.Bytes(), now) {
+	buf.Seal()
+	if c.publishLocked(r, bs, bs.version+1, buf, now) {
 		c.counters.Counter("updates_aggregated").Add(int64(len(updates)))
 	}
 }
 
-// publishLocked runs the commit pipeline's publish stages for freshly
-// updated global params becoming version v (stage 2: successor
-// broadcast plane; stage 3: store insert, serving swap, write-behind
-// persist). Both the local aggregation path and the hierarchical
-// install path end here; each hands over ckpt, the checkpoint bytes of
-// the params it produced, which the store keeps (the local commit
-// serializes with model.Save, an install frames the leader's raw64
-// blob as received). A failure is a publish failure: devices could not
-// fetch the version we would be announcing, so the params roll back to
-// the current plane's published snapshot and the round drops. Callers
-// hold mu.
-func (c *Coordinator) publishLocked(r *Round, bs *broadcastState, v int, ckpt []byte, now time.Time) bool {
-	// The published clone cannot come from the scratch pool: the plane and
-	// the version ring retain it for RingDepth commits and in-flight
-	// readers share it read-only, so recycling it would tear a concurrent
-	// task response.
-	next := newBroadcastState(v, c.global.Params().Clone(), bs.ring, c.cfg.Transport.RingDepth())
-	// The serialized snapshot lands in the store's memory before the
-	// serving swap (tasks must never reference a version the store
-	// cannot answer for); the disk write rides the write-behind queue.
-	if err := c.store.PutAt(c.cfg.ModelName, v, ckpt); err != nil {
-		c.abortCommitLocked(r, bs, c.global.Params(), "round_publish_error", now)
+// publishLocked runs the commit pipeline's publish stages for the sealed
+// buffer of version v (stage 2: successor broadcast plane; stage 3:
+// store insert, serving swap, write-behind persist). Both the local
+// aggregation path and the hierarchical install path end here: the
+// plane serves the buffer's params and raw64 blob, and the store keeps
+// its bytes as the checkpoint. A failure is a publish failure: devices
+// could not fetch the version we would be announcing, so the buffer is
+// dropped and the round with it. Callers hold mu.
+func (c *Coordinator) publishLocked(r *Round, bs *broadcastState, v int, buf codec.VersionBuf, now time.Time) bool {
+	next := newBroadcastState(v, buf.Params(), buf.Bytes()[len(c.ckptHdr):], bs.ring, c.cfg.Transport.RingDepth())
+	// The checkpoint lands in the store's memory before the serving swap
+	// (tasks must never reference a version the store cannot answer
+	// for); the disk write rides the write-behind queue.
+	if err := c.store.PutAt(c.cfg.ModelName, v, buf.Bytes()); err != nil {
+		c.abortCommitLocked(r, bs, "round_publish_error", now)
 		return false
 	}
 	if err := r.conclude(PhaseCommitted); err != nil {
@@ -1220,15 +1203,10 @@ func (c *Coordinator) publishLocked(r *Round, bs *broadcastState, v int, ckpt []
 	return true
 }
 
-// abortCommitLocked is the commit pipeline's failure exit: it rolls the
-// in-place aggregation back to the published snapshot (when params is
-// non-nil — pass nil for failures that precede any mutation), counts the
+// abortCommitLocked is the commit pipeline's failure exit: it counts the
 // failure, drops the round, and opens its successor on the unchanged
 // broadcast plane. Callers hold mu.
-func (c *Coordinator) abortCommitLocked(r *Round, bs *broadcastState, params tensor.Vector, counter string, now time.Time) {
-	if params != nil {
-		copy(params, bs.published)
-	}
+func (c *Coordinator) abortCommitLocked(r *Round, bs *broadcastState, counter string, now time.Time) {
 	c.counters.Counter(counter).Inc()
 	_ = r.conclude(PhaseAbandoned)
 	c.finishLocked(r, 0, bs, now)

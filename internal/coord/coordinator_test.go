@@ -400,7 +400,7 @@ func TestCoordinatorBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dim := c.global.NumParams()
+	dim := c.dim
 	sub := Submission{DeviceID: 1, RoundID: 1, BaseVersion: 1, Weight: 1, Delta: tensor.NewVector(dim)}
 
 	// A closed coordinator sheds everything.

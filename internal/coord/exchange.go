@@ -2,12 +2,10 @@ package coord
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"flint/internal/aggregator"
 	"flint/internal/codec"
-	"flint/internal/model"
 )
 
 // ErrTierHalted is what a PartialExchange returns while the shard
@@ -68,24 +66,19 @@ var exchangeCounters = []string{
 // partialLocked is the hierarchical half of the commit pipeline: instead
 // of folding the round's updates into this replica's params, it reduces
 // them — through the same parallel fused payload kernels, into a zeroed
-// scratch vector — to the cohort's weighted mean, encodes that partial
-// as a raw64 codec blob, and hands it to the exchange goroutine. The
-// round parks in PhaseAggregating until the leader's answer installs
-// the generation's fold. Callers hold mu; r must be the serving round
-// and must have passed beginAggregate.
+// version buffer — to the cohort's weighted mean, seals that buffer into
+// the partial's raw64 codec blob, and hands it to the exchange
+// goroutine. The round parks in PhaseAggregating until the leader's
+// answer installs the generation's fold. Callers hold mu; r must be the
+// serving round and must have passed beginAggregate.
 func (c *Coordinator) partialLocked(r *Round, bs *broadcastState, updates []aggregator.Update, now time.Time) {
-	partial := c.scratch.get()
-	partial.Fill(0)
-	if err := c.strategy.Aggregate(partial, updates); err != nil {
-		c.scratch.put(partial)
+	partial := codec.NewVersionBuf(nil, c.dim)
+	if err := c.strategy.Aggregate(partial.Params(), updates); err != nil {
 		counter := "round_aggregate_error"
 		if errors.Is(err, aggregator.ErrNonFinite) {
 			counter = "round_aggregate_nonfinite"
 		}
-		// The reduction target was scratch, so unlike a local commit
-		// there is nothing to roll back — drop the round and keep
-		// serving.
-		c.abortCommitLocked(r, bs, nil, counter, now)
+		c.abortCommitLocked(r, bs, counter, now)
 		return
 	}
 	var weight float64
@@ -96,12 +89,7 @@ func (c *Coordinator) partialLocked(r *Round, bs *broadcastState, updates []aggr
 			weight++
 		}
 	}
-	blob, err := codec.Encode(partial, codec.RawF64)
-	c.scratch.put(partial)
-	if err != nil {
-		c.abortCommitLocked(r, bs, nil, "round_publish_error", now)
-		return
-	}
+	partial.Seal()
 	// The partial owns everything the leader needs; the buffered wire
 	// payloads are dead weight during the (possibly long, possibly
 	// halted) exchange, so they go back to the codec pool now rather
@@ -117,7 +105,7 @@ func (c *Coordinator) partialLocked(r *Round, bs *broadcastState, updates []aggr
 		BaseVersion: bs.version,
 		Updates:     len(updates),
 		Weight:      weight,
-		Blob:        blob,
+		Blob:        partial.Bytes(),
 	}
 	c.exchWG.Add(1)
 	go c.exchangeLoop(r, pc)
@@ -155,19 +143,20 @@ func (c *Coordinator) exchangeLoop(r *Round, pc PartialCommit) {
 }
 
 // installGlobal completes a parked round with the leader's answer: the
-// returned global params replace this replica's (bit-identical to the
-// leader — the install blob is raw64), a fresh broadcast plane is built,
-// and the store/version/persist machinery runs exactly as a local
-// commit's publish stages. An install that does not advance reports a
-// failed fold: the round is dropped as a failed local commit is.
+// returned global params become this replica's next version
+// (bit-identical to the leader — the install blob is raw64), a fresh
+// broadcast plane is built, and the store/version/persist machinery runs
+// exactly as a local commit's publish stages. An install that does not
+// advance reports a failed fold: the round is dropped as a failed local
+// commit is.
 //
-// The install runs under mu with the shard's round parked, so it copies
-// each vector once: the blob is validated as a view (CRC and structure),
-// decoded straight into the global params, and stored as the received
-// bytes behind the checkpoint header — which is exactly what model.Save
-// would write for those params, without re-encoding or re-checksumming
-// them. Only a raw64, non-delta blob of this model's dimension installs;
-// anything else is rejected before the params are touched.
+// The install runs under mu with the shard's round parked, and copies
+// the parameters once: the blob is validated (CRC and structure) and
+// copied verbatim behind the checkpoint header of a fresh version
+// buffer, which is then the published params, the raw64 task blob and
+// the stored checkpoint — exactly what model.Save would write for those
+// params. Only a raw64, non-delta blob of this model's dimension
+// installs; anything else drops the buffer and the round.
 func (c *Coordinator) installGlobal(r *Round, inst GlobalInstall) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -182,31 +171,19 @@ func (c *Coordinator) installGlobal(r *Round, inst GlobalInstall) {
 	}
 	bs := sv.bcast
 	if inst.Version <= bs.version {
-		c.abortCommitLocked(r, bs, nil, "round_aggregate_error", now)
+		c.abortCommitLocked(r, bs, "round_aggregate_error", now)
 		return
 	}
-	view, err := codec.ParsePayload(inst.Blob)
-	if err == nil && (view.Scheme().Kind != codec.KindRawF64 || view.IsDelta() || view.Dim() != c.dim) {
-		err = fmt.Errorf("coord: install v%d is a %s blob of %d params (delta %t), want raw64 of %d",
-			inst.Version, view.Scheme(), view.Dim(), view.IsDelta(), c.dim)
-	}
-	var ckpt []byte
-	if err == nil {
-		ckpt, err = model.Frame(c.global.Kind(), inst.Blob)
-	}
-	if err != nil {
+	buf := codec.NewVersionBuf(c.ckptHdr, c.dim)
+	if err := buf.SetBlob(inst.Blob); err != nil {
 		// A malformed install is a publish failure: stay on the old
-		// plane (params untouched) and drop the round; the next
-		// generation's install replaces it.
+		// plane and drop the round; the next generation's install
+		// replaces it.
 		c.counters.Counter("global_install_error").Inc()
-		c.abortCommitLocked(r, bs, nil, "round_publish_error", now)
+		c.abortCommitLocked(r, bs, "round_publish_error", now)
 		return
 	}
-	view.CopyRange(c.global.Params(), 0, c.dim)
-	if !c.publishLocked(r, bs, inst.Version, ckpt, now) {
-		// publishLocked rolled the params back to the old plane's
-		// published snapshot and dropped the round.
-		return
+	if c.publishLocked(r, bs, inst.Version, buf, now) {
+		c.counters.Counter("global_installs").Inc()
 	}
-	c.counters.Counter("global_installs").Inc()
 }

@@ -87,7 +87,7 @@ func TestMalformedInstallRejected(t *testing.T) {
 		// The rejection and the successor round happen under mu; taking it
 		// here waits them out.
 		c.mu.Lock()
-		params := slices.Clone(c.global.Params())
+		params := c.serving.Load().bcast.published
 		c.mu.Unlock()
 		if got := c.Counters().Counter("global_install_error").Value(); got != int64(i+1) {
 			t.Fatalf("%s: global_install_error = %d, want %d", tc.name, got, i+1)

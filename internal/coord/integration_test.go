@@ -454,7 +454,7 @@ func TestDeltaBroadcast(t *testing.T) {
 		t.Helper()
 		round, _ := strconv.ParseUint(resp.Header.Get(transport.HeaderRound), 10, 64)
 		base, _ := strconv.Atoi(resp.Header.Get(transport.HeaderBaseVersion))
-		delta := make([]float64, c.global.NumParams())
+		delta := make([]float64, c.dim)
 		for i := range delta {
 			delta[i] = 0.001 * float64(dev)
 		}

@@ -23,24 +23,16 @@ const (
 	saveVersion = 1
 )
 
-// Frame returns a checkpoint of a model of the given kind whose
-// parameters are already encoded as the codec blob: the header and blob
-// in one allocation (Frame(kind, nil) is the bare header). For a raw64
-// blob of m.Params() the bytes equal what Save(m) writes, because the
-// raw64 encoding is deterministic, so a caller holding such a blob
-// checkpoints it without re-encoding or re-checksumming the parameters.
-// The blob is not validated here.
-func Frame(kind Kind, blob []byte) ([]byte, error) {
+// Frame returns the checkpoint header of a model of the given kind: the
+// prefix of every checkpoint, which Save writes before the raw64 blob of
+// the params and a coordinator's version buffer (codec.VersionBuf) holds
+// in front of it.
+func Frame(kind Kind) ([]byte, error) {
 	if len(kind) == 0 || len(kind) > 255 {
 		return nil, fmt.Errorf("model: save: bad kind %q", kind)
 	}
-	var buf [len(saveMagic) + 2 + 255]byte
-	hdr := append(buf[:0], saveMagic...)
-	hdr = append(hdr, saveVersion, byte(len(kind)))
-	hdr = append(hdr, kind...)
-	// Join makes the one allocation without first zeroing the bytes it
-	// copies the blob over.
-	return bytes.Join([][]byte{hdr, blob}, nil), nil
+	hdr := append([]byte(saveMagic), saveVersion, byte(len(kind)))
+	return append(hdr, kind...), nil
 }
 
 // Save writes the model's kind and parameters to w — the model-store
@@ -51,9 +43,7 @@ func Frame(kind Kind, blob []byte) ([]byte, error) {
 // parameters and no allocation of their size.
 func Save(m Model, w io.Writer) error {
 	kind := m.Kind()
-	// The header alone: Save streams the blob after it rather than
-	// copying it into one buffer.
-	hdr, err := Frame(kind, nil)
+	hdr, err := Frame(kind)
 	if err != nil {
 		return err
 	}

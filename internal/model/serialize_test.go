@@ -13,7 +13,7 @@ import (
 // TestSaveAllocatesNoBlob: a checkpoint into a buffer made at its length
 // is written in place — Save allocates nothing of the parameters' size (a
 // blob built first would be 1.5 MB at model B), and the bytes are still
-// Frame over Encode's raw64 blob.
+// Frame's header followed by Encode's raw64 blob.
 func TestSaveAllocatesNoBlob(t *testing.T) {
 	m, err := New(KindB, 3)
 	if err != nil {
@@ -23,10 +23,11 @@ func TestSaveAllocatesNoBlob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := Frame(KindB, blob)
+	hdr, err := Frame(KindB)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := append(hdr, blob...)
 	bufs := make([]*bytes.Buffer, 4)
 	for i := range bufs {
 		bufs[i] = bytes.NewBuffer(make([]byte, 0, len(want)))
@@ -44,7 +45,7 @@ func TestSaveAllocatesNoBlob(t *testing.T) {
 	}
 	for _, buf := range bufs {
 		if !bytes.Equal(buf.Bytes(), want) {
-			t.Fatal("Save differs from Frame(kind, Encode(params, RawF64))")
+			t.Fatal("Save differs from Frame(kind) + Encode(params, RawF64)")
 		}
 		if buf.Cap() != len(want) {
 			t.Fatalf("Save regrew the buffer to %d bytes", buf.Cap())
@@ -52,9 +53,10 @@ func TestSaveAllocatesNoBlob(t *testing.T) {
 	}
 }
 
-// TestFrameMatchesSave pins the framing both checkpoint writers share:
-// Frame over the raw64 blob of a model's params is Save's output byte
-// for byte, and it loads back to the same kind and bits.
+// TestFrameMatchesSave pins the framing both checkpoint writers share: a
+// version buffer behind Frame's header, sealed over a model's params, is
+// Save's output byte for byte, and it loads back to the same kind and
+// bits.
 func TestFrameMatchesSave(t *testing.T) {
 	for _, kind := range []Kind{KindA, KindB} {
 		m, err := New(kind, 3)
@@ -65,19 +67,16 @@ func TestFrameMatchesSave(t *testing.T) {
 		if err := Save(m, &buf); err != nil {
 			t.Fatal(err)
 		}
-		blob, err := codec.Encode(m.Params(), codec.RawF64)
+		hdr, err := Frame(kind)
 		if err != nil {
 			t.Fatal(err)
 		}
-		framed, err := Frame(kind, blob)
-		if err != nil {
-			t.Fatal(err)
-		}
+		vb := codec.NewVersionBuf(hdr, m.NumParams())
+		copy(vb.Params(), m.Params())
+		vb.Seal()
+		framed := vb.Bytes()
 		if !bytes.Equal(framed, buf.Bytes()) {
-			t.Fatalf("%s: Frame differs from Save (%d vs %d bytes)", kind, len(framed), buf.Len())
-		}
-		if cap(framed) != len(framed) {
-			t.Fatalf("%s: Frame allocated %d bytes for a %d-byte checkpoint", kind, cap(framed), len(framed))
+			t.Fatalf("%s: the sealed version buffer differs from Save (%d vs %d bytes)", kind, len(framed), buf.Len())
 		}
 		back, err := Load(bytes.NewReader(framed))
 		if err != nil {
@@ -92,7 +91,7 @@ func TestFrameMatchesSave(t *testing.T) {
 			}
 		}
 	}
-	if _, err := Frame("", nil); err == nil {
+	if _, err := Frame(""); err == nil {
 		t.Fatal("Frame accepted an empty kind")
 	}
 }

@@ -186,9 +186,9 @@ func (s *Store) Delete(name string, version int) error {
 // Retain is the store's retention rule: it drops every stored version of
 // the named model at or below newest−keep, from memory and the backing
 // directory, and reports how many it dropped. Version numbers may have
-// gaps (a replica installing a tier's global versions skips the ones it
-// never saw), so the rule is a range, not "newest−keep exactly". keep <= 0
-// retains everything.
+// gaps (a shard that refuses a malformed tier install publishes the next
+// one, a version further on), so the rule is a range, not "newest−keep
+// exactly". keep <= 0 retains everything.
 func (s *Store) Retain(name string, newest, keep int) (int, error) {
 	if keep <= 0 {
 		return 0, nil

@@ -57,13 +57,13 @@ var leaderCounters = []string{
 }
 
 // jobGlobal is one job's tier-level model state: the authoritative
-// global version, its parameters, the raw64 install blob every shard
-// receives, and the generation being filled: a slot per shard, the round
-// each shard last sent, and a channel the fold closes.
+// global version, its sealed version buffer — the parameters and, in the
+// same allocation, the raw64 install blob every shard receives — and the
+// generation being filled: a slot per shard, the round each shard last
+// sent, and a channel the fold closes.
 type jobGlobal struct {
 	version int
-	params  tensor.Vector
-	blob    []byte // raw64 encoding of params at version
+	buf     codec.VersionBuf
 	slots   []aggregator.Update
 	rounds  []uint64
 	folded  chan struct{}
@@ -174,11 +174,10 @@ func (l *Leader) jobLocked(job string) (*jobGlobal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("shard: init job %q: %w", job, err)
 	}
-	blob, err := codec.Encode(params, codec.RawF64)
-	if err != nil {
-		return nil, fmt.Errorf("shard: encode job %q globals: %w", job, err)
-	}
-	jg := &jobGlobal{version: 1, params: params, blob: blob, slots: make([]aggregator.Update, l.cfg.Shards),
+	buf := codec.NewVersionBuf(nil, len(params))
+	copy(buf.Params(), params)
+	buf.Seal()
+	jg := &jobGlobal{version: 1, buf: buf, slots: make([]aggregator.Update, l.cfg.Shards),
 		rounds: make([]uint64, l.cfg.Shards), folded: make(chan struct{})}
 	l.jobs[job] = jg
 	return jg, nil
@@ -201,7 +200,7 @@ func (l *Leader) Global(job string) (int, tensor.Vector) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if jg, ok := l.jobs[job]; ok {
-		return jg.version, jg.params.Clone()
+		return jg.version, jg.buf.Params().Clone()
 	}
 	return 0, nil
 }
@@ -251,7 +250,7 @@ func (l *Leader) SubmitPartial(pc coord.PartialCommit) (coord.GlobalInstall, err
 			}
 			l.mu.Lock()
 		}
-		return coord.GlobalInstall{Version: jg.version, Blob: jg.blob}, err
+		return coord.GlobalInstall{Version: jg.version, Blob: jg.buf.Bytes()}, err
 	}
 	if slot.Payload != nil {
 		return coord.GlobalInstall{}, errRetry
@@ -259,8 +258,8 @@ func (l *Leader) SubmitPartial(pc coord.PartialCommit) (coord.GlobalInstall, err
 	// The partial stays in wire form: the fold's range kernels read
 	// straight out of the validated view (§13).
 	payload, err := codec.ParsePayload(pc.Blob)
-	if err == nil && payload.Dim() != len(jg.params) {
-		err = fmt.Errorf("shard: partial for job %q carries %d params, want %d", pc.Job, payload.Dim(), len(jg.params))
+	if dim := len(jg.buf.Params()); err == nil && payload.Dim() != dim {
+		err = fmt.Errorf("shard: partial for job %q carries %d params, want %d", pc.Job, payload.Dim(), dim)
 	}
 	if err == nil && pc.BaseVersion > jg.version {
 		err = fmt.Errorf("shard: partial base v%d is ahead of tier v%d (split-brain leader?)", pc.BaseVersion, jg.version)
@@ -277,34 +276,27 @@ func (l *Leader) SubmitPartial(pc coord.PartialCommit) (coord.GlobalInstall, err
 	if slices.ContainsFunc(jg.slots, func(u aggregator.Update) bool { return u.Payload == nil }) {
 		return coord.GlobalInstall{}, nil
 	}
-	l.foldLocked(pc.Job, jg)
-	return coord.GlobalInstall{Version: jg.version, Blob: jg.blob}, nil
+	l.foldLocked(jg)
+	return coord.GlobalInstall{Version: jg.version, Blob: jg.buf.Bytes()}, nil
 }
 
 // foldLocked closes one job's generation through the parallel FedBuff
 // kernels at server rate 1 — the data-weighted mean of the slots, FedAvg
-// across shards — and wakes the repeats waiting on it. A failed fold (a
-// non-finite partial past a shard's screen, or a poisoned weight) rolls
-// the params back, so every shard gets the last good install and drops
-// its round. The rollback source is jg.blob, the last good params
-// bit-exactly, so no fold pays for a copy made just in case.
-func (l *Leader) foldLocked(job string, jg *jobGlobal) {
-	err := tierFold.Aggregate(jg.params, jg.slots)
-	if err == nil {
-		var blob []byte
-		if blob, err = codec.Encode(jg.params, codec.RawF64); err == nil {
-			jg.version++
-			jg.blob = blob
-			l.counters.Counter("tier_folds").Inc()
-		}
-	}
-	if err != nil {
-		last, perr := codec.ParsePayload(jg.blob)
-		if perr != nil {
-			panic(fmt.Sprintf("shard: job %q install blob no longer parses: %v", job, perr))
-		}
-		last.CopyRange(jg.params, 0, len(jg.params))
+// across shards — and wakes the repeats waiting on it. The fold runs in
+// the next version's buffer, a copy of the current params, which is
+// sealed and swapped in only if the fold succeeds. A failed fold (a
+// non-finite partial past a shard's screen, or a poisoned weight) drops
+// it, so every shard gets the last good install and drops its round.
+func (l *Leader) foldLocked(jg *jobGlobal) {
+	next := codec.NewVersionBuf(nil, len(jg.buf.Params()))
+	copy(next.Params(), jg.buf.Params())
+	if err := tierFold.Aggregate(next.Params(), jg.slots); err != nil {
 		l.counters.Counter("tier_fold_errors").Inc()
+	} else {
+		next.Seal()
+		jg.version++
+		jg.buf = next
+		l.counters.Counter("tier_folds").Inc()
 	}
 	for i := range jg.slots {
 		jg.slots[i].Payload.Release()

@@ -496,9 +496,10 @@ func TestInstallStoresReceivedBytes(t *testing.T) {
 }
 
 // TestLeaderFoldRollsBack: a fold the non-finite screen rejects leaves
-// the tier on its last good version and bits — restored from that
-// version's install blob — and is answered with that install, which does
-// not advance; the next good fold advances from there.
+// the tier on its last good version and bits — the failed fold's buffer
+// is dropped, the sealed one never written — and is answered with that
+// install, which does not advance; the next good fold advances from
+// there.
 func TestLeaderFoldRollsBack(t *testing.T) {
 	leader, err := NewLeader(LeaderConfig{Shards: 1, Grace: time.Hour, Params: testParams})
 	if err != nil {
