@@ -9,9 +9,10 @@
 //
 //   - a sharded device registry with striped locks (O(1) check-in and
 //     heartbeat, eligibility filtering via availability.Criteria);
-//   - a round-lifecycle state machine (open → assigning → collecting →
-//     aggregating → committed) driving both synchronous FedAvg and
-//     asynchronous FedBuff rounds;
+//   - a round-lifecycle state machine (open → aggregating → committed |
+//     abandoned, plus open → abandoned) driving both synchronous FedAvg
+//     and asynchronous FedBuff rounds, its verdicts asked of the round
+//     rule the simulator shares (internal/round);
 //   - an update-ingest pipeline with a bounded queue, per-round quorum and
 //     wall-clock deadline handling, and staleness bounds in async mode;
 //   - model-version publishing through internal/modelstore and serving

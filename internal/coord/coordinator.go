@@ -13,6 +13,7 @@ import (
 	"flint/internal/metrics"
 	"flint/internal/model"
 	"flint/internal/modelstore"
+	"flint/internal/round"
 	"flint/internal/sched"
 	"flint/internal/tensor"
 	"flint/internal/transport"
@@ -415,7 +416,8 @@ func (c *Coordinator) newRound(id uint64, bs *broadcastState, now time.Time) *Ro
 	if c.cfg.Mode == ModeAsync {
 		maxAssign = c.cfg.MaxInflight
 	}
-	return newRound(id, bs.version, c.cfg.TargetUpdates, c.cfg.Quorum, maxAssign, now, now.Add(c.cfg.RoundDeadline))
+	rule := round.Rule{Target: c.cfg.TargetUpdates, Quorum: c.cfg.Quorum, MaxAssign: maxAssign}
+	return newRound(id, bs.version, rule, now, now.Add(c.cfg.RoundDeadline))
 }
 
 // Close stops the ingest worker and watchdog (dropping any queued
@@ -1001,12 +1003,13 @@ func (c *Coordinator) apply(sub Submission) {
 			weight = info.Weight
 		}
 	}
-	// Fold into the current round, retrying once if a watchdog-triggered
-	// commit swaps the round between the load and the record (in async
-	// mode the update is a legitimate carry-over for the successor).
-	// Staleness is recomputed per attempt: landing after a concurrent
-	// commit means one more generation has passed, and both the
-	// MaxStaleness bound and FedBuff's discount must see it.
+	// Fold into the current round, retrying once if the round refuses it
+	// (overdue, or swapped by a watchdog-triggered commit between the
+	// load and the record): in async mode the update is a legitimate
+	// carry-over for the successor. Staleness is recomputed per attempt:
+	// landing after a concurrent commit means one more generation has
+	// passed, and both the MaxStaleness bound and FedBuff's discount must
+	// see it.
 	for attempt := 0; ; attempt++ {
 		sv := c.serving.Load()
 		r := sv.round
@@ -1036,15 +1039,16 @@ func (c *Coordinator) apply(sub Submission) {
 				return
 			}
 		}
-		if err := r.recordUpdate(u); err != nil {
+		if err := r.recordUpdate(u, now); err != nil {
 			if attempt == 0 {
-				// The round is mid-pipeline (aggregating) or already
-				// terminal. Only the commit pipeline holds mu, so a
-				// lock/unlock pair waits out any in-flight commit; after
-				// it the serving pointer names the successor round and
-				// the carry-over can land there — the behavior the old
-				// blocking ingest path had.
+				// The round is overdue, mid-pipeline (aggregating) or
+				// already terminal. Under mu an overdue round is closed
+				// now — committed at quorum, abandoned below it — and
+				// an in-flight commit is waited out; after it the
+				// serving pointer names the successor round and the
+				// carry-over can land there.
 				c.mu.Lock()
+				c.abandonLocked(r, now)
 				c.mu.Unlock()
 				continue
 			}
@@ -1062,25 +1066,20 @@ func (c *Coordinator) apply(sub Submission) {
 	}
 }
 
-// checkDeadline aggregates a quorum-complete round or abandons a starved
-// one once its deadline passes. The fast path is a single atomic load: an
-// idle server's watchdog tick takes no locks at all.
+// checkDeadline closes the serving round once its deadline passes. The
+// fast path is a single atomic load: an idle server's watchdog tick takes
+// no locks at all.
 func (c *Coordinator) checkDeadline() {
 	now := time.Now()
-	if now.Before(c.serving.Load().round.Deadline) {
+	r := c.serving.Load().round
+	if now.Before(r.Deadline) {
 		// Mid-collection and far from the deadline; target-count commits
 		// are the ingest worker's job, so there is nothing to do here.
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	r := c.serving.Load().round
-	switch {
-	case r.ready(now):
-		c.commitLocked(r, now)
-	case r.expired(now):
-		c.abandonLocked(r, now)
-	}
+	c.abandonLocked(r, now)
 }
 
 // commitLocked runs the staged commit pipeline for round r. Callers hold
@@ -1212,12 +1211,11 @@ func (c *Coordinator) abortCommitLocked(r *Round, bs *broadcastState, counter st
 	c.finishLocked(r, 0, bs, now)
 }
 
-// abandonLocked drops a starved round and opens a fresh one on the same
-// broadcast plane. Callers hold mu. The starvation predicate is
-// re-validated atomically with the terminal flip: the ingest worker does
-// not hold mu while accepting updates, so one may have reached quorum
-// since the caller's expiry check — that round commits instead of
-// dropping the accepted update.
+// abandonLocked closes round r if it is still the serving round and the
+// rule says so at now: a starved round (overdue below quorum) is dropped
+// and a fresh one opens on the same broadcast plane; a ready one commits
+// instead of dropping its accepted updates. The starvation verdict and the
+// terminal flip are one atomic step. Callers hold mu.
 func (c *Coordinator) abandonLocked(r *Round, now time.Time) {
 	sv := c.serving.Load()
 	if sv.round != r {

@@ -321,6 +321,75 @@ func TestCoordinatorQuorumCommitAtDeadline(t *testing.T) {
 		"quorum round did not commit at its deadline")
 }
 
+// TestCoordinatorOverdueUpdateClosesRound: the deadline is exact. An
+// update that reaches the ingest worker after its round's deadline is not
+// counted into that round, even before the watchdog's next tick: the
+// arriving update closes the round — committed at quorum, abandoned below
+// it — and then counts update_rejected_late in sync mode, or lands on the
+// successor round as an async carry-over. The test holds mu across the
+// deadline so the watchdog cannot close the round first; whichever of the
+// two takes mu next, the outcome is the same.
+func TestCoordinatorOverdueUpdateClosesRound(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		mode    Mode
+		onTime  int   // updates accepted before the deadline
+		end     Phase // round 1's terminal phase
+		late    int64 // update_rejected_late
+		carried int   // updates on the successor round
+	}{
+		{"sync at quorum", ModeSync, 2, PhaseCommitted, 1, 0},
+		{"sync below quorum", ModeSync, 1, PhaseAbandoned, 1, 0},
+		{"async carry-over", ModeAsync, 2, PhaseCommitted, 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := syncTestConfig()
+			cfg.Mode, cfg.MaxInflight = tc.mode, 8
+			cfg.TargetUpdates, cfg.Quorum = 4, 2
+			cfg.RoundDeadline = 300 * time.Millisecond
+			c, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+
+			r := c.serving.Load().round
+			tasks := make([]Task, tc.onTime+1)
+			for i := range tasks {
+				tasks[i] = join(t, c, int64(i+1))
+			}
+			for i := 0; i < tc.onTime; i++ {
+				submitFor(t, c, int64(i+1), tasks[i])
+			}
+			eventually(t, 5*time.Second, func() bool { return r.Collected() == tc.onTime },
+				"on-time updates never landed")
+
+			c.mu.Lock()
+			time.Sleep(time.Until(r.Deadline))
+			submitFor(t, c, int64(tc.onTime+1), tasks[tc.onTime])
+			// Give the ingest worker time to reach the overdue round
+			// while the watchdog is still held off.
+			time.Sleep(20 * time.Millisecond)
+			c.mu.Unlock()
+
+			cs := c.Counters()
+			eventually(t, 5*time.Second, func() bool {
+				return cs.Counter("update_accepted").Value()+cs.Counter("update_rejected_late").Value() == int64(tc.onTime+1)
+			}, "the overdue update was never settled")
+			st := c.Status()
+			if len(st.Recent) != 1 || st.Recent[0].Phase != tc.end || st.Recent[0].Updates != tc.onTime {
+				t.Fatalf("round 1 ended %+v, want %s with %d updates", st.Recent, tc.end, tc.onTime)
+			}
+			if got := cs.Counter("update_rejected_late").Value(); got != tc.late {
+				t.Fatalf("update_rejected_late = %d, want %d", got, tc.late)
+			}
+			if st.Round.ID != 2 || st.Round.Collected != tc.carried {
+				t.Fatalf("successor round %d holds %d updates, want round 2 with %d", st.Round.ID, st.Round.Collected, tc.carried)
+			}
+		})
+	}
+}
+
 func TestCoordinatorAsyncStalenessHandling(t *testing.T) {
 	cfg := Config{
 		Mode:           ModeAsync,

@@ -6,55 +6,46 @@ import (
 	"time"
 
 	"flint/internal/aggregator"
+	"flint/internal/round"
 )
 
 // Phase is a round's position in its lifecycle state machine.
 type Phase string
 
-// The round lifecycle. A round opens against a base model version, hands
-// its task to devices while assigning, collects their updates, aggregates
-// once it has enough, and commits a new version — or is abandoned if the
-// deadline passes below quorum.
+// The round lifecycle: open → aggregating → committed | abandoned, plus
+// open → abandoned. An open round hands its task to devices and collects
+// their updates; once the round rule says it is ready it aggregates and
+// commits a new version, or it is abandoned — overdue below quorum, or on
+// an aggregate or publish failure.
 const (
 	PhaseOpen        Phase = "open"
-	PhaseAssigning   Phase = "assigning"
-	PhaseCollecting  Phase = "collecting"
 	PhaseAggregating Phase = "aggregating"
 	PhaseCommitted   Phase = "committed"
 	PhaseAbandoned   Phase = "abandoned"
 )
 
-// validNext encodes the legal lifecycle transitions.
-var validNext = map[Phase][]Phase{
-	PhaseOpen:        {PhaseAssigning, PhaseAbandoned},
-	PhaseAssigning:   {PhaseCollecting, PhaseAbandoned},
-	PhaseCollecting:  {PhaseAggregating, PhaseAbandoned},
-	PhaseAggregating: {PhaseCommitted, PhaseAbandoned}, // abandoned on aggregate/publish failure
-	PhaseCommitted:   nil,
-	PhaseAbandoned:   nil,
-}
-
 // Terminal reports whether the phase ends the round.
 func (p Phase) Terminal() bool { return p == PhaseCommitted || p == PhaseAbandoned }
 
 // Round is one unit of the training lifecycle: a sync FedAvg round or one
-// async FedBuff buffer generation. It synchronizes its own mutable state
-// (phase, assignments, update buffer) under a private mutex whose critical
-// sections are all O(1): the task-serving path and the ingest worker touch
-// it concurrently, and the commit pipeline's only holds are the phase
-// flips at the edges of aggregation — never the O(K·dim) work between
-// them, so serving never stalls behind a commit.
+// async FedBuff buffer generation. Its assignment, acceptance, readiness
+// and abandonment verdicts are the round rule's (internal/round, shared
+// with the simulator), asked with the wall clock against Deadline. It
+// synchronizes its own mutable state (phase, assignments, update buffer)
+// under a private mutex whose critical sections are all O(1): the
+// task-serving path and the ingest worker touch it concurrently, and the
+// commit pipeline's only holds are the phase flips at the edges of
+// aggregation — never the O(K·dim) work between them, so serving never
+// stalls behind a commit.
 type Round struct {
 	// ID is a monotonically increasing round number (1-based).
 	ID uint64
 	// BaseVersion is the published model version the round trains from.
 	BaseVersion int
-	// Target is K: updates needed to aggregate immediately.
-	Target int
-	// Quorum is the minimum accepted at the deadline.
-	Quorum int
-	// MaxAssign caps how many devices may hold this round's task.
-	MaxAssign int
+	// Rule holds Target (K: updates needed to aggregate immediately),
+	// Quorum (the minimum accepted at the deadline) and MaxAssign (how
+	// many devices may hold this round's task).
+	round.Rule
 	// Deadline bounds the round's wall-clock lifetime.
 	Deadline time.Time
 	// Opened is when the round opened.
@@ -76,17 +67,15 @@ type Round struct {
 }
 
 // newRound opens a round in PhaseOpen.
-func newRound(id uint64, baseVersion int, target, quorum, maxAssign int, opened time.Time, deadline time.Time) *Round {
+func newRound(id uint64, baseVersion int, rule round.Rule, opened time.Time, deadline time.Time) *Round {
 	return &Round{
 		ID:          id,
 		BaseVersion: baseVersion,
-		Target:      target,
-		Quorum:      quorum,
-		MaxAssign:   maxAssign,
+		Rule:        rule,
 		Opened:      opened,
 		Deadline:    deadline,
 		phase:       PhaseOpen,
-		updates:     make([]aggregator.Update, 0, target),
+		updates:     make([]aggregator.Update, 0, rule.Target),
 	}
 }
 
@@ -111,121 +100,66 @@ func (r *Round) Collected() int {
 	return len(r.updates)
 }
 
-// advance moves the round to phase to, validating the transition.
-func (r *Round) advance(to Phase) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.advanceLocked(to)
-}
-
-func (r *Round) advanceLocked(to Phase) error {
-	for _, ok := range validNext[r.phase] {
-		if ok == to {
-			r.phase = to
-			return nil
-		}
-	}
-	return fmt.Errorf("coord: round %d: illegal transition %s → %s", r.ID, r.phase, to)
-}
+// overdue reports whether the round's deadline has passed at now.
+func (r *Round) overdue(now time.Time) bool { return !now.Before(r.Deadline) }
 
 // assignable reports whether the round can hand out another task at now —
 // the task path's cheap pre-check; tryAssign re-validates atomically.
 func (r *Round) assignable(now time.Time) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.assignableLocked(now)
+	return r.phase == PhaseOpen && r.Assign(len(r.assignedIDs), r.overdue(now))
 }
 
-func (r *Round) assignableLocked(now time.Time) bool {
-	switch r.phase {
-	case PhaseOpen, PhaseAssigning, PhaseCollecting:
-	default:
-		return false
-	}
-	return len(r.assignedIDs) < r.MaxAssign && now.Before(r.Deadline)
-}
-
-// tryAssign atomically checks the budget, phase, and deadline and records
-// one handed-out task, advancing open → assigning on the first. It
-// returns false when the round cannot hand out a task (full, terminal, or
-// past deadline) — concurrent requesters race fairly on the budget here,
-// with no coordinator-wide lock.
+// tryAssign atomically asks the rule and records one handed-out task. It
+// returns false when the round cannot hand out a task (full, no longer
+// open, or past deadline) — concurrent requesters race fairly on the
+// budget here, with no coordinator-wide lock.
 func (r *Round) tryAssign(deviceID int64, now time.Time) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.assignableLocked(now) {
+	if r.phase != PhaseOpen || !r.Assign(len(r.assignedIDs), r.overdue(now)) {
 		return false
-	}
-	if r.phase == PhaseOpen {
-		if err := r.advanceLocked(PhaseAssigning); err != nil {
-			return false
-		}
 	}
 	r.assignedIDs = append(r.assignedIDs, deviceID)
 	return true
 }
 
-// acceptingLocked reports whether the round can ingest an update. PhaseOpen
-// qualifies because async buffers accept carry-over updates from devices
-// assigned in a previous generation before anyone joins the new one.
-func (r *Round) acceptingLocked() bool {
-	return r.phase == PhaseOpen || r.phase == PhaseAssigning || r.phase == PhaseCollecting
-}
-
-// recordUpdate buffers one device update, walking the lifecycle forward to
-// collecting. The caller has already validated round ID and staleness.
-func (r *Round) recordUpdate(u aggregator.Update) error {
+// recordUpdate buffers one device update arriving at now. An open round
+// takes it while the rule accepts: before the deadline and below the
+// target. Async buffers take carry-over updates from devices assigned in
+// a previous generation before anyone joins the new one. The caller has
+// already validated round ID and staleness.
+func (r *Round) recordUpdate(u aggregator.Update, now time.Time) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.acceptingLocked() {
-		return fmt.Errorf("coord: round %d not accepting updates in phase %s", r.ID, r.phase)
-	}
-	for r.phase != PhaseCollecting {
-		next := PhaseAssigning
-		if r.phase == PhaseAssigning {
-			next = PhaseCollecting
-		}
-		if err := r.advanceLocked(next); err != nil {
-			return err
-		}
+	if r.phase != PhaseOpen || !r.Accept(len(r.updates), r.overdue(now)) {
+		return fmt.Errorf("coord: round %d not accepting updates (%s, %d of %d)", r.ID, r.phase, len(r.updates), r.Target)
 	}
 	r.updates = append(r.updates, u)
 	return nil
 }
 
-// ready reports whether the round should aggregate now: it reached its
-// target, or its deadline passed with quorum met.
+// ready reports whether the open round should aggregate at now: it
+// reached its target, or its deadline passed with quorum met.
 func (r *Round) ready(now time.Time) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if !r.acceptingLocked() {
-		return false
-	}
-	if len(r.updates) >= r.Target {
-		return true
-	}
-	return !now.Before(r.Deadline) && len(r.updates) >= r.Quorum
-}
-
-// expired reports whether the deadline passed below quorum, dooming the
-// round.
-func (r *Round) expired(now time.Time) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return !r.phase.Terminal() && !now.Before(r.Deadline) && len(r.updates) < r.Quorum
+	return r.phase == PhaseOpen && r.Ready(len(r.updates), r.overdue(now))
 }
 
 // beginAggregate flips the round into PhaseAggregating and hands the
 // caller its update buffer. After the flip no new update can land (and no
 // new assignment succeeds), so the returned slice is stable without
 // holding any lock through the aggregation itself. ok is false when the
-// transition is illegal — e.g. a second committer raced here first.
+// round is no longer open — e.g. a second committer raced here first.
 func (r *Round) beginAggregate() (updates []aggregator.Update, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.advanceLocked(PhaseAggregating); err != nil {
+	if r.phase != PhaseOpen {
 		return nil, false
 	}
+	r.phase = PhaseAggregating
 	return r.updates, true
 }
 
@@ -244,22 +178,31 @@ func (r *Round) noteEpsilon(eps float64) {
 	r.epsilonSpent = eps
 }
 
-// conclude moves the round to its terminal phase (committed/abandoned).
-func (r *Round) conclude(to Phase) error { return r.advance(to) }
+// conclude moves an aggregating round to its terminal phase (committed
+// or abandoned).
+func (r *Round) conclude(to Phase) error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.phase != PhaseAggregating || !to.Terminal() {
+		return fmt.Errorf("coord: round %d: illegal transition %s → %s", r.ID, r.phase, to)
+	}
+	r.phase = to
+	return nil
+}
 
-// expireIfStarved atomically re-checks the starvation predicate (deadline
-// passed, below quorum) and concludes the round abandoned when it still
-// holds. The recheck and the terminal flip share one critical section, so
-// an update that reached quorum between an unlocked expiry check and this
-// call can never be silently dropped by the abandonment — the caller sees
-// false and commits instead.
+// expireIfStarved atomically asks the rule whether the open round is
+// overdue and not ready, and abandons it when so. The check and the
+// terminal flip share one critical section, so an update that reached
+// quorum between an unlocked check and this call can never be silently
+// dropped by the abandonment — the caller sees false and commits instead.
 func (r *Round) expireIfStarved(now time.Time) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.phase.Terminal() || now.Before(r.Deadline) || len(r.updates) >= r.Quorum {
+	if r.phase != PhaseOpen || !r.overdue(now) || r.Ready(len(r.updates), true) {
 		return false
 	}
-	return r.advanceLocked(PhaseAbandoned) == nil
+	r.phase = PhaseAbandoned
+	return true
 }
 
 // releasePayloads returns every buffered update's pooled wire payload to

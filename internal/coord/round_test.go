@@ -5,12 +5,14 @@ import (
 	"time"
 
 	"flint/internal/aggregator"
+	"flint/internal/round"
 	"flint/internal/tensor"
 )
 
 func testRound(target, quorum, maxAssign int) *Round {
 	opened := time.Unix(1000, 0)
-	return newRound(1, 1, target, quorum, maxAssign, opened, opened.Add(time.Minute))
+	rule := round.Rule{Target: target, Quorum: quorum, MaxAssign: maxAssign}
+	return newRound(1, 1, rule, opened, opened.Add(time.Minute))
 }
 
 func upd(id int64) aggregator.Update {
@@ -29,28 +31,25 @@ func TestRoundLifecycleHappyPath(t *testing.T) {
 	if !r.tryAssign(1, now) {
 		t.Fatal("assignable round refused an assignment")
 	}
-	if r.Phase() != PhaseAssigning {
-		t.Fatalf("after first assignment phase = %s, want assigning", r.Phase())
-	}
-	if err := r.recordUpdate(upd(1)); err != nil {
+	if err := r.recordUpdate(upd(1), now); err != nil {
 		t.Fatal(err)
 	}
-	if r.Phase() != PhaseCollecting {
-		t.Fatalf("after first update phase = %s, want collecting", r.Phase())
+	if r.Phase() != PhaseOpen {
+		t.Fatalf("after first update phase = %s, want open", r.Phase())
 	}
 	if r.ready(now) {
 		t.Fatal("round below target and deadline should not be ready")
 	}
-	if err := r.recordUpdate(upd(2)); err != nil {
+	if err := r.recordUpdate(upd(2), now); err != nil {
 		t.Fatal(err)
 	}
 	if !r.ready(now) {
 		t.Fatal("round at target should be ready")
 	}
-	if err := r.advance(PhaseAggregating); err != nil {
-		t.Fatal(err)
+	if _, ok := r.beginAggregate(); !ok {
+		t.Fatal("ready open round refused to aggregate")
 	}
-	if err := r.advance(PhaseCommitted); err != nil {
+	if err := r.conclude(PhaseCommitted); err != nil {
 		t.Fatal(err)
 	}
 	if !r.Phase().Terminal() {
@@ -61,23 +60,39 @@ func TestRoundLifecycleHappyPath(t *testing.T) {
 func TestRoundIllegalTransitions(t *testing.T) {
 	r := testRound(2, 1, 4)
 	// Straight to committed from open is illegal.
-	if err := r.advance(PhaseCommitted); err == nil {
+	if err := r.conclude(PhaseCommitted); err == nil {
 		t.Fatal("open → committed should be rejected")
 	}
-	if err := r.advance(PhaseAggregating); err == nil {
-		t.Fatal("open → aggregating should be rejected")
+	// An aggregating round only concludes into a terminal phase.
+	agg := testRound(2, 1, 4)
+	if _, ok := agg.beginAggregate(); !ok {
+		t.Fatal("open round refused to aggregate")
+	}
+	if _, ok := agg.beginAggregate(); ok {
+		t.Fatal("second aggregation of one round accepted")
+	}
+	for _, p := range []Phase{PhaseOpen, PhaseAggregating} {
+		if err := agg.conclude(p); err == nil {
+			t.Fatalf("aggregating → %s should be rejected", p)
+		}
 	}
 	// Terminal rounds reject everything.
-	if err := r.advance(PhaseAbandoned); err != nil {
-		t.Fatal(err)
+	if !r.expireIfStarved(r.Deadline) {
+		t.Fatal("empty overdue round was not abandoned")
 	}
-	for _, p := range []Phase{PhaseOpen, PhaseAssigning, PhaseCollecting, PhaseAggregating, PhaseCommitted} {
-		if err := r.advance(p); err == nil {
+	for _, p := range []Phase{PhaseOpen, PhaseAggregating, PhaseCommitted, PhaseAbandoned} {
+		if err := r.conclude(p); err == nil {
 			t.Fatalf("abandoned → %s should be rejected", p)
 		}
 	}
-	if err := r.recordUpdate(upd(1)); err == nil {
+	if _, ok := r.beginAggregate(); ok {
+		t.Fatal("abandoned round began aggregating")
+	}
+	if err := r.recordUpdate(upd(1), r.Opened); err == nil {
 		t.Fatal("abandoned round accepted an update")
+	}
+	if r.tryAssign(1, r.Opened) {
+		t.Fatal("abandoned round accepted an assignment")
 	}
 }
 
@@ -85,11 +100,11 @@ func TestRoundOpenAcceptsCarryOverUpdate(t *testing.T) {
 	// Async buffers ingest updates from devices assigned in a previous
 	// generation before anyone joins the new round.
 	r := testRound(4, 1, 8)
-	if err := r.recordUpdate(upd(9)); err != nil {
+	if err := r.recordUpdate(upd(9), r.Opened); err != nil {
 		t.Fatal(err)
 	}
-	if r.Phase() != PhaseCollecting {
-		t.Fatalf("phase = %s, want collecting", r.Phase())
+	if r.Phase() != PhaseOpen || r.Collected() != 1 {
+		t.Fatalf("phase = %s with %d updates, want open with 1", r.Phase(), r.Collected())
 	}
 }
 
@@ -98,32 +113,48 @@ func TestRoundQuorumAndDeadline(t *testing.T) {
 	now := r.Opened
 	after := r.Deadline.Add(time.Second)
 
-	if err := r.recordUpdate(upd(1)); err != nil {
+	if err := r.recordUpdate(upd(1), now); err != nil {
 		t.Fatal(err)
 	}
-	// One update: below quorum — not ready, expired once past deadline.
-	if r.ready(after) {
-		t.Fatal("below-quorum round should not be ready at deadline")
-	}
-	if !r.expired(after) {
-		t.Fatal("below-quorum round should be expired past its deadline")
-	}
-	if r.expired(now) {
-		t.Fatal("round should not be expired before its deadline")
+	// One update: below quorum — not ready, before or past the deadline.
+	if r.ready(now) || r.ready(after) {
+		t.Fatal("below-quorum round should not be ready")
 	}
 
-	if err := r.recordUpdate(upd(2)); err != nil {
+	if err := r.recordUpdate(upd(2), now); err != nil {
 		t.Fatal(err)
 	}
-	// Quorum met: ready at deadline, no longer expired.
+	// Quorum met: ready at the deadline, not before it.
 	if r.ready(now) {
 		t.Fatal("quorum-but-below-target round is not ready before deadline")
 	}
-	if !r.ready(after) {
-		t.Fatal("quorum round should be ready past its deadline")
+	if !r.ready(r.Deadline) || !r.ready(after) {
+		t.Fatal("quorum round should be ready at its deadline")
 	}
-	if r.expired(after) {
-		t.Fatal("quorum round should not expire")
+}
+
+// TestRoundRefusesOverdueUpdate: the deadline is exact. An update that
+// arrives at or past it is refused, and so is one past the target; the
+// round's count is unchanged.
+func TestRoundRefusesOverdueUpdate(t *testing.T) {
+	r := testRound(2, 1, 4)
+	if err := r.recordUpdate(upd(1), r.Deadline.Add(-time.Nanosecond)); err != nil {
+		t.Fatalf("update just before the deadline refused: %v", err)
+	}
+	if err := r.recordUpdate(upd(2), r.Deadline); err == nil {
+		t.Fatal("update at the deadline accepted")
+	}
+	if err := r.recordUpdate(upd(3), r.Deadline.Add(time.Second)); err == nil {
+		t.Fatal("update past the deadline accepted")
+	}
+	if err := r.recordUpdate(upd(4), r.Opened); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.recordUpdate(upd(5), r.Opened); err == nil {
+		t.Fatal("update past the target accepted")
+	}
+	if r.Collected() != 2 || r.Phase() != PhaseOpen {
+		t.Fatalf("round holds %d updates in %s, want 2 in open", r.Collected(), r.Phase())
 	}
 }
 
@@ -160,22 +191,22 @@ func TestRoundExpireIfStarvedRecheck(t *testing.T) {
 	// At quorum the abandonment must refuse — the caller commits instead
 	// (this is the recheck that protects an update accepted between the
 	// watchdog's unlocked expiry check and the terminal flip).
-	if err := r.recordUpdate(upd(1)); err != nil {
+	if err := r.recordUpdate(upd(1), r.Opened); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.recordUpdate(upd(2)); err != nil {
+	if err := r.recordUpdate(upd(2), r.Opened); err != nil {
 		t.Fatal(err)
 	}
 	if r.expireIfStarved(after) {
 		t.Fatal("quorum-complete round was abandoned")
 	}
-	if r.Phase() != PhaseCollecting {
+	if r.Phase() != PhaseOpen {
 		t.Fatalf("refused expiry mutated phase to %s", r.Phase())
 	}
 
 	// Below quorum past the deadline it concludes atomically.
 	starved := testRound(4, 2, 8)
-	if err := starved.recordUpdate(upd(1)); err != nil {
+	if err := starved.recordUpdate(upd(1), starved.Opened); err != nil {
 		t.Fatal(err)
 	}
 	if !starved.expireIfStarved(after) {

@@ -206,6 +206,20 @@ func TestSchedulerOverCommitProvisioning(t *testing.T) {
 	if r.MaxAssign != 8 {
 		t.Fatalf("provisioned MaxAssign = %d, want 8 (target 4 x 2.0)", r.MaxAssign)
 	}
+
+	// A non-integral budget is floored: 16 x 1.3 = 20.8 provisions 20.
+	// fedsim ceils its over-commit instead, and bench/ splits its cohorts
+	// on this floor, so a change of formula fails here first.
+	cfg = syncTestConfig()
+	cfg.TargetUpdates, cfg.OverCommit = 16, 1.3
+	c2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c2.Close()
+	if r := c2.newRound(1, c2.serving.Load().bcast, time.Now()); r.MaxAssign != 20 {
+		t.Fatalf("provisioned MaxAssign = %d, want 20 (target 16 x 1.3, floored)", r.MaxAssign)
+	}
 }
 
 // TestAcceptChangesBetweenCheckins (transport negotiation edge case): a

@@ -163,6 +163,55 @@ func TestSyncRunCompletesWithStragglers(t *testing.T) {
 	}
 }
 
+// TestSyncRoundCommitsAtDeadlineWithOneUpdate: a sync round whose cohort
+// comes up short reaches its deadline with exactly one accepted update,
+// and the rule's quorum of 1 commits it there. Client 0's window is long
+// enough to finish; client 1's window closes a millisecond after dispatch,
+// so its task is interrupted.
+func TestSyncRoundCommitsAtDeadlineWithOneUpdate(t *testing.T) {
+	gen, err := data.NewAdsGenerator(data.DefaultAdsConfig(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	times, err := device.NewTimeDistribution(model.KindB, device.BenchPool())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := model.New(model.KindB, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := &Environment{
+		Shards: GeneratorProvider{G: gen},
+		Trace: availability.BuildTrace([]availability.Session{
+			{ClientID: 0, Start: 0, End: 1e6},
+			{ClientID: 1, Start: 10, End: 10.001},
+		}),
+		Times:       times,
+		Bandwidth:   network.BandwidthModel{MedianMbps: 8, FloorMbps: 0.1},
+		UpdateBytes: m.Cost().TransferBytes(),
+	}
+	cfg := syncConfig(7)
+	cfg.CohortSize, cfg.OverCommit = 2, 1
+	cfg.RoundDeadlineSec = 3600
+	cfg.MaxRounds, cfg.EvalEvery = 1, 0
+	cfg.MaxShardExamples = 8
+	rep, err := Run(cfg, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Rounds) != 1 {
+		t.Fatalf("%d rounds committed (stop: %s), want the short round committed", len(rep.Rounds), rep.StopReason)
+	}
+	r := rep.Rounds[0]
+	if r.Succeeded != 1 || r.Interrupted != 1 {
+		t.Fatalf("round outcomes: %d succeeded, %d interrupted, want 1 and 1", r.Succeeded, r.Interrupted)
+	}
+	if want := 10 + cfg.RoundDeadlineSec; r.VTime != want {
+		t.Fatalf("round committed at t=%v, want its deadline t=%v", r.VTime, want)
+	}
+}
+
 func TestDeterminism(t *testing.T) {
 	envA := testEnv(t, 100, 7)
 	envB := testEnv(t, 100, 7)

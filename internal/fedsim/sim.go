@@ -8,6 +8,7 @@ import (
 	"flint/internal/aggregator"
 	"flint/internal/availability"
 	"flint/internal/model"
+	"flint/internal/round"
 	"flint/internal/tensor"
 	"flint/internal/vclock"
 )
@@ -405,7 +406,7 @@ func (s *sim) completeAsync(t *task) error {
 			Staleness: staleness,
 		})
 		s.bufferLosses = append(s.bufferLosses, res.loss)
-		if len(s.buffer) >= s.cfg.BufferSize {
+		if (round.Rule{Target: s.cfg.BufferSize}).Ready(len(s.buffer), false) {
 			return s.aggregate()
 		}
 	}
@@ -429,10 +430,11 @@ func (s *sim) drainInflight() error {
 }
 
 // runSync is the FedAvg round loop with over-commitment: each round selects
-// CohortSize×OverCommit available clients, waits for the first CohortSize
-// completions within the deadline, aggregates them, and throws away
-// stragglers (§3.4, §5 "our sync mode ... uses client over-commitment to
-// handle dropouts").
+// ⌈CohortSize×OverCommit⌉ available clients, waits for the first
+// CohortSize completions within the deadline, aggregates them, and throws
+// away stragglers (§3.4, §5 "our sync mode ... uses client over-commitment
+// to handle dropouts"). The verdicts are the server's round rule with a
+// quorum of 1: a round is abandoned only when nothing arrived in time.
 func (s *sim) runSync() error {
 	for {
 		if reason, stop := s.hardStopReached(); stop {
@@ -450,18 +452,18 @@ func (s *sim) runSync() error {
 	}
 }
 
-// gatherCohort selects the over-committed cohort, advancing virtual time
-// through window arrivals as needed.
-func (s *sim) gatherCohort(want int) ([]*task, error) {
+// gatherCohort selects the over-committed cohort the rule assigns,
+// advancing virtual time through window arrivals as needed.
+func (s *sim) gatherCohort(rule round.Rule) ([]*task, error) {
 	var tasks []*task
 	// Bail out when the trace cycles without yielding eligible clients
 	// (e.g. cohort size beyond the population) instead of spinning.
 	guard := 20*len(s.env.Trace.Windows()) + 1000
-	for len(tasks) < want && guard > 0 {
+	for rule.Assign(len(tasks), false) && guard > 0 {
 		guard--
 		now := s.clock.Now()
 		// Consume the ready pool first.
-		for len(tasks) < want && len(s.ready) > 0 {
+		for rule.Assign(len(tasks), false) && len(s.ready) > 0 {
 			w := s.ready[0]
 			s.ready = s.ready[1:]
 			if w.End <= now || s.busy(w.ClientID, now) {
@@ -474,7 +476,7 @@ func (s *sim) gatherCohort(want int) ([]*task, error) {
 				tasks = append(tasks, t)
 			}
 		}
-		if len(tasks) >= want {
+		if !rule.Assign(len(tasks), false) {
 			break
 		}
 		// Wait for the next arrival.
@@ -503,8 +505,9 @@ func (s *sim) gatherCohort(want int) ([]*task, error) {
 // runSyncRound executes one FedAvg round; it reports false when the trace
 // ran dry before any client could be selected.
 func (s *sim) runSyncRound() (bool, error) {
-	want := int(math.Ceil(float64(s.cfg.CohortSize) * s.cfg.OverCommit))
-	tasks, err := s.gatherCohort(want)
+	maxAssign := int(math.Ceil(float64(s.cfg.CohortSize) * s.cfg.OverCommit))
+	rule := round.Rule{Target: s.cfg.CohortSize, Quorum: 1, MaxAssign: maxAssign}
+	tasks, err := s.gatherCohort(rule)
 	if err != nil {
 		return false, err
 	}
@@ -544,7 +547,7 @@ func (s *sim) runSyncRound() (bool, error) {
 				s.cur.Failed++
 				continue
 			}
-			if aggregated < s.cfg.CohortSize && d.end <= deadline {
+			if rule.Accept(aggregated, d.end > deadline) {
 				s.cur.Succeeded++
 				s.buffer = append(s.buffer, aggregator.Update{
 					ClientID: d.t.clientID,
@@ -566,12 +569,12 @@ func (s *sim) runSyncRound() (bool, error) {
 	// The server closes the round when the target count arrives, or at the
 	// deadline when the cohort came up short.
 	roundEnd := deadline
-	if aggregated >= s.cfg.CohortSize {
+	if rule.Ready(aggregated, false) {
 		roundEnd = lastAggEnd
 	}
-	if aggregated == 0 {
-		// A whole cohort produced nothing; advance past the deadline so
-		// the job keeps moving instead of spinning on one instant.
+	if !rule.Ready(aggregated, true) {
+		// Abandoned: nothing arrived in time. Advance past the deadline
+		// so the job keeps moving instead of spinning on one instant.
 		if roundEnd > s.clock.Now() {
 			if err := s.clock.AdvanceTo(roundEnd); err != nil {
 				return false, err
