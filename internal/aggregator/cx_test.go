@@ -1,10 +1,12 @@
 package aggregator
 
 import (
+	"bytes"
 	"encoding/binary"
 	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"flint/internal/tensor"
@@ -218,12 +220,9 @@ func TestRobustReduceGolden(t *testing.T) {
 
 // networkCheck reduces one tile of the dense updates ups (window [0, w))
 // with the streaming network as trimmedRange runs it (networkTile) and
-// with the row walk (streamTile), and fails unless the two sums are the
-// same bits and the updates are untouched. Two NaNs match whatever their
-// payloads: the row walk's sum is Go code, and which NaN operand its add
-// returns is the compiler's choice — the fuzzing build's instrumentation
-// flips it.
-func networkCheck(t testing.TB, ups []Update, w, k int) {
+// with the row walk (streamTile), and fails unless same holds for every
+// column of the two sums and the updates are untouched.
+func networkCheck(t testing.TB, ups []Update, w, k int, same func(a, b float64) bool) {
 	t.Helper()
 	n := len(ups)
 	before := make([]tensor.Vector, n)
@@ -237,7 +236,7 @@ func networkCheck(t testing.TB, ups []Update, w, k int) {
 	}
 	got := networkTile(buf, ups, 0, w, k)
 	for c := range want {
-		if !sameFloat(got[c], want[c]) {
+		if !same(got[c], want[c]) {
 			t.Fatalf("n=%d k=%d w=%d column %d: network %v (%#x), row walk %v (%#x)",
 				n, k, w, c, got[c], math.Float64bits(got[c]), want[c], math.Float64bits(want[c]))
 		}
@@ -256,25 +255,60 @@ func networkCheck(t testing.TB, ups []Update, w, k int) {
 // count k ≤ streamMaxTrim it allows, at widths of one column, odd and even
 // few, and the full network tile and one short of it, over columns that
 // mix the compare-exchange specials (±0, ±Inf, NaNs, subnormals) with
-// small integers that tie.
+// small integers that tie, and over the same mix without NaNs, which the
+// network reduces itself. Two NaNs match whatever their payloads
+// (sameFloat): the row walk's sum is Go code, and which NaN operand its
+// add returns is the compiler's choice — the fuzzing build's
+// instrumentation flips it. Then one NaN among finite rows, whatever its
+// payload and whichever row holds it, gives the row walk's exact bits,
+// payload included: also where the NaN ends among the trimmed levels,
+// which the network's exchange would keep out of the sum, and in an odd
+// last column, which runs beside the padding.
 func TestNetworkMatchesStreamTile(t *testing.T) {
 	rng := rand.New(rand.NewSource(38))
-	for n := 1; n <= 20; n++ {
+	ordered := slices.DeleteFunc(slices.Clone(cxSpecials), math.IsNaN)
+	for _, specials := range [][]float64{cxSpecials, ordered} {
+		for n := 1; n <= 20; n++ {
+			for k := 0; k <= streamMaxTrim && 2*k < n; k++ {
+				for _, w := range []int{1, 2, 3, 7, networkTileWidth - 1, networkTileWidth} {
+					ups := make([]Update, n)
+					for i := range ups {
+						d := tensor.NewVector(w)
+						for c := range d {
+							if rng.Intn(4) == 0 {
+								d[c] = specials[rng.Intn(len(specials))]
+							} else {
+								d[c] = float64(rng.Intn(7) - 3)
+							}
+						}
+						ups[i] = Update{ClientID: int64(i), Delta: d}
+					}
+					networkCheck(t, ups, w, k, sameFloat)
+				}
+			}
+		}
+	}
+
+	payloads := []uint64{
+		math.Float64bits(math.NaN()), 0xfff0_0000_0000_0001,
+		0x7ff8_0000_0000_0001, 0xffff_ffff_ffff_ffff, 0x7ff0_dead_beef_0000,
+	}
+	bitsEqual := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, n := range []int{1, 2, 5, 13, 16} {
 		for k := 0; k <= streamMaxTrim && 2*k < n; k++ {
-			for _, w := range []int{1, 2, 3, 7, networkTileWidth - 1, networkTileWidth} {
-				ups := make([]Update, n)
-				for i := range ups {
-					d := tensor.NewVector(w)
-					for c := range d {
-						if rng.Intn(4) == 0 {
-							d[c] = cxSpecials[rng.Intn(len(cxSpecials))]
-						} else {
+			for _, w := range []int{3, networkTileWidth} {
+				for row := 0; row < n; row++ {
+					ups := make([]Update, n)
+					for i := range ups {
+						d := tensor.NewVector(w)
+						for c := range d {
 							d[c] = float64(rng.Intn(7) - 3)
 						}
+						ups[i] = Update{ClientID: int64(i), Delta: d}
 					}
-					ups[i] = Update{ClientID: int64(i), Delta: d}
+					ups[row].Delta[row*5%w] = math.Float64frombits(payloads[row%len(payloads)])
+					networkCheck(t, ups, w, k, bitsEqual)
 				}
-				networkCheck(t, ups, w, k)
 			}
 		}
 	}
@@ -284,11 +318,13 @@ func TestNetworkMatchesStreamTile(t *testing.T) {
 // fuzzed tiles. n (1–20) rows of w (1–37) columns are cut from data, each
 // byte one value — a special below len(cxSpecials), otherwise a scrambled
 // bit pattern (any exponent, NaNs and subnormals included) — and reduced
-// at trim count k ≤ streamMaxTrim, 2k < n.
+// at trim count k ≤ streamMaxTrim, 2k < n. A tile with a NaN is the row
+// walk's own, so the last seed has none: the network reduces it itself.
 func FuzzStreamNetwork(f *testing.F) {
 	f.Add([]byte{0, 1, 4, 5, 2, 3, 9, 12, 40, 200, 7, 8, 13}, uint8(13), uint8(2), uint8(1))
 	f.Add([]byte{4, 4, 4, 1, 0, 250, 6, 6}, uint8(20), uint8(6), uint8(3))
 	f.Add([]byte{}, uint8(1), uint8(0), uint8(36))
+	f.Add(bytes.Repeat([]byte{0, 1, 11, 12, 2, 6, 13, 14, 7, 8, 12, 1, 200}, 5), uint8(12), uint8(2), uint8(4))
 	f.Fuzz(func(t *testing.T, data []byte, n, k, w uint8) {
 		value := func(b byte) float64 {
 			if int(b) < len(cxSpecials) {
@@ -312,6 +348,6 @@ func FuzzStreamNetwork(f *testing.F) {
 			}
 			ups[i] = Update{ClientID: int64(i), Delta: d}
 		}
-		networkCheck(t, ups, width, trim)
+		networkCheck(t, ups, width, trim, sameFloat)
 	})
 }

@@ -41,12 +41,12 @@ func TestNetworkAsmGenerated(t *testing.T) {
 // rows are in flight at once, their compare-exchanges interleaved in
 // program order: the younger one follows the older level by level, never
 // onto a level the older has not left. In the streaming loop the older
-// row takes the maxima while the younger takes the minima.
+// row takes the maxima while the younger takes the minima. After each
+// pair, one UNORD compare per two of the sum and the levels flags a NaN
+// the pair held.
 //
-// Registers: the levels are X0…X(2k-1), then two row values, two
-// temporaries, the sign mask and the sum; at k = 6 the levels, row values
-// and temporaries take all sixteen, so the sign mask is a 16-byte memory
-// operand and the sum lives in the sum row.
+// Registers: the levels are X0…X(2k-1), then two row values, the
+// temporary and the sum; at k = 6 that is all sixteen.
 func networkAsm() string {
 	var b strings.Builder
 	p := func(format string, args ...any) { fmt.Fprintf(&b, format+"\n", args...) }
@@ -55,46 +55,21 @@ func networkAsm() string {
 	p("")
 	p(`#include "textflag.h"`)
 	p("")
-	p("// CXMIN(L, V, T1, T2, S) leaves min(L, V) in L and max(L, V) in V;")
-	p("// CXMAX(L, V, T1, T2, S) leaves max(L, V) in L and min(L, V) in V. Both")
-	p("// compute compareExchangeSSE2's four MINPDs (cx_amd64.s) on registers:")
-	p("// min is MINPD(L,V) | MINPD(V,L) and max is -(MINPD(-L,-V) | MINPD(-V,-L)),")
-	p("// each symmetric in its operands, so which side keeps which value")
-	p("// changes no bit. S holds the sign mask, both lanes.")
-	p("#define CXMIN(L, V, T1, T2, S) \\")
-	for _, ins := range []string{
-		"MOVAPD V, T1", "MINPD L, T1", // T1 = MINPD(V, L)
-		"MOVAPD L, T2", "XORPD S, T2", // T2 = -L
-		"MINPD V, L", "ORPD T1, L", // L = min
-		"XORPD S, V", "MOVAPD T2, T1", "MINPD V, T1", // T1 = MINPD(-L, -V)
-		"MINPD T2, V", "ORPD T1, V", // V = -max
-	} {
-		p("\t%s; \\", ins)
-	}
-	p("\tXORPD S, V")
+	p("// CXMIN(L, V, T) leaves min(L, V) in L and max(L, V) in V; CXMAX(L, V, T)")
+	p("// leaves max(L, V) in L and min(L, V) in V. Either permutes the pair: on")
+	p("// a NaN or a tie, MINPD and MAXPD return their source operand, so L takes")
+	p("// V and V takes the old L (T). A NaN is moved, never spread, and a tie of")
+	p("// ±0 may leave the zeros the other way round from Go's min and max.")
+	p("#define CXMIN(L, V, T) MOVAPD L, T; MINPD V, L; MAXPD T, V")
+	p("#define CXMAX(L, V, T) MOVAPD L, T; MAXPD V, L; MINPD T, V")
 	p("")
-	p("#define CXMAX(L, V, T1, T2, S) \\")
-	for _, ins := range []string{
-		"MOVAPD L, T1", "MINPD V, T1", // T1 = MINPD(L, V)
-		"MOVAPD V, T2", "XORPD S, T2", // T2 = -V
-		"MINPD L, V", "ORPD T1, V", // V = min
-		"XORPD S, L", "MOVAPD T2, T1", "MINPD L, T1", // T1 = MINPD(-V, -L)
-		"MINPD T2, L", "ORPD T1, L", // L = -max
-	} {
-		p("\t%s; \\", ins)
-	}
-	p("\tXORPD S, L")
-	p("")
-	p("DATA  networkSign<>+0(SB)/8, $0x8000000000000000")
-	p("DATA  networkSign<>+8(SB)/8, $0x8000000000000000")
-	p("GLOBL networkSign<>(SB), RODATA|NOPTR, $16")
-	p("")
-	p("// func networkSSE2(rows []float64, n, k, pairs int)")
+	p("// func networkSSE2(rows []float64, n, k, pairs int) (nan bool)")
 	p("//")
 	p("// Reduces columns [0, 2·pairs) of the n rows at stride %d bytes (row i at", stride)
 	p("// rows[i·networkStride]) to the sum of each column's middle values, into")
-	p("// row n. Callers guarantee 0 ≤ k ≤ %d, 2k < n, and room for row n.", streamMaxTrim)
-	p("TEXT ·networkSSE2(SB), NOSPLIT, $0-48")
+	p("// row n, and reports whether a NaN was among them or their sums. Callers")
+	p("// guarantee 0 ≤ k ≤ %d, 2k < n, and room for row n.", streamMaxTrim)
+	p("TEXT ·networkSSE2(SB), NOSPLIT, $0-49")
 	p("\tMOVQ   rows_base+0(FP), SI")
 	p("\tMOVQ   n+24(FP), BX")
 	p("\tMOVQ   k+32(FP), AX")
@@ -106,57 +81,45 @@ func networkAsm() string {
 	p("\tSUBQ   AX, R8")
 	p("\tSUBQ   AX, R8")
 	p("\tDECQ   R8                      // R8 = rows past the first streamed, n-2k-1")
+	p("\tXORQ   R10, R10                // R10 = the pairs' NaN lane masks, OR-ed")
 	for k := 0; k <= streamMaxTrim; k++ {
 		p("\tCMPQ   AX, $%d", k)
 		p("\tJEQ    k%d", k)
 	}
-	p("\tRET")
+	p("\tJMP    done")
 	for k := 0; k <= streamMaxTrim; k++ {
 		networkK(p, k, stride)
 	}
+	p("")
+	p("done:")
+	p("\tTESTQ  R10, R10")
+	p("\tSETNE  nan+48(FP)")
+	p("\tRET")
 	return b.String()
 }
 
 // networkK writes the network for trim count k (see networkAsm).
 func networkK(p func(string, ...any), k, stride int) {
 	x := func(i int) string { return fmt.Sprintf("X%d", i) }
-	va, vb, t1, t2 := x(2*k), x(2*k+1), x(2*k+2), x(2*k+3)
-	sign, sum := "networkSign<>(SB)", "(SI)(R9*1)"
-	inRegs := 2*k+5 <= 15
-	if inRegs {
-		sign, sum = x(2*k+4), x(2*k+5)
+	if 2*k+3 > 15 {
+		panic(fmt.Sprintf("networkAsm: k = %d needs %d XMM registers", k, 2*k+4))
 	}
+	va, vb, t, sum := x(2*k), x(2*k+1), x(2*k+2), x(2*k+3)
 	cx := func(v string, l int) {
 		op := "CXMIN"
 		if l >= k {
 			op = "CXMAX"
 		}
-		p("\t%s(%s, %s, %s, %s, %s)", op, x(l), v, t1, t2, sign)
+		p("\t%s(%s, %s, %s)", op, x(l), v, t)
 	}
-	add := func(v string) {
-		if inRegs {
-			p("\tADDPD  %s, %s", v, sum)
-			return
-		}
-		p("\tMOVUPD %s, %s", sum, t1)
-		p("\tADDPD  %s, %s", v, t1)
-		p("\tMOVUPD %s, %s", t1, sum)
-	}
+	add := func(v string) { p("\tADDPD  %s, %s", v, sum) }
 	p("")
 	p("k%d:", k)
-	if inRegs {
-		p("\tMOVUPD networkSign<>(SB), %s", sign)
-	}
 	p("\tCMPQ   SI, DX")
-	p("\tJAE    done%d", k)
+	p("\tJAE    done")
 	p("")
 	p("pair%d:", k)
-	if inRegs {
-		p("\tXORPD  %s, %s", sum, sum)
-	} else {
-		p("\tXORPD  %s, %s", t1, t1)
-		p("\tMOVUPD %s, %s", t1, sum)
-	}
+	p("\tXORPD  %s, %s", sum, sum)
 	if k == 0 {
 		p("\tMOVQ   SI, DI")
 		p("\tMOVQ   BX, CX")
@@ -259,13 +222,32 @@ func networkK(p func(string, ...any), k, stride int) {
 		p("")
 		p("sum%d:", k)
 	}
-	if inRegs {
-		p("\tMOVUPD %s, (SI)(R9*1)", sum)
+	p("\tMOVUPD %s, (SI)(R9*1)", sum)
+	// Every value the pair loaded was added to the sum or sits in a level:
+	// the pair held a NaN only if one of them is NaN now (or the sum is, as
+	// +Inf + -Inf makes it). Compare them two at a time, unordered.
+	vals := []string{sum}
+	for l := 0; l < 2*k; l++ {
+		vals = append(vals, x(l))
 	}
+	if len(vals)%2 == 1 {
+		vals = append(vals, sum)
+	}
+	for i := 0; i < len(vals); i += 2 {
+		dst := va
+		if i > 0 {
+			dst = vb
+		}
+		p("\tMOVAPD %s, %s", vals[i], dst)
+		p("\tCMPPD  %s, %s, $3", vals[i+1], dst)
+		if i > 0 {
+			p("\tORPD   %s, %s", vb, va)
+		}
+	}
+	p("\tMOVMSKPD %s, CX", va)
+	p("\tORQ    CX, R10")
 	p("\tADDQ   $16, SI")
 	p("\tCMPQ   SI, DX")
 	p("\tJB     pair%d", k)
-	p("")
-	p("done%d:", k)
-	p("\tRET")
+	p("\tJMP    done")
 }

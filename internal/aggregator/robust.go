@@ -31,12 +31,12 @@ const robustStride = robustTile + 8
 // c being 10 to 15 scalar exchanges' worth (falling slowly with n) and
 // about twice that many packed ones, so the dispatch is on k alone. On
 // amd64 the network keeps each column pair's 2k levels in XMM registers
-// (networkTile), where an exchange costs 12 instructions and no memory
-// access; 2k = 12 levels, two row values and two temporaries take all
-// sixteen registers, so 6 is also as far as it reaches. At n = 32 and 64
-// it is 20–30 % under the row walk at k = 4–6, which is itself under the
-// selection there; the row walk and the selection tie between k = 11 and
-// 12 for n = 64, and with the scalar loop other GOARCHes run between
+// (networkTile), where an exchange costs three instructions and no memory
+// access; 2k = 12 levels, two row values, one temporary and the sum take
+// all sixteen registers, so 6 is also as far as it reaches. It takes
+// about a quarter of the row walk's time at n = 32, k = 6 and under half
+// at n = 13, k = 2, and the row walk is itself under the selection there;
+// the row walk and the selection tie between k = 11 and 12 for n = 64, and with the scalar loop other GOARCHes run between
 // k = 4–5 and k = 7–8 (BenchmarkTileKernels). Either way the network wins
 // every k a round of 13 can have. Raising the constant would change the
 // published bits of every round whose k crosses it (the kernels sum the

@@ -365,7 +365,8 @@ func TestTileKernelsMatchSortReference(t *testing.T) {
 }
 
 // BenchmarkTileKernels prices the two tile kernels head to head at every
-// trim count k = 4…12 for rounds of 32 and 64 q8 updates, bypassing the
+// trim count k = 2…12 a round of 13, 32 or 64 q8 updates allows (13 at
+// k = 2 is defended_rounds' screened round), bypassing the
 // streamMaxTrim dispatch — the measurement that places the crossover —
 // and, up to streamMaxTrim, the register network trimmedRange runs in the
 // row walk's place (networkTile, on tiles of networkTileWidth). Reports
@@ -377,9 +378,9 @@ func BenchmarkTileKernels(b *testing.B) {
 	for i := range ups {
 		ups[i] = Update{ClientID: int64(i), Payload: encodePayload(b, randVec(rng, tiles*robustTile), codec.Q8)}
 	}
-	for _, n := range []int{32, 64} {
+	for _, n := range []int{13, 32, 64} {
 		buf := make([]float64, (n+1)*robustStride+n) // the selection's; the network's 2k+2 rows fit
-		for k := 4; k <= 12; k++ {
+		for k := 2; k <= min(12, (n-1)/2); k++ {
 			for _, name := range []string{"network", "selection", "register"} {
 				kernel, width := tileKernels[name], robustTile
 				if name == "register" {

@@ -219,7 +219,9 @@ const registryShards = 64
 // paths share no mutex with the commit pipeline and never block on
 // aggregation, encoding, or disk. The *round plane* — round lifecycle
 // transitions and the commit pipeline — stays under mu, which only the
-// ingest worker and the deadline watchdog take.
+// ingest worker, the deadline watchdog and, in hierarchical mode, a parked
+// round's exchange goroutine take; the last publishes the tier's install
+// under it (installGlobal).
 //
 // Each version is one buffer (codec.VersionBuf): the checkpoint header,
 // then the raw64 blob of the params. The published params, their ring
@@ -273,9 +275,16 @@ type Coordinator struct {
 
 	// mu is the round-plane lock: it serializes the commit/abandon
 	// pipeline (round lifecycle edges, aggregation, version builds, store
-	// inserts, serving swaps). Only the ingest worker and the watchdog
-	// take it — never a request handler.
+	// inserts, serving swaps). Only the ingest worker, the watchdog and a
+	// parked round's exchange goroutine (installGlobal, which publishes
+	// under it) take it — never a request handler.
 	mu sync.Mutex
+	// noise is the held DP draw: the noise of version noiseFor, the one a
+	// commit of the serving round publishes, begun when that round opened
+	// so the draw runs while the round collects (nil with DP off). Guarded
+	// by mu.
+	noise    *aggregator.DPCommit
+	noiseFor int
 
 	// historyMu guards the finished-round log: the last recentRounds
 	// committed/abandoned rounds, which /v1/status returns whole.
@@ -410,8 +419,16 @@ func New(cfg Config) (*Coordinator, error) {
 // are provisioned with the scheduler's deadline-driven over-commit: the
 // configured base scaled by the fleet's measured on-time fraction, so a
 // straggler-heavy census buys more duplicate assignments and the round
-// still closes by its deadline.
+// still closes by its deadline. With DP on, the noise of the version the
+// round would publish is drawn from here on: it depends on (seed,
+// version) alone, so a round reopened on the same plane keeps the held
+// draw, and a new plane releases it for the next version's. Callers hold
+// mu, or own the coordinator alone (New).
 func (c *Coordinator) newRound(id uint64, bs *broadcastState, now time.Time) *Round {
+	if c.dp != nil && (c.noise == nil || c.noiseFor != bs.version+1) {
+		c.noise.Release()
+		c.noise, c.noiseFor = c.dp.Begin(bs.version+1, c.dim), bs.version+1
+	}
 	maxAssign := int(float64(c.cfg.TargetUpdates) * c.sched.OverCommit(c.cfg.OverCommit))
 	if c.cfg.Mode == ModeAsync {
 		maxAssign = c.cfg.MaxInflight
@@ -434,6 +451,12 @@ func (c *Coordinator) Close() {
 		// The loops spawn exchange goroutines, so they stop first; an
 		// in-flight install may still be publishing under mu.
 		c.exchWG.Wait()
+		// No round opens past this point: stop the held DP draw and wait
+		// for its goroutine.
+		c.mu.Lock()
+		c.noise.Release()
+		c.noise = nil
+		c.mu.Unlock()
 		// No commit can run past this point, so the persist channel has
 		// no senders left; closing it drains the worker cleanly.
 		close(c.persist)
@@ -1106,10 +1129,6 @@ func (c *Coordinator) commitLocked(r *Round, now time.Time) {
 		c.counters.Counter("round_fsm_error").Inc()
 		return
 	}
-	// The DP noise of the version this commit publishes is drawn beside
-	// the screen and the reduce (nil, and a no-op, when DP is off).
-	dp := c.dp.Begin(bs.version+1, c.dim)
-	defer dp.Release()
 	// Stage 0: the pre-reduce norm screen. Outlier updates (boosted
 	// poison, norm overflow, NaN norms) never reach the reducer — or, in
 	// hierarchical mode, the shard partial; the screen is a per-update
@@ -1161,9 +1180,13 @@ func (c *Coordinator) commitLocked(r *Round, now time.Time) {
 	// the delta finite even past float overflow (an infinite norm scales
 	// it to zero) and the noise is finite by construction, so nothing
 	// here can reintroduce what the fused non-finite screen just ruled
-	// out.
+	// out. The noise is the held draw, begun when r opened on plane bs;
+	// the commit takes it, so a failed publish draws the version again.
 	if c.dp != nil {
+		dp := c.noise
+		c.noise = nil
 		eps, noised := dp.Apply(params, bs.published, len(updates))
+		dp.Release()
 		if noised {
 			c.counters.Counter("dp_rounds").Inc()
 			r.noteEpsilon(eps)

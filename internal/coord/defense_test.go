@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"flint/internal/model"
 	"flint/internal/tensor"
 )
 
@@ -182,16 +183,26 @@ func TestDPCommitDeterministic(t *testing.T) {
 	}
 }
 
-// TestDPCommitAfterAbortMatches: the DP noise a commit draws beside its
-// screen and reduce depends on the version alone. A round the screen
-// empties aborts mid-draw, the next round draws the same version again,
-// and it publishes exactly the params of a server that never saw the
-// aborted round — at GOMAXPROCS 1 and 2.
+// TestDPCommitAfterAbortMatches: the DP noise of a version depends on the
+// version alone, and the draw begun when a plane's first round opened is
+// kept by every round that reopens on that plane: the same draw, not a
+// second one. A round the screen
+// empties aborts mid-commit, or a round below quorum is abandoned at its
+// deadline; either way the next round commits the same version and
+// publishes exactly the params of a server that never saw the lost round
+// — at GOMAXPROCS 1 and 2. The accountant counts commits, not draws: no
+// spend after the lost round, one round's after the commit, though the
+// next version's draw is already held by then.
 func TestDPCommitAfterAbortMatches(t *testing.T) {
 	cfg := syncTestConfig()
 	cfg.DP = DPConfig{Epsilon: 8, ClipNorm: 0.05, Seed: 77}
 	cfg.Aggregation.ScreenMaxNorm = 1
-	publish := func(abortFirst bool) tensor.Vector {
+	spent := func(c *Coordinator) (int64, float64, int64) {
+		st := c.Status()
+		return st.Privacy.DPRounds, st.Privacy.EpsilonSpent, st.Counters["dp_rounds"]
+	}
+	var oneRound float64 // the direct run's spend
+	publish := func(lose string) tensor.Vector {
 		t.Helper()
 		c, err := New(cfg)
 		if err != nil {
@@ -210,31 +221,103 @@ func TestDPCommitAfterAbortMatches(t *testing.T) {
 				t.Fatalf("device %d: %v", id, err)
 			}
 		}
-		if abortFirst {
+		c.mu.Lock()
+		held := c.noise
+		c.mu.Unlock()
+		switch lose {
+		case "screened":
 			for id := int64(1); id <= 3; id++ {
 				submit(id, 100) // far past the screen's cap
 			}
 			eventually(t, 5*time.Second, func() bool {
 				return c.Counters().Counter("round_aggregate_robust_error").Value() == 1
 			}, "all-screened round was not aborted")
+		case "abandoned":
+			r := c.serving.Load().round
+			submit(1, 0.001) // 1 < quorum of 2
+			eventually(t, 5*time.Second, func() bool { return r.Collected() == 1 }, "update never landed")
+			// The watchdog's tick at the deadline, without waiting a
+			// deadline out.
+			c.mu.Lock()
+			c.abandonLocked(r, r.Deadline)
+			c.mu.Unlock()
+			if got := c.Counters().Counter("rounds_abandoned").Value(); got != 1 {
+				t.Fatalf("rounds_abandoned = %d, want 1", got)
+			}
+		}
+		c.mu.Lock()
+		kept := c.noise == held
+		c.mu.Unlock()
+		if !kept {
+			t.Fatalf("%s: the round reopened on the same plane with a new draw", lose)
+		}
+		if rounds, eps, counted := spent(c); rounds != 0 || eps != 0 || counted != 0 {
+			t.Fatalf("%s: spend before any commit: dp_rounds %d (counter %d), epsilon_spent %v", lose, rounds, counted, eps)
 		}
 		for id := int64(4); id <= 6; id++ {
 			submit(id, 0.001*float64(id))
 		}
 		eventually(t, 5*time.Second, func() bool { return c.Version() == 2 }, "round never committed")
+		rounds, eps, counted := spent(c)
+		if lose == "" {
+			oneRound = eps
+		}
+		if rounds != 1 || counted != 1 || eps <= 0 || eps != oneRound {
+			t.Fatalf("%s: spend after one commit: dp_rounds %d (counter %d), epsilon_spent %v (direct %v)", lose, rounds, counted, eps, oneRound)
+		}
 		return join(t, c, 9).Params
 	}
 	for _, procs := range []int{1, 2} {
 		func() {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-			want, got := publish(false), publish(true)
-			for i := range want {
-				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-					t.Fatalf("GOMAXPROCS=%d: param[%d] = %v after an aborted commit, %v without", procs, i, got[i], want[i])
+			want := publish("")
+			for _, lose := range []string{"screened", "abandoned"} {
+				got := publish(lose)
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("GOMAXPROCS=%d: param[%d] = %v after a %s round, %v without", procs, i, got[i], lose, want[i])
+					}
 				}
 			}
 		}()
 	}
+}
+
+// TestDPCloseStopsHeldDraw: Close stops the DP draw a round holds while
+// it is still running and waits for it, so no draw goroutine outlives the
+// coordinator. The largest model keeps the draw New begins running past
+// New; a loaded machine can still let it finish first, so the test takes
+// the first of a few coordinators whose draw is in flight at Close.
+func TestDPCloseStopsHeldDraw(t *testing.T) {
+	const draw = "aggregator.(*DP).Begin.func1"
+	drawing := func() bool {
+		buf := make([]byte, 1<<20)
+		return strings.Contains(string(buf[:runtime.Stack(buf, true)]), draw)
+	}
+	cfg := syncTestConfig()
+	cfg.ModelKind = model.KindE
+	cfg.DP = DPConfig{Epsilon: 8, ClipNorm: 0.05, Seed: 77}
+	var c *Coordinator
+	for try := 1; ; try++ {
+		var err error
+		if c, err = New(cfg); err != nil {
+			t.Fatal(err)
+		}
+		if drawing() {
+			break
+		}
+		c.Close()
+		if try == 5 {
+			t.Fatal("no draw in flight after New, 5 tries")
+		}
+	}
+	c.Close()
+	if c.noise != nil {
+		t.Fatal("Close kept the held draw")
+	}
+	// Close released the draw, and Release waits for its goroutine: give
+	// it the moment it takes to return from the stack.
+	eventually(t, time.Second, func() bool { return !drawing() }, "a DP draw outlived Close")
 }
 
 // TestScreenRejectsBoostedUpdate: a sign-flip-boosted update is dropped
